@@ -793,8 +793,9 @@ let e10 () =
   let mappers = Syndex.Mapper.names () in
   let conformance_of ~schedule ?input_period (r : Executive.result) =
     match
-      Machine.Profile.conformance ~schedule
-        ~output_times:r.Executive.output_times ?input_period r.Executive.sim
+      Skipper_trace.Conformance.analyse ~schedule
+        ~output_times:r.Executive.output_times ?input_period
+        (Executive.timeline r)
     with
     | Ok rep -> rep
     | Error msg -> failwith msg
@@ -1232,9 +1233,9 @@ let e15 () =
         in
         let report =
           match
-            Machine.Profile.conformance ~schedule
+            Skipper_trace.Conformance.analyse ~schedule
               ~output_times:r.Executive.output_times ~input_period
-              r.Executive.sim
+              (Executive.timeline r)
           with
           | Ok rep -> rep
           | Error msg -> failwith msg

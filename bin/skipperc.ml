@@ -702,9 +702,9 @@ let run_cmd =
         in
         let conformance_report ~schedule ~input_period r =
           match
-            Machine.Profile.conformance ~schedule
+            Skipper_trace.Conformance.analyse ~schedule
               ~output_times:r.Executive.output_times ?input_period
-              r.Executive.sim
+              (Executive.timeline r)
           with
           | Ok report -> report
           | Error msg -> failwith msg

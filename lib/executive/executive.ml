@@ -690,7 +690,7 @@ let is_itermem g =
     (fun (node : G.node) -> match node.kind with G.Mem _ -> true | _ -> false)
     (G.nodes g)
 
-let run ?(trace = false) ?trace_limit ?input_period ?(faults = [])
+let run ?(trace = false) ?input_period ?(faults = [])
     ?(restores = []) ?(link_faults = []) ?recovery:recov ?checkpoint_every
     ~table ~arch ~placement ~graph:g ~frames ~input () =
   if frames <= 0 then error "frames must be positive";
@@ -700,7 +700,7 @@ let run ?(trace = false) ?trace_limit ?input_period ?(faults = [])
   if Array.length placement <> G.nnodes g then
     error "placement has %d entries for %d processes" (Array.length placement)
       (G.nnodes g);
-  let sim = Machine.Sim.create ~trace ?trace_limit arch in
+  let sim = Machine.Sim.create ~trace arch in
   List.iter (fun (p, at) -> Machine.Sim.halt_processor sim ~at p) faults;
   List.iter (fun (p, at) -> Machine.Sim.restore_processor sim ~at p) restores;
   List.iter (Machine.Sim.add_fault sim) link_faults;
@@ -798,17 +798,17 @@ let run ?(trace = false) ?trace_limit ?input_period ?(faults = [])
     sim;
   }
 
-let run_schedule ?trace ?trace_limit ?input_period ?faults ?restores
-    ?link_faults ?recovery ?checkpoint_every ~table ~schedule ~frames ~input
-    () =
-  run ?trace ?trace_limit ?input_period ?faults ?restores ?link_faults
+let run_schedule ?trace ?input_period ?faults ?restores ?link_faults
+    ?recovery ?checkpoint_every ~table ~schedule ~frames ~input () =
+  run ?trace ?input_period ?faults ?restores ?link_faults
     ?recovery ?checkpoint_every ~table
     ~arch:schedule.Syndex.Schedule.arch
     ~placement:schedule.Syndex.Schedule.placement
     ~graph:schedule.Syndex.Schedule.graph ~frames ~input ()
 
 let timeline ?slo r =
-  let tl = Machine.Sim.timeline r.sim in
+  let tl = Skipper_trace.Event.create () in
+  Skipper_trace.Event.append tl (Machine.Sim.timeline r.sim);
   Option.iter (Skipper_trace.Series.Slo.emit tl) slo;
   tl
 

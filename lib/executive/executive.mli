@@ -77,7 +77,6 @@ exception Executive_error of string
 
 val run :
   ?trace:bool ->
-  ?trace_limit:int ->
   ?input_period:float ->
   ?faults:(int * float) list ->
   ?restores:(int * float) list ->
@@ -132,7 +131,6 @@ val run :
 
 val run_schedule :
   ?trace:bool ->
-  ?trace_limit:int ->
   ?input_period:float ->
   ?faults:(int * float) list ->
   ?restores:(int * float) list ->
@@ -154,12 +152,15 @@ val metrics : result -> Machine.Metrics.report
 
 val timeline :
   ?slo:Skipper_trace.Series.Slo.report -> result -> Skipper_trace.Event.timeline
-(** The run's message-lifecycle events as a unified timeline (empty when the
+(** The run's message-lifecycle events as a fresh timeline (empty when the
     machine was created without [~trace:true]): one lane per process grouped
     under its hosting processor, one lane per directed link, plus the
     environment injections. With [slo], the monitor's state transitions are
-    appended as instants on the SLO lanes. Feed to
-    {!Skipper_trace.Chrome.to_json} or {!Skipper_trace.Svg.gantt}. *)
+    appended as instants on the SLO lanes. Each call copies the machine's
+    own {!Machine.Sim.timeline}, which it never modifies, so repeated calls
+    neither duplicate events nor see each other's SLO instants. Feed to
+    {!Skipper_trace.Chrome.to_json}, {!Skipper_trace.Svg.gantt} or
+    {!Skipper_trace.Conformance.analyse}. *)
 
 val series :
   ?width:float ->

@@ -91,12 +91,14 @@ let latency_stats = function
 
 let analyse ?(deadline_misses = 0) ?(reissues = 0) ?(latencies = []) sim =
   let stats = Sim.stats sim in
-  let accounts = Sim.process_accounts sim in
+  let accounts = Sim.accounts sim in
   let finish = stats.Sim.finish_time in
   let live_times = Sim.live_times sim in
   let nprocs = Array.length stats.Sim.busy in
   let hosted = Array.make nprocs 0 in
-  List.iter (fun (_, on, _, _) -> hosted.(on) <- hosted.(on) + 1) accounts;
+  List.iter
+    (fun (a : Sim.account) -> hosted.(a.on) <- hosted.(a.on) + 1)
+    accounts;
   let loads =
     List.init nprocs (fun p ->
         let live = live_times.(p) in
@@ -110,10 +112,10 @@ let analyse ?(deadline_misses = 0) ?(reissues = 0) ?(latencies = []) sim =
   in
   let hottest_process =
     List.fold_left
-      (fun best (name, _, busy, _) ->
+      (fun best (a : Sim.account) ->
         match best with
-        | Some (_, b) when b >= busy -> best
-        | _ -> Some (name, busy))
+        | Some (_, b) when b >= a.busy_s -> best
+        | _ -> Some (a.aname, a.busy_s))
       None accounts
   in
   let links =
@@ -139,7 +141,7 @@ let analyse ?(deadline_misses = 0) ?(reissues = 0) ?(latencies = []) sim =
           idle_t = Float.max 0.0 (finish -. a.Sim.busy_s -. a.Sim.blocked_s);
           sends = a.Sim.sends;
         })
-      (Sim.accounts sim)
+      accounts
   in
   {
     finish_time = finish;
@@ -252,19 +254,6 @@ let to_string report =
 (* ------------------------------------------------------------------ *)
 (* Machine-readable summary                                            *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json report =
   let loads =
     String.concat ","
@@ -289,7 +278,7 @@ let to_json report =
       (List.map
          (fun ((proc, port), depth) ->
            Printf.sprintf {|{"process":"%s","port":"%s","max_depth":%d}|}
-             (json_escape proc) (json_escape port) depth)
+             (Support.Json.escape proc) (Support.Json.escape port) depth)
          report.port_depths)
   in
   let procs =
@@ -298,7 +287,8 @@ let to_json report =
          (fun p ->
            Printf.sprintf
              {|{"process":"%s","proc":%d,"busy_s":%.9f,"blocked_s":%.9f,"idle_s":%.9f,"sends":%d}|}
-             (json_escape p.name) p.on p.busy_t p.blocked_t p.idle_t p.sends)
+             (Support.Json.escape p.name)
+             p.on p.busy_t p.blocked_t p.idle_t p.sends)
          report.breakdown)
   in
   let latency =
@@ -325,11 +315,13 @@ let to_json report =
 let summary_json ?(extras = []) ~experiment report =
   let extras =
     String.concat ""
-      (List.map (fun (k, v) -> Printf.sprintf {|,"%s":%.6f|} (json_escape k) v) extras)
+      (List.map
+         (fun (k, v) -> Printf.sprintf {|,"%s":%.6f|} (Support.Json.escape k) v)
+         extras)
   in
   Printf.sprintf
     {|{"experiment":"%s","finish_time":%.6f,"utilisation":%.4f,"messages":%d,"bytes":%d,"imbalance":%.4f,"dropped_msgs":%d,"deadline_misses":%d,"reissues":%d,"trace_truncated":%d%s}|}
-    (json_escape experiment) report.finish_time report.mean_utilisation
+    (Support.Json.escape experiment) report.finish_time report.mean_utilisation
     report.messages report.bytes (imbalance report) report.dropped_msgs
     report.deadline_misses report.reissues
     (if report.trace_truncated then 1 else 0)

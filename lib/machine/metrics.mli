@@ -64,7 +64,9 @@ type report = {
   trace_truncated : bool;
       (** the simulator dropped trace events past its limit — trace-derived
           numbers (Gantt, conformance, series) are incomplete *)
-  trace_limit : int;  (** the event cap the trace was subject to *)
+  trace_limit : int;
+      (** the cap on simulator records the trace was subject to (see
+          {!Sim.trace_limit}) *)
 }
 
 val latency_stats : float list -> latency_stats option

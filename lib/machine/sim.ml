@@ -1,5 +1,6 @@
 open Effect
 open Effect.Deep
+module Event = Skipper_trace.Event
 
 type pid = int
 
@@ -96,34 +97,6 @@ type armed_fault = {
 
 type fault_tally = { dropped : int; delayed : int; duplicated : int }
 
-(* The full message lifecycle is recorded, one event per step: the sender's
-   overhead span ([Send]), one [Hop] per link reservation along the route,
-   [Deliver] when the payload lands in the destination mailbox, and [Recv]
-   when the receiving process consumes it (dur = 0 when the delivery woke a
-   blocked receiver, which pays no software overhead). Events share a
-   message id, so exporters can pair them into arrows. *)
-type trace_event = {
-  time : float;
-  proc : int;  (** hosting processor; -1 for environment injections *)
-  pid : pid;  (** emitting process; -1 when none *)
-  process : string;
-  what : what;
-}
-
-and what =
-  | Compute of { cycles : float; dur : float }
-  | Send of { msg : int; dst : pid; port : string; bytes : int; dur : float }
-  | Hop of { msg : int; link_src : int; link_dst : int; bytes : int; start : float; finish : float }
-  | Deliver of { msg : int; port : string }
-  | Block of { ports : string list }
-  | Recv of { msg : int; port : string; dur : float }
-  | Done
-  | Halted
-  | Restored
-  | Fault of { msg : int; action : string }
-      (** an injected (or halt-induced) message fault; [proc] is the
-          destination processor whose delivery was affected *)
-
 type event =
   | Dispatch of int  (** processor id: pull next ready process if CPU free *)
   | Step of pid * int * resume
@@ -167,15 +140,13 @@ type t = {
   mutable hops_total : int;
   mutable next_msg : int;
   busy : float array;
-  busy_intervals : (float * float) list array;  (* reversed, for gantt *)
   last_charge : pid option array;  (* process holding the latest charge *)
   proc_busy : (pid, float) Hashtbl.t;  (* per-process busy seconds *)
   proc_sends : (pid, int) Hashtbl.t;
   tracing : bool;
-  trace_limit : int;
-  mutable trace_rev : trace_event list;
+  trace_limit : int;  (* simulator records admitted to [timeline] *)
   mutable trace_len : int;
-  mutable trace_dropped : bool;
+  timeline : Event.timeline;
 }
 
 let create ?(trace = false) ?(trace_limit = 20000) arch =
@@ -204,27 +175,76 @@ let create ?(trace = false) ?(trace_limit = 20000) arch =
     hops_total = 0;
     next_msg = 0;
     busy = Array.make n 0.0;
-    busy_intervals = Array.make n [];
     last_charge = Array.make n None;
     proc_busy = Hashtbl.create 32;
     proc_sends = Hashtbl.create 32;
     tracing = trace;
     trace_limit;
-    trace_rev = [];
     trace_len = 0;
-    trace_dropped = false;
+    timeline = Event.create ();
   }
 
 let arch t = t.arch
 
-let record t ev =
-  if t.tracing then begin
-    if t.trace_len < t.trace_limit then begin
-      t.trace_rev <- ev :: t.trace_rev;
-      t.trace_len <- t.trace_len + 1
-    end
-    else t.trace_dropped <- true
+(* Counts one simulator record against [trace_limit]: true when its events
+   may be emitted, else the timeline is flagged truncated. A record is one
+   step of the lifecycle (a send is one record, emitted as a span plus a
+   flow start). Call sites test [t.tracing] first, so an untraced machine
+   builds no event at all. *)
+let admit t =
+  if t.trace_len < t.trace_limit then begin
+    t.trace_len <- t.trace_len + 1;
+    true
   end
+  else begin
+    Event.mark_truncated t.timeline;
+    false
+  end
+
+let lane (proc : process) =
+  Event.processor_lane ~proc:proc.on ~pid:proc.pid ~name:proc.name
+
+(* The full message lifecycle is emitted, one record per step: the sender's
+   overhead span ([emit_send]), one link span per hop along the route, a
+   deliver instant when the payload lands in the destination mailbox, and
+   [emit_recv] when the receiving process consumes it (dur = 0 when the
+   delivery woke a blocked receiver, which pays no software overhead).
+   Send and recv carry a flow pair keyed by the message id, which exporters
+   draw as an arrow. *)
+let emit_send t ~lane ~time ~msg ~dst ~port ~bytes ~dur =
+  let tl = t.timeline in
+  let name = "send " ^ port in
+  let args =
+    [
+      ("msg", Event.Count msg);
+      ("dst", Event.Count dst);
+      ("bytes", Event.Count bytes);
+    ]
+  in
+  if dur > 0.0 then Event.span tl ~lane ~cat:"send" ~args ~name ~time ~dur ()
+  else
+    Event.instant tl ~lane ~cat:"send" ~args ~name:("inject " ^ port) ~time ();
+  Event.flow_start tl ~lane ~cat:"message" ~name:port ~flow:msg ~time ()
+
+let emit_recv t proc ~msg ~port ~dur =
+  let lane = lane proc in
+  Event.span t.timeline ~lane ~cat:"recv"
+    ~args:[ ("msg", Event.Count msg) ]
+    ~name:("recv " ^ port) ~time:t.time ~dur ();
+  Event.flow_end t.timeline ~lane ~cat:"message" ~name:port ~flow:msg
+    ~time:t.time ()
+
+let emit_block t proc ports =
+  Event.instant t.timeline ~lane:(lane proc) ~cat:"block"
+    ~args:[ ("ports", Event.Str (String.concat "," ports)) ]
+    ~name:"blocked" ~time:t.time ()
+
+(* Processor-level instants: halts, restores and message faults, on the
+   affected processor's cpu lane. *)
+let emit_fault t p ?msg name =
+  let args = match msg with Some m -> [ ("msg", Event.Count m) ] | None -> [] in
+  Event.instant t.timeline ~lane:(Event.cpu_lane p) ~cat:"fault" ~args ~name
+    ~time:t.time ()
 
 let fresh_msg t =
   let id = t.next_msg in
@@ -272,8 +292,7 @@ let charge_busy ?pid t p dt =
   | Some pid ->
       Hashtbl.replace t.proc_busy pid
         (dt +. Option.value ~default:0.0 (Hashtbl.find_opt t.proc_busy pid))
-  | None -> ());
-  if t.tracing then t.busy_intervals.(p) <- (t.time, t.time +. dt) :: t.busy_intervals.(p)
+  | None -> ())
 
 (* Find, among [ports], the mailbox whose head message was delivered
    earliest. Returns (port, delivery_time). *)
@@ -319,9 +338,9 @@ let reserve_link t key earliest duration =
 
 (* Physical transfer of [bytes_n] bytes from processor [src] to [dst],
    starting at [depart]. Returns the arrival time; reserves link occupancy
-   (store-and-forward, one transfer at a time per directed link). [msg] and
-   [sender] only feed the trace. *)
-let transfer t ~msg ~sender src dst bytes_n depart =
+   (store-and-forward, one transfer at a time per directed link). [msg] only
+   feeds the trace. *)
+let transfer t ~msg src dst bytes_n depart =
   if src = dst then depart +. (float_of_int bytes_n /. local_copy_bandwidth)
   else begin
     let path = Archi.route t.arch src dst in
@@ -339,24 +358,16 @@ let transfer t ~msg ~sender src dst bytes_n depart =
           t.hops_total <- t.hops_total + 1;
           Hashtbl.replace t.link_transfers (a, b)
             (1 + Option.value ~default:0 (Hashtbl.find_opt t.link_transfers (a, b)));
-          record t
-            {
-              time = start;
-              proc = a;
-              pid = -1;
-              process = sender;
-              what =
-                Hop
-                  {
-                    msg;
-                    link_src = a;
-                    link_dst = b;
-                    bytes = bytes_n;
-                    start;
-                    finish = start +. duration;
-                  };
-            };
-          hop (start +. duration) rest
+          let finish = start +. duration in
+          if t.tracing && admit t then
+            Event.span t.timeline
+              ~lane:
+                (Event.link_lane ~src:a ~dst:b ~nprocs:(Archi.nprocs t.arch))
+              ~cat:"link"
+              ~args:[ ("msg", Event.Count msg); ("bytes", Event.Count bytes_n) ]
+              ~name:(Printf.sprintf "msg %d" msg)
+              ~time:start ~dur:(finish -. start) ();
+          hop finish rest
       | _ -> depart
     in
     hop depart path
@@ -371,8 +382,9 @@ let run_segment t (proc : process) resume =
       retc =
         (fun () ->
           proc.state <- Finished;
-          record t
-            { time = t.time; proc = p; pid = proc.pid; process = proc.name; what = Done };
+          if t.tracing && admit t then
+            Event.instant t.timeline ~lane:(lane proc) ~cat:"proc" ~name:"done"
+              ~time:t.time ();
           t.cpu_free.(p) <- t.time;
           push_event t t.time (Dispatch p));
       exnc = (fun exn -> raise (Process_failure (proc.name, exn)));
@@ -383,14 +395,10 @@ let run_segment t (proc : process) resume =
               Some
                 (fun (k : (a, unit) continuation) ->
                   let dt = cycles *. cycle_time t p in
-                  record t
-                    {
-                      time = t.time;
-                      proc = p;
-                      pid = proc.pid;
-                      process = proc.name;
-                      what = Compute { cycles; dur = dt };
-                    };
+                  if t.tracing && admit t then
+                    Event.span t.timeline ~lane:(lane proc) ~cat:"compute"
+                      ~args:[ ("cycles", Event.Num cycles) ]
+                      ~name:"compute" ~time:t.time ~dur:dt ();
                   charge_busy ~pid:proc.pid t p dt;
                   t.cpu_free.(p) <- t.time +. dt;
                   push_event t (t.time +. dt) (Step (proc.pid, proc.epoch, RUnit k)))
@@ -407,17 +415,11 @@ let run_segment t (proc : process) resume =
                   t.messages <- t.messages + 1;
                   t.bytes <- t.bytes + nbytes;
                   let msg = fresh_msg t in
-                  record t
-                    {
-                      time = t.time;
-                      proc = p;
-                      pid = proc.pid;
-                      process = proc.name;
-                      what = Send { msg; dst; port; bytes = nbytes; dur = dt };
-                    };
+                  if t.tracing && admit t then
+                    emit_send t ~lane:(lane proc) ~time:t.time ~msg ~dst ~port
+                      ~bytes:nbytes ~dur:dt;
                   let arrive =
-                    transfer t ~msg ~sender:proc.name p dst_proc.on nbytes
-                      (t.time +. dt)
+                    transfer t ~msg p dst_proc.on nbytes (t.time +. dt)
                   in
                   push_event t arrive
                     (Deliver_msg
@@ -439,27 +441,14 @@ let run_segment t (proc : process) resume =
                       let dt = recv_overhead_cycles *. cycle_time t p in
                       charge_busy ~pid:proc.pid t p dt;
                       t.cpu_free.(p) <- t.time +. dt;
-                      record t
-                        {
-                          time = t.time;
-                          proc = p;
-                          pid = proc.pid;
-                          process = proc.name;
-                          what = Recv { msg; port; dur = dt };
-                        };
+                      if t.tracing && admit t then
+                        emit_recv t proc ~msg ~port ~dur:dt;
                       push_event t (t.time +. dt)
                     (Step (proc.pid, proc.epoch, RMsg (k, port, v)))
                   | None ->
                       proc.state <- Blocked (ports, k);
                       proc.blocked_at <- t.time;
-                      record t
-                        {
-                          time = t.time;
-                          proc = p;
-                          pid = proc.pid;
-                          process = proc.name;
-                          what = Block { ports };
-                        };
+                      if t.tracing && admit t then emit_block t proc ports;
                       t.cpu_free.(p) <- t.time;
                       push_event t t.time (Dispatch p))
           | E_recv_deadline (ports, deadline) ->
@@ -471,28 +460,15 @@ let run_segment t (proc : process) resume =
                       let dt = recv_overhead_cycles *. cycle_time t p in
                       charge_busy ~pid:proc.pid t p dt;
                       t.cpu_free.(p) <- t.time +. dt;
-                      record t
-                        {
-                          time = t.time;
-                          proc = p;
-                          pid = proc.pid;
-                          process = proc.name;
-                          what = Recv { msg; port; dur = dt };
-                        };
+                      if t.tracing && admit t then
+                        emit_recv t proc ~msg ~port ~dur:dt;
                       push_event t (t.time +. dt)
                         (Step (proc.pid, proc.epoch, ROpt (k, Some (port, v))))
                   | None ->
                       proc.wait_seq <- proc.wait_seq + 1;
                       proc.state <- BlockedOpt (ports, proc.wait_seq, k);
                       proc.blocked_at <- t.time;
-                      record t
-                        {
-                          time = t.time;
-                          proc = p;
-                          pid = proc.pid;
-                          process = proc.name;
-                          what = Block { ports };
-                        };
+                      if t.tracing && admit t then emit_block t proc ports;
                       t.cpu_free.(p) <- t.time;
                       push_event t
                         (Float.max t.time deadline)
@@ -549,14 +525,9 @@ let spawn t ~name ?(durable = false) ~on body =
 let inject t ?(at = 0.0) pid port v =
   if pid < 0 || pid >= t.nprocesses then invalid_arg "Sim.inject: unknown process";
   let msg = fresh_msg t in
-  record t
-    {
-      time = at;
-      proc = -1;
-      pid = -1;
-      process = "env";
-      what = Send { msg; dst = pid; port; bytes = Skel.Value.byte_size v; dur = 0.0 };
-    };
+  if t.tracing && admit t then
+    emit_send t ~lane:Event.env_lane ~time:at ~msg ~dst:pid ~port
+      ~bytes:(Skel.Value.byte_size v) ~dur:0.0;
   push_event t at
     (Deliver_msg { dst = pid; msg; port; v; src = -1; faultable = true })
 
@@ -628,8 +599,10 @@ let deliver t pid msg port v =
   in
   Queue.add (t.time, msg, v) q;
   note_depth t pid port (Queue.length q);
-  record t
-    { time = t.time; proc = proc.on; pid; process = proc.name; what = Deliver { msg; port } };
+  if t.tracing && admit t then
+    Event.instant t.timeline ~lane:(lane proc) ~cat:"deliver"
+      ~args:[ ("msg", Event.Count msg) ]
+      ~name:("deliver " ^ port) ~time:t.time ();
   match proc.state with
   | Blocked (ports, k) when List.mem port ports ->
       (* Wake up: re-run the receive logic from the dispatch path. *)
@@ -637,14 +610,7 @@ let deliver t pid msg port v =
       proc.blocked_total <- proc.blocked_total +. (t.time -. proc.blocked_at);
       let port, _ = Option.get (earliest_message proc ports) in
       let msg, v = pop_message proc port in
-      record t
-        {
-          time = t.time;
-          proc = proc.on;
-          pid;
-          process = proc.name;
-          what = Recv { msg; port; dur = 0.0 };
-        };
+      if t.tracing && admit t then emit_recv t proc ~msg ~port ~dur:0.0;
       make_ready t proc (RMsg (k, port, v))
   | BlockedOpt (ports, _tok, k) when List.mem port ports ->
       (* Wake a deadline wait; its pending [Timeout] becomes stale and is
@@ -653,14 +619,7 @@ let deliver t pid msg port v =
       proc.blocked_total <- proc.blocked_total +. (t.time -. proc.blocked_at);
       let port, _ = Option.get (earliest_message proc ports) in
       let msg, v = pop_message proc port in
-      record t
-        {
-          time = t.time;
-          proc = proc.on;
-          pid;
-          process = proc.name;
-          what = Recv { msg; port; dur = 0.0 };
-        };
+      if t.tracing && admit t then emit_recv t proc ~msg ~port ~dur:0.0;
       make_ready t proc (ROpt (k, Some (port, v)))
   | Blocked _ | BlockedOpt _ | Runnable | Finished -> ()
 
@@ -695,17 +654,13 @@ let run ?(until = infinity) t =
               let over = free -. t.time in
               if over > 0.0 then begin
                 t.busy.(p) <- t.busy.(p) -. over;
-                (match t.last_charge.(p) with
+                match t.last_charge.(p) with
                 | Some pid ->
                     Hashtbl.replace t.proc_busy pid
                       (Option.value ~default:0.0
                          (Hashtbl.find_opt t.proc_busy pid)
                       -. over)
-                | None -> ());
-                match t.busy_intervals.(p) with
-                | (s, f) :: rest when t.tracing && f > t.time ->
-                    t.busy_intervals.(p) <- (s, Float.max s t.time) :: rest
-                | _ -> ()
+                | None -> ()
               end)
             t.cpu_free
         end
@@ -728,25 +683,13 @@ let run ?(until = infinity) t =
                 (* A durable process loses no input to a halt: the delivery
                    is spooled and re-delivered when the processor restores. *)
                 proc.spooled <- (port, t.time, msg, v) :: proc.spooled;
-                record t
-                  {
-                    time = t.time;
-                    proc = proc.on;
-                    pid = -1;
-                    process = proc.name;
-                    what = Fault { msg; action = "spool (processor halted)" };
-                  }
+                if t.tracing && admit t then
+                  emit_fault t proc.on ~msg "spool (processor halted)"
               end
               else begin
                 t.dropped_msgs <- t.dropped_msgs + 1;
-                record t
-                  {
-                    time = t.time;
-                    proc = proc.on;
-                    pid = -1;
-                    process = proc.name;
-                    what = Fault { msg; action = "drop (processor halted)" };
-                  }
+                if t.tracing && admit t then
+                  emit_fault t proc.on ~msg "drop (processor halted)"
               end
             else begin
               match
@@ -754,38 +697,18 @@ let run ?(until = infinity) t =
               with
               | Some Drop ->
                   t.dropped_msgs <- t.dropped_msgs + 1;
-                  record t
-                    {
-                      time = t.time;
-                      proc = proc.on;
-                      pid = -1;
-                      process = proc.name;
-                      what = Fault { msg; action = "drop" };
-                    }
+                  if t.tracing && admit t then emit_fault t proc.on ~msg "drop"
               | Some (Delay dt) ->
                   t.delayed_msgs <- t.delayed_msgs + 1;
-                  record t
-                    {
-                      time = t.time;
-                      proc = proc.on;
-                      pid = -1;
-                      process = proc.name;
-                      what =
-                        Fault
-                          { msg; action = Printf.sprintf "delay %gms" (dt *. 1e3) };
-                    };
+                  if t.tracing && admit t then
+                    emit_fault t proc.on ~msg
+                      (Printf.sprintf "delay %gms" (dt *. 1e3));
                   push_event t (t.time +. dt)
                     (Deliver_msg { dst; msg; port; v; src; faultable = false })
               | Some Duplicate ->
                   t.dup_msgs <- t.dup_msgs + 1;
-                  record t
-                    {
-                      time = t.time;
-                      proc = proc.on;
-                      pid = -1;
-                      process = proc.name;
-                      what = Fault { msg; action = "duplicate" };
-                    };
+                  if t.tracing && admit t then
+                    emit_fault t proc.on ~msg "duplicate";
                   push_event t t.time
                     (Deliver_msg { dst; msg; port; v; src; faultable = false });
                   deliver t dst msg port v
@@ -805,8 +728,7 @@ let run ?(until = infinity) t =
             if not t.halted.(p) then begin
               t.halted.(p) <- true;
               t.halted_since.(p) <- Some t.time;
-              record t
-                { time = t.time; proc = p; pid = -1; process = ""; what = Halted }
+              if t.tracing && admit t then emit_fault t p "halted"
             end
         | Restore p ->
             if t.halted.(p) then begin
@@ -816,8 +738,7 @@ let run ?(until = infinity) t =
               | Some since -> t.halted_s.(p) <- t.halted_s.(p) +. (t.time -. since)
               | None -> ());
               t.halted_since.(p) <- None;
-              record t
-                { time = t.time; proc = p; pid = -1; process = ""; what = Restored };
+              if t.tracing && admit t then emit_fault t p "restored";
               (* Durable processes restart from the top: their old
                  continuations become stale (epoch bump) and their mailboxes
                  are rebuilt so the fresh incarnation re-reads, per port, the
@@ -863,14 +784,8 @@ let run ?(until = infinity) t =
                   proc.spooled <- [];
                   proc.epoch <- proc.epoch + 1;
                   proc.state <- Runnable;
-                  record t
-                    {
-                      time = t.time;
-                      proc = p;
-                      pid = proc.pid;
-                      process = proc.name;
-                      what = Fault { msg = -1; action = "restart (replay)" };
-                    };
+                  if t.tracing && admit t then
+                    emit_fault t p ~msg:(-1) "restart (replay)";
                   Queue.add (proc.pid, proc.epoch, Start proc.body) t.ready.(p)
                 end
               done;
@@ -916,17 +831,9 @@ let utilisation t =
   let live = Array.fold_left ( +. ) 0.0 (live_times t) in
   if live <= 0.0 then 0.0 else Array.fold_left ( +. ) 0.0 t.busy /. live
 
-let trace t = List.rev t.trace_rev
-let trace_truncated t = t.trace_dropped
+let timeline t = t.timeline
+let trace_truncated t = Event.truncated t.timeline
 let trace_limit t = t.trace_limit
-
-let process_accounts t =
-  List.init t.nprocesses (fun pid ->
-      let proc = t.processes.(pid) in
-      ( proc.name,
-        proc.on,
-        Option.value ~default:0.0 (Hashtbl.find_opt t.proc_busy pid),
-        Option.value ~default:0 (Hashtbl.find_opt t.proc_sends pid) ))
 
 type account = {
   aname : string;
@@ -981,104 +888,3 @@ let port_depths t =
       ((t.processes.(pid).name, port), depth) :: acc)
     t.port_depth []
   |> List.sort compare
-
-(* ------------------------------------------------------------------ *)
-(* Timeline emission                                                   *)
-
-module Event = Skipper_trace.Event
-
-let lane_of ev =
-  if ev.proc < 0 then Event.env_lane
-  else Event.processor_lane ~proc:ev.proc ~pid:ev.pid ~name:ev.process
-
-let emit_trace t tl =
-  let nprocs = Archi.nprocs t.arch in
-  List.iter
-    (fun ev ->
-      let lane = lane_of ev in
-      match ev.what with
-      | Compute { cycles; dur } ->
-          Event.span tl ~lane ~cat:"compute"
-            ~args:[ ("cycles", Event.Num cycles) ]
-            ~name:"compute" ~time:ev.time ~dur ()
-      | Send { msg; dst; port; bytes; dur } ->
-          let name = "send " ^ port in
-          let args =
-            [
-              ("msg", Event.Count msg);
-              ("dst", Event.Count dst);
-              ("bytes", Event.Count bytes);
-            ]
-          in
-          if dur > 0.0 then
-            Event.span tl ~lane ~cat:"send" ~args ~name ~time:ev.time ~dur ()
-          else
-            Event.instant tl ~lane ~cat:"send" ~args ~name:("inject " ^ port)
-              ~time:ev.time ();
-          Event.flow_start tl ~lane ~cat:"message" ~name:port ~flow:msg
-            ~time:ev.time ()
-      | Hop { msg; link_src; link_dst; bytes; start; finish } ->
-          Event.span tl
-            ~lane:(Event.link_lane ~src:link_src ~dst:link_dst ~nprocs)
-            ~cat:"link"
-            ~args:[ ("msg", Event.Count msg); ("bytes", Event.Count bytes) ]
-            ~name:(Printf.sprintf "msg %d" msg)
-            ~time:start ~dur:(finish -. start) ()
-      | Deliver { msg; port } ->
-          Event.instant tl ~lane ~cat:"deliver"
-            ~args:[ ("msg", Event.Count msg) ]
-            ~name:("deliver " ^ port) ~time:ev.time ()
-      | Block { ports } ->
-          Event.instant tl ~lane ~cat:"block"
-            ~args:[ ("ports", Event.Str (String.concat "," ports)) ]
-            ~name:"blocked" ~time:ev.time ()
-      | Recv { msg; port; dur } ->
-          Event.span tl ~lane ~cat:"recv"
-            ~args:[ ("msg", Event.Count msg) ]
-            ~name:("recv " ^ port) ~time:ev.time ~dur ();
-          Event.flow_end tl ~lane ~cat:"message" ~name:port ~flow:msg
-            ~time:ev.time ()
-      | Done -> Event.instant tl ~lane ~cat:"proc" ~name:"done" ~time:ev.time ()
-      | Halted ->
-          Event.instant tl
-            ~lane:(Event.cpu_lane ev.proc)
-            ~cat:"fault" ~name:"halted" ~time:ev.time ()
-      | Restored ->
-          Event.instant tl
-            ~lane:(Event.cpu_lane ev.proc)
-            ~cat:"fault" ~name:"restored" ~time:ev.time ()
-      | Fault { msg; action } ->
-          Event.instant tl
-            ~lane:(Event.cpu_lane ev.proc)
-            ~cat:"fault"
-            ~args:[ ("msg", Event.Count msg) ]
-            ~name:action ~time:ev.time ())
-    (trace t);
-  if t.trace_dropped then Event.mark_truncated tl
-
-let timeline t =
-  let tl = Event.create () in
-  emit_trace t tl;
-  tl
-
-let gantt ?(width = 72) t =
-  if not t.tracing then
-    invalid_arg "Sim.gantt: tracing was not enabled (create the machine with ~trace:true)";
-  let buf = Buffer.create 256 in
-  let horizon = if t.time > 0.0 then t.time else 1.0 in
-  Buffer.add_string buf
-    (Printf.sprintf "time: 0 .. %.3f ms ('#' = busy)\n" (horizon *. 1e3));
-  Array.iteri
-    (fun p intervals ->
-      let cells = Bytes.make width '.' in
-      List.iter
-        (fun (t0, t1) ->
-          let c0 = int_of_float (t0 /. horizon *. float_of_int width) in
-          let c1 = int_of_float (t1 /. horizon *. float_of_int width) in
-          for c = max 0 c0 to min (width - 1) (max c0 c1) do
-            Bytes.set cells c '#'
-          done)
-        intervals;
-      Buffer.add_string buf (Printf.sprintf "P%-3d |%s|\n" p (Bytes.to_string cells)))
-    t.busy_intervals;
-  Buffer.contents buf

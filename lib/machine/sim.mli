@@ -23,8 +23,8 @@ type pid = int
 
 val create : ?trace:bool -> ?trace_limit:int -> Archi.t -> t
 (** [create arch] builds an empty machine over [arch]. With [~trace:true],
-    events are recorded (up to [trace_limit], default 20000; see
-    {!trace_truncated}). *)
+    the machine emits its events into its {!timeline} (up to [trace_limit]
+    records, default 20000; see {!trace_truncated}). *)
 
 val arch : t -> Archi.t
 
@@ -104,15 +104,16 @@ val spawn : t -> name:string -> ?durable:bool -> on:int -> (unit -> unit) -> pid
 val inject : t -> ?at:float -> pid -> string -> Skel.Value.t -> unit
 (** [inject t pid port v] delivers an external message (e.g. the program
     input) at time [at] (default 0) without charging any link. In traces the
-    injection appears as a zero-overhead send from the environment lane. *)
+    injection appears as an ["inject PORT"] instant on the environment
+    lane. *)
 
 (** {1 Fault injection}
 
     A machine carries a declarative, deterministic fault plan armed before
     {!run}: processor halts/restores and per-link message faults. Every
-    fault that fires is recorded as a [Fault] trace event on the affected
-    processor's lane (category ["fault"]) and counted (see {!fault_tally}
-    and [stats.dropped_msgs]). *)
+    fault that fires is traced as an instant on the affected processor's
+    cpu lane (category ["fault"], named after the action) and counted (see
+    {!fault_tally} and [stats.dropped_msgs]). *)
 
 val halt_processor : t -> ?at:float -> int -> unit
 (** Fault injection: at time [at] (default 0) the processor stops — its
@@ -230,70 +231,37 @@ val utilisation : t -> float
 
 (** {1 Event trace}
 
-    With [~trace:true], the machine records the full lifecycle of every
-    computation and message. A message is born in a [Send] (or an
-    environment injection, [Send] with [dur = 0] from processor [-1]),
-    occupies each link along its route ([Hop], one per reservation), lands
-    in the destination mailbox ([Deliver]) and is consumed by the receiving
-    process ([Recv]; [dur = 0] when the delivery woke a blocked receiver,
-    which pays no software overhead). All four share the message id, so
-    exporters can pair them into arrows. *)
+    With [~trace:true], the machine emits the full lifecycle of every
+    computation and message straight into its own timeline, as it runs. A
+    message is born in a ["send"] span (an environment injection is an
+    ["inject PORT"] instant on {!Skipper_trace.Event.env_lane}), occupies
+    each link along its route (one ["link"] span per reservation, on the
+    links track), lands in the destination mailbox (a ["deliver"] instant)
+    and is consumed by the receiving process (a ["recv"] span, zero-length
+    when the delivery woke a blocked receiver, which pays no software
+    overhead). The send and the recv carry a ["message"] flow pair keyed by
+    the message id, so exporters draw arrows. Processes also emit
+    ["compute"] spans, ["block"] and ["proc"]/["done"] instants; halts,
+    restores and message faults are ["fault"] instants on the processor's
+    cpu lane. *)
 
-type trace_event = {
-  time : float;
-  proc : int;  (** hosting processor; -1 for environment injections *)
-  pid : pid;  (** emitting process; -1 when none *)
-  process : string;
-  what : what;
-}
-
-and what =
-  | Compute of { cycles : float; dur : float }
-  | Send of { msg : int; dst : pid; port : string; bytes : int; dur : float }
-  | Hop of {
-      msg : int;
-      link_src : int;
-      link_dst : int;
-      bytes : int;
-      start : float;
-      finish : float;
-    }
-  | Deliver of { msg : int; port : string }
-  | Block of { ports : string list }
-  | Recv of { msg : int; port : string; dur : float }
-  | Done
-  | Halted
-  | Restored
-  | Fault of { msg : int; action : string }
-      (** an injected (or halt-induced) message fault; [proc] is the
-          destination processor whose delivery was affected *)
-
-val trace : t -> trace_event list
-(** Recorded events in emission order (empty unless [~trace:true]). [Hop]
-    events carry their own start time, which may lie after later-recorded
-    events; sort by [time] for a chronological view. *)
+val timeline : t -> Skipper_trace.Event.timeline
+(** The machine's own timeline, in emission order (empty unless
+    [~trace:true]). Link spans carry their reservation start, which may lie
+    after later-emitted events; {!Skipper_trace.Event.by_time} gives a
+    chronological view. The timeline belongs to the machine: callers that
+    add events of their own copy it first with
+    {!Skipper_trace.Event.append} (see [Executive.timeline]). *)
 
 val trace_truncated : t -> bool
-(** True when tracing dropped events past [trace_limit]; exported timelines
-    carry the flag (a truncated dump is incomplete, not wrong). *)
+(** True when tracing dropped records past [trace_limit] (the timeline is
+    flagged so every export carries it: a truncated dump is incomplete, not
+    wrong). The limit counts simulator records, not timeline events — a send
+    is one record emitted as a span plus a flow start. *)
 
 val trace_limit : t -> int
 
-val emit_trace : t -> Skipper_trace.Event.timeline -> unit
-(** Append this machine's recorded trace to [timeline] as structured events:
-    compute/send/recv spans per process lane, link-occupancy spans on the
-    links track, a flow pair per message (the arrows), and instants for
-    deliveries, blocks and faults. Marks the timeline truncated when the
-    trace is. *)
-
-val timeline : t -> Skipper_trace.Event.timeline
-(** {!emit_trace} into a fresh timeline. *)
-
 (** {1 Accounting (always available, no tracing needed)} *)
-
-val process_accounts : t -> (string * int * float * int) list
-(** Per-process accounting, in spawn (pid) order:
-    [(name, processor, busy_seconds, messages_sent)]. *)
 
 type account = {
   aname : string;  (** process name *)
@@ -320,11 +288,6 @@ val link_occupancy : t -> ((int * int) * float * int) list
 val port_depths : t -> ((string * string) * int) list
 (** High-water mailbox depth per [(process name, port)], sorted — a depth
     over 1 means messages queued faster than the process consumed them. *)
-
-val gantt : ?width:int -> t -> string
-(** ASCII Gantt chart of processor occupation. Raises [Invalid_argument]
-    when the machine was created without [~trace:true] (an untraced machine
-    has no intervals to draw). *)
 
 (** {1 Cost constants} *)
 

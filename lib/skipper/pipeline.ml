@@ -144,7 +144,8 @@ let timeline ?result ?slo compiled =
   let tl = Skipper_trace.Event.create () in
   Stage.emit_reports tl (reports compiled);
   (match result with
-  | Some r -> Machine.Sim.emit_trace r.Executive.sim tl
+  | Some r ->
+      Skipper_trace.Event.append tl (Machine.Sim.timeline r.Executive.sim)
   | None -> ());
   Option.iter (Skipper_trace.Series.Slo.emit tl) slo;
   tl

@@ -141,24 +141,11 @@ let pp_report_table ppf reports =
   Format.fprintf ppf "%s@." (String.make 72 '-');
   Format.fprintf ppf "%-12s %10.2f@." "total" (total *. 1e3)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let reports_to_json reports =
   let field r =
     Printf.sprintf
       {|{"pass":"%s","wall_ms":%.3f,"size":%d,"metric":"%s","cached":%b,"detail":"%s"}|}
-      (json_escape r.pass) (r.wall *. 1e3) r.size (json_escape r.metric)
-      r.cached (json_escape r.detail)
+      (Support.Json.escape r.pass) (r.wall *. 1e3) r.size
+      (Support.Json.escape r.metric) r.cached (Support.Json.escape r.detail)
   in
   "[" ^ String.concat "," (List.map field reports) ^ "]"

@@ -25,6 +25,13 @@ exception Parse_error of string
 val parse : string -> (t, string) result
 (** Whole-string parse; trailing non-whitespace is an error. *)
 
+val escape : string -> string
+(** The body of a JSON string literal (without the quotes): double quote
+    and backslash are escaped, [\n \t \r \b \f] get their short escapes,
+    other control characters [\u00XX]; every other byte passes through.
+    The one escaper behind {!to_string} and the toolchain's hand-formatted
+    JSON (Chrome traces, metrics and stage reports). *)
+
 val to_string : t -> string
 (** Compact rendering. Integral numbers print without a fractional part,
     other floats with [%.9g]; object key order is preserved. *)

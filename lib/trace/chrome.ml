@@ -1,16 +1,3 @@
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let us t = t *. 1e6
 
 (* %.3f keeps the export deterministic (no shortest-round-trip formatting)
@@ -18,14 +5,17 @@ let us t = t *. 1e6
 let num f = Printf.sprintf "%.3f" f
 
 let arg_value = function
-  | Event.Str s -> Printf.sprintf "\"%s\"" (escape s)
+  | Event.Str s -> Printf.sprintf "\"%s\"" (Support.Json.escape s)
   | Event.Num f -> num f
   | Event.Count i -> string_of_int i
 
 let args_json args =
   "{"
   ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (escape k) (arg_value v)) args)
+      (List.map
+         (fun (k, v) ->
+           Printf.sprintf "\"%s\":%s" (Support.Json.escape k) (arg_value v))
+         args)
   ^ "}"
 
 (* Distinct lanes in deterministic (track, index) order, keeping the first
@@ -49,7 +39,7 @@ let metadata_events lanes =
       [
         Printf.sprintf
           {|{"ph":"M","pid":%d,"name":"process_name","args":{"name":"%s"}}|} pid
-          (escape label);
+          (Support.Json.escape label);
         Printf.sprintf
           {|{"ph":"M","pid":%d,"name":"process_sort_index","args":{"sort_index":%d}}|}
           pid pid;
@@ -60,7 +50,7 @@ let metadata_events lanes =
         [
           Printf.sprintf
             {|{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":"%s"}}|}
-            l.Event.track l.Event.index (escape l.Event.label);
+            l.Event.track l.Event.index (Support.Json.escape l.Event.label);
           Printf.sprintf
             {|{"ph":"M","pid":%d,"tid":%d,"name":"thread_sort_index","args":{"sort_index":%d}}|}
             l.Event.track l.Event.index l.Event.index;
@@ -70,8 +60,8 @@ let metadata_events lanes =
 let event_json (e : Event.t) =
   let common =
     Printf.sprintf {|"pid":%d,"tid":%d,"ts":%s,"name":"%s","cat":"%s"|}
-      e.lane.Event.track e.lane.Event.index (num (us e.time)) (escape e.name)
-      (escape e.cat)
+      e.lane.Event.track e.lane.Event.index (num (us e.time))
+      (Support.Json.escape e.name) (Support.Json.escape e.cat)
   in
   match e.kind with
   | Event.Span dur ->

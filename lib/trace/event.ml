@@ -35,6 +35,11 @@ let add tl ev =
   tl.events_rev <- ev :: tl.events_rev;
   tl.n <- tl.n + 1
 
+let append tl src =
+  tl.events_rev <- List.rev_append (List.rev src.events_rev) tl.events_rev;
+  tl.n <- tl.n + src.n;
+  if src.truncated then tl.truncated <- true
+
 let length tl = tl.n
 let events tl = List.rev tl.events_rev
 

@@ -47,6 +47,10 @@ val create : unit -> timeline
 
 val add : timeline -> t -> unit
 
+val append : timeline -> timeline -> unit
+(** [append tl src] adds every event of [src] to [tl], in order, and
+    carries [src]'s truncation flag; [src] is left unchanged. *)
+
 val length : timeline -> int
 
 val events : timeline -> t list

@@ -4,9 +4,9 @@
     means one row per process grouped under its processor — with spans drawn
     as category-coloured bars, instants as ticks, and message flows as
     arrows from the sending lane at departure time to the receiving lane at
-    consumption time. This is the graphical successor of the ASCII
-    [Sim.gantt] / [--dump-stage map] charts (ROADMAP, dynamic-schedule
-    visualisation).
+    consumption time. It draws what a run did; the ASCII
+    {!Syndex.Schedule.gantt} ([--dump-stage map]) draws what the static
+    schedule predicted.
 
     Two overlay families can be drawn on the same lanes:
 

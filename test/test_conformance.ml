@@ -46,7 +46,7 @@ let run_farm ?link_faults p =
     compiled arch
 
 let conformance_of (schedule, (r : Executive.result)) =
-  match Machine.Profile.conformance ~schedule r.Executive.sim with
+  match Skipper_trace.Conformance.analyse ~schedule (Executive.timeline r) with
   | Ok rep -> rep
   | Error e -> Alcotest.fail e
 
@@ -58,7 +58,7 @@ let longest_span (r : Executive.result) =
       | E.Span d when e.E.lane.E.track >= 3 -> Float.max acc d
       | _ -> acc)
     0.0
-    (E.events (Machine.Profile.timeline r.Executive.sim))
+    (E.events (Executive.timeline r))
 
 (* ------------------------------------------------------------------ *)
 (* Critical-path soundness (qcheck)                                    *)

@@ -69,23 +69,27 @@ let test_halt_trace_events () =
   in
   Sim.halt_processor sim ~at:0.0 1;
   let _ = Sim.run sim in
+  let module E = Skipper_trace.Event in
+  let tl = Sim.timeline sim in
+  (* processor-level fault instants sit on the processor's cpu lane *)
+  let faults_on p =
+    List.filter
+      (fun (e : E.t) ->
+        e.E.cat = "fault" && e.E.kind = E.Instant && e.E.lane = E.cpu_lane p)
+      (E.events tl)
+  in
   let halted_on p =
-    List.exists
-      (fun (e : Sim.trace_event) -> e.Sim.what = Sim.Halted && e.Sim.proc = p)
-      (Sim.trace sim)
+    List.exists (fun (e : E.t) -> e.E.name = "halted") (faults_on p)
   in
   Alcotest.(check bool) "Halted recorded on P1" true (halted_on 1);
   Alcotest.(check bool) "no Halted on P0" false (halted_on 0);
   Alcotest.(check bool) "drop recorded as a Fault event" true
     (List.exists
-       (fun (e : Sim.trace_event) ->
-         match e.Sim.what with
-         | Sim.Fault { action; _ } ->
-             e.Sim.proc = 1
-             && Astring.String.is_infix ~affix:"halted" action
-         | _ -> false)
-       (Sim.trace sim));
-  let tl = Sim.timeline sim in
+       (fun (e : E.t) ->
+         e.E.name <> "halted"
+         && List.mem_assoc "msg" e.E.args
+         && Astring.String.is_infix ~affix:"halted" e.E.name)
+       (faults_on 1));
   let json = Skipper_trace.Chrome.to_json tl in
   Alcotest.(check bool) "Chrome export names the halt" true
     (Astring.String.is_infix ~affix:"halted" json);

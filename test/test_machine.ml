@@ -287,27 +287,24 @@ let test_trace_and_gantt () =
   let sim = Sim.create ~trace:true (toy_arch 1) in
   let _ = Sim.spawn sim ~name:"p" ~on:0 (fun () -> Sim.compute 500.0) in
   let _ = Sim.run sim in
-  let events = Sim.trace sim in
+  let module E = Skipper_trace.Event in
+  let events = E.events (Sim.timeline sim) in
   Alcotest.(check bool) "has compute event" true
     (List.exists
-       (fun e -> match e.Sim.what with Sim.Compute _ -> true | _ -> false)
+       (fun (e : E.t) ->
+         match e.E.kind with E.Span _ -> e.E.cat = "compute" | _ -> false)
        events);
   Alcotest.(check bool) "has done event" true
-    (List.exists (fun e -> e.Sim.what = Sim.Done) events);
+    (List.exists
+       (fun (e : E.t) ->
+         e.E.cat = "proc" && e.E.name = "done" && e.E.kind = E.Instant)
+       events);
   Alcotest.(check bool) "not truncated" false (Sim.trace_truncated sim);
-  let g = Sim.gantt sim in
-  Alcotest.(check bool) "gantt has the processor row" true
-    (Astring.String.is_infix ~affix:"P0" g)
-
-let test_gantt_untraced_raises () =
-  let sim = Sim.create (toy_arch 1) in
-  let _ = Sim.spawn sim ~name:"p" ~on:0 (fun () -> Sim.compute 500.0) in
-  let _ = Sim.run sim in
-  Alcotest.check_raises "gantt on untraced machine"
-    (Invalid_argument
-       "Sim.gantt: tracing was not enabled (create the machine with \
-        ~trace:true)")
-    (fun () -> ignore (Sim.gantt sim))
+  match Skipper_trace.Svg.gantt (Sim.timeline sim) with
+  | Ok svg ->
+      Alcotest.(check bool) "gantt has the processor row" true
+        (Astring.String.is_infix ~affix:"P0" svg)
+  | Error msg -> Alcotest.fail msg
 
 let prop_compute_time_additive =
   QCheck.Test.make ~name:"sequential computes add up" ~count:100
@@ -323,7 +320,7 @@ let prop_compute_time_additive =
       abs_float (finish -. expected) < 1e-9)
 
 
-let test_process_accounts () =
+let test_accounts_per_process () =
   let sim = Sim.create (toy_arch 2) in
   let r = Sim.spawn sim ~name:"rx" ~on:1 (fun () -> ignore (Sim.recv "in")) in
   let _ =
@@ -332,8 +329,11 @@ let test_process_accounts () =
         Sim.send r "in" (V.Int 1))
   in
   let _ = Sim.run sim in
-  match Sim.process_accounts sim with
-  | [ ("rx", 1, rx_busy, rx_sends); ("tx", 0, tx_busy, tx_sends) ] ->
+  match Sim.accounts sim with
+  | [
+   { Sim.aname = "rx"; on = 1; busy_s = rx_busy; sends = rx_sends; _ };
+   { Sim.aname = "tx"; on = 0; busy_s = tx_busy; sends = tx_sends; _ };
+  ] ->
       Alcotest.(check int) "rx sent nothing" 0 rx_sends;
       Alcotest.(check int) "tx sent one" 1 tx_sends;
       Alcotest.(check bool) "tx busier than rx" true (tx_busy > rx_busy);
@@ -407,9 +407,7 @@ let () =
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "stats" `Quick test_stats_and_utilisation;
           Alcotest.test_case "trace and gantt" `Quick test_trace_and_gantt;
-          Alcotest.test_case "gantt untraced raises" `Quick
-            test_gantt_untraced_raises;
-          Alcotest.test_case "process accounts" `Quick test_process_accounts;
+          Alcotest.test_case "process accounts" `Quick test_accounts_per_process;
           Alcotest.test_case "metrics report" `Quick test_metrics_report;
           Alcotest.test_case "metrics empty machine" `Quick test_metrics_empty_machine;
         ] );

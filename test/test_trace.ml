@@ -11,7 +11,7 @@ let contains ~affix s = Astring.String.is_infix ~affix s
 
 (* A small data farm: one master, [nworkers] workers on a ring, plus an
    environment injection — exercises every lifecycle event kind. *)
-let farm_run ?(trace = true) ?trace_limit ?(nworkers = 3) ?(nitems = 8) () =
+let farm_run ?(trace = true) ?(nworkers = 3) ?(nitems = 8) () =
   let table = Skel.Funtable.create () in
   Skel.Funtable.register table "w" ~cost:(fun _ -> 10_000.0) (fun v -> v);
   Skel.Funtable.register table "k" ~arity:2 ~cost:(fun _ -> 100.0) (fun v ->
@@ -22,11 +22,30 @@ let farm_run ?(trace = true) ?trace_limit ?(nworkers = 3) ?(nitems = 8) () =
   in
   let g = Procnet.Expand.expand table prog in
   let arch = Archi.ring (nworkers + 1) in
-  Executive.run ~trace ?trace_limit ~table ~arch
+  Executive.run ~trace ~table ~arch
     ~placement:(Syndex.Place.canonical g arch)
     ~graph:g ~frames:1
     ~input:(V.List (List.init nitems (fun i -> V.Int i)))
     ()
+
+(* Timeline queries: the simulator's events are told apart by category,
+   name and kind; lifecycle events carry their message id as the "msg"
+   argument. *)
+let sim_events (r : Executive.result) =
+  Event.events (Sim.timeline r.Executive.sim)
+
+let msg_of (e : Event.t) =
+  match List.assoc_opt "msg" e.Event.args with
+  | Some (Event.Count m) -> Some m
+  | _ -> None
+
+let is_span (e : Event.t) =
+  match e.Event.kind with Event.Span _ -> true | _ -> false
+
+let is_flow (e : Event.t) =
+  match e.Event.kind with
+  | Event.Flow_start _ | Event.Flow_end _ -> true
+  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Event model                                                         *)
@@ -52,7 +71,17 @@ let test_timeline_basics () =
         (String.concat "/" [ a.Event.name; b.Event.name; c.Event.name ])
   | _ -> Alcotest.fail "expected three events");
   Event.mark_truncated tl;
-  Alcotest.(check bool) "truncated sticks" true (Event.truncated tl)
+  Alcotest.(check bool) "truncated sticks" true (Event.truncated tl);
+  let dst = Event.create () in
+  Event.instant dst ~lane:Event.env_lane ~cat:"inject" ~name:"first"
+    ~time:0.0 ();
+  Event.append dst tl;
+  Alcotest.(check string) "append keeps order after existing events"
+    "first/parse/in/expand"
+    (String.concat "/" (List.map (fun e -> e.Event.name) (Event.events dst)));
+  Alcotest.(check int) "append counts" 4 (Event.length dst);
+  Alcotest.(check bool) "append carries the flag" true (Event.truncated dst);
+  Alcotest.(check int) "source unchanged" 3 (Event.length tl)
 
 let test_lane_conventions () =
   Alcotest.(check int) "compile" 0 Event.compile_track;
@@ -71,24 +100,24 @@ let test_lane_conventions () =
 
 let test_message_lifecycle_pairing () =
   let r = farm_run () in
-  let events = Sim.trace (r.Executive.sim) in
+  let events = List.filter (fun e -> not (is_flow e)) (sim_events r) in
   let sends = Hashtbl.create 64 and delivers = Hashtbl.create 64 in
   List.iter
-    (fun e ->
-      match e.Sim.what with
-      | Sim.Send { msg; _ } -> Hashtbl.replace sends msg ()
-      | Sim.Deliver { msg; _ } -> Hashtbl.replace delivers msg ()
+    (fun (e : Event.t) ->
+      match (e.Event.cat, msg_of e) with
+      | "send", Some msg -> Hashtbl.replace sends msg ()
+      | "deliver", Some msg -> Hashtbl.replace delivers msg ()
       | _ -> ())
     events;
   Alcotest.(check bool) "some messages" true (Hashtbl.length sends > 0);
   List.iter
-    (fun e ->
-      match e.Sim.what with
-      | Sim.Deliver { msg; _ } | Sim.Recv { msg; _ } ->
+    (fun (e : Event.t) ->
+      match (e.Event.cat, msg_of e) with
+      | ("deliver" | "recv"), Some msg ->
           Alcotest.(check bool)
             (Printf.sprintf "message %d has a send" msg)
             true (Hashtbl.mem sends msg)
-      | Sim.Hop { msg; _ } ->
+      | "link", Some msg ->
           Alcotest.(check bool)
             (Printf.sprintf "hop %d has a send" msg)
             true (Hashtbl.mem sends msg)
@@ -104,18 +133,36 @@ let test_message_lifecycle_pairing () =
 
 let test_untraced_machine_records_nothing () =
   let r = farm_run ~trace:false () in
-  Alcotest.(check int) "no events" 0 (List.length (Sim.trace r.Executive.sim));
+  Alcotest.(check int) "no events" 0 (List.length (sim_events r));
   Alcotest.(check bool) "not truncated" false
     (Sim.trace_truncated r.Executive.sim);
   Alcotest.(check int) "empty timeline" 0
     (Event.length (Executive.timeline r))
 
+(* A machine capped at 10 records, running far more steps: four messages
+   from processor 0 to processor 1 of a ring. *)
 let test_trace_truncation_flagged () =
-  let r = farm_run ~trace_limit:10 () in
-  let sim = r.Executive.sim in
+  let sim = Sim.create ~trace:true ~trace_limit:10 (Archi.ring 2) in
+  let rx =
+    Sim.spawn sim ~name:"rx" ~on:1 (fun () ->
+        for _ = 1 to 4 do
+          ignore (Sim.recv "in")
+        done)
+  in
+  let _ =
+    Sim.spawn sim ~name:"tx" ~on:0 (fun () ->
+        for i = 1 to 4 do
+          Sim.compute 100.0;
+          Sim.send rx "in" (V.Int i)
+        done)
+  in
+  let _ = Sim.run sim in
   Alcotest.(check bool) "truncated" true (Sim.trace_truncated sim);
-  Alcotest.(check int) "limit respected" 10 (List.length (Sim.trace sim));
-  let tl = Executive.timeline r in
+  let tl = Sim.timeline sim in
+  (* the limit counts simulator records: every record emits exactly one
+     span or instant, plus a flow endpoint for sends and receives *)
+  Alcotest.(check int) "limit respected" 10
+    (List.length (List.filter (fun e -> not (is_flow e)) (Event.events tl)));
   Alcotest.(check bool) "timeline carries the flag" true (Event.truncated tl);
   Alcotest.(check bool) "chrome export carries the flag" true
     (contains ~affix:{|"truncated":true|} (Chrome.to_json tl));
@@ -124,6 +171,49 @@ let test_trace_truncation_flagged () =
       Alcotest.(check bool) "svg carries the flag" true
         (contains ~affix:"trace truncated" svg)
   | Error msg -> Alcotest.failf "svg export failed: %s" msg
+
+(* The machine owns its timeline; the exported timelines are copies. Asking
+   for one twice (with SLO instants appended), then for the toolchain-wide
+   one, must neither duplicate events nor touch the machine's own. *)
+let test_timeline_copies_independent () =
+  let table = Skel.Funtable.create () in
+  Skel.Funtable.register table "w" ~cost:(fun _ -> 10_000.0) (fun v -> v);
+  Skel.Funtable.register table "k" ~arity:2 ~cost:(fun _ -> 100.0) (fun v ->
+      fst (V.to_pair v));
+  let compiled =
+    Skipper_lib.Pipeline.compile_ir ~table
+      (Skel.Ir.program "p"
+         (Skel.Ir.Df
+            { nworkers = 3; comp = "w"; acc = "k"; init = V.Int 0;
+              state = Skel.Ir.Stateless }))
+  in
+  let _, r =
+    Skipper_lib.Pipeline.execute_with_schedule ~trace:true
+      ~input:(V.List (List.init 8 (fun i -> V.Int i)))
+      compiled (Archi.ring 4)
+  in
+  let own () = Chrome.to_json (Sim.timeline r.Executive.sim) in
+  let before = own () in
+  let n = Event.length (Sim.timeline r.Executive.sim) in
+  let slo =
+    let module Slo = Skipper_trace.Series.Slo in
+    match (Executive.series r, Slo.parse "p99_latency<1us") with
+    | Ok series, Ok spec -> Slo.evaluate [ spec ] series
+    | Error e, _ | _, Error e -> Alcotest.fail e
+  in
+  let a = Executive.timeline ~slo r in
+  let b = Executive.timeline ~slo r in
+  let nslo = Event.length a - n in
+  Alcotest.(check bool) "slo instants appended" true (nslo > 0);
+  Alcotest.(check string) "second call is byte-identical" (Chrome.to_json a)
+    (Chrome.to_json b);
+  let stages = List.length (Skipper_lib.Pipeline.reports compiled) in
+  let whole = Skipper_lib.Pipeline.timeline ~result:r ~slo compiled in
+  Alcotest.(check int) "pipeline timeline: stages + machine + slo"
+    (stages + n + nslo) (Event.length whole);
+  Alcotest.(check int) "machine timeline length unchanged" n
+    (Event.length (Sim.timeline r.Executive.sim));
+  Alcotest.(check string) "machine timeline bytes unchanged" before (own ())
 
 (* ------------------------------------------------------------------ *)
 (* Exporters                                                           *)
@@ -203,12 +293,13 @@ let prop_trace_counts_match_stats =
       let st = Sim.stats r.Executive.sim in
       let sends = ref 0 and hops = ref 0 in
       List.iter
-        (fun e ->
-          match e.Sim.what with
-          | Sim.Send _ when e.Sim.proc >= 0 -> incr sends
-          | Sim.Hop _ -> incr hops
+        (fun (e : Event.t) ->
+          match e.Event.cat with
+          (* environment injections are instants, process sends spans *)
+          | "send" when is_span e -> incr sends
+          | "link" -> incr hops
           | _ -> ())
-        (Sim.trace r.Executive.sim);
+        (sim_events r);
       !sends = st.Sim.messages && !hops = st.Sim.hops_total)
 
 let prop_busy_spans_match_accounts =
@@ -219,17 +310,16 @@ let prop_busy_spans_match_accounts =
       let sim = r.Executive.sim in
       let busy = Hashtbl.create 16 in
       List.iter
-        (fun e ->
-          let add d =
-            Hashtbl.replace busy e.Sim.pid
-              (d +. Option.value ~default:0.0 (Hashtbl.find_opt busy e.Sim.pid))
-          in
-          match e.Sim.what with
-          | Sim.Compute { dur; _ } | Sim.Send { dur; _ } | Sim.Recv { dur; _ }
-            when e.Sim.pid >= 0 ->
-              add dur
+        (fun (e : Event.t) ->
+          (* a process lane's index is its pid *)
+          let pid = e.Event.lane.Event.index in
+          match (e.Event.cat, e.Event.kind) with
+          | ("compute" | "send" | "recv"), Event.Span dur
+            when e.Event.lane.Event.track >= Event.processor_track 0 ->
+              Hashtbl.replace busy pid
+                (dur +. Option.value ~default:0.0 (Hashtbl.find_opt busy pid))
           | _ -> ())
-        (Sim.trace sim);
+        (sim_events r);
       List.for_all2
         (fun (a : Sim.account) pid ->
           let traced = Option.value ~default:0.0 (Hashtbl.find_opt busy pid) in
@@ -255,6 +345,8 @@ let () =
             test_untraced_machine_records_nothing;
           Alcotest.test_case "truncation flagged" `Quick
             test_trace_truncation_flagged;
+          Alcotest.test_case "timeline copies independent" `Quick
+            test_timeline_copies_independent;
         ] );
       ( "exporters",
         [
