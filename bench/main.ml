@@ -6,6 +6,8 @@
      dune exec bench/main.exe           runs E1..E9
      dune exec bench/main.exe -- e4     runs one experiment
      dune exec bench/main.exe -- micro  runs the bechamel suite
+     dune exec bench/main.exe -- simscale
+                                        times the simulator at scale
 
    Reported latencies are *simulated* times on the T9000-era machine model;
    the paper's numbers were measured on the real Transvision platform, so
@@ -1581,6 +1583,26 @@ let e17 () =
 (* ------------------------------------------------------------------ *)
 (* bechamel micro-benchmarks                                           *)
 
+(* A df farm of [workers] identity workers over [items] integers, mapped
+   canonically on a ring of [workers + 1]: user code costs nothing on the
+   host, so the executive and the simulator are all the work. Returns a
+   thunk that runs one stream. *)
+let null_df_farm ~items ~workers =
+  let table = Skel.Funtable.create () in
+  Skel.Funtable.register table "w" ~cost:(fun _ -> 10_000.0) (fun v -> v);
+  Skel.Funtable.register table "k" ~arity:2 ~cost:(fun _ -> 100.0) (fun v ->
+      fst (V.to_pair v));
+  let prog =
+    Skel.Ir.program "p"
+      (Skel.Ir.Df
+         { nworkers = workers; comp = "w"; acc = "k"; init = V.Int 0; state = Skel.Ir.Stateless })
+  in
+  let g = Procnet.Expand.expand table prog in
+  let arch = Archi.ring (workers + 1) in
+  let placement = Syndex.Place.canonical g arch in
+  let input = V.List (List.init items (fun i -> V.Int i)) in
+  fun () -> Executive.run ~table ~arch ~placement ~graph:g ~frames:1 ~input ()
+
 let micro () =
   header "micro" "bechamel micro-benchmarks of the computational kernels";
   let open Bechamel in
@@ -1591,24 +1613,7 @@ let micro () =
     let table = Tracking.Funcs.table Tracking.Funcs.default_config in
     Procnet.Expand.expand table (Tracking.Funcs.ir Tracking.Funcs.default_config)
   in
-  let df_run () =
-    let table = Skel.Funtable.create () in
-    Skel.Funtable.register table "w" ~cost:(fun _ -> 10_000.0) (fun v -> v);
-    Skel.Funtable.register table "k" ~arity:2 ~cost:(fun _ -> 100.0) (fun v ->
-        fst (V.to_pair v));
-    let prog =
-      Skel.Ir.program "p"
-        (Skel.Ir.Df { nworkers = 4; comp = "w"; acc = "k"; init = V.Int 0; state = Skel.Ir.Stateless })
-    in
-    let g = Procnet.Expand.expand table prog in
-    let arch = Archi.ring 5 in
-    ignore
-      (Executive.run ~table ~arch
-         ~placement:(Syndex.Place.canonical g arch)
-         ~graph:g ~frames:1
-         ~input:(V.List (List.init 16 (fun i -> V.Int i)))
-         ())
-  in
+  let df_run () = ignore (null_df_farm ~items:16 ~workers:4 ()) in
   (* One Test.make per kernel; E1..E9 above are the table/figure harnesses. *)
   let tests =
     [
@@ -1658,6 +1663,79 @@ let micro () =
     tests
 
 (* ------------------------------------------------------------------ *)
+(* simscale: host-time scaling of the discrete-event engine            *)
+
+(* Least-squares slope of log y against log x. *)
+let loglog_slope points =
+  let n = float_of_int (List.length points) in
+  let lx = List.map (fun (x, _) -> log x) points
+  and ly = List.map (fun (_, y) -> log y) points in
+  let mean l = List.fold_left ( +. ) 0.0 l /. n in
+  let mx = mean lx and my = mean ly in
+  let sxy = List.fold_left2 (fun a x y -> a +. ((x -. mx) *. (y -. my))) 0.0 lx ly
+  and sxx = List.fold_left (fun a x -> a +. ((x -. mx) ** 2.0)) 0.0 lx in
+  sxy /. sxx
+
+(* Host time may grow at most as items^max_exponent at every farm width. *)
+let max_exponent = 1.25
+
+(* Wall time of the null-kernel df farm over stream length x farm width.
+   The fitted exponent in items is the gated quantity (exit 1 above
+   [max_exponent]): absolute host times vary too much across machines to
+   gate. Every cell keeps the fastest of 3 runs, so no cell, long or short,
+   rests on one noisy sample. *)
+let simscale () =
+  header "simscale" "discrete-event engine host time vs stream length and width";
+  let items = [ 1_000; 10_000; 100_000 ] and workers = [ 4; 64; 256 ] in
+  Printf.printf "%8s %8s %10s %12s %12s\n" "workers" "items" "messages" "wall s"
+    "msgs/s";
+  let time_cell ~items ~workers =
+    let run = null_df_farm ~items ~workers in
+    let rec go best reps =
+      if reps = 3 then best
+      else begin
+        Gc.compact ();
+        let t0 = Unix.gettimeofday () in
+        let r = run () in
+        let dt = Unix.gettimeofday () -. t0 in
+        if
+          r.Executive.outcome <> Executive.Completed
+          || r.Executive.stats.Machine.Sim.messages <> 2 * items
+        then failwith "simscale: the farm did not send one task and one result per item";
+        go (Float.min best dt) (reps + 1)
+      end
+    in
+    go infinity 0
+  in
+  let exponents =
+    List.map
+      (fun w ->
+        let cells =
+          List.map
+            (fun n ->
+              let wall = time_cell ~items:n ~workers:w in
+              Printf.printf "%8d %8d %10d %12.4f %12.0f\n%!" w n (2 * n) wall
+                (float_of_int (2 * n) /. wall);
+              (float_of_int n, wall))
+            items
+        in
+        (w, loglog_slope cells))
+      workers
+  in
+  List.iter
+    (fun (w, e) -> Printf.printf "exponent in items, %d workers: %.3f\n" w e)
+    exponents;
+  let over = List.filter (fun (_, e) -> e > max_exponent) exponents in
+  if over <> [] then begin
+    List.iter
+      (fun (w, e) ->
+        Printf.eprintf "simscale: %d workers scale as items^%.3f > %.2f\n" w e
+          max_exponent)
+      over;
+    exit 1
+  end
+
+(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -1702,11 +1780,13 @@ let () =
     !trace_dir;
   (match names with
   | [ "micro" ] -> micro ()
+  | [ "simscale" ] -> simscale ()
   | [ name ] -> (
       match List.assoc_opt (String.lowercase_ascii name) experiments with
       | Some f -> f ()
       | None ->
-          Printf.eprintf "unknown experiment %s (e1..e17 or micro)\n" name;
+          Printf.eprintf "unknown experiment %s (e1..e17, micro or simscale)\n"
+            name;
           exit 1)
   | _ ->
       print_endline "SKiPPER experiment harness (see DESIGN.md, experiment index)";

@@ -4,19 +4,25 @@ type link = { src : int; dst : int; bandwidth : float; startup : float }
 type t = {
   arch_name : string;
   procs : processor array;
-  link_list : link list;
-  link_map : (int * int, link) Hashtbl.t;
+  link_arr : link array;  (* in the order given; the index is the link id *)
+  link_index : (int * int, int) Hashtbl.t;  (* (src, dst) -> link_arr index *)
   adj : int list array;
-  (* routes.(a).(b) is the next hop from a towards b, or -1 when unreachable
-     or a = b. Precomputed by BFS from every source. *)
-  next_hop : int array array;
+  (* first_link.(a).(b) indexes link_arr: the first link on the route from a
+     towards b, or -1 when unreachable or a = b. Precomputed by BFS from
+     every source and never mutated, so one [t] is safe to share across
+     domains. *)
+  first_link : int array array;
 }
 
 let name t = t.arch_name
 let processors t = t.procs
 let nprocs t = Array.length t.procs
-let links t = t.link_list
-let link_between t a b = Hashtbl.find_opt t.link_map (a, b)
+let links t = Array.to_list t.link_arr
+let nlinks t = Array.length t.link_arr
+let link_at t i = t.link_arr.(i)
+let first_link t a b = t.first_link.(a).(b)
+let link_between t a b =
+  Option.map (link_at t) (Hashtbl.find_opt t.link_index (a, b))
 let neighbours t p = t.adj.(p)
 
 (* T9000-era defaults (see DESIGN.md calibration table). *)
@@ -24,7 +30,7 @@ let default_cycle_time = 5e-8
 let default_bandwidth = 1e7
 let default_startup = 1e-6
 
-let compute_next_hops n adj =
+let compute_first_links n adj link_index =
   let table = Array.make_matrix n n (-1) in
   for src = 0 to n - 1 do
     (* BFS from src; because neighbour lists are sorted, parent choices are
@@ -49,7 +55,7 @@ let compute_next_hops n adj =
       if dst <> src && visited.(dst) then begin
         (* Walk back from dst to find src's first step. *)
         let rec first_step v = if parent.(v) = src then v else first_step parent.(v) in
-        table.(src).(dst) <- first_step dst
+        table.(src).(dst) <- Hashtbl.find link_index (src, first_step dst)
       end
     done
   done;
@@ -61,20 +67,28 @@ let build ~name:arch_name procs edges =
   Array.iteri
     (fun i p -> if p.id <> i then invalid_arg "Archi: processor ids must be 0..n-1")
     procs;
-  let link_map = Hashtbl.create 16 in
+  let link_arr = Array.of_list edges in
+  let link_index = Hashtbl.create 16 in
   let adj = Array.make n [] in
-  List.iter
-    (fun l ->
+  Array.iteri
+    (fun i l ->
       if l.src < 0 || l.src >= n || l.dst < 0 || l.dst >= n then
         invalid_arg "Archi: link endpoint out of range";
       if l.src = l.dst then invalid_arg "Archi: self-link";
-      if Hashtbl.mem link_map (l.src, l.dst) then
+      if Hashtbl.mem link_index (l.src, l.dst) then
         invalid_arg "Archi: duplicate link";
-      Hashtbl.replace link_map (l.src, l.dst) l;
+      Hashtbl.replace link_index (l.src, l.dst) i;
       adj.(l.src) <- l.dst :: adj.(l.src))
-    edges;
+    link_arr;
   Array.iteri (fun i ns -> adj.(i) <- List.sort compare ns) adj;
-  { arch_name; procs; link_list = edges; link_map; adj; next_hop = compute_next_hops n adj }
+  {
+    arch_name;
+    procs;
+    link_arr;
+    link_index;
+    adj;
+    first_link = compute_first_links n adj link_index;
+  }
 
 let mk_procs ?(cycle_time = default_cycle_time) n =
   Array.init n (fun i -> { id = i; pname = Printf.sprintf "P%d" i; cycle_time })
@@ -151,9 +165,9 @@ let route t a b =
     let rec walk u acc =
       if u = b then List.rev (b :: acc)
       else
-        let next = t.next_hop.(u).(b) in
-        if next < 0 then failwith (Printf.sprintf "Archi.route: no path %d -> %d" a b)
-        else walk next (u :: acc)
+        let l = t.first_link.(u).(b) in
+        if l < 0 then failwith (Printf.sprintf "Archi.route: no path %d -> %d" a b)
+        else walk t.link_arr.(l).dst (u :: acc)
     in
     walk a []
   end
@@ -177,7 +191,7 @@ let transfer_time t a b bytes =
 
 let pp ppf t =
   Format.fprintf ppf "@[<v2>architecture %s: %d processors, %d links@]" t.arch_name
-    (nprocs t) (List.length t.link_list)
+    (nprocs t) (nlinks t)
 
 let to_dot t =
   let buf = Buffer.create 256 in
@@ -187,8 +201,8 @@ let to_dot t =
       Buffer.add_string buf
         (Printf.sprintf "  p%d [label=%S shape=box];\n" p.id p.pname))
     t.procs;
-  List.iter
+  Array.iter
     (fun l -> Buffer.add_string buf (Printf.sprintf "  p%d -> p%d;\n" l.src l.dst))
-    t.link_list;
+    t.link_arr;
   Buffer.add_string buf "}\n";
   Buffer.contents buf

@@ -27,6 +27,12 @@ val name : t -> string
 val processors : t -> processor array
 val nprocs : t -> int
 val links : t -> link list
+val nlinks : t -> int
+
+val link_at : t -> int -> link
+(** [link_at t i] is the [i]th element of [links t]; link indices are
+    dense in [0 .. nlinks t - 1]. *)
+
 val link_between : t -> int -> int -> link option
 val neighbours : t -> int -> int list
 
@@ -65,6 +71,13 @@ val route : t -> int -> int -> int list
     of both (so [route t a a = [a]]). Ties are broken towards
     lower-numbered intermediate processors, deterministically. Raises
     [Failure] when no path exists. *)
+
+val first_link : t -> int -> int -> int
+(** [first_link t a b] is the index ({!link_at}) of the first link on
+    [route t a b], or [-1] when [a = b] or no path exists. Constant time and
+    allocation-free: following [first_link] from each link's [dst] visits
+    exactly the links of [route t a b], which is how the simulator walks a
+    message's hops. *)
 
 val hops : t -> int -> int -> int
 (** Number of links along [route t a b]. *)

@@ -57,8 +57,9 @@ type stable_cell = { mutable snap : (int * V.t) option; mutable emitted : int }
 let call table fn v =
   if fn = "__id" then v
   else begin
-    Machine.Sim.compute (Skel.Funtable.cost table fn v);
-    Skel.Funtable.apply table fn v
+    let entry = Skel.Funtable.find table fn in
+    Machine.Sim.compute (entry.cost v);
+    entry.apply v
   end
 
 (* Map worker node id -> index within its master's worker pool. The order of

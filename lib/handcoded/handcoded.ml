@@ -8,8 +8,9 @@ type result = {
 }
 
 let call table fn v =
-  Machine.Sim.compute (Skel.Funtable.cost table fn v);
-  Skel.Funtable.apply table fn v
+  let entry = Skel.Funtable.find table fn in
+  Machine.Sim.compute (entry.cost v);
+  entry.apply v
 
 let run ?input_period ~config ~frames arch =
   let table = Tracking.Funcs.table config in

@@ -61,8 +61,15 @@ type process = {
          [mark_stable], most recent first; replayed on restart *)
   mutable spooled : (string * float * int * Skel.Value.t) list;
       (* deliveries that arrived while halted, most recent first *)
-  mailboxes : (string, (float * int * Skel.Value.t) Queue.t) Hashtbl.t;
+  mailboxes : (string, mailbox) Hashtbl.t;
+  mutable charged : float;  (* busy seconds charged to this process *)
+  mutable sent : int;  (* messages sent *)
+}
+
+and mailbox = {
+  msgs : (float * int * Skel.Value.t) Queue.t;
       (* (delivery time, message id, payload) *)
+  mutable high : int;  (* high-water depth; 0 until a first delivery *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -116,6 +123,15 @@ type event =
   | Halt of int  (** processor fault: stop dispatching on this processor *)
   | Restore of int  (** lift a [Halt]: the processor dispatches again *)
 
+(* One directed link's reservations, pruned against the clock (see
+   [reserve_link]): [live] holds those that may still affect a first-fit,
+   [past] the folded length of the ended ones. *)
+type link_book = {
+  mutable past : float;
+  mutable live : Support.Intervals.t;
+  mutable transfers : int;
+}
+
 type t = {
   arch : Archi.t;
   mutable processes : process array;
@@ -130,9 +146,7 @@ type t = {
   mutable delayed_msgs : int;
   mutable dup_msgs : int;
   ready : (pid * int * resume) Queue.t array;  (* (pid, epoch, resume) *)
-  link_busy : (int * int, Support.Intervals.t ref) Hashtbl.t;
-  link_transfers : (int * int, int) Hashtbl.t;
-  port_depth : (pid * string, int) Hashtbl.t;  (* high-water queue depth *)
+  links : link_book array;  (* indexed like [Archi.link_at] *)
   mutable time : float;
   mutable ran : bool;
   mutable messages : int;
@@ -140,9 +154,7 @@ type t = {
   mutable hops_total : int;
   mutable next_msg : int;
   busy : float array;
-  last_charge : pid option array;  (* process holding the latest charge *)
-  proc_busy : (pid, float) Hashtbl.t;  (* per-process busy seconds *)
-  proc_sends : (pid, int) Hashtbl.t;
+  last_charge : pid array;  (* process holding the latest charge, or -1 *)
   tracing : bool;
   trace_limit : int;  (* simulator records admitted to [timeline] *)
   mutable trace_len : int;
@@ -165,9 +177,9 @@ let create ?(trace = false) ?(trace_limit = 20000) arch =
     delayed_msgs = 0;
     dup_msgs = 0;
     ready = Array.init n (fun _ -> Queue.create ());
-    link_busy = Hashtbl.create 16;
-    link_transfers = Hashtbl.create 16;
-    port_depth = Hashtbl.create 32;
+    links =
+      Array.init (Archi.nlinks arch) (fun _ ->
+          { past = 0.0; live = Support.Intervals.empty; transfers = 0 });
     time = 0.0;
     ran = false;
     messages = 0;
@@ -175,9 +187,7 @@ let create ?(trace = false) ?(trace_limit = 20000) arch =
     hops_total = 0;
     next_msg = 0;
     busy = Array.make n 0.0;
-    last_charge = Array.make n None;
-    proc_busy = Hashtbl.create 32;
-    proc_sends = Hashtbl.create 32;
+    last_charge = Array.make n (-1);
     tracing = trace;
     trace_limit;
     trace_len = 0;
@@ -285,14 +295,10 @@ let mark_stable () =
 
 let cycle_time t p = (Archi.processors t.arch).(p).Archi.cycle_time
 
-let charge_busy ?pid t p dt =
-  t.busy.(p) <- t.busy.(p) +. dt;
-  t.last_charge.(p) <- pid;
-  (match pid with
-  | Some pid ->
-      Hashtbl.replace t.proc_busy pid
-        (dt +. Option.value ~default:0.0 (Hashtbl.find_opt t.proc_busy pid))
-  | None -> ())
+let charge_busy t (proc : process) dt =
+  t.busy.(proc.on) <- t.busy.(proc.on) +. dt;
+  t.last_charge.(proc.on) <- proc.pid;
+  proc.charged <- dt +. proc.charged
 
 (* Find, among [ports], the mailbox whose head message was delivered
    earliest. Returns (port, delivery_time). *)
@@ -301,17 +307,16 @@ let earliest_message (proc : process) ports =
     (fun best port ->
       match Hashtbl.find_opt proc.mailboxes port with
       | None -> best
-      | Some q when Queue.is_empty q -> best
-      | Some q ->
-          let at, _, _ = Queue.peek q in
+      | Some mb when Queue.is_empty mb.msgs -> best
+      | Some mb ->
+          let at, _, _ = Queue.peek mb.msgs in
           (match best with
           | Some (_, best_at) when best_at <= at -> best
           | _ -> Some (port, at)))
     None ports
 
 let pop_message (proc : process) port =
-  let q = Hashtbl.find proc.mailboxes port in
-  let at, msg, v = Queue.pop q in
+  let at, msg, v = Queue.pop (Hashtbl.find proc.mailboxes port).msgs in
   if proc.durable then proc.journal <- (port, at, msg, v) :: proc.journal;
   (msg, v)
 
@@ -321,56 +326,55 @@ let make_ready t (proc : process) resume =
   Queue.add (proc.pid, proc.epoch, resume) t.ready.(proc.on);
   push_event t t.time (Dispatch proc.on)
 
-(* Reserve [duration] on link [key] no earlier than [earliest] (first-fit
-   into the link's gap structure). Returns the start of the reservation. *)
-let reserve_link t key earliest duration =
-  let intervals =
-    match Hashtbl.find_opt t.link_busy key with
-    | Some r -> r
-    | None ->
-        let r = ref Support.Intervals.empty in
-        Hashtbl.replace t.link_busy key r;
-        r
-  in
-  let start, updated = Support.Intervals.reserve !intervals ~earliest ~duration in
-  intervals := updated;
+(* Reserve [duration] on a link no earlier than [earliest] (first-fit into
+   the link's gap structure). Returns the start of the reservation. Every
+   request starts at or after the clock (a departure is the clock plus the
+   send overhead, a later hop starts where the previous one finished, and
+   the clock never goes back), so reservations that ended by now can never
+   affect a first-fit again: they are folded into [past] first, which keeps
+   the cost per hop proportional to the transfers in flight. *)
+let reserve_link t book earliest duration =
+  let past, live = Support.Intervals.prune book.live ~upto:t.time ~past:book.past in
+  let start, live = Support.Intervals.reserve live ~earliest ~duration in
+  book.past <- past;
+  book.live <- live;
+  book.transfers <- book.transfers + 1;
   start
 
 (* Physical transfer of [bytes_n] bytes from processor [src] to [dst],
    starting at [depart]. Returns the arrival time; reserves link occupancy
-   (store-and-forward, one transfer at a time per directed link). [msg] only
-   feeds the trace. *)
+   (store-and-forward, one transfer at a time per directed link) hop by hop
+   along [Archi.route], walked through [Archi.first_link] so no route list
+   is built. [msg] only feeds the trace. *)
 let transfer t ~msg src dst bytes_n depart =
   if src = dst then depart +. (float_of_int bytes_n /. local_copy_bandwidth)
   else begin
-    let path = Archi.route t.arch src dst in
-    let rec hop depart = function
-      | a :: (b :: _ as rest) ->
-          let link =
-            match Archi.link_between t.arch a b with
-            | Some l -> l
-            | None -> failwith "Sim.transfer: route uses missing link"
-          in
-          let duration =
-            link.Archi.startup +. (float_of_int bytes_n /. link.Archi.bandwidth)
-          in
-          let start = reserve_link t (a, b) depart duration in
-          t.hops_total <- t.hops_total + 1;
-          Hashtbl.replace t.link_transfers (a, b)
-            (1 + Option.value ~default:0 (Hashtbl.find_opt t.link_transfers (a, b)));
-          let finish = start +. duration in
-          if t.tracing && admit t then
-            Event.span t.timeline
-              ~lane:
-                (Event.link_lane ~src:a ~dst:b ~nprocs:(Archi.nprocs t.arch))
-              ~cat:"link"
-              ~args:[ ("msg", Event.Count msg); ("bytes", Event.Count bytes_n) ]
-              ~name:(Printf.sprintf "msg %d" msg)
-              ~time:start ~dur:(finish -. start) ();
-          hop finish rest
-      | _ -> depart
+    let rec hop u depart =
+      if u = dst then depart
+      else begin
+        let i = Archi.first_link t.arch u dst in
+        if i < 0 then
+          failwith (Printf.sprintf "Sim.transfer: no path %d -> %d" src dst);
+        let link = Archi.link_at t.arch i in
+        let duration =
+          link.Archi.startup +. (float_of_int bytes_n /. link.Archi.bandwidth)
+        in
+        let start = reserve_link t t.links.(i) depart duration in
+        t.hops_total <- t.hops_total + 1;
+        let finish = start +. duration in
+        if t.tracing && admit t then
+          Event.span t.timeline
+            ~lane:
+              (Event.link_lane ~src:u ~dst:link.Archi.dst
+                 ~nprocs:(Archi.nprocs t.arch))
+            ~cat:"link"
+            ~args:[ ("msg", Event.Count msg); ("bytes", Event.Count bytes_n) ]
+            ~name:(Printf.sprintf "msg %d" msg)
+            ~time:start ~dur:(finish -. start) ();
+        hop link.Archi.dst finish
+      end
     in
-    hop depart path
+    hop src depart
   end
 
 (* Run one zero-duration execution segment of [proc]. Effects performed by
@@ -399,16 +403,15 @@ let run_segment t (proc : process) resume =
                     Event.span t.timeline ~lane:(lane proc) ~cat:"compute"
                       ~args:[ ("cycles", Event.Num cycles) ]
                       ~name:"compute" ~time:t.time ~dur:dt ();
-                  charge_busy ~pid:proc.pid t p dt;
+                  charge_busy t proc dt;
                   t.cpu_free.(p) <- t.time +. dt;
                   push_event t (t.time +. dt) (Step (proc.pid, proc.epoch, RUnit k)))
           | E_send (dst, port, v) ->
               Some
                 (fun k ->
                   let dt = send_overhead_cycles *. cycle_time t p in
-                  charge_busy ~pid:proc.pid t p dt;
-                  Hashtbl.replace t.proc_sends proc.pid
-                    (1 + Option.value ~default:0 (Hashtbl.find_opt t.proc_sends proc.pid));
+                  charge_busy t proc dt;
+                  proc.sent <- proc.sent + 1;
                   t.cpu_free.(p) <- t.time +. dt;
                   let dst_proc = t.processes.(dst) in
                   let nbytes = Skel.Value.byte_size v in
@@ -439,7 +442,7 @@ let run_segment t (proc : process) resume =
                   | Some (port, _) ->
                       let msg, v = pop_message proc port in
                       let dt = recv_overhead_cycles *. cycle_time t p in
-                      charge_busy ~pid:proc.pid t p dt;
+                      charge_busy t proc dt;
                       t.cpu_free.(p) <- t.time +. dt;
                       if t.tracing && admit t then
                         emit_recv t proc ~msg ~port ~dur:dt;
@@ -458,7 +461,7 @@ let run_segment t (proc : process) resume =
                   | Some (port, _) ->
                       let msg, v = pop_message proc port in
                       let dt = recv_overhead_cycles *. cycle_time t p in
-                      charge_busy ~pid:proc.pid t p dt;
+                      charge_busy t proc dt;
                       t.cpu_free.(p) <- t.time +. dt;
                       if t.tracing && admit t then
                         emit_recv t proc ~msg ~port ~dur:dt;
@@ -508,6 +511,8 @@ let spawn t ~name ?(durable = false) ~on body =
       journal = [];
       spooled = [];
       mailboxes = Hashtbl.create 4;
+      charged = 0.0;
+      sent = 0;
     }
   in
   if pid >= Array.length t.processes then begin
@@ -582,23 +587,19 @@ let fault_for t ~src ~dst_proc =
         else acc)
       None t.fault_plan
 
-let note_depth t pid port depth =
-  let key = (pid, port) in
-  if depth > Option.value ~default:0 (Hashtbl.find_opt t.port_depth key) then
-    Hashtbl.replace t.port_depth key depth
+let mailbox (proc : process) port =
+  match Hashtbl.find_opt proc.mailboxes port with
+  | Some mb -> mb
+  | None ->
+      let mb = { msgs = Queue.create (); high = 0 } in
+      Hashtbl.replace proc.mailboxes port mb;
+      mb
 
 let deliver t pid msg port v =
   let proc = t.processes.(pid) in
-  let q =
-    match Hashtbl.find_opt proc.mailboxes port with
-    | Some q -> q
-    | None ->
-        let q = Queue.create () in
-        Hashtbl.replace proc.mailboxes port q;
-        q
-  in
-  Queue.add (t.time, msg, v) q;
-  note_depth t pid port (Queue.length q);
+  let mb = mailbox proc port in
+  Queue.add (t.time, msg, v) mb.msgs;
+  mb.high <- max mb.high (Queue.length mb.msgs);
   if t.tracing && admit t then
     Event.instant t.timeline ~lane:(lane proc) ~cat:"deliver"
       ~args:[ ("msg", Event.Count msg) ]
@@ -654,13 +655,11 @@ let run ?(until = infinity) t =
               let over = free -. t.time in
               if over > 0.0 then begin
                 t.busy.(p) <- t.busy.(p) -. over;
-                match t.last_charge.(p) with
-                | Some pid ->
-                    Hashtbl.replace t.proc_busy pid
-                      (Option.value ~default:0.0
-                         (Hashtbl.find_opt t.proc_busy pid)
-                      -. over)
-                | None -> ()
+                let pid = t.last_charge.(p) in
+                if pid >= 0 then begin
+                  let proc = t.processes.(pid) in
+                  proc.charged <- proc.charged -. over
+                end
               end)
             t.cpu_free
         end
@@ -772,14 +771,17 @@ let run ?(until = infinity) t =
                     (fun (port, at, msg, v) -> Queue.add (at, msg, v) (q_for port))
                     (List.rev proc.journal);
                   Hashtbl.iter
-                    (fun port q -> Queue.transfer q (q_for port))
+                    (fun port mb -> Queue.transfer mb.msgs (q_for port))
                     proc.mailboxes;
                   List.iter
                     (fun (port, _at, msg, v) ->
                       Queue.add (t.time, msg, v) (q_for port))
                     (List.rev proc.spooled);
-                  Hashtbl.reset proc.mailboxes;
-                  Hashtbl.iter (Hashtbl.replace proc.mailboxes) rebuilt;
+                  (* every old mailbox is now empty and has a rebuilt
+                     queue; refill in place, keeping high-water marks *)
+                  Hashtbl.iter
+                    (fun port q -> Queue.transfer q (mailbox proc port).msgs)
+                    rebuilt;
                   proc.journal <- [];
                   proc.spooled <- [];
                   proc.epoch <- proc.epoch + 1;
@@ -865,26 +867,35 @@ let accounts t =
       {
         aname = proc.name;
         on = proc.on;
-        busy_s = Option.value ~default:0.0 (Hashtbl.find_opt t.proc_busy pid);
+        busy_s = proc.charged;
         blocked_s = blocked;
-        sends = Option.value ~default:0 (Hashtbl.find_opt t.proc_sends pid);
+        sends = proc.sent;
         finished = (proc.state = Finished);
         halted;
       })
 
 let link_occupancy t =
-  Hashtbl.fold
-    (fun key intervals acc ->
-      let transfers =
-        Option.value ~default:0 (Hashtbl.find_opt t.link_transfers key)
-      in
-      (key, Support.Intervals.total !intervals, transfers) :: acc)
-    t.link_busy []
-  |> List.sort compare
+  let acc = ref [] in
+  Array.iteri
+    (fun i book ->
+      if book.transfers > 0 then begin
+        let l = Archi.link_at t.arch i in
+        acc :=
+          ( (l.Archi.src, l.Archi.dst),
+            Support.Intervals.total ~past:book.past book.live,
+            book.transfers )
+          :: !acc
+      end)
+    t.links;
+  List.sort compare !acc
 
 let port_depths t =
-  Hashtbl.fold
-    (fun (pid, port) depth acc ->
-      ((t.processes.(pid).name, port), depth) :: acc)
-    t.port_depth []
-  |> List.sort compare
+  let acc = ref [] in
+  for pid = 0 to t.nprocesses - 1 do
+    let proc = t.processes.(pid) in
+    Hashtbl.iter
+      (fun port mb ->
+        if mb.high > 0 then acc := ((proc.name, port), mb.high) :: !acc)
+      proc.mailboxes
+  done;
+  List.sort compare !acc

@@ -20,7 +20,15 @@ let reserve intervals ~earliest ~duration =
   in
   (start, insert intervals)
 
-let total intervals = List.fold_left (fun acc (s, e) -> acc +. (e -. s)) 0.0 intervals
+let total ?(past = 0.0) intervals =
+  List.fold_left (fun acc (s, e) -> acc +. (e -. s)) past intervals
+
+let prune intervals ~upto ~past =
+  let rec drop past = function
+    | (s, e) :: rest when e <= upto -> drop (past +. (e -. s)) rest
+    | live -> (past, live)
+  in
+  drop past intervals
 
 let valid intervals =
   let rec go = function

@@ -15,7 +15,11 @@ val push : 'a t -> float -> 'a -> unit
     priority ties (FIFO among equal priorities). *)
 
 val pop : 'a t -> (float * 'a) option
-(** Removes and returns the minimum-priority element. *)
+(** Removes and returns the minimum-priority element. The queue keeps no
+    reference to it afterwards, so a popped value is not kept alive by the
+    queue. *)
 
 val peek : 'a t -> (float * 'a) option
+
 val clear : 'a t -> unit
+(** Empties the queue and drops its storage. *)

@@ -368,6 +368,55 @@ let test_metrics_empty_machine () =
   Alcotest.(check (float 0.0)) "no imbalance" 0.0 (Machine.Metrics.imbalance report);
   Alcotest.(check int) "no messages" 0 report.Machine.Metrics.messages
 
+(* A long stream through a 4-worker null-kernel df farm on ring 5, master
+   on P0. Links leading away from P0 carry only tasks (an Int each), links
+   leading towards it only results (an Int tagged with the worker index),
+   so every hop on a link lasts the same startup + bytes / bandwidth and its
+   busy total has a closed form in its transfer count. Linear link
+   bookkeeping keeps this well under a second; a first-fit over every past
+   reservation makes it take seconds. *)
+let test_long_stream_occupancy () =
+  let items = 20_000 in
+  let table = Skel.Funtable.create () in
+  Skel.Funtable.register table "w" ~cost:(fun _ -> 10_000.0) Fun.id;
+  Skel.Funtable.register table "k" ~arity:2 ~cost:(fun _ -> 100.0) (fun v ->
+      fst (V.to_pair v));
+  let graph =
+    Procnet.Expand.expand table
+      (Skel.Ir.program "p"
+         (Skel.Ir.Df
+            { nworkers = 4; comp = "w"; acc = "k"; init = V.Int 0; state = Skel.Ir.Stateless }))
+  in
+  let arch = Archi.ring 5 in
+  let placement = Syndex.Place.canonical graph arch in
+  let input = V.List (List.init items (fun i -> V.Int i)) in
+  let run trace =
+    let r = Executive.run ~trace ~table ~arch ~placement ~graph ~frames:1 ~input () in
+    Alcotest.(check bool) "completed" true (r.Executive.outcome = Executive.Completed);
+    Alcotest.(check int) "two messages per item" (2 * items) r.Executive.stats.Sim.messages;
+    r
+  in
+  let untraced = run false and traced = run true in
+  let occupancy = Sim.link_occupancy untraced.Executive.sim in
+  let transfers = List.fold_left (fun n (_, _, k) -> n + k) 0 occupancy in
+  Alcotest.(check int) "a transfer per hop" untraced.Executive.stats.Sim.hops_total transfers;
+  List.iter
+    (fun ((src, dst), busy, k) ->
+      let l = Option.get (Archi.link_between arch src dst) in
+      let bytes =
+        V.byte_size
+          (if Archi.hops arch 0 dst < Archi.hops arch 0 src then V.Tuple [ V.Int 0; V.Int 0 ]
+           else V.Int 0)
+      in
+      let expected =
+        float_of_int k *. (l.Archi.startup +. (float_of_int bytes /. l.Archi.bandwidth))
+      in
+      if Float.abs (busy -. expected) > 1e-9 *. expected then
+        Alcotest.failf "link %d->%d: busy %.17g, closed form %.17g" src dst busy expected)
+    occupancy;
+  Alcotest.(check bool) "traced run books the same occupancy" true
+    (occupancy = Sim.link_occupancy traced.Executive.sim)
+
 let () =
   Alcotest.run "machine"
     [
@@ -386,6 +435,7 @@ let () =
           Alcotest.test_case "local messages cheap" `Quick test_local_message_cheap;
           Alcotest.test_case "FIFO per port" `Quick test_fifo_per_port;
           Alcotest.test_case "recv_any earliest" `Quick test_recv_any;
+          Alcotest.test_case "long stream occupancy" `Quick test_long_stream_occupancy;
         ] );
       ( "control",
         [

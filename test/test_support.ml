@@ -123,6 +123,32 @@ let test_pqueue_clear () =
   Alcotest.(check bool) "cleared" true (Support.Pqueue.is_empty q);
   Alcotest.(check bool) "pop empty" true (Support.Pqueue.pop q = None)
 
+(* The queue must not keep a value alive once it has given it back, nor
+   after [clear]. *)
+let test_pqueue_releases_popped () =
+  let q = Support.Pqueue.create () in
+  let weak = Weak.create 3 in
+  let push_boxed slot prio =
+    let v = Bytes.make 16 'x' in
+    Weak.set weak slot (Some v);
+    Support.Pqueue.push q prio v
+  in
+  let pop () = ignore (Sys.opaque_identity (Support.Pqueue.pop q)) in
+  push_boxed 0 1.0;
+  pop ();
+  Gc.full_major ();
+  Alcotest.(check bool) "value popped off an emptied queue collected" false
+    (Weak.check weak 0);
+  push_boxed 1 1.0;
+  push_boxed 2 2.0;
+  pop ();
+  Gc.full_major ();
+  Alcotest.(check bool) "popped value collected" false (Weak.check weak 1);
+  Alcotest.(check bool) "queued value kept" true (Weak.check weak 2);
+  Support.Pqueue.clear q;
+  Gc.full_major ();
+  Alcotest.(check bool) "cleared value collected" false (Weak.check weak 2)
+
 let prop_pqueue_sorted =
   QCheck.Test.make ~name:"pqueue pops in priority order" ~count:200
     QCheck.(list (pair (float_bound_inclusive 1000.0) small_int))
@@ -203,6 +229,33 @@ let prop_intervals_no_overlap_with_request =
       && List.for_all
            (fun (s, e) -> start +. duration <= s +. 1e-9 || start >= e -. 1e-9)
            occ)
+
+(* The simulator's book: prune against a non-decreasing clock before each
+   reservation, every request no earlier than the clock. It must grant the
+   starts the full list grants, and its past-seeded total must be the full
+   list's total bit for bit. *)
+let prop_intervals_pruned_book =
+  QCheck.Test.make ~name:"pruned book equals the full list" ~count:300
+    QCheck.(
+      small_list
+        (triple (float_bound_inclusive 3.0) (float_bound_inclusive 4.0)
+           (float_bound_inclusive 2.0)))
+    (fun requests ->
+      let module I = Support.Intervals in
+      let bits = Int64.bits_of_float in
+      let rec go clock full (past, live) = function
+        | [] -> bits (I.total full) = bits (I.total ~past live)
+        | (tick, lead, duration) :: rest ->
+            let clock = clock +. tick in
+            let earliest = clock +. lead and duration = duration +. 0.01 in
+            let start, full = I.reserve full ~earliest ~duration in
+            let past, live = I.prune live ~upto:clock ~past in
+            let start', live = I.reserve live ~earliest ~duration in
+            bits start = bits start'
+            && bits (I.total full) = bits (I.total ~past live)
+            && go clock full (past, live) rest
+      in
+      go 0.0 I.empty (0.0, I.empty) requests)
 
 (* --- JSON escapes --- *)
 
@@ -368,6 +421,8 @@ let () =
           Alcotest.test_case "FIFO ties" `Quick test_pqueue_fifo_ties;
           Alcotest.test_case "peek and length" `Quick test_pqueue_peek_and_length;
           Alcotest.test_case "clear" `Quick test_pqueue_clear;
+          Alcotest.test_case "releases popped values" `Quick
+            test_pqueue_releases_popped;
           QCheck_alcotest.to_alcotest prop_pqueue_sorted;
           QCheck_alcotest.to_alcotest prop_pqueue_preserves_multiset;
         ] );
@@ -378,6 +433,7 @@ let () =
           Alcotest.test_case "total" `Quick test_intervals_total;
           QCheck_alcotest.to_alcotest prop_intervals_stay_valid;
           QCheck_alcotest.to_alcotest prop_intervals_no_overlap_with_request;
+          QCheck_alcotest.to_alcotest prop_intervals_pruned_book;
         ] );
       ( "json",
         [
