@@ -606,6 +606,13 @@ let e8 () =
 (* ------------------------------------------------------------------ *)
 (* E9: the Fig. 2 toolchain path                                       *)
 
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
 let e9 () =
   header "E9" "toolchain traversal and emulation/executive equivalence (paper Fig. 2)";
   (* The whole Fig. 2 path now runs through the staged pass manager; the
@@ -648,11 +655,15 @@ let e9 () =
      compile against an independently constructed (but equally registered)
      table, with a fresh in-memory cache, hits every front-end pass from
      disk — the cross-process warm start. *)
-  let tmp_name prefix =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "%s.%d" prefix (Unix.getpid ()))
-  in
-  let store_dir = tmp_name "skipper-bench-store" in
+  (* Fresh names from the OS, removed on every exit path: a store left
+     behind by an earlier process must never make the cold compile warm. *)
+  let store_dir = Filename.temp_dir "skipper-bench-store" "" in
+  let socket = Filename.temp_file "skipper-bench-serve" ".sock" in
+  Fun.protect
+    ~finally:(fun () ->
+      rm_rf store_dir;
+      if Sys.file_exists socket then Sys.remove socket)
+  @@ fun () ->
   let store =
     Support.Store.open_store ~dir:store_dir
       ~stamp:Skipper_lib.Passes.artifact_format ()
@@ -684,7 +695,6 @@ let e9 () =
      one cold batch then one warm batch of compile requests, percentiles
      over the server-measured per-request wall times. jobs = 1 keeps the
      batch order (and so the cold-batch miss count) deterministic. *)
-  let socket = tmp_name "skipper-bench-serve" ^ ".sock" in
   let registry = Support.Metrics.create () in
   let cfg =
     {

@@ -535,6 +535,10 @@ let handle_batch s ~client payload =
 (* Server loop                                                         *)
 
 let serve cfg ~socket () =
+  (* A client that hangs up before its reply must cost the daemon that
+     client only: with SIGPIPE ignored the reply's write fails with EPIPE,
+     which the loop below counts as an io_error drop. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (try Unix.unlink socket with Unix.Unix_error _ -> ());
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let s = make_server cfg in

@@ -104,10 +104,12 @@ val serve : config -> socket:string -> unit -> int
     [shutdown] request; returns the total number of requests served.
     Connected clients are multiplexed with [select] — an idle client never
     blocks another client's connection or requests; one frame is handled at
-    a time, in arrival order. The socket file is removed on exit, also on
-    exceptions. Store counters are mirrored into the registry one last time
-    before returning, so a caller-supplied [config.metrics] is
-    scrape-ready after shutdown. *)
+    a time, in arrival order. SIGPIPE is ignored for the whole process from
+    the first call on, so a client that closes before its reply is dropped
+    (logged as an [io_error] disconnect) instead of killing the daemon. The
+    socket file is removed on exit, also on exceptions. Store counters are
+    mirrored into the registry one last time before returning, so a
+    caller-supplied [config.metrics] is scrape-ready after shutdown. *)
 
 val render_top : Support.Json.t -> string
 (** Renders a [stats] response as the one-screen [skipperc top] dashboard:

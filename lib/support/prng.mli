@@ -2,9 +2,13 @@
 
     Every stochastic component of the environment (scene generation, workload
     synthesis, property tests that need auxiliary randomness) draws from an
-    explicit [Prng.t] so that runs are reproducible from a single seed. *)
+    explicit [Prng.t] so that runs are reproducible from a single seed.
+
+    The 64-bit state is kept unboxed, so drawing allocates nothing: scene
+    rendering makes hundreds of thousands of draws per frame. *)
 
 type t
+(** A mutable generator. Drawing advances it in place. *)
 
 val create : int -> t
 (** [create seed] builds a generator from a 63-bit seed. Equal seeds yield
@@ -14,6 +18,8 @@ val split : t -> t
 (** [split t] derives an independent generator and advances [t]. *)
 
 val copy : t -> t
+(** [copy t] is a generator at the same point as [t]. The two advance
+    independently. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound). Raises [Invalid_argument] when

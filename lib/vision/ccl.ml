@@ -16,79 +16,90 @@ type region = {
   max_y : int;
 }
 
-(* Union-find with path halving and union by rank. *)
+(* Union-find over provisional labels [1 .. size] ([0] is background), with
+   path halving; a union links the larger root under the smaller. The parent
+   array starts small and doubles as [fresh] creates labels. *)
 module Uf = struct
-  type t = { parent : int array; rank : int array }
+  type t = { mutable parent : int array; mutable size : int }
 
-  let create n = { parent = Array.init n Fun.id; rank = Array.make n 0 }
+  let create n =
+    let parent = Array.make (max 64 (n + 1)) 0 in
+    for i = 1 to n do
+      parent.(i) <- i
+    done;
+    { parent; size = n }
+
+  let fresh t =
+    let l = t.size + 1 in
+    if l = Array.length t.parent then begin
+      let parent = Array.make (2 * l) 0 in
+      Array.blit t.parent 0 parent 0 l;
+      t.parent <- parent
+    end;
+    t.parent.(l) <- l;
+    t.size <- l;
+    l
 
   let rec find t i =
     let p = t.parent.(i) in
     if p = i then i
     else begin
-      t.parent.(i) <- t.parent.(p);
-      find t t.parent.(i)
+      let gp = t.parent.(p) in
+      t.parent.(i) <- gp;
+      if gp = p then p else find t gp
     end
 
   let union t a b =
     let ra = find t a and rb = find t b in
-    if ra <> rb then
-      if t.rank.(ra) < t.rank.(rb) then t.parent.(ra) <- rb
-      else if t.rank.(ra) > t.rank.(rb) then t.parent.(rb) <- ra
-      else begin
-        t.parent.(rb) <- ra;
-        t.rank.(ra) <- t.rank.(ra) + 1
-      end
+    if ra < rb then t.parent.(rb) <- ra else if rb < ra then t.parent.(ra) <- rb
 end
 
-(* Renumber labels densely, in raster order of each component's first pixel,
-   with 0 reserved for background. [raw] holds provisional labels >= 1. *)
-let densify raw =
-  let remap = Hashtbl.create 64 in
+(* Resolve provisional labels to their roots and renumber them densely, in
+   raster order of each component's first pixel, with 0 reserved for
+   background. Returns the number of components. *)
+let densify uf labels =
+  let remap = Array.make (uf.Uf.size + 1) 0 in
   let next = ref 0 in
-  Array.iteri
-    (fun i r ->
-      if r <> 0 then begin
-        match Hashtbl.find_opt remap r with
-        | Some d -> raw.(i) <- d
-        | None ->
-            incr next;
-            Hashtbl.add remap r !next;
-            raw.(i) <- !next
-      end)
-    raw;
+  for i = 0 to Array.length labels - 1 do
+    let l = Array.unsafe_get labels i in
+    if l <> 0 then begin
+      let r = Uf.find uf l in
+      if remap.(r) = 0 then begin
+        incr next;
+        remap.(r) <- !next
+      end;
+      Array.unsafe_set labels i remap.(r)
+    end
+  done;
   !next
 
 let label ~threshold img =
   let w = Image.width img and h = Image.height img in
   let labels = Array.make (w * h) 0 in
-  let uf = Uf.create ((w * h / 2) + 2) in
-  let next = ref 0 in
-  (* First pass: provisional labels, record equivalences. *)
+  let uf = Uf.create 0 in
+  (* One pass: provisional labels from the left and upper neighbours,
+     recording equivalences. Every index stays inside the [w * h] raster, so
+     pixels and labels are accessed unchecked. *)
   for y = 0 to h - 1 do
+    let row = y * w in
     for x = 0 to w - 1 do
-      if Image.get img x y >= threshold then begin
-        let left = if x > 0 then labels.(((y * w) + x) - 1) else 0 in
-        let up = if y > 0 then labels.(((y - 1) * w) + x) else 0 in
+      if Image.unsafe_get img x y >= threshold then begin
+        let i = row + x in
+        let left = if x > 0 then Array.unsafe_get labels (i - 1) else 0 in
+        let up = if y > 0 then Array.unsafe_get labels (i - w) else 0 in
         let l =
-          match (left, up) with
-          | 0, 0 ->
-              incr next;
-              !next
-          | l, 0 | 0, l -> l
-          | l, u ->
-              if l <> u then Uf.union uf l u;
-              min l u
+          if left = 0 then if up = 0 then Uf.fresh uf else up
+          else if up = 0 || up = left then left
+          else begin
+            Uf.union uf left up;
+            if left < up then left else up
+          end
         in
-        labels.((y * w) + x) <- l
+        Array.unsafe_set labels i l
       end
     done
   done;
-  (* Second pass: resolve to representatives, then densify. *)
-  for i = 0 to (w * h) - 1 do
-    if labels.(i) <> 0 then labels.(i) <- Uf.find uf labels.(i)
-  done;
-  let ncomponents = densify labels in
+  let ncomponents = densify uf labels in
   { labels; width = w; height = h; ncomponents }
 
 let label_flood ~threshold img =
@@ -209,22 +220,18 @@ let merge_bands ~width bands =
         acc + lab.ncomponents)
       0 bands
   in
-  let uf = Uf.create (total_components + 1) in
+  let uf = Uf.create total_components in
   (* Union components that touch vertically across each seam. *)
   List.iter
-    (fun ((lab : labelling), y0) ->
+    (fun ((_ : labelling), y0) ->
       if y0 > 0 then
         for x = 0 to width - 1 do
           let above = labels.(((y0 - 1) * width) + x)
           and below = labels.((y0 * width) + x) in
           if above <> 0 && below <> 0 then Uf.union uf above below
-        done;
-      ignore lab)
+        done)
     bands;
-  for i = 0 to Array.length labels - 1 do
-    if labels.(i) <> 0 then labels.(i) <- Uf.find uf labels.(i)
-  done;
-  let ncomponents = densify labels in
+  let ncomponents = densify uf labels in
   { labels; width; height = total_height; ncomponents }
 
 let pp_region ppf r =

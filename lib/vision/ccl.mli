@@ -26,8 +26,11 @@ type region = {
 }
 
 val label : threshold:int -> Image.t -> labelling
-(** Two-pass union-find labelling. Labels are dense in [1, ncomponents] and
-    assigned in raster order of each component's first pixel. *)
+(** Two-pass union-find labelling: one pass over the rows assigns
+    provisional labels and records equivalences in a union-find that grows
+    with the number of labels; a second pass resolves and renumbers. Labels
+    are dense in [1, ncomponents] and assigned in raster order of each
+    component's first pixel. *)
 
 val label_flood : threshold:int -> Image.t -> labelling
 (** Reference implementation: BFS flood fill. Same label-numbering convention

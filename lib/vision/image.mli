@@ -27,6 +27,18 @@ val get : t -> int -> int -> int
 val set : t -> int -> int -> int -> unit
 (** [set img x y v] writes [v] (clamped to [0, 255]) at [(x, y)]. *)
 
+val unsafe_get : t -> int -> int -> int
+(** [unsafe_get img x y] is [get img x y] without the bounds check.
+    Precondition: [in_bounds img x y]. Outside the image it reads a
+    neighbouring row's pixel or memory past the raster. For row-wise kernel
+    loops whose coordinates are in range by construction. *)
+
+val unsafe_set : t -> int -> int -> int -> unit
+(** [unsafe_set img x y v] is [set img x y v] without the bounds check and
+    without the clamp. Preconditions: [in_bounds img x y] and
+    [0 <= v <= 255]. Outside the image it corrupts memory; out of range it
+    stores [v land 255]. *)
+
 val get_opt : t -> int -> int -> int option
 (** [get_opt img x y] is [None] when [(x, y)] is out of bounds. *)
 
@@ -69,6 +81,11 @@ val extract_band : t -> int * int -> t
     [y0]. *)
 
 val equal : t -> t -> bool
+
+val digest : t -> int
+(** [digest img] is a 30-bit FNV-1a hash of the raster (not of the
+    dimensions), as [pp] prints it. *)
+
 val pp : Format.formatter -> t -> unit
 (** [pp] prints dimensions and a short content digest, not the raster. *)
 

@@ -31,24 +31,37 @@ let otsu_threshold img =
   done;
   !best
 
-let clamp_coord v lo hi = if v < lo then lo else if v > hi then hi else v
+let[@inline] clamp_coord (v : int) lo hi = if v < lo then lo else if v > hi then hi else v
+
+(* The 3x3 kernels replicate the border: a neighbour's coordinates are
+   clamped into the image. Clamping changes nothing inside the one-pixel
+   border, and a clamped coordinate is always in bounds, so every pixel is
+   read and written unchecked. *)
 
 let convolve3 kernel ?(div = 1) img =
   if Array.length kernel <> 9 then invalid_arg "Ops.convolve3: kernel must be 3x3";
   if div = 0 then invalid_arg "Ops.convolve3: div = 0";
   let w = Image.width img and h = Image.height img in
   let dst = Image.create w h in
+  let k0 = kernel.(0) and k1 = kernel.(1) and k2 = kernel.(2) in
+  let k3 = kernel.(3) and k4 = kernel.(4) and k5 = kernel.(5) in
+  let k6 = kernel.(6) and k7 = kernel.(7) and k8 = kernel.(8) in
   for y = 0 to h - 1 do
+    let ym = clamp_coord (y - 1) 0 (h - 1) and yp = clamp_coord (y + 1) 0 (h - 1) in
     for x = 0 to w - 1 do
-      let acc = ref 0 in
-      for ky = -1 to 1 do
-        for kx = -1 to 1 do
-          let sx = clamp_coord (x + kx) 0 (w - 1)
-          and sy = clamp_coord (y + ky) 0 (h - 1) in
-          acc := !acc + (kernel.(((ky + 1) * 3) + kx + 1) * Image.get img sx sy)
-        done
-      done;
-      Image.set dst x y (!acc / div)
+      let xm = clamp_coord (x - 1) 0 (w - 1) and xp = clamp_coord (x + 1) 0 (w - 1) in
+      let acc =
+        (k0 * Image.unsafe_get img xm ym)
+        + (k1 * Image.unsafe_get img x ym)
+        + (k2 * Image.unsafe_get img xp ym)
+        + (k3 * Image.unsafe_get img xm y)
+        + (k4 * Image.unsafe_get img x y)
+        + (k5 * Image.unsafe_get img xp y)
+        + (k6 * Image.unsafe_get img xm yp)
+        + (k7 * Image.unsafe_get img x yp)
+        + (k8 * Image.unsafe_get img xp yp)
+      in
+      Image.unsafe_set dst x y (clamp_coord (acc / div) 0 255)
     done
   done;
   dst
@@ -57,42 +70,53 @@ let sobel_magnitude img =
   let w = Image.width img and h = Image.height img in
   let dst = Image.create w h in
   for y = 0 to h - 1 do
+    let ym = clamp_coord (y - 1) 0 (h - 1) and yp = clamp_coord (y + 1) 0 (h - 1) in
     for x = 0 to w - 1 do
-      let p dx dy =
-        Image.get img (clamp_coord (x + dx) 0 (w - 1)) (clamp_coord (y + dy) 0 (h - 1))
-      in
-      let gx =
-        -p (-1) (-1) + p 1 (-1) - (2 * p (-1) 0) + (2 * p 1 0) - p (-1) 1 + p 1 1
-      and gy =
-        -p (-1) (-1) - (2 * p 0 (-1)) - p 1 (-1) + p (-1) 1 + (2 * p 0 1) + p 1 1
-      in
-      Image.set dst x y (abs gx + abs gy)
+      let xm = clamp_coord (x - 1) 0 (w - 1) and xp = clamp_coord (x + 1) 0 (w - 1) in
+      let nw = Image.unsafe_get img xm ym
+      and n = Image.unsafe_get img x ym
+      and ne = Image.unsafe_get img xp ym
+      and west = Image.unsafe_get img xm y
+      and east = Image.unsafe_get img xp y
+      and sw = Image.unsafe_get img xm yp
+      and s = Image.unsafe_get img x yp
+      and se = Image.unsafe_get img xp yp in
+      let gx = -nw + ne - (2 * west) + (2 * east) - sw + se
+      and gy = -nw - (2 * n) - ne + sw + (2 * s) + se in
+      Image.unsafe_set dst x y (clamp_coord (abs gx + abs gy) 0 255)
     done
   done;
   dst
 
 let box_blur img = convolve3 [| 1; 1; 1; 1; 1; 1; 1; 1; 1 |] ~div:9 img
 
-let morph3 select img =
+(* [dilate] keeps the neighbourhood's maximum, otherwise its minimum. *)
+let[@inline] pick ~dilate (best : int) v =
+  if dilate then if v > best then v else best else if v < best then v else best
+
+let morph3 ~dilate img =
   let w = Image.width img and h = Image.height img in
   let dst = Image.create w h in
   for y = 0 to h - 1 do
+    let ym = clamp_coord (y - 1) 0 (h - 1) and yp = clamp_coord (y + 1) 0 (h - 1) in
     for x = 0 to w - 1 do
-      let best = ref (Image.get img x y) in
-      for ky = -1 to 1 do
-        for kx = -1 to 1 do
-          let sx = clamp_coord (x + kx) 0 (w - 1)
-          and sy = clamp_coord (y + ky) 0 (h - 1) in
-          best := select !best (Image.get img sx sy)
-        done
-      done;
-      Image.set dst x y !best
+      let xm = clamp_coord (x - 1) 0 (w - 1) and xp = clamp_coord (x + 1) 0 (w - 1) in
+      let best = Image.unsafe_get img x y in
+      let best = pick ~dilate best (Image.unsafe_get img xm ym) in
+      let best = pick ~dilate best (Image.unsafe_get img x ym) in
+      let best = pick ~dilate best (Image.unsafe_get img xp ym) in
+      let best = pick ~dilate best (Image.unsafe_get img xm y) in
+      let best = pick ~dilate best (Image.unsafe_get img xp y) in
+      let best = pick ~dilate best (Image.unsafe_get img xm yp) in
+      let best = pick ~dilate best (Image.unsafe_get img x yp) in
+      let best = pick ~dilate best (Image.unsafe_get img xp yp) in
+      Image.unsafe_set dst x y best
     done
   done;
   dst
 
-let erode3 img = morph3 min img
-let dilate3 img = morph3 max img
+let erode3 img = morph3 ~dilate:false img
+let dilate3 img = morph3 ~dilate:true img
 
 let integral img =
   let w = Image.width img and h = Image.height img in

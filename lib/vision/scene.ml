@@ -73,14 +73,17 @@ let draw_rect img x0 y0 w h v =
   done
 
 let render_background p img t =
-  (* Vertical luminance gradient (sky to road) plus a faint texture that
-     depends deterministically on position and frame. *)
-  let h = p.height in
+  (* Vertical luminance gradient (sky to road) plus a faint texture
+     [(7x + 13y + 3t) mod 11] that depends deterministically on position and
+     frame. With [t >= 0] the texture is a running remainder along the row
+     and every value is in 60..109, so pixels are written unchecked. *)
+  let h = p.height and w = p.width in
   for y = 0 to h - 1 do
     let base = 60 + (40 * y / h) in
-    for x = 0 to p.width - 1 do
-      let texture = (x * 7) + (y * 13) + (t * 3) in
-      Image.set img x y (base + (texture mod 11))
+    let r = ref (((y * 13) + (t * 3)) mod 11) in
+    for x = 0 to w - 1 do
+      Image.unsafe_set img x y (base + !r);
+      r := if !r >= 4 then !r - 4 else !r + 7
     done
   done
 
@@ -100,24 +103,28 @@ let render_vehicle img v =
     List.iter (fun (mx, my) -> draw_disc img mx my (mark_radius v) 250) (mark_centers v)
   end
 
+let[@inline] clamp (v : int) lo hi = if v < lo then lo else if v > hi then hi else v
+
 let add_noise p img t =
   if p.noise > 0.0 then begin
     let rng = Support.Prng.create (p.seed + (t * 7919)) in
-    let n = Image.size img in
+    let w = Image.width img and h = Image.height img in
     (* Perturb a pseudo-random 20% of pixels; keeps marks distinguishable
-       while still exercising threshold robustness. *)
-    for _ = 1 to n / 5 do
-      let x = Support.Prng.int rng (Image.width img)
-      and y = Support.Prng.int rng (Image.height img) in
+       while still exercising threshold robustness. [Prng.int] keeps the
+       coordinates in range, so pixels are accessed unchecked. *)
+    for _ = 1 to w * h / 5 do
+      let x = Support.Prng.int rng w in
+      let y = Support.Prng.int rng h in
       let d = int_of_float (p.noise *. Support.Prng.gaussian rng) in
-      let v = Image.get img x y in
+      let v = Image.unsafe_get img x y in
       (* Never push background pixels into mark range nor marks below it. *)
-      let v' = if v >= 220 then max 220 (v + d) else min 179 (max 0 (v + d)) in
-      Image.set img x y v'
+      let v' = if v >= 220 then clamp (v + d) 220 255 else clamp (v + d) 0 179 in
+      Image.unsafe_set img x y v'
     done
   end
 
 let frame p t =
+  if t < 0 then invalid_arg "Scene.frame: negative frame index";
   let img = Image.create p.width p.height in
   render_background p img t;
   List.iter (render_vehicle img) (vehicles_at p t);

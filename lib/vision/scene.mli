@@ -41,7 +41,8 @@ val mark_radius : vehicle -> int
 val frame : params -> int -> Image.t
 (** [frame p t] renders frame [t]: road background, vehicle bodies, bright
     marks, then additive noise. Mark pixels are >= 220; everything else stays
-    below 180, so thresholding at 200 isolates marks. *)
+    below 180, so thresholding at 200 isolates marks. Precondition: [t >= 0];
+    raises [Invalid_argument] otherwise. *)
 
 val road_frame : ?curvature:float -> width:int -> height:int -> int -> Image.t
 (** Synthetic road view for the road-following application: dark asphalt,

@@ -138,6 +138,136 @@ let prop_banded_matches_whole =
       let img = random_binaryish seed density w h in
       C.equivalent (C.label ~threshold:128 img) (split_label_merge ~threshold:128 img n))
 
+(* The two-pass labelling [label] replaced (preallocated rank-based
+   union-find, [Hashtbl] densify), kept here as an exact oracle. *)
+module Reference = struct
+  module Uf = struct
+    type t = { parent : int array; rank : int array }
+
+    let create n = { parent = Array.init n Fun.id; rank = Array.make n 0 }
+
+    let rec find t i =
+      let p = t.parent.(i) in
+      if p = i then i
+      else begin
+        t.parent.(i) <- t.parent.(p);
+        find t t.parent.(i)
+      end
+
+    let union t a b =
+      let ra = find t a and rb = find t b in
+      if ra <> rb then
+        if t.rank.(ra) < t.rank.(rb) then t.parent.(ra) <- rb
+        else if t.rank.(ra) > t.rank.(rb) then t.parent.(rb) <- ra
+        else begin
+          t.parent.(rb) <- ra;
+          t.rank.(ra) <- t.rank.(ra) + 1
+        end
+  end
+
+  let densify raw =
+    let remap = Hashtbl.create 64 in
+    let next = ref 0 in
+    Array.iteri
+      (fun i r ->
+        if r <> 0 then begin
+          match Hashtbl.find_opt remap r with
+          | Some d -> raw.(i) <- d
+          | None ->
+              incr next;
+              Hashtbl.add remap r !next;
+              raw.(i) <- !next
+        end)
+      raw;
+    !next
+
+  let label ~threshold img =
+    let w = I.width img and h = I.height img in
+    let labels = Array.make (w * h) 0 in
+    let uf = Uf.create ((w * h / 2) + 2) in
+    let next = ref 0 in
+    for y = 0 to h - 1 do
+      for x = 0 to w - 1 do
+        if I.get img x y >= threshold then begin
+          let left = if x > 0 then labels.(((y * w) + x) - 1) else 0 in
+          let up = if y > 0 then labels.(((y - 1) * w) + x) else 0 in
+          let l =
+            match (left, up) with
+            | 0, 0 ->
+                incr next;
+                !next
+            | l, 0 | 0, l -> l
+            | l, u ->
+                if l <> u then Uf.union uf l u;
+                min l u
+          in
+          labels.((y * w) + x) <- l
+        end
+      done
+    done;
+    for i = 0 to (w * h) - 1 do
+      if labels.(i) <> 0 then labels.(i) <- Uf.find uf labels.(i)
+    done;
+    let ncomponents = densify labels in
+    { C.labels; width = w; height = h; ncomponents }
+end
+
+let same_labelling (a : C.labelling) (b : C.labelling) =
+  a.width = b.width && a.height = b.height && a.ncomponents = b.ncomponents
+  && a.labels = b.labels
+
+(* [label] against both oracles: exactly the reference's labels, and the
+   same partition as the flood fill. *)
+let agrees ~threshold img =
+  let lab = C.label ~threshold img in
+  same_labelling lab (Reference.label ~threshold img)
+  && C.equivalent lab (C.label_flood ~threshold img)
+
+let random_gray seed w h =
+  let rng = Support.Prng.create seed in
+  let img = I.create w h in
+  I.iter (fun x y _ -> I.set img x y (Support.Prng.int rng 256)) img;
+  img
+
+let checkerboard w h =
+  let img = I.create w h in
+  I.iter (fun x y _ -> if (x + y) land 1 = 0 then I.set img x y 255) img;
+  img
+
+let test_matches_reference_on_shapes () =
+  let check name ~threshold img =
+    Alcotest.(check bool) name true (agrees ~threshold img)
+  in
+  List.iter
+    (fun n ->
+      check (Printf.sprintf "1x%d" n) ~threshold:128 (random_binaryish n 50 1 n);
+      check (Printf.sprintf "%dx1" n) ~threshold:128 (random_binaryish n 50 n 1))
+    [ 1; 2; 7; 64; 300 ];
+  check "all foreground" ~threshold:0 (random_gray 1 37 23);
+  check "all foreground, one row" ~threshold:0 (random_gray 2 200 1);
+  check "nothing above 256" ~threshold:256 (random_gray 3 30 30);
+  (* A checkerboard is all singletons: the most components an image can
+     have, so the union-find grows from its initial size many times. *)
+  let board = checkerboard 129 131 in
+  check "checkerboard" ~threshold:128 board;
+  Alcotest.(check int) "checkerboard components" (((129 * 131) + 1) / 2)
+    (C.label ~threshold:128 board).C.ncomponents
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"label equals the two-pass reference exactly" ~count:200
+    QCheck.(
+      make
+        Gen.(
+          quad (int_bound 1_000_000) (int_range 0 256) (int_range 1 60)
+            (int_range 1 60))
+        ~print:(fun (s, t, w, h) -> Printf.sprintf "seed=%d threshold=%d %dx%d" s t w h))
+    (fun (seed, threshold, w, h) -> agrees ~threshold (random_gray seed w h))
+
+let prop_binaryish_matches_reference =
+  QCheck.Test.make ~name:"label equals the reference on blob images" ~count:120
+    arbitrary_case (fun (seed, density, w, h) ->
+      agrees ~threshold:128 (random_binaryish seed density w h))
+
 let prop_detect_regions_count =
   QCheck.Test.make ~name:"regions count matches ncomponents" ~count:80 arbitrary_case
     (fun (seed, density, w, h) ->
@@ -158,6 +288,8 @@ let () =
           Alcotest.test_case "labels dense" `Quick test_labels_dense;
           Alcotest.test_case "region areas sum" `Quick test_regions_area_sums;
           Alcotest.test_case "equivalence checker" `Quick test_equivalent_detects_renaming;
+          Alcotest.test_case "reference on edge shapes" `Quick
+            test_matches_reference_on_shapes;
         ] );
       ( "band merge",
         [
@@ -170,5 +302,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_union_find_matches_flood;
           QCheck_alcotest.to_alcotest prop_banded_matches_whole;
           QCheck_alcotest.to_alcotest prop_detect_regions_count;
+          QCheck_alcotest.to_alcotest prop_matches_reference;
+          QCheck_alcotest.to_alcotest prop_binaryish_matches_reference;
         ] );
     ]

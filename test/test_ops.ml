@@ -253,6 +253,89 @@ let prop_median_bounded_by_neighbourhood =
       I.iter (fun _ _ v -> if v < lo || v > hi then ok := false) m;
       !ok)
 
+(* The 3x3 kernels as they were before the unchecked rewrite: every read
+   clamps its coordinates and goes through the bounds-checked accessors. *)
+module Reference = struct
+  let clamp_coord v lo hi = if v < lo then lo else if v > hi then hi else v
+
+  let convolve3 kernel ?(div = 1) img =
+    let w = I.width img and h = I.height img in
+    let dst = I.create w h in
+    for y = 0 to h - 1 do
+      for x = 0 to w - 1 do
+        let acc = ref 0 in
+        for ky = -1 to 1 do
+          for kx = -1 to 1 do
+            let sx = clamp_coord (x + kx) 0 (w - 1)
+            and sy = clamp_coord (y + ky) 0 (h - 1) in
+            acc := !acc + (kernel.(((ky + 1) * 3) + kx + 1) * I.get img sx sy)
+          done
+        done;
+        I.set dst x y (!acc / div)
+      done
+    done;
+    dst
+
+  let sobel_magnitude img =
+    let w = I.width img and h = I.height img in
+    let dst = I.create w h in
+    for y = 0 to h - 1 do
+      for x = 0 to w - 1 do
+        let p dx dy =
+          I.get img (clamp_coord (x + dx) 0 (w - 1)) (clamp_coord (y + dy) 0 (h - 1))
+        in
+        let gx =
+          -p (-1) (-1) + p 1 (-1) - (2 * p (-1) 0) + (2 * p 1 0) - p (-1) 1 + p 1 1
+        and gy =
+          -p (-1) (-1) - (2 * p 0 (-1)) - p 1 (-1) + p (-1) 1 + (2 * p 0 1) + p 1 1
+        in
+        I.set dst x y (abs gx + abs gy)
+      done
+    done;
+    dst
+
+  let morph3 select img =
+    let w = I.width img and h = I.height img in
+    let dst = I.create w h in
+    for y = 0 to h - 1 do
+      for x = 0 to w - 1 do
+        let best = ref (I.get img x y) in
+        for ky = -1 to 1 do
+          for kx = -1 to 1 do
+            let sx = clamp_coord (x + kx) 0 (w - 1)
+            and sy = clamp_coord (y + ky) 0 (h - 1) in
+            best := select !best (I.get img sx sy)
+          done
+        done;
+        I.set dst x y !best
+      done
+    done;
+    dst
+end
+
+let arbitrary_filter_case =
+  QCheck.make
+    QCheck.Gen.(
+      let* seed = int_bound 1_000_000 and* w = int_range 1 40 and* h = int_range 1 40 in
+      let* kernel = array_size (return 9) (int_range (-8) 8) in
+      let* div = oneof [ int_range 1 16; int_range (-9) (-1) ] in
+      return (seed, w, h, kernel, div))
+    ~print:(fun (seed, w, h, kernel, div) ->
+      Printf.sprintf "seed=%d %dx%d kernel=[%s] div=%d" seed w h
+        (String.concat ";" (Array.to_list (Array.map string_of_int kernel)))
+        div)
+
+let prop_filters_match_reference =
+  QCheck.Test.make ~name:"3x3 kernels equal the bounds-checked reference" ~count:300
+    arbitrary_filter_case (fun (seed, w, h, kernel, div) ->
+      let img = random_image seed w h in
+      I.equal (O.convolve3 kernel ~div img) (Reference.convolve3 kernel ~div img)
+      && I.equal (O.box_blur img)
+           (Reference.convolve3 [| 1; 1; 1; 1; 1; 1; 1; 1; 1 |] ~div:9 img)
+      && I.equal (O.sobel_magnitude img) (Reference.sobel_magnitude img)
+      && I.equal (O.erode3 img) (Reference.morph3 min img)
+      && I.equal (O.dilate3 img) (Reference.morph3 max img))
+
 let () =
   Alcotest.run "ops"
     [
@@ -276,6 +359,7 @@ let () =
           Alcotest.test_case "sobel edge" `Quick test_sobel_detects_edge;
           Alcotest.test_case "box blur flat" `Quick test_box_blur_preserves_flat;
           Alcotest.test_case "erode/dilate ordering" `Quick test_erode_dilate_ordering;
+          QCheck_alcotest.to_alcotest prop_filters_match_reference;
         ] );
       ( "extended",
         [

@@ -374,6 +374,80 @@ let test_aborted_frames () =
   in
   Alcotest.(check int) "both aborts logged" 2 (List.length aborted_logged)
 
+(* Regression: a client that sends a complete run request and hangs up
+   before the reply used to kill the daemon with SIGPIPE. Now the failed
+   write is an io_error drop and the daemon goes on serving. *)
+let test_early_close () =
+  let socket = tmp_name "skipper-test-serve-early.sock" in
+  let log, log_lines = capture_log () in
+  let cfg =
+    {
+      Serve.table_of = (fun _ -> simple_table ());
+      input_of = (fun _ -> None);
+      arch_of = Archi.ring;
+      store = None;
+      jobs = 1;
+      log;
+      metrics = None;
+      timeline = None;
+    }
+  in
+  let daemon = Domain.spawn (fun () -> Serve.serve cfg ~socket ()) in
+  let call reqs =
+    match Serve.call ~socket reqs with
+    | Ok rs -> rs
+    | Error m -> Alcotest.failf "client call failed: %s" m
+  in
+  ignore (call [ Serve.req_stats ]);
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  (* Shutting the receiving side first makes the reply's write fail
+     whether or not the close below has happened by then. *)
+  Unix.shutdown fd Unix.SHUTDOWN_RECEIVE;
+  let body =
+    Json.to_string
+      (Json.Obj
+         [
+           ( "requests",
+             Json.Arr [ Serve.req_run ~frames:2 ~procs:4 ~app:"simple" simple_src ] );
+         ])
+  in
+  let hdr = Bytes.create 4 in
+  Bytes.set_int32_be hdr 0 (Int32.of_int (String.length body));
+  let frame = Bytes.cat hdr (Bytes.of_string body) in
+  ignore (Unix.write fd frame 0 (Bytes.length frame));
+  Unix.close fd;
+  let io_error_drops () =
+    List.length
+      (List.filter
+         (fun l ->
+           match Json.parse l with
+           | Ok j ->
+               Json.member "event" j = Some (Json.Str "client_disconnected")
+               && Json.member "reason" j = Some (Json.Str "io_error")
+           | Error _ -> false)
+         (log_lines ()))
+  in
+  (* a second client is served while the daemon notices the hang-up *)
+  let rec poll calls =
+    match call [ Serve.req_stats ] with
+    | [ r ] ->
+        Alcotest.(check string) "stats after the hang-up" "ok" (str "status" r);
+        if io_error_drops () = 0 && calls < 100 then begin
+          Unix.sleepf 0.05;
+          poll (calls + 1)
+        end
+        else calls + 1
+    | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs)
+  in
+  let stats_calls = poll 0 in
+  Alcotest.(check int) "the hang-up is counted as an io_error drop" 1
+    (io_error_drops ());
+  ignore (call [ Serve.req_shutdown ]);
+  (* the run was served (and counted) before its reply failed: the first
+     stats, the run, every polling stats and the shutdown *)
+  Alcotest.(check int) "requests served" (stats_calls + 3) (Domain.join daemon)
+
 (* The metrics op: a Prometheus exposition whose per-op request histogram
    counts exactly the requests served, plus the skipperc-top rendering of
    the stats snapshot. *)
@@ -532,6 +606,7 @@ let () =
           Alcotest.test_case "concurrent clients" `Quick
             test_concurrent_clients;
           Alcotest.test_case "aborted frames" `Quick test_aborted_frames;
+          Alcotest.test_case "early close" `Quick test_early_close;
           Alcotest.test_case "metrics op and top" `Quick test_metrics_op;
           Alcotest.test_case "jobs determinism" `Quick test_jobs_determinism;
         ] );

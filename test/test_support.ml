@@ -78,6 +78,107 @@ let test_prng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "is a permutation" (Array.init 50 Fun.id) sorted
 
+(* Golden pins: MD5 over the first 32 outputs of each stream, recorded
+   before the generator's state was unboxed. Floats are pinned by bit
+   pattern, so any change to a single draw shows. *)
+let prng_pins =
+  [
+    ( 0,
+      [
+        ("bits64", "17f475f620c1a84d19be1d2103405b03");
+        ("int 512", "3202aa8562e3f2851165241171190cb5");
+        ("int 17", "8b93cf692cced1943bcb065d53dd215a");
+        ("int 1", "04ec8ee6d0a1a5bd03232def786e0504");
+        ("float 1.0", "caefb06b76ab9fc08c12c0c42166b24e");
+        ("gaussian", "c01bc67fa7333cfcaf1b995fffa00e98");
+        ("split bits64", "c49ffb95d1109b2b06929de90571138b");
+      ] );
+    ( 1,
+      [
+        ("bits64", "9f93ed8f716c62b9f134f09ec8cc8cbd");
+        ("int 512", "6686e352a58c7ce08a8d7daa77a4d0dd");
+        ("int 17", "2396f528431e1aacea39bd2e8f766339");
+        ("int 1", "04ec8ee6d0a1a5bd03232def786e0504");
+        ("float 1.0", "75b2caf3749f6e7e7fe32563ce57b1cc");
+        ("gaussian", "7f12f2977590b6d77d7d8d3bb17e6080");
+        ("split bits64", "e112f671af71d3759ad99a47c7d937d6");
+      ] );
+    ( 42,
+      [
+        ("bits64", "b42d62a840a61469bfa00756ef612558");
+        ("int 512", "2cb3eed4f697ff51c8a33d39db98d335");
+        ("int 17", "960cc0b6551da63a1adf89301ac6fc3c");
+        ("int 1", "04ec8ee6d0a1a5bd03232def786e0504");
+        ("float 1.0", "6f41866880680d5a2c7e5d32830aa96e");
+        ("gaussian", "0a3f726919d2b234a944be91b13e7721");
+        ("split bits64", "46ba3a7ac4db2fc9d02ca78c85df5d53");
+      ] );
+    ( -1,
+      [
+        ("bits64", "c23ca9390b7c38426e336c9227b64467");
+        ("int 512", "6c21c37b52d58c2c55d66db21ace44c3");
+        ("int 17", "e7da945f0292521a496a4952af69c67d");
+        ("int 1", "04ec8ee6d0a1a5bd03232def786e0504");
+        ("float 1.0", "987c2af2c2675fab3e1332f76d12c392");
+        ("gaussian", "ebd77bf7f5ec2e982e2b71726d3b62c6");
+        ("split bits64", "46703004e5bcbbf184db124f315b5e86");
+      ] );
+    ( max_int,
+      [
+        ("bits64", "1e47435d7b78fb9d496025b926d38579");
+        ("int 512", "2421373d03090e0cf0d107e40b457725");
+        ("int 17", "91e068c1074346d43a4a54a12a951ca9");
+        ("int 1", "04ec8ee6d0a1a5bd03232def786e0504");
+        ("float 1.0", "07dc044ac12200502ed6ad59e7ffb49d");
+        ("gaussian", "168f2ed1e49907130a148d7c785e8056");
+        ("split bits64", "da902b49cd7d7d26f0ed1b17ea997a6d");
+      ] );
+  ]
+
+let prng_stream = function
+  | "bits64" | "split bits64" -> fun g -> Printf.sprintf "%Lx" (Support.Prng.bits64 g)
+  | "int 512" -> fun g -> string_of_int (Support.Prng.int g 512)
+  | "int 17" -> fun g -> string_of_int (Support.Prng.int g 17)
+  | "int 1" -> fun g -> string_of_int (Support.Prng.int g 1)
+  | "float 1.0" ->
+      fun g -> Printf.sprintf "%Lx" (Int64.bits_of_float (Support.Prng.float g 1.0))
+  | "gaussian" ->
+      fun g -> Printf.sprintf "%Lx" (Int64.bits_of_float (Support.Prng.gaussian g))
+  | s -> Alcotest.failf "unknown stream %s" s
+
+let test_prng_golden () =
+  List.iter
+    (fun (seed, streams) ->
+      List.iter
+        (fun (name, expected) ->
+          let g = Support.Prng.create seed in
+          let g = if name = "split bits64" then Support.Prng.split g else g in
+          let values = List.init 32 (fun _ -> prng_stream name g) in
+          Alcotest.(check string)
+            (Printf.sprintf "seed %d, %s" seed name)
+            expected
+            (Digest.to_hex (Digest.string (String.concat "," values))))
+        streams)
+    prng_pins;
+  (* The first two raw outputs of seed 42, spelled out. *)
+  let g = Support.Prng.create 42 in
+  let x0 = Support.Prng.bits64 g in
+  let x1 = Support.Prng.bits64 g in
+  Alcotest.(check (list int64)) "seed 42 head"
+    [ 0xbdd732262feb6e95L; 0x28efe333b266f103L ] [ x0; x1 ]
+
+let test_prng_copy_independent () =
+  let draws g n = List.init n (fun _ -> Support.Prng.bits64 g) in
+  let a = Support.Prng.create 3 in
+  ignore (Support.Prng.bits64 a);
+  let b = Support.Prng.copy a in
+  let from_a = draws a 8 in
+  let from_b = draws b 16 in
+  Alcotest.(check (list int64)) "the original's draws leave the copy"
+    from_a (List.filteri (fun i _ -> i < 8) from_b);
+  Alcotest.(check (list int64)) "the copy's draws leave the original"
+    (List.filteri (fun i _ -> i >= 8) from_b) (draws a 8)
+
 let test_pqueue_ordering () =
   let q = Support.Pqueue.create () in
   List.iter (fun p -> Support.Pqueue.push q p p) [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
@@ -414,6 +515,8 @@ let () =
           Alcotest.test_case "float bounds" `Quick test_prng_float_bounds;
           Alcotest.test_case "gaussian moments" `Slow test_prng_gaussian_moments;
           Alcotest.test_case "shuffle is a permutation" `Quick test_prng_shuffle_permutation;
+          Alcotest.test_case "golden streams" `Quick test_prng_golden;
+          Alcotest.test_case "copy independent" `Quick test_prng_copy_independent;
         ] );
       ( "pqueue",
         [
