@@ -17,9 +17,6 @@ let lane_of_value v =
     confidence = V.to_float (V.field "confidence" v);
   }
 
-let initial_lane ~width =
-  { offset = float_of_int width /. 2.0; slope = 0.0; confidence = 0.0 }
-
 let line_threshold = 230
 let search_half_width = 48
 

@@ -15,7 +15,6 @@ type lane = {
 
 val lane_to_value : lane -> Skel.Value.t
 val lane_of_value : Skel.Value.t -> lane
-val initial_lane : width:int -> lane
 
 val detect_rows :
   ?threshold:int -> Vision.Image.t -> y0:int -> (int * float) list

@@ -9,9 +9,6 @@
     ({!Executive}) are the inlined form of exactly these sequences, so the
     emitted text documents what actually runs. *)
 
-val emit_processor : Procnet.Graph.t -> placement:int array -> int -> string
-(** Macro-code for one processor. *)
-
 val emit : Procnet.Graph.t -> placement:int array -> arch:Archi.t -> string
 (** Full macro-code listing: a [divert]-style header, one
     [define(`Pk_PROGRAM', ...)] block per processor in use, plus the channel

@@ -254,57 +254,96 @@ let to_string report =
 (* ------------------------------------------------------------------ *)
 (* Machine-readable summary                                            *)
 
+module Json = Support.Json
+
+let fixed d x = Json.Fixed (d, x)
+
 let to_json report =
   let loads =
-    String.concat ","
-      (List.map
-         (fun l ->
-           Printf.sprintf
-             {|{"proc":%d,"busy_s":%.9f,"live_s":%.9f,"fraction":%.6f,"processes":%d}|}
-             l.proc l.busy l.live l.fraction l.processes)
-         report.loads)
+    List.map
+      (fun l ->
+        Json.Obj
+          [
+            ("proc", Json.int l.proc);
+            ("busy_s", fixed 9 l.busy);
+            ("live_s", fixed 9 l.live);
+            ("fraction", fixed 6 l.fraction);
+            ("processes", Json.int l.processes);
+          ])
+      report.loads
   in
   let links =
-    String.concat ","
-      (List.map
-         (fun l ->
-           Printf.sprintf
-             {|{"src":%d,"dst":%d,"busy_s":%.9f,"occupancy":%.6f,"transfers":%d}|}
-             l.src l.dst l.link_busy l.occupancy l.transfers)
-         report.links)
+    List.map
+      (fun l ->
+        Json.Obj
+          [
+            ("src", Json.int l.src);
+            ("dst", Json.int l.dst);
+            ("busy_s", fixed 9 l.link_busy);
+            ("occupancy", fixed 6 l.occupancy);
+            ("transfers", Json.int l.transfers);
+          ])
+      report.links
   in
   let ports =
-    String.concat ","
-      (List.map
-         (fun ((proc, port), depth) ->
-           Printf.sprintf {|{"process":"%s","port":"%s","max_depth":%d}|}
-             (Support.Json.escape proc) (Support.Json.escape port) depth)
-         report.port_depths)
+    List.map
+      (fun ((proc, port), depth) ->
+        Json.Obj
+          [
+            ("process", Json.Str proc);
+            ("port", Json.Str port);
+            ("max_depth", Json.int depth);
+          ])
+      report.port_depths
   in
   let procs =
-    String.concat ","
-      (List.map
-         (fun p ->
-           Printf.sprintf
-             {|{"process":"%s","proc":%d,"busy_s":%.9f,"blocked_s":%.9f,"idle_s":%.9f,"sends":%d}|}
-             (Support.Json.escape p.name)
-             p.on p.busy_t p.blocked_t p.idle_t p.sends)
-         report.breakdown)
+    List.map
+      (fun p ->
+        Json.Obj
+          [
+            ("process", Json.Str p.name);
+            ("proc", Json.int p.on);
+            ("busy_s", fixed 9 p.busy_t);
+            ("blocked_s", fixed 9 p.blocked_t);
+            ("idle_s", fixed 9 p.idle_t);
+            ("sends", Json.int p.sends);
+          ])
+      report.breakdown
   in
   let latency =
     match report.latency with
-    | None -> "null"
+    | None -> Json.Null
     | Some l ->
-        Printf.sprintf
-          {|{"n":%d,"mean_s":%.9f,"p50_s":%.9f,"p95_s":%.9f,"p99_s":%.9f,"jitter_s":%.9f}|}
-          l.n l.mean_latency l.p50 l.p95 l.p99 l.jitter
+        Json.Obj
+          [
+            ("n", Json.int l.n);
+            ("mean_s", fixed 9 l.mean_latency);
+            ("p50_s", fixed 9 l.p50);
+            ("p95_s", fixed 9 l.p95);
+            ("p99_s", fixed 9 l.p99);
+            ("jitter_s", fixed 9 l.jitter);
+          ]
   in
-  Printf.sprintf
-    {|{"finish_time_s":%.9f,"mean_utilisation":%.6f,"messages":%d,"bytes":%d,"imbalance":%.6f,"link_contention":%.6f,"dropped_msgs":%d,"deadline_misses":%d,"reissues":%d,"trace_truncated":%b,"trace_limit":%d,"latency":%s,"processors":[%s],"links":[%s],"ports":[%s],"processes":[%s]}|}
-    report.finish_time report.mean_utilisation report.messages report.bytes
-    (imbalance report) (link_contention report) report.dropped_msgs
-    report.deadline_misses report.reissues report.trace_truncated
-    report.trace_limit latency loads links ports procs
+  Json.to_string
+    (Json.Obj
+       [
+         ("finish_time_s", fixed 9 report.finish_time);
+         ("mean_utilisation", fixed 6 report.mean_utilisation);
+         ("messages", Json.int report.messages);
+         ("bytes", Json.int report.bytes);
+         ("imbalance", fixed 6 (imbalance report));
+         ("link_contention", fixed 6 (link_contention report));
+         ("dropped_msgs", Json.int report.dropped_msgs);
+         ("deadline_misses", Json.int report.deadline_misses);
+         ("reissues", Json.int report.reissues);
+         ("trace_truncated", Json.Bool report.trace_truncated);
+         ("trace_limit", Json.int report.trace_limit);
+         ("latency", latency);
+         ("processors", Json.Arr loads);
+         ("links", Json.Arr links);
+         ("ports", Json.Arr ports);
+         ("processes", Json.Arr procs);
+       ])
 
 (* The one-line per-experiment summary the bench harness's [--json] file is
    made of. Every field is simulation-deterministic (finish_time is
@@ -313,16 +352,18 @@ let to_json report =
    in the separate timing artifact, never here. The field set is pinned by
    the golden test in test_determinism. *)
 let summary_json ?(extras = []) ~experiment report =
-  let extras =
-    String.concat ""
-      (List.map
-         (fun (k, v) -> Printf.sprintf {|,"%s":%.6f|} (Support.Json.escape k) v)
-         extras)
-  in
-  Printf.sprintf
-    {|{"experiment":"%s","finish_time":%.6f,"utilisation":%.4f,"messages":%d,"bytes":%d,"imbalance":%.4f,"dropped_msgs":%d,"deadline_misses":%d,"reissues":%d,"trace_truncated":%d%s}|}
-    (Support.Json.escape experiment) report.finish_time report.mean_utilisation
-    report.messages report.bytes (imbalance report) report.dropped_msgs
-    report.deadline_misses report.reissues
-    (if report.trace_truncated then 1 else 0)
-    extras
+  Json.to_string
+    (Json.Obj
+       ([
+          ("experiment", Json.Str experiment);
+          ("finish_time", fixed 6 report.finish_time);
+          ("utilisation", fixed 4 report.mean_utilisation);
+          ("messages", Json.int report.messages);
+          ("bytes", Json.int report.bytes);
+          ("imbalance", fixed 4 (imbalance report));
+          ("dropped_msgs", Json.int report.dropped_msgs);
+          ("deadline_misses", Json.int report.deadline_misses);
+          ("reissues", Json.int report.reissues);
+          ("trace_truncated", Json.int (if report.trace_truncated then 1 else 0));
+        ]
+       @ List.map (fun (k, v) -> (k, fixed 6 v)) extras))

@@ -7,12 +7,6 @@ type pid = int
 exception Not_in_process
 exception Process_failure of string * exn
 
-(* Software costs of the kernel primitives (cycles) and the local memory-copy
-   bandwidth (bytes/s). See DESIGN.md, calibration constants. *)
-let send_overhead_cycles = 200.0
-let recv_overhead_cycles = 150.0
-let local_copy_bandwidth = 4e8
-
 type _ Effect.t +=
   | E_recv : string list -> (string * Skel.Value.t) Effect.t
   | E_recv_deadline :
@@ -347,7 +341,7 @@ let reserve_link t book earliest duration =
    along [Archi.route], walked through [Archi.first_link] so no route list
    is built. [msg] only feeds the trace. *)
 let transfer t ~msg src dst bytes_n depart =
-  if src = dst then depart +. (float_of_int bytes_n /. local_copy_bandwidth)
+  if src = dst then depart +. (float_of_int bytes_n /. Syndex.Cost.local_copy_bandwidth)
   else begin
     let rec hop u depart =
       if u = dst then depart
@@ -409,7 +403,7 @@ let run_segment t (proc : process) resume =
           | E_send (dst, port, v) ->
               Some
                 (fun k ->
-                  let dt = send_overhead_cycles *. cycle_time t p in
+                  let dt = Syndex.Cost.default_send_overhead_cycles *. cycle_time t p in
                   charge_busy t proc dt;
                   proc.sent <- proc.sent + 1;
                   t.cpu_free.(p) <- t.time +. dt;
@@ -441,7 +435,7 @@ let run_segment t (proc : process) resume =
                   match earliest_message proc ports with
                   | Some (port, _) ->
                       let msg, v = pop_message proc port in
-                      let dt = recv_overhead_cycles *. cycle_time t p in
+                      let dt = Syndex.Cost.default_recv_overhead_cycles *. cycle_time t p in
                       charge_busy t proc dt;
                       t.cpu_free.(p) <- t.time +. dt;
                       if t.tracing && admit t then
@@ -460,7 +454,7 @@ let run_segment t (proc : process) resume =
                   match earliest_message proc ports with
                   | Some (port, _) ->
                       let msg, v = pop_message proc port in
-                      let dt = recv_overhead_cycles *. cycle_time t p in
+                      let dt = Syndex.Cost.default_recv_overhead_cycles *. cycle_time t p in
                       charge_busy t proc dt;
                       t.cpu_free.(p) <- t.time +. dt;
                       if t.tracing && admit t then

@@ -300,12 +300,3 @@ val link_occupancy : t -> ((int * int) * float * int) list
 val port_depths : t -> ((string * string) * int) list
 (** High-water mailbox depth per [(process name, port)], sorted — a depth
     over 1 means messages queued faster than the process consumed them. *)
-
-(** {1 Cost constants} *)
-
-val send_overhead_cycles : float
-(** Software cost charged to a sender per message (kernel primitive cost). *)
-
-val recv_overhead_cycles : float
-val local_copy_bandwidth : float
-(** Bytes/second for same-processor message copies. *)

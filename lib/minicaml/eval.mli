@@ -38,8 +38,6 @@ type env
 val to_skel : value -> Skel.Value.t
 (** Raises [Runtime_error] on closures/partial applications. *)
 
-val of_skel : Skel.Value.t -> value
-val value_equal : value -> value -> bool
 val pp_value : Format.formatter -> value -> unit
 
 val initial_env : ctx -> env

@@ -6,9 +6,6 @@ type env = Types.scheme Env.t
 
 let error loc fmt = Printf.ksprintf (fun m -> raise (Type_error (m, loc))) fmt
 
-let skeleton_names =
-  [ "scm"; "df"; "df_ro"; "df_own"; "df_acc"; "df_res"; "tf"; "itermem" ]
-
 (* The published skeleton signatures. Schemes are built from parsed type
    expressions so the source of truth stays readable. *)
 let scheme_of_string s = Types.of_type_expr (Parser.type_expression s)

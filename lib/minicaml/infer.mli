@@ -33,6 +33,3 @@ val infer_expr : env -> Ast.expr -> Types.ty
 val infer_program : env -> Ast.program -> env * (string * Types.scheme) list
 (** Processes top-level bindings in order; returns the final environment and
     the schemes of the names bound (externals included), in order. *)
-
-val skeleton_names : string list
-(** [["scm"; "df"; "tf"; "itermem"]]. *)

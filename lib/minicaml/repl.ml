@@ -28,7 +28,6 @@ let render_value v =
 
 let eval_input session input =
   let fail message = { session; message; ok = false } in
-  Types.reset_counter ();
   match Parser.program input with
   | exception Parser.Parse_error (msg, loc) ->
       (* Maybe it is a bare expression rather than a top-level binding. *)

@@ -28,8 +28,6 @@ val eval_input : session -> string -> outcome
     [external name : type], or a bare expression (bound to [it]).
     All front-end errors are caught and rendered into [message]. *)
 
-val banner : string
-
 val run_channel : ?prompt:bool -> Skel.Funtable.t -> in_channel -> out_channel -> unit
 (** Drives a [;;]- or newline-delimited REPL over channels until EOF (the
     entry point used by [skipperc repl]). *)

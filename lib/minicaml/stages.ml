@@ -8,7 +8,6 @@ let parse src =
   | exception Lexer.Lex_error (msg, loc) -> located "lexical error" msg loc
 
 let typecheck ast =
-  Types.reset_counter ();
   match Infer.infer_program Infer.initial_env ast with
   | _, schemes ->
       Ok (List.map (fun (n, s) -> (n, Types.scheme_to_string s)) schemes)

@@ -11,7 +11,6 @@ type scheme = { vars : int list; body : ty }
    differ run to run, but nothing observable depends on them: [to_string]
    letters variables by order of first appearance within each type. *)
 let counter = Atomic.make 0
-let reset_counter () = ()
 
 let new_var level =
   Tvar (ref (Unbound (1 + Atomic.fetch_and_add counter 1, level)))
@@ -25,8 +24,6 @@ let list_t t = Tcon ("list", [ t ])
 let arrow a b = Tcon ("->", [ a; b ])
 let arrows args ret = List.fold_right arrow args ret
 let tuple ts = Tcon ("tuple", ts)
-let con name args = Tcon (name, args)
-
 let rec repr = function
   | Tvar ({ contents = Link t } as r) ->
       let t' = repr t in

@@ -18,15 +18,11 @@ and tv = Unbound of int * int  (** id, level *) | Link of ty
 type scheme = { vars : int list; body : ty }
 (** [vars] are the ids of the quantified unification variables. *)
 
-val reset_counter : unit -> unit
-(** Historical no-op, kept for callers. The variable counter is atomic and
-    monotonic so concurrent inference runs on separate domains can never
-    alias two live variable ids; reproducible variable {e names} come from
-    {!to_string}, which letters variables by order of first appearance
-    rather than by raw id. *)
-
 val new_var : int -> ty
-(** [new_var level] is a fresh unification variable at [level]. *)
+(** [new_var level] is a fresh unification variable at [level]. Ids come
+    from one atomic counter, so they stay unique across domains; stable
+    variable {e names} come from {!to_string}, which letters variables by
+    order of first appearance. *)
 
 val int_t : ty
 val float_t : ty
@@ -37,10 +33,6 @@ val list_t : ty -> ty
 val arrow : ty -> ty -> ty
 val arrows : ty list -> ty -> ty
 val tuple : ty list -> ty
-val con : string -> ty list -> ty
-
-val repr : ty -> ty
-(** Follows links to the representative. *)
 
 exception Unify_error of ty * ty
 

@@ -61,6 +61,8 @@ let kind_name = function
   | Router { dir = `Mw } -> "router-mw"
   | Router { dir = `Wm } -> "router-wm"
 
+(* Skeleton control processes (masters, split/merge, mem, join, fork,
+   routers), as opposed to user computations. *)
 let is_control = function
   | Input _ | Output _ | Compute _ | ScmCompute _ | DfWorker _ | TfWorker _ -> false
   | ScmSplit _ | ScmMerge _ | DfMaster _ | TfMaster _ | Mem _ | Join | Fork | Router _

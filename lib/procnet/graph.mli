@@ -66,9 +66,6 @@ val out_edges : t -> int -> edge list
 val out_edges_from_port : t -> int -> string -> edge list
 
 val kind_name : kind -> string
-val is_control : kind -> bool
-(** True for skeleton control processes (masters, split/merge, mem, join,
-    fork, routers); false for user computations. *)
 
 (** {1 Construction} *)
 

@@ -164,8 +164,6 @@ let derive t name derivation =
       Hashtbl.replace t.derived name derivation;
       t.log <- (name, derivation) :: t.log
 
-let is_derived t name = Hashtbl.mem t.derived name
-
 let derivations t = List.rev t.log
 
 let replay t ds = List.iter (fun (name, d) -> derive t name d) ds

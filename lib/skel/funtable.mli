@@ -65,8 +65,6 @@ val derive : t -> string -> derivation -> unit
     with a different recipe — callers replaying a cached compile treat that
     as a cache miss. Raises [Failure] if a referenced base name is missing. *)
 
-val is_derived : t -> string -> bool
-
 val derivations : t -> (string * derivation) list
 (** Every derived registration, oldest first — replaying the list in order
     with {!derive} (see {!replay}) reproduces the table side effects of the

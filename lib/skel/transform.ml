@@ -1,7 +1,5 @@
 type applied = { rule : string; count : int }
 
-let rule_names = [ "flatten-pipe"; "fuse-seq"; "serialise-df"; "serialise-tf"; "serialise-scm" ]
-
 (* The counter is global, but a replayed cached compile may have installed
    names minted by another process (see Funtable.derive), so skip any name
    the table already holds. *)

@@ -33,7 +33,5 @@ val normalize : Funtable.t -> Ir.program -> Ir.program * applied list
 val flatten_pipes : Ir.t -> Ir.t
 (** The purely structural subset (no table needed). *)
 
-val rule_names : string list
-
 val applied_summary : applied list -> string
 (** ["fuse-seq x2, serialise-df x1"], or ["no rules applied"]. *)

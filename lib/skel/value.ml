@@ -44,9 +44,7 @@ let to_bool = function Bool b -> b | v -> type_error "bool" v
 let to_str = function Str s -> s | v -> type_error "string" v
 let to_list = function List vs -> vs | v -> type_error "list" v
 let to_pair = function Tuple [ a; b ] -> (a, b) | v -> type_error "pair" v
-let to_tuple = function Tuple vs -> vs | v -> type_error "tuple" v
 let to_image = function Image img -> img | v -> type_error "image" v
-let to_window = function Win w -> w | v -> type_error "window" v
 
 let field name = function
   | Record fields -> (

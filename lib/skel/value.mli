@@ -40,9 +40,7 @@ val to_bool : t -> bool
 val to_str : t -> string
 val to_list : t -> t list
 val to_pair : t -> t * t
-val to_tuple : t -> t list
 val to_image : t -> Vision.Image.t
-val to_window : t -> Vision.Window.t
 val field : string -> t -> t
 (** [field name v] projects a record field. *)
 

@@ -36,8 +36,6 @@ let create_cache ?store () =
 
 let cache_stats c = (c.hits, c.misses)
 let store_hits c = c.store_hits
-let cache_store c = c.store
-
 let reset_cache_stats c =
   c.hits <- 0;
   c.misses <- 0;

@@ -57,8 +57,6 @@ val cache_stats : cache -> int * int
 val store_hits : cache -> int
 (** How many of the hits were satisfied from the persistent store. *)
 
-val cache_store : cache -> Support.Store.t option
-
 val reset_cache_stats : cache -> unit
 
 (** {1 Pass context} *)

@@ -165,7 +165,6 @@ let op_name = function
 (* ------------------------------------------------------------------ *)
 (* Server state and instruments                                        *)
 
-let num n = Json.Num (float_of_int n)
 let ok fields = Json.Obj (("status", Json.Str "ok") :: fields)
 
 let err msg =
@@ -175,9 +174,9 @@ let cache_json cache =
   let hits, misses = Passes.cache_stats cache in
   Json.Obj
     [
-      ("hits", num hits);
-      ("misses", num misses);
-      ("store_hits", num (Passes.store_hits cache));
+      ("hits", Json.int hits);
+      ("misses", Json.int misses);
+      ("store_hits", Json.int (Passes.store_hits cache));
     ]
 
 let store_json = function
@@ -186,15 +185,15 @@ let store_json = function
       let c = Support.Store.counters store in
       Json.Obj
         [
-          ("hits", num c.Support.Store.hits);
-          ("misses", num c.Support.Store.misses);
-          ("absent", num c.Support.Store.absent);
-          ("corrupt", num c.Support.Store.corrupt);
-          ("stamp_mismatch", num c.Support.Store.stamp_mismatch);
-          ("writes", num c.Support.Store.writes);
-          ("evictions", num c.Support.Store.evictions);
-          ("bytes_read", num c.Support.Store.bytes_read);
-          ("bytes_written", num c.Support.Store.bytes_written);
+          ("hits", Json.int c.Support.Store.hits);
+          ("misses", Json.int c.Support.Store.misses);
+          ("absent", Json.int c.Support.Store.absent);
+          ("corrupt", Json.int c.Support.Store.corrupt);
+          ("stamp_mismatch", Json.int c.Support.Store.stamp_mismatch);
+          ("writes", Json.int c.Support.Store.writes);
+          ("evictions", Json.int c.Support.Store.evictions);
+          ("bytes_read", Json.int c.Support.Store.bytes_read);
+          ("bytes_written", Json.int c.Support.Store.bytes_written);
         ]
 
 type server = {
@@ -296,11 +295,11 @@ let uptime_s s = Unix.gettimeofday () -. s.start_s
 let stats_fields s =
   sync_store s;
   [
-    ("requests", num s.requests);
-    ("batches", num s.batches);
-    ("errors", num s.errors);
-    ("aborted_frames", num s.aborted);
-    ("clients", num s.nclients);
+    ("requests", Json.int s.requests);
+    ("batches", Json.int s.batches);
+    ("errors", Json.int s.errors);
+    ("aborted_frames", Json.int s.aborted);
+    ("clients", Json.int s.nclients);
     ("uptime_s", Json.Num (uptime_s s));
     ("store", store_json s.cfg.store);
     ("metrics", Metrics.json s.reg);
@@ -363,9 +362,9 @@ let handle_request s req =
             (fields
             @ [
                 ("value", Json.Str (Skel.Value.to_string result.Executive.value));
-                ("frames", num (List.length result.Executive.outputs));
+                ("frames", Json.int (List.length result.Executive.outputs));
                 ( "messages",
-                  num result.Executive.stats.Machine.Sim.messages );
+                  Json.int result.Executive.stats.Machine.Sim.messages );
               ])
       | Stats -> timed "stats" (stats_fields s)
       | Metrics_dump ->
@@ -491,7 +490,7 @@ let handle_batch s ~client payload =
         ~fields:
           [
             ("client", Json.Str client);
-            ("requests", num (List.length reqs));
+            ("requests", Json.int (List.length reqs));
             ("ids", Json.Arr (List.map (fun i -> Json.Str i) ids));
           ]
         "batch_parsed";
@@ -571,7 +570,7 @@ let serve cfg ~socket () =
       Unix.bind fd (Unix.ADDR_UNIX socket);
       Unix.listen fd 16;
       Log.info cfg.log
-        ~fields:[ ("socket", Json.Str socket); ("jobs", num cfg.jobs) ]
+        ~fields:[ ("socket", Json.Str socket); ("jobs", Json.int cfg.jobs) ]
         "listening";
       let stop = ref false in
       (* The listener and every connected client are polled together with
@@ -632,7 +631,7 @@ let serve cfg ~socket () =
                         ~fields:
                           [
                             ("client", Json.Str id);
-                            ("bytes", num (String.length frame));
+                            ("bytes", Json.int (String.length frame));
                           ]
                         "batch_accepted";
                       let t0 = Unix.gettimeofday () in
@@ -648,7 +647,7 @@ let serve cfg ~socket () =
                           ~fields:
                             [
                               ("client", Json.Str id);
-                              ("bytes", num (String.length reply));
+                              ("bytes", Json.int (String.length reply));
                               ( "wall_ms",
                                 Json.Num ((Unix.gettimeofday () -. t0) *. 1e3)
                               );
@@ -671,7 +670,7 @@ let serve cfg ~socket () =
       sync_store s;
       Log.info cfg.log
         ~fields:
-          [ ("requests", num s.requests); ("uptime_s", Json.Num (uptime_s s)) ]
+          [ ("requests", Json.int s.requests); ("uptime_s", Json.Num (uptime_s s)) ]
         "shutdown");
   s.requests
 
@@ -718,7 +717,7 @@ let req_compile ?(frames = 1) ?(optimize = false) ~app src =
       ("op", Json.Str "compile");
       ("app", Json.Str app);
       ("src", Json.Str src);
-      ("frames", num frames);
+      ("frames", Json.int frames);
       ("optimize", Json.Bool optimize);
     ]
 
@@ -729,9 +728,9 @@ let req_run ?(frames = 1) ?(optimize = false) ?(strategy = "canonical") ~procs
       ("op", Json.Str "run");
       ("app", Json.Str app);
       ("src", Json.Str src);
-      ("frames", num frames);
+      ("frames", Json.int frames);
       ("optimize", Json.Bool optimize);
-      ("procs", num procs);
+      ("procs", Json.int procs);
       ("strategy", Json.Str strategy);
     ]
 

@@ -142,10 +142,16 @@ let pp_report_table ppf reports =
   Format.fprintf ppf "%-12s %10.2f@." "total" (total *. 1e3)
 
 let reports_to_json reports =
-  let field r =
-    Printf.sprintf
-      {|{"pass":"%s","wall_ms":%.3f,"size":%d,"metric":"%s","cached":%b,"detail":"%s"}|}
-      (Support.Json.escape r.pass) (r.wall *. 1e3) r.size
-      (Support.Json.escape r.metric) r.cached (Support.Json.escape r.detail)
+  let module Json = Support.Json in
+  let report r =
+    Json.Obj
+      [
+        ("pass", Json.Str r.pass);
+        ("wall_ms", Json.Fixed (3, r.wall *. 1e3));
+        ("size", Json.int r.size);
+        ("metric", Json.Str r.metric);
+        ("cached", Json.Bool r.cached);
+        ("detail", Json.Str r.detail);
+      ]
   in
-  "[" ^ String.concat "," (List.map field reports) ^ "]"
+  Json.to_string (Json.Arr (List.map report reports))

@@ -4,11 +4,10 @@
     relative resolution) from 1 µs upward; every bound is derived by IEEE
     multiplication from the base, so bucket assignment is deterministic
     across platforms. [merge] adds counts bucket-wise — it is associative
-    and commutative, which is what lets per-window histograms from
-    partitioned streams combine exactly.
+    and commutative, so histograms combine exactly in any order.
 
     This module is the single histogram implementation in the tree: the
-    windowed series ({!Skipper_trace.Series.Hist} is an alias of it) and
+    windowed series ({!Skipper_trace.Series}) and
     the daemon metrics registry ({!Metrics}) share it, so their expositions
     are bucket-for-bucket comparable. The structure itself is {e not}
     domain-safe — concurrent writers must serialise {!add} (the registry

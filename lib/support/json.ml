@@ -2,6 +2,7 @@ type t =
   | Null
   | Bool of bool
   | Num of float
+  | Fixed of int * float
   | Str of string
   | Arr of t list
   | Obj of (string * t) list
@@ -213,13 +214,15 @@ let parse s =
   | exception Parse_error msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
-(* Printing                                                            *)
+(* Printing: the only code in the toolchain that writes JSON syntax.    *)
+
+let int n = Fixed (0, float_of_int n)
 
 (* Mirrors the short escapes the parser accepts; remaining control
    characters fall back to \u00XX. Bytes >= 0x20 (including raw UTF-8
    sequences) pass through untouched. *)
-let escape s =
-  let b = Buffer.create (String.length s) in
+let add_escaped b s =
+  Buffer.add_char b '"';
   String.iter
     (function
       | '"' -> Buffer.add_string b "\\\""
@@ -229,26 +232,45 @@ let escape s =
       | '\r' -> Buffer.add_string b "\\r"
       | '\b' -> Buffer.add_string b "\\b"
       | '\012' -> Buffer.add_string b "\\f"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c when Char.code c < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code c)
       | c -> Buffer.add_char b c)
     s;
-  Buffer.contents b
+  Buffer.add_char b '"'
 
-let rec to_string = function
-  | Null -> "null"
-  | Bool b -> string_of_bool b
+(* JSON has no spelling for nan or infinity; [null] keeps the file
+   loadable by strict readers. *)
+let rec add b = function
+  | Null -> Buffer.add_string b "null"
+  | Bool v -> Buffer.add_string b (string_of_bool v)
+  | Num f | Fixed (_, f) when not (Float.is_finite f) -> Buffer.add_string b "null"
   | Num f ->
-      if Float.is_integer f && Float.abs f < 1e15 then
-        Printf.sprintf "%.0f" f
-      else Printf.sprintf "%.9g" f
-  | Str s -> "\"" ^ escape s ^ "\""
-  | Arr xs -> "[" ^ String.concat "," (List.map to_string xs) ^ "]"
+      if Float.is_integer f && Float.abs f < 1e15 then Printf.bprintf b "%.0f" f
+      else Printf.bprintf b "%.9g" f
+  | Fixed (decimals, f) -> Printf.bprintf b "%.*f" decimals f
+  | Str s -> add_escaped b s
+  | Arr xs ->
+      Buffer.add_char b '[';
+      List.iteri
+        (fun i x ->
+          if i > 0 then Buffer.add_char b ',';
+          add b x)
+        xs;
+      Buffer.add_char b ']'
   | Obj kvs ->
-      "{"
-      ^ String.concat ","
-          (List.map (fun (k, v) -> "\"" ^ escape k ^ "\":" ^ to_string v) kvs)
-      ^ "}"
+      Buffer.add_char b '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char b ',';
+          add_escaped b k;
+          Buffer.add_char b ':';
+          add b v)
+        kvs;
+      Buffer.add_char b '}'
+
+let to_string v =
+  let b = Buffer.create 256 in
+  add b v;
+  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Accessors                                                           *)
@@ -257,6 +279,6 @@ let member key = function Obj kvs -> List.assoc_opt key kvs | _ -> None
 
 let to_list = function Arr xs -> Some xs | _ -> None
 
-let to_float = function Num f -> Some f | _ -> None
+let to_float = function Num f | Fixed (_, f) -> Some f | _ -> None
 
 let to_str = function Str s -> Some s | _ -> None

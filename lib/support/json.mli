@@ -1,21 +1,34 @@
-(** Minimal JSON reader/printer for the machine-readable artifacts the
-    toolchain itself produces (bench [--json] summaries, conformance
-    reports, the committed bench baseline).
+(** The toolchain's one JSON reader and its only JSON writer.
 
-    This is deliberately not a general-purpose JSON library: it parses
-    finite numbers only and prints with a fixed, deterministic format.
-    String escapes are complete, though — all eight short escapes plus
-    [\uXXXX] including surrogate pairs (decoded to UTF-8), since baseline
-    and series files may be edited by hand or produced by other tools. The
-    printer mirrors the short escapes ([\n \t \r \b \f]) and falls back to
-    [\u00XX] for the remaining control characters. The bench baseline gate
-    round-trips through it, so the hard requirement is
-    [parse (to_string v) = Ok v] for values built of those pieces. *)
+    Every machine-readable artifact the toolchain produces (Chrome traces,
+    windowed series, metrics reports, bench [--json] summaries, stage
+    timings, conformance reports, daemon responses and logs) is built as a
+    {!t} and printed by {!to_string}; no other module writes JSON syntax
+    or escapes strings. The two multi-record files (a Chrome trace's
+    [traceEvents] list and bench's [--json] list) frame one
+    {!to_string} record per line themselves.
+
+    This is deliberately not a general-purpose JSON library: it prints
+    with a fixed, deterministic format. String escapes are complete,
+    though — all eight short escapes plus [\uXXXX] including surrogate
+    pairs (decoded to UTF-8), since baseline and series files may be
+    edited by hand or produced by other tools. The printer mirrors the
+    short escapes ([\n \t \r \b \f]) and falls back to [\u00XX] for the
+    remaining control characters. JSON has no spelling for nan or
+    infinity, so the printer writes [null] for every non-finite number and
+    its output always parses. The bench baseline gate round-trips through
+    it: [parse (to_string v) = Ok v] for values built of finite [Num]s,
+    strings, booleans, [Null], arrays and objects. *)
 
 type t =
   | Null
   | Bool of bool
-  | Num of float
+  | Num of float  (** integral values print as integers, others [%.9g] *)
+  | Fixed of int * float
+      (** [Fixed (d, x)] prints [x] with exactly [d >= 0] decimals, as
+          [Printf.sprintf "%.*f" d x] does; {!parse} reads it back as a
+          plain [Num]. The exporters' fixed-width fields use it so their
+          bytes do not depend on a shortest-round-trip rule. *)
   | Str of string
   | Arr of t list
   | Obj of (string * t) list  (** key order preserved *)
@@ -23,18 +36,17 @@ type t =
 exception Parse_error of string
 
 val parse : string -> (t, string) result
-(** Whole-string parse; trailing non-whitespace is an error. *)
+(** Whole-string parse; trailing non-whitespace is an error. Numbers
+    come back as [Num]. *)
 
-val escape : string -> string
-(** The body of a JSON string literal (without the quotes): double quote
-    and backslash are escaped, [\n \t \r \b \f] get their short escapes,
-    other control characters [\u00XX]; every other byte passes through.
-    The one escaper behind {!to_string} and the toolchain's hand-formatted
-    JSON (Chrome traces, metrics and stage reports). *)
+val int : int -> t
+(** [Fixed (0, float_of_int n)]: prints as [%d] does for every int of
+    magnitude up to 2{^53}. *)
 
 val to_string : t -> string
-(** Compact rendering. Integral numbers print without a fractional part,
-    other floats with [%.9g]; object key order is preserved. *)
+(** Compact rendering, object key order preserved. [Num] and [Fixed]
+    print as documented on {!t}; a nan or infinite number of either kind
+    prints as [null]. *)
 
 val member : string -> t -> t option
 (** Field lookup on an [Obj]; [None] on anything else. *)

@@ -55,7 +55,7 @@ let log t lvl ?req ?(fields = []) event =
         let line =
           Json.Obj
             ([
-               ("seq", Json.Num (float_of_int seq));
+               ("seq", Json.int seq);
                ("ts_s", Json.Num (t.clock ()));
                ("level", Json.Str (level_name lvl));
                ("event", Json.Str event);

@@ -20,11 +20,8 @@
 
 type level = Debug | Info | Warn | Error
 
-val level_name : level -> string
-(** ["debug"], ["info"], ["warn"], ["error"]. *)
-
 val level_of_string : string -> (level, string) result
-(** Accepts the {!level_name} spellings plus ["warning"]; the error lists
+(** Accepts ["debug"], ["info"], ["warn"], ["error"] and ["warning"]; the error lists
     the valid set. *)
 
 type t

@@ -127,7 +127,7 @@ let json t =
     pick (fun i ->
         match i.body with
         | Counter c ->
-            Some (Json.Obj (base i [ ("value", Json.Num (float_of_int (Atomic.get c))) ]))
+            Some (Json.Obj (base i [ ("value", Json.int (Atomic.get c)) ]))
         | _ -> None)
   in
   let gauges =
@@ -145,14 +145,14 @@ let json t =
               List.map
                 (fun (le, n) ->
                   Json.Obj
-                    [ ("le", Json.Num le); ("n", Json.Num (float_of_int n)) ])
+                    [ ("le", Json.Num le); ("n", Json.int n) ])
                 (Histogram.buckets h)
             in
             Some
               (Json.Obj
                  (base i
                     [
-                      ("count", Json.Num (float_of_int (Histogram.count h)));
+                      ("count", Json.int (Histogram.count h));
                       ("sum", Json.Num (Histogram.sum h));
                       ("mean", Json.Num (Histogram.mean h));
                       ("p50", Json.Num (Histogram.quantile h 0.50));

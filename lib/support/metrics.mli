@@ -3,7 +3,7 @@
     A registry holds named instruments — monotonic {e counters}, settable
     {e gauges}, and log-bucketed latency {e histograms} (the shared
     {!Histogram}, so expositions line up bucket-for-bucket with the
-    windowed series' {!Skipper_trace.Series.Hist}). Registration is
+    windowed series' latency windows). Registration is
     idempotent: asking for an existing (name, labels) pair returns the same
     instrument, so independent call sites accumulate into one series — and
     asking for it as a different instrument kind is an [Invalid_argument].

@@ -39,6 +39,8 @@ type t = {
   bytes_written : int Atomic.t;
 }
 
+(* [$XDG_CACHE_HOME/skipper], else [$HOME/.cache/skipper], else a
+   directory under the system temp dir. *)
 let default_dir () =
   match Sys.getenv_opt "XDG_CACHE_HOME" with
   | Some d when d <> "" -> Filename.concat d "skipper"

@@ -49,10 +49,6 @@ val open_store :
     entries (by mtime) until the store fits — pruning is best-effort and
     write-side only. *)
 
-val default_dir : unit -> string
-(** [$XDG_CACHE_HOME/skipper], else [$HOME/.cache/skipper], else a
-    directory under the system temp dir. *)
-
 val dir : t -> string
 val stamp : t -> string
 

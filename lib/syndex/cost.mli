@@ -22,13 +22,15 @@ type t = {
 val default_send_overhead_cycles : float
 
 val default_recv_overhead_cycles : float
-(** The per-message kernel overheads of the simulated machine model; the
-    defaults mirror [Machine.Sim] (200 / 150 cycles) so predicted comm
-    slots line up with measured traces. *)
+(** The per-message kernel costs (200 / 150 cycles) the machine simulator
+    charges a sender and a receiver ([Machine.Sim]); the static model
+    defaults to the same values, so predicted comm slots line up with
+    measured traces. See DESIGN.md, calibration constants. *)
 
 val local_copy_bandwidth : float
-(** Bytes per second of a same-processor message copy (mirrors
-    [Machine.Sim]); used to price intra-processor dependencies. *)
+(** Bytes per second of a same-processor message copy, charged by the
+    machine simulator and used here to price intra-processor
+    dependencies. *)
 
 val make :
   ?fn_cycles:(string -> float option) ->

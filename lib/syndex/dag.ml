@@ -19,13 +19,6 @@ type t = {
   ops_of_node : int list array;
 }
 
-let part_name = function
-  | Whole -> "whole"
-  | Dispatch -> "dispatch"
-  | Collect -> "collect"
-  | Emit -> "emit"
-  | Store -> "store"
-
 let of_graph (cost : Cost.t) g =
   let module G = Procnet.Graph in
   let nnodes = G.nnodes g in

@@ -48,4 +48,3 @@ val of_graph : Cost.t -> Procnet.Graph.t -> t
     indicate an unsupported process-network shape). *)
 
 val topological_order : t -> int list
-val part_name : part -> string

@@ -13,8 +13,7 @@ let mean_cycle_time arch =
   Array.fold_left (fun acc p -> acc +. p.Archi.cycle_time) 0.0 procs
   /. float_of_int (Array.length procs)
 
-let upward_ranks cost arch (dag : Dag.t) =
-  ignore cost;
+let upward_ranks arch (dag : Dag.t) =
   let startup, bw = mean_link_costs arch in
   let ct = mean_cycle_time arch in
   let nops = Array.length dag.Dag.ops in
@@ -47,7 +46,7 @@ let map cost arch g =
   let dag = Dag.of_graph cost g in
   let nops = Array.length dag.Dag.ops in
   let nprocs = Archi.nprocs arch in
-  let ranks = upward_ranks cost arch dag in
+  let ranks = upward_ranks arch dag in
   (* Schedule ops by decreasing rank, but never before all predecessors are
      placed (rank order is consistent with topological order on a DAG when
      communication costs are non-negative; we enforce it anyway). Equal

@@ -14,5 +14,9 @@
 val map : Cost.t -> Archi.t -> Procnet.Graph.t -> Schedule.t
 (** Raises [Failure] when the graph's scheduling DAG is cyclic. *)
 
-val upward_ranks : Cost.t -> Archi.t -> Dag.t -> float array
-(** Exposed for tests: rank per op id. *)
+val mean_link_costs : Archi.t -> float * float
+(** Mean link startup (seconds) and bandwidth (bytes/s) over all links;
+    [(0, infinity)] on a linkless architecture. *)
+
+val mean_cycle_time : Archi.t -> float
+(** Mean processor cycle time, seconds. *)

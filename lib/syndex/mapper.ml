@@ -58,25 +58,6 @@ let frontier m cost arch g =
 (* ------------------------------------------------------------------ *)
 (* Interval mapping (the pipelined strategies)                         *)
 
-(* Placement-agnostic means, as in HEFT's rank computation. *)
-let mean_link_costs arch =
-  match Archi.links arch with
-  | [] -> (0.0, infinity)
-  | links ->
-      let n = float_of_int (List.length links) in
-      let startup =
-        List.fold_left (fun acc l -> acc +. l.Archi.startup) 0.0 links /. n
-      in
-      let bw =
-        List.fold_left (fun acc l -> acc +. l.Archi.bandwidth) 0.0 links /. n
-      in
-      (startup, bw)
-
-let mean_cycle_time arch =
-  let procs = Archi.processors arch in
-  Array.fold_left (fun acc p -> acc +. p.Archi.cycle_time) 0.0 procs
-  /. float_of_int (Array.length procs)
-
 (* Stage chain: process-network nodes by first appearance of one of their
    ops in the (deterministic) topological order of the scheduling DAG. *)
 let linearize (dag : Dag.t) =
@@ -100,8 +81,8 @@ let linearize (dag : Dag.t) =
 let interval_partition cost arch (dag : Dag.t) seq k =
   ignore cost;
   let n = Array.length seq in
-  let ct = mean_cycle_time arch in
-  let startup, bw = mean_link_costs arch in
+  let ct = Heft.mean_cycle_time arch in
+  let startup, bw = Heft.mean_link_costs arch in
   let pos = Hashtbl.create 16 in
   Array.iteri (fun i node -> Hashtbl.replace pos node i) seq;
   let node_work = Array.make n 0.0 in
@@ -350,11 +331,11 @@ let frontier_json ~strategy ~arch points =
         ("label", J.Str p.point_label);
         ("latency", J.Num p.point_latency);
         ("period", J.Num p.point_period);
-        ("frames_in_flight", J.Num (float_of_int fif));
+        ("frames_in_flight", J.int fif);
         ("placement",
          J.Arr
            (Array.to_list p.point_schedule.Schedule.placement
-           |> List.map (fun pr -> J.Num (float_of_int pr))));
+           |> List.map J.int));
       ]
   in
   J.to_string
@@ -362,6 +343,6 @@ let frontier_json ~strategy ~arch points =
        [
          ("strategy", J.Str strategy);
          ("arch", J.Str (Archi.name arch));
-         ("nprocs", J.Num (float_of_int (Archi.nprocs arch)));
+         ("nprocs", J.int (Archi.nprocs arch));
          ("points", J.Arr (List.map point_json points));
        ])

@@ -1,22 +1,20 @@
-let us t = t *. 1e6
+module Json = Support.Json
 
-(* %.3f keeps the export deterministic (no shortest-round-trip formatting)
-   and gives nanosecond resolution on microsecond timestamps. *)
-let num f = Printf.sprintf "%.3f" f
-
-let arg_value = function
-  | Event.Str s -> Printf.sprintf "\"%s\"" (Support.Json.escape s)
-  | Event.Num f -> num f
-  | Event.Count i -> string_of_int i
+(* Fixed three decimals keep the export deterministic (no shortest-round-
+   trip formatting) and give nanosecond resolution on microsecond
+   timestamps. *)
+let us t = Json.Fixed (3, t *. 1e6)
 
 let args_json args =
-  "{"
-  ^ String.concat ","
-      (List.map
-         (fun (k, v) ->
-           Printf.sprintf "\"%s\":%s" (Support.Json.escape k) (arg_value v))
-         args)
-  ^ "}"
+  Json.Obj
+    (List.map
+       (fun (k, v) ->
+         ( k,
+           match v with
+           | Event.Str s -> Json.Str s
+           | Event.Num f -> Json.Fixed (3, f)
+           | Event.Count i -> Json.int i ))
+       args)
 
 (* Distinct lanes in deterministic (track, index) order, keeping the first
    labels seen. *)
@@ -30,6 +28,12 @@ let lanes timeline =
   List.sort compare (Hashtbl.fold (fun _ lane acc -> lane :: acc) seen [])
 
 let metadata_events lanes =
+  let meta ?tid pid name args =
+    Json.Obj
+      ((("ph", Json.Str "M") :: ("pid", Json.int pid)
+       :: (match tid with Some tid -> [ ("tid", Json.int tid) ] | None -> []))
+      @ [ ("name", Json.Str name); ("args", Json.Obj args) ])
+  in
   let tracks =
     List.sort_uniq compare
       (List.map (fun l -> (l.Event.track, l.Event.track_label)) lanes)
@@ -37,52 +41,56 @@ let metadata_events lanes =
   List.concat_map
     (fun (pid, label) ->
       [
-        Printf.sprintf
-          {|{"ph":"M","pid":%d,"name":"process_name","args":{"name":"%s"}}|} pid
-          (Support.Json.escape label);
-        Printf.sprintf
-          {|{"ph":"M","pid":%d,"name":"process_sort_index","args":{"sort_index":%d}}|}
-          pid pid;
+        meta pid "process_name" [ ("name", Json.Str label) ];
+        meta pid "process_sort_index" [ ("sort_index", Json.int pid) ];
       ])
     tracks
   @ List.concat_map
       (fun l ->
+        let tid = l.Event.index in
         [
-          Printf.sprintf
-            {|{"ph":"M","pid":%d,"tid":%d,"name":"thread_name","args":{"name":"%s"}}|}
-            l.Event.track l.Event.index (Support.Json.escape l.Event.label);
-          Printf.sprintf
-            {|{"ph":"M","pid":%d,"tid":%d,"name":"thread_sort_index","args":{"sort_index":%d}}|}
-            l.Event.track l.Event.index l.Event.index;
+          meta ~tid l.Event.track "thread_name" [ ("name", Json.Str l.Event.label) ];
+          meta ~tid l.Event.track "thread_sort_index" [ ("sort_index", Json.int tid) ];
         ])
       lanes
 
 let event_json (e : Event.t) =
   let common =
-    Printf.sprintf {|"pid":%d,"tid":%d,"ts":%s,"name":"%s","cat":"%s"|}
-      e.lane.Event.track e.lane.Event.index (num (us e.time))
-      (Support.Json.escape e.name) (Support.Json.escape e.cat)
+    [
+      ("pid", Json.int e.lane.Event.track);
+      ("tid", Json.int e.lane.Event.index);
+      ("ts", us e.time);
+      ("name", Json.Str e.name);
+      ("cat", Json.Str e.cat);
+    ]
   in
-  match e.kind with
-  | Event.Span dur ->
-      let args = if e.args = [] then "" else ",\"args\":" ^ args_json e.args in
-      Printf.sprintf {|{"ph":"X",%s,"dur":%s%s}|} common (num (us dur)) args
-  | Event.Instant ->
-      let args = if e.args = [] then "" else ",\"args\":" ^ args_json e.args in
-      Printf.sprintf {|{"ph":"i",%s,"s":"t"%s}|} common args
-  | Event.Flow_start flow -> Printf.sprintf {|{"ph":"s",%s,"id":%d}|} common flow
-  | Event.Flow_end flow ->
-      Printf.sprintf {|{"ph":"f","bp":"e",%s,"id":%d}|} common flow
-  | Event.Counter values ->
-      Printf.sprintf {|{"ph":"C",%s,"args":%s}|} common
-        (args_json (List.map (fun (k, v) -> (k, Event.Num v)) values))
+  let args = if e.args = [] then [] else [ ("args", args_json e.args) ] in
+  let ph p = ("ph", Json.Str p) in
+  Json.Obj
+    (match e.kind with
+    | Event.Span dur -> (ph "X" :: common) @ (("dur", us dur) :: args)
+    | Event.Instant -> (ph "i" :: common) @ (("s", Json.Str "t") :: args)
+    | Event.Flow_start flow -> (ph "s" :: common) @ [ ("id", Json.int flow) ]
+    | Event.Flow_end flow ->
+        (ph "f" :: ("bp", Json.Str "e") :: common) @ [ ("id", Json.int flow) ]
+    | Event.Counter values ->
+        (ph "C" :: common)
+        @ [ ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.Fixed (3, v))) values)) ])
 
+(* The one piece of layout outside [Support.Json]: one trace event per
+   line, each a [Json.to_string] record, so large traces stay diffable. *)
 let to_json timeline =
   let lanes = lanes timeline in
-  let body =
-    metadata_events lanes @ List.map event_json (Event.by_time timeline)
+  let records =
+    List.map Json.to_string
+      (metadata_events lanes @ List.map event_json (Event.by_time timeline))
   in
-  Printf.sprintf
-    {|{"displayTimeUnit":"ms","otherData":{"truncated":%b,"events":%d},"traceEvents":[%s]}|}
-    (Event.truncated timeline) (Event.length timeline)
-    (String.concat ",\n" body)
+  let other =
+    Json.Obj
+      [
+        ("truncated", Json.Bool (Event.truncated timeline));
+        ("events", Json.int (Event.length timeline));
+      ]
+  in
+  Printf.sprintf {|{"displayTimeUnit":"ms","otherData":%s,"traceEvents":[%s]}|}
+    (Json.to_string other) (String.concat ",\n" records)

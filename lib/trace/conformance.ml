@@ -470,31 +470,30 @@ let to_string r =
 
 let to_json r =
   let open Support.Json in
-  let num x = Num x in
   Obj
     [
-      ("predicted_makespan", num r.predicted_makespan);
-      ("measured_makespan", num r.measured_makespan);
-      ("makespan_error", num r.makespan_error);
-      ("divergence", num r.divergence);
-      ("predicted_period", num r.predicted_period);
+      ("predicted_makespan", Num r.predicted_makespan);
+      ("measured_makespan", Num r.measured_makespan);
+      ("makespan_error", Num r.makespan_error);
+      ("divergence", Num r.divergence);
+      ("predicted_period", Num r.predicted_period);
       ( "measured_period",
-        match r.measured_period with Some m -> num m | None -> Null );
-      ("frames_in_flight", num (float_of_int r.frames_in_flight));
-      ("path_length", num r.path_length);
+        match r.measured_period with Some m -> Num m | None -> Null );
+      ("frames_in_flight", int r.frames_in_flight);
+      ("path_length", Num r.path_length);
       ( "ops",
         Arr
           (List.map
              (fun o ->
                Obj
                  [
-                   ("node", num (float_of_int o.op_node));
+                   ("node", int o.op_node);
                    ("label", Str o.op_label);
-                   ("proc", num (float_of_int o.op_proc));
-                   ("predicted", num o.predicted_busy);
-                   ("measured", num o.measured_busy);
-                   ("overhead", num o.comm_overhead);
-                   ("slack", num o.op_slack);
+                   ("proc", int o.op_proc);
+                   ("predicted", Num o.predicted_busy);
+                   ("measured", Num o.measured_busy);
+                   ("overhead", Num o.comm_overhead);
+                   ("slack", Num o.op_slack);
                  ])
              r.ops) );
       ( "links",
@@ -503,11 +502,11 @@ let to_json r =
              (fun l ->
                Obj
                  [
-                   ("src", num (float_of_int l.link_src));
-                   ("dst", num (float_of_int l.link_dst));
-                   ("predicted", num l.predicted_occupancy);
-                   ("measured", num l.measured_occupancy);
-                   ("slack", num l.link_slack);
+                   ("src", int l.link_src);
+                   ("dst", int l.link_dst);
+                   ("predicted", Num l.predicted_occupancy);
+                   ("measured", Num l.measured_occupancy);
+                   ("slack", Num l.link_slack);
                  ])
              r.links) );
       ( "critical_path",
@@ -518,10 +517,10 @@ let to_json r =
                  [
                    ("kind", Str e.elem_kind);
                    ("label", Str e.elem_label);
-                   ("start", num e.elem_start);
-                   ("finish", num e.elem_finish);
-                   ("contribution", num e.contribution);
-                   ("share", num e.share);
+                   ("start", Num e.elem_start);
+                   ("finish", Num e.elem_finish);
+                   ("contribution", Num e.contribution);
+                   ("share", Num e.share);
                  ])
              r.path) );
       ( "frames",
@@ -530,10 +529,10 @@ let to_json r =
              (fun f ->
                Obj
                  [
-                   ("frame", num (float_of_int f.frame));
-                   ("injected", num f.injected);
-                   ("completed", num f.completed);
-                   ("latency", num f.latency);
+                   ("frame", int f.frame);
+                   ("injected", Num f.injected);
+                   ("completed", Num f.completed);
+                   ("latency", Num f.latency);
                  ])
              r.frames) );
     ]

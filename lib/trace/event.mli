@@ -130,9 +130,6 @@ val processor_track : int -> int
 val pool_track : int
 (** The domain pool's track, far above every processor track. *)
 
-val slo_track : int
-(** SLO-monitor alert lanes, between the processors and the pool. *)
-
 val compile_lane : lane
 (** The toolchain's single lane (pass-manager stage spans). *)
 

@@ -1,12 +1,9 @@
 (* Windowed time-series telemetry over the simulated timeline. See the mli
-   for the data model; the load-bearing invariants are (a) every number is a
-   deterministic function of the simulated run, and (b) windows built from a
-   window-partition of the observation stream merge back byte-identically. *)
+   for the data model; the load-bearing invariant is that every number is
+   a deterministic function of the simulated run. *)
 
-(* The histogram implementation moved to [Support.Histogram] so the daemon
-   metrics registry shares the very same buckets; the alias keeps every
-   existing [Series.Hist] caller and the byte-identity of all exports. *)
-module Hist = Support.Histogram
+module Histogram = Support.Histogram
+module Json = Support.Json
 
 type window = {
   index : int;
@@ -21,7 +18,7 @@ type window = {
   backlog : int;
   busy : float array;
   link_busy : ((int * int) * float) list;
-  latency : Hist.t;
+  latency : Histogram.t;
   last_output : float option;
 }
 
@@ -42,24 +39,6 @@ type totals = {
   total_faults : int;
 }
 
-let empty_window ~nprocs ~width index =
-  {
-    index;
-    w_start = float_of_int index *. width;
-    w_finish = float_of_int (index + 1) *. width;
-    frames = 0;
-    messages = 0;
-    reissues = 0;
-    deadline_misses = 0;
-    faults = 0;
-    in_flight = 0;
-    backlog = 0;
-    busy = Array.make nprocs 0.0;
-    link_busy = [];
-    latency = Hist.create ();
-    last_output = None;
-  }
-
 (* Mutable accumulator mirrored into [window] records once the fold ends. *)
 type acc = {
   mutable a_frames : int;
@@ -71,7 +50,7 @@ type acc = {
   mutable a_backlog : int;
   a_busy : float array;
   a_links : (int * int, float ref) Hashtbl.t;
-  a_hist : Hist.t;
+  a_hist : Histogram.t;
   mutable a_last_output : float option;
 }
 
@@ -115,7 +94,7 @@ let build ~width ~nprocs ?(horizon = 0.0) ?(output_times = [])
             a_backlog = 0;
             a_busy = Array.make nprocs 0.0;
             a_links = Hashtbl.create 8;
-            a_hist = Hist.create ();
+            a_hist = Histogram.create ();
             a_last_output = None;
           })
     in
@@ -135,8 +114,7 @@ let build ~width ~nprocs ?(horizon = 0.0) ?(output_times = [])
         done
       end
     in
-    (* Per-port backlog growth, window-local: reset at each window edge so a
-       partition of the event stream by window reproduces the same maxima.
+    (* Per-port backlog growth, window-local: reset at each window edge.
        Events arrive time-sorted, so a single sweep suffices. *)
     let depth : (int * int * string, int) Hashtbl.t = Hashtbl.create 32 in
     let depth_window = ref (-1) in
@@ -220,7 +198,7 @@ let build ~width ~nprocs ?(horizon = 0.0) ?(output_times = [])
             let a = accs.(idx t) in
             a.a_frames <- a.a_frames + 1;
             a.a_misses <- a.a_misses + misses_of lat;
-            Hist.add a.a_hist lat;
+            Histogram.add a.a_hist lat;
             a.a_last_output <-
               Some
                 (match a.a_last_output with
@@ -237,9 +215,13 @@ let build ~width ~nprocs ?(horizon = 0.0) ?(output_times = [])
         let a = accs.(idx t) in
         a.a_reissues <- a.a_reissues + 1)
       reissue_times;
+    (* [in_flight] is cumulative: injected-so-far minus completed-so-far at
+       each window's end ([Array.mapi] visits windows in index order). *)
+    let running = ref 0 in
     let windows =
       Array.mapi
         (fun i a ->
+          running := !running + a.a_injected - a.a_frames;
           let links =
             Hashtbl.fold (fun k r acc -> (k, !r) :: acc) a.a_links []
             |> List.sort compare
@@ -253,7 +235,7 @@ let build ~width ~nprocs ?(horizon = 0.0) ?(output_times = [])
             reissues = a.a_reissues;
             deadline_misses = a.a_misses;
             faults = a.a_faults;
-            in_flight = a.a_injected - a.a_frames;
+            in_flight = !running;
             backlog = a.a_backlog;
             busy = a.a_busy;
             link_busy = links;
@@ -262,15 +244,6 @@ let build ~width ~nprocs ?(horizon = 0.0) ?(output_times = [])
           })
         accs
     in
-    (* [in_flight] is cumulative: injected-so-far minus completed-so-far at
-       each window's end. The per-window deltas above make merge additive;
-       integrate them here. *)
-    let running = ref 0 in
-    Array.iteri
-      (fun i w ->
-        running := !running + w.in_flight;
-        windows.(i) <- { w with in_flight = !running })
-      windows;
     Ok
       {
         width;
@@ -278,71 +251,6 @@ let build ~width ~nprocs ?(horizon = 0.0) ?(output_times = [])
         nprocs;
         windows;
         truncated = Event.truncated timeline;
-      }
-  end
-
-let merge a b =
-  if a.width <> b.width then Error "series: window widths differ"
-  else if a.nprocs <> b.nprocs then Error "series: processor counts differ"
-  else begin
-    let nw = max (Array.length a.windows) (Array.length b.windows) in
-    let get s i =
-      if i < Array.length s.windows then s.windows.(i)
-      else empty_window ~nprocs:s.nprocs ~width:s.width i
-    in
-    (* The per-build integration of in_flight must be undone before adding
-       window-wise: recover deltas, add, re-integrate. *)
-    let deltas s =
-      Array.init (Array.length s.windows) (fun i ->
-          s.windows.(i).in_flight
-          - if i = 0 then 0 else s.windows.(i - 1).in_flight)
-    in
-    let da = deltas a and db = deltas b in
-    let delta d i = if i < Array.length d then d.(i) else 0 in
-    let running = ref 0 in
-    let windows =
-      Array.init nw (fun i ->
-          let wa = get a i and wb = get b i in
-          running := !running + delta da i + delta db i;
-          let links =
-            let tbl = Hashtbl.create 8 in
-            List.iter
-              (fun (k, v) ->
-                let cur =
-                  Option.value ~default:0.0 (Hashtbl.find_opt tbl k)
-                in
-                Hashtbl.replace tbl k (cur +. v))
-              (wa.link_busy @ wb.link_busy);
-            Hashtbl.fold (fun k v acc -> ((k, v) : (int * int) * float) :: acc) tbl []
-            |> List.sort compare
-          in
-          {
-            index = i;
-            w_start = float_of_int i *. a.width;
-            w_finish = float_of_int (i + 1) *. a.width;
-            frames = wa.frames + wb.frames;
-            messages = wa.messages + wb.messages;
-            reissues = wa.reissues + wb.reissues;
-            deadline_misses = wa.deadline_misses + wb.deadline_misses;
-            faults = wa.faults + wb.faults;
-            in_flight = !running;
-            backlog = max wa.backlog wb.backlog;
-            busy = Array.init a.nprocs (fun p -> wa.busy.(p) +. wb.busy.(p));
-            link_busy = links;
-            latency = Hist.merge wa.latency wb.latency;
-            last_output =
-              (match (wa.last_output, wb.last_output) with
-              | None, x | x, None -> x
-              | Some x, Some y -> Some (Float.max x y));
-          })
-    in
-    Ok
-      {
-        width = a.width;
-        horizon = Float.max a.horizon b.horizon;
-        nprocs = a.nprocs;
-        windows;
-        truncated = a.truncated || b.truncated;
       }
   end
 
@@ -373,6 +281,11 @@ let totals t =
       total_faults = 0;
     }
     t.windows
+
+(* Times, SLO thresholds and values export with nine fixed decimals. *)
+let fixed9 x = Json.Fixed (9, x)
+
+let opt f = function None -> Json.Null | Some x -> f x
 
 module Slo = struct
   type metric =
@@ -498,8 +411,10 @@ module Slo = struct
                 Error
                   (Printf.sprintf "bad SLO %S: cannot parse threshold %S" raw
                      value)
-            | Some v when Float.is_nan v ->
-                Error (Printf.sprintf "bad SLO %S: threshold is nan" raw)
+            | Some v when not (Float.is_finite v) ->
+                Error
+                  (Printf.sprintf "bad SLO %S: threshold %S is not finite" raw
+                     value)
             | Some v -> Ok { raw; metric; op; threshold = v *. scale }))
 
   type state = Healthy | Warning | Violated
@@ -530,14 +445,14 @@ module Slo = struct
   let observe series spec ~seen_frames ~last_output w =
     match spec.metric with
     | P50 | P95 | P99 | Mean_latency ->
-        if Hist.count w.latency = 0 then None
+        if Histogram.count w.latency = 0 then None
         else
           Some
             (match spec.metric with
-            | P50 -> Hist.quantile w.latency 0.50
-            | P95 -> Hist.quantile w.latency 0.95
-            | P99 -> Hist.quantile w.latency 0.99
-            | _ -> Hist.mean w.latency)
+            | P50 -> Histogram.quantile w.latency 0.50
+            | P95 -> Histogram.quantile w.latency 0.95
+            | P99 -> Histogram.quantile w.latency 0.99
+            | _ -> Histogram.mean w.latency)
     | Miss_rate ->
         if w.frames = 0 then None
         else
@@ -730,88 +645,107 @@ module Slo = struct
           !spans)
       report.monitors
 
-  let opt_float = function
-    | None -> "null"
-    | Some v -> Printf.sprintf "%.9f" v
-
   let monitor_json m =
-    let transitions =
-      m.transitions
-      |> List.map (fun (t, from_, to_) ->
-             Printf.sprintf "{\"t_s\":%.9f,\"from\":\"%s\",\"to\":\"%s\"}" t
-               (state_name from_) (state_name to_))
-      |> String.concat ","
-    in
-    Printf.sprintf
-      "{\"slo\":%S,\"metric\":\"%s\",\"op\":\"%s\",\"threshold\":%.9f,\"state\":\"%s\",\"failing_windows\":%d,\"total_burn_s\":%.9f,\"first_violation_s\":%s,\"worst_window\":%s,\"worst_value\":%s,\"recovered_s\":%s,\"time_to_recovery_s\":%s,\"transitions\":[%s]}"
-      m.spec.raw
-      (metric_name m.spec.metric)
-      (op_name m.spec.op) m.spec.threshold (state_name m.final)
-      m.failing_windows m.total_burn
-      (opt_float m.first_violation)
-      (match m.worst with None -> "null" | Some (i, _) -> string_of_int i)
-      (match m.worst with
-      | None -> "null"
-      | Some (_, v) -> Printf.sprintf "%.9f" v)
-      (opt_float m.recovered_at)
-      (opt_float m.time_to_recovery)
-      transitions
+    Json.Obj
+      [
+        ("slo", Json.Str m.spec.raw);
+        ("metric", Json.Str (metric_name m.spec.metric));
+        ("op", Json.Str (op_name m.spec.op));
+        ("threshold", fixed9 m.spec.threshold);
+        ("state", Json.Str (state_name m.final));
+        ("failing_windows", Json.int m.failing_windows);
+        ("total_burn_s", fixed9 m.total_burn);
+        ("first_violation_s", opt fixed9 m.first_violation);
+        ("worst_window", opt Json.int (Option.map fst m.worst));
+        ("worst_value", opt fixed9 (Option.map snd m.worst));
+        ("recovered_s", opt fixed9 m.recovered_at);
+        ("time_to_recovery_s", opt fixed9 m.time_to_recovery);
+        ( "transitions",
+          Json.Arr
+            (List.map
+               (fun (t, from_, to_) ->
+                 Json.Obj
+                   [
+                     ("t_s", fixed9 t);
+                     ("from", Json.Str (state_name from_));
+                     ("to", Json.Str (state_name to_));
+                   ])
+               m.transitions) );
+      ]
 end
 
 let window_json t w =
-  let busy =
-    Array.to_list w.busy
-    |> List.map (Printf.sprintf "%.9f")
-    |> String.concat ","
-  in
-  let links =
-    w.link_busy
-    |> List.map (fun ((src, dst), s) ->
-           Printf.sprintf "{\"src\":%d,\"dst\":%d,\"busy_s\":%.9f}" src dst s)
-    |> String.concat ","
-  in
   let latency =
-    if Hist.count w.latency = 0 then "null"
+    let h = w.latency in
+    if Histogram.count h = 0 then Json.Null
     else
-      let buckets =
-        Hist.buckets w.latency
-        |> List.map (fun (le, n) ->
-               Printf.sprintf "{\"le_s\":%.9f,\"n\":%d}" le n)
-        |> String.concat ","
-      in
-      Printf.sprintf
-        "{\"n\":%d,\"mean_s\":%.9f,\"p50_s\":%.9f,\"p95_s\":%.9f,\"p99_s\":%.9f,\"buckets\":[%s]}"
-        (Hist.count w.latency) (Hist.mean w.latency)
-        (Hist.quantile w.latency 0.50)
-        (Hist.quantile w.latency 0.95)
-        (Hist.quantile w.latency 0.99)
-        buckets
+      Json.Obj
+        [
+          ("n", Json.int (Histogram.count h));
+          ("mean_s", fixed9 (Histogram.mean h));
+          ("p50_s", fixed9 (Histogram.quantile h 0.50));
+          ("p95_s", fixed9 (Histogram.quantile h 0.95));
+          ("p99_s", fixed9 (Histogram.quantile h 0.99));
+          ( "buckets",
+            Json.Arr
+              (List.map
+                 (fun (le, n) -> Json.Obj [ ("le_s", fixed9 le); ("n", Json.int n) ])
+                 (Histogram.buckets h)) );
+        ]
   in
-  Printf.sprintf
-    "{\"index\":%d,\"start_s\":%.9f,\"end_s\":%.9f,\"frames\":%d,\"throughput_fps\":%.6f,\"utilisation\":%.6f,\"messages\":%d,\"in_flight\":%d,\"backlog\":%d,\"reissues\":%d,\"deadline_misses\":%d,\"faults\":%d,\"busy_s\":[%s],\"links\":[%s],\"latency\":%s,\"last_output_s\":%s}"
-    w.index w.w_start w.w_finish w.frames (throughput t w) (utilisation t w)
-    w.messages w.in_flight w.backlog w.reissues w.deadline_misses w.faults
-    busy links latency
-    (Slo.opt_float w.last_output)
+  Json.Obj
+    [
+      ("index", Json.int w.index);
+      ("start_s", fixed9 w.w_start);
+      ("end_s", fixed9 w.w_finish);
+      ("frames", Json.int w.frames);
+      ("throughput_fps", Json.Fixed (6, throughput t w));
+      ("utilisation", Json.Fixed (6, utilisation t w));
+      ("messages", Json.int w.messages);
+      ("in_flight", Json.int w.in_flight);
+      ("backlog", Json.int w.backlog);
+      ("reissues", Json.int w.reissues);
+      ("deadline_misses", Json.int w.deadline_misses);
+      ("faults", Json.int w.faults);
+      ("busy_s", Json.Arr (List.map fixed9 (Array.to_list w.busy)));
+      ( "links",
+        Json.Arr
+          (List.map
+             (fun ((src, dst), s) ->
+               Json.Obj
+                 [ ("src", Json.int src); ("dst", Json.int dst); ("busy_s", fixed9 s) ])
+             w.link_busy) );
+      ("latency", latency);
+      ("last_output_s", opt fixed9 w.last_output);
+    ]
 
 let to_json ?slo t =
   let tot = totals t in
-  let windows =
-    Array.to_list t.windows |> List.map (window_json t) |> String.concat ","
-  in
-  let slos =
-    match slo with
-    | None -> ""
-    | Some report ->
-        report.Slo.monitors
-        |> List.map Slo.monitor_json
-        |> String.concat ","
-  in
-  Printf.sprintf
-    "{\"width_s\":%.9f,\"horizon_s\":%.9f,\"nprocs\":%d,\"nwindows\":%d,\"truncated\":%b,\"totals\":{\"frames\":%d,\"messages\":%d,\"busy_s\":%.9f,\"reissues\":%d,\"deadline_misses\":%d,\"faults\":%d},\"windows\":[%s],\"slos\":[%s]}"
-    t.width t.horizon t.nprocs (Array.length t.windows) t.truncated
-    tot.total_frames tot.total_messages tot.total_busy tot.total_reissues
-    tot.total_deadline_misses tot.total_faults windows slos
+  Json.to_string
+    (Json.Obj
+       [
+         ("width_s", fixed9 t.width);
+         ("horizon_s", fixed9 t.horizon);
+         ("nprocs", Json.int t.nprocs);
+         ("nwindows", Json.int (Array.length t.windows));
+         ("truncated", Json.Bool t.truncated);
+         ( "totals",
+           Json.Obj
+             [
+               ("frames", Json.int tot.total_frames);
+               ("messages", Json.int tot.total_messages);
+               ("busy_s", fixed9 tot.total_busy);
+               ("reissues", Json.int tot.total_reissues);
+               ("deadline_misses", Json.int tot.total_deadline_misses);
+               ("faults", Json.int tot.total_faults);
+             ] );
+         ("windows", Json.Arr (List.map (window_json t) (Array.to_list t.windows)));
+         ( "slos",
+           Json.Arr
+             (match slo with
+             | None -> []
+             | Some report -> List.map Slo.monitor_json report.Slo.monitors) );
+       ])
 
 let to_csv t =
   let buf = Buffer.create 1024 in
@@ -822,8 +756,8 @@ let to_csv t =
       let busy = Array.fold_left ( +. ) 0.0 w.busy in
       let link = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 w.link_busy in
       let q p =
-        if Hist.count w.latency = 0 then 0.0
-        else Hist.quantile w.latency p *. 1e3
+        if Histogram.count w.latency = 0 then 0.0
+        else Histogram.quantile w.latency p *. 1e3
       in
       Buffer.add_string buf
         (Printf.sprintf
@@ -832,7 +766,7 @@ let to_csv t =
            (throughput t w) (utilisation t w) w.messages w.in_flight
            w.backlog w.reissues w.deadline_misses w.faults (busy *. 1e3)
            (link *. 1e3) (q 0.50) (q 0.95) (q 0.99)
-           (Hist.mean w.latency *. 1e3)))
+           (Histogram.mean w.latency *. 1e3)))
     t.windows;
   Buffer.contents buf
 
@@ -891,8 +825,8 @@ let to_prometheus ?slo t =
   end;
   let hist =
     Array.fold_left
-      (fun acc w -> Hist.merge acc w.latency)
-      (Hist.create ()) t.windows
+      (fun acc w -> Histogram.merge acc w.latency)
+      (Histogram.create ()) t.windows
   in
   Buffer.add_string buf
     "# HELP skipper_frame_latency_seconds Frame latency distribution.\n\
@@ -904,15 +838,15 @@ let to_prometheus ?slo t =
       Buffer.add_string buf
         (Printf.sprintf "skipper_frame_latency_seconds_bucket{le=\"%.9g\"} %d\n"
            le !cum))
-    (Hist.buckets hist);
+    (Histogram.buckets hist);
   Buffer.add_string buf
     (Printf.sprintf "skipper_frame_latency_seconds_bucket{le=\"+Inf\"} %d\n"
-       (Hist.count hist));
+       (Histogram.count hist));
   Buffer.add_string buf
-    (Printf.sprintf "skipper_frame_latency_seconds_sum %.9f\n" (Hist.sum hist));
+    (Printf.sprintf "skipper_frame_latency_seconds_sum %.9f\n" (Histogram.sum hist));
   Buffer.add_string buf
     (Printf.sprintf "skipper_frame_latency_seconds_count %d\n"
-       (Hist.count hist));
+       (Histogram.count hist));
   let last =
     if Array.length t.windows = 0 then None
     else Some t.windows.(Array.length t.windows - 1)

@@ -11,17 +11,9 @@
     violation bands on the SVG Gantt.
 
     Everything here is simulation-deterministic: two builds from the same
-    run produce byte-identical exports at any [--jobs] level, and windows
-    built from a partition of the observation stream {!merge} back to the
-    very bytes of a single build (the window-merge invariant pinned in
-    [test_series]). *)
-
-module Hist = Support.Histogram
-(** Mergeable log-bucketed latency histogram — an alias of
-    {!Support.Histogram}, which the daemon metrics registry
-    ({!Support.Metrics}) shares, so series exports and daemon expositions
-    are bucket-for-bucket comparable. See {!Support.Histogram} for the
-    bucket layout and determinism guarantees. *)
+    run produce byte-identical exports at any [--jobs] level. The JSON
+    export is a {!Support.Json.t} printed by {!Support.Json.to_string},
+    like every other JSON artifact of the toolchain. *)
 
 type window = {
   index : int;
@@ -40,13 +32,12 @@ type window = {
   backlog : int;
       (** high-water mailbox backlog growth within the window: per-port
           deliveries minus consumptions, clamped at 0, measured from the
-          window's opening backlog — window-local, so partitioned builds
-          merge exactly *)
+          window's opening backlog (window-local) *)
   busy : float array;  (** per-processor busy seconds, spans clipped *)
   link_busy : ((int * int) * float) list;
       (** per directed link, occupied seconds clipped to the window;
           only links active in the window, sorted by (src, dst) *)
-  latency : Hist.t;  (** latencies of the frames completed in this window *)
+  latency : Support.Histogram.t;  (** latencies of the frames completed in this window *)
   last_output : float option;
       (** completion time of the window's latest frame, for gap detection *)
 }
@@ -81,8 +72,7 @@ val build :
   (t, string) result
 (** Folds the timeline (and the executive-level observation lists) into
     windows. [horizon] extends the covered range (the maximum of the
-    argument and every observation is used) — partial builds that will be
-    {!merge}d must share an explicit horizon so their window counts agree.
+    argument and every observation is used).
     [output_times]/[latencies] must pair up index-wise; [input_period]
     classifies deadline misses (latency > period); [injections] are frame
     availability times (for [in_flight]); [reissue_times] are the
@@ -90,13 +80,6 @@ val build :
     mismatched observation lists. An empty timeline is a valid (all-zero)
     series — callers wanting "tracing was off" as an error check
     {!Event.length} first. *)
-
-val merge : t -> t -> (t, string) result
-(** Window-wise combination: additive fields add, histograms merge,
-    [backlog] and [last_output] take the maximum, [truncated] ors. Exact
-    (byte-identical export) when the operands were built from a partition of
-    the observation stream by window; [Error] on differing [width] or
-    [nprocs]. *)
 
 val throughput : t -> window -> float
 (** Frames per second completed in the window. *)
@@ -130,9 +113,6 @@ module Slo : sig
     op : op;
     threshold : float;  (** base units: seconds, fps, or a ratio *)
   }
-
-  val metric_names : string list
-  (** Accepted metric spellings, for help text and error messages. *)
 
   val parse : string -> (spec, string) result
   (** Parses ["METRIC OP VALUE[UNIT]"] — e.g. ["p99_latency<8ms"],

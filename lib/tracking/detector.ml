@@ -1,6 +1,10 @@
 module V = Skel.Value
 
+(* Pixel level above which a pixel belongs to a mark (scene marks render
+   at >= 220; backgrounds stay below 180). *)
 let mark_threshold = 200
+
+(* Regions smaller than this are noise and discarded. *)
 let min_mark_area = 6
 
 let detect ?(threshold = mark_threshold) ~origin:(dx, dy) window =

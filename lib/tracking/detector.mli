@@ -4,13 +4,6 @@
     components, keep plausible mark-sized regions, return their centres of
     gravity and englobing frames in absolute image coordinates. *)
 
-val mark_threshold : int
-(** Pixel level above which a pixel belongs to a mark (scene marks render at
-    >= 220; backgrounds stay below 180). *)
-
-val min_mark_area : int
-(** Regions smaller than this are noise and discarded. *)
-
 val detect : ?threshold:int -> origin:int * int -> Vision.Image.t -> Mark.t list
 (** [detect ~origin:(dx, dy) window_pixels] returns the marks found, sorted
     by decreasing area. *)

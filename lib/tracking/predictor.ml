@@ -1,3 +1,4 @@
+(* Maximum distance between a vehicle's marks (rigidity criterion). *)
 let pattern_radius = 120.0
 let window_margin = 10
 

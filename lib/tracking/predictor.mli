@@ -10,9 +10,6 @@
     failed prediction (fewer than three marks) falls back to dividing the
     whole image into [n] windows. *)
 
-val pattern_radius : float
-(** Maximum distance between a vehicle's marks (rigidity criterion). *)
-
 val cluster : Mark.t list -> Mark.t list list
 (** Greedy spatial clustering of detected marks into vehicle candidates of
     at most three marks each; deterministic. *)
@@ -28,5 +25,3 @@ val windows_for :
 (** Windows of interest for the current state: per-mark prediction windows
     in [Tracking] mode (3 per vehicle, sized from each mark's frame), or
     [nproc] full-image tiles in [Reinit] mode. All windows are clipped. *)
-
-val window_margin : int

@@ -233,8 +233,3 @@ let merge_bands ~width bands =
     bands;
   let ncomponents = densify uf labels in
   { labels; width; height = total_height; ncomponents }
-
-let pp_region ppf r =
-  Format.fprintf ppf
-    "@[<h>region %d: area=%d cg=(%.1f, %.1f) frame=[%d..%d]x[%d..%d]@]" r.label
-    r.area r.cx r.cy r.min_x r.max_x r.min_y r.max_y

@@ -53,5 +53,3 @@ val merge_bands :
     joining components that touch across band boundaries. Bands must be
     contiguous, ordered, and all of width [width]. This is the "merge" stage
     of the scm-parallel CCL. *)
-
-val pp_region : Format.formatter -> region -> unit

@@ -33,13 +33,6 @@ let rect img ~x ~y ~w ~h v =
     vline img ~x:(x + w - 1) ~y0:y ~y1:(y + h - 1) v
   end
 
-let fill_rect img ~x ~y ~w ~h v =
-  for yy = y to y + h - 1 do
-    for xx = x to x + w - 1 do
-      put img xx yy v
-    done
-  done
-
 let cross img ~x ~y ~size v =
   hline img ~x0:(x - size) ~x1:(x + size) ~y v;
   vline img ~x ~y0:(y - size) ~y1:(y + size) v

@@ -220,39 +220,14 @@ let test_seeded_fault_tally_reproducible () =
    adding a timing field to a byte-compared blob is the mistake these
    pins exist to catch. *)
 
-(* Depth-1 key scanner: keys of the first object in a JSON text, in order.
-   Naive but sufficient for the fixed-format exporters under test. *)
+(* Keys of the first object in a JSON text (the object itself, or the
+   first element of an array of objects), in order. *)
 let top_keys s =
-  let n = String.length s in
-  let rec skip_string i =
-    if i >= n then i
-    else
-      match s.[i] with
-      | '\\' -> skip_string (i + 2)
-      | '"' -> i + 1
-      | _ -> skip_string (i + 1)
-  in
-  let keys = ref [] in
-  let rec go i depth expect_key =
-    if i >= n then ()
-    else
-      match s.[i] with
-      | '{' ->
-          if depth = 0 then go (i + 1) 1 true else go (i + 1) (depth + 1) expect_key
-      | '[' -> go (i + 1) (if depth = 0 then 0 else depth + 1) expect_key
-      | '}' -> if depth = 1 then () else go (i + 1) (depth - 1) expect_key
-      | ']' -> go (i + 1) (depth - 1) expect_key
-      | ':' -> go (i + 1) depth (if depth = 1 then false else expect_key)
-      | ',' -> go (i + 1) depth (if depth = 1 then true else expect_key)
-      | '"' ->
-          let j = skip_string (i + 1) in
-          if depth = 1 && expect_key then
-            keys := String.sub s (i + 1) (j - i - 2) :: !keys;
-          go j depth expect_key
-      | _ -> go (i + 1) depth expect_key
-  in
-  go 0 0 false;
-  List.rev !keys
+  match Support.Json.parse s with
+  | Ok (Support.Json.Obj kvs) | Ok (Support.Json.Arr (Support.Json.Obj kvs :: _)) ->
+      List.map fst kvs
+  | Ok _ -> Alcotest.fail "expected a JSON object"
+  | Error e -> Alcotest.fail e
 
 let timing_fields keys = List.filter (fun k -> k = "wall_ms" || k = "wall_s") keys
 let deterministic_fields keys = List.filter (fun k -> not (List.mem k (timing_fields keys))) keys
@@ -361,6 +336,73 @@ let test_golden_stage_report_json () =
     (timing_fields keys)
 
 (* ------------------------------------------------------------------ *)
+(* Golden bytes: every JSON export pinned by length and MD5, recorded
+   before the exporters moved onto [Support.Json]. A change to any
+   number's formatting, any escape or any field order fails here. *)
+
+let check_bytes name (len, md5) s =
+  Alcotest.(check (pair int string))
+    (name ^ " bytes") (len, md5)
+    (String.length s, Digest.to_hex (Digest.string s))
+
+(* A paced six-frame farm whose third message is dropped, recovered by
+   df reissue, watched by two SLOs. *)
+let faulted = lazy (run_job { healthy with frames = 6; plan = Drop_nth 3; recover = true })
+
+let faulted_series () =
+  let spec s =
+    match Skipper_trace.Series.Slo.parse s with
+    | Ok sp -> sp
+    | Error e -> Alcotest.fail e
+  in
+  match Executive.series (Lazy.force faulted) with
+  | Ok s ->
+      ( s,
+        Skipper_trace.Series.Slo.evaluate
+          [ spec "p99_latency<2ms"; spec "throughput >= 150fps" ]
+          s )
+  | Error e -> Alcotest.fail e
+
+let test_bytes_series () =
+  let series, slo = faulted_series () in
+  check_bytes "Series.to_json ~slo"
+    (4944, "5436a0dfb421b427e9c5b99cdecc4329")
+    (Skipper_trace.Series.to_json ~slo series)
+
+let test_bytes_metrics () =
+  check_bytes "Metrics.to_json"
+    (1850, "0454c7911f7d1dcb97d17ff1c4558a8b")
+    (Machine.Metrics.to_json (Executive.metrics (Lazy.force faulted)))
+
+let test_bytes_summary () =
+  let extras =
+    [ ("checkpoints", 2.0); ("outage_p50_ms", 1.0 /. 3.0); ("odd \"key\"\n", -0.5) ]
+  in
+  check_bytes "summary_json ~extras"
+    (255, "6d8fe875e526f122d05cbb587c2ab2f9")
+    (Machine.Metrics.summary_json ~extras ~experiment:"e\tx"
+       (Executive.metrics (Lazy.force faulted)))
+
+let test_bytes_chrome () =
+  let _, slo = faulted_series () in
+  check_bytes "Chrome.to_json"
+    (92657, "394a1f05cd50bc3ac446b84c83cf84f9")
+    (Chrome.to_json (Executive.timeline ~slo (Lazy.force faulted)))
+
+let test_bytes_stage () =
+  let report pass wall size metric cached detail =
+    { Skipper_lib.Stage.pass; start = 1e9; wall; size; metric; cached; detail }
+  in
+  check_bytes "Stage.reports_to_json"
+    (304, "1153047cf0257f1bafb42c6ef999b96c")
+    (Skipper_lib.Stage.reports_to_json
+       [
+         report "parse" 0.0012345 42 "nodes" false "";
+         report "map" 1.5 7 "procs" true "quote \" back \\ nl \n tab \t bell \007 \xc3\xa9";
+         report "emit" (-0.0) 0 "bytes" false "";
+       ])
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "determinism"
@@ -387,5 +429,13 @@ let () =
             test_golden_e17_summary_json;
           Alcotest.test_case "series" `Quick test_golden_series_json;
           Alcotest.test_case "stage report" `Quick test_golden_stage_report_json;
+        ] );
+      ( "golden-bytes",
+        [
+          Alcotest.test_case "Series.to_json ~slo" `Quick test_bytes_series;
+          Alcotest.test_case "Metrics.to_json" `Quick test_bytes_metrics;
+          Alcotest.test_case "summary_json ~extras" `Quick test_bytes_summary;
+          Alcotest.test_case "Chrome.to_json" `Quick test_bytes_chrome;
+          Alcotest.test_case "Stage.reports_to_json" `Quick test_bytes_stage;
         ] );
     ]

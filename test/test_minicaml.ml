@@ -121,7 +121,6 @@ let test_parse_type_expression () =
 (* Types and inference                                                 *)
 
 let infer_str src name =
-  T.reset_counter ();
   let _, schemes = I.infer_program I.initial_env (P.program src) in
   match List.assoc_opt name schemes with
   | Some s -> T.scheme_to_string s
@@ -146,7 +145,6 @@ let test_infer_recursion () =
 
 let test_infer_skeleton_signatures () =
   (* The paper's published signatures, recovered from the initial env. *)
-  T.reset_counter ();
   let check name expected =
     match I.lookup I.initial_env name with
     | Some s -> Alcotest.(check string) name expected (T.scheme_to_string s)

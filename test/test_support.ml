@@ -411,6 +411,82 @@ let test_json_roundtrip_strings () =
   Alcotest.(check bool) "parse (to_string v) = Ok v" true
     (Json.parse (Json.to_string v) = Ok v)
 
+(* Floats of every class: random bit patterns reach nan, both
+   infinities, -0.0 and subnormals; the list pins the edge cases. *)
+let gen_any_float =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, float);
+        (2, map Int64.float_of_bits int64);
+        ( 1,
+          oneofl
+            [
+              Float.nan; Float.infinity; Float.neg_infinity; -0.0; 0.0;
+              4.9e-324; -2.2250738585072009e-308; Float.max_float;
+              -.Float.max_float; 1e15; -1e15; 0.5; 2.5; -1.0005;
+            ] );
+      ])
+
+let gen_json =
+  QCheck.Gen.(
+    let key = string_size ~gen:char (int_bound 6) in
+    let leaf =
+      oneof
+        [
+          return Json.Null;
+          map (fun b -> Json.Bool b) bool;
+          map (fun f -> Json.Num f) gen_any_float;
+          map2 (fun d f -> Json.Fixed (d, f)) (int_bound 12) gen_any_float;
+          map (fun s -> Json.Str s) key;
+        ]
+    in
+    sized_size (int_bound 3)
+    @@ fix (fun self n ->
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun xs -> Json.Arr xs) (list_size (int_bound 4) (self (n - 1))));
+                 ( 1,
+                   map
+                     (fun kvs -> Json.Obj kvs)
+                     (list_size (int_bound 4) (pair key (self (n - 1)))) );
+               ]))
+
+(* What a strict reader gets back: non-finite numbers as null, every
+   other number as the value of its printed text. *)
+let rec reread = function
+  | (Json.Num f | Json.Fixed (_, f)) when not (Float.is_finite f) -> Json.Null
+  | (Json.Num _ | Json.Fixed _) as n -> Json.Num (float_of_string (Json.to_string n))
+  | Json.Arr xs -> Json.Arr (List.map reread xs)
+  | Json.Obj kvs -> Json.Obj (List.map (fun (k, v) -> (k, reread v)) kvs)
+  | v -> v
+
+let prop_json_always_parses =
+  QCheck.Test.make ~name:"printed JSON always parses back" ~count:500
+    (QCheck.make ~print:Json.to_string gen_json)
+    (fun v -> Json.parse (Json.to_string v) = Ok (reread v))
+
+let prop_json_fixed_is_printf =
+  QCheck.Test.make ~name:"finite Fixed prints as %.*f, int as %d" ~count:500
+    QCheck.(
+      triple (int_bound 17)
+        (make ~print:string_of_float gen_any_float)
+        (int_range (-(1 lsl 53)) (1 lsl 53)))
+    (fun (d, f, n) ->
+      QCheck.assume (Float.is_finite f);
+      Json.to_string (Json.Fixed (d, f)) = Printf.sprintf "%.*f" d f
+      && Json.to_string (Json.int n) = string_of_int n)
+
+let test_json_non_finite () =
+  List.iter
+    (fun f ->
+      Alcotest.(check string) (string_of_float f) "[null,null]"
+        (Json.to_string (Json.Arr [ Json.Num f; Json.Fixed (3, f) ])))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
 (* --- baseline gate --- *)
 
 module Baseline = Support.Baseline
@@ -547,6 +623,10 @@ let () =
           Alcotest.test_case "printer escapes" `Quick test_json_printer_escapes;
           Alcotest.test_case "string round-trip" `Quick
             test_json_roundtrip_strings;
+          Alcotest.test_case "non-finite numbers print null" `Quick
+            test_json_non_finite;
+          QCheck_alcotest.to_alcotest prop_json_always_parses;
+          QCheck_alcotest.to_alcotest prop_json_fixed_is_printf;
         ] );
       ( "baseline",
         [
