@@ -90,10 +90,6 @@ let observe ~experiment (r : Executive.result) =
   recorded := (experiment, Executive.metrics r) :: !recorded;
   Option.iter
     (fun dir ->
-      if Machine.Sim.trace_truncated r.Executive.sim then
-        Printf.eprintf "bench: warning: %s trace truncated at %d events\n"
-          experiment
-          (Machine.Sim.trace_limit r.Executive.sim);
       write_file
         (Filename.concat dir (experiment ^ ".trace.json"))
         (Skipper_trace.Chrome.to_json (Executive.timeline r)))
@@ -125,9 +121,8 @@ let write_summary_json path =
 let exact_baseline_fields =
   [
     "messages"; "bytes"; "dropped_msgs"; "deadline_misses"; "reissues";
-    "trace_truncated"; "serve_requests"; "serve_cold_misses";
-    "serve_warm_misses"; "store_warm_misses"; "checkpoints";
-    "replayed_frames"; "stall_collected";
+    "serve_requests"; "serve_cold_misses"; "serve_warm_misses";
+    "store_warm_misses"; "checkpoints"; "replayed_frames"; "stall_collected";
   ]
 
 (* Wall-clock-shaped fields (E9's serve latency percentiles): the gate

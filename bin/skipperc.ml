@@ -226,20 +226,11 @@ let render_traces ?compiled ?schedule ?report ?slo ~trace_out ~gantt_svg
   Option.to_list (Option.map chrome trace_out)
   @ Option.to_list (Option.map svg gantt_svg)
 
-let export_traces ?compiled ?schedule ?report ?slo ~trace_out ~gantt_svg
-    (r : Executive.result) =
-  if trace_out <> None || gantt_svg <> None then begin
-    if Machine.Sim.trace_truncated r.Executive.sim then
-      Printf.eprintf
-        "skipperc: warning: trace truncated at %d events; later message \
-         lifecycles are missing from the export\n"
-        (Machine.Sim.trace_limit r.Executive.sim);
-    List.iter
-      (fun (path, content, log) ->
-        write_file path content;
-        Printf.eprintf "%s\n" log)
-      (render_traces ?compiled ?schedule ?report ?slo ~trace_out ~gantt_svg r)
-  end
+(* Write rendered (path, content, log line) artifacts, logging each one. *)
+let write_artifacts =
+  List.iter (fun (path, content, log) ->
+      write_file path content;
+      Printf.eprintf "%s\n" log)
 
 (* Windowed-series telemetry: build the series from the run, evaluate the
    SLO specs against it, and render the requested export files (format by
@@ -709,6 +700,57 @@ let run_cmd =
           | Ok report -> report
           | Error msg -> failwith msg
         in
+        (* One variant: run [c] on [procs] processors, print its report
+           through [out] and return its rendered artifacts, [subst] mapping
+           each artifact path. *)
+        let run_one ~out ~subst c procs =
+          let arch = topology topo procs in
+          let input_period = Option.map (fun f -> 1.0 /. f) fps in
+          (* built per run: a fault plan carries per-schedule state *)
+          let faults, restores, link_faults, recovery =
+            fault_plan ~halts ~restores ~drops ~delays ~dups ~df_timeout
+          in
+          let tracing =
+            trace_out <> None || gantt_svg <> None || conformance
+            || series_out <> [] || slo_specs <> []
+          in
+          let schedule, r =
+            Skipper_lib.Pipeline.execute_with_schedule ~trace:tracing
+              ?input_period ~faults ~restores ~link_faults ?recovery
+              ?checkpoint_every ~strategy ?input:(default_input app) c arch
+          in
+          out (Printf.sprintf "result: %s\n" (Skel.Value.to_string r.Executive.value));
+          List.iteri
+            (fun i l -> out (Printf.sprintf "frame %3d latency %8.2f ms\n" i (l *. 1e3)))
+            r.Executive.latencies;
+          out
+            (Printf.sprintf "messages: %d, bytes: %d\n"
+               r.Executive.stats.Machine.Sim.messages
+               r.Executive.stats.Machine.Sim.bytes);
+          out (outcome_lines r);
+          let report =
+            if conformance then begin
+              let report = conformance_report ~schedule ~input_period r in
+              out (Skipper_trace.Conformance.to_string report);
+              Some report
+            end
+            else None
+          in
+          let slo, sfiles =
+            series_files ~series_out:(List.map subst series_out) ~slo_specs
+              ~series_window r
+          in
+          Option.iter (fun rep -> out (Skipper_trace.Series.Slo.to_string rep)) slo;
+          render_traces ~compiled:c ~schedule ?report ?slo
+            ~trace_out:(Option.map subst trace_out)
+            ~gantt_svg:(Option.map subst gantt_svg)
+            r
+          @ sfiles
+          @ Option.to_list
+              (Option.map
+                 (fun path -> frontier_file ~strategy ~arch c (subst path))
+                 frontier_out)
+        in
         match procs_list with
         | [] -> failwith "--procs: empty list"
         | [ procs ] ->
@@ -717,75 +759,24 @@ let run_cmd =
             Option.iter
               (fun cache -> Printf.eprintf "%s\n" (cache_summary cache))
               cache;
-            let arch = topology topo procs in
             (match dump with
             | Some stage ->
-                dump_stage ~arch ~strategy ?input:(default_input app) c stage
+                dump_stage ~arch:(topology topo procs) ~strategy
+                  ?input:(default_input app) c stage
             | None ->
-                let input_period = Option.map (fun f -> 1.0 /. f) fps in
-                let tracing =
-                  trace_out <> None || gantt_svg <> None || conformance
-                  || series_out <> [] || slo_specs <> []
-                in
-                let faults, restores, link_faults, recovery =
-                  fault_plan ~halts ~restores ~drops ~delays ~dups ~df_timeout
-                in
-                let schedule, r =
-                  Skipper_lib.Pipeline.execute_with_schedule ~trace:tracing
-                    ?input_period ~faults ~restores ~link_faults ?recovery
-                    ?checkpoint_every ~strategy ?input:(default_input app) c
-                    arch
-                in
-                Printf.printf "result: %s\n" (Skel.Value.to_string r.Executive.value);
-                List.iteri
-                  (fun i l -> Printf.printf "frame %3d latency %8.2f ms\n" i (l *. 1e3))
-                  r.Executive.latencies;
-                Printf.printf "messages: %d, bytes: %d\n"
-                  r.Executive.stats.Machine.Sim.messages
-                  r.Executive.stats.Machine.Sim.bytes;
-                print_outcome r;
-                let report =
-                  if conformance then begin
-                    let report = conformance_report ~schedule ~input_period r in
-                    print_string (Skipper_trace.Conformance.to_string report);
-                    Some report
-                  end
-                  else None
-                in
-                let slo, sfiles =
-                  series_files ~series_out ~slo_specs ~series_window r
-                in
-                Option.iter
-                  (fun rep ->
-                    print_string (Skipper_trace.Series.Slo.to_string rep))
-                  slo;
-                export_traces ~compiled:c ~schedule ?report ?slo ~trace_out
-                  ~gantt_svg r;
-                List.iter
-                  (fun (path, content, log) ->
-                    write_file path content;
-                    Printf.eprintf "%s\n" log)
-                  sfiles;
-                Option.iter
-                  (fun path ->
-                    let path, content, log =
-                      frontier_file ~strategy ~arch c path
-                    in
-                    write_file path content;
-                    Printf.eprintf "%s\n" log)
-                  frontier_out);
+                write_artifacts (run_one ~out:print_string ~subst:Fun.id c procs));
             if timings then print_timings c
         | _ ->
             (* Multi-variant sweep: one self-contained job per processor
                count, farmed over the domain pool. Each job compiles its own
                pipeline (a compiled artifact carries a mutable report list,
                so variants must not share one) and returns its stdout as a
-               string plus rendered artifacts as (path, content) pairs; the
-               main domain prints and writes in sweep order, so every output
-               is byte-identical at any --jobs level. Artifact paths must
-               carry a %{procs} template so variants do not overwrite each
-               other; the remaining wall-clock-flavoured flags make no sense
-               spread over several variants and are rejected. *)
+               string plus rendered artifacts; the main domain prints and
+               writes in sweep order, so every output is byte-identical at
+               any --jobs level. Artifact paths must carry a %{procs}
+               template so variants do not overwrite each other; the
+               remaining wall-clock-flavoured flags make no sense spread
+               over several variants and are rejected. *)
             if dump <> None || timings then
               failwith "--dump-stage and --timings need a single --procs value";
             List.iter
@@ -803,7 +794,7 @@ let run_cmd =
               ([ ("--trace-out", trace_out); ("--gantt-svg", gantt_svg);
                  ("--frontier-out", frontier_out) ]
               @ List.map (fun p -> ("--series-out", Some p)) series_out);
-            let run_one procs =
+            let job procs () =
               (* per-variant cache over the shared store; no summary line —
                  which variant warms the store first is a race, and sweep
                  output must stay deterministic *)
@@ -811,78 +802,19 @@ let run_cmd =
                 compile ~app ~frames ~optimize ?df_state
                   ?cache:(make_cache cache_dir) file
               in
-              let arch = topology topo procs in
-              let input_period = Option.map (fun f -> 1.0 /. f) fps in
-              (* parsed per job: a fault plan carries per-schedule state *)
-              let faults, restores, link_faults, recovery =
-                fault_plan ~halts ~restores ~drops ~delays ~dups ~df_timeout
-              in
-              let tracing =
-                trace_out <> None || gantt_svg <> None || conformance
-                || series_out <> [] || slo_specs <> []
-              in
-              let schedule, r =
-                Skipper_lib.Pipeline.execute_with_schedule ~trace:tracing
-                  ?input_period ~faults ~restores ~link_faults ?recovery
-                  ?checkpoint_every ~strategy ?input:(default_input app) c arch
-              in
               let b = Buffer.create 256 in
               Buffer.add_string b (Printf.sprintf "== --procs %d ==\n" procs);
-              Buffer.add_string b
-                (Printf.sprintf "result: %s\n"
-                   (Skel.Value.to_string r.Executive.value));
-              List.iteri
-                (fun i l ->
-                  Buffer.add_string b
-                    (Printf.sprintf "frame %3d latency %8.2f ms\n" i (l *. 1e3)))
-                r.Executive.latencies;
-              Buffer.add_string b
-                (Printf.sprintf "messages: %d, bytes: %d\n"
-                   r.Executive.stats.Machine.Sim.messages
-                   r.Executive.stats.Machine.Sim.bytes);
-              Buffer.add_string b (outcome_lines r);
-              let report =
-                if conformance then begin
-                  let report = conformance_report ~schedule ~input_period r in
-                  Buffer.add_string b
-                    (Skipper_trace.Conformance.to_string report);
-                  Some report
-                end
-                else None
-              in
-              let slo, sfiles =
-                series_files
-                  ~series_out:(List.map (subst_procs ~procs) series_out)
-                  ~slo_specs ~series_window r
-              in
-              Option.iter
-                (fun rep ->
-                  Buffer.add_string b (Skipper_trace.Series.Slo.to_string rep))
-                slo;
               let files =
-                render_traces ~compiled:c ~schedule ?report ?slo
-                  ~trace_out:(Option.map (subst_procs ~procs) trace_out)
-                  ~gantt_svg:(Option.map (subst_procs ~procs) gantt_svg)
-                  r
-                @ sfiles
-                @ (match frontier_out with
-                  | Some path ->
-                      [ frontier_file ~strategy ~arch c
-                          (subst_procs ~procs path) ]
-                  | None -> [])
+                run_one ~out:(Buffer.add_string b) ~subst:(subst_procs ~procs) c
+                  procs
               in
               (Buffer.contents b, files)
             in
             List.iter
               (fun (out, files) ->
                 print_string out;
-                List.iter
-                  (fun (path, content, log) ->
-                    write_file path content;
-                    Printf.eprintf "%s\n" log)
-                  files)
-              (Support.Domain_pool.run ~jobs
-                 (List.map (fun p () -> run_one p) procs_list)))
+                write_artifacts files)
+              (Support.Domain_pool.run ~jobs (List.map job procs_list)))
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Compile, map and execute on the simulated MIMD-DM machine.")
@@ -969,7 +901,7 @@ let demo_cmd =
           r.Executive.latencies;
         print_outcome r;
         print_string (Machine.Metrics.to_string (Executive.metrics r));
-        export_traces ~compiled ~trace_out ~gantt_svg r)
+        write_artifacts (render_traces ~compiled ~trace_out ~gantt_svg r))
   in
   Cmd.v
     (Cmd.info "demo"

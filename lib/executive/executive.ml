@@ -638,39 +638,33 @@ let behaviour ~table ~graph:g ~frames ~input ~input_period ~collector
         serve ()
       in
       serve ()
-  | G.Mem { init } -> (
-      match checkpoint with
-      | None ->
-          let state = ref init in
-          each_frame (fun _ ->
-              send_all "out" !state;
-              state := Machine.Sim.recv "update");
-          collector.final_state <- Some !state
-      | Some k ->
-          (* Durable mem: checkpoint the loop state every [k] frames; a
-             restarted incarnation resumes at the checkpoint, replaying the
-             journalled updates, and skips re-sending states it already
-             sent (write-ahead [emitted] count). *)
-          let cell = Hashtbl.find cells node.id in
-          let start_frame, st0 =
-            match cell.snap with Some (f0, st) -> (f0, st) | None -> (0, init)
-          in
-          collector.replayed <-
-            collector.replayed + (cell.emitted - start_frame);
-          let state = ref st0 in
-          for f = start_frame to frames - 1 do
-            if cell.emitted <= f then begin
-              cell.emitted <- f + 1;
-              send_all "out" !state
-            end;
-            state := Machine.Sim.recv "update";
-            if (f + 1) mod k = 0 then begin
-              cell.snap <- Some (f + 1, !state);
-              Machine.Sim.mark_stable ();
-              collector.checkpoints <- collector.checkpoints + 1
-            end
-          done;
-          collector.final_state <- Some !state)
+  | G.Mem { init } ->
+      (* Durable mem: with [checkpoint = Some k] the loop state is
+         checkpointed every [k] frames; a restarted incarnation resumes at
+         the checkpoint, replaying the journalled updates, and skips
+         re-sending states it already sent (write-ahead [emitted] count). A
+         fresh cell starts at frame 0 with nothing sent, so without
+         checkpointing this is the plain send/receive loop. *)
+      let cell = Hashtbl.find cells node.id in
+      let start_frame, st0 =
+        match cell.snap with Some (f0, st) -> (f0, st) | None -> (0, init)
+      in
+      collector.replayed <- collector.replayed + (cell.emitted - start_frame);
+      let state = ref st0 in
+      for f = start_frame to frames - 1 do
+        if cell.emitted <= f then begin
+          cell.emitted <- f + 1;
+          send_all "out" !state
+        end;
+        state := Machine.Sim.recv "update";
+        match checkpoint with
+        | Some k when (f + 1) mod k = 0 ->
+            cell.snap <- Some (f + 1, !state);
+            Machine.Sim.mark_stable ();
+            collector.checkpoints <- collector.checkpoints + 1
+        | _ -> ()
+      done;
+      collector.final_state <- Some !state
   | G.Join ->
       each_frame (fun _ ->
           let s = Machine.Sim.recv "state" in

@@ -46,8 +46,6 @@ type report = {
   deadline_misses : int;
   reissues : int;
   latency : latency_stats option;
-  trace_truncated : bool;
-  trace_limit : int;
 }
 
 (* Nearest-rank percentiles over the per-frame latencies: with the samples
@@ -157,8 +155,6 @@ let analyse ?(deadline_misses = 0) ?(reissues = 0) ?(latencies = []) sim =
     deadline_misses;
     reissues;
     latency = latency_stats latencies;
-    trace_truncated = Sim.trace_truncated sim;
-    trace_limit = Sim.trace_limit sim;
   }
 
 (* Imbalance over busy *fractions* of the processors that were alive at
@@ -243,12 +239,6 @@ let to_string report =
       (Printf.sprintf
          "faults: %d dropped messages, %d reissued tasks, %d deadline misses\n"
          report.dropped_msgs report.reissues report.deadline_misses);
-  if report.trace_truncated then
-    Buffer.add_string buf
-      (Printf.sprintf
-         "warning: trace truncated at %d events — trace-derived numbers are \
-          incomplete\n"
-         report.trace_limit);
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
@@ -336,8 +326,6 @@ let to_json report =
          ("dropped_msgs", Json.int report.dropped_msgs);
          ("deadline_misses", Json.int report.deadline_misses);
          ("reissues", Json.int report.reissues);
-         ("trace_truncated", Json.Bool report.trace_truncated);
-         ("trace_limit", Json.int report.trace_limit);
          ("latency", latency);
          ("processors", Json.Arr loads);
          ("links", Json.Arr links);
@@ -364,6 +352,5 @@ let summary_json ?(extras = []) ~experiment report =
           ("dropped_msgs", Json.int report.dropped_msgs);
           ("deadline_misses", Json.int report.deadline_misses);
           ("reissues", Json.int report.reissues);
-          ("trace_truncated", Json.int (if report.trace_truncated then 1 else 0));
         ]
        @ List.map (fun (k, v) -> (k, fixed 6 v)) extras))

@@ -61,12 +61,6 @@ type report = {
   reissues : int;  (** df tasks reissued after a timeout *)
   latency : latency_stats option;
       (** per-frame latency distribution; [None] without frame data *)
-  trace_truncated : bool;
-      (** the simulator dropped trace events past its limit — trace-derived
-          numbers (Gantt, conformance, series) are incomplete *)
-  trace_limit : int;
-      (** the cap on simulator records the trace was subject to (see
-          {!Sim.trace_limit}) *)
 }
 
 val latency_stats : float list -> latency_stats option

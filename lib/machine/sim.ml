@@ -150,12 +150,10 @@ type t = {
   busy : float array;
   last_charge : pid array;  (* process holding the latest charge, or -1 *)
   tracing : bool;
-  trace_limit : int;  (* simulator records admitted to [timeline] *)
-  mutable trace_len : int;
   timeline : Event.timeline;
 }
 
-let create ?(trace = false) ?(trace_limit = 20000) arch =
+let create ?(trace = false) arch =
   let n = Archi.nprocs arch in
   {
     arch;
@@ -183,27 +181,10 @@ let create ?(trace = false) ?(trace_limit = 20000) arch =
     busy = Array.make n 0.0;
     last_charge = Array.make n (-1);
     tracing = trace;
-    trace_limit;
-    trace_len = 0;
     timeline = Event.create ();
   }
 
 let arch t = t.arch
-
-(* Counts one simulator record against [trace_limit]: true when its events
-   may be emitted, else the timeline is flagged truncated. A record is one
-   step of the lifecycle (a send is one record, emitted as a span plus a
-   flow start). Call sites test [t.tracing] first, so an untraced machine
-   builds no event at all. *)
-let admit t =
-  if t.trace_len < t.trace_limit then begin
-    t.trace_len <- t.trace_len + 1;
-    true
-  end
-  else begin
-    Event.mark_truncated t.timeline;
-    false
-  end
 
 let lane (proc : process) =
   Event.processor_lane ~proc:proc.on ~pid:proc.pid ~name:proc.name
@@ -356,7 +337,7 @@ let transfer t ~msg src dst bytes_n depart =
         let start = reserve_link t t.links.(i) depart duration in
         t.hops_total <- t.hops_total + 1;
         let finish = start +. duration in
-        if t.tracing && admit t then
+        if t.tracing then
           Event.span t.timeline
             ~lane:
               (Event.link_lane ~src:u ~dst:link.Archi.dst
@@ -380,7 +361,7 @@ let run_segment t (proc : process) resume =
       retc =
         (fun () ->
           proc.state <- Finished;
-          if t.tracing && admit t then
+          if t.tracing then
             Event.instant t.timeline ~lane:(lane proc) ~cat:"proc" ~name:"done"
               ~time:t.time ();
           t.cpu_free.(p) <- t.time;
@@ -393,7 +374,7 @@ let run_segment t (proc : process) resume =
               Some
                 (fun (k : (a, unit) continuation) ->
                   let dt = cycles *. cycle_time t p in
-                  if t.tracing && admit t then
+                  if t.tracing then
                     Event.span t.timeline ~lane:(lane proc) ~cat:"compute"
                       ~args:[ ("cycles", Event.Num cycles) ]
                       ~name:"compute" ~time:t.time ~dur:dt ();
@@ -412,7 +393,7 @@ let run_segment t (proc : process) resume =
                   t.messages <- t.messages + 1;
                   t.bytes <- t.bytes + nbytes;
                   let msg = fresh_msg t in
-                  if t.tracing && admit t then
+                  if t.tracing then
                     emit_send t ~lane:(lane proc) ~time:t.time ~msg ~dst ~port
                       ~bytes:nbytes ~dur:dt;
                   let arrive =
@@ -438,14 +419,14 @@ let run_segment t (proc : process) resume =
                       let dt = Syndex.Cost.default_recv_overhead_cycles *. cycle_time t p in
                       charge_busy t proc dt;
                       t.cpu_free.(p) <- t.time +. dt;
-                      if t.tracing && admit t then
+                      if t.tracing then
                         emit_recv t proc ~msg ~port ~dur:dt;
                       push_event t (t.time +. dt)
                     (Step (proc.pid, proc.epoch, RMsg (k, port, v)))
                   | None ->
                       proc.state <- Blocked (ports, k);
                       proc.blocked_at <- t.time;
-                      if t.tracing && admit t then emit_block t proc ports;
+                      if t.tracing then emit_block t proc ports;
                       t.cpu_free.(p) <- t.time;
                       push_event t t.time (Dispatch p))
           | E_recv_deadline (ports, deadline) ->
@@ -457,7 +438,7 @@ let run_segment t (proc : process) resume =
                       let dt = Syndex.Cost.default_recv_overhead_cycles *. cycle_time t p in
                       charge_busy t proc dt;
                       t.cpu_free.(p) <- t.time +. dt;
-                      if t.tracing && admit t then
+                      if t.tracing then
                         emit_recv t proc ~msg ~port ~dur:dt;
                       push_event t (t.time +. dt)
                         (Step (proc.pid, proc.epoch, ROpt (k, Some (port, v))))
@@ -465,7 +446,7 @@ let run_segment t (proc : process) resume =
                       proc.wait_seq <- proc.wait_seq + 1;
                       proc.state <- BlockedOpt (ports, proc.wait_seq, k);
                       proc.blocked_at <- t.time;
-                      if t.tracing && admit t then emit_block t proc ports;
+                      if t.tracing then emit_block t proc ports;
                       t.cpu_free.(p) <- t.time;
                       push_event t
                         (Float.max t.time deadline)
@@ -524,7 +505,7 @@ let spawn t ~name ?(durable = false) ~on body =
 let inject t ?(at = 0.0) pid port v =
   if pid < 0 || pid >= t.nprocesses then invalid_arg "Sim.inject: unknown process";
   let msg = fresh_msg t in
-  if t.tracing && admit t then
+  if t.tracing then
     emit_send t ~lane:Event.env_lane ~time:at ~msg ~dst:pid ~port
       ~bytes:(Skel.Value.byte_size v) ~dur:0.0;
   push_event t at
@@ -594,7 +575,7 @@ let deliver t pid msg port v =
   let mb = mailbox proc port in
   Queue.add (t.time, msg, v) mb.msgs;
   mb.high <- max mb.high (Queue.length mb.msgs);
-  if t.tracing && admit t then
+  if t.tracing then
     Event.instant t.timeline ~lane:(lane proc) ~cat:"deliver"
       ~args:[ ("msg", Event.Count msg) ]
       ~name:("deliver " ^ port) ~time:t.time ();
@@ -605,7 +586,7 @@ let deliver t pid msg port v =
       proc.blocked_total <- proc.blocked_total +. (t.time -. proc.blocked_at);
       let port, _ = Option.get (earliest_message proc ports) in
       let msg, v = pop_message proc port in
-      if t.tracing && admit t then emit_recv t proc ~msg ~port ~dur:0.0;
+      if t.tracing then emit_recv t proc ~msg ~port ~dur:0.0;
       make_ready t proc (RMsg (k, port, v))
   | BlockedOpt (ports, _tok, k) when List.mem port ports ->
       (* Wake a deadline wait; its pending [Timeout] becomes stale and is
@@ -614,7 +595,7 @@ let deliver t pid msg port v =
       proc.blocked_total <- proc.blocked_total +. (t.time -. proc.blocked_at);
       let port, _ = Option.get (earliest_message proc ports) in
       let msg, v = pop_message proc port in
-      if t.tracing && admit t then emit_recv t proc ~msg ~port ~dur:0.0;
+      if t.tracing then emit_recv t proc ~msg ~port ~dur:0.0;
       make_ready t proc (ROpt (k, Some (port, v)))
   | Blocked _ | BlockedOpt _ | Runnable | Finished -> ()
 
@@ -676,12 +657,12 @@ let run ?(until = infinity) t =
                 (* A durable process loses no input to a halt: the delivery
                    is spooled and re-delivered when the processor restores. *)
                 proc.spooled <- (port, t.time, msg, v) :: proc.spooled;
-                if t.tracing && admit t then
+                if t.tracing then
                   emit_fault t proc.on ~msg "spool (processor halted)"
               end
               else begin
                 t.dropped_msgs <- t.dropped_msgs + 1;
-                if t.tracing && admit t then
+                if t.tracing then
                   emit_fault t proc.on ~msg "drop (processor halted)"
               end
             else begin
@@ -690,17 +671,17 @@ let run ?(until = infinity) t =
               with
               | Some Drop ->
                   t.dropped_msgs <- t.dropped_msgs + 1;
-                  if t.tracing && admit t then emit_fault t proc.on ~msg "drop"
+                  if t.tracing then emit_fault t proc.on ~msg "drop"
               | Some (Delay dt) ->
                   t.delayed_msgs <- t.delayed_msgs + 1;
-                  if t.tracing && admit t then
+                  if t.tracing then
                     emit_fault t proc.on ~msg
                       (Printf.sprintf "delay %gms" (dt *. 1e3));
                   push_event t (t.time +. dt)
                     (Deliver_msg { dst; msg; port; v; src; faultable = false })
               | Some Duplicate ->
                   t.dup_msgs <- t.dup_msgs + 1;
-                  if t.tracing && admit t then
+                  if t.tracing then
                     emit_fault t proc.on ~msg "duplicate";
                   push_event t t.time
                     (Deliver_msg { dst; msg; port; v; src; faultable = false });
@@ -721,7 +702,7 @@ let run ?(until = infinity) t =
             if not t.halted.(p) then begin
               t.halted.(p) <- true;
               t.halted_since.(p) <- Some t.time;
-              if t.tracing && admit t then emit_fault t p "halted"
+              if t.tracing then emit_fault t p "halted"
             end
         | Restore p ->
             if t.halted.(p) then begin
@@ -731,7 +712,7 @@ let run ?(until = infinity) t =
               | Some since -> t.halted_s.(p) <- t.halted_s.(p) +. (t.time -. since)
               | None -> ());
               t.halted_since.(p) <- None;
-              if t.tracing && admit t then emit_fault t p "restored";
+              if t.tracing then emit_fault t p "restored";
               (* Durable processes restart from the top: their old
                  continuations become stale (epoch bump) and their mailboxes
                  are rebuilt so the fresh incarnation re-reads, per port, the
@@ -780,7 +761,7 @@ let run ?(until = infinity) t =
                   proc.spooled <- [];
                   proc.epoch <- proc.epoch + 1;
                   proc.state <- Runnable;
-                  if t.tracing && admit t then
+                  if t.tracing then
                     emit_fault t p ~msg:(-1) "restart (replay)";
                   Queue.add (proc.pid, proc.epoch, Start proc.body) t.ready.(p)
                 end
@@ -828,8 +809,6 @@ let utilisation t =
   if live <= 0.0 then 0.0 else Array.fold_left ( +. ) 0.0 t.busy /. live
 
 let timeline t = t.timeline
-let trace_truncated t = Event.truncated t.timeline
-let trace_limit t = t.trace_limit
 
 type account = {
   aname : string;

@@ -21,10 +21,10 @@
 type t
 type pid = int
 
-val create : ?trace:bool -> ?trace_limit:int -> Archi.t -> t
+val create : ?trace:bool -> Archi.t -> t
 (** [create arch] builds an empty machine over [arch]. With [~trace:true],
-    the machine emits its events into its {!timeline} (up to [trace_limit]
-    records, default 20000; see {!trace_truncated}). *)
+    the machine emits every event of the run into its {!timeline}; the
+    timeline is held in memory and grows with the run. *)
 
 val arch : t -> Archi.t
 
@@ -252,14 +252,6 @@ val timeline : t -> Skipper_trace.Event.timeline
     chronological view. The timeline belongs to the machine: callers that
     add events of their own copy it first with
     {!Skipper_trace.Event.append} (see [Executive.timeline]). *)
-
-val trace_truncated : t -> bool
-(** True when tracing dropped records past [trace_limit] (the timeline is
-    flagged so every export carries it: a truncated dump is incomplete, not
-    wrong). The limit counts simulator records, not timeline events — a send
-    is one record emitted as a span plus a flow start. *)
-
-val trace_limit : t -> int
 
 (** {1 Accounting (always available, no tracing needed)} *)
 

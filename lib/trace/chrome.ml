@@ -88,7 +88,6 @@ let to_json timeline =
   let other =
     Json.Obj
       [
-        ("truncated", Json.Bool (Event.truncated timeline));
         ("events", Json.int (Event.length timeline));
       ]
   in

@@ -6,7 +6,7 @@
     [ph:"f"]) drawn as arrows between lanes, counters [ph:"C"]. Tracks and
     lanes are named with metadata events and sorted by their fixed ids, and
     events are stable-sorted by timestamp, so the same timeline always
-    exports byte-identical JSON. The top-level [otherData.truncated] field
-    carries {!Event.truncated}. *)
+    exports byte-identical JSON. The top-level [otherData.events] field
+    counts the timeline's events; the file holds every one of them. *)
 
 val to_json : Event.timeline -> string

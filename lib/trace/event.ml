@@ -23,13 +23,9 @@ type t = {
   kind : kind;
 }
 
-type timeline = {
-  mutable events_rev : t list;
-  mutable n : int;
-  mutable truncated : bool;
-}
+type timeline = { mutable events_rev : t list; mutable n : int }
 
-let create () = { events_rev = []; n = 0; truncated = false }
+let create () = { events_rev = []; n = 0 }
 
 let add tl ev =
   tl.events_rev <- ev :: tl.events_rev;
@@ -37,17 +33,13 @@ let add tl ev =
 
 let append tl src =
   tl.events_rev <- List.rev_append (List.rev src.events_rev) tl.events_rev;
-  tl.n <- tl.n + src.n;
-  if src.truncated then tl.truncated <- true
+  tl.n <- tl.n + src.n
 
 let length tl = tl.n
 let events tl = List.rev tl.events_rev
 
 let by_time tl =
   List.stable_sort (fun a b -> Float.compare a.time b.time) (events tl)
-
-let truncated tl = tl.truncated
-let mark_truncated tl = tl.truncated <- true
 
 let span tl ~lane ~cat ?(args = []) ~name ~time ~dur () =
   add tl { time; name; cat; lane; args; kind = Span dur }

@@ -48,8 +48,8 @@ val create : unit -> timeline
 val add : timeline -> t -> unit
 
 val append : timeline -> timeline -> unit
-(** [append tl src] adds every event of [src] to [tl], in order, and
-    carries [src]'s truncation flag; [src] is left unchanged. *)
+(** [append tl src] adds every event of [src] to [tl], in order; [src] is
+    left unchanged. *)
 
 val length : timeline -> int
 
@@ -60,12 +60,6 @@ val by_time : timeline -> t list
 (** Stable-sorted by [time] (emission order breaks ties), so exports are
     deterministic even when producers emit out of order (link hops are
     recorded at reservation time). *)
-
-val truncated : timeline -> bool
-
-val mark_truncated : timeline -> unit
-(** Producers that dropped events (e.g. the simulator past its trace limit)
-    flag the timeline so every export can carry the incompleteness. *)
 
 (** {1 Emission helpers} *)
 

@@ -27,7 +27,6 @@ type t = {
   horizon : float;
   nprocs : int;
   windows : window array;
-  truncated : bool;
 }
 
 type totals = {
@@ -244,14 +243,7 @@ let build ~width ~nprocs ?(horizon = 0.0) ?(output_times = [])
           })
         accs
     in
-    Ok
-      {
-        width;
-        horizon;
-        nprocs;
-        windows;
-        truncated = Event.truncated timeline;
-      }
+    Ok { width; horizon; nprocs; windows }
   end
 
 let throughput t w = float_of_int w.frames /. t.width
@@ -728,7 +720,6 @@ let to_json ?slo t =
          ("horizon_s", fixed9 t.horizon);
          ("nprocs", Json.int t.nprocs);
          ("nwindows", Json.int (Array.length t.windows));
-         ("truncated", Json.Bool t.truncated);
          ( "totals",
            Json.Obj
              [

@@ -47,7 +47,6 @@ type t = {
   horizon : float;  (** end of observed time *)
   nprocs : int;
   windows : window array;  (** dense, window [i] covers [i*width, (i+1)*width) *)
-  truncated : bool;  (** the source trace dropped events past its limit *)
 }
 
 type totals = {
@@ -175,7 +174,7 @@ end
 
 val to_json : ?slo:Slo.report -> t -> string
 (** One JSON object: [width_s], [horizon_s], [nprocs], [nwindows],
-    [truncated], [totals], [windows] (per-window rows with busy/links/
+    [totals], [windows] (per-window rows with busy/links/
     latency percentiles and histogram buckets) and [slos] (empty array
     without [slo]). Top-level field set pinned in [test_determinism]. *)
 

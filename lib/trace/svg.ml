@@ -281,13 +281,6 @@ let gantt ?(width = 960) ?(predicted = []) ?(critical = []) ?(bands = [])
                     else [])
                  @
                  if bands <> [] then [ "red band = SLO violation" ] else []))));
-    if Event.truncated timeline then
-      Buffer.add_string b
-        (Printf.sprintf
-           "<text x=\"%s\" y=\"%s\" text-anchor=\"end\" \
-            fill=\"#e15759\">trace truncated</text>\n"
-           (f2 (widthf -. right))
-           (f2 (top -. 20.0)));
     Buffer.add_string b "</svg>\n";
     Ok (Buffer.contents b)
   end

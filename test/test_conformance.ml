@@ -152,8 +152,6 @@ let mk_report links =
     deadline_misses = 0;
     reissues = 0;
     latency = None;
-    trace_truncated = false;
-    trace_limit = 0;
   }
 
 let mk_link src dst link_busy =

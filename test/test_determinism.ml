@@ -244,8 +244,7 @@ let test_golden_metrics_json () =
     [
       "finish_time_s"; "mean_utilisation"; "messages"; "bytes"; "imbalance";
       "link_contention"; "dropped_msgs"; "deadline_misses"; "reissues";
-      "trace_truncated"; "trace_limit"; "latency"; "processors"; "links";
-      "ports"; "processes";
+      "latency"; "processors"; "links"; "ports"; "processes";
     ]
     (deterministic_fields keys);
   Alcotest.(check (list string))
@@ -260,7 +259,6 @@ let test_golden_summary_json () =
     [
       "experiment"; "finish_time"; "utilisation"; "messages"; "bytes";
       "imbalance"; "dropped_msgs"; "deadline_misses"; "reissues";
-      "trace_truncated";
     ]
     (deterministic_fields keys);
   Alcotest.(check (list string))
@@ -288,7 +286,7 @@ let test_golden_e17_summary_json () =
     [
       "experiment"; "finish_time"; "utilisation"; "messages"; "bytes";
       "imbalance"; "dropped_msgs"; "deadline_misses"; "reissues";
-      "trace_truncated"; "checkpoints"; "replayed_frames"; "stall_collected";
+      "checkpoints"; "replayed_frames"; "stall_collected";
       "outage_p50_ms"; "outage_p95_ms"; "outage_p99_ms";
       "recovery_overhead_ms";
     ]
@@ -308,8 +306,8 @@ let test_golden_series_json () =
   Alcotest.(check (list string))
     "Series.to_json deterministic fields"
     [
-      "width_s"; "horizon_s"; "nprocs"; "nwindows"; "truncated"; "totals";
-      "windows"; "slos";
+      "width_s"; "horizon_s"; "nprocs"; "nwindows"; "totals"; "windows";
+      "slos";
     ]
     (deterministic_fields keys);
   Alcotest.(check (list string))
@@ -337,8 +335,10 @@ let test_golden_stage_report_json () =
 
 (* ------------------------------------------------------------------ *)
 (* Golden bytes: every JSON export pinned by length and MD5, recorded
-   before the exporters moved onto [Support.Json]. A change to any
-   number's formatting, any escape or any field order fails here. *)
+   before the exporters moved onto [Support.Json] (and re-pinned with
+   exactly the deleted trace-truncation keys cut from those bytes). A
+   change to any number's formatting, any escape or any field order fails
+   here. *)
 
 let check_bytes name (len, md5) s =
   Alcotest.(check (pair int string))
@@ -366,12 +366,12 @@ let faulted_series () =
 let test_bytes_series () =
   let series, slo = faulted_series () in
   check_bytes "Series.to_json ~slo"
-    (4944, "5436a0dfb421b427e9c5b99cdecc4329")
+    (4926, "9a9e0237c158fd618ff8d8712413be2c")
     (Skipper_trace.Series.to_json ~slo series)
 
 let test_bytes_metrics () =
   check_bytes "Metrics.to_json"
-    (1850, "0454c7911f7d1dcb97d17ff1c4558a8b")
+    (1806, "606e3ace2097e76a2b536be942472191")
     (Machine.Metrics.to_json (Executive.metrics (Lazy.force faulted)))
 
 let test_bytes_summary () =
@@ -379,14 +379,14 @@ let test_bytes_summary () =
     [ ("checkpoints", 2.0); ("outage_p50_ms", 1.0 /. 3.0); ("odd \"key\"\n", -0.5) ]
   in
   check_bytes "summary_json ~extras"
-    (255, "6d8fe875e526f122d05cbb587c2ab2f9")
+    (235, "05a7d0ebfd6f24e8a741250556f104d5")
     (Machine.Metrics.summary_json ~extras ~experiment:"e\tx"
        (Executive.metrics (Lazy.force faulted)))
 
 let test_bytes_chrome () =
   let _, slo = faulted_series () in
   check_bytes "Chrome.to_json"
-    (92657, "394a1f05cd50bc3ac446b84c83cf84f9")
+    (92639, "6e3abc865993286d80b822e948696e42")
     (Chrome.to_json (Executive.timeline ~slo (Lazy.force faulted)))
 
 let test_bytes_stage () =

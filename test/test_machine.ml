@@ -299,7 +299,6 @@ let test_trace_and_gantt () =
        (fun (e : E.t) ->
          e.E.cat = "proc" && e.E.name = "done" && e.E.kind = E.Instant)
        events);
-  Alcotest.(check bool) "not truncated" false (Sim.trace_truncated sim);
   match Skipper_trace.Svg.gantt (Sim.timeline sim) with
   | Ok svg ->
       Alcotest.(check bool) "gantt has the processor row" true

@@ -53,7 +53,6 @@ let is_flow (e : Event.t) =
 let test_timeline_basics () =
   let tl = Event.create () in
   Alcotest.(check int) "empty" 0 (Event.length tl);
-  Alcotest.(check bool) "not truncated" false (Event.truncated tl);
   Event.span tl ~lane:Event.compile_lane ~cat:"stage" ~name:"parse" ~time:0.0
     ~dur:1e-3 ();
   Event.instant tl ~lane:Event.env_lane ~cat:"inject" ~name:"in" ~time:2e-3 ();
@@ -70,8 +69,6 @@ let test_timeline_basics () =
       Alcotest.(check string) "time order" "parse/expand/in"
         (String.concat "/" [ a.Event.name; b.Event.name; c.Event.name ])
   | _ -> Alcotest.fail "expected three events");
-  Event.mark_truncated tl;
-  Alcotest.(check bool) "truncated sticks" true (Event.truncated tl);
   let dst = Event.create () in
   Event.instant dst ~lane:Event.env_lane ~cat:"inject" ~name:"first"
     ~time:0.0 ();
@@ -80,7 +77,6 @@ let test_timeline_basics () =
     "first/parse/in/expand"
     (String.concat "/" (List.map (fun e -> e.Event.name) (Event.events dst)));
   Alcotest.(check int) "append counts" 4 (Event.length dst);
-  Alcotest.(check bool) "append carries the flag" true (Event.truncated dst);
   Alcotest.(check int) "source unchanged" 3 (Event.length tl)
 
 let test_lane_conventions () =
@@ -134,43 +130,41 @@ let test_message_lifecycle_pairing () =
 let test_untraced_machine_records_nothing () =
   let r = farm_run ~trace:false () in
   Alcotest.(check int) "no events" 0 (List.length (sim_events r));
-  Alcotest.(check bool) "not truncated" false
-    (Sim.trace_truncated r.Executive.sim);
   Alcotest.(check int) "empty timeline" 0
     (Event.length (Executive.timeline r))
 
-(* A machine capped at 10 records, running far more steps: four messages
-   from processor 0 to processor 1 of a ring. *)
-let test_trace_truncation_flagged () =
-  let sim = Sim.create ~trace:true ~trace_limit:10 (Archi.ring 2) in
-  let rx =
-    Sim.spawn sim ~name:"rx" ~on:1 (fun () ->
-        for _ = 1 to 4 do
-          ignore (Sim.recv "in")
-        done)
-  in
-  let _ =
-    Sim.spawn sim ~name:"tx" ~on:0 (fun () ->
-        for i = 1 to 4 do
-          Sim.compute 100.0;
-          Sim.send rx "in" (V.Int i)
-        done)
-  in
-  let _ = Sim.run sim in
-  Alcotest.(check bool) "truncated" true (Sim.trace_truncated sim);
-  let tl = Sim.timeline sim in
-  (* the limit counts simulator records: every record emits exactly one
-     span or instant, plus a flow endpoint for sends and receives *)
-  Alcotest.(check int) "limit respected" 10
-    (List.length (List.filter (fun e -> not (is_flow e)) (Event.events tl)));
-  Alcotest.(check bool) "timeline carries the flag" true (Event.truncated tl);
-  Alcotest.(check bool) "chrome export carries the flag" true
-    (contains ~affix:{|"truncated":true|} (Chrome.to_json tl));
-  match Svg.gantt tl with
-  | Ok svg ->
-      Alcotest.(check bool) "svg carries the flag" true
-        (contains ~affix:"trace truncated" svg)
-  | Error msg -> Alcotest.failf "svg export failed: %s" msg
+(* A traced run records every step, however long: a farm of 4000 items
+   makes well over 20 000 simulator records (each emits one span or
+   instant, plus a flow endpoint for sends and receives), and the series
+   still counts every message and every flow is closed. *)
+let test_long_run_complete () =
+  let r = farm_run ~nitems:4000 () in
+  (match Executive.series r with
+  | Ok series ->
+      Alcotest.(check int) "series counts every message"
+        (Sim.stats r.Executive.sim).Sim.messages
+        (Skipper_trace.Series.totals series).Skipper_trace.Series.total_messages
+  | Error e -> Alcotest.fail e);
+  let starts = Hashtbl.create 4096 and ends = Hashtbl.create 4096 in
+  List.iter
+    (fun (e : Event.t) ->
+      match e.Event.kind with
+      | Event.Flow_start f -> Hashtbl.replace starts f ()
+      | Event.Flow_end f -> Hashtbl.replace ends f ()
+      | _ -> ())
+    (sim_events r);
+  Alcotest.(check bool) "some flows" true (Hashtbl.length starts > 0);
+  Hashtbl.iter
+    (fun f () ->
+      if not (Hashtbl.mem ends f) then Alcotest.failf "flow %d has no end" f)
+    starts;
+  Hashtbl.iter
+    (fun f () ->
+      if not (Hashtbl.mem starts f) then Alcotest.failf "flow %d has no start" f)
+    ends;
+  let records = List.filter (fun e -> not (is_flow e)) (sim_events r) in
+  Alcotest.(check bool) "more than 20 000 records" true
+    (List.length records > 20_000)
 
 (* The machine owns its timeline; the exported timelines are copies. Asking
    for one twice (with SLO instants appended), then for the toolchain-wide
@@ -233,7 +227,6 @@ let test_chrome_export_shape () =
         (contains ~affix json))
     [
       {|"displayTimeUnit":"ms"|};
-      {|"truncated":false|};
       {|"ph":"X"|};  (* spans *)
       {|"ph":"s"|};  (* flow starts *)
       {|"ph":"f"|};  (* flow ends *)
@@ -343,8 +336,8 @@ let () =
             test_message_lifecycle_pairing;
           Alcotest.test_case "untraced records nothing" `Quick
             test_untraced_machine_records_nothing;
-          Alcotest.test_case "truncation flagged" `Quick
-            test_trace_truncation_flagged;
+          Alcotest.test_case "a run past the old cap is complete" `Quick
+            test_long_run_complete;
           Alcotest.test_case "timeline copies independent" `Quick
             test_timeline_copies_independent;
         ] );
