@@ -610,9 +610,8 @@ let rec rm_rf path =
 
 let e9 () =
   header "E9" "toolchain traversal and emulation/executive equivalence (paper Fig. 2)";
-  (* The whole Fig. 2 path now runs through the staged pass manager; the
-     per-stage table below is sourced from the Stage.report records the
-     passes produce, not from ad-hoc timers. *)
+  (* The per-stage table below is sourced from the Stage.report record
+     each Fig. 2 stage produces, not from ad-hoc timers. *)
   let config = Tracking.Funcs.default_config in
   let table = Tracking.Funcs.table config in
   let src = Tracking.Funcs.source config in

@@ -5,9 +5,9 @@
    emulation or a distributed executive. Sequential functions here come from
    built-in application function tables selected with --app (the container
    has no C compiler, and the functions are OCaml against the vision
-   substrate). Compilation goes through the staged pass manager
-   (Skipper_lib.Passes); --timings prints the per-stage report and
-   --dump-stage prints one stage's artifact. *)
+   substrate). Skipper_lib.Pipeline runs the toolchain's stages in order;
+   --timings prints the per-stage report and --dump-stage prints one
+   stage's artifact. *)
 
 let app_table = function
   | "tracking" -> Tracking.Funcs.table Tracking.Funcs.default_config
@@ -657,7 +657,7 @@ let emulate_cmd =
    as (label, latency, period, frames-in-flight, placement) points. *)
 let render_frontier ~strategy ~arch c =
   let mapper = Option.get (Syndex.Mapper.find strategy) in
-  let cost = Skipper_lib.Pipeline.default_cost c in
+  let cost = Syndex.Cost.make () in
   let points =
     Syndex.Mapper.frontier mapper cost arch c.Skipper_lib.Pipeline.graph
   in

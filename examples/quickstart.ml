@@ -45,7 +45,7 @@ let () =
     result.Executive.stats.Machine.Sim.messages
     result.Executive.stats.Machine.Sim.bytes;
 
-  (* 6. Every stage the pass manager ran, with wall time and artifact size
+  (* 6. Every stage the pipeline ran, with wall time and artifact size
         (the same report `skipperc --timings` prints). *)
   Format.printf "%a" Skipper_lib.Pipeline.pp_timings compiled;
   print_endline "quickstart: OK"

@@ -64,7 +64,7 @@ let () =
   Printf.printf "emulation agrees with executive: %b\n"
     (Skel.Value.equal emulated result.Executive.value);
 
-  (* Per-stage cost of everything the pass manager ran for this program:
-     the front-end passes once, then cost/map/simulate for the target. *)
+  (* Per-stage cost of everything the pipeline ran for this program: the
+     front-end stages once, then cost/map/simulate for the target. *)
   print_endline "--- pipeline stages ---";
   Format.printf "%a" Skipper_lib.Pipeline.pp_timings compiled

@@ -176,4 +176,4 @@ val summary : result -> string
 (** Multi-line digest of a run: value, frame count and outcome,
     latency/period ([n/a] when a steady period was never measured), message
     traffic, and a fault line when anything was dropped, reissued, retired
-    or late. Used by the pass manager's [simulate] artifact rendering. *)
+    or late. Used by the [simulate] stage's artifact rendering. *)

@@ -1,13 +1,14 @@
 (** The SKiPPER environment, end to end (paper Fig. 2).
 
-    A thin façade over the staged pass manager ({!Passes}): compilation runs
-    the front-end passes (parse, typecheck, extract, transform, expand),
-    mapping and execution run the target passes (cost, map, emit, simulate).
-    Every pass is timed into a {!Stage.report} retrievable with {!reports} /
-    {!pp_timings}, and front-end artifacts are memoized when a
-    {!Passes.cache} is supplied — compiling one source for many
-    architectures pays the front end once (the paper's §4 "almost
-    instantaneous" processor-count variants). *)
+    The toolchain is a fixed sequence of stages, called here in order:
+    compilation runs the front end (parse, typecheck, extract, transform,
+    expand), mapping and execution run the back end against a target (cost,
+    map, then emit or simulate). Every stage goes through {!Passes.stage},
+    which times it into a {!Stage.report} retrievable with {!reports} /
+    {!pp_timings} and memoizes the front-end stages when a {!Passes.cache}
+    is supplied — compiling one source for many architectures pays the
+    front end once (the paper's §4 "almost instantaneous" processor-count
+    variants). *)
 
 type compiled = {
   name : string;
@@ -17,9 +18,9 @@ type compiled = {
   input : Skel.Value.t option;  (** program input when the source fixes it *)
   signatures : (string * string) list;
       (** inferred type schemes of the top-level names (source path only) *)
-  ctx : Passes.ctx;  (** the pass context; accumulates stage reports *)
+  log : Passes.log;  (** accumulates the reports of every stage run *)
   stages : (string * Stage.artifact) list;
-      (** every front-end pass's output, by pass name, in pipeline order *)
+      (** every front-end stage's output, by stage name, in pipeline order *)
 }
 
 type strategy = Passes.strategy
@@ -45,8 +46,8 @@ val compile_source :
     Wrapper glue functions are registered into [table]. [df_state] overrides
     the declared state-access mode of every [df] farm (the [--df-state]
     flag); the program's init value must already have the target mode's
-    shape. With [cache], every front-end artifact is memoized on (content
-    hash, pass, options, table identity). *)
+    shape. With [cache], every front-end artifact is memoized on (source
+    digest, stage, options, table content digest). *)
 
 val compile_ir :
   ?optimize:bool ->
@@ -56,14 +57,10 @@ val compile_ir :
   Skel.Ir.program ->
   compiled
 (** The embedded-API entry: validates a hand-built program, then runs the
-    transform and expand passes ([df_state] as in {!compile_source}). *)
+    transform and expand stages ([df_state] as in {!compile_source}). *)
 
 val emulate : compiled -> Skel.Value.t -> Skel.Value.t
 (** Sequential emulation via the declarative semantics ({!Skel.Sem}). *)
-
-val default_cost : compiled -> Syndex.Cost.t
-(** Static cost model for mapping; uses the generic defaults (the simulator
-    charges exact data-dependent costs at run time regardless). *)
 
 val map :
   ?strategy:strategy -> ?cost:Syndex.Cost.t -> compiled -> Archi.t ->
@@ -71,7 +68,9 @@ val map :
 (** Produce the static schedule/placement (default strategy ["canonical"],
     the paper's Fig. 1 layout; ["heft"] enables the automatic adequation
     heuristic, ["throughput"]/["bicriteria"] the frame-pipelined interval
-    mappers). Runs the cost and map passes. *)
+    mappers). Runs the cost and map stages; without [cost] the cost stage
+    uses the generic defaults ({!Syndex.Cost.make}), since the simulator
+    charges exact data-dependent costs at run time regardless. *)
 
 val execute :
   ?trace:bool ->
@@ -88,7 +87,7 @@ val execute :
   Archi.t ->
   Executive.result
 (** Map then run on the simulated machine (the cost, map and simulate
-    passes). [input] overrides the compiled input; raises [Compile_error]
+    stages). [input] overrides the compiled input; raises [Compile_error]
     when neither is available. [faults]/[restores]/[link_faults] inject the
     fault plan into the simulated machine, [recovery] enables the
     fault-tolerant df farm and [checkpoint_every] the master
@@ -109,7 +108,7 @@ val execute_with_schedule :
   compiled ->
   Archi.t ->
   Syndex.Schedule.t * Executive.result
-(** {!execute}, also returning the static schedule the map pass produced —
+(** {!execute}, also returning the static schedule the map stage produced —
     the predicted side of a conformance comparison
     ({!Skipper_trace.Conformance}) against the run's measured trace. *)
 
@@ -120,7 +119,7 @@ val check_equivalence :
     specification and the distributed executive must agree. *)
 
 val macro_code : compiled -> Syndex.Schedule.t -> string
-(** The emit pass: per-processor m4 macro-code for a schedule. *)
+(** The emit stage: per-processor m4 macro-code for a schedule. *)
 
 val reports : compiled -> Stage.report list
 (** Per-stage instrumentation, in execution order, accumulated across
@@ -152,9 +151,10 @@ val dump_stage :
   compiled ->
   string ->
   (string, string) result
-(** Render one stage's artifact by pass name. Front-end stages come from
-    the recorded compile artifacts; target stages ([cost], [map], [emit],
-    [simulate]) are (re)run against [arch]. *)
+(** Render one stage's artifact by stage name. Front-end stages come from
+    the recorded compile artifacts; back-end stages ([cost], [map], [emit],
+    [simulate]) are (re)run against [arch], after the stages they consume.
+    An unknown name is an [Error] listing all nine stages. *)
 
 val graph_dot : compiled -> string
 val pp_signatures : Format.formatter -> compiled -> unit

@@ -15,17 +15,6 @@ let protocol_error fmt =
    a plausible batch; fail before allocating the "length". *)
 let max_frame = 64 * 1024 * 1024
 
-let read_exact fd n =
-  let buf = Bytes.create n in
-  let rec go off =
-    if off = n then buf
-    else
-      match Unix.read fd buf off (n - off) with
-      | 0 -> raise End_of_file
-      | k -> go (off + k)
-  in
-  go 0
-
 let write_all fd s =
   let b = Bytes.unsafe_of_string s in
   let n = Bytes.length b in
@@ -34,23 +23,17 @@ let write_all fd s =
   in
   go 0
 
-let read_frame fd =
-  let hdr = read_exact fd 4 in
-  let len = Int32.to_int (Bytes.get_int32_be hdr 0) in
-  if len < 0 || len > max_frame then
-    protocol_error "frame length %d out of range" len;
-  Bytes.to_string (read_exact fd len)
-
 let write_frame fd payload =
   let hdr = Bytes.create 4 in
   Bytes.set_int32_be hdr 0 (Int32.of_int (String.length payload));
   write_all fd (Bytes.to_string hdr);
   write_all fd payload
 
-(* The server-side read distinguishes a clean close (EOF exactly on a
-   frame boundary) from a client vanishing mid-frame — a partial length
-   prefix or a truncated payload. The latter is an aborted frame: logged,
-   counted, and never allowed to take the serve loop down. *)
+(* The read distinguishes a clean close (EOF exactly on a frame boundary)
+   from a peer vanishing mid-frame — a partial length prefix or a
+   truncated payload. On the server the latter is an aborted frame:
+   logged, counted, and never allowed to take the serve loop down; the
+   client reads its reply the same way and turns either into an [Error]. *)
 
 type incoming = Frame of string | Closed | Aborted of string
 
@@ -694,20 +677,37 @@ let connect ?(retries = 50) ?(delay = 0.1) socket =
 
 let rpc fd requests =
   write_frame fd (Json.to_string (Json.Obj [ ("requests", Json.Arr requests) ]));
-  match Json.parse (read_frame fd) with
-  | Error m -> Error ("bad response frame: " ^ m)
-  | Ok json -> (
-      match Option.bind (Json.member "responses" json) Json.to_list with
-      | Some rs when List.length rs = List.length requests -> Ok rs
-      | Some rs ->
-          Error
-            (Printf.sprintf "expected %d responses, got %d"
-               (List.length requests) (List.length rs))
-      | None -> Error "response without a \"responses\" array")
+  match recv fd with
+  | Closed -> Error "daemon closed the connection without a reply"
+  | Aborted reason -> Error ("daemon reply cut short: " ^ reason)
+  | Frame payload -> (
+      match Json.parse payload with
+      | Error m -> Error ("bad response frame: " ^ m)
+      | Ok json -> (
+          match Option.bind (Json.member "responses" json) Json.to_list with
+          | Some rs when List.length rs = List.length requests -> Ok rs
+          | Some rs ->
+              Error
+                (Printf.sprintf "expected %d responses, got %d"
+                   (List.length requests) (List.length rs))
+          | None -> Error "response without a \"responses\" array"))
 
 let call ?retries ?delay ~socket requests =
-  let fd = connect ?retries ?delay socket in
-  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> rpc fd requests)
+  (* A daemon that hangs up before the request is written must not kill
+     the client: with SIGPIPE ignored the write fails with EPIPE instead. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  match connect ?retries ?delay socket with
+  | exception Unix.Unix_error (e, _, _) ->
+      Error
+        (Printf.sprintf "cannot connect to %s: %s" socket (Unix.error_message e))
+  | fd ->
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          try rpc fd requests with
+          | Unix.Unix_error (((EPIPE | ECONNRESET) as e), _, _) ->
+              Error ("daemon closed the connection: " ^ Unix.error_message e)
+          | Protocol_error m -> Error ("bad response frame: " ^ m))
 
 (* Request builders, so clients do not hand-roll the field names. *)
 

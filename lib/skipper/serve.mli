@@ -127,7 +127,12 @@ val call :
   (Support.Json.t list, string) result
 (** One connection, one batch: connect (retrying [retries] times, default
     50, sleeping [delay] seconds, default 0.1, while the daemon is still
-    binding), send the batch, return the responses in request order. *)
+    binding), send the batch, return the responses in request order. A
+    socket that cannot be connected to, a daemon that closes the connection
+    before or instead of replying, or a cut-short or malformed reply frame
+    gives [Error]. SIGPIPE is ignored for the whole process from the first
+    call on, so that a hang-up surfaces as that [Error] rather than a fatal
+    signal. *)
 
 val req_compile :
   ?frames:int -> ?optimize:bool -> app:string -> string -> Support.Json.t

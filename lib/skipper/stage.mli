@@ -1,11 +1,13 @@
 (** Typed stage artifacts and per-stage instrumentation records.
 
-    The Fig. 2 toolchain is a sequence of distinct stages; the pass manager
-    ({!Passes}) threads one {!artifact} value from stage to stage and records
-    one {!report} per executed pass — wall time, an artifact-size metric
-    (IR nodes, graph processes/channels, schedule slots, ...) and whether the
-    result came from the memoization cache. Reports print as a table
-    ([skipperc --timings], bench E9) or dump as JSON. *)
+    The Fig. 2 toolchain is a sequence of distinct stages, which
+    {!Pipeline} calls in order. Each stage's output has an {!artifact} form:
+    what the front-end memo cache ({!Passes}) stores, what a stage dump
+    renders, and what sizes the stage's {!report} — wall time, an
+    artifact-size metric (IR nodes, graph processes/channels, schedule
+    slots, ...) and whether the result came from the memoization cache.
+    Reports print as a table ([skipperc --timings], bench E9) or dump as
+    JSON. *)
 
 type artifact =
   | Source of string  (** raw specification text *)
@@ -22,9 +24,6 @@ type artifact =
   | Schedule of Syndex.Schedule.t  (** adequation result *)
   | Macro of string  (** emitted m4 macro-code *)
   | Result of Executive.result  (** a finished simulated run *)
-
-val kind : artifact -> string
-(** Short constructor name, e.g. ["graph"]. *)
 
 val size : artifact -> int * string
 (** A size metric for the artifact with its unit label, e.g.
@@ -54,8 +53,8 @@ val emit_reports :
   ?t0:float -> Skipper_trace.Event.timeline -> report list -> unit
 (** Append one span per report to the timeline's compile lane, with times
     re-based to [t0] (default: the first report's [start]) — this is how the
-    pass manager's stage instrumentation lands on the same timeline as the
-    simulator's events ([skipperc --trace-out]). *)
+    stage instrumentation lands on the same timeline as the simulator's
+    events ([skipperc --trace-out]). *)
 
 val pp_report_table : Format.formatter -> report list -> unit
 (** Fixed-width table, one row per pass, in pipeline order. *)

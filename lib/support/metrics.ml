@@ -184,7 +184,7 @@ let escape_label v =
     v;
   Buffer.contents buf
 
-let render_labels = function
+let prometheus_labels = function
   | [] -> ""
   | labels ->
       "{"
@@ -210,7 +210,7 @@ let to_prometheus t =
   List.iter
     (fun i ->
       head i;
-      let lbl = render_labels i.labels in
+      let lbl = prometheus_labels i.labels in
       match i.body with
       | Counter c ->
           Buffer.add_string buf
@@ -220,29 +220,18 @@ let to_prometheus t =
             (Printf.sprintf "%s%s %.9f\n" i.name lbl (Atomic.get g))
       | Hist hm ->
           let h = snapshot hm in
-          let with_le le rest =
-            match i.labels with
-            | [] -> Printf.sprintf "{le=\"%s\"}%s" le rest
-            | _ ->
-                Printf.sprintf "{%s,le=\"%s\"}%s"
-                  (String.concat ","
-                     (List.map
-                        (fun (k, v) ->
-                          Printf.sprintf "%s=\"%s\"" k (escape_label v))
-                        i.labels))
-                  le rest
-          in
+          let with_le le = prometheus_labels (i.labels @ [ ("le", le) ]) in
           let cum = ref 0 in
           List.iter
             (fun (le, n) ->
               cum := !cum + n;
               Buffer.add_string buf
                 (Printf.sprintf "%s_bucket%s %d\n" i.name
-                   (with_le (Printf.sprintf "%.9g" le) "")
+                   (with_le (Printf.sprintf "%.9g" le))
                    !cum))
             (Histogram.buckets h);
           Buffer.add_string buf
-            (Printf.sprintf "%s_bucket%s %d\n" i.name (with_le "+Inf" "")
+            (Printf.sprintf "%s_bucket%s %d\n" i.name (with_le "+Inf")
                (Histogram.count h));
           Buffer.add_string buf
             (Printf.sprintf "%s_sum%s %.9f\n" i.name lbl (Histogram.sum h));

@@ -75,3 +75,8 @@ val to_prometheus : t -> string
     {!Skipper_trace.Series.to_prometheus} ([_bucket{le="..."}] cumulative
     histograms with [+Inf], [_sum], [_count]; [%.9g] bucket bounds, [%.9f]
     float values). *)
+
+val prometheus_labels : (string * string) list -> string
+(** A Prometheus label set, [{k="v",...}] ([""] when empty), each value
+    escaped as the text format defines: backslash, double quote and
+    newline only. The one label writer of both expositions. *)

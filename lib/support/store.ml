@@ -1,7 +1,7 @@
 (* On-disk content-addressed artifact store.
 
    Entries are immutable byte payloads keyed by an opaque string (in
-   practice the pass manager's running content hash). Each entry is one
+   practice the front-end cache's running content hash). Each entry is one
    file under [dir]/objects/<p>/<name> whose name is the MD5 of the key —
    keys therefore never need to be filesystem-safe — and whose header
    carries a magic, the caller's format stamp, the full key and a payload

@@ -1,9 +1,9 @@
 (** Persistent content-addressed artifact store.
 
     An entry is an immutable byte payload under an opaque string key. The
-    pass manager uses it to make front-end compile artifacts survive
-    [skipperc] invocations: keys are content hashes of
-    (source digest, pass name, pass options, table digest), so equal
+    front-end cache uses it to make compile artifacts survive [skipperc]
+    invocations: keys are content hashes of
+    (source digest, stage name, stage options, table digest), so equal
     compiles in different processes address the same on-disk entry.
 
     Layout: one file per entry under [dir]/objects, named by the MD5 of

@@ -149,7 +149,6 @@ let of_placement cost arch g placement =
                 Schedule.edge = e;
                 from_proc;
                 to_proc;
-                route = Archi.route arch from_proc to_proc;
                 bytes = d.Dag.bytes;
                 start = depart;
                 finish = arrival;

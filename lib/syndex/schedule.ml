@@ -17,7 +17,6 @@ type comm_slot = {
   edge : Procnet.Graph.edge;
   from_proc : int;
   to_proc : int;
-  route : int list;
   bytes : int;
   start : float;
   finish : float;
@@ -122,14 +121,10 @@ let validate t =
               let route_bad =
                 List.find_opt
                   (fun c ->
-                    let rec hops = function
-                      | a :: (b :: _ as rest) ->
-                          (match Archi.link_between t.arch a b with
-                          | None -> true
-                          | Some _ -> hops rest)
-                      | _ -> false
-                    in
-                    hops c.route)
+                    List.exists
+                      (fun h ->
+                        Archi.link_between t.arch h.hop_src h.hop_dst = None)
+                      c.hops)
                   t.comms
               in
               (match route_bad with
@@ -142,15 +137,12 @@ let link_orders t =
   let table = Hashtbl.create 16 in
   List.iter
     (fun c ->
-      let rec each = function
-        | a :: (b :: _ as rest) ->
-            let key = (a, b) in
-            Hashtbl.replace table key
-              (c :: Option.value ~default:[] (Hashtbl.find_opt table key));
-            each rest
-        | _ -> ()
-      in
-      each c.route)
+      List.iter
+        (fun h ->
+          let key = (h.hop_src, h.hop_dst) in
+          Hashtbl.replace table key
+            (c :: Option.value ~default:[] (Hashtbl.find_opt table key)))
+        c.hops)
     t.comms;
   Hashtbl.fold
     (fun key comms acc ->

@@ -32,11 +32,12 @@ type comm_slot = {
   edge : Procnet.Graph.edge;
   from_proc : int;
   to_proc : int;
-  route : int list;
   bytes : int;
   start : float;  (** departure from the source processor *)
   finish : float;  (** arrival at the destination processor *)
-  hops : hop_slot list;  (** per-link reservations along [route], in order *)
+  hops : hop_slot list;
+      (** per-link reservations along [Archi.route arch from_proc to_proc],
+          in order *)
 }
 
 type stage_interval = {

@@ -72,10 +72,7 @@ let event_json (e : Event.t) =
     | Event.Instant -> (ph "i" :: common) @ (("s", Json.Str "t") :: args)
     | Event.Flow_start flow -> (ph "s" :: common) @ [ ("id", Json.int flow) ]
     | Event.Flow_end flow ->
-        (ph "f" :: ("bp", Json.Str "e") :: common) @ [ ("id", Json.int flow) ]
-    | Event.Counter values ->
-        (ph "C" :: common)
-        @ [ ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.Fixed (3, v))) values)) ])
+        (ph "f" :: ("bp", Json.Str "e") :: common) @ [ ("id", Json.int flow) ])
 
 (* The one piece of layout outside [Support.Json]: one trace event per
    line, each a [Json.to_string] record, so large traces stay diffable. *)

@@ -223,13 +223,6 @@ let critical_path acts =
 (* ------------------------------------------------------------------ *)
 (* Predicted-vs-measured joins                                         *)
 
-let route_hops route =
-  let rec go acc = function
-    | a :: (b :: _ as rest) -> go ((a, b) :: acc) rest
-    | _ -> List.rev acc
-  in
-  go [] route
-
 let op_rows ~(schedule : Schedule.t) ~nframes acts =
   let predicted = Hashtbl.create 16 in
   List.iter
@@ -273,27 +266,15 @@ let link_rows ~(schedule : Schedule.t) ~nframes acts =
     let prev = Option.value ~default:0.0 (Hashtbl.find_opt predicted key) in
     Hashtbl.replace predicted key (prev +. dur)
   in
+  (* the prediction engine reserves each hop for its own startup + byte
+     time; charge exactly those slots *)
   List.iter
     (fun (c : Schedule.comm_slot) ->
-      match c.Schedule.hops with
-      | _ :: _ as hops ->
-          (* the prediction engine reserves each hop for its own
-             startup + byte time; charge exactly those slots *)
-          List.iter
-            (fun (h : Schedule.hop_slot) ->
-              book (h.Schedule.hop_src, h.Schedule.hop_dst)
-                (h.Schedule.hop_finish -. h.Schedule.hop_start))
-            hops
-      | [] -> (
-          (* schedules without hop detail: spread the end-to-end slot
-             evenly over the route *)
-          match route_hops c.route with
-          | [] -> ()
-          | hops ->
-              let share =
-                (c.finish -. c.start) /. float_of_int (List.length hops)
-              in
-              List.iter (fun key -> book key share) hops))
+      List.iter
+        (fun (h : Schedule.hop_slot) ->
+          book (h.Schedule.hop_src, h.Schedule.hop_dst)
+            (h.Schedule.hop_finish -. h.Schedule.hop_start))
+        c.Schedule.hops)
     schedule.comms;
   let measured = Hashtbl.create 16 in
   List.iter
@@ -562,34 +543,19 @@ let predicted_overlay (schedule : Schedule.t) =
         let label =
           Printf.sprintf "comm %d->%d" c.edge.Graph.src c.edge.Graph.dst
         in
-        match c.Schedule.hops with
-        | _ :: _ as hops ->
-            (* draw the actual per-hop reservations (startup + byte time,
-               around earlier traffic), not an even split *)
-            List.map
-              (fun (h : Schedule.hop_slot) ->
-                {
-                  Svg.bar_lane =
-                    Event.link_lane ~src:h.Schedule.hop_src
-                      ~dst:h.Schedule.hop_dst ~nprocs;
-                  bar_label = label;
-                  bar_start = h.Schedule.hop_start;
-                  bar_finish = h.Schedule.hop_finish;
-                })
-              hops
-        | [] ->
-            let hops = route_hops c.route in
-            let n = List.length hops in
-            let dur = (c.finish -. c.start) /. float_of_int (Int.max 1 n) in
-            List.mapi
-              (fun i (src, dst) ->
-                {
-                  Svg.bar_lane = Event.link_lane ~src ~dst ~nprocs;
-                  bar_label = label;
-                  bar_start = c.start +. (float_of_int i *. dur);
-                  bar_finish = c.start +. (float_of_int (i + 1) *. dur);
-                })
-              hops)
+        (* the per-hop reservations: startup + byte time, placed around
+           earlier traffic *)
+        List.map
+          (fun (h : Schedule.hop_slot) ->
+            {
+              Svg.bar_lane =
+                Event.link_lane ~src:h.Schedule.hop_src ~dst:h.Schedule.hop_dst
+                  ~nprocs;
+              bar_label = label;
+              bar_start = h.Schedule.hop_start;
+              bar_finish = h.Schedule.hop_finish;
+            })
+          c.Schedule.hops)
       schedule.comms
   in
   op_bars @ comm_bars

@@ -10,7 +10,7 @@
       plus the send/recv overhead the static model does not charge to
       the op;
     - {b per-link slack} — each directed link's predicted occupancy (comm
-      slots spread evenly over their route hops) against the measured
+      slots charged per hop reservation) against the measured
       per-frame wire time;
     - {b makespan error} — predicted makespan vs measured per-frame
       latency (mean over frames when output times are known, otherwise
@@ -39,7 +39,7 @@ type op_row = {
 type link_row = {
   link_src : int;
   link_dst : int;
-  predicted_occupancy : float;  (** comm slots split evenly over hops *)
+  predicted_occupancy : float;  (** the comm slots' hop reservations *)
   measured_occupancy : float;  (** link spans per frame *)
   link_slack : float;
 }

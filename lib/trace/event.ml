@@ -12,7 +12,6 @@ type kind =
   | Instant
   | Flow_start of int
   | Flow_end of int
-  | Counter of (string * float) list
 
 type t = {
   time : float;
@@ -52,9 +51,6 @@ let flow_start tl ~lane ~cat ?(name = "msg") ~flow ~time () =
 
 let flow_end tl ~lane ~cat ?(name = "msg") ~flow ~time () =
   add tl { time; name; cat; lane; args = []; kind = Flow_end flow }
-
-let counter tl ~lane ~name ~time values =
-  add tl { time; name; cat = "counter"; lane; args = []; kind = Counter values }
 
 let compile_track = 0
 let env_track = 1

@@ -1,8 +1,8 @@
 (** Structured trace events shared by the whole toolchain.
 
-    One {!timeline} holds everything a run produced: compile-stage spans from
-    the pass manager, process activity and message lifecycles from the
-    machine simulator, and counter samples. Exporters ({!Chrome}, {!Svg})
+    One {!timeline} holds everything a run produced: compile-stage spans
+    from the toolchain's stage reports, and process activity and message
+    lifecycles from the machine simulator. Exporters ({!Chrome}, {!Svg})
     render a timeline without knowing who emitted into it.
 
     Events are attributed to a {!lane}: a [track] groups lanes the way a
@@ -28,7 +28,6 @@ type kind =
   | Instant
   | Flow_start of int  (** message departure; the int ties start to end *)
   | Flow_end of int  (** message consumption, same flow id as its start *)
-  | Counter of (string * float) list  (** sampled counter values *)
 
 type t = {
   time : float;  (** seconds from the timeline origin *)
@@ -102,14 +101,6 @@ val flow_end :
   flow:int ->
   time:float ->
   unit ->
-  unit
-
-val counter :
-  timeline ->
-  lane:lane ->
-  name:string ->
-  time:float ->
-  (string * float) list ->
   unit
 
 (** {1 Lane conventions} *)

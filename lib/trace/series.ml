@@ -172,7 +172,7 @@ let build ~width ~nprocs ?(horizon = 0.0) ?(output_times = [])
               bump_depth w
                 (lane.Event.track, lane.Event.index, port_of e.Event.name)
                 1
-        | Event.Flow_start _ | Event.Flow_end _ | Event.Counter _ -> ())
+        | Event.Flow_start _ | Event.Flow_end _ -> ())
       events;
     let misses_of lat =
       match input_period with
@@ -762,6 +762,7 @@ let to_csv t =
   Buffer.contents buf
 
 let to_prometheus ?slo t =
+  let labels = Support.Metrics.prometheus_labels in
   let buf = Buffer.create 1024 in
   let tot = totals t in
   let counter name help v =
@@ -787,8 +788,9 @@ let to_prometheus ?slo t =
       Array.fold_left (fun acc w -> acc +. w.busy.(p)) 0.0 t.windows
     in
     Buffer.add_string buf
-      (Printf.sprintf "skipper_processor_busy_seconds_total{proc=\"%d\"} %.9f\n"
-         p v)
+      (Printf.sprintf "skipper_processor_busy_seconds_total%s %.9f\n"
+         (labels [ ("proc", string_of_int p) ])
+         v)
   done;
   let links = Hashtbl.create 8 in
   Array.iter
@@ -809,9 +811,9 @@ let to_prometheus ?slo t =
     List.iter
       (fun ((src, dst), v) ->
         Buffer.add_string buf
-          (Printf.sprintf
-             "skipper_link_busy_seconds_total{src=\"%d\",dst=\"%d\"} %.9f\n"
-             src dst v))
+          (Printf.sprintf "skipper_link_busy_seconds_total%s %.9f\n"
+             (labels [ ("src", string_of_int src); ("dst", string_of_int dst) ])
+             v))
       link_rows
   end;
   let hist =
@@ -827,11 +829,13 @@ let to_prometheus ?slo t =
     (fun (le, n) ->
       cum := !cum + n;
       Buffer.add_string buf
-        (Printf.sprintf "skipper_frame_latency_seconds_bucket{le=\"%.9g\"} %d\n"
-           le !cum))
+        (Printf.sprintf "skipper_frame_latency_seconds_bucket%s %d\n"
+           (labels [ ("le", Printf.sprintf "%.9g" le) ])
+           !cum))
     (Histogram.buckets hist);
   Buffer.add_string buf
-    (Printf.sprintf "skipper_frame_latency_seconds_bucket{le=\"+Inf\"} %d\n"
+    (Printf.sprintf "skipper_frame_latency_seconds_bucket%s %d\n"
+       (labels [ ("le", "+Inf") ])
        (Histogram.count hist));
   Buffer.add_string buf
     (Printf.sprintf "skipper_frame_latency_seconds_sum %.9f\n" (Histogram.sum hist));
@@ -860,6 +864,7 @@ let to_prometheus ?slo t =
         # TYPE skipper_backlog_max gauge\n\
         skipper_backlog_max %d\n"
        backlog);
+  let slo_label (m : Slo.monitor) = labels [ ("slo", m.Slo.spec.Slo.raw) ] in
   (match slo with
   | None -> ()
   | Some report ->
@@ -875,8 +880,7 @@ let to_prometheus ?slo t =
             | Slo.Violated -> 2
           in
           Buffer.add_string buf
-            (Printf.sprintf "skipper_slo_state{slo=%S} %d\n" m.Slo.spec.Slo.raw
-               v))
+            (Printf.sprintf "skipper_slo_state%s %d\n" (slo_label m) v))
         report.Slo.monitors;
       Buffer.add_string buf
         "# HELP skipper_slo_burn_seconds_total Time spent failing the SLO.\n\
@@ -884,7 +888,7 @@ let to_prometheus ?slo t =
       List.iter
         (fun (m : Slo.monitor) ->
           Buffer.add_string buf
-            (Printf.sprintf "skipper_slo_burn_seconds_total{slo=%S} %.9f\n"
-               m.Slo.spec.Slo.raw m.Slo.total_burn))
+            (Printf.sprintf "skipper_slo_burn_seconds_total%s %.9f\n"
+               (slo_label m) m.Slo.total_burn))
         report.Slo.monitors);
   Buffer.contents buf

@@ -219,7 +219,7 @@ let gantt ?(width = 960) ?(predicted = []) ?(critical = []) ?(bands = [])
                  (f2 (mid +. (bar_h /. 2.0)))
                  (colour e.Event.cat) (escape e.Event.name)
                  (f2 (e.Event.time *. 1e3)))
-        | Event.Flow_start _ | Event.Flow_end _ | Event.Counter _ -> ())
+        | Event.Flow_start _ | Event.Flow_end _ -> ())
       events;
     (* message arrows: pair flow starts with their ends *)
     let starts = Hashtbl.create 64 in

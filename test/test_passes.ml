@@ -1,8 +1,9 @@
-(* Tests for the staged pass manager: per-stage reports, artifact
+(* Tests for the stage driver: per-stage reports, artifact
    memoization (hit/miss behaviour across architecture variants, source
    edits and table content — including hits across independently
    constructed equal tables, with derived-function replay, and through the
-   persistent on-disk store), stage dumps, and a qcheck property that the
+   persistent on-disk store), stage dumps, pins of the driver's bytes
+   (dumps, report sequences, cache keys), and a qcheck property that the
    optimized (Skel.Transform) and unoptimized pipelines are
    emulation-equivalent on random skeletal programs. *)
 
@@ -258,6 +259,214 @@ let test_dump_stages () =
         (Astring.String.is_infix ~affix:"parse" m)
 
 (* ------------------------------------------------------------------ *)
+(* Pins: the observable bytes of the stage driver — every stage dump, the
+   report sequence across compile/map/execute/emit and its cached
+   replays, and the on-disk cache keys — recorded before the driver was
+   rewritten and required to stay put.                                  *)
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+(* Derived-function names carry a process-global counter ([f__s12]), so a
+   dump's bytes depend on what this process compiled before; digits after
+   [__s] are dropped before hashing. *)
+let strip_gensyms s =
+  let b = Buffer.create (String.length s) in
+  let n = String.length s in
+  let rec go i =
+    if i < n then
+      if i + 3 <= n && String.sub s i 3 = "__s" then begin
+        Buffer.add_string b "__s";
+        let j = ref (i + 3) in
+        while !j < n && s.[!j] >= '0' && s.[!j] <= '9' do incr j done;
+        go !j
+      end
+      else begin
+        Buffer.add_char b s.[i];
+        go (i + 1)
+      end
+  in
+  go 0;
+  Buffer.contents b
+
+(* A fresh per-process directory under the temp dir, emptied first. *)
+let fresh_dir name =
+  let rec rm_rf path =
+    if Sys.file_exists path then
+      if Sys.is_directory path then begin
+        Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+        Sys.rmdir path
+      end
+      else Sys.remove path
+  in
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "%s.%d" name (Unix.getpid ()))
+  in
+  rm_rf dir;
+  dir
+
+let pin_stage_names =
+  [
+    "parse"; "typecheck"; "extract"; "transform"; "expand"; "cost"; "map";
+    "emit"; "simulate";
+  ]
+
+let test_pin_dumps () =
+  let config = Tracking.Funcs.default_config in
+  let c =
+    P.compile_source ~frames:3 ~table:(Tracking.Funcs.table config)
+      (Tracking.Funcs.source config)
+  in
+  let dumps =
+    List.map
+      (fun name ->
+        match P.dump_stage ~arch:(Archi.ring 4) c name with
+        | Ok text ->
+            let text = strip_gensyms text in
+            Printf.sprintf "%s %d %s" name (String.length text) (md5 text)
+        | Error m -> Alcotest.failf "dump %s: %s" name m)
+      pin_stage_names
+  in
+  Alcotest.(check (list string)) "stage dumps" 
+    [
+      "parse 669 8798b3b95aaacf38f44c1b3d4709824f";
+      "typecheck 392 59858ac1a899b49753bf3ce02c3bfab3";
+      "extract 199 77d68a4f26548a49d8888ddaea31b43e";
+      "transform 199 77d68a4f26548a49d8888ddaea31b43e";
+      "expand 1423 7ae4109354e02d0c3536f9d8068e464e";
+      "cost 870 d664d780415e137ed56c06c1765a625e";
+      "map 467 5b862ed92f1ec163a21731f5a182e689";
+      "emit 3022 fe528ca7e6f85ba129a79c1b55b4bb66";
+      "simulate 2751 43fb3de5b0e58eed1900b43b9d9edf45";
+    ]
+    dumps;
+  let error ?arch c name =
+    match P.dump_stage ?arch c name with
+    | Ok _ -> Alcotest.failf "dump %s should fail" name
+    | Error m -> m
+  in
+  Alcotest.(check string) "unknown stage"
+    "unknown stage \"nosuch\" (stages: parse, typecheck, extract, \
+     transform, expand, cost, map, emit, simulate)"
+    (error c "nosuch");
+  Alcotest.(check string) "map without an architecture"
+    "stage map needs a target architecture (it was not run at compile time)"
+    (error c "map");
+  let ir =
+    P.compile_ir ~table:(simple_table ())
+      (Ir.program "p" (Ir.Seq "sq"))
+  in
+  Alcotest.(check string) "front-end stage of an embedded program"
+    "stage parse was not run for this program (front-end stages are only \
+     recorded when compiling from source)"
+    (error ~arch:(Archi.ring 4) ir "parse");
+  Alcotest.(check string) "front-end stage without an architecture"
+    "stage extract needs a target architecture (it was not run at compile \
+     time)"
+    (error ir "extract")
+
+let report_line r =
+  Printf.sprintf "%s %d %s %b %s" r.Stage.pass r.Stage.size r.Stage.metric
+    r.Stage.cached r.Stage.detail
+
+let test_pin_reports () =
+  let dir = fresh_dir "skipper-test-passes-pin-reports" in
+  let store () =
+    Support.Store.open_store ~dir ~stamp:Passes.artifact_format ()
+  in
+  let cache = Passes.create_cache ~store:(store ()) () in
+  let arch = Archi.ring 4 in
+  let input = V.List [ V.Int 1; V.Int 2; V.Int 3 ] in
+  let drive cache =
+    let c = P.compile_source ~frames:2 ~cache ~table:(simple_table ()) wrapper_src in
+    let s = P.map ~strategy:"throughput" c arch in
+    ignore (P.execute ~input c arch);
+    ignore (P.macro_code c s);
+    List.map report_line (P.reports c)
+  in
+  Alcotest.(check (list string)) "cold compile, map, execute, emit"
+    
+    [
+      "parse 3 bindings false ";
+      "typecheck 3 schemes false ";
+      "extract 3 ir nodes false ";
+      "transform 3 ir nodes false disabled";
+      "expand 12 procs+chans false ";
+      "cost 12 procs+chans false default model";
+      "map 11 slots false ring-4";
+      "cost 12 procs+chans false default model";
+      "map 12 slots false ring-4";
+      "simulate 2 frames false ";
+      "emit 49 lines false ";
+    ] (drive cache);
+  Alcotest.(check (list string)) "memoized recompile" 
+    [
+      "parse 3 bindings true memoized";
+      "typecheck 3 schemes true memoized";
+      "extract 3 ir nodes true memoized";
+      "transform 3 ir nodes true memoized";
+      "expand 12 procs+chans true memoized";
+      "cost 12 procs+chans false default model";
+      "map 11 slots false ring-4";
+      "cost 12 procs+chans false default model";
+      "map 12 slots false ring-4";
+      "simulate 2 frames false ";
+      "emit 49 lines false ";
+    ] (drive cache);
+  Alcotest.(check (list string)) "store-only recompile" 
+    [
+      "parse 3 bindings true store";
+      "typecheck 3 schemes true store";
+      "extract 3 ir nodes true store";
+      "transform 3 ir nodes true store";
+      "expand 12 procs+chans true store";
+      "cost 12 procs+chans false default model";
+      "map 11 slots false ring-4";
+      "cost 12 procs+chans false default model";
+      "map 12 slots false ring-4";
+      "simulate 2 frames false ";
+      "emit 49 lines false ";
+    ]
+    (drive (Passes.create_cache ~store:(store ()) ()))
+
+let test_pin_cache_keys () =
+  let dir = fresh_dir "skipper-test-passes-pin-keys" in
+  let cache =
+    Passes.create_cache
+      ~store:(Support.Store.open_store ~dir ~stamp:Passes.artifact_format ())
+      ()
+  in
+  let compile ?optimize frames =
+    ignore
+      (P.compile_source ?optimize ~frames ~cache ~table:(simple_table ())
+         simple_src)
+  in
+  compile 1;
+  compile 2;
+  compile ~optimize:true 1;
+  let objects = Filename.concat dir "objects" in
+  let names =
+    Array.to_list (Sys.readdir objects)
+    |> List.concat_map (fun sub ->
+           Array.to_list (Sys.readdir (Filename.concat objects sub)))
+    |> List.sort compare
+  in
+  Alcotest.(check (list string)) "store object names" 
+    [
+      "05e20a2091f0ffd3eba1b959b7d08b59";
+      "12ec756b74277c04e0fb1c6f03e44968";
+      "199d33a366089affb0e2e2c1759070c8";
+      "224cc13121483bd63f08187699f8cee7";
+      "379cdf7166aad0d135a07bd74260b536";
+      "3fa26c46aa8b4241d7c1da422008c905";
+      "4321ac5dba6b4375e833bb9bb2c563fb";
+      "6d26056a4e80069ada9e6b5144495d9e";
+      "81bffd9c1c85e410435fc1d887b32911";
+      "ebe67cb82639a318fd373f26b22d68ca";
+    ] names
+
+(* ------------------------------------------------------------------ *)
 (* Optimized/unoptimized equivalence on random skeletal programs        *)
 
 let property_table () =
@@ -399,6 +608,12 @@ let () =
         ] );
       ( "dumps",
         [ Alcotest.test_case "dump stages" `Quick test_dump_stages ] );
+      ( "pins",
+        [
+          Alcotest.test_case "stage dumps and errors" `Quick test_pin_dumps;
+          Alcotest.test_case "report sequence" `Quick test_pin_reports;
+          Alcotest.test_case "cache keys" `Quick test_pin_cache_keys;
+        ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_optimized_pipeline_equivalent;

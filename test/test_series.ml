@@ -185,6 +185,30 @@ let test_slo_gap_holds_state () =
   Alcotest.(check (option (float 1e-9))) "recovery waits for an observation"
     (Some 5.0) m.S.Slo.recovered_at
 
+(* The Prometheus text format escapes only backslash, double quote and
+   newline in label values. [Slo.parse] trims the spec but keeps [raw], so
+   a trailing tab reaches the [slo] label and must be written as itself,
+   not as OCaml's [\t] escape. *)
+let test_prometheus_slo_label () =
+  let series =
+    match
+      S.build ~width:1.0 ~nprocs:1 ~horizon:2.0 ~output_times:[ 0.5; 1.5 ]
+        ~latencies:[ 0.01; 0.01 ] (E.create ())
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let raw = "p99_latency<80ms\t" in
+  let prom =
+    S.to_prometheus ~slo:(S.Slo.evaluate [ spec_ok raw ] series) series
+  in
+  let has affix = Astring.String.is_infix ~affix prom in
+  Alcotest.(check bool) "state line keeps the raw spec" true
+    (has "skipper_slo_state{slo=\"p99_latency<80ms\t\"} 0\n");
+  Alcotest.(check bool) "burn line keeps the raw spec" true
+    (has "skipper_slo_burn_seconds_total{slo=\"p99_latency<80ms\t\"} ");
+  Alcotest.(check bool) "no undefined escape" false (has "\\t")
+
 (* ------------------------------------------------------------------ *)
 (* Totals: the series is an exact decomposition of the run's counters.  *)
 
@@ -321,6 +345,8 @@ let () =
           Alcotest.test_case "gaps hold state" `Quick test_slo_gap_holds_state;
           Alcotest.test_case "fault-window alerting" `Quick
             test_fault_window_alerting;
+          Alcotest.test_case "prometheus slo label" `Quick
+            test_prometheus_slo_label;
         ] );
       ( "totals",
         [

@@ -451,6 +451,55 @@ let test_early_close () =
 (* The metrics op: a Prometheus exposition whose per-op request histogram
    counts exactly the requests served, plus the skipperc-top rendering of
    the stats snapshot. *)
+(* A peer that accepts and hangs up — after reading the whole request, or
+   at once — must come back from [call] as an [Error]: the client never
+   dies of [End_of_file] or SIGPIPE because the daemon went away. So must
+   a socket nobody listens on. *)
+let test_hangup_is_an_error () =
+  let read_n fd n =
+    let buf = Bytes.create n in
+    let rec go off =
+      if off < n then
+        match Unix.read fd buf off (n - off) with 0 -> () | k -> go (off + k)
+    in
+    go 0;
+    buf
+  in
+  List.iter
+    (fun read_request ->
+      let socket = tmp_name "skipper-test-serve-hangup.sock" in
+      (try Unix.unlink socket with Unix.Unix_error _ -> ());
+      let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.bind listener (Unix.ADDR_UNIX socket);
+      Unix.listen listener 1;
+      let peer =
+        Domain.spawn (fun () ->
+            let fd, _ = Unix.accept listener in
+            if read_request then
+              ignore
+                (read_n fd
+                   (Int32.to_int (Bytes.get_int32_be (read_n fd 4) 0)));
+            Unix.close fd)
+      in
+      let outcome = Serve.call ~retries:0 ~socket [ Serve.req_stats ] in
+      Domain.join peer;
+      Unix.close listener;
+      Unix.unlink socket;
+      match outcome with
+      | Error m ->
+          Alcotest.(check bool) "the error says something" true (m <> "")
+      | Ok _ -> Alcotest.fail "a hang-up must not produce responses")
+    [ true; false ];
+  match
+    Serve.call ~retries:0
+      ~socket:(tmp_name "skipper-test-serve-nobody.sock")
+      [ Serve.req_stats ]
+  with
+  | Error m ->
+      Alcotest.(check bool) "names the failed connect" true
+        (Astring.String.is_infix ~affix:"cannot connect" m)
+  | Ok _ -> Alcotest.fail "no listener must not produce responses"
+
 let test_metrics_op () =
   let socket = tmp_name "skipper-test-serve-metrics.sock" in
   let cfg =
@@ -607,6 +656,8 @@ let () =
             test_concurrent_clients;
           Alcotest.test_case "aborted frames" `Quick test_aborted_frames;
           Alcotest.test_case "early close" `Quick test_early_close;
+          Alcotest.test_case "hang-up is an error" `Quick
+            test_hangup_is_an_error;
           Alcotest.test_case "metrics op and top" `Quick test_metrics_op;
           Alcotest.test_case "jobs determinism" `Quick test_jobs_determinism;
         ] );

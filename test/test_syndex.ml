@@ -147,7 +147,12 @@ let test_link_orders_cover_comms () =
   let expected_hops =
     List.fold_left
       (fun acc (c : Syndex.Schedule.comm_slot) ->
-        acc + List.length c.Syndex.Schedule.route - 1)
+        let n = List.length c.Syndex.Schedule.hops in
+        Alcotest.(check int) "one hop slot per route link"
+          (Archi.hops s.Syndex.Schedule.arch c.Syndex.Schedule.from_proc
+             c.Syndex.Schedule.to_proc)
+          n;
+        acc + n)
       0 s.Syndex.Schedule.comms
   in
   Alcotest.(check int) "every hop appears once" expected_hops total_hops
