@@ -1,19 +1,19 @@
 (* Benchmark harness: regenerates every quantitative result of the paper's
    evaluation (section 4) plus the companion experiments indexed in
-   DESIGN.md (E1-E9), and a bechamel micro-benchmark suite of the core
-   computational kernels.
+   DESIGN.md (E1-E17).
 
-     dune exec bench/main.exe           runs E1..E9
+     dune exec bench/main.exe           runs E1..E17
      dune exec bench/main.exe -- e4     runs one experiment
-     dune exec bench/main.exe -- micro  runs the bechamel suite
      dune exec bench/main.exe -- simscale
                                         times the simulator at scale
 
    Reported latencies are *simulated* times on the T9000-era machine model;
    the paper's numbers were measured on the real Transvision platform, so
    shapes (ratios, scaling, crossovers), not absolute values, are the
-   reproduction target. EXPERIMENTS.md records the output of this harness
-   against the paper's claims. *)
+   reproduction target. Every experiment's stdout, --json entry and
+   --trace-dir export is a function of the simulated runs alone; host time
+   is measured by perfbench/ and by [simscale], never here. EXPERIMENTS.md
+   records the output of this harness against the paper's claims. *)
 
 module V = Skel.Value
 
@@ -38,8 +38,8 @@ let recorded : (string * Machine.Metrics.report) list ref = ref []
 let tracing () = !trace_dir <> None
 
 (* Experiment-specific numeric fields appended to an experiment's --json
-   entry (e.g. E15's conformance scalars). Must be simulation-deterministic
-   like everything else in the summary. *)
+   entry (e.g. E15's conformance scalars). Must be deterministic like
+   everything else in the summary. *)
 let extra_fields : (string * (string * float) list) list ref = ref []
 let record_extras ~experiment extras =
   extra_fields := (experiment, extras) :: !extra_fields
@@ -62,11 +62,9 @@ let farm ~name xs f =
   in
   if !jobs > 1 then begin
     pool_stats := (name, stats) :: !pool_stats;
-    Printf.eprintf
-      "bench: %s: %d jobs on %d domains, %.3f s wall, speedup %.2fx\n" name
+    Printf.eprintf "bench: %s: %d jobs on %d domains, %.3f s wall\n" name
       stats.Support.Domain_pool.njobs stats.Support.Domain_pool.domains
       stats.Support.Domain_pool.wall_s
-      (Support.Domain_pool.speedup stats)
   end;
   results
 
@@ -115,7 +113,7 @@ let write_summary_json path =
 (* Baseline regression gate (--check-baseline / --update-baseline): the
    committed bench/baseline.json pins every experiment's summary entry.
    Counter-like fields must match exactly (any drift is a behaviour
-   change); timing-shaped fields get a small relative tolerance so
+   change); every other field gets a small relative tolerance so
    deliberate cost-model refinements do not trip on rounding. *)
 
 let exact_baseline_fields =
@@ -123,17 +121,6 @@ let exact_baseline_fields =
     "messages"; "bytes"; "dropped_msgs"; "deadline_misses"; "reissues";
     "serve_requests"; "serve_cold_misses"; "serve_warm_misses";
     "store_warm_misses"; "checkpoints"; "replayed_frames"; "stall_collected";
-  ]
-
-(* Wall-clock-shaped fields (E9's serve latency percentiles): the gate
-   checks they are present and numeric, never their values. *)
-let volatile_baseline_fields =
-  [
-    "serve_p50_ms";
-    "serve_p95_ms";
-    "serve_p99_ms";
-    "serve_throughput_rps";
-    "serve_hit_ratio";
   ]
 
 let check_against_baseline path =
@@ -152,8 +139,7 @@ let check_against_baseline path =
   in
   let current = parse "current run" (summary_entries ()) in
   let verdict =
-    Support.Baseline.compare ~exact:exact_baseline_fields
-      ~volatile:volatile_baseline_fields ~baseline ~current ()
+    Support.Baseline.compare ~exact:exact_baseline_fields ~baseline ~current ()
   in
   if Support.Baseline.ok verdict then begin
     Printf.eprintf "bench: baseline check passed (%d experiments vs %s)\n"
@@ -292,14 +278,12 @@ let e2 () =
   let src = Tracking.Funcs.source config in
   let cache = Skipper_lib.Passes.create_cache () in
   Printf.printf
-    "\nfront-end cost per processor-count variant (memoized pass manager):\n";
-  Printf.printf "%6s %20s %18s\n" "procs" "compile+map (ms)" "front end";
+    "\nfront end per processor-count variant (memoized pass manager):\n";
+  Printf.printf "%6s %18s\n" "procs" "front end";
   List.iter
     (fun p ->
-      let t0 = Unix.gettimeofday () in
       let c = Skipper_lib.Pipeline.compile_source ~frames:12 ~cache ~table src in
       let _sched = Skipper_lib.Pipeline.map c (Archi.ring p) in
-      let dt = ms (Unix.gettimeofday () -. t0) in
       let frontend_passes =
         [ "parse"; "typecheck"; "extract"; "transform"; "expand" ]
       in
@@ -310,7 +294,7 @@ let e2 () =
             || r.Skipper_lib.Stage.cached)
           (Skipper_lib.Pipeline.reports c)
       in
-      Printf.printf "%6d %20.3f %18s\n" p dt
+      Printf.printf "%6d %18s\n" p
         (if cached then "memoized" else "compiled"))
     [ 1; 2; 4; 8; 12; 16 ];
   let hits, misses = Skipper_lib.Passes.cache_stats cache in
@@ -610,8 +594,9 @@ let rec rm_rf path =
 
 let e9 () =
   header "E9" "toolchain traversal and emulation/executive equivalence (paper Fig. 2)";
-  (* The per-stage table below is sourced from the Stage.report record
-     each Fig. 2 stage produces, not from ad-hoc timers. *)
+  (* The stage sequence below comes from the Stage.report record each
+     Fig. 2 stage produces, without the wall time (skipperc --timings
+     prints that). *)
   let config = Tracking.Funcs.default_config in
   let table = Tracking.Funcs.table config in
   let src = Tracking.Funcs.source config in
@@ -626,7 +611,14 @@ let e9 () =
   let seq = Skipper_lib.Pipeline.emulate compiled input in
   let r = Skipper_lib.Pipeline.execute ~trace:(tracing ()) ~input compiled arch in
   observe ~experiment:"e9" r;
-  Format.printf "%a" Skipper_lib.Pipeline.pp_timings compiled;
+  Printf.printf "%-12s %-20s %-7s %s\n" "stage" "artifact" "cached" "notes";
+  List.iter
+    (fun (r : Skipper_lib.Stage.report) ->
+      Printf.printf "%-12s %-20s %-7s %s\n" r.pass
+        (Printf.sprintf "%d %s" r.size r.metric)
+        (if r.cached then "yes" else "no")
+        r.detail)
+    (Skipper_lib.Pipeline.reports compiled);
   Printf.printf "macro-code size: %d lines\n"
     (List.length (String.split_on_char '\n' macro));
   Printf.printf "process graph: %d processes, %d channels\n"
@@ -639,12 +631,9 @@ let e9 () =
      Reset the hit/miss counters first so the line below accounts for the
      warm recompile alone, not the cold compile above (misses must be 0). *)
   Skipper_lib.Passes.reset_cache_stats cache;
-  let t0 = Unix.gettimeofday () in
   let _again = Skipper_lib.Pipeline.compile_source ~frames:5 ~cache ~table src in
   let hits, misses = Skipper_lib.Passes.cache_stats cache in
-  Printf.printf "warm recompile: %.3f ms (cache: %d hits, %d misses)\n"
-    (ms (Unix.gettimeofday () -. t0))
-    hits misses;
+  Printf.printf "warm recompile: cache %d hits, %d misses\n" hits misses;
   (* -- persistent store: the cache key is content-addressed, so a second
      compile against an independently constructed (but equally registered)
      table, with a fresh in-memory cache, hits every front-end pass from
@@ -663,20 +652,16 @@ let e9 () =
       ~stamp:Skipper_lib.Passes.artifact_format ()
   in
   let cold_cache = Skipper_lib.Passes.create_cache ~store () in
-  let t0 = Unix.gettimeofday () in
   let _ =
     Skipper_lib.Pipeline.compile_source ~frames:5 ~cache:cold_cache
       ~table:(Tracking.Funcs.table config) src
   in
-  let cold_ms = ms (Unix.gettimeofday () -. t0) in
   let _, cold_misses = Skipper_lib.Passes.cache_stats cold_cache in
   let warm_cache = Skipper_lib.Passes.create_cache ~store () in
-  let t0 = Unix.gettimeofday () in
   let _ =
     Skipper_lib.Pipeline.compile_source ~frames:5 ~cache:warm_cache
       ~table:(Tracking.Funcs.table config) src
   in
-  let warm_ms = ms (Unix.gettimeofday () -. t0) in
   let warm_hits, warm_misses = Skipper_lib.Passes.cache_stats warm_cache in
   Printf.printf
     "store recompile (fresh table + fresh cache): cold %d misses, warm %d \
@@ -684,11 +669,11 @@ let e9 () =
     cold_misses warm_hits
     (Skipper_lib.Passes.store_hits warm_cache)
     warm_misses;
-  Printf.eprintf "bench: e9 store cold %.3f ms, warm %.3f ms\n" cold_ms warm_ms;
   (* -- compile service: an in-process serve daemon over the same store;
-     one cold batch then one warm batch of compile requests, percentiles
-     over the server-measured per-request wall times. jobs = 1 keeps the
-     batch order (and so the cold-batch miss count) deterministic. *)
+     one cold batch then one warm batch of compile requests, counted by
+     cache misses (perfbench's serve workload times the warm batch).
+     jobs = 1 keeps the batch order (and so the cold-batch miss count)
+     deterministic. *)
   let registry = Support.Metrics.create () in
   let cfg =
     {
@@ -705,9 +690,8 @@ let e9 () =
   let daemon =
     Domain.spawn (fun () -> Skipper_lib.Serve.serve cfg ~socket ())
   in
-  let batch = 8 in
   let requests =
-    List.init batch (fun _ ->
+    List.init 8 (fun _ ->
         Skipper_lib.Serve.req_compile ~frames:7 ~app:"tracking" src)
   in
   let cache_field name r =
@@ -715,36 +699,22 @@ let e9 () =
     |> Fun.flip Option.bind Support.Json.to_float
   in
   let send label =
-    let t0 = Unix.gettimeofday () in
     match Skipper_lib.Serve.call ~socket requests with
     | Error msg -> failwith (Printf.sprintf "e9 serve (%s): %s" label msg)
     | Ok responses ->
-        let wall_s = Unix.gettimeofday () -. t0 in
-        let misses =
-          List.fold_left ( +. ) 0.0
-            (List.filter_map (cache_field "misses") responses)
-        in
-        (wall_s, misses)
+        List.fold_left ( +. ) 0.0
+          (List.filter_map (cache_field "misses") responses)
   in
   (* frames:7 differs from the compiles above, so the daemon's first
      request really is cold for the extract/transform/expand suffix *)
-  let _, serve_cold_misses = send "cold" in
-  let warm_wall, serve_warm_misses = send "warm" in
+  let serve_cold_misses = send "cold" in
+  let serve_warm_misses = send "warm" in
   (match Skipper_lib.Serve.call ~socket [ Skipper_lib.Serve.req_shutdown ] with
   | Ok _ -> ()
   | Error msg -> failwith (Printf.sprintf "e9 serve shutdown: %s" msg));
   let served = Domain.join daemon in
-  (* Quantiles straight from the daemon's own metrics registry (the
-     shared-bucket latency histogram), not from re-measured wall times —
-     the bench reads the same numbers a `metrics` scrape would. *)
-  let compile_hist =
-    Support.Metrics.snapshot
-      (Support.Metrics.histogram registry ~labels:[ ("op", "compile") ]
-         "skipper_serve_request_seconds")
-  in
-  if Support.Histogram.count compile_hist = 0 then
-    failwith "e9 serve: empty compile latency histogram";
-  let q p = Support.Histogram.quantile compile_hist p in
+  (* The hit ratio comes from the daemon's own metrics registry: the bench
+     reads the same counters a `metrics` scrape would. *)
   let cache_counter name =
     Support.Metrics.value (Support.Metrics.counter registry name)
   in
@@ -754,29 +724,16 @@ let e9 () =
     if reg_hits + reg_misses = 0 then 0.0
     else float_of_int reg_hits /. float_of_int (reg_hits + reg_misses)
   in
-  let throughput = float_of_int batch /. warm_wall in
   Printf.printf
     "serve sweep: %d requests served; cold batch misses %.0f, warm batch \
-     misses %.0f\n"
-    served serve_cold_misses serve_warm_misses;
-  Printf.printf
-    "serve compile latency (registry): p50 %.3f ms, p95 %.3f ms, p99 %.3f \
-     ms over %d requests; cache hit ratio %.2f; throughput %.0f req/s\n"
-    (ms (q 0.50)) (ms (q 0.95)) (ms (q 0.99))
-    (Support.Histogram.count compile_hist)
-    hit_ratio throughput;
+     misses %.0f; cache hit ratio %.4f\n"
+    served serve_cold_misses serve_warm_misses hit_ratio;
   record_extras ~experiment:"e9"
     [
-      (* deterministic: protocol and cache behaviour *)
       ("serve_requests", float_of_int served);
       ("serve_cold_misses", serve_cold_misses);
       ("serve_warm_misses", serve_warm_misses);
       ("store_warm_misses", float_of_int warm_misses);
-      (* volatile: wall-clock shaped, gated for presence only *)
-      ("serve_p50_ms", ms (q 0.50));
-      ("serve_p95_ms", ms (q 0.95));
-      ("serve_p99_ms", ms (q 0.99));
-      ("serve_throughput_rps", throughput);
       ("serve_hit_ratio", hit_ratio);
     ]
 
@@ -1585,7 +1542,7 @@ let e17 () =
     !trace_dir
 
 (* ------------------------------------------------------------------ *)
-(* bechamel micro-benchmarks                                           *)
+(* simscale: host-time scaling of the discrete-event engine            *)
 
 (* A df farm of [workers] identity workers over [items] integers, mapped
    canonically on a ring of [workers + 1]: user code costs nothing on the
@@ -1606,68 +1563,6 @@ let null_df_farm ~items ~workers =
   let placement = Syndex.Place.canonical g arch in
   let input = V.List (List.init items (fun i -> V.Int i)) in
   fun () -> Executive.run ~table ~arch ~placement ~graph:g ~frames:1 ~input ()
-
-let micro () =
-  header "micro" "bechamel micro-benchmarks of the computational kernels";
-  let open Bechamel in
-  let open Toolkit in
-  let img256 = Apps.Ccl_scm.blobs_image ~seed:3 ~nblobs:30 256 256 in
-  let tracking_src = Tracking.Funcs.source Tracking.Funcs.default_config in
-  let tracking_graph =
-    let table = Tracking.Funcs.table Tracking.Funcs.default_config in
-    Procnet.Expand.expand table (Tracking.Funcs.ir Tracking.Funcs.default_config)
-  in
-  let df_run () = ignore (null_df_farm ~items:16 ~workers:4 ()) in
-  (* One Test.make per kernel; E1..E9 above are the table/figure harnesses. *)
-  let tests =
-    [
-      Test.make ~name:"ccl-label-256x256"
-        (Staged.stage (fun () -> ignore (Vision.Ccl.label ~threshold:128 img256)));
-      Test.make ~name:"threshold-256x256"
-        (Staged.stage (fun () -> ignore (Vision.Ops.threshold 128 img256)));
-      Test.make ~name:"sobel-256x256"
-        (Staged.stage (fun () -> ignore (Vision.Ops.sobel_magnitude img256)));
-      Test.make ~name:"scene-frame-256x256"
-        (Staged.stage (fun () ->
-             ignore
-               (Vision.Scene.frame
-                  { Vision.Scene.default_params with Vision.Scene.width = 256; height = 256 }
-                  7)));
-      Test.make ~name:"parse+typecheck-tracking"
-        (Staged.stage (fun () ->
-             let ast = Minicaml.Parser.program tracking_src in
-             ignore (Minicaml.Infer.infer_program Minicaml.Infer.initial_env ast)));
-      Test.make ~name:"heft-map-tracking-ring8"
-        (Staged.stage (fun () ->
-             ignore
-               (Syndex.Heft.map (Syndex.Cost.make ()) (Archi.ring 8) tracking_graph)));
-      Test.make ~name:"simulate-df-farm" (Staged.stage df_run);
-    ]
-  in
-  List.iter
-    (fun test ->
-      let results =
-        let quota = Time.second 0.5 in
-        let raw =
-          Benchmark.all
-            (Benchmark.cfg ~limit:2000 ~quota ())
-            Instance.[ monotonic_clock ]
-            (Test.make_grouped ~name:"kernels" [ test ])
-        in
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-          Instance.monotonic_clock raw
-      in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "%-36s %12.3f us/run\n" name (est /. 1e3)
-          | _ -> Printf.printf "%-36s (no estimate)\n" name)
-        results)
-    tests
-
-(* ------------------------------------------------------------------ *)
-(* simscale: host-time scaling of the discrete-event engine            *)
 
 (* Least-squares slope of log y against log x. *)
 let loglog_slope points =
@@ -1783,21 +1678,18 @@ let () =
       with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
     !trace_dir;
   (match names with
-  | [ "micro" ] -> micro ()
   | [ "simscale" ] -> simscale ()
   | [ name ] -> (
       match List.assoc_opt (String.lowercase_ascii name) experiments with
       | Some f -> f ()
       | None ->
-          Printf.eprintf "unknown experiment %s (e1..e17, micro or simscale)\n"
-            name;
+          Printf.eprintf "unknown experiment %s (e1..e17 or simscale)\n" name;
           exit 1)
   | _ ->
       print_endline "SKiPPER experiment harness (see DESIGN.md, experiment index)";
       List.iter (fun (_, f) -> f ()) experiments;
       print_newline ();
-      print_endline
-        "All experiments completed. Run with 'micro' for bechamel kernels.");
+      print_endline "All experiments completed.");
   Option.iter write_summary_json !json_out;
   write_pool_traces ();
   if !update_baseline then begin

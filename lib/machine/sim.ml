@@ -8,10 +8,10 @@ exception Not_in_process
 exception Process_failure of string * exn
 
 type _ Effect.t +=
-  | E_recv : string list -> (string * Skel.Value.t) Effect.t
-  | E_recv_deadline :
-      (string list * float)
+  | E_recv :
+      (string list * float option)
       -> (string * Skel.Value.t) option Effect.t
+      (* [None] only when the optional deadline passed first *)
   | E_send : (pid * string * Skel.Value.t) -> unit Effect.t
   | E_compute : float -> unit Effect.t
   | E_sleep : float -> unit Effect.t
@@ -19,18 +19,16 @@ type _ Effect.t +=
 type resume =
   | Start of (unit -> unit)
   | RUnit of (unit, unit) continuation
-  | RMsg of ((string * Skel.Value.t), unit) continuation * string * Skel.Value.t
-  | ROpt of
+  | RMsg of
       ((string * Skel.Value.t) option, unit) continuation
       * (string * Skel.Value.t) option
 
 type pstate =
   | Runnable
-  | Blocked of string list * ((string * Skel.Value.t), unit) continuation
-  | BlockedOpt of
+  | Blocked of
       string list * int * ((string * Skel.Value.t) option, unit) continuation
-      (* a recv with a deadline; the int token pairs the wait with its
-         pending [Timeout] event so stale timers are ignored *)
+      (* the int token pairs the wait with its pending [Timeout] event, if
+         it has a deadline, so stale timers are ignored *)
   | Finished
 
 type process = {
@@ -46,7 +44,7 @@ type process = {
   mutable state : pstate;
   mutable blocked_at : float;  (* when the current Blocked episode began *)
   mutable blocked_total : float;  (* closed Blocked episodes, seconds *)
-  mutable wait_seq : int;  (* monotonic token for deadline waits *)
+  mutable wait_seq : int;  (* monotonic token, bumped at every wait *)
   mutable epoch : int;
       (* incarnation counter; bumped at each durable restart so queued
          [Step]/[Enqueue]/ready entries of the dead incarnation are stale *)
@@ -252,8 +250,8 @@ let now () = (fst (the_current ())).time
 let compute cycles = perform (E_compute cycles)
 let sleep_until at = perform (E_sleep at)
 let send dst port v = perform (E_send (dst, port, v))
-let recv_any ports = perform (E_recv ports)
-let recv_deadline ports ~deadline = perform (E_recv_deadline (ports, deadline))
+let recv_any ports = Option.get (perform (E_recv (ports, None)))
+let recv_deadline ports ~deadline = perform (E_recv (ports, Some deadline))
 
 let recv port =
   let _, v = recv_any [ port ] in
@@ -410,7 +408,7 @@ let run_segment t (proc : process) resume =
                   push_event t (Float.max t.time at)
                     (Enqueue (proc.pid, proc.epoch, RUnit k));
                   push_event t t.time (Dispatch p))
-          | E_recv ports ->
+          | E_recv (ports, deadline) ->
               Some
                 (fun (k : (a, unit) continuation) ->
                   match earliest_message proc ports with
@@ -422,35 +420,18 @@ let run_segment t (proc : process) resume =
                       if t.tracing then
                         emit_recv t proc ~msg ~port ~dur:dt;
                       push_event t (t.time +. dt)
-                    (Step (proc.pid, proc.epoch, RMsg (k, port, v)))
-                  | None ->
-                      proc.state <- Blocked (ports, k);
-                      proc.blocked_at <- t.time;
-                      if t.tracing then emit_block t proc ports;
-                      t.cpu_free.(p) <- t.time;
-                      push_event t t.time (Dispatch p))
-          | E_recv_deadline (ports, deadline) ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  match earliest_message proc ports with
-                  | Some (port, _) ->
-                      let msg, v = pop_message proc port in
-                      let dt = Syndex.Cost.default_recv_overhead_cycles *. cycle_time t p in
-                      charge_busy t proc dt;
-                      t.cpu_free.(p) <- t.time +. dt;
-                      if t.tracing then
-                        emit_recv t proc ~msg ~port ~dur:dt;
-                      push_event t (t.time +. dt)
-                        (Step (proc.pid, proc.epoch, ROpt (k, Some (port, v))))
+                        (Step (proc.pid, proc.epoch, RMsg (k, Some (port, v))))
                   | None ->
                       proc.wait_seq <- proc.wait_seq + 1;
-                      proc.state <- BlockedOpt (ports, proc.wait_seq, k);
+                      proc.state <- Blocked (ports, proc.wait_seq, k);
                       proc.blocked_at <- t.time;
                       if t.tracing then emit_block t proc ports;
                       t.cpu_free.(p) <- t.time;
-                      push_event t
-                        (Float.max t.time deadline)
-                        (Timeout (proc.pid, proc.wait_seq));
+                      Option.iter
+                        (fun d ->
+                          push_event t (Float.max t.time d)
+                            (Timeout (proc.pid, proc.wait_seq)))
+                        deadline;
                       push_event t t.time (Dispatch p))
           | _ -> None);
     }
@@ -463,8 +444,7 @@ let run_segment t (proc : process) resume =
       match resume with
       | Start body -> match_with body () handler
       | RUnit k -> continue k ()
-      | RMsg (k, port, v) -> continue k (port, v)
-      | ROpt (k, r) -> continue k r)
+      | RMsg (k, r) -> continue k r)
 
 let spawn t ~name ?(durable = false) ~on body =
   if t.ran then invalid_arg "Sim.spawn: machine already ran";
@@ -580,24 +560,17 @@ let deliver t pid msg port v =
       ~args:[ ("msg", Event.Count msg) ]
       ~name:("deliver " ^ port) ~time:t.time ();
   match proc.state with
-  | Blocked (ports, k) when List.mem port ports ->
-      (* Wake up: re-run the receive logic from the dispatch path. *)
+  | Blocked (ports, _tok, k) when List.mem port ports ->
+      (* Wake up: re-run the receive logic from the dispatch path. A pending
+         [Timeout] becomes stale and is ignored on arrival thanks to the
+         token bump at the next wait. *)
       proc.state <- Runnable;
       proc.blocked_total <- proc.blocked_total +. (t.time -. proc.blocked_at);
       let port, _ = Option.get (earliest_message proc ports) in
       let msg, v = pop_message proc port in
       if t.tracing then emit_recv t proc ~msg ~port ~dur:0.0;
-      make_ready t proc (RMsg (k, port, v))
-  | BlockedOpt (ports, _tok, k) when List.mem port ports ->
-      (* Wake a deadline wait; its pending [Timeout] becomes stale and is
-         ignored on arrival thanks to the token bump at the next wait. *)
-      proc.state <- Runnable;
-      proc.blocked_total <- proc.blocked_total +. (t.time -. proc.blocked_at);
-      let port, _ = Option.get (earliest_message proc ports) in
-      let msg, v = pop_message proc port in
-      if t.tracing then emit_recv t proc ~msg ~port ~dur:0.0;
-      make_ready t proc (ROpt (k, Some (port, v)))
-  | Blocked _ | BlockedOpt _ | Runnable | Finished -> ()
+      make_ready t proc (RMsg (k, Some (port, v)))
+  | Blocked _ | Runnable | Finished -> ()
 
 let rec dispatch t p =
   if t.halted.(p) then ()
@@ -692,11 +665,11 @@ let run ?(until = infinity) t =
             let proc = t.processes.(pid) in
             if not t.halted.(proc.on) then
               match proc.state with
-              | BlockedOpt (_, tok', k) when tok' = tok ->
+              | Blocked (_, tok', k) when tok' = tok ->
                   proc.state <- Runnable;
                   proc.blocked_total <-
                     proc.blocked_total +. (t.time -. proc.blocked_at);
-                  make_ready t proc (ROpt (k, None))
+                  make_ready t proc (RMsg (k, None))
               | _ -> () (* stale timer: the wait was already satisfied *))
         | Halt p ->
             if not t.halted.(p) then begin
@@ -723,7 +696,7 @@ let run ?(until = infinity) t =
                 let proc = t.processes.(pid) in
                 if proc.on = p && proc.durable && proc.state <> Finished then begin
                   (match proc.state with
-                  | Blocked _ | BlockedOpt _ ->
+                  | Blocked _ ->
                       (* The wait died with the processor: close the episode
                          at the halt instant, not the restore. *)
                       let upto =
@@ -833,7 +806,7 @@ let accounts t =
       in
       let blocked =
         match proc.state with
-        | Blocked _ | BlockedOpt _ ->
+        | Blocked _ ->
             proc.blocked_total +. Float.max 0.0 (horizon -. proc.blocked_at)
         | Runnable | Finished -> proc.blocked_total
       in

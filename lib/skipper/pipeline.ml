@@ -257,8 +257,10 @@ let dump_stage ?arch ?(strategy = "canonical") ?cost ?input compiled name =
         | "map" -> Some (fun () -> Stage.Schedule (map ()))
         | "emit" -> Some (fun () -> Stage.Macro (macro_code compiled (map ())))
         | "simulate" ->
-            let input = resolve_input compiled input in
-            Some (fun () -> Stage.Result (simulate compiled (map ()) input))
+            Some
+              (fun () ->
+                let input = resolve_input compiled input in
+                Stage.Result (simulate compiled (map ()) input))
         | _ -> None
       in
       match work with

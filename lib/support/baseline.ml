@@ -19,14 +19,11 @@ let index_entries json =
       in
       go [] entries
 
-let compare_field ~exact ~volatile ~tolerance ~entry key baseline current =
+let compare_field ~exact ~tolerance ~entry key baseline current =
   match (baseline, current) with
   | Json.Str a, Json.Str b ->
       if a = b then None
       else Some (fail "%s.%s: %S (baseline) vs %S (current)" entry key a b)
-  | Json.Num _, Json.Num _ when List.mem key volatile ->
-      (* wall-clock-shaped: presence and numeric shape only *)
-      None
   | Json.Num a, Json.Num b ->
       (* Floats compare by bit pattern, not (=): NaN = NaN is false (so a
          NaN baseline field could never pass) and 0. = -0. is true (so a
@@ -56,7 +53,7 @@ let compare_field ~exact ~volatile ~tolerance ~entry key baseline current =
       if a = b then None
       else Some (fail "%s.%s: value shape changed" entry key)
 
-let compare_entry ~exact ~volatile ~tolerance name baseline current =
+let compare_entry ~exact ~tolerance name baseline current =
   match (baseline, current) with
   | Json.Obj bfields, Json.Obj cfields ->
       let bkeys = List.map fst bfields and ckeys = List.map fst cfields in
@@ -71,14 +68,13 @@ let compare_entry ~exact ~volatile ~tolerance name baseline current =
           (fun (k, bv) ->
             match List.assoc_opt k cfields with
             | None -> None (* already reported as missing *)
-            | Some cv -> compare_field ~exact ~volatile ~tolerance ~entry:name k bv cv)
+            | Some cv -> compare_field ~exact ~tolerance ~entry:name k bv cv)
           bfields
       in
       shape @ diffs
   | _ -> [ fail "%s: entry is not an object" name ]
 
-let compare ?(exact = []) ?(volatile = []) ?(tolerance = 0.01) ~baseline
-    ~current () =
+let compare ?(exact = []) ?(tolerance = 0.01) ~baseline ~current () =
   match (index_entries baseline, index_entries current) with
   | Error m, _ -> { checked = 0; failures = [ "baseline: " ^ m ] }
   | _, Error m -> { checked = 0; failures = [ "current: " ^ m ] }
@@ -106,7 +102,7 @@ let compare ?(exact = []) ?(volatile = []) ?(tolerance = 0.01) ~baseline
             match List.assoc_opt name cur with
             | None -> []
             | Some centry ->
-                compare_entry ~exact ~volatile ~tolerance name bentry centry)
+                compare_entry ~exact ~tolerance name bentry centry)
           base
       in
       { checked = List.length base; failures = missing @ added @ diffs }

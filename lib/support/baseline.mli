@@ -4,11 +4,8 @@
     harness's [--json] format), committed to the repository. [compare]
     diffs a freshly produced array against it: fields named in [exact]
     must match bit-for-bit (simulation-deterministic counters — messages,
-    drops, reissues — where any drift is a real behaviour change), fields
-    named in [volatile] are checked for presence and numeric shape only
-    (wall-clock measurements — serve latency percentiles — whose values
-    vary run to run but whose absence means the experiment regressed),
-    and every other numeric field must agree within a relative [tolerance]
+    drops, reissues — where any drift is a real behaviour change), and
+    every other numeric field must agree within a relative [tolerance]
     (timing shaped values, where cost-model refinements legitimately move
     the needle a little). Numeric identity is bit-pattern identity
     ([Int64.bits_of_float]), so a NaN baseline field can pass (against an
@@ -27,13 +24,11 @@ val ok : verdict -> bool
 
 val compare :
   ?exact:string list ->
-  ?volatile:string list ->
   ?tolerance:float ->
   baseline:Json.t ->
   current:Json.t ->
   unit ->
   verdict
-(** [exact] and [volatile] default to [[]]; [tolerance] (relative, against
-    the larger magnitude) defaults to [0.01]. Absolute drifts below
-    [1e-12] always pass, so zero-valued fields do not trip on formatting
-    noise. [volatile] wins over [exact] when a key is named in both. *)
+(** [exact] defaults to [[]]; [tolerance] (relative, against the larger
+    magnitude) defaults to [0.01]. Absolute drifts below [1e-12] always
+    pass, so zero-valued fields do not trip on formatting noise. *)

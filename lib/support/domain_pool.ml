@@ -9,12 +9,6 @@ type stats = {
   spans : span list;
 }
 
-let speedup s =
-  if s.wall_s <= 0.0 then 1.0
-  else
-    let work = Array.fold_left ( +. ) 0.0 s.busy_s in
-    if work <= 0.0 then 1.0 else work /. s.wall_s
-
 let default_jobs () = Domain.recommended_domain_count ()
 
 let jobs_from_env ?(var = "SKIPPER_JOBS") ?(default = 1) () =

@@ -33,11 +33,6 @@ type stats = {
   spans : span list;  (** one per job, in submit order *)
 }
 
-val speedup : stats -> float
-(** Sum of per-job busy time over pool wall time — the classic
-    work/wall ratio ([1.0] when sequential, up to [domains] when the farm
-    scales perfectly). *)
-
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the machine's useful domain
     count. *)

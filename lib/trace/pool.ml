@@ -22,7 +22,6 @@ let emit ?(labels = []) tl ~label (stats : Dp.stats) =
         ("jobs", Event.Count stats.Dp.njobs);
         ("domains", Event.Count stats.Dp.domains);
         ("wall_s", Event.Num stats.Dp.wall_s);
-        ("speedup", Event.Num (Dp.speedup stats));
       ]
     ~name:(label ^ " done") ~time:stats.Dp.wall_s ()
 

@@ -7,14 +7,13 @@
 
     These spans carry {e wall-clock} times — unlike the simulator's lanes
     they are not deterministic and never feed byte-compared artifacts; they
-    exist purely for the speedup picture. *)
+    show how the jobs spread over the domains. *)
 
 val emit :
   ?labels:string list -> Event.timeline -> label:string -> Support.Domain_pool.stats -> unit
 (** [emit tl ~label stats] adds one span per job (named ["label#i"], or
     [List.nth labels i] when given) on its worker's lane, plus a summary
-    instant on lane 0 with the job/domain counts and the work/wall
-    speedup. *)
+    instant on lane 0 with the job/domain counts and the pool wall time. *)
 
 val to_json : ?labels:string list -> label:string -> Support.Domain_pool.stats -> string
 (** A standalone Chrome trace of one pool run: {!emit} into a fresh

@@ -127,8 +127,7 @@ let test_stats_sanity () =
         (s.Dp.start_s >= 0.0 && s.Dp.finish_s >= s.Dp.start_s))
     stats.Dp.spans;
   Alcotest.(check int) "jobs_run sums to njobs" 7
-    (Array.fold_left ( + ) 0 stats.Dp.jobs_run);
-  Alcotest.(check bool) "speedup positive" true (Dp.speedup stats > 0.0)
+    (Array.fold_left ( + ) 0 stats.Dp.jobs_run)
 
 (* ------------------------------------------------------------------ *)
 (* Byte-identical observations through the pool                        *)

@@ -281,6 +281,25 @@ let test_recv_deadline_timeout () =
   | Some ("in", v) -> Alcotest.(check value_testable) "then delivers" (V.Int 9) v
   | _ -> Alcotest.fail "expected the late message")
 
+(* A deadline wait satisfied early leaves its timer pending; when it fires
+   during a later plain receive, it must not wake that receive. *)
+let test_stale_deadline_ignored () =
+  let sim = Sim.create (toy_arch 2) in
+  let first = ref None and second = ref V.Unit in
+  let rx =
+    Sim.spawn sim ~name:"rx" ~on:1 (fun () ->
+        first := Sim.recv_deadline [ "in" ] ~deadline:5e-3;
+        second := Sim.recv "in")
+  in
+  Sim.inject sim ~at:1e-3 rx "in" (V.Int 1);
+  Sim.inject sim ~at:8e-3 rx "in" (V.Int 2);
+  let _ = Sim.run sim in
+  (match !first with
+  | Some ("in", v) -> Alcotest.(check value_testable) "deadline wait" (V.Int 1) v
+  | _ -> Alcotest.fail "expected the early message");
+  Alcotest.(check value_testable) "plain recv waits past the old deadline"
+    (V.Int 2) !second
+
 (* ------------------------------------------------------------------ *)
 (* Degraded-run metrics                                                *)
 
@@ -571,6 +590,8 @@ let () =
           Alcotest.test_case "injections exempt" `Quick
             test_injections_and_local_copies_exempt;
           Alcotest.test_case "recv deadline" `Quick test_recv_deadline_timeout;
+          Alcotest.test_case "stale deadline ignored" `Quick
+            test_stale_deadline_ignored;
         ] );
       ( "metrics",
         [

@@ -258,6 +258,20 @@ let test_dump_stages () =
       Alcotest.(check bool) "lists stages" true
         (Astring.String.is_infix ~affix:"parse" m)
 
+(* A back-end dump of a program with no input is an [Error], not a raised
+   [Compile_error]. *)
+let test_dump_simulate_without_input () =
+  let c =
+    P.compile_ir ~table:(simple_table ()) (Ir.program "p" (Ir.Seq "sq"))
+  in
+  match P.dump_stage ~arch:(Archi.ring 2) c "simulate" with
+  | Ok _ -> Alcotest.fail "simulate without an input should fail"
+  | Error m ->
+      Alcotest.(check string) "asks for an input"
+        "program p needs an explicit input value" m
+  | exception e ->
+      Alcotest.failf "dump_stage raised %s" (Printexc.to_string e)
+
 (* ------------------------------------------------------------------ *)
 (* Pins: the observable bytes of the stage driver — every stage dump, the
    report sequence across compile/map/execute/emit and its cached
@@ -607,7 +621,11 @@ let () =
             test_cached_compile_is_equivalent;
         ] );
       ( "dumps",
-        [ Alcotest.test_case "dump stages" `Quick test_dump_stages ] );
+        [
+          Alcotest.test_case "dump stages" `Quick test_dump_stages;
+          Alcotest.test_case "simulate without input is an error" `Quick
+            test_dump_simulate_without_input;
+        ] );
       ( "pins",
         [
           Alcotest.test_case "stage dumps and errors" `Quick test_pin_dumps;

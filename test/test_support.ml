@@ -1,7 +1,7 @@
 (* Tests for the support library: deterministic PRNG, the binary heap,
    busy-interval reservations, the JSON reader/printer (escape coverage,
    \uXXXX and surrogate pairs), the bench baseline gate (bit-pattern float
-   identity, volatile fields) and %{key} path templating. *)
+   identity, field shape) and %{key} path templating. *)
 
 let test_prng_determinism () =
   let a = Support.Prng.create 42 and b = Support.Prng.create 42 in
@@ -494,9 +494,8 @@ module Baseline = Support.Baseline
 let entry fields =
   Json.Arr [ Json.Obj (("experiment", Json.Str "e") :: fields) ]
 
-let compare_one ?exact ?volatile ?tolerance b c =
-  Baseline.compare ?exact ?volatile ?tolerance ~baseline:(entry b)
-    ~current:(entry c) ()
+let compare_one ?exact ?tolerance b c =
+  Baseline.compare ?exact ?tolerance ~baseline:(entry b) ~current:(entry c) ()
 
 let test_baseline_exact_bit_pattern () =
   let v = compare_one ~exact:[ "messages" ]
@@ -522,25 +521,12 @@ let test_baseline_exact_bit_pattern () =
           [ ("x", Json.Num 0.0) ]
           [ ("x", Json.Num (-0.0)) ]))
 
-let test_baseline_volatile_shape_only () =
-  (* any value passes, as long as the field is present and numeric *)
-  Alcotest.(check bool) "wild drift passes" true
+let test_baseline_field_shape () =
+  Alcotest.(check bool) "a missing field fails" false
+    (Baseline.ok (compare_one [ ("p99", Json.Num 1.0) ] []));
+  Alcotest.(check bool) "a Num->Str shape change fails" false
     (Baseline.ok
-       (compare_one ~volatile:[ "p99" ]
-          [ ("p99", Json.Num 1.0) ]
-          [ ("p99", Json.Num 5000.0) ]));
-  Alcotest.(check bool) "volatile wins over exact" true
-    (Baseline.ok
-       (compare_one ~exact:[ "p99" ] ~volatile:[ "p99" ]
-          [ ("p99", Json.Num 1.0) ]
-          [ ("p99", Json.Num 2.0) ]));
-  Alcotest.(check bool) "missing volatile field still fails" false
-    (Baseline.ok (compare_one ~volatile:[ "p99" ] [ ("p99", Json.Num 1.0) ] []));
-  Alcotest.(check bool) "non-numeric shape still fails" false
-    (Baseline.ok
-       (compare_one ~volatile:[ "p99" ]
-          [ ("p99", Json.Num 1.0) ]
-          [ ("p99", Json.Str "fast") ]))
+       (compare_one [ ("p99", Json.Num 1.0) ] [ ("p99", Json.Str "fast") ]))
 
 let test_baseline_tolerance () =
   let near = [ ("t", Json.Num 1.0) ], [ ("t", Json.Num 1.005) ] in
@@ -632,8 +618,8 @@ let () =
         [
           Alcotest.test_case "exact fields compare by bit pattern" `Quick
             test_baseline_exact_bit_pattern;
-          Alcotest.test_case "volatile fields check shape only" `Quick
-            test_baseline_volatile_shape_only;
+          Alcotest.test_case "missing or reshaped fields fail" `Quick
+            test_baseline_field_shape;
           Alcotest.test_case "tolerance" `Quick test_baseline_tolerance;
         ] );
       ( "template",
