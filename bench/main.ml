@@ -6,14 +6,17 @@
      dune exec bench/main.exe -- e4     runs one experiment
      dune exec bench/main.exe -- simscale
                                         times the simulator at scale
+     dune exec bench/main.exe -- mapscale
+                                        times the mappers as P widens
 
    Reported latencies are *simulated* times on the T9000-era machine model;
    the paper's numbers were measured on the real Transvision platform, so
    shapes (ratios, scaling, crossovers), not absolute values, are the
    reproduction target. Every experiment's stdout, --json entry and
    --trace-dir export is a function of the simulated runs alone; host time
-   is measured by perfbench/ and by [simscale], never here. EXPERIMENTS.md
-   records the output of this harness against the paper's claims. *)
+   is measured by perfbench/, [simscale] and [mapscale], never here.
+   EXPERIMENTS.md records the output of this harness against the paper's
+   claims. *)
 
 module V = Skel.Value
 
@@ -1635,6 +1638,98 @@ let simscale () =
   end
 
 (* ------------------------------------------------------------------ *)
+(* mapscale: host-time scaling of the mapping strategies               *)
+
+(* Fitted exponent bound of each strategy's host time in the processor
+   count. bicriteria schedules one interval candidate per processor count
+   by design, so it is allowed one more power than the single-schedule
+   strategies. *)
+let mapscale_bound = function "bicriteria" -> 3.75 | _ -> 3.0
+
+(* Host time of every registered strategy mapping the tracking spec with
+   [nproc = W] onto [ring W]. A cell keeps the best of 3 timed loops, each
+   repeating the map for at least 20 ms, so small cells do not rest on the
+   timer's resolution. The fitted log-log exponent in W is the gated
+   quantity (exit 1 above [mapscale_bound]); absolute times are printed
+   only. *)
+let mapscale () =
+  header "mapscale" "mapping host time vs processor count (tracking, ring W)";
+  let widths = [ 16; 32; 64; 128 ] in
+  let strategies = Syndex.Mapper.registered () in
+  Printf.printf "%5s %6s" "W" "nodes";
+  List.iter
+    (fun m -> Printf.printf " %13s" (m.Syndex.Mapper.name ^ " ms"))
+    strategies;
+  print_newline ();
+  let time_cell m cost arch g =
+    let loop () =
+      Gc.compact ();
+      let t0 = Unix.gettimeofday () in
+      let rec go n =
+        let s = Syndex.Mapper.map m cost arch g in
+        let dt = Unix.gettimeofday () -. t0 in
+        if dt < 0.02 then go (n + 1) else (s, dt /. float_of_int n)
+      in
+      go 1
+    in
+    let rec best b reps =
+      if reps = 3 then b
+      else begin
+        let s, dt = loop () in
+        if not (Syndex.Schedule.deadlock_free s) then
+          failwith
+            (Printf.sprintf "mapscale: %s on %s is not deadlock-free"
+               m.Syndex.Mapper.name (Archi.name arch));
+        best (Float.min b dt) (reps + 1)
+      end
+    in
+    best infinity 0
+  in
+  let rows =
+    List.map
+      (fun w ->
+        let config = Tracking.Funcs.with_nproc w Tracking.Funcs.default_config in
+        let table = Tracking.Funcs.table config in
+        let c =
+          Skipper_lib.Pipeline.compile_source ~table
+            (Tracking.Funcs.source config)
+        in
+        let g = c.Skipper_lib.Pipeline.graph in
+        let cost = Syndex.Cost.make () and arch = Archi.ring w in
+        Printf.printf "%5d %6d%!" w (Procnet.Graph.nnodes g);
+        let cells =
+          List.map
+            (fun m ->
+              let dt = time_cell m cost arch g in
+              Printf.printf " %13.3f%!" (ms dt);
+              dt)
+            strategies
+        in
+        print_newline ();
+        (float_of_int w, cells))
+      widths
+  in
+  let exponents =
+    List.mapi
+      (fun i m ->
+        let name = m.Syndex.Mapper.name in
+        let e = loglog_slope (List.map (fun (w, cells) -> (w, List.nth cells i)) rows) in
+        Printf.printf "exponent in W, %s: %.3f (bound %.2f)\n" name e
+          (mapscale_bound name);
+        (name, e))
+      strategies
+  in
+  let over = List.filter (fun (name, e) -> e > mapscale_bound name) exponents in
+  if over <> [] then begin
+    List.iter
+      (fun (name, e) ->
+        Printf.eprintf "mapscale: %s scales as W^%.3f > %.2f\n" name e
+          (mapscale_bound name))
+      over;
+    exit 1
+  end
+
+(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -1679,11 +1774,12 @@ let () =
     !trace_dir;
   (match names with
   | [ "simscale" ] -> simscale ()
+  | [ "mapscale" ] -> mapscale ()
   | [ name ] -> (
       match List.assoc_opt (String.lowercase_ascii name) experiments with
       | Some f -> f ()
       | None ->
-          Printf.eprintf "unknown experiment %s (e1..e17 or simscale)\n" name;
+          Printf.eprintf "unknown experiment %s (e1..e17, simscale or mapscale)\n" name;
           exit 1)
   | _ ->
       print_endline "SKiPPER experiment harness (see DESIGN.md, experiment index)";

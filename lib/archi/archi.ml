@@ -157,37 +157,30 @@ let custom ~name:arch_name procs edges =
   build ~name:arch_name procs
     (List.map (fun (src, dst, bandwidth, startup) -> { src; dst; bandwidth; startup }) edges)
 
-let route t a b =
+let fold_route t a b f init =
   let n = nprocs t in
   if a < 0 || a >= n || b < 0 || b >= n then invalid_arg "Archi.route: bad processor id";
-  if a = b then [ a ]
-  else begin
-    let rec walk u acc =
-      if u = b then List.rev (b :: acc)
+  let rec walk u acc =
+    if u = b then acc
+    else
+      let l = t.first_link.(u).(b) in
+      if l < 0 then failwith (Printf.sprintf "Archi.route: no path %d -> %d" a b)
       else
-        let l = t.first_link.(u).(b) in
-        if l < 0 then failwith (Printf.sprintf "Archi.route: no path %d -> %d" a b)
-        else walk t.link_arr.(l).dst (u :: acc)
-    in
-    walk a []
-  end
+        let link = t.link_arr.(l) in
+        walk link.dst (f acc l link)
+  in
+  walk a init
+
+let route t a b = List.rev (fold_route t a b (fun acc _ l -> l.dst :: acc) [ a ])
 
 let hops t a b = List.length (route t a b) - 1
 
 let transfer_time t a b bytes =
   if a = b then 0.0
   else
-    let path = route t a b in
-    let rec pairs = function
-      | x :: (y :: _ as rest) -> (x, y) :: pairs rest
-      | _ -> []
-    in
-    List.fold_left
-      (fun acc (x, y) ->
-        match link_between t x y with
-        | Some l -> acc +. l.startup +. (float_of_int bytes /. l.bandwidth)
-        | None -> failwith "Archi.transfer_time: route uses missing link")
-      0.0 (pairs path)
+    fold_route t a b
+      (fun acc _ l -> acc +. l.startup +. (float_of_int bytes /. l.bandwidth))
+      0.0
 
 let pp ppf t =
   Format.fprintf ppf "@[<v2>architecture %s: %d processors, %d links@]" t.arch_name

@@ -72,6 +72,14 @@ val route : t -> int -> int -> int list
     lower-numbered intermediate processors, deterministically. Raises
     [Failure] when no path exists. *)
 
+val fold_route : t -> int -> int -> ('a -> int -> link -> 'a) -> 'a -> 'a
+(** [fold_route t a b f init] folds [f acc i link] over the links of
+    [route t a b] in order, [i] being each link's {!link_at} index. It walks
+    {!first_link}, so no route list is built and no link is looked up by
+    its endpoints. Raises [Invalid_argument] on a bad processor id and
+    [Failure "Archi.route: no path a -> b"] when [b] is unreachable, like
+    {!route}. *)
+
 val first_link : t -> int -> int -> int
 (** [first_link t a b] is the index ({!link_at}) of the first link on
     [route t a b], or [-1] when [a = b] or no path exists. Constant time and
@@ -85,7 +93,8 @@ val hops : t -> int -> int -> int
 val transfer_time : t -> int -> int -> int -> float
 (** [transfer_time t a b bytes] is the store-and-forward latency of moving
     [bytes] from [a] to [b] along the route, summing per-hop
-    [startup + bytes / bandwidth]. Zero when [a = b]. *)
+    [startup + bytes / bandwidth] in route order ({!fold_route}). Zero when
+    [a = b]; otherwise raises like {!route}. *)
 
 val pp : Format.formatter -> t -> unit
 val to_dot : t -> string

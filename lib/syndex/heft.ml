@@ -105,16 +105,16 @@ let map cost arch g =
     let best =
       List.fold_left
         (fun best p ->
-          match Archi.route arch 0 p with
-          | exception Failure _ -> best (* unreachable processor *)
-          | _ ->
-              let s = est i p in
-              let f = s +. (dag.Dag.ops.(i).Dag.cycles *. cycle_time p) in
-              (* equal finish times break towards the lowest processor id
-                 (candidates are scanned in ascending order) *)
-              (match best with
-              | Some (_, bf, bp) when bf < f || (bf = f && bp < p) -> best
-              | _ -> Some (s, f, p)))
+          if p <> 0 && Archi.first_link arch 0 p < 0 then
+            best (* unreachable processor *)
+          else
+            let s = est i p in
+            let f = s +. (dag.Dag.ops.(i).Dag.cycles *. cycle_time p) in
+            (* equal finish times break towards the lowest processor id
+               (candidates are scanned in ascending order) *)
+            match best with
+            | Some (_, bf, bp) when bf < f || (bf = f && bp < p) -> best
+            | _ -> Some (s, f, p))
         None candidates
     in
     match best with

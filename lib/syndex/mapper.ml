@@ -73,13 +73,14 @@ let linearize (dag : Dag.t) =
     (Dag.topological_order dag)
   |> Array.of_list
 
-(* Best contiguous partition of the stage chain into [k] intervals,
-   minimising the bottleneck interval time (compute load of the interval
-   plus the communication entering it from earlier intervals, over mean
-   link characteristics). Returns (bottleneck, cut points). Deterministic:
-   ties keep the earliest cut. *)
-let interval_partition cost arch (dag : Dag.t) seq k =
-  ignore cost;
+(* Best contiguous partitions of the stage chain into k = 1..k_max
+   intervals, minimising the bottleneck interval time (compute load of the
+   interval plus the communication entering it from earlier intervals, over
+   mean link characteristics). The [k]th element is (bottleneck, cut
+   points) for k intervals. One table answers every k: the best partition
+   of a prefix into j intervals does not depend on how many intervals
+   follow. Deterministic: ties keep the earliest cut. *)
+let interval_partitions arch (dag : Dag.t) seq k_max =
   let n = Array.length seq in
   let ct = Heft.mean_cycle_time arch in
   let startup, bw = Heft.mean_link_costs arch in
@@ -98,8 +99,6 @@ let interval_partition cost arch (dag : Dag.t) seq k =
   let comm bytes =
     if bw = infinity then 0.0 else startup +. (float_of_int bytes /. bw)
   in
-  (* inbound.(a).(b): communication entering interval [a, b) from nodes
-     before position a. *)
   let deps =
     List.filter_map
       (fun (d : Dag.dep) ->
@@ -111,24 +110,29 @@ let interval_partition cost arch (dag : Dag.t) seq k =
             if sp = dp then None else Some (min sp dp, max sp dp, d.Dag.bytes))
       dag.Dag.deps
   in
-  let interval_cost a b =
-    let inbound =
-      List.fold_left
-        (fun acc (sp, dp, bytes) ->
-          if sp < a && dp >= a && dp < b then acc +. comm bytes else acc)
-        0.0 deps
-    in
-    prefix.(b) -. prefix.(a) +. inbound
-  in
+  (* cost.(a).(b), a < b: time of interval [a, b), its compute load plus
+     the communication entering it from nodes before position a. *)
+  let cost = Array.make_matrix (n + 1) (n + 1) 0.0 in
+  for a = 0 to n - 1 do
+    for b = a + 1 to n do
+      let inbound =
+        List.fold_left
+          (fun acc (sp, dp, bytes) ->
+            if sp < a && dp >= a && dp < b then acc +. comm bytes else acc)
+          0.0 deps
+      in
+      cost.(a).(b) <- prefix.(b) -. prefix.(a) +. inbound
+    done
+  done;
   (* best.(j).(b): minimal bottleneck partitioning seq[0..b) into j
      intervals; cut.(j).(b) the position of the last cut. *)
-  let best = Array.make_matrix (k + 1) (n + 1) infinity in
-  let cut = Array.make_matrix (k + 1) (n + 1) 0 in
+  let best = Array.make_matrix (k_max + 1) (n + 1) infinity in
+  let cut = Array.make_matrix (k_max + 1) (n + 1) 0 in
   best.(0).(0) <- 0.0;
-  for j = 1 to k do
-    for b = j to n - (k - j) do
+  for j = 1 to k_max do
+    for b = j to n do
       for a = j - 1 to b - 1 do
-        let c = Float.max best.(j - 1).(a) (interval_cost a b) in
+        let c = Float.max best.(j - 1).(a) cost.(a).(b) in
         if c < best.(j).(b) then begin
           best.(j).(b) <- c;
           cut.(j).(b) <- a
@@ -139,28 +143,24 @@ let interval_partition cost arch (dag : Dag.t) seq k =
   let rec cuts j b acc =
     if j = 0 then acc else cuts (j - 1) cut.(j).(b) (cut.(j).(b) :: acc)
   in
-  (best.(k).(n), cuts k n [ n ])
+  List.init k_max (fun i -> (best.(i + 1).(n), cuts (i + 1) n [ n ]))
 
 (* Schedule the chain partition: interval [i] on processor [i], pipelining
-   metadata from the resulting schedule's actual per-processor loads. *)
-let interval_schedule cost arch g (dag : Dag.t) seq cuts =
+   metadata from the resulting schedule's actual per-processor loads.
+   [cuts] are the positions of the interval starts followed by n. *)
+let interval_schedule cost arch g seq cuts =
   let placement = Array.make (Procnet.Graph.nnodes g) 0 in
-  let bounds =
-    (* cuts = [c0=0? ...]; cuts from interval_partition: positions of the
-       k interval starts followed by n *)
-    let rec pairs = function
-      | a :: (b :: _ as rest) -> (a, b) :: pairs rest
-      | _ -> []
-    in
-    pairs cuts
+  let rec pairs = function
+    | a :: (b :: _ as rest) -> (a, b) :: pairs rest
+    | _ -> []
   in
+  let bounds = pairs cuts in
   List.iteri
     (fun stage (a, b) ->
       for i = a to b - 1 do
         placement.(seq.(i)) <- stage
       done)
     bounds;
-  ignore dag;
   let sched = Place.of_placement cost arch g placement in
   let proc_load = Array.make (Archi.nprocs arch) 0.0 in
   List.iter
@@ -194,10 +194,10 @@ let interval_candidates cost arch g =
   let dag = Dag.of_graph cost g in
   let seq = linearize dag in
   let k_max = min (Archi.nprocs arch) (Array.length seq) in
-  List.init k_max (fun i ->
-      let k = i + 1 in
-      let bottleneck, cuts = interval_partition cost arch dag seq k in
-      (k, bottleneck, lazy (interval_schedule cost arch g dag seq cuts)))
+  List.mapi
+    (fun i (bottleneck, cuts) ->
+      (i + 1, bottleneck, lazy (interval_schedule cost arch g seq cuts)))
+    (interval_partitions arch dag seq k_max)
 
 (* ------------------------------------------------------------------ *)
 (* Built-in strategies                                                 *)

@@ -56,6 +56,22 @@ val pareto : point list -> point list
     another, deduplicates coincident points, and orders the survivors by
     (latency, period, label). Exposed for tests. *)
 
+val linearize : Dag.t -> int array
+(** The interval mappers' stage chain: process-network node ids in order of
+    first appearance of one of their ops in {!Dag.topological_order}.
+    Exposed for tests. *)
+
+val interval_partitions : Archi.t -> Dag.t -> int array -> int -> (float * int list) list
+(** [interval_partitions arch dag seq k_max] partitions the stage chain
+    [seq] into k = 1..[k_max] contiguous intervals (k_max <= length of
+    [seq]), minimising the bottleneck interval time: compute load plus the
+    communication entering the interval from earlier ones, over the
+    architecture's mean cycle time and link costs. The [k]th element is the
+    bottleneck and the cut list for k intervals: the k interval starts
+    followed by the chain length. One O(n^2 * E) interval-cost matrix and
+    one O(k_max * n^2) table answer every k; ties keep the earliest cut.
+    Exposed for tests. *)
+
 val frontier_json : strategy:string -> arch:Archi.t -> point list -> string
 (** Deterministic JSON rendering of a frontier (byte-identical across runs
     and [--jobs] levels): strategy, architecture, and per-point label,

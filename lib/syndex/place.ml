@@ -31,38 +31,27 @@ let round_robin g arch =
    first-fit contention model the machine simulator uses, so the predicted
    communication schedule mirrors what the executive will do. Each hop is
    charged the link's startup latency plus its byte time, placed around the
-   link's earlier reservations. Returns the arrival time and the per-hop
-   slots for the schedule's link occupancy accounting. *)
+   link's earlier reservations ([link_busy] is indexed by link id). Returns
+   the arrival time and the per-hop slots for the schedule's link occupancy
+   accounting. *)
 let reserve_transfer arch link_busy ~src ~dst ~bytes ~depart =
-  if src = dst then (depart, [])
-  else begin
-    let path = Archi.route arch src dst in
-    let rec hop depart acc = function
-      | a :: (b :: _ as rest) ->
-          let link =
-            match Archi.link_between arch a b with
-            | Some l -> l
-            | None -> failwith "Place: route uses missing link"
-          in
-          let duration =
-            link.Archi.startup +. (float_of_int bytes /. link.Archi.bandwidth)
-          in
-          let existing =
-            Option.value ~default:Support.Intervals.empty
-              (Hashtbl.find_opt link_busy (a, b))
-          in
-          let start, updated =
-            Support.Intervals.reserve existing ~earliest:depart ~duration
-          in
-          Hashtbl.replace link_busy (a, b) updated;
-          hop (start +. duration)
-            ({ Schedule.hop_src = a; hop_dst = b; hop_start = start;
-               hop_finish = start +. duration } :: acc)
-            rest
-      | _ -> (depart, List.rev acc)
-    in
-    hop depart [] path
-  end
+  let arrival, hops =
+    Archi.fold_route arch src dst
+      (fun (depart, hops) i (link : Archi.link) ->
+        let duration =
+          link.Archi.startup +. (float_of_int bytes /. link.Archi.bandwidth)
+        in
+        let start, updated =
+          Support.Intervals.reserve link_busy.(i) ~earliest:depart ~duration
+        in
+        link_busy.(i) <- updated;
+        ( start +. duration,
+          { Schedule.hop_src = link.Archi.src; hop_dst = link.Archi.dst;
+            hop_start = start; hop_finish = start +. duration }
+          :: hops ))
+      (depart, [])
+  in
+  (arrival, List.rev hops)
 
 let of_placement cost arch g placement =
   if Array.length placement <> Procnet.Graph.nnodes g then
@@ -79,7 +68,7 @@ let of_placement cost arch g placement =
   in
   let op_start = Array.make nops 0.0 and op_finish = Array.make nops 0.0 in
   let avail = Array.make (Archi.nprocs arch) 0.0 in
-  let link_busy = Hashtbl.create 16 in
+  let link_busy = Array.make (Archi.nlinks arch) Support.Intervals.empty in
   let cycle_time p = (Archi.processors arch).(p).Archi.cycle_time in
   (* per cross-processor dependency: (depart, arrival, hop slots) *)
   let transfers : (Dag.dep, float * float * Schedule.hop_slot list) Hashtbl.t =

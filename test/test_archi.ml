@@ -65,6 +65,17 @@ let test_route_unreachable () =
   Alcotest.(check bool) "no path raises" true
     (try ignore (Archi.route a 0 1); false with Failure _ -> true)
 
+let test_transfer_time_unreachable () =
+  let procs =
+    Array.init 2 (fun i ->
+        { Archi.id = i; pname = Printf.sprintf "P%d" i; cycle_time = 1e-8 })
+  in
+  let a = Archi.custom ~name:"disconnected" procs [] in
+  Alcotest.check_raises "same text as Archi.route"
+    (Failure "Archi.route: no path 0 -> 1")
+    (fun () -> ignore (Archi.transfer_time a 0 1 1024));
+  Alcotest.(check (float 0.0)) "local still free" 0.0 (Archi.transfer_time a 1 1 1024)
+
 let test_custom_validation () =
   let procs =
     Array.init 2 (fun i ->
@@ -117,6 +128,64 @@ let prop_route_at_most_half_ring =
       let a = a mod n and b = b mod n in
       Archi.hops r a b <= (n / 2) + (n mod 2))
 
+(* Transfer time as a fold over the pairs of [Archi.route]: the oracle the
+   route-free [Archi.transfer_time] must match bit for bit. *)
+let oracle_transfer_time t a b bytes =
+  if a = b then 0.0
+  else
+    let rec pairs = function
+      | x :: (y :: _ as rest) -> (x, y) :: pairs rest
+      | _ -> []
+    in
+    List.fold_left
+      (fun acc (x, y) ->
+        match Archi.link_between t x y with
+        | Some l -> acc +. l.Archi.startup +. (float_of_int bytes /. l.Archi.bandwidth)
+        | None -> failwith "Archi.transfer_time: route uses missing link")
+      0.0
+      (pairs (Archi.route t a b))
+
+(* Standard topologies, or a random directed graph (possibly disconnected)
+   whose links each carry their own bandwidth and startup. *)
+let random_topology (kind, n, seed) =
+  match kind with
+  | 0 -> Archi.ring n
+  | 1 -> Archi.chain n
+  | 2 -> Archi.star n
+  | 3 -> Archi.fully_connected n
+  | 4 -> Archi.grid 2 ((n + 1) / 2)
+  | _ ->
+      let rng = Random.State.make [| seed |] in
+      let edges = ref [] in
+      for a = 0 to n - 1 do
+        for b = 0 to n - 1 do
+          if a <> b && Random.State.int rng 4 = 0 then
+            edges :=
+              ( a, b,
+                [| 1e6; 1e7; 3.3e7 |].(Random.State.int rng 3),
+                Random.State.float rng 1e-5 )
+              :: !edges
+        done
+      done;
+      Archi.custom ~name:"random"
+        (Array.init n (fun i ->
+             { Archi.id = i; pname = Printf.sprintf "P%d" i; cycle_time = 5e-8 }))
+        (List.rev !edges)
+
+let prop_transfer_time_matches_route_fold =
+  QCheck.Test.make ~name:"transfer time equals the route fold bit for bit"
+    ~count:300
+    QCheck.(
+      quad (pair (int_range 0 5) (int_range 1 12)) (int_range 0 10_000)
+        (pair small_nat small_nat) (int_range 0 1_000_000))
+    (fun ((kind, n), seed, (a, b), bytes) ->
+      let t = random_topology (kind, n, seed) in
+      let n = Archi.nprocs t in
+      let a = a mod n and b = b mod n in
+      let outcome f = try Ok (Int64.bits_of_float (f ())) with Failure m -> Error m in
+      outcome (fun () -> Archi.transfer_time t a b bytes)
+      = outcome (fun () -> oracle_transfer_time t a b bytes))
+
 let () =
   Alcotest.run "archi"
     [
@@ -142,6 +211,8 @@ let () =
       ( "costs",
         [
           Alcotest.test_case "transfer model" `Quick test_transfer_time_model;
+          Alcotest.test_case "transfer unreachable" `Quick test_transfer_time_unreachable;
           Alcotest.test_case "monotonic in bytes" `Quick test_transfer_monotonic_in_bytes;
+          QCheck_alcotest.to_alcotest prop_transfer_time_matches_route_fold;
         ] );
     ]

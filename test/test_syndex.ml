@@ -324,6 +324,167 @@ let test_throughput_period_beats_heft_prediction () =
     true
     (Syndex.Schedule.period tp < Syndex.Schedule.period heft)
 
+(* -- interval mapper byte-identity -- *)
+
+(* The interval DP as it stood when every k reran the whole table and
+   every interval cost re-folded the dependencies: the oracle the one-table
+   [Mapper.interval_partitions] must match bit for bit. *)
+let oracle_interval_partition arch (dag : Syndex.Dag.t) seq k =
+  let n = Array.length seq in
+  let ct = Syndex.Heft.mean_cycle_time arch in
+  let startup, bw = Syndex.Heft.mean_link_costs arch in
+  let pos = Hashtbl.create 16 in
+  Array.iteri (fun i node -> Hashtbl.replace pos node i) seq;
+  let node_work = Array.make n 0.0 in
+  Array.iter
+    (fun (op : Syndex.Dag.op) ->
+      let i = Hashtbl.find pos op.Syndex.Dag.node in
+      node_work.(i) <- node_work.(i) +. (op.Syndex.Dag.cycles *. ct))
+    dag.Syndex.Dag.ops;
+  let prefix = Array.make (n + 1) 0.0 in
+  for i = 0 to n - 1 do
+    prefix.(i + 1) <- prefix.(i) +. node_work.(i)
+  done;
+  let comm bytes =
+    if bw = infinity then 0.0 else startup +. (float_of_int bytes /. bw)
+  in
+  let deps =
+    List.filter_map
+      (fun (d : Syndex.Dag.dep) ->
+        match d.Syndex.Dag.edge with
+        | None -> None
+        | Some _ ->
+            let node op = dag.Syndex.Dag.ops.(op).Syndex.Dag.node in
+            let sp = Hashtbl.find pos (node d.Syndex.Dag.src_op) in
+            let dp = Hashtbl.find pos (node d.Syndex.Dag.dst_op) in
+            if sp = dp then None
+            else Some (min sp dp, max sp dp, d.Syndex.Dag.bytes))
+      dag.Syndex.Dag.deps
+  in
+  let interval_cost a b =
+    let inbound =
+      List.fold_left
+        (fun acc (sp, dp, bytes) ->
+          if sp < a && dp >= a && dp < b then acc +. comm bytes else acc)
+        0.0 deps
+    in
+    prefix.(b) -. prefix.(a) +. inbound
+  in
+  let best = Array.make_matrix (k + 1) (n + 1) infinity in
+  let cut = Array.make_matrix (k + 1) (n + 1) 0 in
+  best.(0).(0) <- 0.0;
+  for j = 1 to k do
+    for b = j to n - (k - j) do
+      for a = j - 1 to b - 1 do
+        let c = Float.max best.(j - 1).(a) (interval_cost a b) in
+        if c < best.(j).(b) then begin
+          best.(j).(b) <- c;
+          cut.(j).(b) <- a
+        end
+      done
+    done
+  done;
+  let rec cuts j b acc =
+    if j = 0 then acc else cuts (j - 1) cut.(j).(b) (cut.(j).(b) :: acc)
+  in
+  (best.(k).(n), cuts k n [ n ])
+
+(* A random df/scm network of width 1-40 under a cost model whose function
+   cycles and channel sizes vary with [seed] (every fourth seed: the
+   uniform default model, which ties everywhere), on a random ring/chain/star/full
+   architecture. *)
+let random_interval_case (shape, width, seed, (topo, nprocs)) =
+  let stage =
+    match shape with
+    | 0 ->
+        Skel.Ir.Df
+          { nworkers = width; comp = "c"; acc = "a"; init = V.Int 0;
+            state = Skel.Ir.Stateless }
+    | 1 -> Skel.Ir.Scm { nparts = width; split = "s"; compute = "c"; merge = "m" }
+    | _ ->
+        Skel.Ir.Pipe
+          [
+            Skel.Ir.Seq "pre";
+            Skel.Ir.Scm
+              { nparts = 1 + (width / 2); split = "s"; compute = "c"; merge = "m" };
+            Skel.Ir.Df
+              { nworkers = 1 + (width / 2); comp = "c2"; acc = "a";
+                init = V.Int 0; state = Skel.Ir.Stateless };
+          ]
+  in
+  let g = Procnet.Expand.expand_stage stage in
+  let model =
+    if seed mod 4 = 0 then cost
+    else
+      Syndex.Cost.make
+        ~fn_cycles:(fun name ->
+          Some (float_of_int (1_000 + (Hashtbl.hash (seed, name) mod 50_000))))
+        ~edge_bytes:(fun (e : G.edge) ->
+          Some (16 + (Hashtbl.hash (seed, e.G.src, e.G.dst) mod 8_192)))
+        ()
+  in
+  let bandwidth = [| 1e6; 1e7; 3e7 |].(seed mod 3) in
+  let arch =
+    match topo with
+    | 0 -> Archi.ring ~bandwidth nprocs
+    | 1 -> Archi.chain ~bandwidth nprocs
+    | 2 -> Archi.star ~bandwidth nprocs
+    | _ -> Archi.fully_connected ~bandwidth nprocs
+  in
+  (model, arch, g)
+
+let prop_interval_partitions_match_oracle =
+  QCheck.Test.make
+    ~name:"one interval table answers every k bit for bit" ~count:100
+    QCheck.(
+      quad (int_range 0 2) (int_range 1 40) (int_range 0 1000)
+        (pair (int_range 0 3) (int_range 1 24)))
+    (fun case ->
+      let model, arch, g = random_interval_case case in
+      let dag = Syndex.Dag.of_graph model g in
+      let seq = Syndex.Mapper.linearize dag in
+      let k_max = min (Archi.nprocs arch) (Array.length seq) in
+      let table = Syndex.Mapper.interval_partitions arch dag seq k_max in
+      if List.length table <> k_max then
+        QCheck.Test.fail_reportf "%d table rows for k_max %d" (List.length table)
+          k_max;
+      List.iteri
+        (fun i (bottleneck, cuts) ->
+          let k = i + 1 in
+          let want_b, want_cuts = oracle_interval_partition arch dag seq k in
+          if Int64.bits_of_float bottleneck <> Int64.bits_of_float want_b then
+            QCheck.Test.fail_reportf "k=%d: bottleneck %h, oracle %h" k
+              bottleneck want_b;
+          if cuts <> want_cuts then
+            QCheck.Test.fail_reportf "k=%d: cuts [%s], oracle [%s]" k
+              (String.concat ";" (List.map string_of_int cuts))
+              (String.concat ";" (List.map string_of_int want_cuts)))
+        table;
+      true)
+
+let disconnected_pair () =
+  let procs =
+    Array.init 2 (fun i ->
+        { Archi.id = i; pname = Printf.sprintf "P%d" i; cycle_time = 5e-8 })
+  in
+  Archi.custom ~name:"disconnected" procs []
+
+let test_of_placement_unreachable () =
+  let g =
+    Procnet.Expand.expand_stage (Skel.Ir.Pipe [ Skel.Ir.Seq "a"; Skel.Ir.Seq "b" ])
+  in
+  let arch = disconnected_pair () in
+  let placement = Array.init (G.nnodes g) (fun i -> i mod 2) in
+  Alcotest.check_raises "same text as Archi.route"
+    (Failure "Archi.route: no path 0 -> 1")
+    (fun () -> ignore (Syndex.Place.of_placement cost arch g placement))
+
+let test_heft_skips_unreachable () =
+  let g = tracking_like_graph ~nworkers:3 () in
+  let s = Syndex.Heft.map cost (disconnected_pair ()) g in
+  Alcotest.(check bool) "everything on the reachable processor" true
+    (Array.for_all (( = ) 0) s.Syndex.Schedule.placement)
+
 (* -- HEFT determinism -- *)
 
 let test_heft_tie_break_pin () =
@@ -392,12 +553,15 @@ let () =
           Alcotest.test_case "throughput predicted period" `Quick
             test_throughput_period_beats_heft_prediction;
           QCheck_alcotest.to_alcotest prop_all_mappers_valid;
+          QCheck_alcotest.to_alcotest prop_interval_partitions_match_oracle;
         ] );
       ( "placements",
         [
           Alcotest.test_case "canonical layout" `Quick test_canonical_placement;
           Alcotest.test_case "of_placement validates" `Quick test_of_placement_validates;
           Alcotest.test_case "of_placement rejects bad input" `Quick test_of_placement_rejects_bad_input;
+          Alcotest.test_case "of_placement unreachable" `Quick test_of_placement_unreachable;
+          Alcotest.test_case "heft skips unreachable" `Quick test_heft_skips_unreachable;
         ] );
       ( "model",
         [
