@@ -15,13 +15,6 @@ val register : ?nstrips:int -> Skel.Funtable.t -> unit
 (** Registers [strip_sums] (image -> per-strip pixel sums, [nstrips]
     defaulting to 8), the per-mode compute functions and the [add] fold. *)
 
-val comp_for : Skel.Ir.state_mode -> string
-(** The compute-function name the mode's farm uses. *)
-
-val init_for : ?nworkers:int -> Skel.Ir.state_mode -> Skel.Value.t
-(** An init value with the shape the mode demands ([nworkers] partitions for
-    owner, default 4). *)
-
 val ir : ?frames:int -> ?nworkers:int -> Skel.Ir.state_mode -> Skel.Ir.program
 (** [Pipe [strip_sums; Df mode]] over [nworkers] (default 4) workers. *)
 

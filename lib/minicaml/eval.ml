@@ -386,14 +386,3 @@ let eval_program_env ctx start prog =
 let eval_program ctx prog = eval_program_env ctx (initial_env ctx) prog
 
 let lookup env name = Env.find_opt name env
-
-let run_main ctx prog =
-  let env = eval_program ctx prog in
-  match Env.find_opt "main" env with
-  | Some v -> v
-  | None -> error "program has no 'main' binding"
-
-let emulation_result ctx main_value =
-  match ctx.final_state with
-  | Some st -> V.Tuple [ st; V.List (List.rev ctx.collected) ]
-  | None -> to_skel main_value

@@ -55,12 +55,3 @@ val eval_program_env : ctx -> env -> Ast.program -> env
 (** Like [eval_program] but extending an existing environment (REPL use). *)
 
 val lookup : env -> string -> value option
-
-val run_main : ctx -> Ast.program -> value
-(** [eval_program] then the value of [main]; raises [Runtime_error] if
-    [main] is unbound. *)
-
-val emulation_result : ctx -> value -> Skel.Value.t
-(** Shapes an emulation outcome like {!Skel.Sem.run}: when the context
-    collected itermem outputs, [Tuple [final_state; List outputs]];
-    otherwise the converted main value. *)

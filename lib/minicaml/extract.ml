@@ -24,18 +24,17 @@ type dataflow =
   | Single of string
   | Components of string list  (** names of the tuple components, in order *)
 
-(* The counter is global, but a replayed cached compile may have installed
-   names minted by another process (see Funtable.derive), so skip any name
-   the table already holds. *)
-let gensym =
-  let n = ref 0 in
-  fun table base ->
-    let rec fresh () =
-      incr n;
-      let name = Printf.sprintf "%s__s%d" base !n in
-      if Skel.Funtable.mem table name then fresh () else name
-    in
-    fresh ()
+(* [minted] counts the names one [extract] call has minted, so a compile's
+   names do not depend on what else the process compiled, on any domain.
+   The table may already hold a name (an earlier extraction into it, or a
+   replayed cached compile, see Funtable.derive), so skip those. *)
+let gensym minted table base =
+  let rec fresh () =
+    incr minted;
+    let name = Printf.sprintf "%s__s%d" base !minted in
+    if Skel.Funtable.mem table name then fresh () else name
+  in
+  fresh ()
 
 let external_entry table loc name =
   match Skel.Funtable.find_opt table name with
@@ -80,7 +79,7 @@ let classify ctx genv dataflow arg =
    generates around user C functions; the closure itself is built by
    Funtable.derive from the pure-data recipe, so a cached compile can
    replay the registration. *)
-let register_wrapper table fn_name specs =
+let register_wrapper table minted fn_name specs =
   let specs =
     List.map
       (function
@@ -89,7 +88,7 @@ let register_wrapper table fn_name specs =
         | Const c -> Skel.Funtable.Const c)
       specs
   in
-  let wrapper = gensym table fn_name in
+  let wrapper = gensym minted table fn_name in
   Skel.Funtable.derive table wrapper
     (Skel.Funtable.Wrapper { base = fn_name; specs });
   wrapper
@@ -119,7 +118,7 @@ let df_family =
     ("df_res", Skel.Ir.Resource);
   ]
 
-let translate_stage table ctx genv dataflow rhs =
+let translate_stage table minted ctx genv dataflow rhs =
   let loc = Ast.expr_loc rhs in
   match spine rhs with
   | Ast.Var (df, _), [ n; comp; acc; z; xs ]
@@ -177,17 +176,17 @@ let translate_stage table ctx genv dataflow rhs =
         error loc "stage %s does not consume the dataflow value" f;
       (* Identity wrappers are skipped when the call is exactly [f flow]. *)
       if specs = [ Whole ] then Skel.Ir.Seq f
-      else Skel.Ir.Seq (register_wrapper table f specs)
+      else Skel.Ir.Seq (register_wrapper table minted f specs)
   | head, _ ->
       error (Ast.expr_loc head) "unsupported stage expression %s"
         (Format.asprintf "%a" Ast.pp_expr head)
 
 (* Translate a function body: a linear let-chain of stages. *)
-let translate_chain table ctx genv dataflow body =
+let translate_chain table minted ctx genv dataflow body =
   let rec go dataflow acc expr =
     match expr with
     | Ast.Let { recursive = false; pat = Ast.Pvar (v, _); bound; body; _ } ->
-        let stage = translate_stage table ctx genv dataflow bound in
+        let stage = translate_stage table minted ctx genv dataflow bound in
         go (Single v) (stage :: acc) body
     | Ast.Let { recursive = true; loc; _ } ->
         error loc "recursive bindings are not allowed in a skeletal pipeline"
@@ -200,7 +199,7 @@ let translate_chain table ctx genv dataflow body =
         | Single d when d = x -> List.rev acc
         | _ -> error loc "pipeline result %s is not the dataflow value" x)
     | rhs ->
-        let stage = translate_stage table ctx genv dataflow rhs in
+        let stage = translate_stage table minted ctx genv dataflow rhs in
         List.rev (stage :: acc)
   in
   match go dataflow [] body with [ s ] -> s | stages -> Skel.Ir.Pipe stages
@@ -234,6 +233,7 @@ let dataflow_of_params loc = function
   | _ -> error loc "pipeline functions must take a single (possibly tuple) parameter"
 
 let extract ?(frames = 1) ?(name = "main") table prog =
+  let minted = ref 0 in
   let ctx = Eval.make_ctx ~frames:0 table in
   (* Global environment: all top-level bindings except [main] (whose
      evaluation would run the stream loop). *)
@@ -268,7 +268,7 @@ let extract ?(frames = 1) ?(name = "main") table prog =
       let input = const_value ctx genv main_loc x in
       let params, body = resolve_function prog main_loc loop in
       let dataflow = dataflow_of_params main_loc params in
-      let loop_stage = translate_chain table ctx genv dataflow body in
+      let loop_stage = translate_chain table minted ctx genv dataflow body in
       {
         program =
           Skel.Ir.program ~frames name
@@ -278,7 +278,7 @@ let extract ?(frames = 1) ?(name = "main") table prog =
   | Ast.Lambda _, [] ->
       let params, body = resolve_function prog main_loc main_expr in
       let dataflow = dataflow_of_params main_loc params in
-      { program = Skel.Ir.program ~frames name (translate_chain table ctx genv dataflow body);
+      { program = Skel.Ir.program ~frames name (translate_chain table minted ctx genv dataflow body);
         input = None }
   | _ ->
       (* main = <stage chain> applied to ... : treat as a one-stage pipeline
@@ -300,7 +300,7 @@ let extract ?(frames = 1) ?(name = "main") table prog =
             in
             rebuild main_expr
           in
-          let stage = translate_stage table ctx genv dataflow rewritten in
+          let stage = translate_stage table minted ctx genv dataflow rewritten in
           { program = Skel.Ir.program ~frames name stage; input = Some input }
       | _ ->
           error main_loc

@@ -1,6 +1,3 @@
-(* Node-creation order (master, then per-ring-position workers and routers)
-   is what [natural_placement] relies on; keep them in sync. *)
-
 let df_ring ~nworkers ~comp ~acc ~init =
   if nworkers < 1 then invalid_arg "Templates.df_ring: nworkers < 1";
   let module B = Graph.Builder in
@@ -49,31 +46,3 @@ let df_ring ~nworkers ~comp ~acc ~init =
     B.add_edge b ~dst_port:"result" wm.(0) master
   end;
   B.freeze b ~entry:master ~exit_node:master
-
-let df_ring_process_count n = 1 + n + (2 * max 0 (n - 1))
-
-let df_ring_channel_count n =
-  if n = 1 then 2
-  else
-    (* task: 1 + (n-1) serve + (n-1) fwd; result: n worker exits + (n-2)
-       chain + 1 to master. *)
-    1 + (n - 1) + (n - 1) + n + (n - 2) + 1
-
-let natural_placement g =
-  let placement = Array.make (Graph.nnodes g) 0 in
-  Array.iter
-    (fun (nd : Graph.node) ->
-      let place =
-        match nd.kind with
-        | Graph.DfMaster _ -> 0
-        | Graph.DfWorker _ ->
-            (* labels are Worker<i> with i in 1..n *)
-            int_of_string (String.sub nd.label 6 (String.length nd.label - 6))
-        | Graph.Router _ ->
-            let at = String.index nd.label '@' in
-            int_of_string (String.sub nd.label (at + 1) (String.length nd.label - at - 1))
-        | _ -> 0
-      in
-      placement.(nd.id) <- place)
-    (Graph.nodes g);
-  placement

@@ -12,13 +12,3 @@ val df_ring : nworkers:int -> comp:string -> acc:string -> init:Skel.Value.t -> 
     P1..P(n-1) a pair of [M->W] / [W->M] routers forwarding task packets
     outward and results backward along the ring. Raises [Invalid_argument]
     when [nworkers < 1]. *)
-
-val df_ring_process_count : int -> int
-(** Expected number of processes for [n] workers: [1 + n + 2 * (n - 1)]. *)
-
-val df_ring_channel_count : int -> int
-(** Expected number of channels for [n] workers. *)
-
-val natural_placement : Graph.t -> int array
-(** For a [df_ring] graph, the placement the paper's figure depicts: index =
-    node id, value = processor id on the ring. *)

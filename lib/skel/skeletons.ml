@@ -17,28 +17,3 @@ let itermem inp loop out z x =
     f z'
   in
   f z
-
-let itermem_n k inp loop out z x =
-  if k < 0 then invalid_arg "itermem_n: negative iteration count";
-  let rec f z i =
-    if i >= k then z
-    else begin
-      let z', y = loop (z, inp x) in
-      out y;
-      f z' (i + 1)
-    end
-  in
-  f z 0
-
-let itermem_stream k inp loop z =
-  let outputs = ref [] in
-  let rec f z i =
-    if i >= k then z
-    else begin
-      let z', y = loop (z, inp i) in
-      outputs := y :: !outputs;
-      f z' (i + 1)
-    end
-  in
-  let final = f z 0 in
-  (final, List.rev !outputs)

@@ -2,12 +2,17 @@
     skeletons, exactly as published in the paper (§2, Fig. 4).
 
     These higher-order functions give skeleton-based programs their
-    architecture-independent semantics, and implement the "sequential
-    emulation" branch of the toolchain (paper Fig. 2): a skeletal program run
-    through these combinators on a workstation must produce the same result
-    as the parallel executive, provided the accumulation functions passed to
-    [df]/[tf] are commutative and associative (the equivalence obligation the
-    paper places on the implementor). *)
+    architecture-independent semantics. The toolchain's "sequential
+    emulation" branch (paper Fig. 2) is {!Sem}, which implements them over
+    dynamic values: a skeletal program emulated on a workstation must
+    produce the same result as the parallel executive, provided the
+    accumulation functions passed to [df]/[tf] are commutative and
+    associative (the equivalence obligation the paper places on the
+    implementor).
+
+    Test oracle: no stage of the toolchain calls these; [test_sem]'s "IR df
+    matches the declarative combinator" compares {!Sem} against [df], and
+    [test_skeletons] pins each definition. *)
 
 val scm : int -> (int -> 'a -> 'b list) -> ('b -> 'c) -> ('c list -> 'd) -> 'a -> 'd
 (** [scm n split comp merge x = merge (List.map comp (split n x))].
@@ -32,16 +37,5 @@ val itermem : ('a -> 'b) -> ('c * 'b -> 'c * 'd) -> ('d -> unit) -> 'c -> 'a -> 
 (** The paper's Fig. 4 definition, verbatim:
     [itermem inp loop out z x] runs
     [let rec f z = let z', y = loop (z, inp x) in out y; f z' in f z].
-    Never returns; use [itermem_n] for bounded runs. *)
-
-val itermem_n :
-  int -> ('a -> 'b) -> ('c * 'b -> 'c * 'd) -> ('d -> unit) -> 'c -> 'a -> 'c
-(** [itermem_n k inp loop out z x] is [itermem] limited to [k] iterations;
-    returns the final memory value. Raises [Invalid_argument] when [k < 0]. *)
-
-val itermem_stream :
-  int -> (int -> 'b) -> ('c * 'b -> 'c * 'd) -> 'c -> 'c * 'd list
-(** Stream-of-frames variant used by the applications: the input function
-    receives the frame index (a camera delivering frame [i]), and outputs are
-    collected. [itermem_stream k inp loop z] returns the final memory and the
-    [k] outputs in order. *)
+    Never returns: the stream stops only when [inp], [loop] or [out]
+    raises. *)

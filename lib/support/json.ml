@@ -18,11 +18,27 @@ let error fmt = Printf.ksprintf (fun m -> raise (Parse_error m)) fmt
    produced by other tools, so "valid JSON" must not depend on which
    escapes those tools favour. *)
 
-type state = { s : string; mutable i : int }
+type state = { s : string; mutable i : int; mutable depth : int }
+
+(* Arrays and objects nest at most this deep. The reader recurses once per
+   level, so without a bound a frame of ['['] costs stack in proportion to
+   its length, and time faster than that; every file and request the
+   toolchain reads nests a handful of levels. *)
+let max_depth = 512
 
 let peek st = if st.i < String.length st.s then Some st.s.[st.i] else None
 
 let advance st = st.i <- st.i + 1
+
+let enter st =
+  if st.depth >= max_depth then
+    error "offset %d: nesting deeper than %d" st.i max_depth;
+  st.depth <- st.depth + 1;
+  advance st
+
+let leave st =
+  st.depth <- st.depth - 1;
+  advance st
 
 let rec skip_ws st =
   match peek st with
@@ -151,10 +167,10 @@ let rec parse_value st =
   | None -> error "unexpected end of input"
   | Some '"' -> Str (parse_string st)
   | Some '{' ->
-      advance st;
+      enter st;
       skip_ws st;
       if peek st = Some '}' then begin
-        advance st;
+        leave st;
         Obj []
       end
       else begin
@@ -170,17 +186,17 @@ let rec parse_value st =
               advance st;
               members ((key, v) :: acc)
           | Some '}' ->
-              advance st;
+              leave st;
               List.rev ((key, v) :: acc)
           | _ -> error "offset %d: expected , or } in object" st.i
         in
         Obj (members [])
       end
   | Some '[' ->
-      advance st;
+      enter st;
       skip_ws st;
       if peek st = Some ']' then begin
-        advance st;
+        leave st;
         Arr []
       end
       else begin
@@ -192,7 +208,7 @@ let rec parse_value st =
               advance st;
               elements (v :: acc)
           | Some ']' ->
-              advance st;
+              leave st;
               List.rev (v :: acc)
           | _ -> error "offset %d: expected , or ] in array" st.i
         in
@@ -204,7 +220,7 @@ let rec parse_value st =
   | Some _ -> Num (parse_number st)
 
 let parse s =
-  let st = { s; i = 0 } in
+  let st = { s; i = 0; depth = 0 } in
   match parse_value st with
   | v ->
       skip_ws st;

@@ -37,7 +37,8 @@ exception Parse_error of string
 
 val parse : string -> (t, string) result
 (** Whole-string parse; trailing non-whitespace is an error. Numbers
-    come back as [Num]. *)
+    come back as [Num]. Arrays and objects nest at most 512 deep; deeper
+    input is an error. Never raises. *)
 
 val int : int -> t
 (** [Fixed (0, float_of_int n)]: prints as [%d] does for every int of

@@ -59,7 +59,8 @@ val pareto : point list -> point list
 val linearize : Dag.t -> int array
 (** The interval mappers' stage chain: process-network node ids in order of
     first appearance of one of their ops in {!Dag.topological_order}.
-    Exposed for tests. *)
+    Test oracle: [test_syndex]'s "one interval table answers every k bit
+    for bit" builds its chain with it. *)
 
 val interval_partitions : Archi.t -> Dag.t -> int array -> int -> (float * int list) list
 (** [interval_partitions arch dag seq k_max] partitions the stage chain
@@ -70,7 +71,8 @@ val interval_partitions : Archi.t -> Dag.t -> int array -> int -> (float * int l
     bottleneck and the cut list for k intervals: the k interval starts
     followed by the chain length. One O(n^2 * E) interval-cost matrix and
     one O(k_max * n^2) table answer every k; ties keep the earliest cut.
-    Exposed for tests. *)
+    Test oracle: [test_syndex]'s "one interval table answers every k bit
+    for bit" compares it with a per-k brute force. *)
 
 val frontier_json : strategy:string -> arch:Archi.t -> point list -> string
 (** Deterministic JSON rendering of a frontier (byte-identical across runs

@@ -34,7 +34,9 @@ val label : threshold:int -> Image.t -> labelling
 
 val label_flood : threshold:int -> Image.t -> labelling
 (** Reference implementation: BFS flood fill. Same label-numbering convention
-    as [label]; used as a test oracle. *)
+    as [label].
+    Test oracle: [test_ccl]'s "two-pass labelling matches flood fill"
+    compares [label] against it. *)
 
 val regions : labelling -> region list
 (** Region statistics sorted by label. *)

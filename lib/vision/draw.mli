@@ -3,16 +3,11 @@
     All operations mutate the image in place and silently clip against its
     bounds. [v] is the grey level drawn (clamped to [0, 255]). *)
 
-val line : Image.t -> x0:int -> y0:int -> x1:int -> y1:int -> int -> unit
-(** Bresenham line between the two endpoints (inclusive). *)
-
 val rect : Image.t -> x:int -> y:int -> w:int -> h:int -> int -> unit
 (** Rectangle outline. Degenerate (w or h <= 0) rectangles draw nothing. *)
 
 val cross : Image.t -> x:int -> y:int -> size:int -> int -> unit
 (** A plus-shaped marker centred at [(x, y)], arms of [size] pixels. *)
-
-val disc : Image.t -> x:int -> y:int -> r:int -> int -> unit
 
 val window : Image.t -> Window.t -> int -> unit
 (** Outline a window of interest. *)

@@ -32,7 +32,6 @@ let set img x y v =
   check img x y;
   unsafe_set img x y (clamp v)
 
-let get_opt img x y = if in_bounds img x y then Some (unsafe_get img x y) else None
 let fill img v = Bytes.fill img.data 0 (Bytes.length img.data) (Char.chr (clamp v))
 let copy img = { img with data = Bytes.copy img.data }
 
@@ -120,74 +119,7 @@ let digest img =
 let pp ppf img =
   Format.fprintf ppf "<image %dx%d #%08x>" img.width img.height (digest img)
 
-let to_pgm img =
-  let header = Printf.sprintf "P5\n%d %d\n255\n" img.width img.height in
-  header ^ Bytes.to_string img.data
-
-let of_pgm s =
-  (* Tokenise the header, skipping '#' comments, then read the raster. *)
-  let n = String.length s in
-  let rec skip_ws i =
-    if i >= n then i
-    else
-      match s.[i] with
-      | ' ' | '\t' | '\n' | '\r' -> skip_ws (i + 1)
-      | '#' ->
-          let rec eol j = if j >= n || s.[j] = '\n' then j else eol (j + 1) in
-          skip_ws (eol i)
-      | _ -> i
-  in
-  let token i =
-    let i = skip_ws i in
-    let rec stop j =
-      if j >= n then j
-      else match s.[j] with ' ' | '\t' | '\n' | '\r' | '#' -> j | _ -> stop (j + 1)
-    in
-    let j = stop i in
-    if j = i then Error "of_pgm: unexpected end of header"
-    else Ok (String.sub s i (j - i), j)
-  in
-  let ( let* ) = Result.bind in
-  let int_token i =
-    let* tok, j = token i in
-    match int_of_string_opt tok with
-    | Some v -> Ok (v, j)
-    | None -> Error (Printf.sprintf "of_pgm: expected integer, got %S" tok)
-  in
-  let* magic, i = token 0 in
-  let* w, i = int_token i in
-  let* h, i = int_token i in
-  let* maxval, i = int_token i in
-  if w <= 0 || h <= 0 then Error "of_pgm: bad dimensions"
-  else if maxval <= 0 || maxval > 255 then Error "of_pgm: unsupported maxval"
-  else
-    match magic with
-    | "P5" ->
-        let start = i + 1 in
-        if n - start < w * h then Error "of_pgm: truncated raster"
-        else
-          let img = create w h in
-          Bytes.blit_string s start img.data 0 (w * h);
-          Ok img
-    | "P2" ->
-        let img = create w h in
-        let rec read k i =
-          if k >= w * h then Ok img
-          else
-            let* v, i = int_token i in
-            Bytes.set img.data k (Char.chr (clamp v));
-            read (k + 1) i
-        in
-        read 0 i
-    | m -> Error (Printf.sprintf "of_pgm: unsupported magic %S" m)
-
 let save_pgm img path =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_pgm img))
-
-let load_pgm path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | s -> of_pgm s
-  | exception Sys_error msg -> Error msg
+  Out_channel.with_open_bin path (fun oc ->
+      Printf.fprintf oc "P5\n%d %d\n255\n" img.width img.height;
+      Out_channel.output_bytes oc img.data)

@@ -39,9 +39,6 @@ val unsafe_set : t -> int -> int -> int -> unit
     [0 <= v <= 255]. Outside the image it corrupts memory; out of range it
     stores [v land 255]. *)
 
-val get_opt : t -> int -> int -> int option
-(** [get_opt img x y] is [None] when [(x, y)] is out of bounds. *)
-
 val in_bounds : t -> int -> int -> bool
 
 val fill : t -> int -> unit
@@ -89,13 +86,6 @@ val digest : t -> int
 val pp : Format.formatter -> t -> unit
 (** [pp] prints dimensions and a short content digest, not the raster. *)
 
-val to_pgm : t -> string
-(** Binary PGM (P5) encoding. *)
-
-val of_pgm : string -> (t, string) result
-(** Parses binary (P5) or ASCII (P2) PGM, maxval up to 255. *)
-
 val save_pgm : t -> string -> unit
-(** [save_pgm img path] writes [to_pgm img] to [path]. *)
-
-val load_pgm : string -> (t, string) result
+(** [save_pgm img path] writes [img] to [path] as binary PGM (P5,
+    maxval 255). *)

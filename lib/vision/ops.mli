@@ -1,74 +1,10 @@
-(** Low-level image-processing operators used by the example applications.
-
-    All operators are pure: they allocate fresh output images. Costs quoted in
-    the machine model's cost tables correspond to these implementations. *)
-
-val threshold : int -> Image.t -> Image.t
-(** [threshold t img] maps pixels [>= t] to 255 and the rest to 0. *)
+(** Whole-image operators that the applications call as sequential
+    functions. Both are pure: [invert] allocates a fresh image. *)
 
 val invert : Image.t -> Image.t
-
-val histogram : Image.t -> int array
-(** 256-bin grayscale histogram. *)
-
-val otsu_threshold : Image.t -> int
-(** Otsu's automatic threshold selection over the histogram. Returns a level
-    in [0, 255]; thresholding at that level maximises inter-class variance. *)
-
-val convolve3 : int array -> ?div:int -> Image.t -> Image.t
-(** [convolve3 kernel ?div img] convolves with a 3x3 integer kernel given in
-    row-major order; each output is divided by [div] (default 1) and clamped.
-    Border pixels replicate the nearest valid neighbourhood.
-    Raises [Invalid_argument] if the kernel does not have 9 entries. *)
-
-val sobel_magnitude : Image.t -> Image.t
-(** Approximate gradient magnitude [|gx| + |gy|], clamped to [0, 255]. *)
-
-val box_blur : Image.t -> Image.t
-
-val erode3 : Image.t -> Image.t
-(** Grayscale erosion with a 3x3 structuring element. *)
-
-val dilate3 : Image.t -> Image.t
-
-val integral : Image.t -> int array
-(** [integral img] is the summed-area table, dimensions
-    [(w + 1) * (h + 1)] row-major, so that [rect_sum] is O(1). *)
-
-val rect_sum : Image.t -> int array -> x:int -> y:int -> w:int -> h:int -> int
-(** [rect_sum img sat ~x ~y ~w ~h] is the pixel sum over the (clipped)
-    rectangle using a table built by [integral]. *)
+(** [invert img] maps each pixel [v] to [255 - v]
+    ([examples/divide_conquer.ml]). *)
 
 val mean : Image.t -> float
-
-val count_above : int -> Image.t -> int
-(** [count_above t img] counts pixels with value [>= t]. *)
-
-val diff_count : Image.t -> Image.t -> int
-(** Number of differing pixels; raises [Invalid_argument] on dimension
-    mismatch. *)
-
-val median3 : Image.t -> Image.t
-(** 3x3 median filter (border replicated); removes salt-and-pepper noise
-    while preserving edges better than [box_blur]. *)
-
-val gaussian5 : Image.t -> Image.t
-(** 5x5 binomial (Gaussian-approximating) smoothing, kernel [1 4 6 4 1]
-    separably, divisor 256. *)
-
-val downsample2 : Image.t -> Image.t
-(** Halves each dimension by 2x2 averaging. Output dimensions are
-    [max 1 (w / 2)] by [max 1 (h / 2)]. *)
-
-val upsample2 : Image.t -> Image.t
-(** Doubles each dimension by pixel replication. *)
-
-val flip_horizontal : Image.t -> Image.t
-val flip_vertical : Image.t -> Image.t
-
-val rotate90 : Image.t -> Image.t
-(** Rotates a quarter turn clockwise; a [w x h] image becomes [h x w]. *)
-
-val equalize : Image.t -> Image.t
-(** Histogram equalisation: remaps levels so the cumulative distribution is
-    approximately linear. The all-constant image maps to itself. *)
+(** [mean img] is the mean grey level, the leaf value of
+    [Apps.Quadtree]. *)

@@ -30,13 +30,19 @@ val default_params : params
 (** 512x512, 2 vehicles, seed 42, mild noise, no occlusions. *)
 
 val vehicles_at : params -> int -> vehicle list
-(** [vehicles_at p t] is the ground-truth vehicle state at frame [t]. *)
+(** [vehicles_at p t] is the ground-truth vehicle state at frame [t].
+    Test oracle: [test_scene]'s per-pixel reference renderer draws from it
+    ("row-wise frame equals the per-pixel reference"). *)
 
 val mark_centers : vehicle -> (float * float) list
-(** The three mark centres for a vehicle (empty when not visible). *)
+(** The three mark centres for a vehicle (empty when not visible).
+    Test oracle: [test_scene]'s per-pixel reference renderer draws with it
+    ("row-wise frame equals the per-pixel reference"). *)
 
 val mark_radius : vehicle -> int
-(** Rendered mark radius in pixels (scales with apparent size). *)
+(** Rendered mark radius in pixels (scales with apparent size).
+    Test oracle: [test_scene]'s per-pixel reference renderer draws with it
+    ("row-wise frame equals the per-pixel reference"). *)
 
 val frame : params -> int -> Image.t
 (** [frame p t] renders frame [t]: road background, vehicle bodies, bright
@@ -50,4 +56,6 @@ val road_frame : ?curvature:float -> width:int -> height:int -> int -> Image.t
     [curvature] (default 0.0005 per frame phase). *)
 
 val ground_truth_marks : params -> int -> (float * float) list
-(** All visible mark centres at a frame, in vehicle order. *)
+(** All visible mark centres at a frame, in vehicle order.
+    Test oracle: [test_scene]'s "detection matches truth" and
+    [test_tracking]'s "finds marks" compare detected marks with it. *)

@@ -41,7 +41,9 @@ let test_ccl_scm_matches_direct () =
       Alcotest.(check int)
         (Printf.sprintf "%d bands component count" nparts)
         direct.Vision.Ccl.ncomponents n;
-      Alcotest.(check int) "area" (Vision.Ops.count_above 128 img) area)
+      Alcotest.(check int) "area"
+        (Vision.Image.fold (fun n v -> if v >= 128 then n + 1 else n) 0 img)
+        area)
     [ 1; 2; 4; 6 ]
 
 let test_ccl_scm_parallel_equals_sequential () =

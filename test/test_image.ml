@@ -1,5 +1,5 @@
-(* Tests for Vision.Image: accessors, sub/blit clipping, band splitting and
-   PGM round trips. *)
+(* Tests for Vision.Image (accessors, sub/blit clipping, band splitting,
+   the PGM writer) and for the Ops and Draw helpers built on it. *)
 
 module I = Vision.Image
 
@@ -33,8 +33,6 @@ let test_get_set_bounds () =
   let img = I.create 4 4 in
   Alcotest.(check bool) "in bounds" true (I.in_bounds img 3 3);
   Alcotest.(check bool) "out of bounds" false (I.in_bounds img 4 0);
-  Alcotest.(check (option int)) "get_opt inside" (Some 0) (I.get_opt img 1 1);
-  Alcotest.(check (option int)) "get_opt outside" None (I.get_opt img (-1) 0);
   (try
      ignore (I.get img 4 0);
      Alcotest.fail "expected exception"
@@ -103,27 +101,6 @@ let test_extract_band () =
   Alcotest.(check int) "band height" 3 (I.height band);
   Alcotest.(check int) "band first row" 2 (I.get band 0 0)
 
-let test_pgm_roundtrip_binary () =
-  let rng = Support.Prng.create 77 in
-  let img = random_image rng 13 9 in
-  match I.of_pgm (I.to_pgm img) with
-  | Ok img' -> Alcotest.(check bool) "roundtrip equal" true (I.equal img img')
-  | Error m -> Alcotest.fail m
-
-let test_pgm_parses_ascii () =
-  let src = "P2\n# a comment\n3 2\n255\n0 1 2\n3 4 5\n" in
-  match I.of_pgm src with
-  | Ok img ->
-      Alcotest.(check int) "dims" 3 (I.width img);
-      Alcotest.(check int) "pixel" 5 (I.get img 2 1)
-  | Error m -> Alcotest.fail m
-
-let test_pgm_rejects_garbage () =
-  Alcotest.(check bool) "bad magic" true (Result.is_error (I.of_pgm "P9\n1 1\n255\nx"));
-  Alcotest.(check bool) "truncated" true
-    (Result.is_error (I.of_pgm "P5\n4 4\n255\nxy"));
-  Alcotest.(check bool) "empty" true (Result.is_error (I.of_pgm ""))
-
 let test_pgm_file_io () =
   let img = random_image (Support.Prng.create 3) 16 16 in
   let path = Filename.temp_file "skipper_test" ".pgm" in
@@ -131,9 +108,38 @@ let test_pgm_file_io () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       I.save_pgm img path;
-      match I.load_pgm path with
-      | Ok img' -> Alcotest.(check bool) "file roundtrip" true (I.equal img img')
-      | Error m -> Alcotest.fail m)
+      Alcotest.(check string) "P5 header, then the raster"
+        ("P5\n16 16\n255\n" ^ Bytes.to_string img.I.data)
+        (In_channel.with_open_bin path In_channel.input_all))
+
+let test_invert_involution () =
+  let img = random_image (Support.Prng.create 2) 15 10 in
+  Alcotest.(check bool) "invert twice" true
+    (I.equal img (Vision.Ops.invert (Vision.Ops.invert img)))
+
+let test_mean () =
+  let img = I.create ~init:10 4 4 in
+  I.set img 0 0 26;
+  Alcotest.(check (float 0.001)) "mean" 11.0 (Vision.Ops.mean img)
+
+let test_draw_rect_outline () =
+  let img = I.create 10 10 in
+  Vision.Draw.rect img ~x:2 ~y:2 ~w:5 ~h:4 200;
+  Alcotest.(check int) "corner" 200 (I.get img 2 2);
+  Alcotest.(check int) "far corner" 200 (I.get img 6 5);
+  Alcotest.(check int) "interior untouched" 0 (I.get img 4 3)
+
+let test_draw_clips () =
+  let img = I.create 4 4 in
+  (* entirely off-image: must not raise *)
+  Vision.Draw.rect img ~x:(-10) ~y:(-10) ~w:5 ~h:5 99;
+  Vision.Draw.cross img ~x:100 ~y:100 ~size:5 99;
+  Alcotest.(check int) "nothing drawn" 0 (I.fold ( + ) 0 img);
+  (* partly off-image: the visible sides are drawn *)
+  Vision.Draw.rect img ~x:(-2) ~y:(-2) ~w:5 ~h:5 50;
+  Alcotest.(check int) "visible corner drawn" 50 (I.get img 2 2);
+  Alcotest.(check int) "visible edge drawn" 50 (I.get img 0 2);
+  Alcotest.(check int) "outside the outline" 0 (I.get img 3 3)
 
 let test_equal () =
   let a = I.create ~init:1 2 2 and b = I.create ~init:1 2 2 in
@@ -153,11 +159,6 @@ let image_gen =
 let arbitrary_image =
   QCheck.make image_gen ~print:(fun img ->
       Printf.sprintf "<image %dx%d>" (I.width img) (I.height img))
-
-let prop_pgm_roundtrip =
-  QCheck.Test.make ~name:"PGM roundtrip for random images" ~count:100 arbitrary_image
-    (fun img ->
-      match I.of_pgm (I.to_pgm img) with Ok img' -> I.equal img img' | Error _ -> false)
 
 let prop_row_bands =
   QCheck.Test.make ~name:"row bands partition the image" ~count:100
@@ -209,14 +210,20 @@ let () =
         ] );
       ( "pgm",
         [
-          Alcotest.test_case "binary roundtrip" `Quick test_pgm_roundtrip_binary;
-          Alcotest.test_case "ascii parse" `Quick test_pgm_parses_ascii;
-          Alcotest.test_case "rejects garbage" `Quick test_pgm_rejects_garbage;
           Alcotest.test_case "file io" `Quick test_pgm_file_io;
+        ] );
+      ( "pointwise",
+        [
+          Alcotest.test_case "invert involution" `Quick test_invert_involution;
+          Alcotest.test_case "mean" `Quick test_mean;
+        ] );
+      ( "draw",
+        [
+          Alcotest.test_case "rect outline" `Quick test_draw_rect_outline;
+          Alcotest.test_case "clipping" `Quick test_draw_clips;
         ] );
       ( "properties",
         [
-          QCheck_alcotest.to_alcotest prop_pgm_roundtrip;
           QCheck_alcotest.to_alcotest prop_row_bands;
           QCheck_alcotest.to_alcotest prop_sub_matches_source;
         ] );

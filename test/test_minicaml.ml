@@ -316,8 +316,14 @@ let test_extract_emulation_agree () =
   let via_ir = Skel.Sem.run table1 ex.X.program (Option.get ex.X.input) in
   let table2 = Tracking.Funcs.table config in
   let ctx = E.make_ctx ~frames table2 in
-  let mv = E.run_main ctx (P.program src) in
-  let via_eval = E.emulation_result ctx mv in
+  ignore (E.eval_program ctx (P.program src));
+  (* Evaluating [main] runs the bounded itermem loop, which leaves its final
+     state and outputs in the context; Sem.run returns the same pair. *)
+  let via_eval =
+    match ctx.E.final_state with
+    | Some st -> V.Tuple [ st; V.List (List.rev ctx.E.collected) ]
+    | None -> Alcotest.fail "itermem left no final state"
+  in
   Alcotest.(check bool) "agree" true (V.equal via_ir via_eval)
 
 

@@ -280,28 +280,6 @@ let test_dump_simulate_without_input () =
 
 let md5 s = Digest.to_hex (Digest.string s)
 
-(* Derived-function names carry a process-global counter ([f__s12]), so a
-   dump's bytes depend on what this process compiled before; digits after
-   [__s] are dropped before hashing. *)
-let strip_gensyms s =
-  let b = Buffer.create (String.length s) in
-  let n = String.length s in
-  let rec go i =
-    if i < n then
-      if i + 3 <= n && String.sub s i 3 = "__s" then begin
-        Buffer.add_string b "__s";
-        let j = ref (i + 3) in
-        while !j < n && s.[!j] >= '0' && s.[!j] <= '9' do incr j done;
-        go !j
-      end
-      else begin
-        Buffer.add_char b s.[i];
-        go (i + 1)
-      end
-  in
-  go 0;
-  Buffer.contents b
-
 (* A fresh per-process directory under the temp dir, emptied first. *)
 let fresh_dir name =
   let rec rm_rf path =
@@ -320,6 +298,30 @@ let fresh_dir name =
   rm_rf dir;
   dir
 
+(* Derived names are minted per compile, so two compiles running on two
+   domains at once name their wrappers exactly as a lone compile does.
+   Every round starts both jobs together; a counter shared by the compiles
+   of one process would hand them different suffixes. *)
+let tracking_extract_dump () =
+  let config = Tracking.Funcs.default_config in
+  let c =
+    P.compile_source ~frames:3 ~table:(Tracking.Funcs.table config)
+      (Tracking.Funcs.source config)
+  in
+  match P.dump_stage c "extract" with
+  | Ok text -> text
+  | Error m -> Alcotest.failf "dump extract: %s" m
+
+let test_pooled_compiles_name_alike () =
+  let lone = Support.Domain_pool.run ~jobs:1 [ tracking_extract_dump ] in
+  for _ = 1 to 20 do
+    let pooled =
+      Support.Domain_pool.run ~jobs:2 [ tracking_extract_dump; tracking_extract_dump ]
+    in
+    Alcotest.(check (list string)) "pooled dumps equal a --jobs 1 compile"
+      (lone @ lone) pooled
+  done
+
 let pin_stage_names =
   [
     "parse"; "typecheck"; "extract"; "transform"; "expand"; "cost"; "map";
@@ -337,7 +339,6 @@ let test_pin_dumps () =
       (fun name ->
         match P.dump_stage ~arch:(Archi.ring 4) c name with
         | Ok text ->
-            let text = strip_gensyms text in
             Printf.sprintf "%s %d %s" name (String.length text) (md5 text)
         | Error m -> Alcotest.failf "dump %s: %s" name m)
       pin_stage_names
@@ -346,12 +347,12 @@ let test_pin_dumps () =
     [
       "parse 669 8798b3b95aaacf38f44c1b3d4709824f";
       "typecheck 392 59858ac1a899b49753bf3ce02c3bfab3";
-      "extract 199 77d68a4f26548a49d8888ddaea31b43e";
-      "transform 199 77d68a4f26548a49d8888ddaea31b43e";
-      "expand 1423 7ae4109354e02d0c3536f9d8068e464e";
-      "cost 870 d664d780415e137ed56c06c1765a625e";
+      "extract 200 c0bc78b4f48364e310bc638006593364";
+      "transform 200 c0bc78b4f48364e310bc638006593364";
+      "expand 1424 02c348ff01f1b479a29c0257cf8cc0ed";
+      "cost 871 624b1657736f48cd783bb9a3df4029bf";
       "map 467 5b862ed92f1ec163a21731f5a182e689";
-      "emit 3022 fe528ca7e6f85ba129a79c1b55b4bb66";
+      "emit 3024 b7a0d17487b61056ea2fa781ae7656b2";
       "simulate 2751 43fb3de5b0e58eed1900b43b9d9edf45";
     ]
     dumps;
@@ -631,6 +632,8 @@ let () =
           Alcotest.test_case "stage dumps and errors" `Quick test_pin_dumps;
           Alcotest.test_case "report sequence" `Quick test_pin_reports;
           Alcotest.test_case "cache keys" `Quick test_pin_cache_keys;
+          Alcotest.test_case "pooled compiles name alike" `Quick
+            test_pooled_compiles_name_alike;
         ] );
       ( "properties",
         [

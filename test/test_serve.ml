@@ -84,6 +84,57 @@ let capture_log () =
   in
   (log, fun () -> List.rev !lines)
 
+(* Requests as a client may send them: the known fields with values of
+   any type (huge, negative and non-finite numbers included), unknown
+   fields, duplicates, and non-object values. *)
+let gen_request =
+  QCheck.Gen.(
+    let num =
+      oneofl
+        [ 1e300; -1e300; -1.0; 0.0; 0.5; 3.0; 1e18; Float.nan; Float.infinity;
+          Float.neg_infinity; -0.0; 4.9e-324 ]
+    in
+    let leaf =
+      oneof
+        [
+          return Json.Null;
+          map (fun b -> Json.Bool b) bool;
+          map (fun f -> Json.Num f) num;
+          map2 (fun d f -> Json.Fixed (d, f)) (int_bound 6) num;
+          map (fun n -> Json.int n) int;
+          map (fun s -> Json.Str s)
+            (oneof
+               [
+                 oneofl [ "compile"; "run"; "stats"; "metrics"; "shutdown"; ""; "heft" ];
+                 string_size ~gen:printable (int_bound 8);
+               ]);
+        ]
+    in
+    let value =
+      frequency
+        [
+          (4, leaf);
+          (1, map (fun xs -> Json.Arr xs) (list_size (int_bound 3) leaf));
+          (1, map (fun kvs -> Json.Obj kvs) (list_size (int_bound 3) (pair (return "op") leaf)));
+        ]
+    in
+    let key =
+      oneofl [ "op"; "app"; "src"; "frames"; "procs"; "optimize"; "strategy"; "x" ]
+    in
+    frequency
+      [
+        (6, map (fun kvs -> Json.Obj kvs) (list_size (int_bound 8) (pair key value)));
+        (1, value);
+      ])
+
+let prop_parse_request_total =
+  QCheck.Test.make ~name:"parse_request answers Ok or Error on any value" ~count:2000
+    (QCheck.make ~print:Json.to_string gen_request)
+    (fun j ->
+      match Serve.parse_request j with
+      | Ok _ | Error _ -> true
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 let test_serve_end_to_end () =
   let socket = tmp_name "skipper-test-serve.sock" in
   let store_dir = tmp_name "skipper-test-serve-store" in
@@ -651,6 +702,7 @@ let () =
       ( "serve",
         [
           Alcotest.test_case "parse_request" `Quick test_parse_request;
+          QCheck_alcotest.to_alcotest prop_parse_request_total;
           Alcotest.test_case "end to end" `Quick test_serve_end_to_end;
           Alcotest.test_case "concurrent clients" `Quick
             test_concurrent_clients;

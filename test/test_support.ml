@@ -469,6 +469,42 @@ let prop_json_always_parses =
     (QCheck.make ~print:Json.to_string gen_json)
     (fun v -> Json.parse (Json.to_string v) = Ok (reread v))
 
+let test_json_nesting_bound () =
+  let nested d = String.make d '[' ^ String.make d ']' in
+  Alcotest.(check bool) "512 deep parses" true (Result.is_ok (Json.parse (nested 512)));
+  Alcotest.(check bool) "513 deep is an error" true
+    (Result.is_error (Json.parse (nested 513)));
+  (* a daemon frame may be this long; the reader stops at the bound *)
+  Alcotest.(check bool) "a million brackets are an error" true
+    (Result.is_error (Json.parse (String.make 1_000_000 '[')))
+
+(* Untrusted bytes: random strings, and soups of JSON tokens that reach
+   past the first character. The reader answers Ok or Error, never raises. *)
+let gen_json_bytes =
+  QCheck.Gen.(
+    let token =
+      oneofl
+        [
+          "{"; "}"; "["; "]"; ","; ":"; "\""; "\\"; "\\u"; "\\uD83D";
+          "\\uDC00"; "\\u00e9"; "\\x"; "true"; "fals"; "null"; "1e300";
+          "-"; "-0"; "0.5e"; "1e-400"; "."; " "; "\n"; "\"op\""; "\"run\"";
+          "\xff"; "\000";
+        ]
+    in
+    frequency
+      [
+        (1, string_size ~gen:char (int_bound 64));
+        (2, map (String.concat "") (list_size (int_bound 40) token));
+      ])
+
+let prop_json_parse_total =
+  QCheck.Test.make ~name:"parse answers Ok or Error on any bytes" ~count:2000
+    (QCheck.make ~print:String.escaped gen_json_bytes)
+    (fun s ->
+      match Json.parse s with
+      | Ok _ | Error _ -> true
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 let prop_json_fixed_is_printf =
   QCheck.Test.make ~name:"finite Fixed prints as %.*f, int as %d" ~count:500
     QCheck.(
@@ -613,6 +649,8 @@ let () =
             test_json_non_finite;
           QCheck_alcotest.to_alcotest prop_json_always_parses;
           QCheck_alcotest.to_alcotest prop_json_fixed_is_printf;
+          Alcotest.test_case "nesting bound" `Quick test_json_nesting_bound;
+          QCheck_alcotest.to_alcotest prop_json_parse_total;
         ] );
       ( "baseline",
         [
