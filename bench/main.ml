@@ -1644,7 +1644,7 @@ let simscale () =
    count. bicriteria schedules one interval candidate per processor count
    by design, so it is allowed one more power than the single-schedule
    strategies. *)
-let mapscale_bound = function "bicriteria" -> 3.75 | _ -> 3.0
+let mapscale_bound = function "bicriteria" -> 3.5 | _ -> 3.0
 
 (* Host time of every registered strategy mapping the tracking spec with
    [nproc = W] onto [ring W]. A cell keeps the best of 3 timed loops, each

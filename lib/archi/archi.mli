@@ -62,7 +62,10 @@ val fully_connected :
 val custom :
   name:string -> processor array -> (int * int * float * float) list -> t
 (** [custom ~name procs edges] with [(src, dst, bandwidth, startup)] directed
-    edges. Raises [Invalid_argument] on dangling endpoints or duplicates. *)
+    edges. Raises [Invalid_argument] on dangling endpoints or duplicates.
+    Test oracle: [test_archi] builds its random and disconnected machines
+    with it, and [test_syndex] its disconnected pair and random link
+    graphs. *)
 
 (** {1 Routing} *)
 

@@ -26,4 +26,6 @@ val expand : Skel.Funtable.t -> Skel.Ir.program -> Graph.t
 
 val expand_stage : Skel.Ir.t -> Graph.t
 (** Expands a bare stage with a synthetic entry/exit, without validating
-    function names; useful for structural experiments on templates. *)
+    function names; useful for structural experiments on templates.
+    Test oracle: [test_procnet] and [test_syndex] build their process
+    networks from bare skeletons with it. *)

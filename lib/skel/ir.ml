@@ -64,36 +64,6 @@ let rec with_state_mode mode = function
   | Pipe stages -> Pipe (List.map (with_state_mode mode) stages)
   | Itermem im -> Itermem { im with loop = with_state_mode mode im.loop }
 
-let functions_used stage =
-  let seen = Hashtbl.create 16 in
-  let out = ref [] in
-  let add name =
-    if not (Hashtbl.mem seen name) then begin
-      Hashtbl.add seen name ();
-      out := name :: !out
-    end
-  in
-  let rec go = function
-    | Seq f -> add f
-    | Pipe stages -> List.iter go stages
-    | Scm { split; compute; merge; _ } ->
-        add split;
-        add compute;
-        add merge
-    | Df { comp; acc; _ } ->
-        add comp;
-        add acc
-    | Tf { work; acc; _ } ->
-        add work;
-        add acc
-    | Itermem { input; loop; output; _ } ->
-        add input;
-        go loop;
-        add output
-  in
-  go stage;
-  List.rev !out
-
 (* The init value of a stateful farm has a mode-dependent shape (see the
    mode table in DESIGN.md); checked at validation so a bad spec fails
    before the executive or the oracle trips on it. *)

@@ -95,9 +95,5 @@ val skeleton_instances : t -> string list
     [["itermem"; "df"]] for the vehicle tracker; stateful farms report as
     ["df_<mode>"]. *)
 
-val functions_used : t -> string list
-(** All referenced sequential-function names, deduplicated, in order of first
-    use. *)
-
 val pp : Format.formatter -> t -> unit
 val pp_program : Format.formatter -> program -> unit

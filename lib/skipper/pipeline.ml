@@ -223,7 +223,6 @@ let timeline ?result ?slo compiled =
   Option.iter (Skipper_trace.Series.Slo.emit tl) slo;
   tl
 let pp_timings ppf compiled = Stage.pp_report_table ppf (reports compiled)
-let timings_json compiled = Stage.reports_to_json (reports compiled)
 
 let stage_names =
   [

@@ -140,9 +140,6 @@ val timeline :
 val pp_timings : Format.formatter -> compiled -> unit
 (** {!reports} as a fixed-width table. *)
 
-val timings_json : compiled -> string
-(** {!reports} as a JSON array. *)
-
 val dump_stage :
   ?arch:Archi.t ->
   ?strategy:strategy ->

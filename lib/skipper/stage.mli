@@ -60,4 +60,7 @@ val pp_report_table : Format.formatter -> report list -> unit
 (** Fixed-width table, one row per pass, in pipeline order. *)
 
 val reports_to_json : report list -> string
-(** JSON array of objects with the {!report} fields. *)
+(** JSON array of objects with the {!report} fields.
+    Test oracle: [test_determinism]'s "golden-bytes Stage.reports_to_json"
+    and "golden-fields stage report" pin its bytes and keys, and
+    [test_passes]'s "timings render" renders a compile's reports with it. *)

@@ -46,6 +46,8 @@ val gauge :
 val set_gauge : gauge -> float -> unit
 val add_gauge : gauge -> float -> unit
 val gauge_value : gauge -> float
+(** Test oracle: [test_metrics]'s "gauge arithmetic" reads a gauge back
+    with it; the registry's exports read the cells directly. *)
 
 (** {1 Histograms} — {!Histogram} under a mutex. *)
 

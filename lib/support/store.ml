@@ -99,20 +99,6 @@ let counters t =
     bytes_written = Atomic.get t.bytes_written;
   }
 
-let reset_counters t =
-  List.iter
-    (fun c -> Atomic.set c 0)
-    [
-      t.hits;
-      t.absent;
-      t.writes;
-      t.corrupt;
-      t.stamp_mismatch;
-      t.evictions;
-      t.bytes_read;
-      t.bytes_written;
-    ]
-
 (* Keys are hashed into the file name (two-level fan-out), so arbitrary key
    strings work and directories stay small. *)
 let entry_path t ~key =

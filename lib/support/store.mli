@@ -63,4 +63,3 @@ val mem : t -> key:string -> bool
 (** Presence only — does not validate the entry or touch counters. *)
 
 val counters : t -> counters
-val reset_counters : t -> unit

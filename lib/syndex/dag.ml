@@ -3,6 +3,7 @@ type part = Whole | Dispatch | Collect | Emit | Store
 type op = { op_id : int; node : int; part : part; cycles : float }
 
 type dep = {
+  dep_id : int;
   src_op : int;
   dst_op : int;
   bytes : int;
@@ -36,7 +37,7 @@ let of_graph (cost : Cost.t) g =
      output; extra maps handle the split ports. *)
   let in_op = Array.make nnodes (-1) and out_op = Array.make nnodes (-1) in
   let collect_op = Array.make nnodes (-1) and store_op = Array.make nnodes (-1) in
-  let implicit_deps = ref [] in
+  let implicit_orders = ref [] in
   Array.iter
     (fun (node : G.node) ->
       let c = cost.Cost.node_cycles node in
@@ -48,7 +49,7 @@ let of_graph (cost : Cost.t) g =
           out_op.(node.id) <- col;
           collect_op.(node.id) <- col;
           colocated := (d, col) :: !colocated;
-          implicit_deps := { src_op = d; dst_op = col; bytes = 0; edge = None } :: !implicit_deps
+          implicit_orders := (d, col) :: !implicit_orders
       | G.Mem _ ->
           let e = add node.id Emit (c /. 2.0) in
           let s = add node.id Store (c /. 2.0) in
@@ -64,7 +65,7 @@ let of_graph (cost : Cost.t) g =
           out_op.(node.id) <- w)
     (G.nodes g);
   let deps =
-    List.filter_map
+    List.map
       (fun (e : G.edge) ->
         let src =
           match (G.node g e.src).kind with
@@ -79,9 +80,11 @@ let of_graph (cost : Cost.t) g =
           | G.Mem _ when e.dst_port = "update" -> store_op.(e.dst)
           | _ -> in_op.(e.dst)
         in
-        Some { src_op = src; dst_op = dst; bytes = cost.Cost.edge_bytes e; edge = Some e })
+        (src, dst, cost.Cost.edge_bytes e, Some e))
       (G.edges g)
-    @ !implicit_deps
+    @ List.map (fun (d, col) -> (d, col, 0, None)) !implicit_orders
+    |> List.mapi (fun dep_id (src_op, dst_op, bytes, edge) ->
+           { dep_id; src_op; dst_op; bytes; edge })
   in
   let nops = !next in
   let ops = Array.of_list (List.rev !ops) in

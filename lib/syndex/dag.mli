@@ -25,6 +25,7 @@ type op = {
 }
 
 type dep = {
+  dep_id : int;  (** position in [deps]: dense in [0 .. List.length deps - 1] *)
   src_op : int;
   dst_op : int;
   bytes : int;

@@ -99,6 +99,8 @@ let interval_partitions arch (dag : Dag.t) seq k_max =
   let comm bytes =
     if bw = infinity then 0.0 else startup +. (float_of_int bytes /. bw)
   in
+  (* (earlier position, later position, transfer time) of every channel
+     between distinct positions, in dependency-list order *)
   let deps =
     List.filter_map
       (fun (d : Dag.dep) ->
@@ -107,21 +109,25 @@ let interval_partitions arch (dag : Dag.t) seq k_max =
         | Some _ ->
             let sp = Hashtbl.find pos dag.Dag.ops.(d.Dag.src_op).Dag.node in
             let dp = Hashtbl.find pos dag.Dag.ops.(d.Dag.dst_op).Dag.node in
-            if sp = dp then None else Some (min sp dp, max sp dp, d.Dag.bytes))
+            if sp = dp then None
+            else Some (min sp dp, max sp dp, comm d.Dag.bytes))
       dag.Dag.deps
   in
   (* cost.(a).(b), a < b: time of interval [a, b), its compute load plus
-     the communication entering it from nodes before position a. *)
+     the communication entering it from nodes before position a. Only the
+     channels crossing position a can enter an interval starting there;
+     for every b they are summed in dependency-list order. *)
   let cost = Array.make_matrix (n + 1) (n + 1) 0.0 in
   for a = 0 to n - 1 do
+    let crossing = List.filter (fun (sp, dp, _) -> sp < a && dp >= a) deps in
+    let ends = Array.of_list (List.map (fun (_, dp, _) -> dp) crossing) in
+    let times = Array.of_list (List.map (fun (_, _, c) -> c) crossing) in
     for b = a + 1 to n do
-      let inbound =
-        List.fold_left
-          (fun acc (sp, dp, bytes) ->
-            if sp < a && dp >= a && dp < b then acc +. comm bytes else acc)
-          0.0 deps
-      in
-      cost.(a).(b) <- prefix.(b) -. prefix.(a) +. inbound
+      let inbound = ref 0.0 in
+      for i = 0 to Array.length ends - 1 do
+        if ends.(i) < b then inbound := !inbound +. times.(i)
+      done;
+      cost.(a).(b) <- prefix.(b) -. prefix.(a) +. !inbound
     done
   done;
   (* best.(j).(b): minimal bottleneck partitioning seq[0..b) into j
@@ -190,14 +196,13 @@ let interval_schedule cost arch g seq cuts =
         };
   }
 
+(* The stage chain and its best partition into k = 1..k_max intervals:
+   (bottleneck, cuts) per k, unscheduled. *)
 let interval_candidates cost arch g =
   let dag = Dag.of_graph cost g in
   let seq = linearize dag in
   let k_max = min (Archi.nprocs arch) (Array.length seq) in
-  List.mapi
-    (fun i (bottleneck, cuts) ->
-      (i + 1, bottleneck, lazy (interval_schedule cost arch g seq cuts)))
-    (interval_partitions arch dag seq k_max)
+  (seq, interval_partitions arch dag seq k_max)
 
 (* ------------------------------------------------------------------ *)
 (* Built-in strategies                                                 *)
@@ -230,19 +235,15 @@ let roundrobin =
   }
 
 let throughput_map cost arch g =
-  let candidates = interval_candidates cost arch g in
+  let seq, candidates = interval_candidates cost arch g in
   (* smallest predicted bottleneck; ties towards fewer stages (equal
      throughput at lower latency and fewer processors) *)
-  let _, _, sched =
+  let _, cuts =
     List.fold_left
-      (fun (bk, bb, bs) (k, b, s) ->
-        if b < bb then (k, b, s) else (bk, bb, bs))
-      (match candidates with
-      | (k, b, s) :: _ -> (k, b, s)
-      | [] -> assert false)
-      (match candidates with [] -> [] | _ :: tl -> tl)
+      (fun (bb, bc) (b, c) -> if b < bb then (b, c) else (bb, bc))
+      (List.hd candidates) (List.tl candidates)
   in
-  Lazy.force sched
+  interval_schedule cost arch g seq cuts
 
 let throughput =
   {
@@ -254,54 +255,80 @@ let throughput =
   }
 
 (* No emitted point dominated by another (minimising both latency and
-   period); deterministic order by (latency, period, label). *)
-let pareto points =
+   period); deterministic order by (latency, period, label). [score p] is
+   (latency, period, label). *)
+let pareto_by score points =
   let dominates p q =
-    p.point_latency <= q.point_latency
-    && p.point_period <= q.point_period
-    && (p.point_latency < q.point_latency || p.point_period < q.point_period)
+    let pl, pp, _ = score p and ql, qp, _ = score q in
+    pl <= ql && pp <= qp && (pl < ql || pp < qp)
   in
-  let sorted =
-    List.sort
-      (fun a b ->
-        compare
-          (a.point_latency, a.point_period, a.point_label)
-          (b.point_latency, b.point_period, b.point_label))
-      points
-  in
+  let sorted = List.sort (fun a b -> compare (score a) (score b)) points in
   List.filter
     (fun p -> not (List.exists (fun q -> q != p && dominates q p) sorted))
     sorted
   |> List.fold_left
        (fun acc p ->
          match acc with
-         | q :: _
-           when q.point_latency = p.point_latency
-                && q.point_period = p.point_period ->
-             acc (* coincident point: keep the first label *)
-         | _ -> p :: acc)
+         | q :: _ ->
+             let ql, qp, _ = score q and pl, pp, _ = score p in
+             if ql = pl && qp = pp then acc (* coincident point: keep the first label *)
+             else p :: acc
+         | [] -> [ p ])
        []
   |> List.rev
 
-let bicriteria_frontier cost arch g =
-  let interval_points =
-    List.map
-      (fun (k, _, sched) -> point (Lazy.force sched) (Printf.sprintf "interval-k%d" k))
-      (interval_candidates cost arch g)
+let pareto =
+  pareto_by (fun p -> (p.point_latency, p.point_period, p.point_label))
+
+(* A bicriteria candidate kept as its score; [schedule] rebuilds it (the
+   interval schedules are deterministic, so the rebuilt schedule is the one
+   that was scored). *)
+type candidate = {
+  label : string;
+  latency : float;
+  period : float;
+  schedule : unit -> Schedule.t;
+}
+
+(* The HEFT point and every interval mapping, scored one at a time so only
+   one candidate schedule is live at once; the Pareto frontier of the
+   scores, in [pareto]'s order. *)
+let bicriteria_candidates cost arch g =
+  let heft = Heft.map cost arch g in
+  let seq, partitions = interval_candidates cost arch g in
+  let intervals =
+    List.mapi
+      (fun i (_, cuts) ->
+        let schedule () = interval_schedule cost arch g seq cuts in
+        let s = schedule () in
+        { label = Printf.sprintf "interval-k%d" (i + 1);
+          latency = s.Schedule.makespan;
+          period = Schedule.period s;
+          schedule })
+      partitions
   in
-  pareto (point (Heft.map cost arch g) "heft" :: interval_points)
+  pareto_by
+    (fun c -> (c.latency, c.period, c.label))
+    ({ label = "heft"; latency = heft.Schedule.makespan;
+       period = Schedule.period heft; schedule = (fun () -> heft) }
+    :: intervals)
+
+let bicriteria_frontier cost arch g =
+  List.map
+    (fun c -> point (c.schedule ()) c.label)
+    (bicriteria_candidates cost arch g)
 
 let bicriteria_map cost arch g =
   (* knee of the frontier: minimal latency x period product, ties towards
-     lower latency then label order *)
-  match bicriteria_frontier cost arch g with
+     lower latency then label order; only the knee is rebuilt *)
+  match bicriteria_candidates cost arch g with
   | [] -> assert false
-  | p :: ps ->
-      let key p = (p.point_latency *. p.point_period, p.point_latency, p.point_label) in
+  | c :: cs ->
+      let key c = (c.latency *. c.period, c.latency, c.label) in
       let best =
-        List.fold_left (fun b q -> if key q < key b then q else b) p ps
+        List.fold_left (fun b q -> if key q < key b then q else b) c cs
       in
-      best.point_schedule
+      best.schedule ()
 
 let bicriteria =
   {

@@ -27,6 +27,52 @@ let round_robin g arch =
   let nprocs = Archi.nprocs arch in
   Array.init (Procnet.Graph.nnodes g) (fun i -> i mod nprocs)
 
+(* One link's reservations, sorted by start, in two growable arrays. The
+   static scheduler backfills, so it keeps every reservation; [reserve]
+   grants the start [Support.Intervals.reserve] grants on the same list, bit
+   for bit, and inserts at the same place, without copying the list prefix
+   on every reservation. *)
+type book = {
+  mutable starts : float array;
+  mutable stops : float array;
+  mutable len : int;
+}
+
+(* [Support.Intervals]' overlap tolerance *)
+let eps = 1e-15
+
+let reserve book ~earliest ~duration =
+  (* first fit: skip every reservation the request would overlap *)
+  let start = ref earliest and i = ref 0 in
+  while
+    !i < book.len && not (!start +. duration <= book.starts.(!i) +. eps)
+  do
+    start := Float.max !start book.stops.(!i);
+    incr i
+  done;
+  let start = !start in
+  (* insert before the first reservation that starts later *)
+  let j = ref 0 in
+  while !j < book.len && not (start < book.starts.(!j)) do
+    incr j
+  done;
+  let j = !j in
+  if book.len = Array.length book.starts then begin
+    let grow a =
+      let bigger = Array.make (max 4 (2 * book.len)) 0.0 in
+      Array.blit a 0 bigger 0 book.len;
+      bigger
+    in
+    book.starts <- grow book.starts;
+    book.stops <- grow book.stops
+  end;
+  Array.blit book.starts j book.starts (j + 1) (book.len - j);
+  Array.blit book.stops j book.stops (j + 1) (book.len - j);
+  book.starts.(j) <- start;
+  book.stops.(j) <- start +. duration;
+  book.len <- book.len + 1;
+  start
+
 (* Store-and-forward transfer with static per-link reservation: the same
    first-fit contention model the machine simulator uses, so the predicted
    communication schedule mirrors what the executive will do. Each hop is
@@ -41,10 +87,7 @@ let reserve_transfer arch link_busy ~src ~dst ~bytes ~depart =
         let duration =
           link.Archi.startup +. (float_of_int bytes /. link.Archi.bandwidth)
         in
-        let start, updated =
-          Support.Intervals.reserve link_busy.(i) ~earliest:depart ~duration
-        in
-        link_busy.(i) <- updated;
+        let start = reserve link_busy.(i) ~earliest:depart ~duration in
         ( start +. duration,
           { Schedule.hop_src = link.Archi.src; hop_dst = link.Archi.dst;
             hop_start = start; hop_finish = start +. duration }
@@ -68,12 +111,12 @@ let of_placement cost arch g placement =
   in
   let op_start = Array.make nops 0.0 and op_finish = Array.make nops 0.0 in
   let avail = Array.make (Archi.nprocs arch) 0.0 in
-  let link_busy = Array.make (Archi.nlinks arch) Support.Intervals.empty in
-  let cycle_time p = (Archi.processors arch).(p).Archi.cycle_time in
-  (* per cross-processor dependency: (depart, arrival, hop slots) *)
-  let transfers : (Dag.dep, float * float * Schedule.hop_slot list) Hashtbl.t =
-    Hashtbl.create 16
+  let link_busy =
+    Array.init (Archi.nlinks arch) (fun _ -> { starts = [||]; stops = [||]; len = 0 })
   in
+  let cycle_time p = (Archi.processors arch).(p).Archi.cycle_time in
+  (* per cross-processor dependency, by dep id: (depart, arrival, hop slots) *)
+  let transfers = Array.make (List.length dag.Dag.deps) None in
   List.iter
     (fun i ->
       let p = op_proc.(i) in
@@ -102,7 +145,7 @@ let of_placement cost arch g placement =
                       reserve_transfer arch link_busy ~src:sp ~dst:p
                         ~bytes:d.Dag.bytes ~depart
                     in
-                    Hashtbl.replace transfers d (depart, arrival, hops);
+                    transfers.(d.Dag.dep_id) <- Some (depart, arrival, hops);
                     arrival +. recv_oh
                   end
             in
@@ -124,12 +167,14 @@ let of_placement cost arch g placement =
              finish = op_finish.(op.Dag.op_id);
            })
     |> List.sort (fun (a : Schedule.op_slot) (b : Schedule.op_slot) ->
-           compare (a.Schedule.start, a.Schedule.node) (b.Schedule.start, b.Schedule.node))
+           match Float.compare a.Schedule.start b.Schedule.start with
+           | 0 -> Int.compare a.Schedule.node b.Schedule.node
+           | c -> c)
   in
   let comms =
     List.filter_map
       (fun (d : Dag.dep) ->
-        match (d.Dag.edge, Hashtbl.find_opt transfers d) with
+        match (d.Dag.edge, transfers.(d.Dag.dep_id)) with
         | Some e, Some (depart, arrival, hops) ->
             let from_proc = op_proc.(d.Dag.src_op)
             and to_proc = op_proc.(d.Dag.dst_op) in
@@ -146,7 +191,9 @@ let of_placement cost arch g placement =
         | _ -> None)
       dag.Dag.deps
     |> List.sort (fun (a : Schedule.comm_slot) (b : Schedule.comm_slot) ->
-           compare (a.Schedule.start, a.Schedule.bytes) (b.Schedule.start, b.Schedule.bytes))
+           match Float.compare a.Schedule.start b.Schedule.start with
+           | 0 -> Int.compare a.Schedule.bytes b.Schedule.bytes
+           | c -> c)
   in
   {
     Schedule.graph = g;

@@ -54,18 +54,19 @@ let resource_period t =
   List.iter
     (fun op -> proc_load.(op.proc) <- proc_load.(op.proc) +. (op.finish -. op.start))
     t.ops;
-  let link_load = Hashtbl.create 16 in
+  (* a hop joins adjacent processors, so its link is the first (and only)
+     link of their route *)
+  let link_load = Array.make (Archi.nlinks t.arch) 0.0 in
   List.iter
     (fun c ->
       List.iter
         (fun h ->
-          let key = (h.hop_src, h.hop_dst) in
-          let prev = Option.value ~default:0.0 (Hashtbl.find_opt link_load key) in
-          Hashtbl.replace link_load key (prev +. (h.hop_finish -. h.hop_start)))
+          let i = Archi.first_link t.arch h.hop_src h.hop_dst in
+          link_load.(i) <- link_load.(i) +. (h.hop_finish -. h.hop_start))
         c.hops)
     t.comms;
   let busiest = Array.fold_left Float.max 0.0 proc_load in
-  Hashtbl.fold (fun _ load acc -> Float.max load acc) link_load busiest
+  Array.fold_left Float.max busiest link_load
 
 let period t =
   match t.pipeline with

@@ -12,8 +12,6 @@ let centroid track =
   let sy = List.fold_left (fun acc (m : Mark.t) -> acc +. m.Mark.y) 0.0 track.marks in
   (sx /. n, sy /. n)
 
-let locked track = List.length track.marks = 3
-
 let track_to_value tr =
   V.Record
     [

@@ -22,8 +22,6 @@ val initial : t
 (** Reinitialisation mode, no tracks, frame 0. *)
 
 val centroid : track -> float * float
-val locked : track -> bool
-(** True when the track carries exactly three marks. *)
 
 val to_value : t -> Skel.Value.t
 val of_value : Skel.Value.t -> t

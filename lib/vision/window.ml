@@ -6,10 +6,6 @@ let make ~x ~y ~w ~h =
 
 let area win = win.w * win.h
 
-let center win =
-  ( float_of_int win.x +. (float_of_int win.w /. 2.0),
-    float_of_int win.y +. (float_of_int win.h /. 2.0) )
-
 let contains win px py =
   px >= win.x && px < win.x + win.w && py >= win.y && py < win.y + win.h
 

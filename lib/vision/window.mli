@@ -11,7 +11,6 @@ val make : x:int -> y:int -> w:int -> h:int -> t
 (** Raises [Invalid_argument] on non-positive dimensions. *)
 
 val area : t -> int
-val center : t -> float * float
 val contains : t -> int -> int -> bool
 
 val clip : t -> width:int -> height:int -> t option

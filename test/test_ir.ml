@@ -74,18 +74,6 @@ let test_skeleton_instances () =
   Alcotest.(check (list string)) "instances" [ "itermem"; "df" ]
     (Ir.skeleton_instances stage)
 
-let test_functions_used () =
-  let stage =
-    Ir.Pipe
-      [
-        Ir.Seq "a";
-        Ir.Scm { nparts = 2; split = "s"; compute = "c"; merge = "m" };
-        Ir.Seq "a";
-      ]
-  in
-  Alcotest.(check (list string)) "dedup in first-use order" [ "a"; "s"; "c"; "m" ]
-    (Ir.functions_used stage)
-
 let test_pp_smoke () =
   let prog =
     Ir.program ~frames:3 "demo"
@@ -112,7 +100,6 @@ let () =
       ( "queries",
         [
           Alcotest.test_case "skeleton_instances" `Quick test_skeleton_instances;
-          Alcotest.test_case "functions_used" `Quick test_functions_used;
           Alcotest.test_case "pp" `Quick test_pp_smoke;
         ] );
     ]

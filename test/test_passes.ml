@@ -68,7 +68,7 @@ let test_timings_render () =
       Alcotest.(check bool) ("table mentions " ^ pass) true
         (Astring.String.is_infix ~affix:pass table))
     frontend_names;
-  let json = P.timings_json c in
+  let json = Stage.reports_to_json (P.reports c) in
   Alcotest.(check bool) "json array" true
     (Astring.String.is_prefix ~affix:"[{" json);
   Alcotest.(check bool) "json has wall_ms" true

@@ -462,6 +462,417 @@ let prop_interval_partitions_match_oracle =
         table;
       true)
 
+(* -- static scheduler and bicriteria byte-identity -- *)
+
+(* The static scheduler, the resource period and the bicriteria frontier as
+   they stood when transfers were found by hashing [Dag.dep] records, link
+   loads by hashing (src, dst) pairs, ops and comms were sorted with the
+   polymorphic tuple compare, and every interval candidate's schedule stayed
+   live until the Pareto filter ran: the oracles the new code must match
+   bit for bit. *)
+module S = Syndex.Schedule
+
+let oracle_reserve_transfer arch link_busy ~src ~dst ~bytes ~depart =
+  let arrival, hops =
+    Archi.fold_route arch src dst
+      (fun (depart, hops) i (link : Archi.link) ->
+        let duration =
+          link.Archi.startup +. (float_of_int bytes /. link.Archi.bandwidth)
+        in
+        let start, updated =
+          Support.Intervals.reserve link_busy.(i) ~earliest:depart ~duration
+        in
+        link_busy.(i) <- updated;
+        ( start +. duration,
+          { S.hop_src = link.Archi.src; hop_dst = link.Archi.dst;
+            hop_start = start; hop_finish = start +. duration }
+          :: hops ))
+      (depart, [])
+  in
+  (arrival, List.rev hops)
+
+let oracle_of_placement model arch g placement =
+  let module D = Syndex.Dag in
+  let dag = D.of_graph model g in
+  let nops = Array.length dag.D.ops in
+  let op_proc = Array.map (fun (op : D.op) -> placement.(op.D.node)) dag.D.ops in
+  let op_start = Array.make nops 0.0 and op_finish = Array.make nops 0.0 in
+  let avail = Array.make (Archi.nprocs arch) 0.0 in
+  let link_busy = Array.make (Archi.nlinks arch) Support.Intervals.empty in
+  let cycle_time p = (Archi.processors arch).(p).Archi.cycle_time in
+  let transfers : (D.dep, float * float * S.hop_slot list) Hashtbl.t =
+    Hashtbl.create 16
+  in
+  List.iter
+    (fun i ->
+      let p = op_proc.(i) in
+      let est =
+        List.fold_left
+          (fun acc (d : D.dep) ->
+            let src = d.D.src_op in
+            let arrival =
+              match d.D.edge with
+              | None -> op_finish.(src)
+              | Some _ ->
+                  let sp = op_proc.(src) in
+                  let send_oh =
+                    model.Syndex.Cost.send_overhead_cycles *. cycle_time sp
+                  in
+                  let recv_oh =
+                    model.Syndex.Cost.recv_overhead_cycles *. cycle_time p
+                  in
+                  if sp = p then
+                    op_finish.(src) +. send_oh
+                    +. (float_of_int d.D.bytes /. Syndex.Cost.local_copy_bandwidth)
+                    +. recv_oh
+                  else begin
+                    let depart = op_finish.(src) +. send_oh in
+                    let arrival, hops =
+                      oracle_reserve_transfer arch link_busy ~src:sp ~dst:p
+                        ~bytes:d.D.bytes ~depart
+                    in
+                    Hashtbl.replace transfers d (depart, arrival, hops);
+                    arrival +. recv_oh
+                  end
+            in
+            Float.max acc arrival)
+          avail.(p) dag.D.preds.(i)
+      in
+      op_start.(i) <- est;
+      op_finish.(i) <- est +. (dag.D.ops.(i).D.cycles *. cycle_time p);
+      avail.(p) <- op_finish.(i))
+    (D.topological_order dag);
+  let ops =
+    Array.to_list dag.D.ops
+    |> List.map (fun (op : D.op) ->
+           { S.node = op.D.node; part = op.D.part; proc = op_proc.(op.D.op_id);
+             start = op_start.(op.D.op_id); finish = op_finish.(op.D.op_id) })
+    |> List.sort (fun (a : S.op_slot) (b : S.op_slot) ->
+           compare (a.S.start, a.S.node) (b.S.start, b.S.node))
+  in
+  let comms =
+    List.filter_map
+      (fun (d : D.dep) ->
+        match (d.D.edge, Hashtbl.find_opt transfers d) with
+        | Some e, Some (depart, arrival, hops) ->
+            Some
+              { S.edge = e; from_proc = op_proc.(d.D.src_op);
+                to_proc = op_proc.(d.D.dst_op); bytes = d.D.bytes;
+                start = depart; finish = arrival; hops }
+        | _ -> None)
+      dag.D.deps
+    |> List.sort (fun (a : S.comm_slot) (b : S.comm_slot) ->
+           compare (a.S.start, a.S.bytes) (b.S.start, b.S.bytes))
+  in
+  { S.graph = g; arch; placement = Array.copy placement; ops; comms;
+    makespan = Array.fold_left Float.max 0.0 op_finish; pipeline = None }
+
+let oracle_resource_period (t : S.t) =
+  let proc_load = Array.make (Archi.nprocs t.S.arch) 0.0 in
+  List.iter
+    (fun (op : S.op_slot) ->
+      proc_load.(op.S.proc) <- proc_load.(op.S.proc) +. (op.S.finish -. op.S.start))
+    t.S.ops;
+  let link_load = Hashtbl.create 16 in
+  List.iter
+    (fun (c : S.comm_slot) ->
+      List.iter
+        (fun (h : S.hop_slot) ->
+          let key = (h.S.hop_src, h.S.hop_dst) in
+          let prev = Option.value ~default:0.0 (Hashtbl.find_opt link_load key) in
+          Hashtbl.replace link_load key (prev +. (h.S.hop_finish -. h.S.hop_start)))
+        c.S.hops)
+    t.S.comms;
+  let busiest = Array.fold_left Float.max 0.0 proc_load in
+  Hashtbl.fold (fun _ load acc -> Float.max load acc) link_load busiest
+
+let oracle_interval_schedule model arch g seq cuts =
+  let placement = Array.make (G.nnodes g) 0 in
+  let rec pairs = function a :: (b :: _ as rest) -> (a, b) :: pairs rest | _ -> [] in
+  let bounds = pairs cuts in
+  List.iteri
+    (fun stage (a, b) -> for i = a to b - 1 do placement.(seq.(i)) <- stage done)
+    bounds;
+  let sched = oracle_of_placement model arch g placement in
+  let proc_load = Array.make (Archi.nprocs arch) 0.0 in
+  List.iter
+    (fun (op : S.op_slot) ->
+      proc_load.(op.S.proc) <- proc_load.(op.S.proc) +. (op.S.finish -. op.S.start))
+    sched.S.ops;
+  let stages =
+    List.mapi
+      (fun stage (a, b) ->
+        { S.stage_proc = stage; stage_nodes = Array.to_list (Array.sub seq a (b - a));
+          stage_load = proc_load.(stage) })
+      bounds
+  in
+  { sched with
+    S.pipeline =
+      Some
+        { S.frames_in_flight = List.length bounds;
+          predicted_period = oracle_resource_period sched; stages } }
+
+let oracle_point schedule label =
+  { Syndex.Mapper.point_label = label; point_schedule = schedule;
+    point_latency = schedule.S.makespan;
+    point_period =
+      (match schedule.S.pipeline with
+      | Some p -> p.S.predicted_period
+      | None -> oracle_resource_period schedule) }
+
+(* Every candidate scheduled and kept, then the Pareto filter; the knee is
+   the minimal latency x period product, ties to lower latency, then label. *)
+let oracle_bicriteria model arch g =
+  let dag = Syndex.Dag.of_graph model g in
+  let seq = Syndex.Mapper.linearize dag in
+  let k_max = min (Archi.nprocs arch) (Array.length seq) in
+  let heft =
+    oracle_of_placement model arch g
+      (Syndex.Heft.map model arch g).S.placement
+  in
+  let intervals =
+    List.init k_max (fun i ->
+        let _, cuts = oracle_interval_partition arch dag seq (i + 1) in
+        oracle_point (oracle_interval_schedule model arch g seq cuts)
+          (Printf.sprintf "interval-k%d" (i + 1)))
+  in
+  let frontier = Syndex.Mapper.pareto (oracle_point heft "heft" :: intervals) in
+  let key (p : Syndex.Mapper.point) =
+    ( p.Syndex.Mapper.point_latency *. p.Syndex.Mapper.point_period,
+      p.Syndex.Mapper.point_latency, p.Syndex.Mapper.point_label )
+  in
+  let knee =
+    List.fold_left (fun b q -> if key q < key b then q else b)
+      (List.hd frontier) (List.tl frontier)
+  in
+  (frontier, knee.Syndex.Mapper.point_schedule)
+
+(* One line per slot, every float as its bit pattern. *)
+let schedule_bits (s : S.t) =
+  let b x = Printf.sprintf "%Lx" (Int64.bits_of_float x) in
+  let part = function
+    | Syndex.Dag.Whole -> "whole" | Dispatch -> "dispatch" | Collect -> "collect"
+    | Emit -> "emit" | Store -> "store"
+  in
+  (Printf.sprintf "makespan %s period %s placement %s" (b s.S.makespan)
+     (b (S.period s))
+     (String.concat "," (List.map string_of_int (Array.to_list s.S.placement))))
+  :: List.map
+       (fun (o : S.op_slot) ->
+         Printf.sprintf "op %d %s P%d %s %s" o.S.node (part o.S.part) o.S.proc
+           (b o.S.start) (b o.S.finish))
+       s.S.ops
+  @ List.concat_map
+      (fun (c : S.comm_slot) ->
+        Printf.sprintf "comm %d.%s->%d.%s P%d->P%d %dB %s %s" c.S.edge.G.src
+          c.S.edge.G.src_port c.S.edge.G.dst c.S.edge.G.dst_port c.S.from_proc
+          c.S.to_proc c.S.bytes (b c.S.start) (b c.S.finish)
+        :: List.map
+             (fun (h : S.hop_slot) ->
+               Printf.sprintf "  hop P%d->P%d %s %s" h.S.hop_src h.S.hop_dst
+                 (b h.S.hop_start) (b h.S.hop_finish))
+             c.S.hops)
+      s.S.comms
+  @
+  match s.S.pipeline with
+  | None -> []
+  | Some p ->
+      Printf.sprintf "pipeline %d %s" p.S.frames_in_flight (b p.S.predicted_period)
+      :: List.map
+           (fun (st : S.stage_interval) ->
+             Printf.sprintf "stage P%d [%s] %s" st.S.stage_proc
+               (String.concat "," (List.map string_of_int st.S.stage_nodes))
+               (b st.S.stage_load))
+           p.S.stages
+
+let check_same_schedule what got want =
+  let rec first_diff i = function
+    | g :: gs, w :: ws ->
+        if g = w then first_diff (i + 1) (gs, ws)
+        else QCheck.Test.fail_reportf "%s, line %d: got %s, oracle %s" what i g w
+    | [], [] -> ()
+    | g :: _, [] -> QCheck.Test.fail_reportf "%s, extra line %d: %s" what i g
+    | [], w :: _ -> QCheck.Test.fail_reportf "%s, missing line %d: %s" what i w
+  in
+  first_diff 0 (schedule_bits got, schedule_bits want)
+
+(* A random machine: ring, chain, star, grid or fully connected with one
+   bandwidth, or a strongly connected [Archi.custom] graph (a random
+   bidirectional spanning tree plus random one-way links) whose processors
+   and links all differ in speed, a third of the links with no startup
+   cost. *)
+let random_arch topo nprocs seed =
+  let bandwidth = [| 1e6; 1e7; 3e7 |].(seed mod 3) in
+  match topo with
+  | 0 -> Archi.ring ~bandwidth nprocs
+  | 1 -> Archi.chain ~bandwidth nprocs
+  | 2 -> Archi.star ~bandwidth nprocs
+  | 3 ->
+      let rows = 1 + (seed mod 3) in
+      Archi.grid ~bandwidth rows (max 1 (nprocs / rows))
+  | 4 -> Archi.fully_connected ~bandwidth nprocs
+  | _ ->
+      let rng = Random.State.make [| seed; nprocs |] in
+      let edges = ref [] and linked = Hashtbl.create 16 in
+      let link a b =
+        if a <> b && not (Hashtbl.mem linked (a, b)) then begin
+          Hashtbl.add linked (a, b) ();
+          edges :=
+            ( a, b, [| 1e6; 1e7; 3.3e7 |].(Random.State.int rng 3),
+              [| 0.0; 1e-6; Random.State.float rng 1e-5 |].(Random.State.int rng 3) )
+            :: !edges
+        end
+      in
+      for i = 1 to nprocs - 1 do
+        let j = Random.State.int rng i in
+        link i j;
+        link j i
+      done;
+      for _ = 1 to nprocs do
+        link (Random.State.int rng nprocs) (Random.State.int rng nprocs)
+      done;
+      Archi.custom ~name:"random"
+        (Array.init nprocs (fun i ->
+             { Archi.id = i; pname = Printf.sprintf "P%d" i;
+               cycle_time = [| 5e-8; 2.5e-8; 1e-7 |].(Random.State.int rng 3) }))
+        (List.rev !edges)
+
+let prop_schedules_match_oracle =
+  QCheck.Test.make
+    ~name:"static schedules and the bicriteria frontier match the oracle bit for bit"
+    ~count:120
+    QCheck.(
+      quad (int_range 0 2) (int_range 1 30) (int_range 0 1000)
+        (pair (int_range 0 5) (int_range 1 16)))
+    (fun (shape, width, seed, (topo, nprocs)) ->
+      let model, _, g = random_interval_case (shape, width, seed, (0, 1)) in
+      (* empty messages: zero-length hops over links without startup cost *)
+      let model =
+        { model with
+          Syndex.Cost.edge_bytes =
+            (fun (e : G.edge) ->
+              if Hashtbl.hash (seed, e.G.src, e.G.dst) mod 5 = 0 then 0
+              else model.Syndex.Cost.edge_bytes e) }
+      in
+      let arch = random_arch topo nprocs seed in
+      let p = Archi.nprocs arch in
+      let rng = Random.State.make [| seed; width |] in
+      let placements =
+        [ ("canonical", Syndex.Place.canonical g arch);
+          ("roundrobin", Syndex.Place.round_robin g arch);
+          ("random", Array.init (G.nnodes g) (fun _ -> Random.State.int rng p)) ]
+      in
+      List.iter
+        (fun (what, placement) ->
+          let got = Syndex.Place.of_placement model arch g placement in
+          let want = oracle_of_placement model arch g placement in
+          check_same_schedule (what ^ " placement") got want;
+          let rp = S.resource_period got and want_rp = oracle_resource_period want in
+          if Int64.bits_of_float rp <> Int64.bits_of_float want_rp then
+            QCheck.Test.fail_reportf "%s: resource period %h, oracle %h" what rp
+              want_rp)
+        placements;
+      let bicriteria = Option.get (Syndex.Mapper.find "bicriteria") in
+      let frontier = Syndex.Mapper.frontier bicriteria model arch g in
+      let want_frontier, want_knee = oracle_bicriteria model arch g in
+      let labels pts = List.map (fun (q : Syndex.Mapper.point) -> q.Syndex.Mapper.point_label) pts in
+      if labels frontier <> labels want_frontier then
+        QCheck.Test.fail_reportf "frontier [%s], oracle [%s]"
+          (String.concat ";" (labels frontier)) (String.concat ";" (labels want_frontier));
+      List.iter2
+        (fun (q : Syndex.Mapper.point) (w : Syndex.Mapper.point) ->
+          check_same_schedule q.Syndex.Mapper.point_label q.Syndex.Mapper.point_schedule
+            w.Syndex.Mapper.point_schedule)
+        frontier want_frontier;
+      let json pts = Syndex.Mapper.frontier_json ~strategy:"bicriteria" ~arch pts in
+      if json frontier <> json want_frontier then
+        QCheck.Test.fail_reportf "frontier_json %s, oracle %s" (json frontier)
+          (json want_frontier);
+      check_same_schedule "knee" (Syndex.Mapper.map bicriteria model arch g) want_knee;
+      true)
+
+(* -- mapping golden pin -- *)
+
+(* The length and MD5 of every strategy's frontier JSON and macro-code for
+   the tracking spec at nproc W in {8, 32}, on ring W and on grid 4x4,
+   recorded before the bicriteria mapper stopped keeping every candidate
+   schedule and the static scheduler stopped hashing dependencies. Any
+   changed float, placement, cut or frontier member shows up here. *)
+let test_mapping_golden_pin () =
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let module P = Skipper_lib.Pipeline in
+  let lines =
+    List.concat_map
+      (fun w ->
+        let config = Tracking.Funcs.with_nproc w Tracking.Funcs.default_config in
+        let c =
+          P.compile_source ~frames:3 ~table:(Tracking.Funcs.table config)
+            (Tracking.Funcs.source config)
+        in
+        List.concat_map
+          (fun arch ->
+            List.concat_map
+              (fun strategy ->
+                let m = Option.get (Syndex.Mapper.find strategy) in
+                let pts =
+                  Syndex.Mapper.frontier m (Syndex.Cost.make ()) arch c.P.graph
+                in
+                let fj = Syndex.Mapper.frontier_json ~strategy ~arch pts in
+                let mc = P.macro_code c (P.map ~strategy c arch) in
+                let pin what text =
+                  Printf.sprintf "%s W=%d %s %s %d %s" (Archi.name arch) w
+                    strategy what (String.length text) (md5 text)
+                in
+                [ pin "frontier" fj; pin "macro" mc ])
+              (Syndex.Mapper.names ()))
+          [ Archi.ring w; Archi.grid 4 4 ])
+      [ 8; 32 ]
+  in
+  Alcotest.(check (list string)) "frontier and macro-code bytes"
+    [
+      "ring-8 W=8 heft frontier 179 034211f2a6ba008052188e11357b4849";
+      "ring-8 W=8 heft macro 3289 04c728082c502e8dfdc3cbce6d68c410";
+      "ring-8 W=8 canonical frontier 190 a3065a928a603976fb0031be6ced2974";
+      "ring-8 W=8 canonical macro 3208 bc121eadb3dd4f692de6b8a38cf55f32";
+      "ring-8 W=8 roundrobin frontier 188 de78d06ba7b7b5ee6825e33421a778cc";
+      "ring-8 W=8 roundrobin macro 3507 ee576db71ed3b8b2c6f2c44ca76fb4ab";
+      "ring-8 W=8 throughput frontier 191 6c25c6457a2569f62f4935c0489b55fb";
+      "ring-8 W=8 throughput macro 3321 a1d94500cb8a2f06812a52ef64a4a4aa";
+      "ring-8 W=8 bicriteria frontier 314 9824a5b546953462856a4fabef315a21";
+      "ring-8 W=8 bicriteria macro 3321 a1d94500cb8a2f06812a52ef64a4a4aa";
+      "grid-4x4 W=8 heft frontier 182 adca2fe7967fc168e26aee6918c9f87b";
+      "grid-4x4 W=8 heft macro 3291 e29b5723cfd6de7c85d35cc681c88d44";
+      "grid-4x4 W=8 canonical frontier 193 711407013083099f325d1d3e63ac0e2d";
+      "grid-4x4 W=8 canonical macro 3316 564826cbafe0a626c7fecaf67e2fd9b1";
+      "grid-4x4 W=8 roundrobin frontier 199 720032afb5b6b8d2ad55a106e0b7dee3";
+      "grid-4x4 W=8 roundrobin macro 3815 6c3b83d27d2d6a5cb6df043c56b68f16";
+      "grid-4x4 W=8 throughput frontier 199 a1d4dec768e0b811fa92daad45f36ee6";
+      "grid-4x4 W=8 throughput macro 3680 987ff56fcc27c2993a7a4d3471711529";
+      "grid-4x4 W=8 bicriteria frontier 454 e1399d4d94204651111ddef178e2de80";
+      "grid-4x4 W=8 bicriteria macro 3615 0244bdeee57eb3ea99ae7d240e77e9f7";
+      "ring-32 W=32 heft frontier 244 48fce2ea695c098beb10b2b04045afb4";
+      "ring-32 W=32 heft macro 8761 8d841cb8582dd3d8d764a04fa7b7ccbc";
+      "ring-32 W=32 canonical frontier 262 c050740bf45b3720edc640dcd1431ec5";
+      "ring-32 W=32 canonical macro 9178 220c5e3eeedaf53f8faa1460d74632b8";
+      "ring-32 W=32 roundrobin frontier 264 06b43b65285ee0fddff0b5f26163797c";
+      "ring-32 W=32 roundrobin macro 9477 9c49299bc1b317caf0ae029419ea4b6a";
+      "ring-32 W=32 throughput frontier 265 cec0e50b2ee3ef21c11c620c4395734b";
+      "ring-32 W=32 throughput macro 9233 5bc723d6361c1c3112b6edb9d53e19cf";
+      "ring-32 W=32 bicriteria frontier 456 17d3bebdecd2a61a4c0d945e97cec302";
+      "ring-32 W=32 bicriteria macro 9293 7b6860faf27a263639cf035fd966a96d";
+      "grid-4x4 W=32 heft frontier 241 675da384b3b057ce642cc96cff380535";
+      "grid-4x4 W=32 heft macro 8646 356980e6404f1fa6cd0286d43449daca";
+      "grid-4x4 W=32 canonical frontier 253 4033b7df378c43c0116d7e6ec681bb0d";
+      "grid-4x4 W=32 canonical macro 8647 9da9a10dff4edabadf163379cce4bece";
+      "grid-4x4 W=32 roundrobin frontier 252 f1cee46024f79a5286a29a4b3b378244";
+      "grid-4x4 W=32 roundrobin macro 8946 a4d1df9bd3b1ccdb1e1f626c5b394986";
+      "grid-4x4 W=32 throughput frontier 258 bf360ea13eda42122773b48bc8fa994f";
+      "grid-4x4 W=32 throughput macro 8804 12c019caf321bf6d63af9992b51988a6";
+      "grid-4x4 W=32 bicriteria frontier 617 1f3d2a4959a759f90dcb866840ed9e94";
+      "grid-4x4 W=32 bicriteria macro 8538 76318100baa664d1020cf35d18565fd5";
+    ]
+    lines
+
 let disconnected_pair () =
   let procs =
     Array.init 2 (fun i ->
@@ -554,6 +965,8 @@ let () =
             test_throughput_period_beats_heft_prediction;
           QCheck_alcotest.to_alcotest prop_all_mappers_valid;
           QCheck_alcotest.to_alcotest prop_interval_partitions_match_oracle;
+          QCheck_alcotest.to_alcotest prop_schedules_match_oracle;
+          Alcotest.test_case "mapping golden pin" `Quick test_mapping_golden_pin;
         ] );
       ( "placements",
         [

@@ -8,12 +8,9 @@ let test_make_rejects_empty () =
     (Invalid_argument "Window.make: non-positive dimensions") (fun () ->
       ignore (W.make ~x:0 ~y:0 ~w:0 ~h:3))
 
-let test_area_center_contains () =
+let test_area_contains () =
   let w = W.make ~x:2 ~y:4 ~w:6 ~h:8 in
   Alcotest.(check int) "area" 48 (W.area w);
-  let cx, cy = W.center w in
-  Alcotest.(check (float 0.001)) "cx" 5.0 cx;
-  Alcotest.(check (float 0.001)) "cy" 8.0 cy;
   Alcotest.(check bool) "contains corner" true (W.contains w 2 4);
   Alcotest.(check bool) "excludes far edge" false (W.contains w 8 4)
 
@@ -107,7 +104,7 @@ let () =
       ( "basics",
         [
           Alcotest.test_case "make rejects empty" `Quick test_make_rejects_empty;
-          Alcotest.test_case "area/center/contains" `Quick test_area_center_contains;
+          Alcotest.test_case "area/contains" `Quick test_area_contains;
           Alcotest.test_case "clip" `Quick test_clip;
           Alcotest.test_case "expand" `Quick test_expand;
           Alcotest.test_case "of_region" `Quick test_of_region;
