@@ -8,6 +8,8 @@
                                         times the simulator at scale
      dune exec bench/main.exe -- mapscale
                                         times the mappers as P widens
+     dune exec bench/main.exe -- noiseexact
+                                        checks the frame noise against libm
 
    Reported latencies are *simulated* times on the T9000-era machine model;
    the paper's numbers were measured on the real Transvision platform, so
@@ -1730,6 +1732,50 @@ let mapscale () =
   end
 
 (* ------------------------------------------------------------------ *)
+(* noiseexact: the table-driven frame noise against this platform's libm *)
+
+(* Scene.frame draws its noise with [Prng.gaussian_trunc], which must
+   return exactly [int_of_float (s *. Prng.gaussian t)]: its guard covers
+   libm's error only as far as libm is within 1 ulp (DESIGN.md, "Frame
+   noise"). Every draw is computed three ways from one generator state —
+   [gaussian] (the libm expression), the [gaussian_trunc] stream and the
+   raw-draw entry point, which also tells whether the tables decided it —
+   and the three generators must end in the same state. Exits 1 on any
+   mismatch; the fallback count is informational. *)
+let noiseexact () =
+  header "noiseexact" "frame noise: gaussian_trunc against libm's gaussian";
+  let draws = 10_000_000 in
+  let module P = Support.Prng in
+  Printf.printf "%8s %10s %10s %10s\n" "noise" "draws" "mismatches" "fallbacks";
+  let failed = ref false in
+  List.iteri
+    (fun i s ->
+      let rng = P.create (7 + i) in
+      let mismatches = ref 0 and fallbacks = ref 0 in
+      for _ = 1 to draws do
+        let a = P.copy rng and b = P.copy rng in
+        let want = int_of_float (s *. P.gaussian a) in
+        let got = P.gaussian_trunc b s in
+        let draw () = Int64.to_int (Int64.shift_right_logical (P.bits64 rng) 11) in
+        let n1 = ref (draw ()) in
+        while !n1 = 0 do
+          n1 := draw ()
+        done;
+        let raw, tabled = P.gaussian_trunc_draws s !n1 (draw ()) in
+        if not tabled then incr fallbacks;
+        let next = P.bits64 rng in
+        if got <> want || raw <> want || P.bits64 a <> next || P.bits64 b <> next
+        then incr mismatches
+      done;
+      if !mismatches > 0 then failed := true;
+      Printf.printf "%8g %10d %10d %10d\n" s draws !mismatches !fallbacks)
+    [ 0.5; 1.0; 3.0; 7.5; 40.0; 60.0 ];
+  if !failed then begin
+    prerr_endline "noiseexact: gaussian_trunc differs from libm's gaussian";
+    exit 1
+  end
+
+(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -1775,11 +1821,12 @@ let () =
   (match names with
   | [ "simscale" ] -> simscale ()
   | [ "mapscale" ] -> mapscale ()
+  | [ "noiseexact" ] -> noiseexact ()
   | [ name ] -> (
       match List.assoc_opt (String.lowercase_ascii name) experiments with
       | Some f -> f ()
       | None ->
-          Printf.eprintf "unknown experiment %s (e1..e17, simscale or mapscale)\n" name;
+          Printf.eprintf "unknown experiment %s (e1..e17, simscale, mapscale or noiseexact)\n" name;
           exit 1)
   | _ ->
       print_endline "SKiPPER experiment harness (see DESIGN.md, experiment index)";

@@ -350,99 +350,102 @@ let transfer t ~msg src dst bytes_n depart =
     hop src depart
   end
 
-(* Run one zero-duration execution segment of [proc]. Effects performed by
-   the body terminate the segment after scheduling follow-up events. *)
-let run_segment t (proc : process) resume =
+(* The effect handler [proc]'s body runs under: effects performed by the
+   body end the current segment after scheduling follow-up events. *)
+let segment_handler t (proc : process) : (unit, unit) Effect.Deep.handler =
   let p = proc.on in
-  let handler : (unit, unit) Effect.Deep.handler =
-    {
-      retc =
-        (fun () ->
-          proc.state <- Finished;
-          if t.tracing then
-            Event.instant t.timeline ~lane:(lane proc) ~cat:"proc" ~name:"done"
-              ~time:t.time ();
-          t.cpu_free.(p) <- t.time;
-          push_event t t.time (Dispatch p));
-      exnc = (fun exn -> raise (Process_failure (proc.name, exn)));
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | E_compute cycles ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  let dt = cycles *. cycle_time t p in
-                  if t.tracing then
-                    Event.span t.timeline ~lane:(lane proc) ~cat:"compute"
-                      ~args:[ ("cycles", Event.Num cycles) ]
-                      ~name:"compute" ~time:t.time ~dur:dt ();
-                  charge_busy t proc dt;
-                  t.cpu_free.(p) <- t.time +. dt;
-                  push_event t (t.time +. dt) (Step (proc.pid, proc.epoch, RUnit k)))
-          | E_send (dst, port, v) ->
-              Some
-                (fun k ->
-                  let dt = Syndex.Cost.default_send_overhead_cycles *. cycle_time t p in
-                  charge_busy t proc dt;
-                  proc.sent <- proc.sent + 1;
-                  t.cpu_free.(p) <- t.time +. dt;
-                  let dst_proc = t.processes.(dst) in
-                  let nbytes = Skel.Value.byte_size v in
-                  t.messages <- t.messages + 1;
-                  t.bytes <- t.bytes + nbytes;
-                  let msg = fresh_msg t in
-                  if t.tracing then
-                    emit_send t ~lane:(lane proc) ~time:t.time ~msg ~dst ~port
-                      ~bytes:nbytes ~dur:dt;
-                  let arrive =
-                    transfer t ~msg p dst_proc.on nbytes (t.time +. dt)
-                  in
-                  push_event t arrive
-                    (Deliver_msg
-                       { dst; msg; port; v; src = p; faultable = true });
-                  push_event t (t.time +. dt) (Step (proc.pid, proc.epoch, RUnit k)))
-          | E_sleep at ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  t.cpu_free.(p) <- t.time;
-                  push_event t (Float.max t.time at)
-                    (Enqueue (proc.pid, proc.epoch, RUnit k));
-                  push_event t t.time (Dispatch p))
-          | E_recv (ports, deadline) ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  match earliest_message proc ports with
-                  | Some (port, _) ->
-                      let msg, v = pop_message proc port in
-                      let dt = Syndex.Cost.default_recv_overhead_cycles *. cycle_time t p in
-                      charge_busy t proc dt;
-                      t.cpu_free.(p) <- t.time +. dt;
-                      if t.tracing then
-                        emit_recv t proc ~msg ~port ~dur:dt;
-                      push_event t (t.time +. dt)
-                        (Step (proc.pid, proc.epoch, RMsg (k, Some (port, v))))
-                  | None ->
-                      proc.wait_seq <- proc.wait_seq + 1;
-                      proc.state <- Blocked (ports, proc.wait_seq, k);
-                      proc.blocked_at <- t.time;
-                      if t.tracing then emit_block t proc ports;
-                      t.cpu_free.(p) <- t.time;
-                      Option.iter
-                        (fun d ->
-                          push_event t (Float.max t.time d)
-                            (Timeout (proc.pid, proc.wait_seq)))
-                        deadline;
-                      push_event t t.time (Dispatch p))
-          | _ -> None);
-    }
-  in
+  {
+    retc =
+      (fun () ->
+        proc.state <- Finished;
+        if t.tracing then
+          Event.instant t.timeline ~lane:(lane proc) ~cat:"proc" ~name:"done"
+            ~time:t.time ();
+        t.cpu_free.(p) <- t.time;
+        push_event t t.time (Dispatch p));
+    exnc = (fun exn -> raise (Process_failure (proc.name, exn)));
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | E_compute cycles ->
+            Some
+              (fun (k : (a, unit) continuation) ->
+                let dt = cycles *. cycle_time t p in
+                if t.tracing then
+                  Event.span t.timeline ~lane:(lane proc) ~cat:"compute"
+                    ~args:[ ("cycles", Event.Num cycles) ]
+                    ~name:"compute" ~time:t.time ~dur:dt ();
+                charge_busy t proc dt;
+                t.cpu_free.(p) <- t.time +. dt;
+                push_event t (t.time +. dt) (Step (proc.pid, proc.epoch, RUnit k)))
+        | E_send (dst, port, v) ->
+            Some
+              (fun k ->
+                let dt = Syndex.Cost.default_send_overhead_cycles *. cycle_time t p in
+                charge_busy t proc dt;
+                proc.sent <- proc.sent + 1;
+                t.cpu_free.(p) <- t.time +. dt;
+                let dst_proc = t.processes.(dst) in
+                let nbytes = Skel.Value.byte_size v in
+                t.messages <- t.messages + 1;
+                t.bytes <- t.bytes + nbytes;
+                let msg = fresh_msg t in
+                if t.tracing then
+                  emit_send t ~lane:(lane proc) ~time:t.time ~msg ~dst ~port
+                    ~bytes:nbytes ~dur:dt;
+                let arrive =
+                  transfer t ~msg p dst_proc.on nbytes (t.time +. dt)
+                in
+                push_event t arrive
+                  (Deliver_msg
+                     { dst; msg; port; v; src = p; faultable = true });
+                push_event t (t.time +. dt) (Step (proc.pid, proc.epoch, RUnit k)))
+        | E_sleep at ->
+            Some
+              (fun (k : (a, unit) continuation) ->
+                t.cpu_free.(p) <- t.time;
+                push_event t (Float.max t.time at)
+                  (Enqueue (proc.pid, proc.epoch, RUnit k));
+                push_event t t.time (Dispatch p))
+        | E_recv (ports, deadline) ->
+            Some
+              (fun (k : (a, unit) continuation) ->
+                match earliest_message proc ports with
+                | Some (port, _) ->
+                    let msg, v = pop_message proc port in
+                    let dt = Syndex.Cost.default_recv_overhead_cycles *. cycle_time t p in
+                    charge_busy t proc dt;
+                    t.cpu_free.(p) <- t.time +. dt;
+                    if t.tracing then
+                      emit_recv t proc ~msg ~port ~dur:dt;
+                    push_event t (t.time +. dt)
+                      (Step (proc.pid, proc.epoch, RMsg (k, Some (port, v))))
+                | None ->
+                    proc.wait_seq <- proc.wait_seq + 1;
+                    proc.state <- Blocked (ports, proc.wait_seq, k);
+                    proc.blocked_at <- t.time;
+                    if t.tracing then emit_block t proc ports;
+                    t.cpu_free.(p) <- t.time;
+                    Option.iter
+                      (fun d ->
+                        push_event t (Float.max t.time d)
+                          (Timeout (proc.pid, proc.wait_seq)))
+                      deadline;
+                    push_event t t.time (Dispatch p))
+        | _ -> None);
+  }
+
+(* Run one zero-duration execution segment of [proc]. A continuation
+   resumes under the handler it was captured in, so only [Start] installs
+   one. *)
+let run_segment t (proc : process) resume =
   let saved = Domain.DLS.get current in
   Domain.DLS.set current (Some (t, proc));
   Fun.protect
     ~finally:(fun () -> Domain.DLS.set current saved)
     (fun () ->
       match resume with
-      | Start body -> match_with body () handler
+      | Start body -> match_with body () (segment_handler t proc)
       | RUnit k -> continue k ()
       | RMsg (k, r) -> continue k r)
 

@@ -1,11 +1,12 @@
 (** Busy-interval bookkeeping for exclusive resources (communication links).
 
     An occupancy list is a sorted list of disjoint [(start, stop)] intervals.
-    Both the machine simulator and the static scheduler reserve link time
-    with first-fit insertion, so predicted and simulated transfers share one
-    contention model. The static scheduler keeps full lists, because it
-    backfills earlier gaps; the simulator, whose requests never start
-    before its clock, keeps a {!prune}d book. *)
+    The machine simulator reserves link time with first-fit insertion here,
+    and keeps a {!prune}d book because its requests never start before its
+    clock. The static scheduler ([Syndex.Place]) backfills earlier gaps, so
+    it keeps every reservation, in its own array-backed book whose
+    [reserve] grants the start [reserve] grants here, bit for bit: predicted
+    and simulated transfers share one contention model. *)
 
 type t = (float * float) list
 (** Sorted by start, pairwise disjoint. *)

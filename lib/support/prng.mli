@@ -36,6 +36,21 @@ val bool : t -> bool
 val gaussian : t -> float
 (** Standard normal via Box–Muller. *)
 
+val gaussian_trunc : t -> float -> int
+(** [gaussian_trunc t s] is [int_of_float (s *. gaussian t)], and leaves
+    [t] where [gaussian] leaves it, but computes the logarithm and cosine
+    from tables: libm decides only the draws whose value lies too close to
+    a nonzero integer for the tables' error bound (a guarded rounding test;
+    see DESIGN.md, "Frame noise"). Allocates nothing. *)
+
+val gaussian_trunc_draws : float -> int -> int -> int * bool
+(** [gaussian_trunc_draws s n1 n2] is [gaussian_trunc]'s result for the
+    raw 53-bit draws [n1] (the first nonzero one) and [n2], paired with
+    whether the tables decided it ([false]: the guard fell back to libm).
+    Raises [Invalid_argument] unless [0 < n1 < 2^53] and [0 <= n2 < 2^53].
+    Test oracle: [test_support]'s "gaussian_trunc fallback band" and the
+    bench's [noiseexact] check. *)
+
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 

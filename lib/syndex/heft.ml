@@ -152,4 +152,4 @@ let map cost arch g =
       | op :: _ -> placement.(node) <- op_proc.(op)
       | [] -> ())
     dag.Dag.ops_of_node;
-  Place.of_placement cost arch g placement
+  Place.of_placement_dag cost arch dag placement

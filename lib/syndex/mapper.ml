@@ -154,8 +154,8 @@ let interval_partitions arch (dag : Dag.t) seq k_max =
 (* Schedule the chain partition: interval [i] on processor [i], pipelining
    metadata from the resulting schedule's actual per-processor loads.
    [cuts] are the positions of the interval starts followed by n. *)
-let interval_schedule cost arch g seq cuts =
-  let placement = Array.make (Procnet.Graph.nnodes g) 0 in
+let interval_schedule cost arch dag seq cuts =
+  let placement = Array.make (Procnet.Graph.nnodes dag.Dag.graph) 0 in
   let rec pairs = function
     | a :: (b :: _ as rest) -> (a, b) :: pairs rest
     | _ -> []
@@ -167,7 +167,7 @@ let interval_schedule cost arch g seq cuts =
         placement.(seq.(i)) <- stage
       done)
     bounds;
-  let sched = Place.of_placement cost arch g placement in
+  let sched = Place.of_placement_dag cost arch dag placement in
   let proc_load = Array.make (Archi.nprocs arch) 0.0 in
   List.iter
     (fun (op : Schedule.op_slot) ->
@@ -196,13 +196,13 @@ let interval_schedule cost arch g seq cuts =
         };
   }
 
-(* The stage chain and its best partition into k = 1..k_max intervals:
-   (bottleneck, cuts) per k, unscheduled. *)
+(* The scheduling DAG, its stage chain and the chain's best partition into
+   k = 1..k_max intervals: (bottleneck, cuts) per k, unscheduled. *)
 let interval_candidates cost arch g =
   let dag = Dag.of_graph cost g in
   let seq = linearize dag in
   let k_max = min (Archi.nprocs arch) (Array.length seq) in
-  (seq, interval_partitions arch dag seq k_max)
+  (dag, seq, interval_partitions arch dag seq k_max)
 
 (* ------------------------------------------------------------------ *)
 (* Built-in strategies                                                 *)
@@ -235,7 +235,7 @@ let roundrobin =
   }
 
 let throughput_map cost arch g =
-  let seq, candidates = interval_candidates cost arch g in
+  let dag, seq, candidates = interval_candidates cost arch g in
   (* smallest predicted bottleneck; ties towards fewer stages (equal
      throughput at lower latency and fewer processors) *)
   let _, cuts =
@@ -243,7 +243,7 @@ let throughput_map cost arch g =
       (fun (bb, bc) (b, c) -> if b < bb then (b, c) else (bb, bc))
       (List.hd candidates) (List.tl candidates)
   in
-  interval_schedule cost arch g seq cuts
+  interval_schedule cost arch dag seq cuts
 
 let throughput =
   {
@@ -295,11 +295,11 @@ type candidate = {
    scores, in [pareto]'s order. *)
 let bicriteria_candidates cost arch g =
   let heft = Heft.map cost arch g in
-  let seq, partitions = interval_candidates cost arch g in
+  let dag, seq, partitions = interval_candidates cost arch g in
   let intervals =
     List.mapi
       (fun i (_, cuts) ->
-        let schedule () = interval_schedule cost arch g seq cuts in
+        let schedule () = interval_schedule cost arch dag seq cuts in
         let s = schedule () in
         { label = Printf.sprintf "interval-k%d" (i + 1);
           latency = s.Schedule.makespan;

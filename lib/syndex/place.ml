@@ -96,15 +96,18 @@ let reserve_transfer arch link_busy ~src ~dst ~bytes ~depart =
   in
   (arrival, List.rev hops)
 
-let of_placement cost arch g placement =
+let check_placement arch g placement =
   if Array.length placement <> Procnet.Graph.nnodes g then
     invalid_arg "Place.of_placement: placement length mismatch";
   Array.iter
     (fun p ->
       if p < 0 || p >= Archi.nprocs arch then
         invalid_arg "Place.of_placement: placement names a missing processor")
-    placement;
-  let dag = Dag.of_graph cost g in
+    placement
+
+let of_placement_dag cost arch dag placement =
+  let g = dag.Dag.graph in
+  check_placement arch g placement;
   let nops = Array.length dag.Dag.ops in
   let op_proc =
     Array.map (fun (op : Dag.op) -> placement.(op.Dag.node)) dag.Dag.ops
@@ -204,3 +207,7 @@ let of_placement cost arch g placement =
     makespan = Array.fold_left Float.max 0.0 op_finish;
     pipeline = None;
   }
+
+let of_placement cost arch g placement =
+  check_placement arch g placement;
+  of_placement_dag cost arch (Dag.of_graph cost g) placement

@@ -35,9 +35,11 @@ let set img x y v =
 let fill img v = Bytes.fill img.data 0 (Bytes.length img.data) (Char.chr (clamp v))
 let copy img = { img with data = Bytes.copy img.data }
 
+(* [Int.max]/[Int.min]: the polymorphic ones are calls into the generic
+   compare, and [Scene.frame] clips once per row *)
 let clip_rect img x y w h =
-  let x0 = max 0 x and y0 = max 0 y in
-  let x1 = min img.width (x + w) and y1 = min img.height (y + h) in
+  let x0 = Int.max 0 x and y0 = Int.max 0 y in
+  let x1 = Int.min img.width (x + w) and y1 = Int.min img.height (y + h) in
   (x0, y0, x1 - x0, y1 - y0)
 
 let sub img ~x ~y ~w ~h =

@@ -75,16 +75,24 @@ let draw_rect img x0 y0 w h v =
 let render_background p img t =
   (* Vertical luminance gradient (sky to road) plus a faint texture
      [(7x + 13y + 3t) mod 11] that depends deterministically on position and
-     frame. With [t >= 0] the texture is a running remainder along the row
-     and every value is in 60..109, so pixels are written unchecked. *)
+     frame. Row y is [base + ((r0 + 7x) mod 11)], r0 = (13y + 3t) mod 11:
+     the window at x0 = 8 r0 mod 11 (8 = 7^-1 mod 11) of the template
+     [base + (7i mod 11)], i < w + 11, so each row is one blit and the
+     template is refilled only when [base] changes (at most 40 times).
+     With [t >= 0] every value is in 60..109. *)
   let h = p.height and w = p.width in
+  let template = Image.create (w + 11) 1 in
+  let filled = ref (-1) in
   for y = 0 to h - 1 do
     let base = 60 + (40 * y / h) in
-    let r = ref (((y * 13) + (t * 3)) mod 11) in
-    for x = 0 to w - 1 do
-      Image.unsafe_set img x y (base + !r);
-      r := if !r >= 4 then !r - 4 else !r + 7
-    done
+    if base <> !filled then begin
+      for i = 0 to w + 10 do
+        Image.unsafe_set template i 0 (base + (7 * i mod 11))
+      done;
+      filled := base
+    end;
+    let r0 = ((y * 13) + (t * 3)) mod 11 in
+    Image.blit ~src:template ~dst:img ~x:(-(8 * r0 mod 11)) ~y
   done
 
 let render_vehicle img v =
@@ -111,11 +119,13 @@ let add_noise p img t =
     let w = Image.width img and h = Image.height img in
     (* Perturb a pseudo-random 20% of pixels; keeps marks distinguishable
        while still exercising threshold robustness. [Prng.int] keeps the
-       coordinates in range, so pixels are accessed unchecked. *)
+       coordinates in range, so pixels are accessed unchecked.
+       [gaussian_trunc] is [int_of_float (p.noise *. gaussian rng)], the
+       same draws and the same integer, from tables. *)
     for _ = 1 to w * h / 5 do
       let x = Support.Prng.int rng w in
       let y = Support.Prng.int rng h in
-      let d = int_of_float (p.noise *. Support.Prng.gaussian rng) in
+      let d = Support.Prng.gaussian_trunc rng p.noise in
       let v = Image.unsafe_get img x y in
       (* Never push background pixels into mark range nor marks below it. *)
       let v' = if v >= 220 then clamp (v + d) 220 255 else clamp (v + d) 0 179 in

@@ -197,9 +197,14 @@ end
 let arbitrary_scene =
   QCheck.make
     QCheck.Gen.(
-      let* width = int_range 1 97 and* height = int_range 1 97 in
+      (* now and then the full 512x512 frame the tracker sees *)
+      let* width, height =
+        frequency
+          [ (59, pair (int_range 1 97) (int_range 1 97)); (1, return (512, 512)) ]
+      in
       let* nvehicles = int_range 1 3 and* seed = int_bound 1_000_000 in
-      let* noise = oneofl [ 0.0; 3.0; 60.0 ] and* occlusion_period = int_bound 12 in
+      let* noise = oneofl [ 0.0; 0.5; 3.0; 7.5; 60.0 ]
+      and* occlusion_period = int_bound 12 in
       let* t = int_bound 5000 in
       return ({ S.width; height; nvehicles; seed; noise; occlusion_period }, t))
     ~print:(fun ((p : S.params), t) ->
@@ -209,6 +214,19 @@ let arbitrary_scene =
 let prop_frame_matches_reference =
   QCheck.Test.make ~name:"row-wise frame equals the per-pixel reference" ~count:300
     arbitrary_scene (fun (p, t) -> I.equal (S.frame p t) (Reference.frame p t))
+
+(* The generator's frames are small; these are the size the tracker sees,
+   at every noise level the generator draws. *)
+let test_full_frames_match_reference () =
+  List.iteri
+    (fun i noise ->
+      let p = { S.default_params with S.noise; seed = 42 + i } in
+      let t = 37 * i in
+      Alcotest.(check bool)
+        (Printf.sprintf "512x512, noise %g, frame %d" noise t)
+        true
+        (I.equal (S.frame p t) (Reference.frame p t)))
+    [ 0.5; 3.0; 7.5; 60.0 ]
 
 let prop_noise_preserves_mark_separability =
   QCheck.Test.make ~name:"thresholding survives noise" ~count:30
@@ -238,6 +256,8 @@ let () =
           Alcotest.test_case "hidden vehicle has no marks" `Quick test_mark_centers_empty_when_hidden;
           Alcotest.test_case "vehicles stay in frame" `Quick test_vehicles_stay_in_frame;
           Alcotest.test_case "frame digests pinned" `Quick test_frame_golden;
+          Alcotest.test_case "full frames equal the per-pixel reference" `Quick
+            test_full_frames_match_reference;
           Alcotest.test_case "negative frame index rejected" `Quick
             test_frame_rejects_negative_index;
         ] );

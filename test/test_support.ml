@@ -179,6 +179,72 @@ let test_prng_copy_independent () =
   Alcotest.(check (list int64)) "the copy's draws leave the original"
     (List.filteri (fun i _ -> i >= 8) from_b) (draws a 8)
 
+(* [gaussian_trunc] against the libm expression it must reproduce: equal
+   results, and the generators end in the same state. *)
+let prop_gaussian_trunc_exact =
+  QCheck.Test.make ~name:"gaussian_trunc = int_of_float (s *. gaussian)"
+    ~count:200
+    QCheck.(pair int (oneofl [ 0.5; 1.0; 3.0; 7.5; 40.0; 60.0 ]))
+    (fun (seed, s) ->
+      let a = Support.Prng.create seed and b = Support.Prng.create seed in
+      let same = ref true in
+      for _ = 1 to 2_000 do
+        let want = int_of_float (s *. Support.Prng.gaussian a) in
+        if Support.Prng.gaussian_trunc b s <> want then same := false
+      done;
+      !same && Support.Prng.bits64 a = Support.Prng.bits64 b)
+
+(* [gaussian]'s expression on raw 53-bit draws *)
+let libm_gaussian n1 n2 =
+  let u1 = Float.of_int n1 /. 9007199254740992.0
+  and u2 = Float.of_int n2 /. 9007199254740992.0 in
+  sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
+
+(* Draw pairs whose libm value lies within 1e-7 of a nonzero integer k, on
+   both sides of it: for a random n1, solve s R cos (2 pi u2) = k for u2 and
+   scan the neighbouring n2. Every pair must truncate as libm does, and the
+   guard must have handed some on each side of k to libm. *)
+let test_gaussian_trunc_fallback_band () =
+  let rng = Support.Prng.create 2024 in
+  let draw () = Int64.to_int (Int64.shift_right_logical (Support.Prng.bits64 rng) 11) in
+  let pairs = ref 0 and below = ref 0 and above = ref 0 in
+  List.iter
+    (fun s ->
+      for scan = 1 to 150 do
+        let n1 = max 1 (draw ()) in
+        let r = sqrt (-2.0 *. log (Float.of_int n1 /. 9007199254740992.0)) in
+        let reach = int_of_float (s *. r) in
+        if reach >= 1 then begin
+          let k = (1 + (draw () mod reach)) * if scan land 1 = 0 then 1 else -1 in
+          let u2 = acos (float_of_int k /. (s *. r)) /. (2.0 *. Float.pi) in
+          let centre = int_of_float (u2 *. 9007199254740992.0) in
+          for n2 = max 0 (centre - 8) to min ((1 lsl 53) - 1) (centre + 8) do
+            let y = s *. libm_gaussian n1 n2 in
+            if Float.abs (y -. float_of_int k) < 1e-7 then begin
+              incr pairs;
+              let got, tabled = Support.Prng.gaussian_trunc_draws s n1 n2 in
+              if got <> int_of_float y then
+                Alcotest.failf "s = %g, draws (%d, %d): %d, libm %d" s n1 n2 got
+                  (int_of_float y);
+              if not tabled then
+                if Float.abs y < Float.abs (float_of_int k) then incr below
+                else incr above
+            end
+          done
+        end
+      done)
+    [ 1.0; 3.0; 7.5; 40.0 ];
+  Alcotest.(check bool) "pairs found" true (!pairs > 1000);
+  Alcotest.(check bool) "libm decided pairs just inside k" true (!below > 0);
+  Alcotest.(check bool) "libm decided pairs at or beyond k" true (!above > 0)
+
+let test_gaussian_trunc_draws_rejects_bad_draws () =
+  let bad n1 n2 () = ignore (Support.Prng.gaussian_trunc_draws 1.0 n1 n2) in
+  let e = Invalid_argument "Prng.gaussian_trunc_draws: draw outside [0, 2^53)" in
+  Alcotest.check_raises "n1 = 0" e (bad 0 5);
+  Alcotest.check_raises "n1 = 2^53" e (bad (1 lsl 53) 5);
+  Alcotest.check_raises "n2 < 0" e (bad 1 (-1))
+
 let test_pqueue_ordering () =
   let q = Support.Pqueue.create () in
   List.iter (fun p -> Support.Pqueue.push q p p) [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
@@ -615,6 +681,11 @@ let () =
           Alcotest.test_case "shuffle is a permutation" `Quick test_prng_shuffle_permutation;
           Alcotest.test_case "golden streams" `Quick test_prng_golden;
           Alcotest.test_case "copy independent" `Quick test_prng_copy_independent;
+          QCheck_alcotest.to_alcotest prop_gaussian_trunc_exact;
+          Alcotest.test_case "gaussian_trunc fallback band" `Quick
+            test_gaussian_trunc_fallback_band;
+          Alcotest.test_case "gaussian_trunc_draws rejects bad draws" `Quick
+            test_gaussian_trunc_draws_rejects_bad_draws;
         ] );
       ( "pqueue",
         [
