@@ -1668,7 +1668,7 @@ let mapscale () =
       Gc.compact ();
       let t0 = Unix.gettimeofday () in
       let rec go n =
-        let s = Syndex.Mapper.map m cost arch g in
+        let s = m.Syndex.Mapper.map cost arch g in
         let dt = Unix.gettimeofday () -. t0 in
         if dt < 0.02 then go (n + 1) else (s, dt /. float_of_int n)
       in

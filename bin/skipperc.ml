@@ -48,7 +48,7 @@ let topology name n =
   | "full" -> Archi.fully_connected n
   | other -> failwith (Printf.sprintf "unknown topology %S" other)
 
-(* Strategy names resolve against the mapper registry — the same single
+(* Strategy names resolve against the mapper list — the same single
    source of truth the --strategy/--map-strategy help text lists. *)
 let strategy_of name =
   match Syndex.Mapper.find name with

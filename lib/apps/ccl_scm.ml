@@ -40,7 +40,7 @@ let region_to_value (r : Vision.Ccl.region) =
       ("max_y", V.Int r.Vision.Ccl.max_y);
     ]
 
-let register ?(threshold = 128) ?(label_cycles_per_px = 30.0) table =
+let register table =
   let reg = Skel.Funtable.register table in
   reg "ccl_split" ~arity:2
     ~cost:(fun v ->
@@ -73,13 +73,13 @@ let register ?(threshold = 128) ?(label_cycles_per_px = 30.0) table =
       | V.Record _ -> (
           match V.field "img" v with
           | V.Image img ->
-              3000.0 +. (label_cycles_per_px *. float_of_int (Vision.Image.size img))
+              3000.0 +. (30.0 *. float_of_int (Vision.Image.size img))
           | _ -> 3000.0)
       | _ -> 3000.0)
     (fun v ->
       let y0 = V.to_int (V.field "y0" v) in
       let img = V.to_image (V.field "img" v) in
-      let lab = Vision.Ccl.label ~threshold img in
+      let lab = Vision.Ccl.label ~threshold:128 img in
       V.Record [ ("y0", V.Int y0); ("labelling", encode_labelling lab) ])
   ;
   reg "ccl_merge" ~arity:1

@@ -13,11 +13,10 @@ val encode_labelling : Vision.Ccl.labelling -> Skel.Value.t
 val decode_labelling : Skel.Value.t -> Vision.Ccl.labelling
 (** Raises [Skel.Value.Type_error] on malformed encodings. *)
 
-val register :
-  ?threshold:int -> ?label_cycles_per_px:float -> Skel.Funtable.t -> unit
+val register : Skel.Funtable.t -> unit
 (** Registers [ccl_split] (arity 2: nparts, image), [ccl_band] (labels one
-    band item) and [ccl_merge] (joins band labellings and summarises
-    regions). *)
+    band item at threshold 128, costed at 30 cycles per pixel) and
+    [ccl_merge] (joins band labellings and summarises regions). *)
 
 val ir : nparts:int -> Skel.Ir.program
 (** [scm nparts ccl_split ccl_band ccl_merge] as a one-shot program. *)

@@ -12,7 +12,12 @@ let leaf ~x ~y ~w ~h mean =
       ("mean", V.Float mean);
     ]
 
-let register ?(tolerance = 24) ?(min_size = 8) table =
+(* A region is a leaf when its intensity spread is at most [tolerance] or a
+   side is at most [min_size] pixels. *)
+let tolerance = 24
+let min_size = 8
+
+let register table =
   let reg = Skel.Funtable.register table in
   reg "quad_root" ~arity:1
     ~cost:(fun _ -> 1000.0)

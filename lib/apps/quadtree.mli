@@ -16,7 +16,7 @@ type region = {
   mean : float;
 }
 
-val register : ?tolerance:int -> ?min_size:int -> Skel.Funtable.t -> unit
+val register : Skel.Funtable.t -> unit
 (** Registers [quad_work] (the tf worker function), [quad_acc], [quad_root]
     (builds the initial single-packet list from an image) and the
     [empty_leaves] constant (the accumulator seed, for the specification

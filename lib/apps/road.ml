@@ -25,7 +25,7 @@ let search_half_width = 48
 let expected_x lane ~height y =
   lane.offset +. (lane.slope *. float_of_int (height - 1 - y))
 
-let detect_rows ?(threshold = line_threshold) strip ~y0 =
+let detect_rows strip ~y0 =
   (* The lane hint is applied by the caller restricting the strip; here we
      take the centroid of bright pixels per row. *)
   let w = Vision.Image.width strip and h = Vision.Image.height strip in
@@ -33,7 +33,7 @@ let detect_rows ?(threshold = line_threshold) strip ~y0 =
   for row = 0 to h - 1 do
     let sum = ref 0 and count = ref 0 in
     for x = 0 to w - 1 do
-      if Vision.Image.get strip x row >= threshold then begin
+      if Vision.Image.get strip x row >= line_threshold then begin
         sum := !sum + x;
         incr count
       end
@@ -66,8 +66,7 @@ let fit ~width ~height points =
 
 let horizon height = height / 3
 
-let register ?(nstrips = 8) ~width ~height table =
-  ignore nstrips;
+let register ~width ~height table =
   let reg = Skel.Funtable.register table in
   reg "road_input" ~arity:2
     ~cost:(fun _ -> 10_000.0 +. (1.0 *. float_of_int (width * height)))

@@ -16,16 +16,16 @@ type lane = {
 val lane_to_value : lane -> Skel.Value.t
 val lane_of_value : Skel.Value.t -> lane
 
-val detect_rows :
-  ?threshold:int -> Vision.Image.t -> y0:int -> (int * float) list
+val detect_rows : Vision.Image.t -> y0:int -> (int * float) list
 (** [(absolute_row, centre_x)] for rows where a plausible centre-line point
-    was found in a strip whose first row is [y0]. *)
+    (pixels at 230 or brighter) was found in a strip whose first row is
+    [y0]. *)
 
 val fit : width:int -> height:int -> (int * float) list -> lane
 (** Least-squares line fit through the points; falls back to the image
     centre with zero confidence when fewer than 2 points exist. *)
 
-val register : ?nstrips:int -> width:int -> height:int -> Skel.Funtable.t -> unit
+val register : width:int -> height:int -> Skel.Funtable.t -> unit
 (** Registers [road_input], [road_split], [road_strip], [road_fit] (the scm
     merge that also pairs the lane with the state) and [road_output]. *)
 

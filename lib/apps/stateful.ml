@@ -12,7 +12,7 @@ let pair_of name v =
   | V.Tuple [ a; b ] -> (a, b)
   | _ -> raise (V.Type_error (name ^ " expects a pair"))
 
-let register ?(nstrips = 8) table =
+let register table =
   let reg = Skel.Funtable.register table in
   reg "strip_sums" ~arity:1
     ~cost:(fun v ->
@@ -27,7 +27,7 @@ let register ?(nstrips = 8) table =
                (fun band ->
                  let strip = Vision.Image.extract_band img band in
                  V.Int (Vision.Image.fold ( + ) 0 strip))
-               (Vision.Image.row_bands img nstrips))
+               (Vision.Image.row_bands img 8))
       | _ -> raise (V.Type_error "strip_sums expects an image"));
   (* stateless / accumulator compute: coarse luminance bucket *)
   reg "bucket" ~arity:1 ~cost:(fun _ -> 400.0) (fun v -> V.Int (int_of v / 16));
@@ -57,36 +57,6 @@ let register ?(nstrips = 8) table =
       let z, y = pair_of "add" v in
       V.Int (int_of z + int_of y))
 
-let comp_for = function
-  | Skel.Ir.Stateless | Skel.Ir.Accumulator -> "bucket"
-  | Skel.Ir.Read_only -> "gain_scale"
-  | Skel.Ir.Owner -> "owner_peak"
-  | Skel.Ir.Resource -> "res_smooth"
-
-let init_for ?(nworkers = 4) mode =
-  match mode with
-  | Skel.Ir.Stateless | Skel.Ir.Accumulator -> V.Int 0
-  | Skel.Ir.Read_only -> V.Tuple [ V.Int 3; V.Int 0 ]
-  | Skel.Ir.Owner ->
-      V.Tuple [ V.List (List.init nworkers (fun _ -> V.Int 0)); V.Int 0 ]
-  | Skel.Ir.Resource -> V.Tuple [ V.Int 128; V.Int 0 ]
-
-let ir ?(frames = 1) ?(nworkers = 4) mode =
-  Skel.Ir.program ~frames
-    ("stateful_" ^ Skel.Ir.state_mode_name mode)
-    (Skel.Ir.Pipe
-       [
-         Skel.Ir.Seq "strip_sums";
-         Skel.Ir.Df
-           {
-             nworkers;
-             comp = comp_for mode;
-             acc = "add";
-             init = init_for ~nworkers mode;
-             state = mode;
-           };
-       ])
-
-let input_value ?(width = 64) ?(height = 64) () =
-  let img = Vision.Image.create width height in
+let input_value () =
+  let img = Vision.Image.create 64 64 in
   V.Image (Vision.Image.mapi (fun x y _ -> ((7 * x) + (13 * y)) mod 251) img)

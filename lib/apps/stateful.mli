@@ -11,12 +11,9 @@
     - [res_smooth] (resource): serial smoothing of successive sums;
     - [add]: the shared integer fold. *)
 
-val register : ?nstrips:int -> Skel.Funtable.t -> unit
-(** Registers [strip_sums] (image -> per-strip pixel sums, [nstrips]
-    defaulting to 8), the per-mode compute functions and the [add] fold. *)
+val register : Skel.Funtable.t -> unit
+(** Registers [strip_sums] (image -> the pixel sums of 8 strips), the
+    per-mode compute functions and the [add] fold. *)
 
-val ir : ?frames:int -> ?nworkers:int -> Skel.Ir.state_mode -> Skel.Ir.program
-(** [Pipe [strip_sums; Df mode]] over [nworkers] (default 4) workers. *)
-
-val input_value : ?width:int -> ?height:int -> unit -> Skel.Value.t
-(** A deterministic gradient image (default 64x64). *)
+val input_value : unit -> Skel.Value.t
+(** A deterministic 64x64 gradient image. *)

@@ -182,10 +182,6 @@ let transfer_time t a b bytes =
       (fun acc _ l -> acc +. l.startup +. (float_of_int bytes /. l.bandwidth))
       0.0
 
-let pp ppf t =
-  Format.fprintf ppf "@[<v2>architecture %s: %d processors, %d links@]" t.arch_name
-    (nprocs t) (nlinks t)
-
 let to_dot t =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (Printf.sprintf "digraph %S {\n" t.arch_name);

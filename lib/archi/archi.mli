@@ -99,5 +99,4 @@ val transfer_time : t -> int -> int -> int -> float
     [startup + bytes / bandwidth] in route order ({!fold_route}). Zero when
     [a = b]; otherwise raises like {!route}. *)
 
-val pp : Format.formatter -> t -> unit
 val to_dot : t -> string

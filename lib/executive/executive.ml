@@ -793,10 +793,8 @@ let run ?(trace = false) ?input_period ?(faults = [])
     sim;
   }
 
-let run_schedule ?trace ?input_period ?faults ?restores ?link_faults
-    ?recovery ?checkpoint_every ~table ~schedule ~frames ~input () =
-  run ?trace ?input_period ?faults ?restores ?link_faults
-    ?recovery ?checkpoint_every ~table
+let run_schedule ?input_period ~table ~schedule ~frames ~input () =
+  run ?input_period ~table
     ~arch:schedule.Syndex.Schedule.arch
     ~placement:schedule.Syndex.Schedule.placement
     ~graph:schedule.Syndex.Schedule.graph ~frames ~input ()

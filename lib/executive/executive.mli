@@ -130,20 +130,15 @@ val run :
     {!Machine.Sim.Process_failure}. *)
 
 val run_schedule :
-  ?trace:bool ->
   ?input_period:float ->
-  ?faults:(int * float) list ->
-  ?restores:(int * float) list ->
-  ?link_faults:Machine.Sim.link_fault list ->
-  ?recovery:recovery ->
-  ?checkpoint_every:int ->
   table:Skel.Funtable.t ->
   schedule:Syndex.Schedule.t ->
   frames:int ->
   input:Skel.Value.t ->
   unit ->
   result
-(** Convenience wrapper taking the placement from a static schedule. *)
+(** {!run} with the architecture, placement and graph of a static
+    schedule, untraced and fault-free. *)
 
 val metrics : result -> Machine.Metrics.report
 (** {!Machine.Metrics.analyse} on the run's machine with the executive-level

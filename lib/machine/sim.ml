@@ -79,13 +79,9 @@ type link_fault = {
   action : fault_action;
   link : (int * int) option;  (* directed (src, dst) processors; None = any *)
   schedule : fault_schedule;
-  from_t : float;
-  until_t : float;
 }
 
-let link_fault ?link ?(schedule = Always) ?(from_t = 0.0) ?(until_t = infinity)
-    action =
-  { action; link; schedule; from_t; until_t }
+let link_fault ?link ?(schedule = Always) action = { action; link; schedule }
 
 (* A fault armed on a machine: the spec plus its runtime matching state. *)
 type armed_fault = {
@@ -146,7 +142,6 @@ type t = {
   mutable hops_total : int;
   mutable next_msg : int;
   busy : float array;
-  last_charge : pid array;  (* process holding the latest charge, or -1 *)
   tracing : bool;
   timeline : Event.timeline;
 }
@@ -177,7 +172,6 @@ let create ?(trace = false) arch =
     hops_total = 0;
     next_msg = 0;
     busy = Array.make n 0.0;
-    last_charge = Array.make n (-1);
     tracing = trace;
     timeline = Event.create ();
   }
@@ -243,7 +237,6 @@ let current : (t * process) option Domain.DLS.key =
 
 let the_current () =
   match Domain.DLS.get current with Some c -> c | None -> raise Not_in_process
-let self () = (snd (the_current ())).pid
 let now () = (fst (the_current ())).time
 
 (* Primitives only perform effects; all semantics live in the handler. *)
@@ -270,7 +263,6 @@ let cycle_time t p = (Archi.processors t.arch).(p).Archi.cycle_time
 
 let charge_busy t (proc : process) dt =
   t.busy.(proc.on) <- t.busy.(proc.on) +. dt;
-  t.last_charge.(proc.on) <- proc.pid;
   proc.charged <- dt +. proc.charged
 
 (* Find, among [ports], the mailbox whose head message was delivered
@@ -381,7 +373,7 @@ let segment_handler t (proc : process) : (unit, unit) Effect.Deep.handler =
         | E_send (dst, port, v) ->
             Some
               (fun k ->
-                let dt = Syndex.Cost.default_send_overhead_cycles *. cycle_time t p in
+                let dt = Syndex.Cost.send_overhead_cycles *. cycle_time t p in
                 charge_busy t proc dt;
                 proc.sent <- proc.sent + 1;
                 t.cpu_free.(p) <- t.time +. dt;
@@ -413,7 +405,7 @@ let segment_handler t (proc : process) : (unit, unit) Effect.Deep.handler =
                 match earliest_message proc ports with
                 | Some (port, _) ->
                     let msg, v = pop_message proc port in
-                    let dt = Syndex.Cost.default_recv_overhead_cycles *. cycle_time t p in
+                    let dt = Syndex.Cost.recv_overhead_cycles *. cycle_time t p in
                     charge_busy t proc dt;
                     t.cpu_free.(p) <- t.time +. dt;
                     if t.tracing then
@@ -528,7 +520,7 @@ let fault_for t ~src ~dst_proc =
           | None -> true
           | Some (a, b) -> a = src && b = dst_proc
         in
-        if link_matches && t.time >= s.from_t && t.time <= s.until_t then begin
+        if link_matches then begin
           af.seen <- af.seen + 1;
           let fires =
             match s.schedule with
@@ -586,36 +578,13 @@ let rec dispatch t p =
     else dispatch t p (* stale incarnation: skip and try the next entry *)
   end
 
-let run ?(until = infinity) t =
+let run t =
   if t.ran then failwith "Sim.run: machine already ran";
   t.ran <- true;
   let rec loop () =
-    match Support.Pqueue.peek t.events with
+    match Support.Pqueue.pop t.events with
     | None -> ()
-    | Some (at, _) when at > until ->
-        (* Out-of-window events stay queued; the clock advances to exactly
-           the requested horizon so utilisation/accounts cover it. *)
-        if Float.is_finite until then begin
-          t.time <- Float.max t.time until;
-          (* A busy charge is booked in full when the operation starts, so
-             an operation spanning the horizon has over-charged by the part
-             beyond it — cpu_free marks where that charge ends. Refund the
-             overshoot so windowed utilisation cannot exceed 1. *)
-          Array.iteri
-            (fun p free ->
-              let over = free -. t.time in
-              if over > 0.0 then begin
-                t.busy.(p) <- t.busy.(p) -. over;
-                let pid = t.last_charge.(p) in
-                if pid >= 0 then begin
-                  let proc = t.processes.(pid) in
-                  proc.charged <- proc.charged -. over
-                end
-              end)
-            t.cpu_free
-        end
-    | Some _ ->
-        let at, ev = Option.get (Support.Pqueue.pop t.events) in
+    | Some (at, ev) ->
         t.time <- Float.max t.time at;
         (match ev with
         | Dispatch p -> dispatch t p

@@ -35,7 +35,6 @@ val arch : t -> Archi.t
 
 exception Not_in_process
 
-val self : unit -> pid
 val now : unit -> float
 (** Current simulation time, seconds. *)
 
@@ -150,19 +149,12 @@ type link_fault = {
       (** directed (src, dst) processor pair; [None] matches any remote
           link *)
   schedule : fault_schedule;
-  from_t : float;  (** active window start (inclusive) *)
-  until_t : float;  (** active window end (inclusive) *)
 }
 
 val link_fault :
-  ?link:int * int ->
-  ?schedule:fault_schedule ->
-  ?from_t:float ->
-  ?until_t:float ->
-  fault_action ->
-  link_fault
-(** Constructor with the permissive defaults: any link, [Always], active for
-    the whole run. *)
+  ?link:int * int -> ?schedule:fault_schedule -> fault_action -> link_fault
+(** Constructor with the permissive defaults: any link, [Always]. A fault is
+    armed for the whole run. *)
 
 val add_fault : t -> link_fault -> unit
 (** Arms a message fault. Faults apply at delivery time and only to genuine
@@ -177,19 +169,9 @@ val fault_tally : t -> fault_tally
 (** Messages affected by the fault plan (plus halt-induced drops in
     [dropped]). *)
 
-val run : ?until:float -> t -> float
-(** Executes until the event queue drains, or until the next event would
-    lie past [until] (default infinite) — in that case pending events stay
-    queued and the clock is clamped to exactly [until], so
-    {!utilisation}/{!accounts} cover precisely the requested window (the
-    out-of-window part of an operation spanning the horizon is refunded
-    from the busy tallies, keeping windowed utilisation at most 1).
-
-    The horizon is inclusive, pinned by [test_machine]'s horizon-edge
-    tests: an event scheduled {e exactly at} [until] still fires (only
-    events strictly past it stay queued), and a busy charge that ends
-    exactly at the horizon is not a spanning charge — nothing is refunded
-    and windowed utilisation remains at most 1.
+val run : t -> float
+(** Executes until the event queue drains, so {!utilisation}/{!accounts}
+    cover the whole run.
 
     Returns the final simulation time. A process still blocked in {!recv}
     when the queue drains is simply terminated (streams end this way); a

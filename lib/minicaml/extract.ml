@@ -232,7 +232,7 @@ let dataflow_of_params loc = function
            ps)
   | _ -> error loc "pipeline functions must take a single (possibly tuple) parameter"
 
-let extract ?(frames = 1) ?(name = "main") table prog =
+let extract ?(frames = 1) table prog =
   let minted = ref 0 in
   let ctx = Eval.make_ctx ~frames:0 table in
   (* Global environment: all top-level bindings except [main] (whose
@@ -271,14 +271,14 @@ let extract ?(frames = 1) ?(name = "main") table prog =
       let loop_stage = translate_chain table minted ctx genv dataflow body in
       {
         program =
-          Skel.Ir.program ~frames name
+          Skel.Ir.program ~frames "main"
             (Skel.Ir.Itermem { input = input_fn; loop = loop_stage; output = output_fn; init });
         input = Some input;
       }
   | Ast.Lambda _, [] ->
       let params, body = resolve_function prog main_loc main_expr in
       let dataflow = dataflow_of_params main_loc params in
-      { program = Skel.Ir.program ~frames name (translate_chain table minted ctx genv dataflow body);
+      { program = Skel.Ir.program ~frames "main" (translate_chain table minted ctx genv dataflow body);
         input = None }
   | _ ->
       (* main = <stage chain> applied to ... : treat as a one-stage pipeline
@@ -301,7 +301,7 @@ let extract ?(frames = 1) ?(name = "main") table prog =
             rebuild main_expr
           in
           let stage = translate_stage table minted ctx genv dataflow rewritten in
-          { program = Skel.Ir.program ~frames name stage; input = Some input }
+          { program = Skel.Ir.program ~frames "main" stage; input = Some input }
       | _ ->
           error main_loc
             "main must be an itermem application, a function, or a skeleton \

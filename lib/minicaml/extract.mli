@@ -33,11 +33,10 @@ type extraction = {
           or a constant application); [None] when [main] is a function *)
 }
 
-val extract :
-  ?frames:int -> ?name:string -> Skel.Funtable.t -> Ast.program -> extraction
+val extract : ?frames:int -> Skel.Funtable.t -> Ast.program -> extraction
 (** [extract table prog] type-checks nothing by itself — run {!Infer} first —
     but evaluates global bindings with {!Eval} (registering wrapper
     functions into [table] as a side effect) and translates [main].
-    [frames] (default 1) is stored in the produced program; [name] defaults
-    to ["main"]. Raises [Extract_error] when the program is outside the
+    [frames] (default 1) is stored in the produced program, which is named
+    ["main"]. Raises [Extract_error] when the program is outside the
     supported skeletal subset, with the offending location. *)

@@ -49,7 +49,6 @@ let initial_env =
     Env.empty builtin_schemes
 
 let lookup env name = Env.find_opt name env
-let bindings env = Env.bindings env
 
 let binop_type op =
   let open Types in

@@ -24,7 +24,8 @@ type env
 
 val initial_env : env
 val lookup : env -> string -> Types.scheme option
-val bindings : env -> (string * Types.scheme) list
+(** Test oracle: [test_minicaml]'s "skeleton signatures" reads the paper's
+    published skeleton signatures back from {!initial_env} with it. *)
 
 val infer_expr : env -> Ast.expr -> Types.ty
 (** Raises [Type_error] with a located message on unbound variables or

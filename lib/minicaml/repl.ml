@@ -7,8 +7,8 @@ type session = {
 
 type outcome = { session : session; message : string; ok : bool }
 
-let create ?(frames = 1) table =
-  let ctx = Eval.make_ctx ~frames table in
+let create table =
+  let ctx = Eval.make_ctx ~frames:1 table in
   {
     tenv = Infer.initial_env;
     venv = Eval.initial_env ctx;

@@ -13,9 +13,9 @@
 
 type session
 
-val create : ?frames:int -> Skel.Funtable.t -> session
+val create : Skel.Funtable.t -> session
 (** A fresh session over a function table (externals the source may
-    declare). [frames] bounds itermem runs (default 1). *)
+    declare). Itermem runs one frame. *)
 
 type outcome = {
   session : session;  (** updated (or unchanged on error) session *)

@@ -13,8 +13,8 @@ let typecheck ast =
       Ok (List.map (fun (n, s) -> (n, Types.scheme_to_string s)) schemes)
   | exception Infer.Type_error (msg, loc) -> located "type error" msg loc
 
-let extract ?frames ?name table ast =
-  match Extract.extract ?frames ?name table ast with
+let extract ?frames table ast =
+  match Extract.extract ?frames table ast with
   | extraction -> Ok extraction
   | exception Extract.Extract_error (msg, loc) ->
       located "skeleton extraction" msg loc

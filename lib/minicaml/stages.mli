@@ -19,10 +19,6 @@ val typecheck : Ast.program -> ((string * string) list, string) result
     appearance, independent of raw variable ids. *)
 
 val extract :
-  ?frames:int ->
-  ?name:string ->
-  Skel.Funtable.t ->
-  Ast.program ->
-  (Extract.extraction, string) result
+  ?frames:int -> Skel.Funtable.t -> Ast.program -> (Extract.extraction, string) result
 (** Skeleton-instance extraction; registers wrapper functions into the
     table as a side effect (see {!Extract.extract}). *)

@@ -4,17 +4,14 @@ let gensym =
     incr n;
     Printf.sprintf "%s__n%d" base !n
 
-let as_function ?name table stage =
+let as_function table stage =
   if List.mem "itermem" (Ir.skeleton_instances stage) then
     invalid_arg "Nest.as_function: itermem cannot be nested";
   let name =
-    match name with
-    | Some n -> n
-    | None ->
-        gensym
-          (match Ir.skeleton_instances stage with
-          | skel :: _ -> "nested_" ^ skel
-          | [] -> "nested_pipe")
+    gensym
+      (match Ir.skeleton_instances stage with
+      | skel :: _ -> "nested_" ^ skel
+      | [] -> "nested_pipe")
   in
   Funtable.register table name ~arity:1
     ~cost:(fun v -> snd (Sem.eval_stage_cost table stage v))

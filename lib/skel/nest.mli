@@ -14,9 +14,9 @@
     composition) and the emulation/executive equivalence, while documenting
     the performance model honestly: nested parallelism is not extracted. *)
 
-val as_function : ?name:string -> Funtable.t -> Ir.t -> string
-(** [as_function table stage] registers a fresh unary function running
-    [stage] sequentially; its cost model charges the cycles the stage's
+val as_function : Funtable.t -> Ir.t -> string
+(** [as_function table stage] registers a unary function running [stage]
+    sequentially, under a fresh name ([nested_<skeleton>__n<k>]); its cost model charges the cycles the stage's
     sequential functions consume on the actual argument. Returns the
     registered name. [stage] must not contain [Itermem] (raises
     [Invalid_argument]). *)

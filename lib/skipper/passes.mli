@@ -26,7 +26,7 @@
 type strategy = string
 (** A mapping-strategy name, resolved against {!Syndex.Mapper} by
     {!Pipeline.map}; the default is ["canonical"]. Unknown names raise
-    {!Pass_error} listing the registered strategies. *)
+    {!Pass_error} listing the strategies. *)
 
 exception Pass_error of string
 (** Rendered, located error message from any stage; re-exported by

@@ -115,12 +115,12 @@ let compile_source ?(frames = 1) ?(optimize = false) ?df_state ?cache ~table
       ]
     extracted
 
-let compile_ir ?(optimize = false) ?df_state ?cache ~table program =
+let compile_ir ?(optimize = false) ~table program =
   (match Skel.Ir.validate table program with
   | Ok () -> ()
   | Error msg -> error "invalid program %s: %s" program.Skel.Ir.name msg);
-  let log = Passes.start ?cache table (ir_artifact (program, None)) in
-  finish log ~table ~optimize ~df_state ~signatures:[] ~stages:[]
+  let log = Passes.start table (ir_artifact (program, None)) in
+  finish log ~table ~optimize ~df_state:None ~signatures:[] ~stages:[]
     (program, None)
 
 let emulate compiled input = Skel.Sem.run compiled.table compiled.program input
@@ -128,7 +128,7 @@ let emulate compiled input = Skel.Sem.run compiled.table compiled.program input
 (* ------------------------------------------------------------------ *)
 (* Back end: cost -> map -> emit | simulate, run per target            *)
 
-(* Strategy lookup against the mapper registry: the single source of truth
+(* Strategy lookup against the mapper list: the single source of truth
    for valid names (CLI help and this error message both derive from it). *)
 let mapper_of strategy =
   match Syndex.Mapper.find strategy with
@@ -151,7 +151,7 @@ let map ?(strategy = "canonical") ?cost compiled arch =
     (fun s -> Stage.Schedule s)
     (fun () ->
       let mapper = mapper_of strategy in
-      (Syndex.Mapper.map mapper model arch compiled.graph, Archi.name arch))
+      (mapper.Syndex.Mapper.map model arch compiled.graph, Archi.name arch))
 
 let resolve_input compiled input =
   match (input, compiled.input) with
@@ -186,10 +186,10 @@ let execute_with_schedule ?trace ?input_period ?faults ?restores ?link_faults
       ?checkpoint_every compiled s input )
 
 let execute ?trace ?input_period ?faults ?restores ?link_faults ?recovery
-    ?checkpoint_every ?strategy ?cost ?input compiled arch =
+    ?strategy ?input compiled arch =
   snd
     (execute_with_schedule ?trace ?input_period ?faults ?restores ?link_faults
-       ?recovery ?checkpoint_every ?strategy ?cost ?input compiled arch)
+       ?recovery ?strategy ?input compiled arch)
 
 let check_equivalence ?input compiled arch =
   let input = resolve_input compiled input in
@@ -230,7 +230,7 @@ let stage_names =
     "emit"; "simulate";
   ]
 
-let dump_stage ?arch ?(strategy = "canonical") ?cost ?input compiled name =
+let dump_stage ?arch ?(strategy = "canonical") ?input compiled name =
   match (List.assoc_opt name compiled.stages, arch) with
   | Some art, _ -> Ok (Stage.render art)
   | None, _ when not (List.mem name stage_names) ->
@@ -246,13 +246,13 @@ let dump_stage ?arch ?(strategy = "canonical") ?cost ?input compiled name =
   | None, Some arch -> (
       (* A back-end stage is re-run against [arch], after the stages it
          consumes. *)
-      let map () = map ~strategy ?cost compiled arch in
+      let map () = map ~strategy compiled arch in
       let work =
         match name with
         | "cost" ->
             Some
               (fun () ->
-                Stage.Costed (compiled.graph, cost_model ?cost compiled))
+                Stage.Costed (compiled.graph, cost_model compiled))
         | "map" -> Some (fun () -> Stage.Schedule (map ()))
         | "emit" -> Some (fun () -> Stage.Macro (macro_code compiled (map ())))
         | "simulate" ->

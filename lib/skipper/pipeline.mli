@@ -24,7 +24,7 @@ type compiled = {
 }
 
 type strategy = Passes.strategy
-(** A mapping-strategy name from the {!Syndex.Mapper} registry (e.g.
+(** A mapping-strategy name from the {!Syndex.Mapper} list (e.g.
     ["heft"], ["canonical"], ["roundrobin"], ["throughput"],
     ["bicriteria"]); see {!Syndex.Mapper.names}. *)
 
@@ -50,14 +50,10 @@ val compile_source :
     digest, stage, options, table content digest). *)
 
 val compile_ir :
-  ?optimize:bool ->
-  ?df_state:Skel.Ir.state_mode ->
-  ?cache:Passes.cache ->
-  table:Skel.Funtable.t ->
-  Skel.Ir.program ->
-  compiled
+  ?optimize:bool -> table:Skel.Funtable.t -> Skel.Ir.program -> compiled
 (** The embedded-API entry: validates a hand-built program, then runs the
-    transform and expand stages ([df_state] as in {!compile_source}). *)
+    transform and expand stages, unmemoized and with every farm's declared
+    state-access mode. *)
 
 val emulate : compiled -> Skel.Value.t -> Skel.Value.t
 (** Sequential emulation via the declarative semantics ({!Skel.Sem}). *)
@@ -79,20 +75,18 @@ val execute :
   ?restores:(int * float) list ->
   ?link_faults:Machine.Sim.link_fault list ->
   ?recovery:Executive.recovery ->
-  ?checkpoint_every:int ->
   ?strategy:strategy ->
-  ?cost:Syndex.Cost.t ->
   ?input:Skel.Value.t ->
   compiled ->
   Archi.t ->
   Executive.result
 (** Map then run on the simulated machine (the cost, map and simulate
-    stages). [input] overrides the compiled input; raises [Compile_error]
-    when neither is available. [faults]/[restores]/[link_faults] inject the
-    fault plan into the simulated machine, [recovery] enables the
-    fault-tolerant df farm and [checkpoint_every] the master
-    checkpoint/replay discipline (see {!Executive.run}); a stalled degraded
-    run comes back as a [Stalled] outcome, not an exception. *)
+    stages), with the default cost model. [input] overrides the compiled
+    input; raises [Compile_error] when neither is available.
+    [faults]/[restores]/[link_faults] inject the fault plan into the
+    simulated machine and [recovery] enables the fault-tolerant df farm
+    (see {!Executive.run}); a stalled degraded run comes back as a
+    [Stalled] outcome, not an exception. *)
 
 val execute_with_schedule :
   ?trace:bool ->
@@ -110,7 +104,9 @@ val execute_with_schedule :
   Syndex.Schedule.t * Executive.result
 (** {!execute}, also returning the static schedule the map stage produced —
     the predicted side of a conformance comparison
-    ({!Skipper_trace.Conformance}) against the run's measured trace. *)
+    ({!Skipper_trace.Conformance}) against the run's measured trace. [cost]
+    replaces the default cost model and [checkpoint_every] enables the
+    master checkpoint/replay discipline (see {!Executive.run}). *)
 
 val check_equivalence :
   ?input:Skel.Value.t -> compiled -> Archi.t -> (Skel.Value.t, string) result
@@ -143,14 +139,14 @@ val pp_timings : Format.formatter -> compiled -> unit
 val dump_stage :
   ?arch:Archi.t ->
   ?strategy:strategy ->
-  ?cost:Syndex.Cost.t ->
   ?input:Skel.Value.t ->
   compiled ->
   string ->
   (string, string) result
 (** Render one stage's artifact by stage name. Front-end stages come from
     the recorded compile artifacts; back-end stages ([cost], [map], [emit],
-    [simulate]) are (re)run against [arch], after the stages they consume.
+    [simulate]) are (re)run against [arch] with the default cost model,
+    after the stages they consume.
     An unknown name is an [Error] listing all nine stages. *)
 
 val graph_dot : compiled -> string

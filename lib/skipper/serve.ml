@@ -95,39 +95,46 @@ type request =
 
 let str_field j k = Option.bind (Json.member k j) Json.to_str
 
-let int_field j k default =
-  match Option.bind (Json.member k j) Json.to_float with
-  | Some f -> int_of_float f
-  | None -> default
+(* A count field: absent means [default]; present, it must be an integral
+   number from 1 below 2^62 ([Float.of_int max_int] rounds up to 2^62), so
+   [int_of_float] is exact. Non-finite numbers are not integral. *)
+let count_field j k default =
+  match Json.member k j with
+  | None -> Ok default
+  | Some v -> (
+      match Json.to_float v with
+      | Some f when Float.is_integer f && f >= 1.0 && f < Float.of_int max_int ->
+          Ok (int_of_float f)
+      | _ ->
+          Error
+            (Printf.sprintf "%S must be a positive integer, got %s" k
+               (Json.to_string v)))
 
 let bool_field j k default =
   match Json.member k j with Some (Json.Bool b) -> b | _ -> default
 
 let parse_request j =
+  let ( let* ) = Result.bind in
   match str_field j "op" with
   | Some "compile" -> (
       match (str_field j "app", str_field j "src") with
       | Some app, Some src ->
-          Ok
-            (Compile
-               {
-                 app;
-                 src;
-                 frames = int_field j "frames" 1;
-                 optimize = bool_field j "optimize" false;
-               })
+          let* frames = count_field j "frames" 1 in
+          Ok (Compile { app; src; frames; optimize = bool_field j "optimize" false })
       | _ -> Error "compile needs \"app\" and \"src\" fields")
   | Some "run" -> (
       match (str_field j "app", str_field j "src") with
       | Some app, Some src ->
+          let* frames = count_field j "frames" 1 in
+          let* procs = count_field j "procs" 4 in
           Ok
             (Run
                {
                  app;
                  src;
-                 frames = int_field j "frames" 1;
+                 frames;
                  optimize = bool_field j "optimize" false;
-                 procs = int_field j "procs" 4;
+                 procs;
                  strategy =
                    Option.value (str_field j "strategy") ~default:"canonical";
                })
@@ -162,31 +169,37 @@ let cache_json cache =
       ("store_hits", Json.int (Passes.store_hits cache));
     ]
 
+(* The store's counters, each with its [stats] key and the help text of
+   the registry counter [skipper_store_<key>_total] that mirrors it. *)
+let store_counters =
+  let module S = Support.Store in
+  [
+    ("hits", "Store lookups served from disk", fun c -> c.S.hits);
+    ("misses", "Store lookups that found no usable entry", fun c -> c.S.misses);
+    ("absent", "Store misses: no entry file", fun c -> c.S.absent);
+    ("corrupt", "Store misses: entry unreadable", fun c -> c.S.corrupt);
+    ( "stamp_mismatch",
+      "Store misses: entry from another format stamp",
+      fun c -> c.S.stamp_mismatch );
+    ("writes", "Store entries written", fun c -> c.S.writes);
+    ( "evictions",
+      "Store entries evicted over the size limit",
+      fun c -> c.S.evictions );
+    ("bytes_read", "Store payload bytes read by hits", fun c -> c.S.bytes_read);
+    ("bytes_written", "Store payload bytes written", fun c -> c.S.bytes_written);
+  ]
+
 let store_json = function
   | None -> Json.Null
   | Some store ->
       let c = Support.Store.counters store in
       Json.Obj
-        [
-          ("hits", Json.int c.Support.Store.hits);
-          ("misses", Json.int c.Support.Store.misses);
-          ("absent", Json.int c.Support.Store.absent);
-          ("corrupt", Json.int c.Support.Store.corrupt);
-          ("stamp_mismatch", Json.int c.Support.Store.stamp_mismatch);
-          ("writes", Json.int c.Support.Store.writes);
-          ("evictions", Json.int c.Support.Store.evictions);
-          ("bytes_read", Json.int c.Support.Store.bytes_read);
-          ("bytes_written", Json.int c.Support.Store.bytes_written);
-        ]
+        (List.map (fun (key, _, field) -> (key, Json.int (field c))) store_counters)
 
 type server = {
   cfg : config;
   reg : Metrics.t;
   start_s : float;  (** daemon start, [Unix.gettimeofday] *)
-  mutable requests : int;
-  mutable batches : int;
-  mutable errors : int;
-  mutable aborted : int;
   mutable nclients : int;
   mutable next_req : int;  (** request-id counter; ids are ["r<N>"] *)
   c_requests : Metrics.counter;
@@ -209,10 +222,6 @@ let make_server cfg =
     cfg;
     reg;
     start_s = Unix.gettimeofday ();
-    requests = 0;
-    batches = 0;
-    errors = 0;
-    aborted = 0;
     nclients = 0;
     next_req = 0;
     c_requests =
@@ -250,38 +259,22 @@ let sync_store s =
   | None -> ()
   | Some store ->
       let c = Support.Store.counters store in
-      let set name help v =
-        Metrics.set (Metrics.counter s.reg ~help name) v
-      in
-      set "skipper_store_hits_total" "Store lookups served from disk"
-        c.Support.Store.hits;
-      set "skipper_store_misses_total" "Store lookups that found no usable entry"
-        c.Support.Store.misses;
-      set "skipper_store_absent_total" "Store misses: no entry file"
-        c.Support.Store.absent;
-      set "skipper_store_corrupt_total" "Store misses: entry unreadable"
-        c.Support.Store.corrupt;
-      set "skipper_store_stamp_mismatch_total"
-        "Store misses: entry from another format stamp"
-        c.Support.Store.stamp_mismatch;
-      set "skipper_store_writes_total" "Store entries written"
-        c.Support.Store.writes;
-      set "skipper_store_evictions_total" "Store entries evicted over the size limit"
-        c.Support.Store.evictions;
-      set "skipper_store_bytes_read_total" "Store payload bytes read by hits"
-        c.Support.Store.bytes_read;
-      set "skipper_store_bytes_written_total" "Store payload bytes written"
-        c.Support.Store.bytes_written
+      List.iter
+        (fun (key, help, field) ->
+          Metrics.set
+            (Metrics.counter s.reg ~help ("skipper_store_" ^ key ^ "_total"))
+            (field c))
+        store_counters
 
 let uptime_s s = Unix.gettimeofday () -. s.start_s
 
 let stats_fields s =
   sync_store s;
   [
-    ("requests", Json.int s.requests);
-    ("batches", Json.int s.batches);
-    ("errors", Json.int s.errors);
-    ("aborted_frames", Json.int s.aborted);
+    ("requests", Json.int (Metrics.value s.c_requests));
+    ("batches", Json.int (Metrics.value s.c_batches));
+    ("errors", Json.int (Metrics.value s.c_errors));
+    ("aborted_frames", Json.int (Metrics.value s.c_aborted));
     ("clients", Json.int s.nclients);
     ("uptime_s", Json.Num (uptime_s s));
     ("store", store_json s.cfg.store);
@@ -383,10 +376,7 @@ let latency_hist s op =
 (* Dispatcher-side accounting for one finished request. *)
 let account s ~req_id (o : outcome) =
   Metrics.observe (latency_hist s o.out_op) o.out_wall;
-  if not o.out_ok then begin
-    s.errors <- s.errors + 1;
-    Metrics.incr s.c_errors
-  end;
+  if not o.out_ok then Metrics.incr s.c_errors;
   Option.iter
     (fun (h, m, sh) ->
       Metrics.add s.c_cache_hits h;
@@ -404,7 +394,7 @@ let account s ~req_id (o : outcome) =
 
 (* Lay the batch's per-request spans on the unified timeline, one lane per
    pool domain, times relative to daemon start — the daemon counterpart of
-   [Skipper_trace.Pool.emit]. *)
+   [Skipper_trace.Pool.to_json]. *)
 let emit_spans s ~t0 ~ids ~ops (stats : Support.Domain_pool.stats) =
   match s.cfg.timeline with
   | None -> ()
@@ -439,7 +429,6 @@ let emit_spans s ~t0 ~ids ~ops (stats : Support.Domain_pool.stats) =
 let handle_batch s ~client payload =
   match Json.parse payload with
   | Error m ->
-      s.batches <- s.batches + 1;
       Metrics.incr s.c_batches;
       Log.warn s.cfg.log
         ~fields:[ ("client", Json.Str client); ("error", Json.Str m) ]
@@ -465,8 +454,6 @@ let handle_batch s ~client payload =
           (function Ok r -> op_name r | Error _ -> "invalid")
           parsed
       in
-      s.batches <- s.batches + 1;
-      s.requests <- s.requests + List.length reqs;
       Metrics.incr s.c_batches;
       Metrics.add s.c_requests (List.length reqs);
       Log.debug s.cfg.log
@@ -583,7 +570,6 @@ let serve cfg ~socket () =
                   match recv r with
                   | Closed -> drop r
                   | Aborted reason ->
-                      s.aborted <- s.aborted + 1;
                       Metrics.incr s.c_aborted;
                       Log.warn cfg.log
                         ~fields:
@@ -653,9 +639,12 @@ let serve cfg ~socket () =
       sync_store s;
       Log.info cfg.log
         ~fields:
-          [ ("requests", Json.int s.requests); ("uptime_s", Json.Num (uptime_s s)) ]
+          [
+            ("requests", Json.int (Metrics.value s.c_requests));
+            ("uptime_s", Json.Num (uptime_s s));
+          ]
         "shutdown");
-  s.requests
+  Metrics.value s.c_requests
 
 (* ------------------------------------------------------------------ *)
 (* Client                                                              *)

@@ -98,6 +98,9 @@ type request =
   | Shutdown
 
 val parse_request : Support.Json.t -> (request, string) result
+(** [Error] names what is wrong: a missing or unknown [op], missing [app]
+    or [src], or a [frames]/[procs] field that is not an integral number
+    from 1 below 2^62. Absent, [frames] is 1 and [procs] 4. *)
 
 val serve : config -> socket:string -> unit -> int
 (** Binds [socket] (unlinking any stale file) and serves batches until a

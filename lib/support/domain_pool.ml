@@ -81,4 +81,3 @@ let run_stats ?(jobs = 1) thunks =
     stats )
 
 let run ?jobs thunks = fst (run_stats ?jobs thunks)
-let map ?jobs f xs = run ?jobs (List.map (fun x () -> f x) xs)

@@ -56,6 +56,3 @@ val run_stats : ?jobs:int -> (unit -> 'a) list -> 'a list * stats
 
 val run : ?jobs:int -> (unit -> 'a) list -> 'a list
 (** {!run_stats} without the telemetry. *)
-
-val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~jobs f xs] is [run ~jobs (List.map (fun x () -> f x) xs)]. *)

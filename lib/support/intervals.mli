@@ -38,4 +38,6 @@ val prune : t -> upto:float -> past:float -> float * t
     resource's whole history. *)
 
 val valid : t -> bool
-(** Checks ordering and disjointness (for tests). *)
+(** Checks ordering and disjointness.
+    Test oracle: [test_support]'s "reservations stay sorted and disjoint"
+    checks every reservation list with it. *)

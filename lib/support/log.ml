@@ -34,8 +34,8 @@ type t = {
 let create ?(level = Info) ?(clock = Unix.gettimeofday) sink =
   { level; clock; sink; mu = Mutex.create (); seq = 0 }
 
-let to_channel ?level ?clock oc =
-  create ?level ?clock (fun line ->
+let to_channel ?level oc =
+  create ?level (fun line ->
       Out_channel.output_string oc line;
       Out_channel.output_char oc '\n';
       Out_channel.flush oc)

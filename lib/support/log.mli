@@ -33,7 +33,7 @@ val create : ?level:level -> ?clock:(unit -> float) -> (string -> unit) -> t
     [Unix.gettimeofday]) stamps [ts_s]; inject a fixed clock to pin log
     bytes in tests. *)
 
-val to_channel : ?level:level -> ?clock:(unit -> float) -> out_channel -> t
+val to_channel : ?level:level -> out_channel -> t
 (** Logger appending ["line\n"] to the channel and flushing per line (a
     crash must not swallow the tail of the log). *)
 

@@ -42,8 +42,6 @@ let[@inline] float t bound =
   let u = Float.of_int (Int64.to_int (Int64.shift_right_logical (bits64 t) 11)) in
   bound *. u /. 9007199254740992.0 (* 2^53 *)
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
 (* A loop rather than a recursive function, so that [gaussian] can be inlined
    and its result stays unboxed in the caller. *)
 let[@inline] gaussian t =

@@ -31,8 +31,6 @@ val int_range : t -> int -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [0, bound). *)
 
-val bool : t -> bool
-
 val gaussian : t -> float
 (** Standard normal via Box–Muller. *)
 

@@ -60,6 +60,8 @@ val get : t -> key:string -> string option
     content. *)
 
 val mem : t -> key:string -> bool
-(** Presence only — does not validate the entry or touch counters. *)
+(** Presence only — does not validate the entry or touch counters.
+    Test oracle: [test_store]'s "round-trip" checks with it that a [put]
+    left an entry on disk. *)
 
 val counters : t -> counters

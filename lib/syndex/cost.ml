@@ -1,8 +1,6 @@
 type t = {
   node_cycles : Procnet.Graph.node -> float;
   edge_bytes : Procnet.Graph.edge -> int;
-  send_overhead_cycles : float;
-  recv_overhead_cycles : float;
 }
 
 let node_function (node : Procnet.Graph.node) =
@@ -19,33 +17,22 @@ let node_function (node : Procnet.Graph.node) =
    charges 200 cycles to post a send and 150 to complete a recv); the
    predicted comm slots are calibrated against the same constants so the
    conformance joiner compares like with like. *)
-let default_send_overhead_cycles = 200.0
-let default_recv_overhead_cycles = 150.0
+let send_overhead_cycles = 200.0
+let recv_overhead_cycles = 150.0
 let local_copy_bandwidth = 4e8
 
-let make ?(fn_cycles = fun _ -> None) ?(control_cycles = 500.0)
-    ?(default_fn_cycles = 10_000.0) ?(edge_bytes = fun _ -> None)
-    ?(default_edge_bytes = 1024)
-    ?(send_overhead_cycles = default_send_overhead_cycles)
-    ?(recv_overhead_cycles = default_recv_overhead_cycles) () =
+(* What the model assumes without an estimate: the cycles of a
+   control-only process and of an unestimated function, and the payload of
+   a channel. *)
+let control_cycles = 500.0
+let default_fn_cycles = 10_000.0
+let default_edge_bytes = 1024
+
+let make ?(fn_cycles = fun _ -> None) () =
   let node_cycles node =
     match node_function node with
     | None -> control_cycles
     | Some fn -> (
         match fn_cycles fn with Some c -> c | None -> default_fn_cycles)
   in
-  let edge_bytes e =
-    match edge_bytes e with Some b -> b | None -> default_edge_bytes
-  in
-  { node_cycles; edge_bytes; send_overhead_cycles; recv_overhead_cycles }
-
-let of_table table ~sample =
-  let fn_cycles name =
-    match Skel.Funtable.find_opt table name with
-    | None -> None
-    | Some entry -> (
-        match sample name with
-        | Some v -> Some (entry.Skel.Funtable.cost v)
-        | None -> None)
-  in
-  make ~fn_cycles ()
+  { node_cycles; edge_bytes = (fun _ -> default_edge_bytes) }

@@ -85,8 +85,8 @@ let map cost arch g =
           | Some _ ->
               let sp = op_proc.(src) in
               let overheads =
-                (cost.Cost.send_overhead_cycles *. cycle_time sp)
-                +. (cost.Cost.recv_overhead_cycles *. cycle_time p)
+                (Cost.send_overhead_cycles *. cycle_time sp)
+                +. (Cost.recv_overhead_cycles *. cycle_time p)
               in
               if sp = p then
                 op_finish.(src) +. overheads
@@ -152,4 +152,4 @@ let map cost arch g =
       | op :: _ -> placement.(node) <- op_proc.(op)
       | [] -> ())
     dag.Dag.ops_of_node;
-  Place.of_placement_dag cost arch dag placement
+  Place.of_placement_dag arch dag placement

@@ -1,6 +1,5 @@
-(* The pluggable mapping engine: every adequation strategy is a named,
-   registered [t]; Passes/skipperc look strategies up by name so the
-   scheduler is an extension point instead of a closed variant.
+(* The mapping engine: every adequation strategy is a named [t] in
+   [strategies]; Pipeline/skipperc look strategies up by name.
 
    Besides wrapping the existing HEFT heuristic and the fixed placements,
    this module implements the frame-pipelined mappers of Benoit, Kosch,
@@ -24,22 +23,6 @@ type t = {
   frontier : (Cost.t -> Archi.t -> Procnet.Graph.t -> point list) option;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Registry                                                            *)
-
-let registry : (string, t) Hashtbl.t = Hashtbl.create 8
-let order : string list ref = ref []
-
-let register m =
-  if Hashtbl.mem registry m.name then
-    invalid_arg (Printf.sprintf "Mapper.register: duplicate strategy %S" m.name);
-  Hashtbl.add registry m.name m;
-  order := !order @ [ m.name ]
-
-let find name = Hashtbl.find_opt registry name
-let names () = !order
-let registered () = List.map (Hashtbl.find registry) !order
-
 let point schedule label =
   {
     point_label = label;
@@ -47,8 +30,6 @@ let point schedule label =
     point_latency = schedule.Schedule.makespan;
     point_period = Schedule.period schedule;
   }
-
-let map m = m.map
 
 let frontier m cost arch g =
   match m.frontier with
@@ -154,7 +135,7 @@ let interval_partitions arch (dag : Dag.t) seq k_max =
 (* Schedule the chain partition: interval [i] on processor [i], pipelining
    metadata from the resulting schedule's actual per-processor loads.
    [cuts] are the positions of the interval starts followed by n. *)
-let interval_schedule cost arch dag seq cuts =
+let interval_schedule arch dag seq cuts =
   let placement = Array.make (Procnet.Graph.nnodes dag.Dag.graph) 0 in
   let rec pairs = function
     | a :: (b :: _ as rest) -> (a, b) :: pairs rest
@@ -167,7 +148,7 @@ let interval_schedule cost arch dag seq cuts =
         placement.(seq.(i)) <- stage
       done)
     bounds;
-  let sched = Place.of_placement_dag cost arch dag placement in
+  let sched = Place.of_placement_dag arch dag placement in
   let proc_load = Array.make (Archi.nprocs arch) 0.0 in
   List.iter
     (fun (op : Schedule.op_slot) ->
@@ -243,7 +224,7 @@ let throughput_map cost arch g =
       (fun (bb, bc) (b, c) -> if b < bb then (b, c) else (bb, bc))
       (List.hd candidates) (List.tl candidates)
   in
-  interval_schedule cost arch dag seq cuts
+  interval_schedule arch dag seq cuts
 
 let throughput =
   {
@@ -299,7 +280,7 @@ let bicriteria_candidates cost arch g =
   let intervals =
     List.mapi
       (fun i (_, cuts) ->
-        let schedule () = interval_schedule cost arch dag seq cuts in
+        let schedule () = interval_schedule arch dag seq cuts in
         let s = schedule () in
         { label = Printf.sprintf "interval-k%d" (i + 1);
           latency = s.Schedule.makespan;
@@ -340,7 +321,10 @@ let bicriteria =
     frontier = Some bicriteria_frontier;
   }
 
-let () = List.iter register [ heft; canonical; roundrobin; throughput; bicriteria ]
+let strategies = [ heft; canonical; roundrobin; throughput; bicriteria ]
+let find name = List.find_opt (fun m -> m.name = name) strategies
+let names () = List.map (fun m -> m.name) strategies
+let registered () = strategies
 
 (* ------------------------------------------------------------------ *)
 (* Frontier serialisation                                              *)

@@ -1,14 +1,13 @@
-(** The pluggable mapping engine.
+(** The mapping engine.
 
-    Every adequation strategy is a first-class, registered value: a name, a
-    one-line description, a [map] function producing a static schedule, and
-    an optional [frontier] entry point returning several candidate
-    schedules as latency/period trade-off points. {!Passes} looks
-    strategies up by name, so adding a mapper is [register] — no variant to
-    extend, and the CLI help and error messages list {!names} as the single
+    Every adequation strategy is a first-class value: a name, a one-line
+    description, a [map] function producing a static schedule, and an
+    optional [frontier] entry point returning several candidate schedules
+    as latency/period trade-off points. [Pipeline] looks strategies up by
+    name, and the CLI help and error messages list {!names} as the single
     source of truth.
 
-    Built-in strategies, registered at load time:
+    The strategies, in this order:
     - ["heft"] — the {!Heft} latency-minimising list scheduler;
     - ["canonical"] — the paper's Fig. 1 fixed layout ({!Place.canonical});
     - ["roundrobin"] — {!Place.round_robin};
@@ -35,17 +34,12 @@ type t = {
   frontier : (Cost.t -> Archi.t -> Procnet.Graph.t -> point list) option;
 }
 
-val register : t -> unit
-(** Adds a strategy to the registry. Raises [Invalid_argument] on a
-    duplicate name. *)
-
 val find : string -> t option
 val names : unit -> string list
-(** Registered strategy names, in registration order. *)
+(** Strategy names, in the order listed above. *)
 
 val registered : unit -> t list
-
-val map : t -> Cost.t -> Archi.t -> Procnet.Graph.t -> Schedule.t
+(** Every strategy, in the order listed above. *)
 
 val frontier : t -> Cost.t -> Archi.t -> Procnet.Graph.t -> point list
 (** The strategy's trade-off frontier; strategies without a [frontier]

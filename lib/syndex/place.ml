@@ -105,7 +105,7 @@ let check_placement arch g placement =
         invalid_arg "Place.of_placement: placement names a missing processor")
     placement
 
-let of_placement_dag cost arch dag placement =
+let of_placement_dag arch dag placement =
   let g = dag.Dag.graph in
   check_placement arch g placement;
   let nops = Array.length dag.Dag.ops in
@@ -133,10 +133,10 @@ let of_placement_dag cost arch dag placement =
               | Some _ ->
                   let sp = op_proc.(src) in
                   let send_oh =
-                    cost.Cost.send_overhead_cycles *. cycle_time sp
+                    Cost.send_overhead_cycles *. cycle_time sp
                   in
                   let recv_oh =
-                    cost.Cost.recv_overhead_cycles *. cycle_time p
+                    Cost.recv_overhead_cycles *. cycle_time p
                   in
                   if sp = p then
                     op_finish.(src) +. send_oh
@@ -210,4 +210,4 @@ let of_placement_dag cost arch dag placement =
 
 let of_placement cost arch g placement =
   check_placement arch g placement;
-  of_placement_dag cost arch (Dag.of_graph cost g) placement
+  of_placement_dag arch (Dag.of_graph cost g) placement

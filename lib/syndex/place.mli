@@ -22,7 +22,7 @@ val of_placement : Cost.t -> Archi.t -> Procnet.Graph.t -> int array -> Schedule
     makespan. Raises [Invalid_argument] when the placement array has the
     wrong length or names a missing processor. *)
 
-val of_placement_dag : Cost.t -> Archi.t -> Dag.t -> int array -> Schedule.t
-(** [of_placement_dag cost arch dag] is [of_placement cost arch dag.graph]
+val of_placement_dag : Archi.t -> Dag.t -> int array -> Schedule.t
+(** [of_placement_dag arch dag] is [of_placement cost arch dag.graph]
     for a [dag] built by [Dag.of_graph cost]: the mappers that already hold
     the DAG do not derive it again. *)

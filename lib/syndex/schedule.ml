@@ -239,7 +239,8 @@ let deadlock_free t =
   done;
   !acyclic
 
-let gantt ?(width = 72) t =
+let gantt t =
+  let width = 72 in
   let buf = Buffer.create 512 in
   let horizon = if t.makespan > 0.0 then t.makespan else 1.0 in
   Buffer.add_string buf

@@ -93,7 +93,8 @@ val link_orders : t -> ((int * int) * comm_slot list) list
 
 val deadlock_free : t -> bool
 
-val gantt : ?width:int -> t -> string
-(** ASCII Gantt chart of the predicted schedule, one row per processor. *)
+val gantt : t -> string
+(** ASCII Gantt chart of the predicted schedule, one row per processor, 72
+    columns wide. *)
 
 val pp_summary : Format.formatter -> t -> unit

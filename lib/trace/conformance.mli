@@ -96,7 +96,9 @@ val to_string : report -> string
     contribution percentages, and per-frame latencies. *)
 
 val to_json : report -> Support.Json.t
-(** Deterministic machine-readable form (stable key and row order). *)
+(** Deterministic machine-readable form (stable key and row order).
+    Test oracle: [test_conformance]'s "JSON byte-identical across jobs"
+    fingerprints reports with it. *)
 
 val predicted_overlay : Syndex.Schedule.t -> Svg.overlay_bar list
 (** The schedule's op and comm slots as ghost bars for {!Svg.gantt}: ops

@@ -1,13 +1,9 @@
 module Dp = Support.Domain_pool
 
-let emit ?(labels = []) tl ~label (stats : Dp.stats) =
+let emit tl ~label (stats : Dp.stats) =
   List.iter
     (fun (s : Dp.span) ->
-      let name =
-        match List.nth_opt labels s.Dp.job with
-        | Some l -> l
-        | None -> Printf.sprintf "%s#%d" label s.Dp.job
-      in
+      let name = Printf.sprintf "%s#%d" label s.Dp.job in
       Event.span tl
         ~lane:(Event.pool_lane s.Dp.domain)
         ~cat:"pool"
@@ -25,7 +21,7 @@ let emit ?(labels = []) tl ~label (stats : Dp.stats) =
       ]
     ~name:(label ^ " done") ~time:stats.Dp.wall_s ()
 
-let to_json ?labels ~label stats =
+let to_json ~label stats =
   let tl = Event.create () in
-  emit ?labels tl ~label stats;
+  emit tl ~label stats;
   Chrome.to_json tl

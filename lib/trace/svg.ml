@@ -52,8 +52,8 @@ let lanes ~extra events =
   List.iter (fun b -> note b.bar_lane) extra;
   List.sort compare (Hashtbl.fold (fun _ l acc -> l :: acc) seen [])
 
-let gantt ?(width = 960) ?(predicted = []) ?(critical = []) ?(bands = [])
-    timeline =
+let gantt ?(predicted = []) ?(critical = []) ?(bands = []) timeline =
+  let width = 960 in
   let events = Event.by_time timeline in
   if events = [] then
     Error

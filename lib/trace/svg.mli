@@ -35,7 +35,6 @@ type band = {
 }
 
 val gantt :
-  ?width:int ->
   ?predicted:overlay_bar list ->
   ?critical:overlay_bar list ->
   ?bands:band list ->
@@ -43,6 +42,6 @@ val gantt :
   (string, string) result
 (** Renders the timeline; [Error] with an explanatory message when the
     timeline holds no events (typically: tracing was not enabled on the
-    machine). [width] is the total image width in pixels (default 960).
+    machine). The image is 960 pixels wide.
     With no overlay the output is byte-identical to the overlay-free
     renderer. *)

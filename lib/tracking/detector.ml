@@ -7,8 +7,8 @@ let mark_threshold = 200
 (* Regions smaller than this are noise and discarded. *)
 let min_mark_area = 6
 
-let detect ?(threshold = mark_threshold) ~origin:(dx, dy) window =
-  let regions = Vision.Ccl.detect_regions ~threshold window in
+let detect ~origin:(dx, dy) window =
+  let regions = Vision.Ccl.detect_regions ~threshold:mark_threshold window in
   regions
   |> List.filter (fun (r : Vision.Ccl.region) -> r.Vision.Ccl.area >= min_mark_area)
   |> List.map (Mark.of_region ~dx ~dy)

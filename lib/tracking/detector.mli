@@ -4,9 +4,10 @@
     components, keep plausible mark-sized regions, return their centres of
     gravity and englobing frames in absolute image coordinates. *)
 
-val detect : ?threshold:int -> origin:int * int -> Vision.Image.t -> Mark.t list
-(** [detect ~origin:(dx, dy) window_pixels] returns the marks found, sorted
-    by decreasing area. *)
+val detect : origin:int * int -> Vision.Image.t -> Mark.t list
+(** [detect ~origin:(dx, dy) window_pixels] returns the marks found (pixels
+    at 200 or brighter, regions of at least 6 pixels), sorted by decreasing
+    area. *)
 
 val window_items : Vision.Image.t -> Vision.Window.t list -> Skel.Value.t list
 (** Packs windows for the data farm: each item carries the window origin and

@@ -57,7 +57,3 @@ let list_of_value v = List.map of_value (V.to_list v)
 let equal a b =
   a.x = b.x && a.y = b.y && a.area = b.area && a.min_x = b.min_x && a.min_y = b.min_y
   && a.max_x = b.max_x && a.max_y = b.max_y
-
-let pp ppf m =
-  Format.fprintf ppf "mark(%.1f, %.1f, area=%d, frame=[%d..%d]x[%d..%d])" m.x m.y
-    m.area m.min_x m.max_x m.min_y m.max_y

@@ -31,4 +31,3 @@ val of_value : Skel.Value.t -> t
 val list_to_value : t list -> Skel.Value.t
 val list_of_value : Skel.Value.t -> t list
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -49,8 +49,3 @@ let of_value v =
   }
 
 let equal a b = V.equal (to_value a) (to_value b)
-
-let pp ppf st =
-  Format.fprintf ppf "state(frame=%d, mode=%s, %d tracks)" st.frame
-    (match st.mode with Tracking -> "tracking" | Reinit -> "reinit")
-    (List.length st.tracks)

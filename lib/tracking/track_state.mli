@@ -26,4 +26,3 @@ val centroid : track -> float * float
 val to_value : t -> Skel.Value.t
 val of_value : Skel.Value.t -> t
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

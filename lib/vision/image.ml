@@ -32,18 +32,16 @@ let set img x y v =
   check img x y;
   unsafe_set img x y (clamp v)
 
-let fill img v = Bytes.fill img.data 0 (Bytes.length img.data) (Char.chr (clamp v))
 let copy img = { img with data = Bytes.copy img.data }
 
-(* [Int.max]/[Int.min]: the polymorphic ones are calls into the generic
-   compare, and [Scene.frame] clips once per row *)
-let clip_rect img x y w h =
-  let x0 = Int.max 0 x and y0 = Int.max 0 y in
-  let x1 = Int.min img.width (x + w) and y1 = Int.min img.height (y + h) in
-  (x0, y0, x1 - x0, y1 - y0)
-
+(* [sub] and [blit] clip inline: a helper returning the rectangle as a
+   tuple allocates it on every call (ocamlopt does not unbox it), and
+   [Scene.frame] blits once per row. [Int.max]/[Int.min]: the polymorphic
+   ones are calls into the generic compare. *)
 let sub img ~x ~y ~w ~h =
-  let x0, y0, cw, ch = clip_rect img x y w h in
+  let x0 = Int.max 0 x and y0 = Int.max 0 y in
+  let cw = Int.min img.width (x + w) - x0
+  and ch = Int.min img.height (y + h) - y0 in
   if cw <= 0 || ch <= 0 then invalid_arg "Image.sub: empty rectangle";
   let dst = create cw ch in
   for row = 0 to ch - 1 do
@@ -52,7 +50,9 @@ let sub img ~x ~y ~w ~h =
   dst
 
 let blit ~src ~dst ~x ~y =
-  let x0, y0, cw, ch = clip_rect dst x y src.width src.height in
+  let x0 = Int.max 0 x and y0 = Int.max 0 y in
+  let cw = Int.min dst.width (x + src.width) - x0
+  and ch = Int.min dst.height (y + src.height) - y0 in
   let sx = x0 - x and sy = y0 - y in
   for row = 0 to ch - 1 do
     Bytes.blit src.data (((sy + row) * src.width) + sx) dst.data

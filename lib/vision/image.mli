@@ -41,8 +41,6 @@ val unsafe_set : t -> int -> int -> int -> unit
 
 val in_bounds : t -> int -> int -> bool
 
-val fill : t -> int -> unit
-(** [fill img v] sets every pixel to [v] (clamped). *)
 
 val copy : t -> t
 

@@ -141,7 +141,7 @@ let frame p t =
   add_noise p img t;
   img
 
-let road_frame ?(curvature = 0.0005) ~width ~height t =
+let road_frame ~width ~height t =
   let img = Image.create width height in
   (* Asphalt with mild texture. *)
   for y = 0 to height - 1 do
@@ -153,7 +153,7 @@ let road_frame ?(curvature = 0.0005) ~width ~height t =
      with the curvature phase. *)
   let vanish_x =
     (float_of_int width /. 2.0)
-    +. (float_of_int width *. 0.25 *. sin (curvature *. float_of_int (t * t)))
+    +. (float_of_int width *. 0.25 *. sin (0.0005 *. float_of_int (t * t)))
   in
   let horizon = height / 3 in
   let line_at frac y =

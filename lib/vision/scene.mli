@@ -50,10 +50,10 @@ val frame : params -> int -> Image.t
     below 180, so thresholding at 200 isolates marks. Precondition: [t >= 0];
     raises [Invalid_argument] otherwise. *)
 
-val road_frame : ?curvature:float -> width:int -> height:int -> int -> Image.t
+val road_frame : width:int -> height:int -> int -> Image.t
 (** Synthetic road view for the road-following application: dark asphalt,
-    bright solid side lines and a dashed centre line, curving with
-    [curvature] (default 0.0005 per frame phase). *)
+    bright solid side lines and a dashed centre line; frame [t] curves with
+    the phase 0.0005 t². *)
 
 val ground_truth_marks : params -> int -> (float * float) list
 (** All visible mark centres at a frame, in vehicle order.

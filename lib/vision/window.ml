@@ -18,16 +18,6 @@ let clip win ~width ~height =
 let expand win m =
   { x = win.x - m; y = win.y - m; w = win.w + (2 * m); h = win.h + (2 * m) }
 
-let of_region ?(margin = 0) (r : Ccl.region) =
-  expand
-    {
-      x = r.Ccl.min_x;
-      y = r.Ccl.min_y;
-      w = r.Ccl.max_x - r.Ccl.min_x + 1;
-      h = r.Ccl.max_y - r.Ccl.min_y + 1;
-    }
-    margin
-
 let tile ~width ~height n =
   if n <= 0 then invalid_arg "Window.tile: n <= 0";
   (* Distribute n cells over ~sqrt(n) rows; each row's cells span the full

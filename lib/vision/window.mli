@@ -21,10 +21,6 @@ val expand : t -> int -> t
 (** [expand win m] grows the window by margin [m] on every side (may go
     negative in origin; clip afterwards). *)
 
-val of_region : ?margin:int -> Ccl.region -> t
-(** Window around a region's englobing frame, with optional margin
-    (default 0). *)
-
 val tile : width:int -> height:int -> int -> t list
 (** [tile ~width ~height n] divides the full image into [n] windows of
     near-equal area (a grid as square as possible), the reinitialisation

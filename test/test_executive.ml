@@ -200,6 +200,39 @@ let test_latencies_with_pacing () =
     (fun l -> Alcotest.(check bool) "latency small and positive" true (l > 0.0 && l < 0.01))
     r.Executive.latencies
 
+(* [run_schedule] is [run] on the schedule's architecture, placement and
+   graph: same value, outputs, output times and machine statistics, paced
+   or not. *)
+let test_run_schedule_matches_run () =
+  let table = base_table () in
+  let program =
+    Ir.program ~frames:3 "p"
+      (Ir.Df
+         { nworkers = 3; comp = "sq"; acc = "add"; init = V.Int 0;
+           state = Ir.Stateless })
+  in
+  let input = V.List (List.init 7 (fun i -> V.Int i)) in
+  let c = Skipper_lib.Pipeline.compile_ir ~table program in
+  let s = Skipper_lib.Pipeline.map ~strategy:"heft" c (Archi.ring 4) in
+  List.iter
+    (fun input_period ->
+      let a =
+        Executive.run_schedule ?input_period ~table ~schedule:s ~frames:3
+          ~input ()
+      in
+      let b =
+        Executive.run ?input_period ~table ~arch:s.Syndex.Schedule.arch
+          ~placement:s.Syndex.Schedule.placement ~graph:s.Syndex.Schedule.graph
+          ~frames:3 ~input ()
+      in
+      Alcotest.(check value_testable) "value" b.Executive.value a.Executive.value;
+      Alcotest.(check (list value_testable)) "outputs" b.Executive.outputs
+        a.Executive.outputs;
+      Alcotest.(check (list (float 0.0))) "output times" b.Executive.output_times
+        a.Executive.output_times;
+      Alcotest.(check bool) "stats" true (a.Executive.stats = b.Executive.stats))
+    [ None; Some 0.01 ]
+
 let test_bad_placement_rejected () =
   let program = Ir.program "p" (Ir.Seq "sq") in
   let table = base_table () in
@@ -350,6 +383,8 @@ let () =
         [
           Alcotest.test_case "dynamic load balancing" `Quick test_dynamic_load_balancing;
           Alcotest.test_case "latencies with pacing" `Quick test_latencies_with_pacing;
+          Alcotest.test_case "run_schedule is run on the schedule" `Quick
+            test_run_schedule_matches_run;
         ] );
       ( "errors",
         [

@@ -1,7 +1,7 @@
 (* Tests for the fault-injection plan and the fault-tolerant executive:
    processor halt/restore semantics, per-link message faults, degraded-run
-   accounting, the [run ~until] window clamp, and the df farm's
-   timeout/reissue recovery against the sequential emulation. *)
+   accounting, and the df farm's timeout/reissue recovery against the
+   sequential emulation. *)
 
 module Sim = Machine.Sim
 module V = Skel.Value
@@ -125,36 +125,6 @@ let test_halted_accounting_clamped () =
      busy 0 of 2ms -> 10/12, not 10/20. *)
   Alcotest.(check (float 1e-6)) "utilisation over live time" (1e-2 /. 1.2e-2)
     (Sim.utilisation sim)
-
-let test_run_until_clamps_and_keeps_events () =
-  (* An event past [until] must not be executed (and must not be silently
-     consumed): the clock clamps to exactly [until] and only in-window work
-     is charged. *)
-  let sim = Sim.create (toy_arch 1) in
-  let _ =
-    Sim.spawn sim ~name:"p" ~on:0 (fun () ->
-        Sim.compute 1000.0;
-        (* completes at 1 ms *)
-        Sim.compute 10_000.0 (* would complete at 11 ms *))
-  in
-  let finish = Sim.run ~until:5e-3 sim in
-  Alcotest.(check (float 1e-12)) "clock clamps to the window" 5e-3 finish;
-  Alcotest.(check (float 1e-12)) "finish_time matches" 5e-3
-    (Sim.stats sim).Sim.finish_time;
-  (* the second compute spans the horizon: its in-window part (1..5 ms)
-     counts, the rest is refunded, so windowed utilisation stays <= 1 *)
-  Alcotest.(check (float 1e-9)) "only in-window work charged" 5e-3
-    (Sim.stats sim).Sim.busy.(0);
-  Alcotest.(check bool) "utilisation at most 1" true
-    (Sim.utilisation sim <= 1.0 +. 1e-9)
-
-let test_run_until_before_first_event () =
-  let sim = Sim.create (toy_arch 1) in
-  let _ = Sim.spawn sim ~name:"p" ~on:0 (fun () -> Sim.compute 1000.0) in
-  let finish = Sim.run ~until:1e-4 sim in
-  Alcotest.(check (float 1e-12)) "clamped before any event" 1e-4 finish;
-  Alcotest.(check (float 1e-12)) "only the window's slice charged" 1e-4
-    (Sim.stats sim).Sim.busy.(0)
 
 (* ------------------------------------------------------------------ *)
 (* Link faults                                                         *)
@@ -570,13 +540,6 @@ let () =
           Alcotest.test_case "trace events" `Quick test_halt_trace_events;
           Alcotest.test_case "accounting clamped" `Quick
             test_halted_accounting_clamped;
-        ] );
-      ( "window",
-        [
-          Alcotest.test_case "until clamps and keeps events" `Quick
-            test_run_until_clamps_and_keeps_events;
-          Alcotest.test_case "until before first event" `Quick
-            test_run_until_before_first_event;
         ] );
       ( "link faults",
         [

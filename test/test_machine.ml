@@ -55,7 +55,7 @@ let test_message_latency_model () =
   let _ = Sim.run sim in
   (* send overhead 200 cycles = 200us; transfer = 1ms startup + 1ms payload;
      receive overhead happens after arrival. *)
-  let expected = (Syndex.Cost.default_send_overhead_cycles *. 1e-6) +. 1e-3 +. 1e-3 in
+  let expected = (Syndex.Cost.send_overhead_cycles *. 1e-6) +. 1e-3 +. 1e-3 in
   Alcotest.(check (float 1e-9)) "arrival time" expected !arrival
 
 let test_store_and_forward () =
@@ -72,7 +72,7 @@ let test_store_and_forward () =
         Sim.send receiver "in" (V.Str (String.make 996 'x')))
   in
   let _ = Sim.run sim in
-  let expected = (Syndex.Cost.default_send_overhead_cycles *. 1e-6) +. (2.0 *. (1e-3 +. 1e-3)) in
+  let expected = (Syndex.Cost.send_overhead_cycles *. 1e-6) +. (2.0 *. (1e-3 +. 1e-3)) in
   Alcotest.(check (float 1e-9)) "two hops" expected !arrival;
   Alcotest.(check int) "hops counted" 2 (Sim.stats sim).Sim.hops_total
 
@@ -153,65 +153,6 @@ let test_sleep_until () =
   Alcotest.(check (float 1e-9)) "woke at 0.5" 0.5 !woke;
   (* sleeping is not busy time *)
   Alcotest.(check bool) "no busy time" true ((Sim.stats sim).Sim.busy.(0) < 1e-6)
-
-(* [run ~until] horizon edges — these pin the documented semantics: an event
-   scheduled exactly at the horizon still fires (only events strictly past
-   it stay queued), and a busy charge that *ends* exactly at the horizon is
-   not a spanning charge, so nothing is refunded. *)
-
-let test_horizon_event_at_until_fires () =
-  let sim = Sim.create (toy_arch 1) in
-  let woke_at = ref nan and woke_past = ref nan in
-  let _ =
-    Sim.spawn sim ~name:"at" ~on:0 (fun () ->
-        Sim.sleep_until 1.0;
-        woke_at := Sim.now ())
-  in
-  let _ =
-    Sim.spawn sim ~name:"past" ~on:0 (fun () ->
-        Sim.sleep_until 2.0;
-        woke_past := Sim.now ())
-  in
-  let finish = Sim.run ~until:1.0 sim in
-  Alcotest.(check (float 1e-12)) "event exactly at horizon fires" 1.0 !woke_at;
-  Alcotest.(check bool) "event past horizon stays queued" true
-    (Float.is_nan !woke_past);
-  Alcotest.(check (float 1e-12)) "clock clamps to the horizon" 1.0 finish
-
-let test_horizon_charge_ends_at_until () =
-  (* 1000 cycles at 1 us end exactly at the 1 ms horizon: the completion
-     event fires, the full charge stands and windowed utilisation is 1. *)
-  let sim = Sim.create (toy_arch 1) in
-  let done_at = ref nan in
-  let _ =
-    Sim.spawn sim ~name:"c" ~on:0 (fun () ->
-        Sim.compute 1000.0;
-        done_at := Sim.now ())
-  in
-  let finish = Sim.run ~until:1e-3 sim in
-  Alcotest.(check (float 1e-12)) "completion fires at the horizon" 1e-3 !done_at;
-  Alcotest.(check (float 1e-12)) "finish" 1e-3 finish;
-  Alcotest.(check (float 1e-15)) "no refund: busy is the full charge" 1e-3
-    (Sim.stats sim).Sim.busy.(0);
-  Alcotest.(check (float 1e-9)) "utilisation exactly 1" 1.0 (Sim.utilisation sim)
-
-let test_horizon_spanning_charge_refunded () =
-  (* The same charge cut mid-span: the overshoot past the horizon is
-     refunded so busy never exceeds the window and utilisation stays <= 1. *)
-  let sim = Sim.create (toy_arch 1) in
-  let done_at = ref nan in
-  let _ =
-    Sim.spawn sim ~name:"c" ~on:0 (fun () ->
-        Sim.compute 1000.0;
-        done_at := Sim.now ())
-  in
-  let finish = Sim.run ~until:5e-4 sim in
-  Alcotest.(check bool) "completion did not fire" true (Float.is_nan !done_at);
-  Alcotest.(check (float 1e-12)) "clock clamps to the horizon" 5e-4 finish;
-  Alcotest.(check (float 1e-15)) "busy refunded down to the window" 5e-4
-    (Sim.stats sim).Sim.busy.(0);
-  Alcotest.(check bool) "utilisation <= 1" true
-    (Sim.utilisation sim <= 1.0 +. 1e-9)
 
 let test_blocked_process_terminates_run () =
   let sim = Sim.create (toy_arch 1) in
@@ -439,12 +380,6 @@ let () =
       ( "control",
         [
           Alcotest.test_case "sleep_until" `Quick test_sleep_until;
-          Alcotest.test_case "horizon: event at until fires" `Quick
-            test_horizon_event_at_until_fires;
-          Alcotest.test_case "horizon: charge ending at until" `Quick
-            test_horizon_charge_ends_at_until;
-          Alcotest.test_case "horizon: spanning charge refunded" `Quick
-            test_horizon_spanning_charge_refunded;
           Alcotest.test_case "blocked process tolerated" `Quick test_blocked_process_terminates_run;
           Alcotest.test_case "process failure wrapped" `Quick test_process_failure_wrapped;
           Alcotest.test_case "primitives need a process" `Quick test_primitives_outside_process;

@@ -126,7 +126,9 @@ let test_throughput_beats_heft_period () =
      here — a serialised chain drains its last stage's backlog back-to-back,
      so its spacing shows one stage time even at 1/6th the throughput. *)
   let period strategy =
-    let r = P.execute ~strategy ~cost ~input:(V.Int 0) c arch in
+    let _, r =
+      P.execute_with_schedule ~strategy ~cost ~input:(V.Int 0) c arch
+    in
     match List.rev r.Executive.output_times with
     | last :: _ -> last /. float_of_int (List.length r.Executive.output_times)
     | [] -> Alcotest.failf "%s: no outputs" strategy

@@ -64,6 +64,40 @@ let test_parse_request () =
   (match Serve.parse_request (Json.Obj []) with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing op must be rejected");
+  (* frames/procs must be integral numbers >= 1 that an int holds *)
+  let run_with field v =
+    Serve.parse_request
+      (Json.Obj
+         [ ("op", Json.Str "run"); ("app", Json.Str "a"); ("src", Json.Str "s");
+           (field, v) ])
+  in
+  List.iter
+    (fun (field, v) ->
+      match run_with field v with
+      | Error _ -> ()
+      | Ok _ ->
+          Alcotest.failf "%s = %s must be rejected" field (Json.to_string v))
+    [
+      ("frames", Json.Num 2.5); ("frames", Json.Num 1e300);
+      ("frames", Json.Num Float.infinity); ("frames", Json.Num Float.nan);
+      ("frames", Json.Num 0.0); ("frames", Json.Num (-3.0));
+      (* 2^62, one past max_int *)
+      ("frames", Json.Num 4611686018427387904.0); ("frames", Json.Str "3");
+      ("frames", Json.Null); ("procs", Json.Num 0.5); ("procs", Json.Num 0.0);
+      ("procs", Json.Str "8");
+    ];
+  (match
+     Serve.parse_request
+       (Json.Obj
+          [ ("op", Json.Str "compile"); ("app", Json.Str "a");
+            ("src", Json.Str "s"); ("frames", Json.Num 2.5) ])
+   with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "compile with frames = 2.5 must be rejected");
+  (match (run_with "frames" (Json.Num 3.0), run_with "procs" (Json.Fixed (0, 8.0))) with
+  | ( Ok (Serve.Run { frames = 3; procs = 4; _ }),
+      Ok (Serve.Run { frames = 1; procs = 8; _ }) ) -> ()
+  | _ -> Alcotest.fail "integral frames/procs must parse, absent ones default");
   match
     Serve.parse_request
       (Serve.req_run ~frames:3 ~optimize:true ~procs:8 ~app:"a" "src")

@@ -158,14 +158,14 @@ let test_link_orders_cover_comms () =
   Alcotest.(check int) "every hop appears once" expected_hops total_hops
 
 let test_cost_model_defaults () =
-  let model = Syndex.Cost.make ~control_cycles:7.0 ~default_fn_cycles:9.0 () in
+  let model = Syndex.Cost.make () in
   let g = tracking_like_graph () in
   Array.iter
     (fun (nd : G.node) ->
       let c = model.Syndex.Cost.node_cycles nd in
       match nd.G.kind with
-      | G.Join | G.Fork | G.Mem _ -> Alcotest.(check (float 0.0)) "control" 7.0 c
-      | _ -> Alcotest.(check (float 0.0)) "function" 9.0 c)
+      | G.Join | G.Fork | G.Mem _ -> Alcotest.(check (float 0.0)) "control" 500.0 c
+      | _ -> Alcotest.(check (float 0.0)) "function" 10_000.0 c)
     (G.nodes g)
 
 let test_node_function () =
@@ -234,7 +234,7 @@ let prop_all_mappers_valid =
       List.for_all
         (fun (m : Syndex.Mapper.t) ->
           mapper_schedule_ok ~name:m.Syndex.Mapper.name cost g
-            (Syndex.Mapper.map m cost arch g))
+            (m.Syndex.Mapper.map cost arch g))
         (Syndex.Mapper.registered ()))
 
 let test_registry_names () =
@@ -312,9 +312,8 @@ let test_throughput_period_beats_heft_prediction () =
   let arch = Archi.ring 8 in
   let heft = Syndex.Heft.map model arch g in
   let tp =
-    Syndex.Mapper.map
-      (Option.get (Syndex.Mapper.find "throughput"))
-      model arch g
+    (Option.get (Syndex.Mapper.find "throughput")).Syndex.Mapper.map model
+      arch g
   in
   Alcotest.(check bool) "pipelining metadata attached" true
     (Option.is_some tp.Syndex.Schedule.pipeline);
@@ -416,12 +415,16 @@ let random_interval_case (shape, width, seed, (topo, nprocs)) =
   let model =
     if seed mod 4 = 0 then cost
     else
-      Syndex.Cost.make
-        ~fn_cycles:(fun name ->
-          Some (float_of_int (1_000 + (Hashtbl.hash (seed, name) mod 50_000))))
-        ~edge_bytes:(fun (e : G.edge) ->
-          Some (16 + (Hashtbl.hash (seed, e.G.src, e.G.dst) mod 8_192)))
-        ()
+      {
+        (Syndex.Cost.make
+           ~fn_cycles:(fun name ->
+             Some (float_of_int (1_000 + (Hashtbl.hash (seed, name) mod 50_000))))
+           ())
+        with
+        Syndex.Cost.edge_bytes =
+          (fun (e : G.edge) ->
+            16 + (Hashtbl.hash (seed, e.G.src, e.G.dst) mod 8_192));
+      }
   in
   let bandwidth = [| 1e6; 1e7; 3e7 |].(seed mod 3) in
   let arch =
@@ -516,10 +519,10 @@ let oracle_of_placement model arch g placement =
               | Some _ ->
                   let sp = op_proc.(src) in
                   let send_oh =
-                    model.Syndex.Cost.send_overhead_cycles *. cycle_time sp
+                    Syndex.Cost.send_overhead_cycles *. cycle_time sp
                   in
                   let recv_oh =
-                    model.Syndex.Cost.recv_overhead_cycles *. cycle_time p
+                    Syndex.Cost.recv_overhead_cycles *. cycle_time p
                   in
                   if sp = p then
                     op_finish.(src) +. send_oh
@@ -788,7 +791,7 @@ let prop_schedules_match_oracle =
       if json frontier <> json want_frontier then
         QCheck.Test.fail_reportf "frontier_json %s, oracle %s" (json frontier)
           (json want_frontier);
-      check_same_schedule "knee" (Syndex.Mapper.map bicriteria model arch g) want_knee;
+      check_same_schedule "knee" (bicriteria.Syndex.Mapper.map model arch g) want_knee;
       true)
 
 (* -- mapping golden pin -- *)
@@ -905,7 +908,7 @@ let test_heft_tie_break_pin () =
      Any comparator change shows up as a different array, and two runs must
      agree byte-for-byte. *)
   let uniform =
-    Syndex.Cost.make ~control_cycles:1000.0 ~default_fn_cycles:1000.0 ()
+    { (Syndex.Cost.make ()) with Syndex.Cost.node_cycles = (fun _ -> 1000.0) }
   in
   let g = tracking_like_graph ~nworkers:4 () in
   let arch = Archi.ring 4 in

@@ -29,23 +29,6 @@ let test_expand () =
   Alcotest.(check int) "x" 2 w.W.x;
   Alcotest.(check int) "w" 8 w.W.w
 
-let test_of_region () =
-  let r =
-    {
-      Vision.Ccl.label = 1;
-      area = 4;
-      cx = 1.5;
-      cy = 1.5;
-      min_x = 1;
-      min_y = 1;
-      max_x = 2;
-      max_y = 2;
-    }
-  in
-  let w = W.of_region ~margin:1 r in
-  Alcotest.(check int) "x" 0 w.W.x;
-  Alcotest.(check int) "w" 4 w.W.w
-
 let test_tile_count_and_bounds () =
   List.iter
     (fun n ->
@@ -107,7 +90,6 @@ let () =
           Alcotest.test_case "area/contains" `Quick test_area_contains;
           Alcotest.test_case "clip" `Quick test_clip;
           Alcotest.test_case "expand" `Quick test_expand;
-          Alcotest.test_case "of_region" `Quick test_of_region;
           Alcotest.test_case "overlap" `Quick test_overlap;
         ] );
       ( "tiling",
