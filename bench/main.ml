@@ -8,8 +8,8 @@
                                         times the simulator at scale
      dune exec bench/main.exe -- mapscale
                                         times the mappers as P widens
-     dune exec bench/main.exe -- noiseexact
-                                        checks the frame noise against libm
+     dune exec bench/main.exe -- noisetables
+                                        checks the frame-noise tables' bytes
 
    Reported latencies are *simulated* times on the T9000-era machine model;
    the paper's numbers were measured on the real Transvision platform, so
@@ -1732,46 +1732,39 @@ let mapscale () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* noiseexact: the table-driven frame noise against this platform's libm *)
+(* noisetables: the frame-noise alias tables against their pinned bytes *)
 
-(* Scene.frame draws its noise with [Prng.gaussian_trunc], which must
-   return exactly [int_of_float (s *. Prng.gaussian t)]: its guard covers
-   libm's error only as far as libm is within 1 ulp (DESIGN.md, "Frame
-   noise"). Every draw is computed three ways from one generator state —
-   [gaussian] (the libm expression), the [gaussian_trunc] stream and the
-   raw-draw entry point, which also tells whether the tables decided it —
-   and the three generators must end in the same state. Exits 1 on any
-   mismatch; the fallback count is informational. *)
-let noiseexact () =
-  header "noiseexact" "frame noise: gaussian_trunc against libm's gaussian";
-  let draws = 10_000_000 in
-  let module P = Support.Prng in
-  Printf.printf "%8s %10s %10s %10s\n" "noise" "draws" "mismatches" "fallbacks";
+(* [Prng.Trunc_normal] builds its tables with IEEE-754 [+ - * /] and
+   [sqrt] alone, so they must be these bytes on every platform (DESIGN.md,
+   "Frame noise"). Prints each pinned table's MD5 and a fixed-seed
+   chi-square of 10^6 draws against its weights; exits 1 on a digest
+   mismatch. [test_support] pins the same digests. *)
+let noise_table_pins =
+  [
+    (0.5, "29aa238fcea9fc39866638f6dac8dc34");
+    (3.0, "45641bf5cf5bacc3c38df59bff07ae4a");
+    (4.0, "90d3c307bb6b14201687dbd876e92020");
+    (7.5, "181fce8af4c52ee9fb7d9ec43ae53e5e");
+    (60.0, "a5f75d528a465e8afe7071a3906bec4c");
+  ]
+
+let noisetables () =
+  header "noisetables" "frame noise: alias tables against their pinned digests";
+  let module N = Support.Prng.Trunc_normal in
+  Printf.printf "%6s %7s %-32s %-5s %9s %4s\n" "noise" "values" "md5" "pin" "chi2" "df";
   let failed = ref false in
-  List.iteri
-    (fun i s ->
-      let rng = P.create (7 + i) in
-      let mismatches = ref 0 and fallbacks = ref 0 in
-      for _ = 1 to draws do
-        let a = P.copy rng and b = P.copy rng in
-        let want = int_of_float (s *. P.gaussian a) in
-        let got = P.gaussian_trunc b s in
-        let draw () = Int64.to_int (Int64.shift_right_logical (P.bits64 rng) 11) in
-        let n1 = ref (draw ()) in
-        while !n1 = 0 do
-          n1 := draw ()
-        done;
-        let raw, tabled = P.gaussian_trunc_draws s !n1 (draw ()) in
-        if not tabled then incr fallbacks;
-        let next = P.bits64 rng in
-        if got <> want || raw <> want || P.bits64 a <> next || P.bits64 b <> next
-        then incr mismatches
-      done;
-      if !mismatches > 0 then failed := true;
-      Printf.printf "%8g %10d %10d %10d\n" s draws !mismatches !fallbacks)
-    [ 0.5; 1.0; 3.0; 7.5; 40.0; 60.0 ];
+  List.iter
+    (fun (s, pin) ->
+      let tbl = N.table s in
+      let digest = N.digest tbl in
+      let chi2, df = N.chi_square tbl (Support.Prng.create 2024) 1_000_000 in
+      if digest <> pin then failed := true;
+      Printf.printf "%6g %7d %-32s %-5s %9.2f %4d\n" s (List.length (N.weights tbl)) digest
+        (if digest = pin then "ok" else "DIFF") chi2 df)
+    noise_table_pins;
   if !failed then begin
-    prerr_endline "noiseexact: gaussian_trunc differs from libm's gaussian";
+    flush stdout;
+    prerr_endline "noisetables: a frame-noise table differs from its pinned digest";
     exit 1
   end
 
@@ -1821,12 +1814,12 @@ let () =
   (match names with
   | [ "simscale" ] -> simscale ()
   | [ "mapscale" ] -> mapscale ()
-  | [ "noiseexact" ] -> noiseexact ()
+  | [ "noisetables" ] -> noisetables ()
   | [ name ] -> (
       match List.assoc_opt (String.lowercase_ascii name) experiments with
       | Some f -> f ()
       | None ->
-          Printf.eprintf "unknown experiment %s (e1..e17, simscale, mapscale or noiseexact)\n" name;
+          Printf.eprintf "unknown experiment %s (e1..e17, simscale, mapscale or noisetables)\n" name;
           exit 1)
   | _ ->
       print_endline "SKiPPER experiment harness (see DESIGN.md, experiment index)";

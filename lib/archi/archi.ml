@@ -157,17 +157,24 @@ let custom ~name:arch_name procs edges =
   build ~name:arch_name procs
     (List.map (fun (src, dst, bandwidth, startup) -> { src; dst; bandwidth; startup }) edges)
 
-let fold_route t a b f init =
+let check_ends t a b =
   let n = nprocs t in
-  if a < 0 || a >= n || b < 0 || b >= n then invalid_arg "Archi.route: bad processor id";
+  if a < 0 || a >= n || b < 0 || b >= n then invalid_arg "Archi.route: bad processor id"
+
+(* the index of the link out of [u] on the route from [a] to [b] *)
+let next_link t a u b =
+  let l = t.first_link.(u).(b) in
+  if l < 0 then failwith (Printf.sprintf "Archi.route: no path %d -> %d" a b);
+  l
+
+let fold_route t a b f init =
+  check_ends t a b;
   let rec walk u acc =
     if u = b then acc
     else
-      let l = t.first_link.(u).(b) in
-      if l < 0 then failwith (Printf.sprintf "Archi.route: no path %d -> %d" a b)
-      else
-        let link = t.link_arr.(l) in
-        walk link.dst (f acc l link)
+      let l = next_link t a u b in
+      let link = t.link_arr.(l) in
+      walk link.dst (f acc l link)
   in
   walk a init
 
@@ -175,12 +182,20 @@ let route t a b = List.rev (fold_route t a b (fun acc _ l -> l.dst :: acc) [ a ]
 
 let hops t a b = List.length (route t a b) - 1
 
+(* [fold_route]'s walk as a loop, so that the sum stays an unboxed float:
+   the mappers call this for every candidate processor of every op *)
 let transfer_time t a b bytes =
   if a = b then 0.0
-  else
-    fold_route t a b
-      (fun acc _ l -> acc +. l.startup +. (float_of_int bytes /. l.bandwidth))
-      0.0
+  else begin
+    check_ends t a b;
+    let acc = ref 0.0 and u = ref a in
+    while !u <> b do
+      let link = t.link_arr.(next_link t a !u b) in
+      acc := !acc +. link.startup +. (float_of_int bytes /. link.bandwidth);
+      u := link.dst
+    done;
+    !acc
+  end
 
 let to_dot t =
   let buf = Buffer.create 256 in

@@ -75,7 +75,12 @@ type log = {
   cache : cache option;
   mutable key : string;  (* running content hash of the front-end chain *)
   mutable reports : Stage.report list;  (* newest first *)
+  mutable kept : int;  (* List.length reports *)
 }
+
+(* A program mapped or run again and again (a daemon, a benchmark loop)
+   would otherwise keep two reports per call for as long as it lives. *)
+let max_reports = 256
 
 let start ?cache table entry =
   (* Seed the chain with the entry artifact's digest and the table's content
@@ -88,16 +93,19 @@ let start ?cache table entry =
     | None -> ""
     | Some _ -> Stage.fingerprint entry ^ "@" ^ Skel.Funtable.digest table
   in
-  { table; cache; key; reports = [] }
+  { table; cache; key; reports = []; kept = 0 }
 
 let reports log = List.rev log.reports
 
 let stage ?memo log name wrap work =
   let record ~start ~wall ~cached ~detail out =
-    let size, metric = Stage.size (wrap out) in
-    log.reports <-
-      { Stage.pass = name; start; wall; size; metric; cached; detail }
-      :: log.reports
+    if log.kept < max_reports then begin
+      let size, metric = Stage.size (wrap out) in
+      log.reports <-
+        { Stage.pass = name; start; wall; size; metric; cached; detail }
+        :: log.reports;
+      log.kept <- log.kept + 1
+    end
   in
   let run () =
     let t0 = Unix.gettimeofday () in

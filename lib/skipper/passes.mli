@@ -84,4 +84,6 @@ val stage :
     ["store"]. An entry that does not unwrap or replay is a miss. *)
 
 val reports : log -> Stage.report list
-(** Every report appended to the log, in execution order. *)
+(** The reports appended to the log, in execution order: the first 256.
+    Later stages run as before, but their reports are not kept, so a
+    program mapped or run again and again keeps a bounded record. *)

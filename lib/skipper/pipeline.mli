@@ -119,7 +119,8 @@ val macro_code : compiled -> Syndex.Schedule.t -> string
 
 val reports : compiled -> Stage.report list
 (** Per-stage instrumentation, in execution order, accumulated across
-    compile / map / execute calls on this value. *)
+    compile / map / execute calls on this value, up to the first 256
+    ({!Passes.reports}). *)
 
 val timeline :
   ?result:Executive.result ->

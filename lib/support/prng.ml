@@ -42,158 +42,155 @@ let[@inline] float t bound =
   let u = Float.of_int (Int64.to_int (Int64.shift_right_logical (bits64 t) 11)) in
   bound *. u /. 9007199254740992.0 (* 2^53 *)
 
-(* A loop rather than a recursive function, so that [gaussian] can be inlined
-   and its result stays unboxed in the caller. *)
-let[@inline] gaussian t =
-  let u1 = ref (float t 1.0) in
-  while !u1 <= 1e-300 do
-    u1 := float t 1.0
-  done;
-  let u2 = float t 1.0 in
-  sqrt (-2.0 *. log !u1) *. cos (2.0 *. Float.pi *. u2)
+(* trunc (s N) from an alias table (DESIGN.md, "Frame noise"). W_k, k >= 1,
+   is 2^32 P (k <= s N < k + 1) rounded: composite Simpson (a panel per
+   1/64 of x or less, x clipped to 10) over exp (-x^2 / 2), exp by exact
+   halving, its series to a^6 and squaring. The support ends at the first
+   zero weight, W_-k = W_k and W_0 takes the rest of 2^32. Vose's method
+   then runs on the integer masses W_k 2^b with the work lists as stacks
+   in column order. Only IEEE-754 + - * / and sqrt, in a fixed order: the
+   tables are the same bytes everywhere. *)
+module Trunc_normal = struct
+  type table = {
+    level : float;
+    half : int;  (* the values are -half .. half; column c's own is c - half *)
+    shift : int;  (* 64 - b *)
+    weights : int array;  (* W_k at k + half *)
+    keep : int array;  (* column c keeps its own value below this, else: *)
+    alias : int array;
+  }
 
-(* [gaussian_trunc]: [int_of_float (s *. gaussian t)] from tables, with
-   libm deciding only the draws the tables cannot.
+  let one = 1 lsl 32
 
-   Both paths read the draws [gaussian] reads: [n1], the first nonzero
-   53-bit draw ([float t 1.0 <= 1e-300] exactly when the draw is 0), and
-   [n2]; u1 = n1 2^-53 and u2 = n2 2^-53 exactly. The table path computes
-   y = s R c, R = sqrt (-2 ln u1), c = cos (2 pi u2):
+  let exp_neg a =
+    let y = ref a and halvings = ref 0 in
+    while !y > 0x1p-10 do
+      y := !y *. 0.5;
+      incr halvings
+    done;
+    let e = ref 1.0 in
+    for i = 6 downto 1 do
+      e := 1.0 -. (!y /. float_of_int i *. !e)
+    done;
+    for _ = 1 to !halvings do
+      e := !e *. !e
+    done;
+    !e
 
-   - ln u1: n1 = m 2^(e-52) with m in [2^52, 2^53), rounded to the nearest
-     knot j 2^44 (j in 256..512), so with c_j = j / 256
-     ln u1 = (e - 53) ln 2 + ln c_j + ln (1 + r), r = (m - j 2^44) / (j 2^44),
-     |r| <= 2^-9, and ln (1 + r) from its series to r^5. The top knot,
-     c = 2, is the very double the exponent is scaled by, so for u1 near 1
-     the two cancel exactly and ln u1 keeps its relative accuracy. The
-     tables and series hold -2 ln, an exact scaling.
-   - cos (2 pi u2): n2 rounded to the nearest multiple of 2^43 (knot i in
-     0..1024, 1024 wrapping to 0), cos (a_i + h) from cos a_i and sin a_i
-     (a_i = 2 pi i / 1024) and the series of cos h to h^4 and sin h to h^5,
-     |h| <= pi / 1024.
+  (* the integral of exp (-x^2 / 2) over [a, min b 10], 0 <= a *)
+  let simpson a b =
+    let b = Float.min b 10.0 in
+    if a >= b then 0.0
+    else begin
+      let steps = 2 * (1 + int_of_float ((b -. a) *. 64.0)) in
+      let h = (b -. a) /. float_of_int steps in
+      let f x = exp_neg (x *. x *. 0.5) in
+      let sum = ref (f a +. f b) in
+      for j = 1 to steps - 1 do
+        let weight = if j land 1 = 1 then 4.0 else 2.0 in
+        sum := !sum +. (weight *. f (a +. (float_of_int j *. h)))
+      done;
+      !sum *. h /. 3.0
+    end
 
-   Error, with u = 2^-53 and libm's log, cos and sin within 1 ulp (sqrt is
-   correctly rounded):
-   - c: the tables are within 3.5e-16 (libm on the first quadrant, exact
-     symmetries), the series and small products add < 4e-18 and the last
-     addition u; libm's own argument fl (2 pi u2) is off by <= 6.2 u and its
-     cos by u. So |c_table - c_libm| <= 11.4 u.
-   - R: the roundings of ln u1 sum to <= u (4.45 |ln u1| + 2.8), since
-     e = 53 - k with k <= 1.443 |ln u1| + 1; |sqrt a - sqrt b| <=
-     |a - b| / sqrt a then gives |R_table - R| <= u (5.45 R + 5.6 / R). Off
-     the top knot u1 <= 1 - 2^-10, so R >= 0.0442; on it, ln (1 + r) comes
-     from an exact r, to a relative 5 u.
-   - R <= sqrt (106 ln 2) < 8.58, so |y_table - y_libm| <= delta =
-     |s| u (18.9 R + 5.6 / R) + 2.01 u (|y_table| + |y_libm|) <= 198 u |s|.
-   The guard eps = 1.125 2^-38 |s| = 36864 u |s| is over 186 delta, which
-   also covers the roundings of y -. eps and y +. eps. When
-   trunc (y - eps) = trunc (y + eps), y_libm lies between and truncates
-   alike (Ziv's rounding test); otherwise, or when |y| >= 2^30 (the range
-   keeps y -. eps and y +. eps well inside [int_of_float]'s; a non-finite
-   s or y fails it too), the libm expression decides. DESIGN.md, "Frame
-   noise", has the derivation in full. *)
+  let build s =
+    let scale = float_of_int one /. sqrt (2.0 *. Float.pi) in
+    let rec tail k =
+      let p = simpson (float_of_int k /. s) (float_of_int (k + 1) /. s) in
+      let w = int_of_float ((scale *. p) +. 0.5) in
+      if w = 0 then [] else w :: tail (k + 1)
+    in
+    let tail = Array.of_list (tail 1) in
+    let half = Array.length tail in
+    let w0 = one - (2 * Array.fold_left ( + ) 0 tail) in
+    let weights =
+      Array.init ((2 * half) + 1) (fun i ->
+          if i = half then w0 else tail.(abs (i - half) - 1))
+    in
+    let b = ref 1 in
+    while 1 lsl !b <= 2 * half do
+      incr b
+    done;
+    let n = 1 lsl !b in
+    let mass = Array.init n (fun c -> if c <= 2 * half then weights.(c) * n else 0) in
+    let keep = Array.make n one and alias = Array.init n (fun c -> c - half) in
+    (* small columns from index 0 up, large ones from n - 1 down *)
+    let stack = Array.make n 0 and ns = ref 0 and nl = ref n in
+    let push c =
+      if mass.(c) < one then (stack.(!ns) <- c; incr ns) else (decr nl; stack.(!nl) <- c)
+    in
+    for c = 0 to n - 1 do
+      push c
+    done;
+    (* the masses are exact, so the stacks run out together and every
+       column left large holds exactly 2^32 *)
+    while !ns > 0 && !nl < n do
+      decr ns;
+      let l = stack.(!ns) and g = stack.(!nl) in
+      incr nl;
+      keep.(l) <- mass.(l);
+      alias.(l) <- g - half;
+      mass.(g) <- mass.(g) + mass.(l) - one;
+      push g
+    done;
+    { level = s; half; shift = 64 - !b; weights; keep; alias }
 
-(* -2 ln (j / 256), j = 256 + i; the last, -2 ln 2, is the one [trunc_table]
-   scales the exponent by *)
-let ln_knots =
-  Array.init 257 (fun i -> -2.0 *. log (float_of_int (256 + i) /. 256.0))
+  (* one entry, since every frame of a run asks for the same level; domains
+     that race build equal tables *)
+  let cache = Atomic.make None
 
-let neg2_ln2 = ln_knots.(256)
+  let table s =
+    if not (s > 0.0 && s <= 1024.0) then
+      invalid_arg "Prng.Trunc_normal.table: level outside (0, 1024]";
+    match Atomic.get cache with
+    | Some tbl when tbl.level = s -> tbl
+    | _ ->
+        let tbl = build s in
+        Atomic.set cache (Some tbl);
+        tbl
 
-(* 1 / (j 2^44), j = 256 + i: one rounding of 1 / j, scaled exactly *)
-let inv_knots =
-  Array.init 257 (fun i -> 1.0 /. float_of_int (256 + i) *. 0x1p-44)
+  let[@inline] draw t tbl =
+    let r = bits64 t in
+    let c = Int64.to_int (Int64.shift_right_logical r tbl.shift) in
+    if Int64.to_int r land 0xFFFF_FFFF < Array.unsafe_get tbl.keep c then c - tbl.half
+    else Array.unsafe_get tbl.alias c
 
-(* cos and sin of 2 pi i / 1024: libm on the first quadrant, exact
-   negations and swaps for the others *)
-let cos_knots, sin_knots =
-  let quadrant =
-    Array.init 256 (fun k ->
-        let a = float_of_int k *. (Float.pi /. 512.0) in
-        (cos a, sin a))
-  in
-  let knot i =
-    let c, s = quadrant.(i land 255) in
-    match i lsr 8 with
-    | 0 -> (c, s)
-    | 1 -> (-.s, c)
-    | 2 -> (-.c, -.s)
-    | _ -> (s, -.c)
-  in
-  (Array.init 1024 (fun i -> fst (knot i)), Array.init 1024 (fun i -> snd (knot i)))
+  let weights tbl = Array.to_list (Array.mapi (fun i w -> (i - tbl.half, w)) tbl.weights)
+  let columns tbl =
+    Array.mapi (fun c keep -> (c - tbl.half, keep, tbl.alias.(c))) tbl.keep
 
-(* 2 pi 2^-53: [2 * Float.pi] scaled exactly *)
-let two_pi_ulp = 2.0 *. Float.pi *. 0x1p-53
+  let digest tbl =
+    Array.to_list (columns tbl)
+    |> List.map (fun (own, keep, alias) -> Printf.sprintf "%d %d %d" own keep alias)
+    |> String.concat "\n" |> Digest.string |> Digest.to_hex
 
-(* no truncation of a [gaussian_trunc] result is [undecided]: the table
-   path returns truncations of |y| < 2^30 *)
-let undecided = min_int
-
-let[@inline] trunc_table s n1 n2 =
-  (* n1 = m 2^(e - 52), m in [2^52, 2^53). The first three steps are
-     branch-free: half the draws need none, and a mispredicted branch costs
-     more than the shifts. *)
-  let b = Bool.to_int (n1 < 0x10_0000_0000_0000) in
-  let m = n1 lsl b and e = 52 - b in
-  let b = Bool.to_int (m < 0x10_0000_0000_0000) in
-  let m = m lsl b and e = e - b in
-  let b = Bool.to_int (m < 0x10_0000_0000_0000) in
-  let m = ref (m lsl b) and e = ref (e - b) in
-  while !m < 0x10_0000_0000_0000 do
-    m := !m lsl 1;
-    decr e
-  done;
-  let j = (!m + 0x800_0000_0000) lsr 44 in
-  let i = j - 256 in
-  let r = Float.of_int (!m - (j lsl 44)) *. Array.unsafe_get inv_knots i in
-  (* -2 ln (1 + r) to r^5, in Estrin's scheme *)
-  let r2 = r *. r in
-  let ln1p =
-    (r *. -2.0)
-    +. (r2 *. (1.0 +. (r *. -0.666666666666666667)))
-    +. (r2 *. r2 *. (0.5 +. (r *. -0.4)))
-  in
-  let x = (Float.of_int (!e - 53) *. neg2_ln2) +. Array.unsafe_get ln_knots i +. ln1p in
-  let k = (n2 + 0x400_0000_0000) lsr 43 in
-  let h = Float.of_int (n2 - (k lsl 43)) *. two_pi_ulp in
-  let k = k land 1023 in
-  let ck = Array.unsafe_get cos_knots k and sk = Array.unsafe_get sin_knots k in
-  let h2 = h *. h in
-  let cos_h_1 = h2 *. (-0.5 +. (h2 *. 0.0416666666666666667)) in
-  let sin_h =
-    h *. (1.0 +. (h2 *. (-0.166666666666666667 +. (h2 *. 0.00833333333333333333))))
-  in
-  let sc = s *. (ck +. ((ck *. cos_h_1) -. (sk *. sin_h))) in
-  let y = sqrt x *. sc in
-  let eps = Float.abs s *. 0x1.2p-38 in
-  if Float.abs y < 0x1p30 then begin
-    let lo = int_of_float (y -. eps) in
-    if lo = int_of_float (y +. eps) then lo else undecided
-  end
-  else undecided
-
-(* [gaussian]'s expression on the same draws *)
-let trunc_libm s n1 n2 =
-  let u1 = Float.of_int n1 /. 9007199254740992.0
-  and u2 = Float.of_int n2 /. 9007199254740992.0 in
-  int_of_float (s *. (sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)))
-
-let[@inline] draw53 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 11)
-
-let gaussian_trunc t s =
-  let n1 = ref (draw53 t) in
-  while !n1 = 0 do
-    n1 := draw53 t
-  done;
-  let n2 = draw53 t in
-  let y = trunc_table s !n1 n2 in
-  if y <> undecided then y else trunc_libm s !n1 n2
-
-let gaussian_trunc_draws s n1 n2 =
-  if n1 <= 0 || n1 >= 1 lsl 53 || n2 < 0 || n2 >= 1 lsl 53 then
-    invalid_arg "Prng.gaussian_trunc_draws: draw outside [0, 2^53)";
-  let y = trunc_table s n1 n2 in
-  if y <> undecided then (y, true) else (trunc_libm s n1 n2, false)
+  let chi_square tbl t draws =
+    let counts = Array.make (Array.length tbl.weights) 0 in
+    for _ = 1 to draws do
+      let i = draw t tbl + tbl.half in
+      counts.(i) <- counts.(i) + 1
+    done;
+    (* bins in value order, each closed once it expects 5 draws; what is
+       left joins the last one *)
+    let bins = ref [] and o = ref 0.0 and e = ref 0.0 in
+    Array.iteri
+      (fun i w ->
+        o := !o +. float_of_int counts.(i);
+        e := !e +. (float_of_int draws *. float_of_int w /. float_of_int one);
+        if !e >= 5.0 then begin
+          bins := (!o, !e) :: !bins;
+          o := 0.0;
+          e := 0.0
+        end)
+      tbl.weights;
+    let bins =
+      match !bins with
+      | (o', e') :: rest -> (o' +. !o, e' +. !e) :: rest
+      | [] -> [ (!o, !e) ]
+    in
+    ( List.fold_left (fun acc (o, e) -> acc +. ((o -. e) *. (o -. e) /. e)) 0.0 bins,
+      List.length bins - 1 )
+end
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

@@ -31,23 +31,45 @@ val int_range : t -> int -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [0, bound). *)
 
-val gaussian : t -> float
-(** Standard normal via Box–Muller. *)
+(** [trunc (s N)] for a standard normal [N], as scene noise draws it: one
+    [bits64] and one compare per draw, from an alias table computed with
+    IEEE-754 [+ - * /] and [sqrt] alone, so its bytes are the same on every
+    platform (DESIGN.md, "Frame noise"). *)
+module Trunc_normal : sig
+  type table
+  (** The alias table of one level [s]: integer weights [W_k] summing to
+      exactly 2{^32} over [k = -half .. half], spread over [2{^b}] columns. *)
 
-val gaussian_trunc : t -> float -> int
-(** [gaussian_trunc t s] is [int_of_float (s *. gaussian t)], and leaves
-    [t] where [gaussian] leaves it, but computes the logarithm and cosine
-    from tables: libm decides only the draws whose value lies too close to
-    a nonzero integer for the tables' error bound (a guarded rounding test;
-    see DESIGN.md, "Frame noise"). Allocates nothing. *)
+  val table : float -> table
+  (** [table s] is the table for level [s], built on the first call for
+      [s] and cached (one entry; safe to share between domains). Raises
+      [Invalid_argument] unless [0 < s <= 1024]. *)
 
-val gaussian_trunc_draws : float -> int -> int -> int * bool
-(** [gaussian_trunc_draws s n1 n2] is [gaussian_trunc]'s result for the
-    raw 53-bit draws [n1] (the first nonzero one) and [n2], paired with
-    whether the tables decided it ([false]: the guard fell back to libm).
-    Raises [Invalid_argument] unless [0 < n1 < 2^53] and [0 <= n2 < 2^53].
-    Test oracle: [test_support]'s "gaussian_trunc fallback band" and the
-    bench's [noiseexact] check. *)
+  val draw : t -> table -> int
+  (** One value, with probability [W_k / 2{^32}] for [k]. Takes one
+      [bits64]: its top [b] bits pick the column, its low 32 bits decide
+      between the column's own value and its alias. Allocates nothing. *)
+
+  val weights : table -> (int * int) list
+  (** [(k, W_k)] in increasing [k]; every [W_k > 0], and they sum to 2{^32}.
+      Test oracle: [test_support]'s "noise tables encode their weights"
+      compares the columns and the normal's bin masses with them. *)
+
+  val columns : table -> (int * int * int) array
+  (** Per column: its own value, the threshold below which a draw keeps it,
+      and the alias value taken otherwise.
+      Test oracle: [test_support]'s "noise tables encode their weights". *)
+
+  val digest : table -> string
+  (** MD5 (hex) of {!columns}: the bench's [noisetables] and [test_support]
+      pin it per level. *)
+
+  val chi_square : table -> t -> int -> float * int
+  (** [chi_square tbl rng n] makes [n] draws and returns Pearson's
+      statistic against the expected counts [n W_k / 2{^32}], with its
+      degrees of freedom. Values are pooled in increasing order until each
+      bin expects at least 5 draws. *)
+end
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

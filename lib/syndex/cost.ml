@@ -3,6 +3,8 @@ type t = {
   edge_bytes : Procnet.Graph.edge -> int;
 }
 
+(* The sequential function a process applies, if any (masters report their
+   fold function). *)
 let node_function (node : Procnet.Graph.node) =
   match node.kind with
   | Input fn | Output fn | Compute fn -> Some fn

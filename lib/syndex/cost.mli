@@ -36,7 +36,3 @@ val make : ?fn_cycles:(string -> float option) -> unit -> t
     Control-only processes (join, fork, mem, routers) cost 500 cycles,
     unestimated functions 10 000, and every channel carries 1 024 bytes. A
     caller that needs other costs builds the record itself. *)
-
-val node_function : Procnet.Graph.node -> string option
-(** The sequential function a process applies, if any (masters report their
-    fold function). *)

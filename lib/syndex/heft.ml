@@ -58,89 +58,101 @@ let map cost arch g =
         match compare ranks.(b) ranks.(a) with 0 -> compare a b | c -> c)
       (Dag.topological_order dag)
   in
-  let placed = Array.make nops false in
-  let op_proc = Array.make nops (-1) in
-  let op_start = Array.make nops 0.0 and op_finish = Array.make nops 0.0 in
+  let op_proc = Array.make nops (-1) (* -1 until placed *) in
+  let op_finish = Array.make nops 0.0 in
   let avail = Array.make nprocs 0.0 in
-  let forced_proc i =
-    List.fold_left
-      (fun acc (a, b) ->
-        if a = i && placed.(b) then Some op_proc.(b)
-        else if b = i && placed.(a) then Some op_proc.(a)
-        else acc)
-      None dag.Dag.colocated
-  in
-  let cycle_time p = (Archi.processors arch).(p).Archi.cycle_time in
+  (* split halves come in disjoint pairs: each op has at most one partner *)
+  let partner = Array.make nops (-1) in
+  List.iter
+    (fun (a, b) ->
+      partner.(a) <- b;
+      partner.(b) <- a)
+    dag.Dag.colocated;
+  let procs = Archi.processors arch in
+  let cycle_time p = procs.(p).Archi.cycle_time in
   (* Contention-free arrival estimate, calibrated with the same per-message
      kernel overheads the prediction engine charges (send on the producer,
      receive on the candidate); remote dependencies pay per-hop startup via
      Archi.transfer_time, local ones the memory-copy bandwidth. *)
+  let preds = Array.map Array.of_list dag.Dag.preds in
   let est i p =
-    List.fold_left
-      (fun acc (d : Dag.dep) ->
-        let src = d.Dag.src_op in
-        let arrival =
-          match d.Dag.edge with
-          | None -> op_finish.(src)
-          | Some _ ->
-              let sp = op_proc.(src) in
-              let overheads =
-                (Cost.send_overhead_cycles *. cycle_time sp)
-                +. (Cost.recv_overhead_cycles *. cycle_time p)
-              in
-              if sp = p then
-                op_finish.(src) +. overheads
-                +. (float_of_int d.Dag.bytes /. Cost.local_copy_bandwidth)
-              else
-                op_finish.(src) +. overheads
-                +. Archi.transfer_time arch sp p d.Dag.bytes
-        in
-        Float.max acc arrival)
-      avail.(p) dag.Dag.preds.(i)
+    let deps = preds.(i) in
+    let acc = ref avail.(p) in
+    for k = 0 to Array.length deps - 1 do
+      let d = deps.(k) in
+      let src = d.Dag.src_op in
+      let arrival =
+        match d.Dag.edge with
+        | None -> op_finish.(src)
+        | Some _ ->
+            let sp = op_proc.(src) in
+            let overheads =
+              (Cost.send_overhead_cycles *. cycle_time sp)
+              +. (Cost.recv_overhead_cycles *. cycle_time p)
+            in
+            if sp = p then
+              op_finish.(src) +. overheads
+              +. (float_of_int d.Dag.bytes /. Cost.local_copy_bandwidth)
+            else
+              op_finish.(src) +. overheads
+              +. Archi.transfer_time arch sp p d.Dag.bytes
+      in
+      acc := Float.max !acc arrival
+    done;
+    !acc
   in
   let schedule_op i =
-    let candidates =
-      match forced_proc i with Some p -> [ p ] | None -> List.init nprocs Fun.id
+    let best_f = ref 0.0 and best_p = ref (-1) in
+    let consider p =
+      (* skip processors unreachable from 0 *)
+      if p = 0 || Archi.first_link arch 0 p >= 0 then begin
+        let s = est i p in
+        let f = s +. (dag.Dag.ops.(i).Dag.cycles *. cycle_time p) in
+        (* equal finish times break towards the lowest processor id
+           (candidates are scanned in ascending order) *)
+        if not (!best_p >= 0 && (!best_f < f || (!best_f = f && !best_p < p))) then begin
+          best_f := f;
+          best_p := p
+        end
+      end
     in
-    let best =
-      List.fold_left
-        (fun best p ->
-          if p <> 0 && Archi.first_link arch 0 p < 0 then
-            best (* unreachable processor *)
-          else
-            let s = est i p in
-            let f = s +. (dag.Dag.ops.(i).Dag.cycles *. cycle_time p) in
-            (* equal finish times break towards the lowest processor id
-               (candidates are scanned in ascending order) *)
-            match best with
-            | Some (_, bf, bp) when bf < f || (bf = f && bp < p) -> best
-            | _ -> Some (s, f, p))
-        None candidates
-    in
-    match best with
-    | None -> failwith "Heft.map: no reachable processor"
-    | Some (s, f, p) ->
-        placed.(i) <- true;
-        op_proc.(i) <- p;
-        op_start.(i) <- s;
-        op_finish.(i) <- f;
-        avail.(p) <- f
+    let forced = partner.(i) in
+    if forced >= 0 && op_proc.(forced) >= 0 then consider op_proc.(forced)
+    else
+      for p = 0 to nprocs - 1 do
+        consider p
+      done;
+    if !best_p < 0 then failwith "Heft.map: no reachable processor";
+    let p = !best_p in
+    op_proc.(i) <- p;
+    op_finish.(i) <- !best_f;
+    avail.(p) <- !best_f
   in
-  (* Place ops respecting precedence: repeatedly take the highest-ranked op
-     whose predecessors are all placed. *)
-  let remaining = ref order in
-  while !remaining <> [] do
-    let ready, blocked =
-      List.partition
-        (fun i -> List.for_all (fun (d : Dag.dep) -> placed.(d.Dag.src_op)) dag.Dag.preds.(i))
-        !remaining
+  (* Place ops respecting precedence. The ready ops form a FIFO: those
+     ready at the start in [order]'s order, then after each placement the
+     successors it made ready, again in [order]'s order. *)
+  let rank_pos = Array.make nops 0 in
+  List.iteri (fun pos i -> rank_pos.(i) <- pos) order;
+  let pending = Array.map List.length dag.Dag.preds in
+  let ready = Queue.create () in
+  List.iter (fun i -> if pending.(i) = 0 then Queue.add i ready) order;
+  let scheduled = ref 0 in
+  while not (Queue.is_empty ready) do
+    let i = Queue.pop ready in
+    schedule_op i;
+    incr scheduled;
+    let fresh =
+      List.fold_left
+        (fun acc (d : Dag.dep) ->
+          let j = d.Dag.dst_op in
+          pending.(j) <- pending.(j) - 1;
+          if pending.(j) = 0 then j :: acc else acc)
+        [] dag.Dag.succs.(i)
     in
-    match ready with
-    | [] -> failwith "Heft.map: cyclic scheduling graph"
-    | i :: rest ->
-        schedule_op i;
-        remaining := rest @ blocked
+    List.iter (fun j -> Queue.add j ready)
+      (List.sort (fun a b -> compare rank_pos.(a) rank_pos.(b)) fresh)
   done;
+  if !scheduled < nops then failwith "Heft.map: cyclic scheduling graph";
   (* Derive the per-node placement (colocated halves agree by construction)
      and hand the final timing to the shared prediction engine, so HEFT and
      fixed placements produce comparable schedules (including static link

@@ -30,4 +30,7 @@ val of_value : Skel.Value.t -> t
 
 val list_to_value : t list -> Skel.Value.t
 val list_of_value : Skel.Value.t -> t list
+
 val equal : t -> t -> bool
+(** Test oracle: [test_tracking]'s "mark roundtrip" compares a mark with
+    its [of_value (to_value _)] by it. *)

@@ -25,4 +25,7 @@ val centroid : track -> float * float
 
 val to_value : t -> Skel.Value.t
 val of_value : Skel.Value.t -> t
+
 val equal : t -> t -> bool
+(** Test oracle: [test_tracking]'s "state roundtrip" compares a state with
+    its [of_value (to_value _)] by it. *)

@@ -116,16 +116,18 @@ let[@inline] clamp (v : int) lo hi = if v < lo then lo else if v > hi then hi el
 let add_noise p img t =
   if p.noise > 0.0 then begin
     let rng = Support.Prng.create (p.seed + (t * 7919)) in
+    let noise = Support.Prng.Trunc_normal.table p.noise in
     let w = Image.width img and h = Image.height img in
     (* Perturb a pseudo-random 20% of pixels; keeps marks distinguishable
-       while still exercising threshold robustness. [Prng.int] keeps the
-       coordinates in range, so pixels are accessed unchecked.
-       [gaussian_trunc] is [int_of_float (p.noise *. gaussian rng)], the
-       same draws and the same integer, from tables. *)
+       while still exercising threshold robustness. Two draws per pixel:
+       the position, x from the high and y from the low 32 bits of one
+       [bits64] by multiply-shift (in range, so pixels are accessed
+       unchecked), then the noise. *)
     for _ = 1 to w * h / 5 do
-      let x = Support.Prng.int rng w in
-      let y = Support.Prng.int rng h in
-      let d = Support.Prng.gaussian_trunc rng p.noise in
+      let r = Support.Prng.bits64 rng in
+      let x = (Int64.to_int (Int64.shift_right_logical r 32) * w) lsr 32 in
+      let y = ((Int64.to_int r land 0xFFFF_FFFF) * h) lsr 32 in
+      let d = Support.Prng.Trunc_normal.draw rng noise in
       let v = Image.unsafe_get img x y in
       (* Never push background pixels into mark range nor marks below it. *)
       let v' = if v >= 220 then clamp (v + d) 220 255 else clamp (v + d) 0 179 in

@@ -20,7 +20,9 @@ type params = {
   height : int;
   nvehicles : int;  (** 1 to 3 *)
   seed : int;
-  noise : float;  (** std-dev of additive Gaussian pixel noise, in levels *)
+  noise : float;
+      (** std-dev of additive Gaussian pixel noise, in levels; at most 1024,
+          and [<= 0] for none *)
   occlusion_period : int;
       (** if > 0, vehicle 0 disappears for a few frames every that many
           frames, forcing the tracker's reinitialisation path *)
@@ -47,8 +49,14 @@ val mark_radius : vehicle -> int
 val frame : params -> int -> Image.t
 (** [frame p t] renders frame [t]: road background, vehicle bodies, bright
     marks, then additive noise. Mark pixels are >= 220; everything else stays
-    below 180, so thresholding at 200 isolates marks. Precondition: [t >= 0];
-    raises [Invalid_argument] otherwise. *)
+    below 180, so thresholding at 200 isolates marks, whatever the noise.
+    The noise moves [w h / 5] pixels (with repeats) by
+    [Prng.Trunc_normal.draw] at level [p.noise], clamped to their class. A
+    pixel's x is [(u w) >> 32] for a uniform 32-bit [u] (y likewise with
+    [h]): uniform when [w] is a power of two, and otherwise off by at most a
+    relative [w 2{^-32}] per column. No libm function decides a noise byte.
+    Precondition: [t >= 0]; raises [Invalid_argument] otherwise, and when
+    [p.noise] exceeds 1024. *)
 
 val road_frame : width:int -> height:int -> int -> Image.t
 (** Synthetic road view for the road-following application: dark asphalt,

@@ -15,9 +15,6 @@ let clip win ~width ~height =
   if x1 > x0 && y1 > y0 then Some { x = x0; y = y0; w = x1 - x0; h = y1 - y0 }
   else None
 
-let expand win m =
-  { x = win.x - m; y = win.y - m; w = win.w + (2 * m); h = win.h + (2 * m) }
-
 let tile ~width ~height n =
   if n <= 0 then invalid_arg "Window.tile: n <= 0";
   (* Distribute n cells over ~sqrt(n) rows; each row's cells span the full
@@ -52,11 +49,6 @@ let extract img win =
   match clip win ~width:(Image.width img) ~height:(Image.height img) with
   | None -> invalid_arg "Window.extract: window outside image"
   | Some c -> Image.sub img ~x:c.x ~y:c.y ~w:c.w ~h:c.h
-
-let overlap a b =
-  let x0 = max a.x b.x and y0 = max a.y b.y in
-  let x1 = min (a.x + a.w) (b.x + b.w) and y1 = min (a.y + a.h) (b.y + b.h) in
-  if x1 > x0 && y1 > y0 then (x1 - x0) * (y1 - y0) else 0
 
 let equal a b = a.x = b.x && a.y = b.y && a.w = b.w && a.h = b.h
 let pp ppf win = Format.fprintf ppf "[%d+%dx%d+%d]" win.x win.w win.y win.h

@@ -12,14 +12,12 @@ val make : x:int -> y:int -> w:int -> h:int -> t
 
 val area : t -> int
 val contains : t -> int -> int -> bool
+(** Test oracle: [test_tracking]'s "tracking windows cover next frame"
+    checks with it that the predicted windows hold the next frame's marks. *)
 
 val clip : t -> width:int -> height:int -> t option
 (** [clip win ~width ~height] intersects with the image bounds; [None] when
     the intersection is empty. *)
-
-val expand : t -> int -> t
-(** [expand win m] grows the window by margin [m] on every side (may go
-    negative in origin; clip afterwards). *)
 
 val tile : width:int -> height:int -> int -> t list
 (** [tile ~width ~height n] divides the full image into [n] windows of
@@ -30,9 +28,6 @@ val tile : width:int -> height:int -> int -> t list
 val extract : Image.t -> t -> Image.t
 (** [extract img win] copies the (clipped) window content. Raises
     [Invalid_argument] when the window lies fully outside the image. *)
-
-val overlap : t -> t -> int
-(** Intersection area in pixels. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -60,6 +60,21 @@ let test_reports_accumulate_across_calls () =
     (frontend_names @ [ "cost"; "map"; "cost"; "map"; "simulate" ])
     names
 
+(* A program mapped again and again keeps the first 256 reports, the
+   front end among them, and no more. *)
+let test_reports_bounded () =
+  let c = P.compile_source ~table:(simple_table ()) simple_src in
+  let arch = Archi.ring 4 in
+  for _ = 1 to 200 do
+    ignore (P.map c arch)
+  done;
+  let names = List.map (fun r -> r.Stage.pass) (P.reports c) in
+  Alcotest.(check int) "256 kept" 256 (List.length names);
+  Alcotest.(check (list string)) "front end first" frontend_names
+    (List.filteri (fun i _ -> i < nfrontend) names);
+  Alcotest.(check string) "then cost and map" "cost map"
+    (String.concat " " (List.filteri (fun i _ -> i >= nfrontend && i < nfrontend + 2) names))
+
 let test_timings_render () =
   let c = P.compile_source ~table:(simple_table ()) simple_src in
   let table = Format.asprintf "%a" P.pp_timings c in
@@ -600,6 +615,7 @@ let () =
           Alcotest.test_case "front-end coverage" `Quick test_reports_cover_frontend;
           Alcotest.test_case "accumulate across calls" `Quick
             test_reports_accumulate_across_calls;
+          Alcotest.test_case "bounded" `Quick test_reports_bounded;
           Alcotest.test_case "timings render" `Quick test_timings_render;
         ] );
       ( "cache",

@@ -100,11 +100,18 @@ let test_vehicles_stay_in_frame () =
       (S.vehicles_at params t)
   done
 
-(* Golden pins: [Image.digest] of frames rendered before the renderer went
-   row-wise. Any change to a single pixel shows. *)
+(* Golden pins: [Image.digest] of the default frames, recorded when the
+   noise moved to [Prng.Trunc_normal]. Any change to a single pixel shows. *)
 let frame_pins =
-  [ 0x24559f95; 0x02bbc84f; 0x1c9167bf; 0x223d2e7c; 0x1d095ce8;
-    0x1c80a69a; 0x0fc71735; 0x01bcd9bb; 0x16fafc22; 0x18f04acf ]
+  [ 0x36e11a43; 0x097d7153; 0x3b089831; 0x0985840e; 0x332cd87d;
+    0x2ba20647; 0x22eec1ec; 0x25510daf; 0x06615a1c; 0x18d9afe7 ]
+
+(* The same frames without noise, recorded before the noise moved to
+   [Prng.Trunc_normal] and unchanged by it: the noise is the only thing the
+   sampler touches. *)
+let noise_free_pins =
+  [ 0x0825710f; 0x2ed5413f; 0x2450199c; 0x1a641290; 0x0903c106;
+    0x1ba821dd; 0x3a2eed20; 0x3540bd2b; 0x1dbfc19a; 0x3eb5b9a2 ]
 
 let road_pins = [ 0x10641b61; 0x1dfe33cd; 0x077223e1; 0x04ac1e1d ]
 
@@ -114,6 +121,13 @@ let test_frame_golden () =
       Alcotest.(check int) (Printf.sprintf "frame %d" t) pin
         (I.digest (S.frame S.default_params t)))
     frame_pins
+
+let test_noise_free_frame_golden () =
+  List.iteri
+    (fun t pin ->
+      Alcotest.(check int) (Printf.sprintf "frame %d" t) pin
+        (I.digest (S.frame { S.default_params with S.noise = 0.0 } t)))
+    noise_free_pins
 
 let test_road_frame_golden () =
   List.iteri
@@ -177,9 +191,12 @@ module Reference = struct
       let rng = Support.Prng.create (p.seed + (t * 7919)) in
       let n = I.size img in
       for _ = 1 to n / 5 do
-        let x = Support.Prng.int rng (I.width img)
-        and y = Support.Prng.int rng (I.height img) in
-        let d = int_of_float (p.noise *. Support.Prng.gaussian rng) in
+        let r = Support.Prng.bits64 rng in
+        (* u size / 2^32 of a 32-bit half u *)
+        let scaled u size = Int64.(to_int (div (mul u (of_int size)) 0x1_0000_0000L)) in
+        let x = scaled (Int64.shift_right_logical r 32) (I.width img)
+        and y = scaled (Int64.logand r 0xFFFF_FFFFL) (I.height img) in
+        let d = Support.Prng.Trunc_normal.(draw rng (table p.noise)) in
         let v = I.get img x y in
         let v' = if v >= 220 then max 220 (v + d) else min 179 (max 0 (v + d)) in
         I.set img x y v'
@@ -228,6 +245,14 @@ let test_full_frames_match_reference () =
         (I.equal (S.frame p t) (Reference.frame p t)))
     [ 0.5; 3.0; 7.5; 60.0 ]
 
+(* The noise never crosses the mark threshold, so everything downstream of
+   the >= 200 mask sees the noise-free frame. *)
+let prop_noise_keeps_mark_mask =
+  QCheck.Test.make ~name:"the >= 200 mask ignores the noise" ~count:200 arbitrary_scene
+    (fun (p, t) ->
+      let mask = I.fold (fun acc v -> (v >= 200) :: acc) [] in
+      mask (S.frame p t) = mask (S.frame { p with S.noise = 0.0 } t))
+
 let prop_noise_preserves_mark_separability =
   QCheck.Test.make ~name:"thresholding survives noise" ~count:30
     QCheck.(pair (int_bound 1000) (int_bound 50))
@@ -256,6 +281,8 @@ let () =
           Alcotest.test_case "hidden vehicle has no marks" `Quick test_mark_centers_empty_when_hidden;
           Alcotest.test_case "vehicles stay in frame" `Quick test_vehicles_stay_in_frame;
           Alcotest.test_case "frame digests pinned" `Quick test_frame_golden;
+          Alcotest.test_case "noise-free frame digests pinned" `Quick
+            test_noise_free_frame_golden;
           Alcotest.test_case "full frames equal the per-pixel reference" `Quick
             test_full_frames_match_reference;
           Alcotest.test_case "negative frame index rejected" `Quick
@@ -271,5 +298,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_noise_preserves_mark_separability;
           QCheck_alcotest.to_alcotest prop_frame_matches_reference;
+          QCheck_alcotest.to_alcotest prop_noise_keeps_mark_mask;
         ] );
     ]

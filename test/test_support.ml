@@ -56,19 +56,23 @@ let test_prng_float_bounds () =
     Alcotest.(check bool) "0 <= v < 2.5" true (v >= 0.0 && v < 2.5)
   done
 
+(* The frame-noise sampler against the normal it stands for: trunc (60 N)
+   has mean 0 and a variance within 1.5% of 60^2 (truncation removes about
+   60 sqrt (2 / pi) - 1/3). *)
 let test_prng_gaussian_moments () =
   let rng = Support.Prng.create 10 in
+  let noise = Support.Prng.Trunc_normal.table 60.0 in
   let n = 20_000 in
   let sum = ref 0.0 and sq = ref 0.0 in
   for _ = 1 to n do
-    let x = Support.Prng.gaussian rng in
+    let x = float_of_int (Support.Prng.Trunc_normal.draw rng noise) /. 60.0 in
     sum := !sum +. x;
     sq := !sq +. (x *. x)
   done;
   let mean = !sum /. float_of_int n in
   let var = (!sq /. float_of_int n) -. (mean *. mean) in
-  Alcotest.(check bool) "mean near 0" true (abs_float mean < 0.05);
-  Alcotest.(check bool) "variance near 1" true (abs_float (var -. 1.0) < 0.1)
+  Alcotest.(check bool) "mean near 0" true (abs_float mean < 0.02);
+  Alcotest.(check bool) "variance near 1" true (abs_float (var -. 1.0) < 0.05)
 
 let test_prng_shuffle_permutation () =
   let rng = Support.Prng.create 11 in
@@ -90,7 +94,6 @@ let prng_pins =
         ("int 17", "8b93cf692cced1943bcb065d53dd215a");
         ("int 1", "04ec8ee6d0a1a5bd03232def786e0504");
         ("float 1.0", "caefb06b76ab9fc08c12c0c42166b24e");
-        ("gaussian", "c01bc67fa7333cfcaf1b995fffa00e98");
         ("split bits64", "c49ffb95d1109b2b06929de90571138b");
       ] );
     ( 1,
@@ -100,7 +103,6 @@ let prng_pins =
         ("int 17", "2396f528431e1aacea39bd2e8f766339");
         ("int 1", "04ec8ee6d0a1a5bd03232def786e0504");
         ("float 1.0", "75b2caf3749f6e7e7fe32563ce57b1cc");
-        ("gaussian", "7f12f2977590b6d77d7d8d3bb17e6080");
         ("split bits64", "e112f671af71d3759ad99a47c7d937d6");
       ] );
     ( 42,
@@ -110,7 +112,6 @@ let prng_pins =
         ("int 17", "960cc0b6551da63a1adf89301ac6fc3c");
         ("int 1", "04ec8ee6d0a1a5bd03232def786e0504");
         ("float 1.0", "6f41866880680d5a2c7e5d32830aa96e");
-        ("gaussian", "0a3f726919d2b234a944be91b13e7721");
         ("split bits64", "46ba3a7ac4db2fc9d02ca78c85df5d53");
       ] );
     ( -1,
@@ -120,7 +121,6 @@ let prng_pins =
         ("int 17", "e7da945f0292521a496a4952af69c67d");
         ("int 1", "04ec8ee6d0a1a5bd03232def786e0504");
         ("float 1.0", "987c2af2c2675fab3e1332f76d12c392");
-        ("gaussian", "ebd77bf7f5ec2e982e2b71726d3b62c6");
         ("split bits64", "46703004e5bcbbf184db124f315b5e86");
       ] );
     ( max_int,
@@ -130,7 +130,6 @@ let prng_pins =
         ("int 17", "91e068c1074346d43a4a54a12a951ca9");
         ("int 1", "04ec8ee6d0a1a5bd03232def786e0504");
         ("float 1.0", "07dc044ac12200502ed6ad59e7ffb49d");
-        ("gaussian", "168f2ed1e49907130a148d7c785e8056");
         ("split bits64", "da902b49cd7d7d26f0ed1b17ea997a6d");
       ] );
   ]
@@ -142,8 +141,6 @@ let prng_stream = function
   | "int 1" -> fun g -> string_of_int (Support.Prng.int g 1)
   | "float 1.0" ->
       fun g -> Printf.sprintf "%Lx" (Int64.bits_of_float (Support.Prng.float g 1.0))
-  | "gaussian" ->
-      fun g -> Printf.sprintf "%Lx" (Int64.bits_of_float (Support.Prng.gaussian g))
   | s -> Alcotest.failf "unknown stream %s" s
 
 let test_prng_golden () =
@@ -179,71 +176,92 @@ let test_prng_copy_independent () =
   Alcotest.(check (list int64)) "the copy's draws leave the original"
     (List.filteri (fun i _ -> i >= 8) from_b) (draws a 8)
 
-(* [gaussian_trunc] against the libm expression it must reproduce: equal
-   results, and the generators end in the same state. *)
-let prop_gaussian_trunc_exact =
-  QCheck.Test.make ~name:"gaussian_trunc = int_of_float (s *. gaussian)"
-    ~count:200
-    QCheck.(pair int (oneofl [ 0.5; 1.0; 3.0; 7.5; 40.0; 60.0 ]))
-    (fun (seed, s) ->
-      let a = Support.Prng.create seed and b = Support.Prng.create seed in
-      let same = ref true in
-      for _ = 1 to 2_000 do
-        let want = int_of_float (s *. Support.Prng.gaussian a) in
-        if Support.Prng.gaussian_trunc b s <> want then same := false
-      done;
-      !same && Support.Prng.bits64 a = Support.Prng.bits64 b)
+module N = Support.Prng.Trunc_normal
 
-(* [gaussian]'s expression on raw 53-bit draws *)
-let libm_gaussian n1 n2 =
-  let u1 = Float.of_int n1 /. 9007199254740992.0
-  and u2 = Float.of_int n2 /. 9007199254740992.0 in
-  sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
+(* MD5 of each table's columns, recorded when the sampler was introduced;
+   the bench's [noisetables] pins the same bytes. *)
+let noise_table_pins =
+  [
+    (0.5, "29aa238fcea9fc39866638f6dac8dc34");
+    (3.0, "45641bf5cf5bacc3c38df59bff07ae4a");
+    (4.0, "90d3c307bb6b14201687dbd876e92020");
+    (7.5, "181fce8af4c52ee9fb7d9ec43ae53e5e");
+    (60.0, "a5f75d528a465e8afe7071a3906bec4c");
+  ]
 
-(* Draw pairs whose libm value lies within 1e-7 of a nonzero integer k, on
-   both sides of it: for a random n1, solve s R cos (2 pi u2) = k for u2 and
-   scan the neighbouring n2. Every pair must truncate as libm does, and the
-   guard must have handed some on each side of k to libm. *)
-let test_gaussian_trunc_fallback_band () =
-  let rng = Support.Prng.create 2024 in
-  let draw () = Int64.to_int (Int64.shift_right_logical (Support.Prng.bits64 rng) 11) in
-  let pairs = ref 0 and below = ref 0 and above = ref 0 in
+let test_noise_table_digests () =
+  List.iter
+    (fun (s, pin) ->
+      Alcotest.(check string) (Printf.sprintf "noise %g" s) pin (N.digest (N.table s)))
+    noise_table_pins
+
+(* Each table holds exactly its weights: a column of capacity 2^32 gives
+   [keep] to its own value and the rest to its alias, so the columns' mass
+   per value, over the 2^b columns, sums back to W_k 2^b. The weights
+   themselves are the normal's bin masses P (k <= s N < k + 1), checked
+   with libm's erfc: every W_k, k <> 0, is 2^32 P_k correctly rounded, and
+   W_0 holds their rounding remainders. *)
+let test_noise_tables_encode_weights () =
+  let two32 = 1 lsl 32 in
+  List.iter
+    (fun (s, _) ->
+      let tbl = N.table s in
+      let weights = N.weights tbl and columns = N.columns tbl in
+      let n = Array.length columns and values = List.length weights in
+      Alcotest.(check bool)
+        (Printf.sprintf "noise %g: 2^b columns for %d values" s values)
+        true
+        (n land (n - 1) = 0 && n >= values && n < 2 * max 2 values);
+      Alcotest.(check int) (Printf.sprintf "noise %g: weights sum to 2^32" s) two32
+        (List.fold_left (fun acc (_, w) -> acc + w) 0 weights);
+      let mass = Hashtbl.create 64 in
+      let find k = Option.value ~default:0 (Hashtbl.find_opt mass k) in
+      let add k m = Hashtbl.replace mass k (m + find k) in
+      Array.iter
+        (fun (own, keep, alias) ->
+          if keep < 0 || keep > two32 then Alcotest.failf "noise %g: threshold %d" s keep;
+          add own keep;
+          add alias (two32 - keep))
+        columns;
+      Hashtbl.iter
+        (fun k m ->
+          let w = Option.value ~default:0 (List.assoc_opt k weights) in
+          if m <> w * n then
+            Alcotest.failf "noise %g, value %d: column mass %d, W_k 2^b %d" s k m (w * n))
+        mass;
+      List.iter
+        (fun (k, w) ->
+          if w <= 0 then Alcotest.failf "noise %g, value %d: weight %d" s k w;
+          let tail x = 0.5 *. Float.erfc (x /. s /. sqrt 2.0) in
+          let a = float (abs k) in
+          let p = if k = 0 then 1.0 -. (2.0 *. tail 1.0) else tail a -. tail (a +. 1.0) in
+          let off = Float.abs (float w -. (p *. float two32)) in
+          let bound = if k = 0 then 0.5 *. float (values - 1) else 0.5 +. 1e-6 in
+          if off > bound then
+            Alcotest.failf "noise %g, value %d: W_k %d, 2^32 P_k %.3f" s k w (p *. float two32))
+        weights)
+    noise_table_pins
+
+(* Pearson's chi-square of 10^6 fixed-seed draws against W_k / 2^32, below
+   the 0.1% critical value (Wilson-Hilferty). *)
+let test_noise_chi_square () =
   List.iter
     (fun s ->
-      for scan = 1 to 150 do
-        let n1 = max 1 (draw ()) in
-        let r = sqrt (-2.0 *. log (Float.of_int n1 /. 9007199254740992.0)) in
-        let reach = int_of_float (s *. r) in
-        if reach >= 1 then begin
-          let k = (1 + (draw () mod reach)) * if scan land 1 = 0 then 1 else -1 in
-          let u2 = acos (float_of_int k /. (s *. r)) /. (2.0 *. Float.pi) in
-          let centre = int_of_float (u2 *. 9007199254740992.0) in
-          for n2 = max 0 (centre - 8) to min ((1 lsl 53) - 1) (centre + 8) do
-            let y = s *. libm_gaussian n1 n2 in
-            if Float.abs (y -. float_of_int k) < 1e-7 then begin
-              incr pairs;
-              let got, tabled = Support.Prng.gaussian_trunc_draws s n1 n2 in
-              if got <> int_of_float y then
-                Alcotest.failf "s = %g, draws (%d, %d): %d, libm %d" s n1 n2 got
-                  (int_of_float y);
-              if not tabled then
-                if Float.abs y < Float.abs (float_of_int k) then incr below
-                else incr above
-            end
-          done
-        end
-      done)
-    [ 1.0; 3.0; 7.5; 40.0 ];
-  Alcotest.(check bool) "pairs found" true (!pairs > 1000);
-  Alcotest.(check bool) "libm decided pairs just inside k" true (!below > 0);
-  Alcotest.(check bool) "libm decided pairs at or beyond k" true (!above > 0)
+      let chi2, df = N.chi_square (N.table s) (Support.Prng.create 77) 1_000_000 in
+      let d = float df in
+      let v = 2.0 /. (9.0 *. d) in
+      let critical = d *. ((1.0 -. v +. (3.09 *. sqrt v)) ** 3.0) in
+      if chi2 >= critical then
+        Alcotest.failf "noise %g: chi-square %.2f on %d df, critical %.2f" s chi2 df critical)
+    [ 0.5; 3.0; 60.0 ]
 
-let test_gaussian_trunc_draws_rejects_bad_draws () =
-  let bad n1 n2 () = ignore (Support.Prng.gaussian_trunc_draws 1.0 n1 n2) in
-  let e = Invalid_argument "Prng.gaussian_trunc_draws: draw outside [0, 2^53)" in
-  Alcotest.check_raises "n1 = 0" e (bad 0 5);
-  Alcotest.check_raises "n1 = 2^53" e (bad (1 lsl 53) 5);
-  Alcotest.check_raises "n2 < 0" e (bad 1 (-1))
+let test_noise_table_rejects_levels () =
+  List.iter
+    (fun s ->
+      Alcotest.check_raises (Printf.sprintf "noise %g" s)
+        (Invalid_argument "Prng.Trunc_normal.table: level outside (0, 1024]") (fun () ->
+          ignore (N.table s)))
+    [ 0.0; -1.0; 1024.5; Float.nan; Float.infinity ]
 
 let test_pqueue_ordering () =
   let q = Support.Pqueue.create () in
@@ -681,11 +699,12 @@ let () =
           Alcotest.test_case "shuffle is a permutation" `Quick test_prng_shuffle_permutation;
           Alcotest.test_case "golden streams" `Quick test_prng_golden;
           Alcotest.test_case "copy independent" `Quick test_prng_copy_independent;
-          QCheck_alcotest.to_alcotest prop_gaussian_trunc_exact;
-          Alcotest.test_case "gaussian_trunc fallback band" `Quick
-            test_gaussian_trunc_fallback_band;
-          Alcotest.test_case "gaussian_trunc_draws rejects bad draws" `Quick
-            test_gaussian_trunc_draws_rejects_bad_draws;
+          Alcotest.test_case "noise table digests pinned" `Quick test_noise_table_digests;
+          Alcotest.test_case "noise tables encode their weights" `Quick
+            test_noise_tables_encode_weights;
+          Alcotest.test_case "noise chi-square" `Quick test_noise_chi_square;
+          Alcotest.test_case "noise levels outside (0, 1024] rejected" `Quick
+            test_noise_table_rejects_levels;
         ] );
       ( "pqueue",
         [

@@ -168,11 +168,14 @@ let test_cost_model_defaults () =
       | _ -> Alcotest.(check (float 0.0)) "function" 10_000.0 c)
     (G.nodes g)
 
+(* The model finds the function each process applies: a worker is charged
+   its [comp]'s estimate, a join (no function) the control cost. *)
 let test_node_function () =
-  Alcotest.(check (option string)) "worker fn" (Some "c")
-    (Syndex.Cost.node_function { G.id = 0; kind = G.DfWorker { comp = "c" }; label = "" });
-  Alcotest.(check (option string)) "join has none" None
-    (Syndex.Cost.node_function { G.id = 0; kind = G.Join; label = "" })
+  let model = Syndex.Cost.make ~fn_cycles:(function "c" -> Some 7.0 | _ -> None) () in
+  Alcotest.(check (float 0.0)) "worker fn" 7.0
+    (model.Syndex.Cost.node_cycles { G.id = 0; kind = G.DfWorker { comp = "c" }; label = "" });
+  Alcotest.(check (float 0.0)) "join has none" 500.0
+    (model.Syndex.Cost.node_cycles { G.id = 0; kind = G.Join; label = "" })
 
 (* -- pluggable mapper framework -- *)
 
@@ -623,16 +626,130 @@ let oracle_point schedule label =
       | Some p -> p.S.predicted_period
       | None -> oracle_resource_period schedule) }
 
+(* [Heft.map]'s placement as it was computed before the ready list became a
+   FIFO with pred counters: rescan the whole remaining list for ready ops
+   after every pick, fold every colocation pair per op, and try each
+   processor from a fresh candidate list. *)
+let oracle_heft_placement model arch g =
+  let dag = Syndex.Dag.of_graph model g in
+  let nops = Array.length dag.Syndex.Dag.ops in
+  let nprocs = Archi.nprocs arch in
+  let startup, bw = Syndex.Heft.mean_link_costs arch in
+  let ct = Syndex.Heft.mean_cycle_time arch in
+  let ranks = Array.make nops nan in
+  let rec rank i =
+    if not (Float.is_nan ranks.(i)) then ranks.(i)
+    else begin
+      let self = dag.Syndex.Dag.ops.(i).Syndex.Dag.cycles *. ct in
+      let tail =
+        List.fold_left
+          (fun best (d : Syndex.Dag.dep) ->
+            let comm =
+              if bw = infinity then 0.0
+              else startup +. (float_of_int d.Syndex.Dag.bytes /. bw)
+            in
+            Float.max best (comm +. rank d.Syndex.Dag.dst_op))
+          0.0 dag.Syndex.Dag.succs.(i)
+      in
+      ranks.(i) <- self +. tail;
+      ranks.(i)
+    end
+  in
+  for i = 0 to nops - 1 do
+    ignore (rank i)
+  done;
+  let order =
+    List.sort
+      (fun a b -> match compare ranks.(b) ranks.(a) with 0 -> compare a b | c -> c)
+      (Syndex.Dag.topological_order dag)
+  in
+  let placed = Array.make nops false and op_proc = Array.make nops (-1) in
+  let op_finish = Array.make nops 0.0 and avail = Array.make nprocs 0.0 in
+  let forced_proc i =
+    List.fold_left
+      (fun acc (a, b) ->
+        if a = i && placed.(b) then Some op_proc.(b)
+        else if b = i && placed.(a) then Some op_proc.(a)
+        else acc)
+      None dag.Syndex.Dag.colocated
+  in
+  let cycle_time p = (Archi.processors arch).(p).Archi.cycle_time in
+  let est i p =
+    List.fold_left
+      (fun acc (d : Syndex.Dag.dep) ->
+        let src = d.Syndex.Dag.src_op in
+        let arrival =
+          match d.Syndex.Dag.edge with
+          | None -> op_finish.(src)
+          | Some _ ->
+              let sp = op_proc.(src) in
+              let overheads =
+                (Syndex.Cost.send_overhead_cycles *. cycle_time sp)
+                +. (Syndex.Cost.recv_overhead_cycles *. cycle_time p)
+              in
+              if sp = p then
+                op_finish.(src) +. overheads
+                +. (float_of_int d.Syndex.Dag.bytes /. Syndex.Cost.local_copy_bandwidth)
+              else
+                op_finish.(src) +. overheads
+                +. Archi.transfer_time arch sp p d.Syndex.Dag.bytes
+        in
+        Float.max acc arrival)
+      avail.(p) dag.Syndex.Dag.preds.(i)
+  in
+  let schedule_op i =
+    let candidates =
+      match forced_proc i with Some p -> [ p ] | None -> List.init nprocs Fun.id
+    in
+    let best =
+      List.fold_left
+        (fun best p ->
+          if p <> 0 && Archi.first_link arch 0 p < 0 then best
+          else
+            let s = est i p in
+            let f = s +. (dag.Syndex.Dag.ops.(i).Syndex.Dag.cycles *. cycle_time p) in
+            match best with
+            | Some (bf, bp) when bf < f || (bf = f && bp < p) -> best
+            | _ -> Some (f, p))
+        None candidates
+    in
+    match best with
+    | None -> failwith "Heft.map: no reachable processor"
+    | Some (f, p) ->
+        placed.(i) <- true;
+        op_proc.(i) <- p;
+        op_finish.(i) <- f;
+        avail.(p) <- f
+  in
+  let remaining = ref order in
+  while !remaining <> [] do
+    let ready, blocked =
+      List.partition
+        (fun i ->
+          List.for_all
+            (fun (d : Syndex.Dag.dep) -> placed.(d.Syndex.Dag.src_op))
+            dag.Syndex.Dag.preds.(i))
+        !remaining
+    in
+    match ready with
+    | [] -> failwith "Heft.map: cyclic scheduling graph"
+    | i :: rest ->
+        schedule_op i;
+        remaining := rest @ blocked
+  done;
+  let placement = Array.make (G.nnodes g) 0 in
+  Array.iteri
+    (fun node ops -> match ops with op :: _ -> placement.(node) <- op_proc.(op) | [] -> ())
+    dag.Syndex.Dag.ops_of_node;
+  placement
+
 (* Every candidate scheduled and kept, then the Pareto filter; the knee is
    the minimal latency x period product, ties to lower latency, then label. *)
 let oracle_bicriteria model arch g =
   let dag = Syndex.Dag.of_graph model g in
   let seq = Syndex.Mapper.linearize dag in
   let k_max = min (Archi.nprocs arch) (Array.length seq) in
-  let heft =
-    oracle_of_placement model arch g
-      (Syndex.Heft.map model arch g).S.placement
-  in
+  let heft = oracle_of_placement model arch g (oracle_heft_placement model arch g) in
   let intervals =
     List.init k_max (fun i ->
         let _, cuts = oracle_interval_partition arch dag seq (i + 1) in
@@ -775,6 +892,8 @@ let prop_schedules_match_oracle =
             QCheck.Test.fail_reportf "%s: resource period %h, oracle %h" what rp
               want_rp)
         placements;
+      check_same_schedule "heft" (Syndex.Heft.map model arch g)
+        (oracle_of_placement model arch g (oracle_heft_placement model arch g));
       let bicriteria = Option.get (Syndex.Mapper.find "bicriteria") in
       let frontier = Syndex.Mapper.frontier bicriteria model arch g in
       let want_frontier, want_knee = oracle_bicriteria model arch g in

@@ -24,11 +24,6 @@ let test_clip () =
   Alcotest.(check bool) "fully outside" true
     (W.clip (W.make ~x:100 ~y:100 ~w:5 ~h:5) ~width:50 ~height:50 = None)
 
-let test_expand () =
-  let w = W.expand (W.make ~x:5 ~y:5 ~w:2 ~h:2) 3 in
-  Alcotest.(check int) "x" 2 w.W.x;
-  Alcotest.(check int) "w" 8 w.W.w
-
 let test_tile_count_and_bounds () =
   List.iter
     (fun n ->
@@ -48,12 +43,6 @@ let test_extract () =
   Alcotest.(check int) "extract content" 4 (I.get sub 0 0);
   Alcotest.check_raises "outside" (Invalid_argument "Window.extract: window outside image")
     (fun () -> ignore (W.extract img (W.make ~x:20 ~y:20 ~w:2 ~h:2)))
-
-let test_overlap () =
-  let a = W.make ~x:0 ~y:0 ~w:4 ~h:4 and b = W.make ~x:2 ~y:2 ~w:4 ~h:4 in
-  Alcotest.(check int) "overlap" 4 (W.overlap a b);
-  Alcotest.(check int) "disjoint" 0 (W.overlap a (W.make ~x:10 ~y:0 ~w:2 ~h:2));
-  Alcotest.(check int) "self" 16 (W.overlap a a)
 
 let prop_tile_covers_area =
   QCheck.Test.make ~name:"tiles cover the full image area" ~count:100
@@ -89,8 +78,6 @@ let () =
           Alcotest.test_case "make rejects empty" `Quick test_make_rejects_empty;
           Alcotest.test_case "area/contains" `Quick test_area_contains;
           Alcotest.test_case "clip" `Quick test_clip;
-          Alcotest.test_case "expand" `Quick test_expand;
-          Alcotest.test_case "overlap" `Quick test_overlap;
         ] );
       ( "tiling",
         [
