@@ -30,6 +30,12 @@ let default_cycle_time = 5e-8
 let default_bandwidth = 1e7
 let default_startup = 1e-6
 
+let send_overhead_cycles = 200.0
+let recv_overhead_cycles = 150.0
+let local_copy_bandwidth = 4e8
+
+let hop_time link bytes = link.startup +. (float_of_int bytes /. link.bandwidth)
+
 let compute_first_links n adj link_index =
   let table = Array.make_matrix n n (-1) in
   for src = 0 to n - 1 do
@@ -183,7 +189,10 @@ let route t a b = List.rev (fold_route t a b (fun acc _ l -> l.dst :: acc) [ a ]
 let hops t a b = List.length (route t a b) - 1
 
 (* [fold_route]'s walk as a loop, so that the sum stays an unboxed float:
-   the mappers call this for every candidate processor of every op *)
+   the mappers call this for every candidate processor of every op. Each
+   hop adds its startup, then its byte time, to the sum: not [hop_time],
+   whose rounding differs on routes of two hops or more, and would move
+   the mappers' decisions. *)
 let transfer_time t a b bytes =
   if a = b then 0.0
   else begin

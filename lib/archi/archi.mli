@@ -23,6 +23,23 @@ type link = {
 
 type t
 
+(** {1 Message costs}
+
+    What the simulator ([Machine.Sim]) charges for a message and what the
+    mappers ([Syndex]) predict with (DESIGN.md, calibration constants). *)
+
+val send_overhead_cycles : float
+(** Cycles to post a send: 200. *)
+
+val recv_overhead_cycles : float
+(** Cycles to complete a receive: 150. *)
+
+val local_copy_bandwidth : float
+(** Bytes per second of a same-processor copy: 4e8. *)
+
+val hop_time : link -> int -> float
+(** [hop_time link bytes] = [startup + bytes / bandwidth]. *)
+
 val name : t -> string
 val processors : t -> processor array
 val nprocs : t -> int
@@ -95,8 +112,8 @@ val hops : t -> int -> int -> int
 
 val transfer_time : t -> int -> int -> int -> float
 (** [transfer_time t a b bytes] is the store-and-forward latency of moving
-    [bytes] from [a] to [b] along the route, summing per-hop
-    [startup + bytes / bandwidth] in route order ({!fold_route}). Zero when
-    [a = b]; otherwise raises like {!route}. *)
+    [bytes] from [a] to [b] along the route: in route order ({!fold_route}),
+    each hop adds its [startup], then its [bytes / bandwidth], to the sum.
+    Zero when [a = b]; otherwise raises like {!route}. *)
 
 val to_dot : t -> string

@@ -112,13 +112,8 @@ type event =
   | Restore of int  (** lift a [Halt]: the processor dispatches again *)
 
 (* One directed link's reservations, pruned against the clock (see
-   [reserve_link]): [live] holds those that may still affect a first-fit,
-   [past] the folded length of the ended ones. *)
-type link_book = {
-  mutable past : float;
-  mutable live : Support.Intervals.t;
-  mutable transfers : int;
-}
+   [reserve_link]), and the number of transfers it carried. *)
+type link_book = { book : Support.Intervals.t; mutable transfers : int }
 
 type t = {
   arch : Archi.t;
@@ -164,7 +159,7 @@ let create ?(trace = false) arch =
     ready = Array.init n (fun _ -> Queue.create ());
     links =
       Array.init (Archi.nlinks arch) (fun _ ->
-          { past = 0.0; live = Support.Intervals.empty; transfers = 0 });
+          { book = Support.Intervals.create (); transfers = 0 });
     time = 0.0;
     ran = false;
     messages = 0;
@@ -296,15 +291,12 @@ let make_ready t (proc : process) resume =
    request starts at or after the clock (a departure is the clock plus the
    send overhead, a later hop starts where the previous one finished, and
    the clock never goes back), so reservations that ended by now can never
-   affect a first-fit again: they are folded into [past] first, which keeps
-   the cost per hop proportional to the transfers in flight. *)
-let reserve_link t book earliest duration =
-  let past, live = Support.Intervals.prune book.live ~upto:t.time ~past:book.past in
-  let start, live = Support.Intervals.reserve live ~earliest ~duration in
-  book.past <- past;
-  book.live <- live;
-  book.transfers <- book.transfers + 1;
-  start
+   affect a first-fit again: they are pruned first, which keeps the cost
+   per hop proportional to the transfers in flight. *)
+let reserve_link t link earliest duration =
+  Support.Intervals.prune link.book ~upto:t.time;
+  link.transfers <- link.transfers + 1;
+  Support.Intervals.reserve link.book ~earliest ~duration
 
 (* Physical transfer of [bytes_n] bytes from processor [src] to [dst],
    starting at [depart]. Returns the arrival time; reserves link occupancy
@@ -312,7 +304,7 @@ let reserve_link t book earliest duration =
    along [Archi.route], walked through [Archi.first_link] so no route list
    is built. [msg] only feeds the trace. *)
 let transfer t ~msg src dst bytes_n depart =
-  if src = dst then depart +. (float_of_int bytes_n /. Syndex.Cost.local_copy_bandwidth)
+  if src = dst then depart +. (float_of_int bytes_n /. Archi.local_copy_bandwidth)
   else begin
     let rec hop u depart =
       if u = dst then depart
@@ -321,9 +313,7 @@ let transfer t ~msg src dst bytes_n depart =
         if i < 0 then
           failwith (Printf.sprintf "Sim.transfer: no path %d -> %d" src dst);
         let link = Archi.link_at t.arch i in
-        let duration =
-          link.Archi.startup +. (float_of_int bytes_n /. link.Archi.bandwidth)
-        in
+        let duration = Archi.hop_time link bytes_n in
         let start = reserve_link t t.links.(i) depart duration in
         t.hops_total <- t.hops_total + 1;
         let finish = start +. duration in
@@ -373,7 +363,7 @@ let segment_handler t (proc : process) : (unit, unit) Effect.Deep.handler =
         | E_send (dst, port, v) ->
             Some
               (fun k ->
-                let dt = Syndex.Cost.send_overhead_cycles *. cycle_time t p in
+                let dt = Archi.send_overhead_cycles *. cycle_time t p in
                 charge_busy t proc dt;
                 proc.sent <- proc.sent + 1;
                 t.cpu_free.(p) <- t.time +. dt;
@@ -405,7 +395,7 @@ let segment_handler t (proc : process) : (unit, unit) Effect.Deep.handler =
                 match earliest_message proc ports with
                 | Some (port, _) ->
                     let msg, v = pop_message proc port in
-                    let dt = Syndex.Cost.recv_overhead_cycles *. cycle_time t p in
+                    let dt = Archi.recv_overhead_cycles *. cycle_time t p in
                     charge_busy t proc dt;
                     t.cpu_free.(p) <- t.time +. dt;
                     if t.tracing then
@@ -800,7 +790,7 @@ let link_occupancy t =
         let l = Archi.link_at t.arch i in
         acc :=
           ( (l.Archi.src, l.Archi.dst),
-            Support.Intervals.total ~past:book.past book.live,
+            Support.Intervals.total book.book,
             book.transfers )
           :: !acc
       end)

@@ -260,16 +260,12 @@ val link_occupancy : t -> ((int * int) * float * int) list
     transfers, sorted by link; only links that carried traffic appear.
 
     Link time is booked first-fit, one transfer at a time per directed
-    link. Every transfer departs at or after the clock, so a reservation
-    that has ended can never move a later first-fit: before each booking the
-    link's ended reservations are folded into a running busy total, and
-    first-fit scans only those still in flight. A hop therefore costs time
-    proportional to the link's in-flight transfers, not to the run's
-    history. The total reported here is that running total continued over
-    the in-flight reservations — the same left fold, in the same order, as
-    summing every reservation the link ever had, so it is bit-identical to
-    it. (The static scheduler, [Syndex.Place], keeps full lists: it may
-    backfill earlier gaps.) *)
+    link, in a {!Support.Intervals} book: the contention model the static
+    scheduler ([Syndex.Place]) predicts with. Every transfer departs at or
+    after the clock, so before each booking the link's ended reservations
+    are pruned, and a hop costs time proportional to the link's in-flight
+    transfers, not to the run's history. The total reported here is
+    bit-identical to summing every reservation the link ever had. *)
 
 val port_depths : t -> ((string * string) * int) list
 (** High-water mailbox depth per [(process name, port)], sorted — a depth

@@ -95,19 +95,22 @@ type request =
 
 let str_field j k = Option.bind (Json.member k j) Json.to_str
 
+(* Past these, one request could exhaust the daemon's memory: see serve.mli *)
+let max_procs = 1024
+let max_frames = 1000
+
 (* A count field: absent means [default]; present, it must be an integral
-   number from 1 below 2^62 ([Float.of_int max_int] rounds up to 2^62), so
-   [int_of_float] is exact. Non-finite numbers are not integral. *)
-let count_field j k default =
+   number from 1 to [cap]. Non-finite numbers are not integral. *)
+let count_field j k ~cap default =
   match Json.member k j with
   | None -> Ok default
   | Some v -> (
       match Json.to_float v with
-      | Some f when Float.is_integer f && f >= 1.0 && f < Float.of_int max_int ->
+      | Some f when Float.is_integer f && f >= 1.0 && f <= float_of_int cap ->
           Ok (int_of_float f)
       | _ ->
           Error
-            (Printf.sprintf "%S must be a positive integer, got %s" k
+            (Printf.sprintf "%S must be an integer from 1 to %d, got %s" k cap
                (Json.to_string v)))
 
 let bool_field j k default =
@@ -119,14 +122,14 @@ let parse_request j =
   | Some "compile" -> (
       match (str_field j "app", str_field j "src") with
       | Some app, Some src ->
-          let* frames = count_field j "frames" 1 in
+          let* frames = count_field j "frames" ~cap:max_frames 1 in
           Ok (Compile { app; src; frames; optimize = bool_field j "optimize" false })
       | _ -> Error "compile needs \"app\" and \"src\" fields")
   | Some "run" -> (
       match (str_field j "app", str_field j "src") with
       | Some app, Some src ->
-          let* frames = count_field j "frames" 1 in
-          let* procs = count_field j "procs" 4 in
+          let* frames = count_field j "frames" ~cap:max_frames 1 in
+          let* procs = count_field j "procs" ~cap:max_procs 4 in
           Ok
             (Run
                {

@@ -97,10 +97,17 @@ type request =
           ["exposition"] field. *)
   | Shutdown
 
+val max_procs : int
+(** 1 024: a run builds a [procs] x [procs] routing table. *)
+
+val max_frames : int
+(** 1 000: a stream's frames queue in unbounded mailboxes. *)
+
 val parse_request : Support.Json.t -> (request, string) result
 (** [Error] names what is wrong: a missing or unknown [op], missing [app]
-    or [src], or a [frames]/[procs] field that is not an integral number
-    from 1 below 2^62. Absent, [frames] is 1 and [procs] 4. *)
+    or [src], or a [frames] field that is not an integral number from 1 to
+    {!max_frames}, or a [procs] one from 1 to {!max_procs}. Absent,
+    [frames] is 1 and [procs] 4. *)
 
 val serve : config -> socket:string -> unit -> int
 (** Binds [socket] (unlinking any stale file) and serves batches until a

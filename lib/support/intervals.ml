@@ -1,39 +1,87 @@
-type t = (float * float) list
+(* Reservations [head .. tail - 1] of [starts]/[stops], sorted by start;
+   [past] is the folded length of the pruned ones before [head]. *)
+type t = {
+  mutable starts : float array;
+  mutable stops : float array;
+  mutable head : int;
+  mutable tail : int;
+  mutable past : float;
+}
 
-let empty = []
+let create () = { starts = [||]; stops = [||]; head = 0; tail = 0; past = 0.0 }
+
+(* overlap tolerance of the first-fit test *)
 let eps = 1e-15
 
-let first_fit intervals ~earliest ~duration =
-  let rec fit start = function
-    | [] -> start
-    | (s, e) :: rest ->
-        if start +. duration <= s +. eps then start else fit (Float.max start e) rest
-  in
-  fit earliest intervals
+(* Make room for one more reservation at [tail]: slide the unpruned ones
+   to the front when they fill at most half the arrays, else move them to
+   fresh arrays twice their number. *)
+let make_room b =
+  let cap = Array.length b.starts in
+  if b.tail = cap then begin
+    let live = b.tail - b.head in
+    let move a =
+      let dst =
+        if cap > 0 && 2 * live <= cap then a else Array.make (max 4 (2 * live)) 0.0
+      in
+      Array.blit a b.head dst 0 live;
+      dst
+    in
+    b.starts <- move b.starts;
+    b.stops <- move b.stops;
+    b.head <- 0;
+    b.tail <- live
+  end
 
-let reserve intervals ~earliest ~duration =
-  let start = first_fit intervals ~earliest ~duration in
-  let rec insert = function
-    | [] -> [ (start, start +. duration) ]
-    | (s, _) :: _ as rest when start < s -> (start, start +. duration) :: rest
-    | iv :: rest -> iv :: insert rest
-  in
-  (start, insert intervals)
+let reserve b ~earliest ~duration =
+  make_room b;
+  (* first fit: skip every reservation the request would overlap *)
+  let start = ref earliest and i = ref b.head in
+  while !i < b.tail && not (!start +. duration <= b.starts.(!i) +. eps) do
+    start := Float.max !start b.stops.(!i);
+    incr i
+  done;
+  let start = !start in
+  (* insert before the first reservation that starts later; every skipped
+     one ends at or before [start], so the scan resumes where first fit
+     stopped *)
+  let j = ref !i in
+  while !j < b.tail && not (start < b.starts.(!j)) do
+    incr j
+  done;
+  let j = !j in
+  if j < b.tail then begin
+    Array.blit b.starts j b.starts (j + 1) (b.tail - j);
+    Array.blit b.stops j b.stops (j + 1) (b.tail - j)
+  end;
+  b.starts.(j) <- start;
+  b.stops.(j) <- start +. duration;
+  b.tail <- b.tail + 1;
+  start
 
-let total ?(past = 0.0) intervals =
-  List.fold_left (fun acc (s, e) -> acc +. (e -. s)) past intervals
+let prune b ~upto =
+  while b.head < b.tail && b.stops.(b.head) <= upto do
+    b.past <- b.past +. (b.stops.(b.head) -. b.starts.(b.head));
+    b.head <- b.head + 1
+  done;
+  (* an emptied book starts again at the front of its arrays *)
+  if b.head = b.tail then begin
+    b.head <- 0;
+    b.tail <- 0
+  end
 
-let prune intervals ~upto ~past =
-  let rec drop past = function
-    | (s, e) :: rest when e <= upto -> drop (past +. (e -. s)) rest
-    | live -> (past, live)
-  in
-  drop past intervals
+let total b =
+  let acc = ref b.past in
+  for i = b.head to b.tail - 1 do
+    acc := !acc +. (b.stops.(i) -. b.starts.(i))
+  done;
+  !acc
 
-let valid intervals =
-  let rec go = function
-    | (s1, e1) :: ((s2, _) :: _ as rest) -> s1 <= e1 && e1 <= s2 +. eps && go rest
-    | [ (s, e) ] -> s <= e
-    | [] -> true
+let valid b =
+  let rec ok i =
+    i >= b.tail
+    || b.starts.(i) <= b.stops.(i)
+       && (i = b.tail - 1 || b.stops.(i) <= b.starts.(i + 1) +. eps)
+       && ok (i + 1)
   in
-  go intervals
+  ok b.head

@@ -1,43 +1,38 @@
-(** Busy-interval bookkeeping for exclusive resources (communication links).
+(** The link book: busy-interval bookkeeping for one exclusive resource (a
+    communication link). The machine simulator ([Machine.Sim]) and the
+    static scheduler ([Syndex.Place]) both book in it, so predicted and
+    simulated transfers share one contention model.
 
-    An occupancy list is a sorted list of disjoint [(start, stop)] intervals.
-    The machine simulator reserves link time with first-fit insertion here,
-    and keeps a {!prune}d book because its requests never start before its
-    clock. The static scheduler ([Syndex.Place]) backfills earlier gaps, so
-    it keeps every reservation, in its own array-backed book whose
-    [reserve] grants the start [reserve] grants here, bit for bit: predicted
-    and simulated transfers share one contention model. *)
+    A book is a mutable sequence of reservations [[start, stop)], sorted by
+    start and disjoint up to an overlap tolerance of [1e-15]. The scheduler
+    backfills earlier gaps, so it keeps every reservation; the simulator,
+    whose requests never start before its clock, {!prune}s first. *)
 
-type t = (float * float) list
-(** Sorted by start, pairwise disjoint. *)
+type t
 
-val empty : t
+val create : unit -> t
+(** An empty book; it allocates on its first {!reserve}. *)
 
-val first_fit : t -> earliest:float -> duration:float -> float
-(** Earliest start [>= earliest] such that [[start, start + duration)] does
-    not overlap any interval. *)
+val reserve : t -> earliest:float -> duration:float -> float
+(** First fit: books [duration >= 0] seconds at the earliest start
+    [>= earliest] that overlaps no reservation (within the tolerance), and
+    returns that start. The new reservation goes after every one that
+    starts at or before it. *)
 
-val reserve : t -> earliest:float -> duration:float -> float * t
-(** [first_fit] plus insertion; returns the start and the updated list. *)
+val prune : t -> upto:float -> unit
+(** Drops the longest prefix of reservations that all end at or before
+    [upto], folding their lengths into the book's past total left to
+    right. When every later request has [earliest >= upto], the dropped
+    ones could never change a first fit, and a new reservation always goes
+    after them: a book pruned before each {!reserve} grants exactly the
+    starts and the {!total} of an unpruned one, bit for bit, at a cost
+    proportional to the reservations still in flight. *)
 
-val total : ?past:float -> t -> float
-(** Sum of interval lengths, folded left from [past] (default 0). *)
-
-val prune : t -> upto:float -> past:float -> float * t
-(** [prune t ~upto ~past] drops the longest prefix of [t] whose intervals
-    all end at or before [upto], and returns [past] with the dropped lengths
-    folded into it left to right, plus the remaining list.
-
-    When every later request has [earliest >= upto], the dropped intervals
-    can never change a {!first_fit} again, and a new reservation is always
-    inserted after them. So a book [(past, live)] kept by pruning before
-    each {!reserve} grants exactly the starts the full list would, and
-    [total ~past live] equals [total] of the full list bit for bit: it is
-    the same left fold over the same intervals. This keeps the cost of a
-    reservation proportional to the intervals still in flight, not to the
-    resource's whole history. *)
+val total : t -> float
+(** The past total, then every unpruned reservation's length, folded left
+    in order: the sum over every reservation the book has made. *)
 
 val valid : t -> bool
-(** Checks ordering and disjointness.
+(** Checks that the unpruned reservations are ordered and disjoint.
     Test oracle: [test_support]'s "reservations stay sorted and disjoint"
-    checks every reservation list with it. *)
+    checks every book with it. *)

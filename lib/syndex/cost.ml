@@ -15,14 +15,6 @@ let node_function (node : Procnet.Graph.node) =
   | TfWorker { work } -> Some work
   | Mem _ | Join | Fork | Router _ -> None
 
-(* Per-message kernel overheads of the simulated machine (Machine.Sim
-   charges 200 cycles to post a send and 150 to complete a recv); the
-   predicted comm slots are calibrated against the same constants so the
-   conformance joiner compares like with like. *)
-let send_overhead_cycles = 200.0
-let recv_overhead_cycles = 150.0
-let local_copy_bandwidth = 4e8
-
 (* What the model assumes without an estimate: the cycles of a
    control-only process and of an unestimated function, and the payload of
    a channel. *)

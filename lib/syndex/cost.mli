@@ -15,20 +15,6 @@ type t = {
       (** mean payload bytes per message on a channel *)
 }
 
-val send_overhead_cycles : float
-
-val recv_overhead_cycles : float
-(** The per-message kernel costs (200 / 150 cycles) the machine simulator
-    charges a sender and a receiver ([Machine.Sim]); the static model adds
-    the same values around each predicted communication, so predicted comm
-    slots line up with measured traces. See DESIGN.md, calibration
-    constants. *)
-
-val local_copy_bandwidth : float
-(** Bytes per second of a same-processor message copy, charged by the
-    machine simulator and used here to price intra-processor
-    dependencies. *)
-
 val make : ?fn_cycles:(string -> float option) -> unit -> t
 (** [make ()] builds a model. [fn_cycles name] may return a per-function
     estimate (consulted for every node kind that carries a function name:

@@ -87,12 +87,12 @@ let map cost arch g =
         | Some _ ->
             let sp = op_proc.(src) in
             let overheads =
-              (Cost.send_overhead_cycles *. cycle_time sp)
-              +. (Cost.recv_overhead_cycles *. cycle_time p)
+              (Archi.send_overhead_cycles *. cycle_time sp)
+              +. (Archi.recv_overhead_cycles *. cycle_time p)
             in
             if sp = p then
               op_finish.(src) +. overheads
-              +. (float_of_int d.Dag.bytes /. Cost.local_copy_bandwidth)
+              +. (float_of_int d.Dag.bytes /. Archi.local_copy_bandwidth)
             else
               op_finish.(src) +. overheads
               +. Archi.transfer_time arch sp p d.Dag.bytes

@@ -27,67 +27,21 @@ let round_robin g arch =
   let nprocs = Archi.nprocs arch in
   Array.init (Procnet.Graph.nnodes g) (fun i -> i mod nprocs)
 
-(* One link's reservations, sorted by start, in two growable arrays. The
-   static scheduler backfills, so it keeps every reservation; [reserve]
-   grants the start [Support.Intervals.reserve] grants on the same list, bit
-   for bit, and inserts at the same place, without copying the list prefix
-   on every reservation. *)
-type book = {
-  mutable starts : float array;
-  mutable stops : float array;
-  mutable len : int;
-}
-
-(* [Support.Intervals]' overlap tolerance *)
-let eps = 1e-15
-
-let reserve book ~earliest ~duration =
-  (* first fit: skip every reservation the request would overlap *)
-  let start = ref earliest and i = ref 0 in
-  while
-    !i < book.len && not (!start +. duration <= book.starts.(!i) +. eps)
-  do
-    start := Float.max !start book.stops.(!i);
-    incr i
-  done;
-  let start = !start in
-  (* insert before the first reservation that starts later *)
-  let j = ref 0 in
-  while !j < book.len && not (start < book.starts.(!j)) do
-    incr j
-  done;
-  let j = !j in
-  if book.len = Array.length book.starts then begin
-    let grow a =
-      let bigger = Array.make (max 4 (2 * book.len)) 0.0 in
-      Array.blit a 0 bigger 0 book.len;
-      bigger
-    in
-    book.starts <- grow book.starts;
-    book.stops <- grow book.stops
-  end;
-  Array.blit book.starts j book.starts (j + 1) (book.len - j);
-  Array.blit book.stops j book.stops (j + 1) (book.len - j);
-  book.starts.(j) <- start;
-  book.stops.(j) <- start +. duration;
-  book.len <- book.len + 1;
-  start
-
 (* Store-and-forward transfer with static per-link reservation: the same
-   first-fit contention model the machine simulator uses, so the predicted
-   communication schedule mirrors what the executive will do. Each hop is
-   charged the link's startup latency plus its byte time, placed around the
-   link's earlier reservations ([link_busy] is indexed by link id). Returns
-   the arrival time and the per-hop slots for the schedule's link occupancy
-   accounting. *)
+   first-fit link book ([Support.Intervals]) the machine simulator uses, so
+   the predicted communication schedule mirrors what the executive will do.
+   Each hop is charged [Archi.hop_time], placed around the link's earlier
+   reservations ([link_busy] is indexed by link id); the scheduler backfills,
+   so it never prunes. Returns the arrival time and the per-hop slots for
+   the schedule's link occupancy accounting. *)
 let reserve_transfer arch link_busy ~src ~dst ~bytes ~depart =
   let arrival, hops =
     Archi.fold_route arch src dst
       (fun (depart, hops) i (link : Archi.link) ->
-        let duration =
-          link.Archi.startup +. (float_of_int bytes /. link.Archi.bandwidth)
+        let duration = Archi.hop_time link bytes in
+        let start =
+          Support.Intervals.reserve link_busy.(i) ~earliest:depart ~duration
         in
-        let start = reserve link_busy.(i) ~earliest:depart ~duration in
         ( start +. duration,
           { Schedule.hop_src = link.Archi.src; hop_dst = link.Archi.dst;
             hop_start = start; hop_finish = start +. duration }
@@ -115,7 +69,7 @@ let of_placement_dag arch dag placement =
   let op_start = Array.make nops 0.0 and op_finish = Array.make nops 0.0 in
   let avail = Array.make (Archi.nprocs arch) 0.0 in
   let link_busy =
-    Array.init (Archi.nlinks arch) (fun _ -> { starts = [||]; stops = [||]; len = 0 })
+    Array.init (Archi.nlinks arch) (fun _ -> Support.Intervals.create ())
   in
   let cycle_time p = (Archi.processors arch).(p).Archi.cycle_time in
   (* per cross-processor dependency, by dep id: (depart, arrival, hop slots) *)
@@ -132,15 +86,11 @@ let of_placement_dag arch dag placement =
               | None -> op_finish.(src) (* intra-process ordering, no message *)
               | Some _ ->
                   let sp = op_proc.(src) in
-                  let send_oh =
-                    Cost.send_overhead_cycles *. cycle_time sp
-                  in
-                  let recv_oh =
-                    Cost.recv_overhead_cycles *. cycle_time p
-                  in
+                  let send_oh = Archi.send_overhead_cycles *. cycle_time sp in
+                  let recv_oh = Archi.recv_overhead_cycles *. cycle_time p in
                   if sp = p then
                     op_finish.(src) +. send_oh
-                    +. (float_of_int d.Dag.bytes /. Cost.local_copy_bandwidth)
+                    +. (float_of_int d.Dag.bytes /. Archi.local_copy_bandwidth)
                     +. recv_oh
                   else begin
                     let depart = op_finish.(src) +. send_oh in

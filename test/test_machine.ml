@@ -55,7 +55,7 @@ let test_message_latency_model () =
   let _ = Sim.run sim in
   (* send overhead 200 cycles = 200us; transfer = 1ms startup + 1ms payload;
      receive overhead happens after arrival. *)
-  let expected = (Syndex.Cost.send_overhead_cycles *. 1e-6) +. 1e-3 +. 1e-3 in
+  let expected = (Archi.send_overhead_cycles *. 1e-6) +. 1e-3 +. 1e-3 in
   Alcotest.(check (float 1e-9)) "arrival time" expected !arrival
 
 let test_store_and_forward () =
@@ -72,7 +72,7 @@ let test_store_and_forward () =
         Sim.send receiver "in" (V.Str (String.make 996 'x')))
   in
   let _ = Sim.run sim in
-  let expected = (Syndex.Cost.send_overhead_cycles *. 1e-6) +. (2.0 *. (1e-3 +. 1e-3)) in
+  let expected = (Archi.send_overhead_cycles *. 1e-6) +. (2.0 *. (1e-3 +. 1e-3)) in
   Alcotest.(check (float 1e-9)) "two hops" expected !arrival;
   Alcotest.(check int) "hops counted" 2 (Sim.stats sim).Sim.hops_total
 

@@ -209,6 +209,30 @@ let test_prometheus_slo_label () =
     (has "skipper_slo_burn_seconds_total{slo=\"p99_latency<80ms\t\"} ");
   Alcotest.(check bool) "no undefined escape" false (has "\\t")
 
+(* Golden bytes of the Prometheus exposition: the tracking spec of §4 on
+   ring 8 at 25 Hz for 10 frames, watched by two SLOs, pinned by length and
+   MD5. Any changed sample, label, escape or line order fails here. *)
+let test_prometheus_golden () =
+  let module P = Skipper_lib.Pipeline in
+  let config = Tracking.Funcs.default_config in
+  let c =
+    P.compile_source ~frames:10 ~table:(Tracking.Funcs.table config)
+      (Tracking.Funcs.source config)
+  in
+  let series =
+    series_of (P.execute ~trace:true ~input_period:(1.0 /. 25.0) c (Archi.ring 8))
+  in
+  let slo =
+    S.Slo.evaluate
+      [ spec_ok "p99_latency<80ms"; spec_ok "throughput >= 20fps" ]
+      series
+  in
+  let prom = S.to_prometheus ~slo series in
+  Alcotest.(check (pair int string))
+    "Series.to_prometheus bytes"
+    (3598, "cb71ce185d1196497b7f0fa9e2f7e8d7")
+    (String.length prom, Digest.to_hex (Digest.string prom))
+
 (* ------------------------------------------------------------------ *)
 (* Totals: the series is an exact decomposition of the run's counters.  *)
 
@@ -347,6 +371,8 @@ let () =
             test_fault_window_alerting;
           Alcotest.test_case "prometheus slo label" `Quick
             test_prometheus_slo_label;
+          Alcotest.test_case "prometheus golden bytes" `Quick
+            test_prometheus_golden;
         ] );
       ( "totals",
         [

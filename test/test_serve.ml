@@ -98,6 +98,40 @@ let test_parse_request () =
   | ( Ok (Serve.Run { frames = 3; procs = 4; _ }),
       Ok (Serve.Run { frames = 1; procs = 8; _ }) ) -> ()
   | _ -> Alcotest.fail "integral frames/procs must parse, absent ones default");
+  (* the caps: at the cap parses, one past it is rejected, on both ops; a
+     compile has no [procs] and ignores the field *)
+  let compile_with field v =
+    Serve.parse_request
+      (Json.Obj
+         [ ("op", Json.Str "compile"); ("app", Json.Str "a"); ("src", Json.Str "s");
+           (field, v) ])
+  in
+  let frames_cap = Serve.max_frames in
+  let frames_past = Json.int (frames_cap + 1) in
+  (match
+     ( compile_with "frames" (Json.int frames_cap),
+       run_with "frames" (Json.int frames_cap),
+       run_with "procs" (Json.int Serve.max_procs),
+       compile_with "procs" (Json.int (Serve.max_procs + 1)) )
+   with
+  | ( Ok (Serve.Compile { frames = f1; _ }),
+      Ok (Serve.Run { frames = f2; _ }),
+      Ok (Serve.Run { procs; _ }),
+      Ok (Serve.Compile _) )
+    when f1 = frames_cap && f2 = frames_cap && procs = Serve.max_procs -> ()
+  | _ -> Alcotest.fail "frames and procs at their caps must parse");
+  List.iter
+    (fun (what, r) ->
+      match r with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s past its cap must be rejected" what)
+    [
+      ("compile frames", compile_with "frames" frames_past);
+      ("run frames", run_with "frames" frames_past);
+      ("run procs", run_with "procs" (Json.int (Serve.max_procs + 1)));
+    ];
+  Alcotest.(check int) "procs cap" 1024 Serve.max_procs;
+  Alcotest.(check int) "frames cap" 1000 Serve.max_frames;
   match
     Serve.parse_request
       (Serve.req_run ~frames:3 ~optimize:true ~procs:8 ~app:"a" "src")

@@ -366,37 +366,36 @@ let prop_pqueue_preserves_multiset =
 
 (* --- busy-interval reservations --- *)
 
+module I = Support.Intervals
+
+(* A book holding [(earliest, duration)] reservations, made in order. *)
+let book_of requests =
+  let b = I.create () in
+  List.iter (fun (earliest, duration) -> ignore (I.reserve b ~earliest ~duration)) requests;
+  b
+
 let test_intervals_empty () =
   Alcotest.(check (float 0.0)) "first fit on empty" 3.0
-    (Support.Intervals.first_fit Support.Intervals.empty ~earliest:3.0 ~duration:2.0)
+    (I.reserve (I.create ()) ~earliest:3.0 ~duration:2.0)
 
 let test_intervals_gap_fill () =
   (* busy [0,2) and [5,7): a 2-long request at earliest 0 fits at 2 *)
-  let _, occ = Support.Intervals.reserve Support.Intervals.empty ~earliest:0.0 ~duration:2.0 in
-  let _, occ = Support.Intervals.reserve occ ~earliest:5.0 ~duration:2.0 in
-  let start = Support.Intervals.first_fit occ ~earliest:0.0 ~duration:2.0 in
-  Alcotest.(check (float 1e-12)) "backfills the gap" 2.0 start;
+  let busy = [ (0.0, 2.0); (5.0, 2.0) ] in
+  Alcotest.(check (float 1e-12)) "backfills the gap" 2.0
+    (I.reserve (book_of busy) ~earliest:0.0 ~duration:2.0);
   (* a 4-long request does not fit in the 3-long gap *)
-  let start = Support.Intervals.first_fit occ ~earliest:0.0 ~duration:4.0 in
-  Alcotest.(check (float 1e-12)) "skips past" 7.0 start
+  Alcotest.(check (float 1e-12)) "skips past" 7.0
+    (I.reserve (book_of busy) ~earliest:0.0 ~duration:4.0)
 
 let test_intervals_total () =
-  let _, occ = Support.Intervals.reserve Support.Intervals.empty ~earliest:1.0 ~duration:2.0 in
-  let _, occ = Support.Intervals.reserve occ ~earliest:10.0 ~duration:0.5 in
-  Alcotest.(check (float 1e-12)) "total" 2.5 (Support.Intervals.total occ)
+  Alcotest.(check (float 1e-12)) "total" 2.5
+    (I.total (book_of [ (1.0, 2.0); (10.0, 0.5) ]))
 
 let prop_intervals_stay_valid =
   QCheck.Test.make ~name:"reservations stay sorted and disjoint" ~count:200
     QCheck.(small_list (pair (float_bound_inclusive 50.0) (float_bound_inclusive 5.0)))
     (fun requests ->
-      let occ =
-        List.fold_left
-          (fun occ (earliest, duration) ->
-            let duration = duration +. 0.01 in
-            snd (Support.Intervals.reserve occ ~earliest ~duration))
-          Support.Intervals.empty requests
-      in
-      Support.Intervals.valid occ)
+      I.valid (book_of (List.map (fun (e, d) -> (e, d +. 0.01)) requests)))
 
 let prop_intervals_no_overlap_with_request =
   QCheck.Test.make ~name:"granted slot never overlaps prior reservations" ~count:200
@@ -404,43 +403,84 @@ let prop_intervals_no_overlap_with_request =
              (pair (float_bound_inclusive 50.0) (float_bound_inclusive 5.0)))
     (fun (requests, (earliest, duration)) ->
       let duration = duration +. 0.01 in
-      let occ =
-        List.fold_left
-          (fun occ (e, d) -> snd (Support.Intervals.reserve occ ~earliest:e ~duration:(d +. 0.01)))
-          Support.Intervals.empty requests
+      let b = I.create () in
+      let granted =
+        List.map
+          (fun (e, d) ->
+            let d = d +. 0.01 in
+            let s = I.reserve b ~earliest:e ~duration:d in
+            (s, s +. d))
+          requests
       in
-      let start = Support.Intervals.first_fit occ ~earliest ~duration in
+      let start = I.reserve b ~earliest ~duration in
       start >= earliest
       && List.for_all
            (fun (s, e) -> start +. duration <= s +. 1e-9 || start >= e -. 1e-9)
-           occ)
+           granted)
 
-(* The simulator's book: prune against a non-decreasing clock before each
-   reservation, every request no earlier than the clock. It must grant the
-   starts the full list grants, and its past-seeded total must be the full
-   list's total bit for bit. *)
+(* One request against a non-decreasing clock: the clock advances by
+   [tick], then [earliest] is the clock plus [lead] ([anchor] 0), an
+   earlier reservation's start (1) or stop (2), or that start less the
+   duration, nudged by a multiple of 5e-16 (3): coincident requests and
+   gaps within the first-fit tolerance come up often. Never earlier than
+   the clock. Durations include zero and sub-tolerance lengths. *)
+type request = { tick : float; anchor : int; pick : int; lead : float; duration : float }
+
+let arb_requests =
+  let open QCheck.Gen in
+  let request =
+    map
+      (fun (tick, anchor, pick, (lead, duration)) -> { tick; anchor; pick; lead; duration })
+      (quad
+         (oneof [ return 0.0; float_bound_inclusive 3.0 ])
+         (int_bound 3) (int_bound 60)
+         (pair (float_bound_inclusive 4.0)
+            (oneof [ return 0.0; return 1e-16; float_bound_inclusive 2.0 ])))
+  in
+  QCheck.make
+    ~print:
+      (QCheck.Print.list (fun r ->
+           Printf.sprintf "{tick=%h; anchor=%d; pick=%d; lead=%h; duration=%h}"
+             r.tick r.anchor r.pick r.lead r.duration))
+    (list_size (int_bound 40) request)
+
+(* The simulator's book, pruned against the clock before each reservation,
+   and the static scheduler's, never pruned, must both grant the starts
+   the list reference grants and report its total, bit for bit. *)
 let prop_intervals_pruned_book =
-  QCheck.Test.make ~name:"pruned book equals the full list" ~count:300
-    QCheck.(
-      small_list
-        (triple (float_bound_inclusive 3.0) (float_bound_inclusive 4.0)
-           (float_bound_inclusive 2.0)))
+  QCheck.Test.make ~name:"pruned book equals the full list" ~count:300 arb_requests
     (fun requests ->
-      let module I = Support.Intervals in
+      let module L = Intervals_list in
       let bits = Int64.bits_of_float in
-      let rec go clock full (past, live) = function
-        | [] -> bits (I.total full) = bits (I.total ~past live)
-        | (tick, lead, duration) :: rest ->
-            let clock = clock +. tick in
-            let earliest = clock +. lead and duration = duration +. 0.01 in
-            let start, full = I.reserve full ~earliest ~duration in
-            let past, live = I.prune live ~upto:clock ~past in
-            let start', live = I.reserve live ~earliest ~duration in
-            bits start = bits start'
-            && bits (I.total full) = bits (I.total ~past live)
-            && go clock full (past, live) rest
+      let full = I.create () and pruned = I.create () in
+      let rec go clock list = function
+        | [] -> true
+        | r :: rest ->
+            let clock = clock +. r.tick in
+            let anchor =
+              match list with
+              | [] -> clock +. r.lead
+              | _ -> (
+                  let s, e = List.nth list (r.pick mod List.length list) in
+                  match r.anchor with
+                  | 0 -> clock +. r.lead
+                  | 1 -> s
+                  | 2 -> e
+                  | _ -> s -. r.duration +. (float_of_int ((r.pick mod 7) - 3) *. 5e-16))
+            in
+            let earliest = Float.max clock anchor and duration = r.duration in
+            let start, list = L.reserve list ~earliest ~duration in
+            let start_full = I.reserve full ~earliest ~duration in
+            I.prune pruned ~upto:clock;
+            let start_pruned = I.reserve pruned ~earliest ~duration in
+            let total = bits (L.total list) in
+            bits start = bits start_full
+            && bits start = bits start_pruned
+            && total = bits (I.total full)
+            && total = bits (I.total pruned)
+            && go clock list rest
       in
-      go 0.0 I.empty (0.0, I.empty) requests)
+      go 0.0 L.empty requests)
 
 (* --- JSON escapes --- *)
 
