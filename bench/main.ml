@@ -1583,43 +1583,61 @@ let loglog_slope points =
 (* Host time may grow at most as items^max_exponent at every farm width. *)
 let max_exponent = 1.25
 
-(* Wall time of the null-kernel df farm over stream length x farm width.
-   The fitted exponent in items is the gated quantity (exit 1 above
+(* Minor-heap words one message may cost on the 4-worker farm, whose ring
+   of 5 keeps routes short: the simulator's allocation per message, not
+   per hop, is what this bounds. *)
+let max_words_per_msg = 150.0
+
+(* Wall time and allocation of the null-kernel df farm over stream length
+   x farm width. The fitted exponent in items is gated (exit 1 above
    [max_exponent]): absolute host times vary too much across machines to
    gate. Every cell keeps the fastest of 3 runs, so no cell, long or short,
-   rests on one noisy sample. *)
+   rests on one noisy sample. Allocation does not vary from run to run: the
+   minor words of the cell's last run, per message and per link hop, are
+   printed, and a 4-worker cell over [max_words_per_msg] exits 1 too. *)
 let simscale () =
   header "simscale" "discrete-event engine host time vs stream length and width";
   let items = [ 1_000; 10_000; 100_000 ] and workers = [ 4; 64; 256 ] in
-  Printf.printf "%8s %8s %10s %12s %12s\n" "workers" "items" "messages" "wall s"
-    "msgs/s";
+  Printf.printf "%8s %8s %10s %12s %12s %10s %10s\n" "workers" "items" "messages"
+    "wall s" "msgs/s" "words/msg" "words/hop";
   let time_cell ~items ~workers =
     let run = null_df_farm ~items ~workers in
-    let rec go best reps =
-      if reps = 3 then best
+    let rec go best words reps =
+      if reps = 3 then (best, words)
       else begin
         Gc.compact ();
+        let w0 = Gc.minor_words () in
         let t0 = Unix.gettimeofday () in
         let r = run () in
         let dt = Unix.gettimeofday () -. t0 in
+        let words = Gc.minor_words () -. w0 in
+        let stats = r.Executive.stats in
         if
           r.Executive.outcome <> Executive.Completed
-          || r.Executive.stats.Machine.Sim.messages <> 2 * items
+          || stats.Machine.Sim.messages <> 2 * items
         then failwith "simscale: the farm did not send one task and one result per item";
-        go (Float.min best dt) (reps + 1)
+        go (Float.min best dt)
+          ( words /. float_of_int stats.Machine.Sim.messages,
+            words /. float_of_int (max 1 stats.Machine.Sim.hops_total) )
+          (reps + 1)
       end
     in
-    go infinity 0
+    go infinity (0.0, 0.0) 0
   in
+  let heavy = ref [] in
   let exponents =
     List.map
       (fun w ->
         let cells =
           List.map
             (fun n ->
-              let wall = time_cell ~items:n ~workers:w in
-              Printf.printf "%8d %8d %10d %12.4f %12.0f\n%!" w n (2 * n) wall
-                (float_of_int (2 * n) /. wall);
+              let wall, (per_msg, per_hop) = time_cell ~items:n ~workers:w in
+              Printf.printf "%8d %8d %10d %12.4f %12.0f %10.1f %10.1f\n%!" w n
+                (2 * n) wall
+                (float_of_int (2 * n) /. wall)
+                per_msg per_hop;
+              if w = 4 && per_msg > max_words_per_msg then
+                heavy := (n, per_msg) :: !heavy;
               (float_of_int n, wall))
             items
         in
@@ -1630,14 +1648,18 @@ let simscale () =
     (fun (w, e) -> Printf.printf "exponent in items, %d workers: %.3f\n" w e)
     exponents;
   let over = List.filter (fun (_, e) -> e > max_exponent) exponents in
-  if over <> [] then begin
-    List.iter
-      (fun (w, e) ->
-        Printf.eprintf "simscale: %d workers scale as items^%.3f > %.2f\n" w e
-          max_exponent)
-      over;
-    exit 1
-  end
+  List.iter
+    (fun (w, e) ->
+      Printf.eprintf "simscale: %d workers scale as items^%.3f > %.2f\n" w e
+        max_exponent)
+    over;
+  List.iter
+    (fun (n, words) ->
+      Printf.eprintf
+        "simscale: 4 workers over %d items allocate %.1f words/message > %.0f\n"
+        n words max_words_per_msg)
+    (List.rev !heavy);
+  if over <> [] || !heavy <> [] then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* mapscale: host-time scaling of the mapping strategies               *)

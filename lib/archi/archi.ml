@@ -34,7 +34,7 @@ let send_overhead_cycles = 200.0
 let recv_overhead_cycles = 150.0
 let local_copy_bandwidth = 4e8
 
-let hop_time link bytes = link.startup +. (float_of_int bytes /. link.bandwidth)
+let[@inline] hop_time link bytes = link.startup +. (float_of_int bytes /. link.bandwidth)
 
 let compute_first_links n adj link_index =
   let table = Array.make_matrix n n (-1) in

@@ -53,14 +53,32 @@ type collector = {
    incarnation recomputes them without re-emitting. *)
 type stable_cell = { mutable snap : (int * V.t) option; mutable emitted : int }
 
-(* A user-function call: charge its cost model, then produce its value. *)
-let call table fn v =
-  if fn = "__id" then v
+(* A user-function call site: each call charges the function's cost model,
+   then produces its value. The table entry is looked up at the first call,
+   so an unknown name fails where it is first called. *)
+let caller table fn =
+  if fn = "__id" then Fun.id
   else begin
-    let entry = Skel.Funtable.find table fn in
-    Machine.Sim.compute (entry.cost v);
-    entry.apply v
+    let entry = ref None in
+    fun v ->
+      let e =
+        match !entry with
+        | Some e -> e
+        | None ->
+            let e = Skel.Funtable.find table fn in
+            entry := Some e;
+            e
+      in
+      Machine.Proc.compute (e.cost v);
+      e.apply v
   end
+
+let rec send_to dests v =
+  match dests with
+  | [] -> ()
+  | (dst, dport) :: rest ->
+      Machine.Proc.send dst dport v;
+      send_to rest v
 
 (* Map worker node id -> index within its master's worker pool. The order of
    the master's "task" edges defines the indices, matching primes below. *)
@@ -79,20 +97,24 @@ let worker_indices g =
 
 let behaviour ~table ~graph:g ~frames ~input ~input_period ~collector
     ~widx_table ~recovery:recov ~checkpoint ~cells (node : G.node) () =
+  (* A body resolves its output ports once, before its first frame
+     ([sender], [emitter]), and each function at its first call
+     ([caller]). *)
   let outs port =
     List.map (fun (e : G.edge) -> (e.dst, e.dst_port)) (G.out_edges_from_port g node.id port)
   in
-  let send_all port v = List.iter (fun (dst, dport) -> Machine.Sim.send dst dport v) (outs port) in
+  let sender port = send_to (outs port) in
   (* Emit downstream, or record as the program output when this node is the
      sink of the graph. *)
-  let emit port v =
+  let emitter port =
     match outs port with
     | [] ->
-        if node.id = G.exit_node g then
-          collector.outs_rev <- (v, Machine.Sim.now ()) :: collector.outs_rev
-        else ()
-    | _ -> send_all port v
+        if node.id = G.exit_node g then fun v ->
+          collector.outs_rev <- (v, Machine.Proc.now ()) :: collector.outs_rev
+        else ignore
+    | dests -> send_to dests
   in
+  let call = caller table in
   let each_frame f =
     for i = 0 to frames - 1 do
       f i
@@ -100,39 +122,44 @@ let behaviour ~table ~graph:g ~frames ~input ~input_period ~collector
   in
   match node.kind with
   | G.Input fn ->
+      let f = call fn and emit = emitter "out" in
       each_frame (fun i ->
           (match input_period with
-          | Some p -> Machine.Sim.sleep_until (float_of_int i *. p)
+          | Some p -> Machine.Proc.sleep_until (float_of_int i *. p)
           | None -> ());
-          let x = call table fn (V.Tuple [ input; V.Int i ]) in
-          emit "out" x)
+          let x = f (V.Tuple [ input; V.Int i ]) in
+          emit x)
   | G.Output fn ->
+      let f = call fn in
       each_frame (fun _ ->
-          let v = Machine.Sim.recv "in" in
-          let y = call table fn v in
-          collector.outs_rev <- (y, Machine.Sim.now ()) :: collector.outs_rev)
+          let v = Machine.Proc.recv "in" in
+          let y = f v in
+          collector.outs_rev <- (y, Machine.Proc.now ()) :: collector.outs_rev)
   | G.Compute fn | G.ScmCompute { fn; _ } ->
+      let f = call fn and emit = emitter "out" in
       each_frame (fun _ ->
-          let v = Machine.Sim.recv "in" in
-          emit "out" (call table fn v))
+          let v = Machine.Proc.recv "in" in
+          emit (f v))
   | G.ScmSplit { fn; nparts } ->
+      let f = call fn in
+      let part_out = Array.init nparts (fun i -> sender (Printf.sprintf "p%d" i)) in
       each_frame (fun _ ->
-          let v = Machine.Sim.recv "in" in
+          let v = Machine.Proc.recv "in" in
           let parts =
-            match call table fn (V.Tuple [ V.Int nparts; v ]) with
+            match f (V.Tuple [ V.Int nparts; v ]) with
             | V.List parts -> parts
             | other -> error "scm split %s returned %s, not a list" fn (V.to_string other)
           in
           if List.length parts <> nparts then
             error "scm split %s returned %d parts, expected %d" fn
               (List.length parts) nparts;
-          List.iteri (fun i part -> send_all (Printf.sprintf "p%d" i) part) parts)
+          List.iteri (fun i part -> part_out.(i) part) parts)
   | G.ScmMerge { fn; nparts } ->
+      let f = call fn and emit = emitter "out" in
+      let ports = Array.init nparts (Printf.sprintf "p%d") in
       each_frame (fun _ ->
-          let results =
-            List.init nparts (fun i -> Machine.Sim.recv (Printf.sprintf "p%d" i))
-          in
-          emit "out" (call table fn (V.List results)))
+          let results = List.init nparts (fun i -> Machine.Proc.recv ports.(i)) in
+          emit (f (V.List results)))
   | G.DfMaster { acc; init; nworkers; state } when
       state <> Skel.Ir.Stateless || checkpoint <> None ->
       (* The stateful-farm engine: master-held state with a per-mode task
@@ -148,6 +175,7 @@ let behaviour ~table ~graph:g ~frames ~input ~input_period ~collector
          completes, so the merge order equals the sequential oracle's
          regardless of arrival order; duplicates (same frame and seq — the
          signature of a replay) are first-wins discarded. *)
+      let acc = call acc and emit = emitter "out" in
       let task_targets = Array.of_list (outs "task") in
       if Array.length task_targets <> nworkers then
         error "df master has %d task channels for %d workers"
@@ -224,12 +252,12 @@ let behaviour ~table ~graph:g ~frames ~input ~input_period ~collector
              idempotent assignment, so a replaying master may repeat it. *)
           Array.iter
             (fun (dst, dport) ->
-              Machine.Sim.send dst dport (V.Tuple [ V.Str "env"; e ]))
+              Machine.Proc.send dst dport (V.Tuple [ V.Str "env"; e ]))
             task_targets
       | None -> ());
       for f = start_frame to frames - 1 do
         let xs =
-          match Machine.Sim.recv "in" with
+          match Machine.Proc.recv "in" with
           | V.List xs -> xs
           | other -> error "df input is %s, not a list" (V.to_string other)
         in
@@ -239,13 +267,13 @@ let behaviour ~table ~graph:g ~frames ~input ~input_period ~collector
         let ngot = ref 0 in
         let send_task widx seq payload =
           let dst, dport = task_targets.(widx) in
-          Machine.Sim.send dst dport
+          Machine.Proc.send dst dport
             (V.Tuple [ V.Str "t"; V.Int f; V.Int seq; payload ])
         in
         (* Receive one reply; [accept widx seq y] is called exactly once per
            fresh (frame, seq); duplicates invoke [dup widx] instead. *)
         let receive ~accept ~dup =
-          match Machine.Sim.recv "result" with
+          match Machine.Proc.recv "result" with
           | V.Tuple [ V.Int widx; V.Int rf; V.Int seq; y ] ->
               if rf = f && seq >= 0 && seq < n && got.(seq) = None then
                 accept widx seq y
@@ -343,7 +371,7 @@ let behaviour ~table ~graph:g ~frames ~input ~input_period ~collector
           Array.fold_left
             (fun z y ->
               match y with
-              | Some y -> call table acc (V.Tuple [ z; y ])
+              | Some y -> acc (V.Tuple [ z; y ])
               | None -> assert false)
             z0 got
         in
@@ -352,16 +380,17 @@ let behaviour ~table ~graph:g ~frames ~input ~input_period ~collector
           (* Write-ahead: bump the count in the same zero-duration segment
              as the send, so a crash cannot double-emit a frame. *)
           cell.emitted <- f + 1;
-          emit "out" z
+          emit z
         end;
         match checkpoint with
         | Some k when (f + 1) mod k = 0 ->
             cell.snap <- Some (f + 1, snapshot ());
-            Machine.Sim.mark_stable ();
+            Machine.Proc.mark_stable ();
             collector.checkpoints <- collector.checkpoints + 1
         | _ -> ()
       done
   | G.DfMaster { acc; init; nworkers; state = _ } -> (
+      let acc = call acc and emit = emitter "out" in
       let task_targets = Array.of_list (outs "task") in
       if Array.length task_targets <> nworkers then
         error "df master has %d task channels for %d workers"
@@ -370,7 +399,7 @@ let behaviour ~table ~graph:g ~frames ~input ~input_period ~collector
       | None ->
           each_frame (fun _ ->
               let xs =
-                match Machine.Sim.recv "in" with
+                match Machine.Proc.recv "in" with
                 | V.List xs -> xs
                 | other -> error "df input is %s, not a list" (V.to_string other)
               in
@@ -380,22 +409,22 @@ let behaviour ~table ~graph:g ~frames ~input ~input_period ~collector
               let outstanding = ref 0 in
               let feed widx =
                 let dst, dport = task_targets.(widx) in
-                Machine.Sim.send dst dport (Queue.pop queue);
+                Machine.Proc.send dst dport (Queue.pop queue);
                 incr outstanding
               in
               for w = 0 to nworkers - 1 do
                 if not (Queue.is_empty queue) then feed w
               done;
               while !outstanding > 0 do
-                match Machine.Sim.recv "result" with
+                match Machine.Proc.recv "result" with
                 | V.Tuple [ V.Int widx; y ] ->
                     decr outstanding;
-                    accv := call table acc (V.Tuple [ !accv; y ]);
+                    accv := acc (V.Tuple [ !accv; y ]);
                     if not (Queue.is_empty queue) then feed widx
                 | other ->
                     error "df master: bad result message %s" (V.to_string other)
               done;
-              emit "out" !accv)
+              emit !accv)
       | Some { df_timeout; max_strikes } ->
           (* Fault-tolerant farm (FastFlow-style reissue-on-timeout). Tasks
              are sequence-tagged; an assignment outstanding past its deadline
@@ -410,7 +439,7 @@ let behaviour ~table ~graph:g ~frames ~input ~input_period ~collector
           (try
              each_frame (fun _ ->
                  let xs =
-                   match Machine.Sim.recv "in" with
+                   match Machine.Proc.recv "in" with
                    | V.List xs -> xs
                    | other ->
                        error "df input is %s, not a list" (V.to_string other)
@@ -456,10 +485,10 @@ let behaviour ~table ~graph:g ~frames ~input ~input_period ~collector
                        is_idle.(widx) <- false;
                        let seq = Queue.pop queue in
                        let dst, dport = task_targets.(widx) in
-                       Machine.Sim.send dst dport
+                       Machine.Proc.send dst dport
                          (V.Tuple [ V.Int seq; items.(seq) ]);
                        Hashtbl.replace assignments seq
-                         (widx, Machine.Sim.now () +. df_timeout);
+                         (widx, Machine.Proc.now () +. df_timeout);
                        progress := true
                      end
                    done
@@ -475,7 +504,7 @@ let behaviour ~table ~graph:g ~frames ~input ~input_period ~collector
                        (fun _ (_, d) acc -> Float.min d acc)
                        assignments infinity
                    in
-                   match Machine.Sim.recv_deadline [ "result" ] ~deadline:dl with
+                   match Machine.Proc.recv_deadline [ "result" ] ~deadline:dl with
                    | Some (_, V.Tuple [ V.Int widx; V.Tuple [ V.Int seq; y ] ])
                      ->
                        (* any reply proves the worker alive: strikes count
@@ -488,13 +517,13 @@ let behaviour ~table ~graph:g ~frames ~input ~input_period ~collector
                          done_.(seq) <- true;
                          incr completed;
                          Hashtbl.remove assignments seq;
-                         accv := call table acc (V.Tuple [ !accv; y ])
+                         accv := acc (V.Tuple [ !accv; y ])
                        end
                    | Some (_, other) ->
                        error "df master: bad result message %s"
                          (V.to_string other)
                    | None ->
-                       let nowt = Machine.Sim.now () in
+                       let nowt = Machine.Proc.now () in
                        let expired =
                          Hashtbl.fold
                            (fun seq (widx, d) acc ->
@@ -522,7 +551,7 @@ let behaviour ~table ~graph:g ~frames ~input ~input_period ~collector
                              re_idle widx)
                          expired
                  done;
-                 emit "out" !accv)
+                 emit !accv)
            with Farm_stalled -> ()))
   | G.DfWorker { comp } ->
       let my_index =
@@ -530,6 +559,7 @@ let behaviour ~table ~graph:g ~frames ~input ~input_period ~collector
         | Some i -> i
         | None -> error "df worker %s is not wired to a master" node.label
       in
+      let comp = call comp and send_out = sender "out" in
       (* A worker speaks the engine protocol exactly when its master does. *)
       let engine_master =
         List.exists
@@ -548,7 +578,7 @@ let behaviour ~table ~graph:g ~frames ~input ~input_period ~collector
            master can merge in order and discard replay duplicates. *)
         let env = ref None in
         let rec serve () =
-          (match Machine.Sim.recv "task" with
+          (match Machine.Proc.recv "task" with
           | V.Tuple [ V.Str "env"; e ] -> env := Some e
           | V.Tuple [ V.Str "t"; V.Int frame; V.Int seq; payload ] ->
               let arg =
@@ -556,9 +586,8 @@ let behaviour ~table ~graph:g ~frames ~input ~input_period ~collector
                 | Some e -> V.Tuple [ e; payload ]
                 | None -> payload
               in
-              let y = call table comp arg in
-              send_all "out"
-                (V.Tuple [ V.Int my_index; V.Int frame; V.Int seq; y ])
+              let y = comp arg in
+              send_out (V.Tuple [ V.Int my_index; V.Int frame; V.Int seq; y ])
           | other -> error "df worker: bad task message %s" (V.to_string other));
           serve ()
         in
@@ -568,30 +597,30 @@ let behaviour ~table ~graph:g ~frames ~input ~input_period ~collector
         let rec serve () =
           (match recov with
           | None ->
-              let v = Machine.Sim.recv "task" in
-              let y = call table comp v in
-              send_all "out" (V.Tuple [ V.Int my_index; y ])
+              let v = Machine.Proc.recv "task" in
+              let y = comp v in
+              send_out (V.Tuple [ V.Int my_index; y ])
           | Some _ -> (
               (* sequence-tagged protocol: echo the tag so the master can
                  discard stale duplicates *)
-              match Machine.Sim.recv "task" with
+              match Machine.Proc.recv "task" with
               | V.Tuple [ V.Int seq; x ] ->
-                  let y = call table comp x in
-                  send_all "out"
-                    (V.Tuple [ V.Int my_index; V.Tuple [ V.Int seq; y ] ])
+                  let y = comp x in
+                  send_out (V.Tuple [ V.Int my_index; V.Tuple [ V.Int seq; y ] ])
               | other ->
                   error "df worker: bad task message %s" (V.to_string other)));
           serve ()
         in
         serve ()
   | G.TfMaster { acc; init; nworkers } ->
+      let acc = call acc and emit = emitter "out" in
       let task_targets = Array.of_list (outs "task") in
       if Array.length task_targets <> nworkers then
         error "tf master has %d task channels for %d workers"
           (Array.length task_targets) nworkers;
       each_frame (fun _ ->
           let xs =
-            match Machine.Sim.recv "in" with
+            match Machine.Proc.recv "in" with
             | V.List xs -> xs
             | other -> error "tf input is %s, not a list" (V.to_string other)
           in
@@ -607,33 +636,34 @@ let behaviour ~table ~graph:g ~frames ~input ~input_period ~collector
             while (not (Queue.is_empty queue)) && not (Queue.is_empty idle) do
               let widx = Queue.pop idle in
               let dst, dport = task_targets.(widx) in
-              Machine.Sim.send dst dport (Queue.pop queue);
+              Machine.Proc.send dst dport (Queue.pop queue);
               incr outstanding
             done
           in
           feed_idle ();
           while !outstanding > 0 do
-            (match Machine.Sim.recv "result" with
+            (match Machine.Proc.recv "result" with
             | V.Tuple [ V.Int widx; V.Tuple [ V.List subs; y ] ] ->
                 decr outstanding;
                 Queue.add widx idle;
                 List.iter (fun s -> Queue.add s queue) subs;
-                accv := call table acc (V.Tuple [ !accv; y ])
+                accv := acc (V.Tuple [ !accv; y ])
             | other -> error "tf master: bad result message %s" (V.to_string other));
             feed_idle ()
           done;
-          emit "out" !accv)
+          emit !accv)
   | G.TfWorker { work } ->
       let my_index =
         match Hashtbl.find_opt widx_table node.id with
         | Some i -> i
         | None -> error "tf worker %s is not wired to a master" node.label
       in
+      let f = call work and send_out = sender "out" in
       let rec serve () =
-        let v = Machine.Sim.recv "task" in
-        (match call table work v with
+        let v = Machine.Proc.recv "task" in
+        (match f v with
         | V.Tuple [ V.List _; _ ] as reply ->
-            send_all "out" (V.Tuple [ V.Int my_index; reply ])
+            send_out (V.Tuple [ V.Int my_index; reply ])
         | other -> error "tf work %s returned %s" work (V.to_string other));
         serve ()
       in
@@ -650,32 +680,34 @@ let behaviour ~table ~graph:g ~frames ~input ~input_period ~collector
         match cell.snap with Some (f0, st) -> (f0, st) | None -> (0, init)
       in
       collector.replayed <- collector.replayed + (cell.emitted - start_frame);
-      let state = ref st0 in
+      let state = ref st0 and send_out = sender "out" in
       for f = start_frame to frames - 1 do
         if cell.emitted <= f then begin
           cell.emitted <- f + 1;
-          send_all "out" !state
+          send_out !state
         end;
-        state := Machine.Sim.recv "update";
+        state := Machine.Proc.recv "update";
         match checkpoint with
         | Some k when (f + 1) mod k = 0 ->
             cell.snap <- Some (f + 1, !state);
-            Machine.Sim.mark_stable ();
+            Machine.Proc.mark_stable ();
             collector.checkpoints <- collector.checkpoints + 1
         | _ -> ()
       done;
       collector.final_state <- Some !state
   | G.Join ->
+      let send_out = sender "out" in
       each_frame (fun _ ->
-          let s = Machine.Sim.recv "state" in
-          let d = Machine.Sim.recv "data" in
-          send_all "out" (V.Tuple [ s; d ]))
+          let s = Machine.Proc.recv "state" in
+          let d = Machine.Proc.recv "data" in
+          send_out (V.Tuple [ s; d ]))
   | G.Fork ->
+      let send_fst = sender "fst" and send_snd = sender "snd" in
       each_frame (fun _ ->
-          match Machine.Sim.recv "in" with
+          match Machine.Proc.recv "in" with
           | V.Tuple [ a; b ] ->
-              send_all "fst" a;
-              send_all "snd" b
+              send_fst a;
+              send_snd b
           | other -> error "fork received %s, not a pair" (V.to_string other))
   | G.Router _ ->
       error "explicit router processes are not executable (Fig. 1 template is structural)"

@@ -118,7 +118,7 @@ val run :
 
     [checkpoint_every]: every [k] frames, durable control processes (df
     masters and the itermem [Mem]) snapshot their state to stable storage
-    and truncate their replay journal ({!Machine.Sim.mark_stable}). A halt
+    and truncate their replay journal ({!Machine.Proc.mark_stable}). A halt
     of their processor then no longer loses the stream: deliveries spool,
     and on restore the process replays from the checkpoint (recomputed
     frames are counted in [replayed_frames], never re-emitted), so the run

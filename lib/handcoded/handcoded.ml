@@ -9,7 +9,7 @@ type result = {
 
 let call table fn v =
   let entry = Skel.Funtable.find table fn in
-  Machine.Sim.compute (entry.cost v);
+  Machine.Proc.compute (entry.cost v);
   entry.apply v
 
 let run ?input_period ~config ~frames arch =
@@ -29,10 +29,10 @@ let run ?input_period ~config ~frames arch =
           ~on:((i + 1) mod nprocs)
           (fun () ->
             let rec serve () =
-              match Machine.Sim.recv "task" with
+              match Machine.Proc.recv "task" with
               | V.Tuple [ V.Int idx; item ] ->
                   let marks = call table "detect_mark" item in
-                  Machine.Sim.send master_pid "result" (V.Tuple [ V.Int idx; marks ]);
+                  Machine.Proc.send master_pid "result" (V.Tuple [ V.Int idx; marks ]);
                   serve ()
               | _ -> failwith "hand-worker: bad task"
             in
@@ -44,7 +44,7 @@ let run ?input_period ~config ~frames arch =
     let marks = ref (V.List []) in
     let outstanding = ref 0 in
     let feed widx =
-      Machine.Sim.send widx "task" (V.Tuple [ V.Int widx; Queue.pop queue ])
+      Machine.Proc.send widx "task" (V.Tuple [ V.Int widx; Queue.pop queue ])
     in
     for w = 0 to nworkers - 1 do
       if not (Queue.is_empty queue) then begin
@@ -53,7 +53,7 @@ let run ?input_period ~config ~frames arch =
       end
     done;
     while !outstanding > 0 do
-      match Machine.Sim.recv "result" with
+      match Machine.Proc.recv "result" with
       | V.Tuple [ V.Int widx; y ] ->
           marks := call table "accum_marks" (V.Tuple [ !marks; y ]);
           if Queue.is_empty queue then decr outstanding else feed widx
@@ -67,7 +67,7 @@ let run ?input_period ~config ~frames arch =
         let state = ref (call table "init_state" V.Unit) in
         for i = 0 to frames - 1 do
           (match input_period with
-          | Some p -> Machine.Sim.sleep_until (float_of_int i *. p)
+          | Some p -> Machine.Proc.sleep_until (float_of_int i *. p)
           | None -> ());
           let img = call table "read_img" (V.Tuple [ dims; V.Int i ]) in
           let windows =
@@ -80,7 +80,7 @@ let run ?input_period ~config ~frames arch =
           | V.Tuple [ st'; display ] ->
               state := st';
               let shown = call table "display_marks" display in
-              outputs := (shown, Machine.Sim.now ()) :: !outputs
+              outputs := (shown, Machine.Proc.now ()) :: !outputs
           | _ -> failwith "hand-master: predict")
         done)
   in

@@ -7,19 +7,18 @@
     the architecture's links with startup + bandwidth costs, store-and-forward
     through intermediate processors, and per-link contention.
 
-    Process bodies are plain OCaml functions written in direct style; the
-    communication/computation primitives ({!recv}, {!send}, {!compute}) are
-    implemented with effect handlers, so a body looks exactly like the
-    pseudo-code of a SKiPPER kernel primitive sequence. The simulation is
-    fully deterministic: simultaneous events are processed in creation
-    order.
+    Process bodies are plain OCaml functions written in direct style that
+    call the primitives of {!Proc} ({!Proc.recv}, {!Proc.send},
+    {!Proc.compute}, ...); each primitive performs an effect, and this
+    module is their handler. The simulation is fully deterministic:
+    simultaneous events are processed in creation order.
 
     Values computed are real {!Skel.Value.t}s, so a simulated run returns the
     actual program output, which tests compare against sequential
     emulation. *)
 
 type t
-type pid = int
+type pid = Proc.pid
 
 val create : ?trace:bool -> Archi.t -> t
 (** [create arch] builds an empty machine over [arch]. With [~trace:true],
@@ -27,59 +26,6 @@ val create : ?trace:bool -> Archi.t -> t
     timeline is held in memory and grows with the run. *)
 
 val arch : t -> Archi.t
-
-(** {1 Process primitives}
-
-    These may only be called from inside a process body spawned with
-    {!spawn}; elsewhere they raise [Not_in_process]. *)
-
-exception Not_in_process
-
-val now : unit -> float
-(** Current simulation time, seconds. *)
-
-val compute : float -> unit
-(** [compute cycles] occupies the hosting processor for
-    [cycles * cycle_time] seconds. *)
-
-val send : pid -> string -> Skel.Value.t -> unit
-(** [send dst port v] transmits [v] to process [dst]'s [port]. The sender is
-    charged a fixed software overhead; the transfer itself proceeds like DMA:
-    link occupancy along the route is serialised per link, and the sender
-    does not wait for delivery. Local (same-processor) messages cost only a
-    memory-copy time. *)
-
-val recv : string -> Skel.Value.t
-(** [recv port] blocks until a message is available on [port] and returns
-    it. Messages per port arrive FIFO. *)
-
-val recv_any : string list -> string * Skel.Value.t
-(** [recv_any ports] blocks until any of [ports] has a message; among ports
-    with waiting messages, the earliest-delivered message is taken. *)
-
-val recv_deadline :
-  string list -> deadline:float -> (string * Skel.Value.t) option
-(** [recv_deadline ports ~deadline] behaves like {!recv_any} but gives up at
-    absolute time [deadline]: it returns [None] if no message arrived by
-    then (the caller is resumed at the deadline), [Some (port, v)]
-    otherwise. The timeout costs no busy time. This is the primitive a
-    fault-tolerant executive needs to notice lost tasks. *)
-
-val sleep_until : float -> unit
-(** [sleep_until t] releases the processor and resumes no earlier than
-    absolute time [t] (immediately if [t] has passed). Sleeping does not
-    count as busy time; it models a process waiting on an external timer,
-    e.g. a camera delivering frames at 25 Hz. *)
-
-val mark_stable : unit -> unit
-(** Truncates the calling durable process's replay journal: every message it
-    consumed so far is covered by a checkpoint the caller has just secured,
-    so a later restart replays only messages consumed after this point.
-    Takes effect within the current zero-duration execution segment —
-    processor halts only land at event boundaries, so saving a checkpoint
-    and calling [mark_stable] in the same segment is atomic with respect to
-    failures. A no-op for non-durable processes (their journal is never
-    written). *)
 
 (** {1 Building and running} *)
 
@@ -94,7 +40,7 @@ val spawn : t -> name:string -> ?durable:bool -> on:int -> (unit -> unit) -> pid
     [dropped_msgs]), and when the processor is {!restore_processor}d the
     body restarts from the top (recorded as ["restart (replay)"]). The
     restarted incarnation re-reads, per port and in the original order, the
-    messages consumed since its last {!mark_stable}, then the unconsumed
+    messages consumed since its last {!Proc.mark_stable}, then the unconsumed
     backlog, then the spooled deliveries — the classic checkpoint +
     message-log replay discipline. State held in OCaml refs created outside
     the body (stable storage) survives; refs created inside the body are
@@ -126,7 +72,7 @@ val halt_processor : t -> ?at:float -> int -> unit
 val restore_processor : t -> ?at:float -> int -> unit
 (** Lifts a {!halt_processor} at time [at]: the processor dispatches again.
     Messages dropped while halted stay lost; processes that were ready
-    resume, ones blocked in {!recv} keep waiting for a fresh message.
+    resume, ones blocked in {!Proc.recv} keep waiting for a fresh message.
     Durable processes ({!spawn} with [~durable:true]) instead restart from
     the top with their journal and spooled deliveries replayed. *)
 
@@ -173,16 +119,17 @@ val run : t -> float
 (** Executes until the event queue drains, so {!utilisation}/{!accounts}
     cover the whole run.
 
-    Returns the final simulation time. A process still blocked in {!recv}
-    when the queue drains is simply terminated (streams end this way); a
-    [compute]/[send] deadlock cannot occur since both always progress.
+    Returns the final simulation time. A process still blocked in
+    {!Proc.recv} when the queue drains is simply terminated (streams end
+    this way); a [compute]/[send] deadlock cannot occur since both always
+    progress.
     Raises [Failure] if called twice.
 
     Concurrency: one machine must only ever run on one domain, but
-    distinct machines may run on distinct domains concurrently (the
-    executing-process pointer is domain-local and everything else hangs
-    off [t]) — {!Support.Domain_pool} relies on this to farm whole
-    simulations. *)
+    distinct machines may run on distinct domains concurrently (a machine
+    keeps no global state: everything hangs off [t], and each process's
+    effects go to the handler its own body runs under) —
+    {!Support.Domain_pool} relies on this to farm whole simulations. *)
 
 exception Process_failure of string * exn
 (** Raised by {!run} when a process body raises: carries the process name
@@ -242,7 +189,7 @@ type account = {
   on : int;  (** hosting processor *)
   busy_s : float;  (** busy seconds (compute + kernel overheads) *)
   blocked_s : float;
-      (** seconds spent blocked in {!recv}; a process still blocked when the
+      (** seconds spent blocked in {!Proc.recv}; a process still blocked when the
           run drained is charged up to the finish time — or up to the halt
           instant when its processor died (a killed process is dead, not
           waiting) *)

@@ -1,14 +1,18 @@
 (* Reservations [head .. tail - 1] of [starts]/[stops], sorted by start;
-   [past] is the folded length of the pruned ones before [head]. *)
+   [past] is the folded length of the pruned ones before [head], kept in a
+   record of its own so that adding to it stores an unboxed float. *)
+type past = { mutable past : float }
+
 type t = {
   mutable starts : float array;
   mutable stops : float array;
   mutable head : int;
   mutable tail : int;
-  mutable past : float;
+  sum : past;
 }
 
-let create () = { starts = [||]; stops = [||]; head = 0; tail = 0; past = 0.0 }
+let create () =
+  { starts = [||]; stops = [||]; head = 0; tail = 0; sum = { past = 0.0 } }
 
 (* overlap tolerance of the first-fit test *)
 let eps = 1e-15
@@ -33,7 +37,9 @@ let make_room b =
     b.tail <- live
   end
 
-let reserve b ~earliest ~duration =
+(* [reserve] and [prune] are inlined into their callers' hop loops, whose
+   floats then stay unboxed. *)
+let[@inline] reserve b ~earliest ~duration =
   make_room b;
   (* first fit: skip every reservation the request would overlap *)
   let start = ref earliest and i = ref b.head in
@@ -59,9 +65,9 @@ let reserve b ~earliest ~duration =
   b.tail <- b.tail + 1;
   start
 
-let prune b ~upto =
+let[@inline] prune b ~upto =
   while b.head < b.tail && b.stops.(b.head) <= upto do
-    b.past <- b.past +. (b.stops.(b.head) -. b.starts.(b.head));
+    b.sum.past <- b.sum.past +. (b.stops.(b.head) -. b.starts.(b.head));
     b.head <- b.head + 1
   done;
   (* an emptied book starts again at the front of its arrays *)
@@ -71,7 +77,7 @@ let prune b ~upto =
   end
 
 let total b =
-  let acc = ref b.past in
+  let acc = ref b.sum.past in
   for i = b.head to b.tail - 1 do
     acc := !acc +. (b.stops.(i) -. b.starts.(i))
   done;

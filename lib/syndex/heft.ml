@@ -75,6 +75,28 @@ let map cost arch g =
      receive on the candidate); remote dependencies pay per-hop startup via
      Archi.transfer_time, local ones the memory-copy bandwidth. *)
   let preds = Array.map Array.of_list dag.Dag.preds in
+  (* [Archi.transfer_time] walks the route, and every candidate processor
+     of every op asks for one: memoise it per (src, dst, bytes) for this
+     call, as rows of [nprocs] made on first use, NaN until computed. *)
+  let route_costs = Hashtbl.create 4 in
+  let transfer_time sp p bytes =
+    let rows =
+      match Hashtbl.find_opt route_costs bytes with
+      | Some rows -> rows
+      | None ->
+          let rows = Array.make nprocs [||] in
+          Hashtbl.replace route_costs bytes rows;
+          rows
+    in
+    if Array.length rows.(sp) = 0 then rows.(sp) <- Array.make nprocs Float.nan;
+    let c = rows.(sp).(p) in
+    if Float.is_nan c then begin
+      let c = Archi.transfer_time arch sp p bytes in
+      rows.(sp).(p) <- c;
+      c
+    end
+    else c
+  in
   let est i p =
     let deps = preds.(i) in
     let acc = ref avail.(p) in
@@ -95,7 +117,7 @@ let map cost arch g =
               +. (float_of_int d.Dag.bytes /. Archi.local_copy_bandwidth)
             else
               op_finish.(src) +. overheads
-              +. Archi.transfer_time arch sp p d.Dag.bytes
+              +. transfer_time sp p d.Dag.bytes
       in
       acc := Float.max !acc arrival
     done;

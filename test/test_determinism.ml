@@ -46,7 +46,7 @@ let init_for p =
       V.Tuple [ V.List (List.init p.nworkers (fun _ -> V.Int 0)); V.Int 0 ]
   | Skel.Ir.Resource -> V.Tuple [ V.Int 0; V.Int 0 ]
 
-let run_job p =
+let run_job ?(faults = []) ?(restores = []) ?(colocate = false) p =
   let table = Skel.Funtable.create () in
   Skel.Funtable.register table "w" ~cost:(fun _ -> 10_000.0) (fun v -> v);
   Skel.Funtable.register table "k" ~arity:2 ~cost:(fun _ -> 100.0) (fun v ->
@@ -67,9 +67,20 @@ let run_job p =
         [ Sim.link_fault ~schedule:(Sim.Prob (pr, seed)) Sim.Drop ]
   in
   let recovery = if p.recover then Some (Executive.recovery 5e-3) else None in
-  Executive.run ~trace:true ~link_faults ?recovery
-    ?checkpoint_every:p.checkpoint ~table ~arch
-    ~placement:(Syndex.Place.canonical g arch)
+  (* canonical placement puts the master on P0 and worker i on P(i+1);
+     [colocate] moves the first worker onto P0 too *)
+  let placement = Syndex.Place.canonical g arch in
+  (if colocate then
+     match
+       List.find_opt
+         (fun (n : Procnet.Graph.node) ->
+           match n.kind with Procnet.Graph.DfWorker _ -> true | _ -> false)
+         (Array.to_list (Procnet.Graph.nodes g))
+     with
+     | Some w -> placement.(w.id) <- 0
+     | None -> ());
+  Executive.run ~trace:true ~faults ~restores ~link_faults ?recovery
+    ?checkpoint_every:p.checkpoint ~table ~arch ~placement
     ~graph:g ~frames:p.frames
     ?input_period:(if p.frames > 1 then Some 0.01 else None)
     ~input:(V.List (List.init p.nitems (fun i -> V.Int i)))
@@ -388,6 +399,57 @@ let test_bytes_chrome () =
     (92639, "6e3abc865993286d80b822e948696e42")
     (Chrome.to_json (Executive.timeline ~slo (Lazy.force faulted)))
 
+(* The paths that incarnation epochs and stale-event checks guard, on
+   ring 5 where the workers' results share links. The checkpointed
+   master's processor halts twice: a 0.2 us outage lands while one of the
+   master's steps is pending, so that step arrives at the restored epoch
+   and is dropped as stale; a 1.7 ms outage spools four deliveries and
+   restarts the master, which replays a frame from its checkpoint. With
+   the first worker on the master's processor, a 10 us outage lands while
+   the master waits in the ready queue behind the worker's compute: the
+   restart leaves that entry stale, and two deliveries are spooled. In the
+   recovering farm a worker's processor is down for two frames: deliveries
+   to it drop, [recv_deadline] timers fire and reissue, the worker is
+   retired, and every wait answered in time leaves a stale timer behind. *)
+let durable_halted =
+  lazy
+    (run_job
+       ~faults:[ (0, 0.020003); (0, 0.0305) ]
+       ~restores:[ (0, 0.0200032); (0, 0.0322) ]
+       { healthy with nworkers = 4; frames = 6; mode = Skel.Ir.Accumulator;
+         checkpoint = Some 2 })
+
+let colocated_halted =
+  lazy
+    (run_job ~colocate:true ~faults:[ (0, 0.02112) ] ~restores:[ (0, 0.02113) ]
+       { healthy with nworkers = 4; frames = 6; mode = Skel.Ir.Accumulator;
+         checkpoint = Some 2 })
+
+let recovering_halted =
+  lazy
+    (run_job ~faults:[ (2, 0.0101) ] ~restores:[ (2, 0.0305) ]
+       { healthy with nworkers = 4; frames = 6; recover = true })
+
+let test_bytes_halted () =
+  List.iter
+    (fun (name, run, chrome, metrics) ->
+      let r = Lazy.force run in
+      check_bytes (name ^ " Chrome.to_json") chrome
+        (Chrome.to_json (Executive.timeline r));
+      check_bytes (name ^ " Metrics.to_json") metrics
+        (Machine.Metrics.to_json (Executive.metrics r)))
+    [
+      ("durable", durable_halted,
+        (117199, "fd28502d1731556dfa53a4bdf419a36c"),
+        (2196, "ff185c2f9ffa0455e8f19712930531c3"));
+      ("colocated", colocated_halted,
+        (70347, "d665bc2f91bfd9ea676a2479301b30d8"),
+        (2194, "af0adfc4eb9d36f0cbb9d6866997b506"));
+      ("recovering", recovering_halted,
+        (94315, "bfb217309516e487ee9bf40a6b6bee27"),
+        (2192, "a7bed589b294c4daf35c3ce7b2976e8f"));
+    ]
+
 let test_bytes_stage () =
   let report pass wall size metric cached detail =
     { Skipper_lib.Stage.pass; start = 1e9; wall; size; metric; cached; detail }
@@ -436,5 +498,6 @@ let () =
           Alcotest.test_case "summary_json ~extras" `Quick test_bytes_summary;
           Alcotest.test_case "Chrome.to_json" `Quick test_bytes_chrome;
           Alcotest.test_case "Stage.reports_to_json" `Quick test_bytes_stage;
+          Alcotest.test_case "halted farms" `Quick test_bytes_halted;
         ] );
     ]

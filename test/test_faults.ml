@@ -4,6 +4,7 @@
    sequential emulation. *)
 
 module Sim = Machine.Sim
+module Proc = Machine.Proc
 module V = Skel.Value
 module Ir = Skel.Ir
 
@@ -22,11 +23,11 @@ let test_halt_drops_messages () =
   let got = ref [] in
   let rx =
     Sim.spawn sim ~name:"rx" ~on:1 (fun () ->
-        let v = Sim.recv "in" in
+        let v = Proc.recv "in" in
         got := V.to_int v :: !got)
   in
   let _ =
-    Sim.spawn sim ~name:"tx" ~on:0 (fun () -> Sim.send rx "in" (V.Int 7))
+    Sim.spawn sim ~name:"tx" ~on:0 (fun () -> Proc.send rx "in" (V.Int 7))
   in
   Sim.halt_processor sim ~at:0.0 1;
   let _ = Sim.run sim in
@@ -46,7 +47,7 @@ let test_restore_resumes_delivery () =
   let got = ref [] in
   let rx =
     Sim.spawn sim ~name:"rx" ~on:1 (fun () ->
-        got := V.to_int (Sim.recv "in") :: !got)
+        got := V.to_int (Proc.recv "in") :: !got)
   in
   Sim.halt_processor sim ~at:1e-3 1;
   Sim.restore_processor sim ~at:3e-3 1;
@@ -62,10 +63,10 @@ let test_halt_trace_events () =
      processor's lane, in both the Chrome and SVG exports. *)
   let sim = Sim.create ~trace:true (toy_arch 2) in
   let rx =
-    Sim.spawn sim ~name:"rx" ~on:1 (fun () -> ignore (Sim.recv "in"))
+    Sim.spawn sim ~name:"rx" ~on:1 (fun () -> ignore (Proc.recv "in"))
   in
   let _ =
-    Sim.spawn sim ~name:"tx" ~on:0 (fun () -> Sim.send rx "in" (V.Int 1))
+    Sim.spawn sim ~name:"tx" ~on:0 (fun () -> Proc.send rx "in" (V.Int 1))
   in
   Sim.halt_processor sim ~at:0.0 1;
   let _ = Sim.run sim in
@@ -106,10 +107,10 @@ let test_halted_accounting_clamped () =
      to the halt instant, and live time excludes the dead tail. *)
   let sim = Sim.create (toy_arch 2) in
   let _ =
-    Sim.spawn sim ~name:"rx" ~on:1 (fun () -> ignore (Sim.recv "never"))
+    Sim.spawn sim ~name:"rx" ~on:1 (fun () -> ignore (Proc.recv "never"))
   in
   let _ =
-    Sim.spawn sim ~name:"worker" ~on:0 (fun () -> Sim.compute 10_000.0)
+    Sim.spawn sim ~name:"worker" ~on:0 (fun () -> Proc.compute 10_000.0)
   in
   Sim.halt_processor sim ~at:2e-3 1;
   let finish = Sim.run sim in
@@ -136,7 +137,7 @@ let stream_run ?(n = 5) faults =
   let rx =
     Sim.spawn sim ~name:"rx" ~on:1 (fun () ->
         let rec loop () =
-          match Sim.recv_deadline [ "in" ] ~deadline:(Sim.now () +. 0.1) with
+          match Proc.recv_deadline [ "in" ] ~deadline:(Proc.now () +. 0.1) with
           | Some (_, v) ->
               got := V.to_int v :: !got;
               loop ()
@@ -147,7 +148,7 @@ let stream_run ?(n = 5) faults =
   let _ =
     Sim.spawn sim ~name:"tx" ~on:0 (fun () ->
         for i = 1 to n do
-          Sim.send rx "in" (V.Int i)
+          Proc.send rx "in" (V.Int i)
         done)
   in
   List.iter (Sim.add_fault sim) faults;
@@ -190,11 +191,11 @@ let test_delay_postpones () =
   let arrived = ref 0.0 in
   let rx =
     Sim.spawn sim ~name:"rx" ~on:1 (fun () ->
-        ignore (Sim.recv "in");
-        arrived := Sim.now ())
+        ignore (Proc.recv "in");
+        arrived := Proc.now ())
   in
   let _ =
-    Sim.spawn sim ~name:"tx" ~on:0 (fun () -> Sim.send rx "in" (V.Int 1))
+    Sim.spawn sim ~name:"tx" ~on:0 (fun () -> Proc.send rx "in" (V.Int 1))
   in
   Sim.add_fault sim (Sim.link_fault (Sim.Delay dt));
   let _ = Sim.run sim in
@@ -224,11 +225,11 @@ let test_injections_and_local_copies_exempt () =
   let rx =
     Sim.spawn sim ~name:"rx" ~on:0 (fun () ->
         for _ = 1 to 2 do
-          got := V.to_int (Sim.recv "in") :: !got
+          got := V.to_int (Proc.recv "in") :: !got
         done)
   in
   let _ =
-    Sim.spawn sim ~name:"tx" ~on:0 (fun () -> Sim.send rx "in" (V.Int 2))
+    Sim.spawn sim ~name:"tx" ~on:0 (fun () -> Proc.send rx "in" (V.Int 2))
   in
   Sim.add_fault sim (Sim.link_fault Sim.Drop);
   Sim.inject sim rx "in" (V.Int 1);
@@ -241,8 +242,8 @@ let test_recv_deadline_timeout () =
   let first = ref (Some ("x", V.Unit)) and second = ref None in
   let rx =
     Sim.spawn sim ~name:"rx" ~on:1 (fun () ->
-        first := Sim.recv_deadline [ "in" ] ~deadline:2e-3;
-        second := Sim.recv_deadline [ "in" ] ~deadline:1.0)
+        first := Proc.recv_deadline [ "in" ] ~deadline:2e-3;
+        second := Proc.recv_deadline [ "in" ] ~deadline:1.0)
   in
   Sim.inject sim ~at:5e-3 rx "in" (V.Int 9);
   let _ = Sim.run sim in
@@ -258,8 +259,8 @@ let test_stale_deadline_ignored () =
   let first = ref None and second = ref V.Unit in
   let rx =
     Sim.spawn sim ~name:"rx" ~on:1 (fun () ->
-        first := Sim.recv_deadline [ "in" ] ~deadline:5e-3;
-        second := Sim.recv "in")
+        first := Proc.recv_deadline [ "in" ] ~deadline:5e-3;
+        second := Proc.recv "in")
   in
   Sim.inject sim ~at:1e-3 rx "in" (V.Int 1);
   Sim.inject sim ~at:8e-3 rx "in" (V.Int 2);
@@ -275,8 +276,8 @@ let test_stale_deadline_ignored () =
 
 let test_degraded_metrics () =
   let sim = Sim.create (toy_arch 2) in
-  let _ = Sim.spawn sim ~name:"a" ~on:0 (fun () -> Sim.compute 10_000.0) in
-  let _ = Sim.spawn sim ~name:"b" ~on:1 (fun () -> ignore (Sim.recv "never")) in
+  let _ = Sim.spawn sim ~name:"a" ~on:0 (fun () -> Proc.compute 10_000.0) in
+  let _ = Sim.spawn sim ~name:"b" ~on:1 (fun () -> ignore (Proc.recv "never")) in
   Sim.halt_processor sim ~at:2e-3 1;
   let _ = Sim.run sim in
   let report = Machine.Metrics.analyse ~deadline_misses:1 ~reissues:2 sim in

@@ -2,6 +2,7 @@
    kernel primitives, link contention, determinism, and failure handling. *)
 
 module Sim = Machine.Sim
+module Proc = Machine.Proc
 module V = Skel.Value
 
 (* A ring with easy numbers: 1 us cycles, 1 MB/s links, 1 ms startup. *)
@@ -13,8 +14,8 @@ let test_compute_advances_time () =
   let finished = ref 0.0 in
   let _ =
     Sim.spawn sim ~name:"p" ~on:0 (fun () ->
-        Sim.compute 1000.0;
-        finished := Sim.now ())
+        Proc.compute 1000.0;
+        finished := Proc.now ())
   in
   let _ = Sim.run sim in
   Alcotest.(check (float 1e-12)) "1000 cycles at 1us" 1e-3 !finished
@@ -23,8 +24,8 @@ let test_cpu_exclusive () =
   (* Two processes on one processor serialise their computations. *)
   let sim = Sim.create (toy_arch 1) in
   let t1 = ref 0.0 and t2 = ref 0.0 in
-  let _ = Sim.spawn sim ~name:"a" ~on:0 (fun () -> Sim.compute 1000.0; t1 := Sim.now ()) in
-  let _ = Sim.spawn sim ~name:"b" ~on:0 (fun () -> Sim.compute 1000.0; t2 := Sim.now ()) in
+  let _ = Sim.spawn sim ~name:"a" ~on:0 (fun () -> Proc.compute 1000.0; t1 := Proc.now ()) in
+  let _ = Sim.spawn sim ~name:"b" ~on:0 (fun () -> Proc.compute 1000.0; t2 := Proc.now ()) in
   let _ = Sim.run sim in
   Alcotest.(check (float 1e-12)) "first done at 1ms" 1e-3 (Float.min !t1 !t2);
   Alcotest.(check (float 1e-12)) "second done at 2ms" 2e-3 (Float.max !t1 !t2)
@@ -32,8 +33,8 @@ let test_cpu_exclusive () =
 let test_parallel_processors_overlap () =
   let sim = Sim.create (toy_arch 2) in
   let t1 = ref 0.0 and t2 = ref 0.0 in
-  let _ = Sim.spawn sim ~name:"a" ~on:0 (fun () -> Sim.compute 1000.0; t1 := Sim.now ()) in
-  let _ = Sim.spawn sim ~name:"b" ~on:1 (fun () -> Sim.compute 1000.0; t2 := Sim.now ()) in
+  let _ = Sim.spawn sim ~name:"a" ~on:0 (fun () -> Proc.compute 1000.0; t1 := Proc.now ()) in
+  let _ = Sim.spawn sim ~name:"b" ~on:1 (fun () -> Proc.compute 1000.0; t2 := Proc.now ()) in
   let finish = Sim.run sim in
   Alcotest.(check (float 1e-12)) "both done at 1ms" 1e-3 finish;
   Alcotest.(check (float 1e-12)) "a" 1e-3 !t1;
@@ -45,12 +46,12 @@ let test_message_latency_model () =
   let arrival = ref 0.0 in
   let receiver =
     Sim.spawn sim ~name:"rx" ~on:1 (fun () ->
-        let _ = Sim.recv "in" in
-        arrival := Sim.now ())
+        let _ = Proc.recv "in" in
+        arrival := Proc.now ())
   in
   let _ =
     Sim.spawn sim ~name:"tx" ~on:0 (fun () ->
-        Sim.send receiver "in" (V.Str (String.make 996 'x')))
+        Proc.send receiver "in" (V.Str (String.make 996 'x')))
   in
   let _ = Sim.run sim in
   (* send overhead 200 cycles = 200us; transfer = 1ms startup + 1ms payload;
@@ -64,12 +65,12 @@ let test_store_and_forward () =
   let arrival = ref 0.0 in
   let receiver =
     Sim.spawn sim ~name:"rx" ~on:2 (fun () ->
-        let _ = Sim.recv "in" in
-        arrival := Sim.now ())
+        let _ = Proc.recv "in" in
+        arrival := Proc.now ())
   in
   let _ =
     Sim.spawn sim ~name:"tx" ~on:0 (fun () ->
-        Sim.send receiver "in" (V.Str (String.make 996 'x')))
+        Proc.send receiver "in" (V.Str (String.make 996 'x')))
   in
   let _ = Sim.run sim in
   let expected = (Archi.send_overhead_cycles *. 1e-6) +. (2.0 *. (1e-3 +. 1e-3)) in
@@ -83,14 +84,14 @@ let test_link_contention_serialises () =
   let receiver =
     Sim.spawn sim ~name:"rx" ~on:1 (fun () ->
         for _ = 1 to 2 do
-          let _ = Sim.recv "in" in
-          arrivals := Sim.now () :: !arrivals
+          let _ = Proc.recv "in" in
+          arrivals := Proc.now () :: !arrivals
         done)
   in
   let _ =
     Sim.spawn sim ~name:"tx" ~on:0 (fun () ->
-        Sim.send receiver "in" (V.Str (String.make 996 'x'));
-        Sim.send receiver "in" (V.Str (String.make 996 'y')))
+        Proc.send receiver "in" (V.Str (String.make 996 'x'));
+        Proc.send receiver "in" (V.Str (String.make 996 'y')))
   in
   let _ = Sim.run sim in
   match List.rev !arrivals with
@@ -104,10 +105,10 @@ let test_local_message_cheap () =
   let arrival = ref 0.0 in
   let receiver =
     Sim.spawn sim ~name:"rx" ~on:0 (fun () ->
-        let _ = Sim.recv "in" in
-        arrival := Sim.now ())
+        let _ = Proc.recv "in" in
+        arrival := Proc.now ())
   in
-  let _ = Sim.spawn sim ~name:"tx" ~on:0 (fun () -> Sim.send receiver "in" (V.Int 1)) in
+  let _ = Sim.spawn sim ~name:"tx" ~on:0 (fun () -> Proc.send receiver "in" (V.Int 1)) in
   let _ = Sim.run sim in
   Alcotest.(check bool) "local copy is far below link time" true (!arrival < 1e-3)
 
@@ -117,12 +118,12 @@ let test_fifo_per_port () =
   let receiver =
     Sim.spawn sim ~name:"rx" ~on:1 (fun () ->
         for _ = 1 to 3 do
-          got := V.to_int (Sim.recv "in") :: !got
+          got := V.to_int (Proc.recv "in") :: !got
         done)
   in
   let _ =
     Sim.spawn sim ~name:"tx" ~on:0 (fun () ->
-        List.iter (fun i -> Sim.send receiver "in" (V.Int i)) [ 1; 2; 3 ])
+        List.iter (fun i -> Proc.send receiver "in" (V.Int i)) [ 1; 2; 3 ])
   in
   let _ = Sim.run sim in
   Alcotest.(check (list int)) "in order" [ 1; 2; 3 ] (List.rev !got)
@@ -132,12 +133,12 @@ let test_recv_any () =
   let first = ref "" in
   let receiver =
     Sim.spawn sim ~name:"rx" ~on:0 (fun () ->
-        let port, _ = Sim.recv_any [ "a"; "b" ] in
+        let port, _ = Proc.recv_any [ "a"; "b" ] in
         first := port)
   in
   (* b is adjacent, a is two hops away, so b arrives first *)
-  let _ = Sim.spawn sim ~name:"ta" ~on:2 (fun () -> Sim.send receiver "a" (V.Int 1)) in
-  let _ = Sim.spawn sim ~name:"tb" ~on:1 (fun () -> Sim.send receiver "b" (V.Int 2)) in
+  let _ = Sim.spawn sim ~name:"ta" ~on:2 (fun () -> Proc.send receiver "a" (V.Int 1)) in
+  let _ = Sim.spawn sim ~name:"tb" ~on:1 (fun () -> Proc.send receiver "b" (V.Int 2)) in
   let _ = Sim.run sim in
   Alcotest.(check string) "earliest message wins" "b" !first
 
@@ -146,17 +147,40 @@ let test_sleep_until () =
   let woke = ref 0.0 in
   let _ =
     Sim.spawn sim ~name:"s" ~on:0 (fun () ->
-        Sim.sleep_until 0.5;
-        woke := Sim.now ())
+        Proc.sleep_until 0.5;
+        woke := Proc.now ())
   in
   let _ = Sim.run sim in
   Alcotest.(check (float 1e-9)) "woke at 0.5" 0.5 !woke;
   (* sleeping is not busy time *)
   Alcotest.(check bool) "no busy time" true ((Sim.stats sim).Sim.busy.(0) < 1e-6)
 
+(* [now] and [mark_stable] are answered within the segment that called
+   them, and take no simulated time. *)
+let test_answers_within_segment () =
+  let sim = Sim.create (toy_arch 1) in
+  let times = ref [] in
+  let _ =
+    Sim.spawn sim ~name:"clock" ~on:0 ~durable:true (fun () ->
+        Proc.compute 1000.0;
+        let t0 = Proc.now () in
+        for _ = 1 to 1_000 do
+          if Proc.now () <> t0 then failwith "the clock moved";
+          Proc.mark_stable ()
+        done;
+        times := [ t0; Proc.now () ])
+  in
+  let finish = Sim.run sim in
+  match !times with
+  | [ t0; t1 ] ->
+      Alcotest.(check bool) "after the compute" true (t0 > 0.0);
+      Alcotest.(check (float 0.0)) "no simulated time taken" t0 t1;
+      Alcotest.(check (float 0.0)) "run ends there" t0 finish
+  | _ -> Alcotest.fail "body did not finish"
+
 let test_blocked_process_terminates_run () =
   let sim = Sim.create (toy_arch 1) in
-  let _ = Sim.spawn sim ~name:"waiter" ~on:0 (fun () -> ignore (Sim.recv "never")) in
+  let _ = Sim.spawn sim ~name:"waiter" ~on:0 (fun () -> ignore (Proc.recv "never")) in
   let finish = Sim.run sim in
   Alcotest.(check (float 0.0)) "drains immediately" 0.0 finish
 
@@ -168,7 +192,61 @@ let test_process_failure_wrapped () =
      with Sim.Process_failure (name, Failure msg) -> name = "boom" && msg = "kaboom")
 
 let test_primitives_outside_process () =
-  Alcotest.check_raises "now outside" Sim.Not_in_process (fun () -> ignore (Sim.now ()))
+  let outside name f =
+    Alcotest.check_raises (name ^ " outside") Proc.Not_in_process (fun () ->
+        ignore (f ()))
+  in
+  outside "now" (fun () -> ignore (Proc.now ()));
+  outside "compute" (fun () -> Proc.compute 10.0);
+  outside "send" (fun () -> Proc.send 0 "p" (V.Int 1));
+  outside "recv" (fun () -> ignore (Proc.recv "p"));
+  outside "recv_any" (fun () -> ignore (Proc.recv_any [ "p"; "q" ]));
+  outside "recv_deadline" (fun () ->
+      ignore (Proc.recv_deadline [ "p" ] ~deadline:1.0));
+  outside "sleep_until" (fun () -> Proc.sleep_until 1.0);
+  outside "mark_stable" (fun () -> Proc.mark_stable ())
+
+(* A process failure unwinds out of [run] mid-run, with other processes
+   parked in their continuations; the domain must still run a fresh
+   machine exactly as if the failed one never existed. *)
+let test_failure_leaves_domain_clean () =
+  let reference () =
+    let sim = Sim.create (toy_arch 2) in
+    let got = ref [] in
+    let sink =
+      Sim.spawn sim ~name:"sink" ~on:0 (fun () ->
+          for _ = 1 to 3 do
+            let v = Proc.recv "in" in
+            got := (V.to_int v, Proc.now ()) :: !got
+          done)
+    in
+    let _ =
+      Sim.spawn sim ~name:"src" ~on:1 (fun () ->
+          for i = 1 to 3 do
+            Proc.compute 100.0;
+            Proc.send sink "in" (V.Int i)
+          done)
+    in
+    let finish = Sim.run sim in
+    (finish, List.rev !got)
+  in
+  let before = reference () in
+  let broken = Sim.create (toy_arch 2) in
+  let waiter = Sim.spawn broken ~name:"waiter" ~on:0 (fun () -> ignore (Proc.recv "never")) in
+  let _ =
+    Sim.spawn broken ~name:"boom" ~on:1 (fun () ->
+        Proc.compute 50.0;
+        Proc.send waiter "other" (V.Int 0);
+        ignore (Proc.now ());
+        failwith "kaboom")
+  in
+  Alcotest.(check bool) "failure raised" true
+    (try ignore (Sim.run broken); false with Sim.Process_failure ("boom", _) -> true);
+  Alcotest.check_raises "primitives still outside a process" Proc.Not_in_process
+    (fun () -> ignore (Proc.now ()));
+  let after = reference () in
+  Alcotest.(check (pair (float 0.0) (list (pair int (float 0.0)))))
+    "fresh machine runs as before" before after
 
 let test_spawn_validation () =
   let sim = Sim.create (toy_arch 2) in
@@ -189,16 +267,16 @@ let test_determinism () =
     let collector =
       Sim.spawn sim ~name:"col" ~on:0 (fun () ->
           for _ = 1 to 6 do
-            outputs := V.to_int (Sim.recv "r") :: !outputs
+            outputs := V.to_int (Proc.recv "r") :: !outputs
           done)
     in
     for i = 1 to 3 do
       let _ =
         Sim.spawn sim ~name:(Printf.sprintf "w%d" i) ~on:(i mod 4) (fun () ->
-            Sim.compute (float_of_int (i * 100));
-            Sim.send collector "r" (V.Int i);
-            Sim.compute 50.0;
-            Sim.send collector "r" (V.Int (10 * i)))
+            Proc.compute (float_of_int (i * 100));
+            Proc.send collector "r" (V.Int i);
+            Proc.compute 50.0;
+            Proc.send collector "r" (V.Int (10 * i)))
       in
       ()
     done;
@@ -211,11 +289,11 @@ let test_determinism () =
 
 let test_stats_and_utilisation () =
   let sim = Sim.create (toy_arch 2) in
-  let r = Sim.spawn sim ~name:"rx" ~on:1 (fun () -> ignore (Sim.recv "in")) in
+  let r = Sim.spawn sim ~name:"rx" ~on:1 (fun () -> ignore (Proc.recv "in")) in
   let _ =
     Sim.spawn sim ~name:"tx" ~on:0 (fun () ->
-        Sim.compute 100.0;
-        Sim.send r "in" (V.Int 5))
+        Proc.compute 100.0;
+        Proc.send r "in" (V.Int 5))
   in
   let _ = Sim.run sim in
   let st = Sim.stats sim in
@@ -226,7 +304,7 @@ let test_stats_and_utilisation () =
 
 let test_trace_and_gantt () =
   let sim = Sim.create ~trace:true (toy_arch 1) in
-  let _ = Sim.spawn sim ~name:"p" ~on:0 (fun () -> Sim.compute 500.0) in
+  let _ = Sim.spawn sim ~name:"p" ~on:0 (fun () -> Proc.compute 500.0) in
   let _ = Sim.run sim in
   let module E = Skipper_trace.Event in
   let events = E.events (Sim.timeline sim) in
@@ -253,7 +331,7 @@ let prop_compute_time_additive =
       let sim = Sim.create (toy_arch 1) in
       let _ =
         Sim.spawn sim ~name:"p" ~on:0 (fun () ->
-            List.iter (fun c -> Sim.compute (float_of_int c)) cycles)
+            List.iter (fun c -> Proc.compute (float_of_int c)) cycles)
       in
       let finish = Sim.run sim in
       let expected = float_of_int (List.fold_left ( + ) 0 cycles) *. 1e-6 in
@@ -262,11 +340,11 @@ let prop_compute_time_additive =
 
 let test_accounts_per_process () =
   let sim = Sim.create (toy_arch 2) in
-  let r = Sim.spawn sim ~name:"rx" ~on:1 (fun () -> ignore (Sim.recv "in")) in
+  let r = Sim.spawn sim ~name:"rx" ~on:1 (fun () -> ignore (Proc.recv "in")) in
   let _ =
     Sim.spawn sim ~name:"tx" ~on:0 (fun () ->
-        Sim.compute 1000.0;
-        Sim.send r "in" (V.Int 1))
+        Proc.compute 1000.0;
+        Proc.send r "in" (V.Int 1))
   in
   let _ = Sim.run sim in
   match Sim.accounts sim with
@@ -283,11 +361,11 @@ let test_accounts_per_process () =
 
 let test_metrics_report () =
   let sim = Sim.create (toy_arch 2) in
-  let r = Sim.spawn sim ~name:"rx" ~on:1 (fun () -> ignore (Sim.recv "in")) in
+  let r = Sim.spawn sim ~name:"rx" ~on:1 (fun () -> ignore (Proc.recv "in")) in
   let _ =
     Sim.spawn sim ~name:"tx" ~on:0 (fun () ->
-        Sim.compute 5000.0;
-        Sim.send r "in" (V.Int 1))
+        Proc.compute 5000.0;
+        Proc.send r "in" (V.Int 1))
   in
   let _ = Sim.run sim in
   let report = Machine.Metrics.analyse sim in
@@ -380,9 +458,13 @@ let () =
       ( "control",
         [
           Alcotest.test_case "sleep_until" `Quick test_sleep_until;
+          Alcotest.test_case "now and mark_stable within a segment" `Quick
+            test_answers_within_segment;
           Alcotest.test_case "blocked process tolerated" `Quick test_blocked_process_terminates_run;
           Alcotest.test_case "process failure wrapped" `Quick test_process_failure_wrapped;
           Alcotest.test_case "primitives need a process" `Quick test_primitives_outside_process;
+          Alcotest.test_case "failure leaves the domain clean" `Quick
+            test_failure_leaves_domain_clean;
           Alcotest.test_case "spawn validation" `Quick test_spawn_validation;
           Alcotest.test_case "run twice rejected" `Quick test_run_twice_rejected;
         ] );

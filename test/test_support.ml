@@ -263,62 +263,79 @@ let test_noise_table_rejects_levels () =
           ignore (N.table s)))
     [ 0.0; -1.0; 1024.5; Float.nan; Float.infinity ]
 
+module Q = Support.Pqueue
+
+(* Pops every entry, in order. *)
+let drain q =
+  let rec go acc = if Q.is_empty q then List.rev acc else go (Q.pop q :: acc) in
+  go []
+
 let test_pqueue_ordering () =
-  let q = Support.Pqueue.create () in
-  List.iter (fun p -> Support.Pqueue.push q p p) [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
-  let out = ref [] in
-  let rec drain () =
-    match Support.Pqueue.pop q with
-    | Some (p, _) ->
-        out := p :: !out;
-        drain ()
-    | None -> ()
+  let q = Q.create 0.0 in
+  List.iter (fun p -> Q.push q p p) [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
+  Alcotest.(check (list (float 0.0))) "sorted" [ 1.0; 2.0; 3.0; 4.0; 5.0 ] (drain q);
+  Alcotest.(check (float 0.0)) "clock at the last priority" 5.0 (Q.clock q).Q.now
+
+(* Pushes at the clock's instant go to the lane, a ring: interleaved
+   pushes and pops wrap it before it grows, so growth must unwrap it in
+   order. *)
+let test_pqueue_lane_wraps_and_grows () =
+  let q = Q.create (-1) in
+  let next = ref 0 and expect = ref 0 in
+  let push () = Q.push q 0.0 !next; incr next in
+  let pop () =
+    Alcotest.(check int) "first in, first out" !expect (Q.pop q);
+    incr expect
   in
-  drain ();
-  Alcotest.(check (list (float 0.0))) "sorted" [ 1.0; 2.0; 3.0; 4.0; 5.0 ]
-    (List.rev !out)
+  for _ = 1 to 12 do push () done;
+  for _ = 1 to 10 do pop () done;
+  for _ = 1 to 40 do push () done;
+  Alcotest.(check int) "length" 42 (Q.length q);
+  Alcotest.(check (option int)) "peek" (Some !expect) (Q.peek q);
+  while not (Q.is_empty q) do pop () done;
+  Alcotest.(check int) "every value popped" !next !expect
 
 let test_pqueue_fifo_ties () =
-  let q = Support.Pqueue.create () in
-  List.iter (fun v -> Support.Pqueue.push q 1.0 v) [ "a"; "b"; "c" ];
-  let pop () = snd (Option.get (Support.Pqueue.pop q)) in
-  let first = pop () in
-  let second = pop () in
-  let third = pop () in
+  let q = Q.create "" in
+  List.iter (fun v -> Q.push q 1.0 v) [ "a"; "b"; "c" ];
+  let first = Q.pop q in
+  let second = Q.pop q in
+  let third = Q.pop q in
   Alcotest.(check (list string)) "insertion order on ties" [ "a"; "b"; "c" ]
     [ first; second; third ]
 
 let test_pqueue_peek_and_length () =
-  let q = Support.Pqueue.create () in
-  Alcotest.(check bool) "empty" true (Support.Pqueue.is_empty q);
-  Support.Pqueue.push q 2.0 "x";
-  Support.Pqueue.push q 1.0 "y";
-  Alcotest.(check int) "length" 2 (Support.Pqueue.length q);
-  (match Support.Pqueue.peek q with
-  | Some (p, v) ->
-      Alcotest.(check (float 0.0)) "peek priority" 1.0 p;
-      Alcotest.(check string) "peek value" "y" v
-  | None -> Alcotest.fail "peek on non-empty");
-  Alcotest.(check int) "peek does not remove" 2 (Support.Pqueue.length q)
+  let q = Q.create "" in
+  Alcotest.(check bool) "empty" true (Q.is_empty q);
+  Q.push q 2.0 "x";
+  Q.push q 1.0 "y";
+  Alcotest.(check int) "length" 2 (Q.length q);
+  Alcotest.(check (option string)) "peek value" (Some "y") (Q.peek q);
+  Alcotest.(check int) "peek does not remove" 2 (Q.length q);
+  Alcotest.(check (float 0.0)) "peek does not move the clock" 0.0 (Q.clock q).Q.now
 
 let test_pqueue_clear () =
-  let q = Support.Pqueue.create () in
-  Support.Pqueue.push q 1.0 1;
-  Support.Pqueue.clear q;
-  Alcotest.(check bool) "cleared" true (Support.Pqueue.is_empty q);
-  Alcotest.(check bool) "pop empty" true (Support.Pqueue.pop q = None)
+  let q = Q.create 0 in
+  Q.push q 1.0 1;
+  ignore (Q.pop q);
+  Q.push q 2.0 2;
+  Q.clear q;
+  Alcotest.(check bool) "cleared" true (Q.is_empty q);
+  Alcotest.(check (float 0.0)) "clock back at 0" 0.0 (Q.clock q).Q.now;
+  Alcotest.check_raises "pop empty" (Invalid_argument "Pqueue.pop: empty queue")
+    (fun () -> ignore (Q.pop q))
 
 (* The queue must not keep a value alive once it has given it back, nor
-   after [clear]. *)
+   after [clear], whether the value waited in the heap or in the lane. *)
 let test_pqueue_releases_popped () =
-  let q = Support.Pqueue.create () in
-  let weak = Weak.create 3 in
+  let q = Q.create Bytes.empty in
+  let weak = Weak.create 4 in
   let push_boxed slot prio =
     let v = Bytes.make 16 'x' in
     Weak.set weak slot (Some v);
-    Support.Pqueue.push q prio v
+    Q.push q prio v
   in
-  let pop () = ignore (Sys.opaque_identity (Support.Pqueue.pop q)) in
+  let pop () = ignore (Sys.opaque_identity (Q.pop q)) in
   push_boxed 0 1.0;
   pop ();
   Gc.full_major ();
@@ -330,7 +347,13 @@ let test_pqueue_releases_popped () =
   Gc.full_major ();
   Alcotest.(check bool) "popped value collected" false (Weak.check weak 1);
   Alcotest.(check bool) "queued value kept" true (Weak.check weak 2);
-  Support.Pqueue.clear q;
+  (* at the clock's instant: the lane *)
+  push_boxed 3 1.0;
+  pop ();
+  Gc.full_major ();
+  Alcotest.(check bool) "value popped off the lane collected" false
+    (Weak.check weak 3);
+  Q.clear q;
   Gc.full_major ();
   Alcotest.(check bool) "cleared value collected" false (Weak.check weak 2)
 
@@ -338,31 +361,65 @@ let prop_pqueue_sorted =
   QCheck.Test.make ~name:"pqueue pops in priority order" ~count:200
     QCheck.(list (pair (float_bound_inclusive 1000.0) small_int))
     (fun entries ->
-      let q = Support.Pqueue.create () in
-      List.iter (fun (p, v) -> Support.Pqueue.push q p v) entries;
-      let rec drain acc =
-        match Support.Pqueue.pop q with
-        | Some (p, _) -> drain (p :: acc)
-        | None -> List.rev acc
-      in
-      let prios = drain [] in
+      let q = Q.create 0.0 in
+      List.iter (fun (p, _) -> Q.push q p p) entries;
+      let prios = drain q in
       List.sort compare prios = prios)
 
 let prop_pqueue_preserves_multiset =
   QCheck.Test.make ~name:"pqueue pops exactly what was pushed" ~count:200
     QCheck.(list (pair (float_bound_inclusive 100.0) small_int))
     (fun entries ->
-      let q = Support.Pqueue.create () in
-      List.iter (fun (p, v) -> Support.Pqueue.push q p v) entries;
-      let rec drain acc =
-        match Support.Pqueue.pop q with
-        | Some (_, v) -> drain (v :: acc)
-        | None -> acc
-      in
-      let popped = List.sort compare (drain []) in
+      let q = Q.create 0 in
+      List.iter (fun (p, v) -> Q.push q p v) entries;
+      let popped = List.sort compare (drain q) in
       let pushed = List.sort compare (List.map snd entries) in
       popped = pushed)
 
+(* Event-order oracle: pushes at the clock's instant (the lane), at
+   priorities on a coarse grid that the clock passes (earlier, equal and
+   later ones, so ties are common), interleaved with pops. Every pop must
+   return the entry first in (priority, push order) among those pushed and
+   not yet popped, and the clock must be the largest priority popped. *)
+type pq_op = Push_now | Push_at of int | Pop
+
+let prop_pqueue_event_order =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (3, return Push_now); (4, map (fun k -> Push_at k) (int_range 0 12)); (5, return Pop) ])
+  in
+  let print = function
+    | Push_now -> "now"
+    | Push_at k -> Printf.sprintf "at %d" k
+    | Pop -> "pop"
+  in
+  QCheck.Test.make ~name:"pqueue pops heap and lane in (priority, push order)"
+    ~count:500
+    (QCheck.make ~print:(QCheck.Print.list print) (QCheck.Gen.list_size (QCheck.Gen.int_range 0 80) op))
+    (fun ops ->
+      let q = Q.create (-1) in
+      (* the reference: (priority, push number) of every entry not yet popped *)
+      let pending = ref [] and pushed = ref 0 and clock = ref 0.0 in
+      let push prio =
+        Q.push q prio !pushed;
+        pending := (prio, !pushed) :: !pending;
+        incr pushed
+      in
+      List.for_all
+        (function
+          | Push_now -> push (Q.clock q).Q.now; true
+          | Push_at k -> push (0.5 *. float_of_int k); true
+          | Pop -> (
+              match List.sort compare !pending with
+              | [] -> Q.is_empty q
+              | ((prio, seq) as first) :: _ ->
+                  pending := List.filter (fun e -> e <> first) !pending;
+                  clock := Float.max !clock prio;
+                  let got = Q.pop q in
+                  got = seq && (Q.clock q).Q.now = !clock
+                  && Q.length q = List.length !pending))
+        ops)
 
 (* --- busy-interval reservations --- *)
 
@@ -750,12 +807,14 @@ let () =
         [
           Alcotest.test_case "ordering" `Quick test_pqueue_ordering;
           Alcotest.test_case "FIFO ties" `Quick test_pqueue_fifo_ties;
+          Alcotest.test_case "lane wraps and grows" `Quick test_pqueue_lane_wraps_and_grows;
           Alcotest.test_case "peek and length" `Quick test_pqueue_peek_and_length;
           Alcotest.test_case "clear" `Quick test_pqueue_clear;
           Alcotest.test_case "releases popped values" `Quick
             test_pqueue_releases_popped;
           QCheck_alcotest.to_alcotest prop_pqueue_sorted;
           QCheck_alcotest.to_alcotest prop_pqueue_preserves_multiset;
+          QCheck_alcotest.to_alcotest prop_pqueue_event_order;
         ] );
       ( "intervals",
         [
