@@ -4,7 +4,7 @@
 
      dune exec bench/main.exe           runs E1..E17
      dune exec bench/main.exe -- e4     runs one experiment
-     dune exec bench/main.exe -- simscale
+     dune exec --profile release bench/main.exe -- simscale
                                         times the simulator at scale
      dune exec bench/main.exe -- mapscale
                                         times the mappers as P widens
@@ -1588,13 +1588,22 @@ let max_exponent = 1.25
    per hop, is what this bounds. *)
 let max_words_per_msg = 150.0
 
+(* Minor-heap words one link hop may cost on the 256-worker farm, whose
+   ring of 257 makes routes long: what this bounds is the link book and
+   the hop loop, which allocate nothing per hop once inlined. A release
+   build reads 1.2 to 2.4 words per hop there; a build that stops
+   inlining them (the dev profile's [-opaque] does) reads 7 to 9. *)
+let max_words_per_hop = 4.0
+
 (* Wall time and allocation of the null-kernel df farm over stream length
    x farm width. The fitted exponent in items is gated (exit 1 above
    [max_exponent]): absolute host times vary too much across machines to
    gate. Every cell keeps the fastest of 3 runs, so no cell, long or short,
    rests on one noisy sample. Allocation does not vary from run to run: the
    minor words of the cell's last run, per message and per link hop, are
-   printed, and a 4-worker cell over [max_words_per_msg] exits 1 too. *)
+   printed; a 4-worker cell over [max_words_per_msg] or a 256-worker cell
+   over [max_words_per_hop] exits 1 too. Run it in the release profile:
+   the allocation bounds are set for cross-module inlining. *)
 let simscale () =
   header "simscale" "discrete-event engine host time vs stream length and width";
   let items = [ 1_000; 10_000; 100_000 ] and workers = [ 4; 64; 256 ] in
@@ -1624,7 +1633,7 @@ let simscale () =
     in
     go infinity (0.0, 0.0) 0
   in
-  let heavy = ref [] in
+  let heavy = ref [] and heavy_hops = ref [] in
   let exponents =
     List.map
       (fun w ->
@@ -1638,6 +1647,8 @@ let simscale () =
                 per_msg per_hop;
               if w = 4 && per_msg > max_words_per_msg then
                 heavy := (n, per_msg) :: !heavy;
+              if w = 256 && per_hop > max_words_per_hop then
+                heavy_hops := (n, per_hop) :: !heavy_hops;
               (float_of_int n, wall))
             items
         in
@@ -1659,14 +1670,20 @@ let simscale () =
         "simscale: 4 workers over %d items allocate %.1f words/message > %.0f\n"
         n words max_words_per_msg)
     (List.rev !heavy);
-  if over <> [] || !heavy <> [] then exit 1
+  List.iter
+    (fun (n, words) ->
+      Printf.eprintf
+        "simscale: 256 workers over %d items allocate %.1f words/hop > %.0f\n"
+        n words max_words_per_hop)
+    (List.rev !heavy_hops);
+  if over <> [] || !heavy <> [] || !heavy_hops <> [] then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* mapscale: host-time scaling of the mapping strategies               *)
 
 (* Fitted exponent bound of each strategy's host time in the processor
-   count. bicriteria schedules one interval candidate per processor count
-   by design, so it is allowed one more power than the single-schedule
+   count. bicriteria scores one interval candidate per processor count by
+   design, so it is allowed one more power than the single-schedule
    strategies. *)
 let mapscale_bound = function "bicriteria" -> 3.5 | _ -> 3.0
 
@@ -1678,7 +1695,7 @@ let mapscale_bound = function "bicriteria" -> 3.5 | _ -> 3.0
    only. *)
 let mapscale () =
   header "mapscale" "mapping host time vs processor count (tracking, ring W)";
-  let widths = [ 16; 32; 64; 128 ] in
+  let widths = [ 16; 32; 64; 128; 256 ] in
   let strategies = Syndex.Mapper.registered () in
   Printf.printf "%5s %6s" "W" "nodes";
   List.iter

@@ -173,22 +173,19 @@ let next_link t a u b =
   if l < 0 then failwith (Printf.sprintf "Archi.route: no path %d -> %d" a b);
   l
 
-let fold_route t a b f init =
+let route t a b =
   check_ends t a b;
   let rec walk u acc =
-    if u = b then acc
+    if u = b then List.rev acc
     else
-      let l = next_link t a u b in
-      let link = t.link_arr.(l) in
-      walk link.dst (f acc l link)
+      let v = t.link_arr.(next_link t a u b).dst in
+      walk v (v :: acc)
   in
-  walk a init
-
-let route t a b = List.rev (fold_route t a b (fun acc _ l -> l.dst :: acc) [ a ])
+  walk a [ a ]
 
 let hops t a b = List.length (route t a b) - 1
 
-(* [fold_route]'s walk as a loop, so that the sum stays an unboxed float:
+(* [route]'s walk as a loop, so that the sum stays an unboxed float:
    the mappers call this for every candidate processor of every op. Each
    hop adds its startup, then its byte time, to the sum: not [hop_time],
    whose rounding differs on routes of two hops or more, and would move

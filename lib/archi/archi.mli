@@ -90,15 +90,10 @@ val route : t -> int -> int -> int list
 (** [route t a b] is the shortest processor path from [a] to [b], inclusive
     of both (so [route t a a = [a]]). Ties are broken towards
     lower-numbered intermediate processors, deterministically. Raises
-    [Failure] when no path exists. *)
-
-val fold_route : t -> int -> int -> ('a -> int -> link -> 'a) -> 'a -> 'a
-(** [fold_route t a b f init] folds [f acc i link] over the links of
-    [route t a b] in order, [i] being each link's {!link_at} index. It walks
-    {!first_link}, so no route list is built and no link is looked up by
-    its endpoints. Raises [Invalid_argument] on a bad processor id and
-    [Failure "Archi.route: no path a -> b"] when [b] is unreachable, like
-    {!route}. *)
+    [Invalid_argument] on a bad processor id and
+    [Failure "Archi.route: no path a -> b"] when [b] is unreachable.
+    Test oracle: [test_archi]'s "transfer time equals the route fold bit
+    for bit" and [test_syndex]'s static-scheduler oracle walk it. *)
 
 val first_link : t -> int -> int -> int
 (** [first_link t a b] is the index ({!link_at}) of the first link on
@@ -112,8 +107,8 @@ val hops : t -> int -> int -> int
 
 val transfer_time : t -> int -> int -> int -> float
 (** [transfer_time t a b bytes] is the store-and-forward latency of moving
-    [bytes] from [a] to [b] along the route: in route order ({!fold_route}),
-    each hop adds its [startup], then its [bytes / bandwidth], to the sum.
+    [bytes] from [a] to [b] along the route: in route order, each hop adds
+    its [startup], then its [bytes / bandwidth], to the sum.
     Zero when [a = b]; otherwise raises like {!route}. *)
 
 val to_dot : t -> string

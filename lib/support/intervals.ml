@@ -1,18 +1,32 @@
 (* Reservations [head .. tail - 1] of [starts]/[stops], sorted by start;
-   [past] is the folded length of the pruned ones before [head], kept in a
-   record of its own so that adding to it stores an unboxed float. *)
-type past = { mutable past : float }
+   [past] is the folded length of the pruned ones before [head] and [hi]
+   an upper bound on the stops of [head .. tail - 1] ([neg_infinity] when
+   there are none), kept in a float-only record of their own so that
+   storing them stores unboxed floats. *)
+type floats = { mutable past : float; mutable hi : float }
 
 type t = {
   mutable starts : float array;
   mutable stops : float array;
   mutable head : int;
   mutable tail : int;
-  sum : past;
+  floats : floats;
 }
 
 let create () =
-  { starts = [||]; stops = [||]; head = 0; tail = 0; sum = { past = 0.0 } }
+  {
+    starts = [||];
+    stops = [||];
+    head = 0;
+    tail = 0;
+    floats = { past = 0.0; hi = neg_infinity };
+  }
+
+let clear b =
+  b.head <- 0;
+  b.tail <- 0;
+  b.floats.past <- 0.0;
+  b.floats.hi <- neg_infinity
 
 (* overlap tolerance of the first-fit test *)
 let eps = 1e-15
@@ -41,43 +55,63 @@ let make_room b =
    floats then stay unboxed. *)
 let[@inline] reserve b ~earliest ~duration =
   make_room b;
-  (* first fit: skip every reservation the request would overlap *)
-  let start = ref earliest and i = ref b.head in
-  while !i < b.tail && not (!start +. duration <= b.starts.(!i) +. eps) do
-    start := Float.max !start b.stops.(!i);
-    incr i
-  done;
-  let start = !start in
-  (* insert before the first reservation that starts later; every skipped
-     one ends at or before [start], so the scan resumes where first fit
-     stopped *)
-  let j = ref !i in
-  while !j < b.tail && not (start < b.starts.(!j)) do
-    incr j
-  done;
-  let j = !j in
-  if j < b.tail then begin
-    Array.blit b.starts j b.starts (j + 1) (b.tail - j);
-    Array.blit b.stops j b.stops (j + 1) (b.tail - j)
-  end;
-  b.starts.(j) <- start;
-  b.stops.(j) <- start +. duration;
-  b.tail <- b.tail + 1;
-  start
+  if earliest >= b.floats.hi then begin
+    (* tail fit: every reservation ends at or before [earliest], so first
+       fit grants [earliest]; every one starts at or before it, so the new
+       one goes last *)
+    let stop = earliest +. duration in
+    b.starts.(b.tail) <- earliest;
+    b.stops.(b.tail) <- stop;
+    b.tail <- b.tail + 1;
+    b.floats.hi <- stop;
+    earliest
+  end
+  else begin
+    (* first fit: skip every reservation the request would overlap; times
+       are finite, non-negative and never [-0.], so a compare picks the
+       bits [Float.max] would *)
+    let start = ref earliest and i = ref b.head in
+    while !i < b.tail && not (!start +. duration <= b.starts.(!i) +. eps) do
+      let stop = b.stops.(!i) in
+      if stop > !start then start := stop;
+      incr i
+    done;
+    let start = !start in
+    (* insert before the first reservation that starts later; every skipped
+       one ends at or before [start], so the scan resumes where first fit
+       stopped *)
+    let j = ref !i in
+    while !j < b.tail && not (start < b.starts.(!j)) do
+      incr j
+    done;
+    let j = !j in
+    if j < b.tail then begin
+      Array.blit b.starts j b.starts (j + 1) (b.tail - j);
+      Array.blit b.stops j b.stops (j + 1) (b.tail - j)
+    end;
+    let stop = start +. duration in
+    b.starts.(j) <- start;
+    b.stops.(j) <- stop;
+    b.tail <- b.tail + 1;
+    if stop > b.floats.hi then b.floats.hi <- stop;
+    start
+  end
 
+(* Pruning keeps [hi]: a bound on more stops than remain is still a bound. *)
 let[@inline] prune b ~upto =
   while b.head < b.tail && b.stops.(b.head) <= upto do
-    b.sum.past <- b.sum.past +. (b.stops.(b.head) -. b.starts.(b.head));
+    b.floats.past <- b.floats.past +. (b.stops.(b.head) -. b.starts.(b.head));
     b.head <- b.head + 1
   done;
   (* an emptied book starts again at the front of its arrays *)
   if b.head = b.tail then begin
     b.head <- 0;
-    b.tail <- 0
+    b.tail <- 0;
+    b.floats.hi <- neg_infinity
   end
 
 let total b =
-  let acc = ref b.sum.past in
+  let acc = ref b.floats.past in
   for i = b.head to b.tail - 1 do
     acc := !acc +. (b.stops.(i) -. b.starts.(i))
   done;

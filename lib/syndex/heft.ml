@@ -42,8 +42,7 @@ let upward_ranks arch (dag : Dag.t) =
   done;
   ranks
 
-let map cost arch g =
-  let dag = Dag.of_graph cost g in
+let map_dag arch (dag : Dag.t) =
   let nops = Array.length dag.Dag.ops in
   let nprocs = Archi.nprocs arch in
   let ranks = upward_ranks arch dag in
@@ -179,7 +178,7 @@ let map cost arch g =
      and hand the final timing to the shared prediction engine, so HEFT and
      fixed placements produce comparable schedules (including static link
      contention). The EFT search above used contention-free estimates. *)
-  let placement = Array.make (Procnet.Graph.nnodes g) 0 in
+  let placement = Array.make (Procnet.Graph.nnodes dag.Dag.graph) 0 in
   Array.iteri
     (fun node ops ->
       match ops with
@@ -187,3 +186,5 @@ let map cost arch g =
       | [] -> ())
     dag.Dag.ops_of_node;
   Place.of_placement_dag arch dag placement
+
+let map cost arch g = map_dag arch (Dag.of_graph cost g)

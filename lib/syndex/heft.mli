@@ -14,6 +14,12 @@
 val map : Cost.t -> Archi.t -> Procnet.Graph.t -> Schedule.t
 (** Raises [Failure] when the graph's scheduling DAG is cyclic. *)
 
+val map_dag : Archi.t -> Dag.t -> Schedule.t
+(** [map_dag arch dag] is [map cost arch dag.graph] for a [dag] built by
+    [Dag.of_graph cost], as {!Place.of_placement_dag} is to
+    {!Place.of_placement}: bicriteria hands it the DAG its interval
+    candidates come from. *)
+
 val mean_link_costs : Archi.t -> float * float
 (** Mean link startup (seconds) and bandwidth (bytes/s) over all links;
     [(0, infinity)] on a linkless architecture. *)

@@ -132,22 +132,28 @@ let interval_partitions arch (dag : Dag.t) seq k_max =
   in
   List.init k_max (fun i -> (best.(i + 1).(n), cuts (i + 1) n [ n ]))
 
-(* Schedule the chain partition: interval [i] on processor [i], pipelining
-   metadata from the resulting schedule's actual per-processor loads.
-   [cuts] are the positions of the interval starts followed by n. *)
-let interval_schedule arch dag seq cuts =
+(* The intervals' [a, b) bounds: consecutive pairs of a cut list (the
+   positions of the interval starts followed by n). *)
+let rec interval_bounds = function
+  | a :: (b :: _ as rest) -> (a, b) :: interval_bounds rest
+  | _ -> []
+
+(* The chain partition's placement: interval [i] on processor [i]. *)
+let interval_placement (dag : Dag.t) seq cuts =
   let placement = Array.make (Procnet.Graph.nnodes dag.Dag.graph) 0 in
-  let rec pairs = function
-    | a :: (b :: _ as rest) -> (a, b) :: pairs rest
-    | _ -> []
-  in
-  let bounds = pairs cuts in
   List.iteri
     (fun stage (a, b) ->
       for i = a to b - 1 do
         placement.(seq.(i)) <- stage
       done)
-    bounds;
+    (interval_bounds cuts);
+  placement
+
+(* Schedule the chain partition, with pipelining metadata from the
+   resulting schedule's actual per-processor loads. *)
+let interval_schedule arch dag seq cuts =
+  let bounds = interval_bounds cuts in
+  let placement = interval_placement dag seq cuts in
   let sched = Place.of_placement_dag arch dag placement in
   let proc_load = Array.make (Archi.nprocs arch) 0.0 in
   List.iter
@@ -261,9 +267,8 @@ let pareto_by score points =
 let pareto =
   pareto_by (fun p -> (p.point_latency, p.point_period, p.point_label))
 
-(* A bicriteria candidate kept as its score; [schedule] rebuilds it (the
-   interval schedules are deterministic, so the rebuilt schedule is the one
-   that was scored). *)
+(* A bicriteria candidate kept as its score; [schedule] builds it ([Place]
+   builds exactly the schedule it scores). *)
 type candidate = {
   label : string;
   latency : float;
@@ -271,21 +276,23 @@ type candidate = {
   schedule : unit -> Schedule.t;
 }
 
-(* The HEFT point and every interval mapping, scored one at a time so only
-   one candidate schedule is live at once; the Pareto frontier of the
-   scores, in [pareto]'s order. *)
+(* The HEFT point and every interval mapping, each interval candidate
+   list-scheduled into one scratch and scored there, so no candidate
+   schedule is built; the Pareto frontier of the scores, in [pareto]'s
+   order. *)
 let bicriteria_candidates cost arch g =
-  let heft = Heft.map cost arch g in
   let dag, seq, partitions = interval_candidates cost arch g in
+  let heft = Heft.map_dag arch dag in
+  let sc = Place.scratch arch dag in
   let intervals =
     List.mapi
       (fun i (_, cuts) ->
-        let schedule () = interval_schedule arch dag seq cuts in
-        let s = schedule () in
+        Place.run sc (interval_placement dag seq cuts);
+        let latency, period = Place.score sc in
         { label = Printf.sprintf "interval-k%d" (i + 1);
-          latency = s.Schedule.makespan;
-          period = Schedule.period s;
-          schedule })
+          latency;
+          period;
+          schedule = (fun () -> interval_schedule arch dag seq cuts) })
       partitions
   in
   pareto_by
@@ -301,7 +308,7 @@ let bicriteria_frontier cost arch g =
 
 let bicriteria_map cost arch g =
   (* knee of the frontier: minimal latency x period product, ties towards
-     lower latency then label order; only the knee is rebuilt *)
+     lower latency then label order; only the knee is built *)
   match bicriteria_candidates cost arch g with
   | [] -> assert false
   | c :: cs ->

@@ -25,4 +25,28 @@ val of_placement : Cost.t -> Archi.t -> Procnet.Graph.t -> int array -> Schedule
 val of_placement_dag : Archi.t -> Dag.t -> int array -> Schedule.t
 (** [of_placement_dag arch dag] is [of_placement cost arch dag.graph]
     for a [dag] built by [Dag.of_graph cost]: the mappers that already hold
-    the DAG do not derive it again. *)
+    the DAG do not derive it again. It is {!scratch}, {!run}, then the
+    schedule built from the scratch. *)
+
+(** {1 Scoring without building}
+
+    A mapper that weighs many placements of one DAG needs only two numbers
+    from most of them. A scratch holds everything one list schedule
+    writes, allocated once; {!run} overwrites it and {!score} reads the
+    two numbers back, so scoring a placement builds no op, comm or hop
+    slot. A scratch belongs to one caller at a time. *)
+
+type scratch
+
+val scratch : Archi.t -> Dag.t -> scratch
+(** Room to list-schedule [dag] on [arch], any number of times. *)
+
+val run : scratch -> int array -> unit
+(** [run sc placement] list-schedules the scratch's DAG on the fixed
+    placement, as {!of_placement_dag} does, overwriting what an earlier
+    [run] left. Raises like {!of_placement}. *)
+
+val score : scratch -> float * float
+(** The [(makespan, Schedule.resource_period)] of the schedule
+    {!of_placement_dag} would build for the last {!run}'s placement, bit
+    for bit. *)

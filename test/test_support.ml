@@ -539,6 +539,68 @@ let prop_intervals_pruned_book =
       in
       go 0.0 L.empty requests)
 
+(* A backfilling request, as the static scheduler makes them: [earliest]
+   is free ([anchor] 0), an earlier reservation's start (1) or stop (2),
+   that start less the duration nudged by a multiple of 5e-16 (3), or the
+   book's maximum stop (4), its [Float.pred] (5) or its [Float.succ] (6):
+   the boundary of the tail fit. No clock, so requests go back in time. *)
+type backfill = { anchor : int; pick : int; at : float; length : float }
+
+let arb_backfills =
+  let open QCheck.Gen in
+  let request =
+    map
+      (fun (anchor, pick, at, length) -> { anchor; pick; at; length })
+      (quad (int_bound 6) (int_bound 60) (float_bound_inclusive 20.0)
+         (oneof [ return 0.0; return 1e-16; float_bound_inclusive 3.0 ]))
+  in
+  QCheck.make
+    ~print:
+      (QCheck.Print.list (fun r ->
+           Printf.sprintf "{anchor=%d; pick=%d; at=%h; length=%h}" r.anchor
+             r.pick r.at r.length))
+    (list_size (int_bound 40) request)
+
+(* The unpruned book must grant the starts the list reference grants and
+   report its total, bit for bit, while requests backfill, land on the
+   tail-fit boundary or just either side of it; and after [clear], the
+   same requests must get the same answers, as from a fresh book. *)
+let prop_intervals_backfill =
+  QCheck.Test.make ~name:"backfilling book equals the full list" ~count:300
+    arb_backfills (fun requests ->
+      let module L = Intervals_list in
+      let bits = Int64.bits_of_float in
+      let rec go b list = function
+        | [] -> bits (I.total b) = bits (L.total list)
+        | r :: rest ->
+            let earliest =
+              match list with
+              | [] -> r.at
+              | _ -> (
+                  let s, e = List.nth list (r.pick mod List.length list) in
+                  let hi = List.fold_left (fun m (_, e) -> Float.max m e) 0.0 list in
+                  match r.anchor with
+                  | 0 -> r.at
+                  | 1 -> s
+                  | 2 -> e
+                  | 3 ->
+                      Float.max 0.0
+                        (s -. r.length +. (float_of_int ((r.pick mod 7) - 3) *. 5e-16))
+                  | 4 -> hi
+                  | 5 -> Float.max 0.0 (Float.pred hi)
+                  | _ -> Float.succ hi)
+            in
+            let start, list = L.reserve list ~earliest ~duration:r.length in
+            bits start = bits (I.reserve b ~earliest ~duration:r.length)
+            && bits (I.total b) = bits (L.total list)
+            && go b list rest
+      in
+      let b = I.create () in
+      go b L.empty requests
+      &&
+      (I.clear b;
+       go b L.empty requests))
+
 (* --- JSON escapes --- *)
 
 module Json = Support.Json
@@ -824,6 +886,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_intervals_stay_valid;
           QCheck_alcotest.to_alcotest prop_intervals_no_overlap_with_request;
           QCheck_alcotest.to_alcotest prop_intervals_pruned_book;
+          QCheck_alcotest.to_alcotest prop_intervals_backfill;
         ] );
       ( "json",
         [

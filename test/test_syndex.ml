@@ -507,24 +507,27 @@ let prop_interval_partitions_match_oracle =
    bit for bit. *)
 module S = Syndex.Schedule
 
+(* [link_busy] maps a link's (src, dst) to its list book. *)
 let oracle_reserve_transfer arch link_busy ~src ~dst ~bytes ~depart =
-  let arrival, hops =
-    Archi.fold_route arch src dst
-      (fun (depart, hops) i (link : Archi.link) ->
+  let rec walk depart hops = function
+    | a :: (b :: _ as rest) ->
+        let link = Option.get (Archi.link_between arch a b) in
         let duration =
           link.Archi.startup +. (float_of_int bytes /. link.Archi.bandwidth)
         in
-        let start, updated =
-          Intervals_list.reserve link_busy.(i) ~earliest:depart ~duration
+        let book =
+          Option.value ~default:Intervals_list.empty (Hashtbl.find_opt link_busy (a, b))
         in
-        link_busy.(i) <- updated;
-        ( start +. duration,
-          { S.hop_src = link.Archi.src; hop_dst = link.Archi.dst;
-            hop_start = start; hop_finish = start +. duration }
-          :: hops ))
-      (depart, [])
+        let start, updated = Intervals_list.reserve book ~earliest:depart ~duration in
+        Hashtbl.replace link_busy (a, b) updated;
+        walk (start +. duration)
+          ({ S.hop_src = a; hop_dst = b; hop_start = start;
+             hop_finish = start +. duration }
+          :: hops)
+          rest
+    | _ -> (depart, List.rev hops)
   in
-  (arrival, List.rev hops)
+  walk depart [] (Archi.route arch src dst)
 
 let oracle_of_placement model arch g placement =
   let module D = Syndex.Dag in
@@ -533,7 +536,7 @@ let oracle_of_placement model arch g placement =
   let op_proc = Array.map (fun (op : D.op) -> placement.(op.D.node)) dag.D.ops in
   let op_start = Array.make nops 0.0 and op_finish = Array.make nops 0.0 in
   let avail = Array.make (Archi.nprocs arch) 0.0 in
-  let link_busy = Array.make (Archi.nlinks arch) Intervals_list.empty in
+  let link_busy = Hashtbl.create 16 in
   let cycle_time p = (Archi.processors arch).(p).Archi.cycle_time in
   let transfers : (D.dep, float * float * S.hop_slot list) Hashtbl.t =
     Hashtbl.create 16
@@ -621,13 +624,20 @@ let oracle_resource_period (t : S.t) =
   let busiest = Array.fold_left Float.max 0.0 proc_load in
   Hashtbl.fold (fun _ load acc -> Float.max load acc) link_load busiest
 
-let oracle_interval_schedule model arch g seq cuts =
-  let placement = Array.make (G.nnodes g) 0 in
+let oracle_interval_bounds cuts =
   let rec pairs = function a :: (b :: _ as rest) -> (a, b) :: pairs rest | _ -> [] in
-  let bounds = pairs cuts in
+  pairs cuts
+
+let oracle_interval_placement g seq cuts =
+  let placement = Array.make (G.nnodes g) 0 in
   List.iteri
     (fun stage (a, b) -> for i = a to b - 1 do placement.(seq.(i)) <- stage done)
-    bounds;
+    (oracle_interval_bounds cuts);
+  placement
+
+let oracle_interval_schedule model arch g seq cuts =
+  let bounds = oracle_interval_bounds cuts in
+  let placement = oracle_interval_placement g seq cuts in
   let sched = oracle_of_placement model arch g placement in
   let proc_load = Array.make (Archi.nprocs arch) 0.0 in
   List.iter
@@ -921,6 +931,32 @@ let prop_schedules_match_oracle =
             QCheck.Test.fail_reportf "%s: resource period %h, oracle %h" what rp
               want_rp)
         placements;
+      (* every placement above and every interval candidate, scored in
+         turn on one scratch: each score must be the oracle schedule's
+         makespan and resource period, frontier member or not *)
+      let dag = Syndex.Dag.of_graph model g in
+      let seq = Syndex.Mapper.linearize dag in
+      let k_max = min p (Array.length seq) in
+      let candidates =
+        List.init k_max (fun i ->
+            let _, cuts = oracle_interval_partition arch dag seq (i + 1) in
+            (Printf.sprintf "interval-k%d" (i + 1), oracle_interval_placement g seq cuts))
+      in
+      let sc = Syndex.Place.scratch arch dag in
+      List.iter
+        (fun (what, placement) ->
+          Syndex.Place.run sc placement;
+          let makespan, period = Syndex.Place.score sc in
+          let want = oracle_of_placement model arch g placement in
+          let bits = Int64.bits_of_float in
+          if bits makespan <> bits want.S.makespan then
+            QCheck.Test.fail_reportf "%s: scored makespan %h, oracle %h" what
+              makespan want.S.makespan;
+          let want_rp = oracle_resource_period want in
+          if bits period <> bits want_rp then
+            QCheck.Test.fail_reportf "%s: scored period %h, oracle %h" what
+              period want_rp)
+        (placements @ candidates);
       check_same_schedule "heft" (Syndex.Heft.map model arch g)
         (oracle_of_placement model arch g (oracle_heft_placement model arch g));
       let bicriteria = Option.get (Syndex.Mapper.find "bicriteria") in
