@@ -183,8 +183,6 @@ let route t a b =
   in
   walk a [ a ]
 
-let hops t a b = List.length (route t a b) - 1
-
 (* [route]'s walk as a loop, so that the sum stays an unboxed float:
    the mappers call this for every candidate processor of every op. Each
    hop adds its startup, then its byte time, to the sum: not [hop_time],
@@ -202,17 +200,3 @@ let transfer_time t a b bytes =
     done;
     !acc
   end
-
-let to_dot t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "digraph %S {\n" t.arch_name);
-  Array.iter
-    (fun p ->
-      Buffer.add_string buf
-        (Printf.sprintf "  p%d [label=%S shape=box];\n" p.id p.pname))
-    t.procs;
-  Array.iter
-    (fun l -> Buffer.add_string buf (Printf.sprintf "  p%d -> p%d;\n" l.src l.dst))
-    t.link_arr;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf

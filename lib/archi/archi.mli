@@ -52,6 +52,8 @@ val link_at : t -> int -> link
 
 val link_between : t -> int -> int -> link option
 val neighbours : t -> int -> int list
+(** Test oracle: [test_archi]'s "ring" and "chain/star/grid" read each
+    topology's adjacency with it. *)
 
 (** {1 Topology constructors}
 
@@ -102,13 +104,8 @@ val first_link : t -> int -> int -> int
     exactly the links of [route t a b], which is how the simulator walks a
     message's hops. *)
 
-val hops : t -> int -> int -> int
-(** Number of links along [route t a b]. *)
-
 val transfer_time : t -> int -> int -> int -> float
 (** [transfer_time t a b bytes] is the store-and-forward latency of moving
     [bytes] from [a] to [b] along the route: in route order, each hop adds
     its [startup], then its [bytes / bandwidth], to the sum.
     Zero when [a = b]; otherwise raises like {!route}. *)
-
-val to_dot : t -> string

@@ -109,7 +109,9 @@ val to_string : report -> string
 val to_json : report -> string
 (** The whole report as one JSON object: scalar headline numbers plus
     [processors], [links], [ports] and [processes] arrays. Deterministic
-    field order and number formatting. *)
+    field order and number formatting.
+    Test oracle: [test_determinism]'s "golden-bytes Metrics.to_json",
+    "golden-fields Metrics.to_json" and "halted farms" pin it. *)
 
 val summary_json :
   ?extras:(string * float) list -> experiment:string -> report -> string

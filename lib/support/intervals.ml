@@ -117,11 +117,17 @@ let total b =
   done;
   !acc
 
+(* A zero-length reservation overlaps nothing: [reserve] puts one that
+   starts where another does after it, so only the non-empty ones must be
+   disjoint, each ending by the next one's start. *)
 let valid b =
-  let rec ok i =
+  let rec ok i last_stop =
     i >= b.tail
-    || b.starts.(i) <= b.stops.(i)
-       && (i = b.tail - 1 || b.stops.(i) <= b.starts.(i + 1) +. eps)
-       && ok (i + 1)
+    ||
+    let start = b.starts.(i) and stop = b.stops.(i) in
+    start <= stop
+    && (i = b.head || b.starts.(i - 1) <= start)
+    && (start = stop || last_stop <= start +. eps)
+    && ok (i + 1) (if start = stop then last_stop else stop)
   in
-  ok b.head
+  ok b.head neg_infinity

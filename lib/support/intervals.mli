@@ -49,6 +49,8 @@ val total : t -> float
     in order: the sum over every reservation the book has made. *)
 
 val valid : t -> bool
-(** Checks that the unpruned reservations are ordered and disjoint.
+(** Checks that the unpruned reservations are sorted by start and that
+    the non-empty ones are disjoint; a zero-length reservation overlaps
+    nothing.
     Test oracle: [test_support]'s "reservations stay sorted and disjoint"
     checks every book with it. *)

@@ -1,11 +1,11 @@
-(* Metrics registry. The registry itself is a mutex-protected list of
-   instruments (registration is rare); the instruments carry their own
+(* Metrics registry. The registry itself is a mutex-protected table of
+   instruments keyed by (name, labels); the instruments carry their own
    synchronisation (atomics; a mutex per histogram) so the hot increment
    paths never contend on the registry lock. *)
 
 type counter = int Atomic.t
 type gauge = float Atomic.t
-type histogram = { hmu : Mutex.t; hist : Histogram.t }
+type histogram = { hmu : Mutex.t; mutable hist : Histogram.t }
 
 type body =
   | Counter of counter
@@ -19,9 +19,12 @@ type instrument = {
   body : body;
 }
 
-type t = { mu : Mutex.t; mutable instruments : instrument list }
+type t = {
+  mu : Mutex.t;
+  instruments : (string * (string * string) list, instrument) Hashtbl.t;
+}
 
-let create () = { mu = Mutex.create (); instruments = [] }
+let create () = { mu = Mutex.create (); instruments = Hashtbl.create 16 }
 
 let kind_name = function
   | Counter _ -> "counter"
@@ -35,11 +38,7 @@ let register t ~help ~labels ~name make match_body =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.mu)
     (fun () ->
-      match
-        List.find_opt
-          (fun i -> String.equal i.name name && i.labels = labels)
-          t.instruments
-      with
+      match Hashtbl.find_opt t.instruments (name, labels) with
       | Some i -> (
           match match_body i.body with
           | Some v -> v
@@ -50,7 +49,7 @@ let register t ~help ~labels ~name make match_body =
                    (kind_name i.body)))
       | None ->
           let v, body = make () in
-          t.instruments <- { name; labels; help; body } :: t.instruments;
+          Hashtbl.add t.instruments (name, labels) { name; labels; help; body };
           v)
 
 let counter t ?(help = "") ?(labels = []) name =
@@ -92,6 +91,11 @@ let observe h v =
   Histogram.add h.hist v;
   Mutex.unlock h.hmu
 
+let merge h x =
+  Mutex.lock h.hmu;
+  h.hist <- Histogram.merge h.hist x;
+  Mutex.unlock h.hmu
+
 let snapshot h =
   Mutex.lock h.hmu;
   Fun.protect
@@ -112,7 +116,7 @@ let sorted t =
           match String.compare a.name b.name with
           | 0 -> compare a.labels b.labels
           | c -> c)
-        t.instruments)
+        (Hashtbl.fold (fun _ i acc -> i :: acc) t.instruments []))
 
 let labels_json labels =
   Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) labels)
@@ -171,7 +175,7 @@ let json t =
 
 let to_json t = Json.to_string (json t)
 
-(* Prometheus text exposition, following Series.to_prometheus conventions. *)
+(* Prometheus text exposition: the only writer of the format in the tree. *)
 
 let escape_label v =
   let buf = Buffer.create (String.length v) in

@@ -58,8 +58,16 @@ val histogram :
 
 val observe : histogram -> float -> unit
 
+val merge : histogram -> Histogram.t -> unit
+(** Adds every sample of the histogram to the instrument, as
+    {!Histogram.merge} does: merging a sequence of histograms in order
+    gives the [sum] of folding them with {!Histogram.merge} from an empty
+    one, bit for bit. *)
+
 val snapshot : histogram -> Histogram.t
-(** A consistent copy; read it with the {!Histogram} accessors. *)
+(** A consistent copy; read it with the {!Histogram} accessors.
+    Test oracle: [test_metrics]'s "histogram count" reads a histogram
+    back with it; the registry's exports take their own copies. *)
 
 (** {1 Snapshots} *)
 
@@ -72,13 +80,11 @@ val json : t -> Json.t
 val to_json : t -> string
 
 val to_prometheus : t -> string
-(** Prometheus text exposition, one [# HELP]/[# TYPE] block per metric
-    name, following the same conventions as
-    {!Skipper_trace.Series.to_prometheus} ([_bucket{le="..."}] cumulative
-    histograms with [+Inf], [_sum], [_count]; [%.9g] bucket bounds, [%.9f]
-    float values). *)
-
-val prometheus_labels : (string * string) list -> string
-(** A Prometheus label set, [{k="v",...}] ([""] when empty), each value
-    escaped as the text format defines: backslash, double quote and
-    newline only. The one label writer of both expositions. *)
+(** Prometheus text exposition, the only writer of the format in the tree:
+    one [# HELP] (when the help is not empty) and [# TYPE] block per metric
+    name, before its samples; samples sorted by (name, labels). Counters
+    print as integers and gauges as [%.9f]; a histogram prints cumulative
+    [_bucket{le="..."}] samples with [%.9g] bounds over its non-empty
+    buckets, then [le="+Inf"] (equal to [_count]), [_sum] ([%.9f]) and
+    [_count]. Label values escape backslash, double quote and newline
+    only, as the text format defines. *)

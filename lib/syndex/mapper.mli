@@ -48,7 +48,9 @@ val frontier : t -> Cost.t -> Archi.t -> Procnet.Graph.t -> point list
 val pareto : point list -> point list
 (** Dominance filter: drops every point dominated in (latency, period) by
     another, deduplicates coincident points, and orders the survivors by
-    (latency, period, label). Exposed for tests. *)
+    (latency, period, label).
+    Test oracle: [test_syndex]'s "pareto filter" checks it on fixed points,
+    and its static-scheduler oracle filters the oracle's frontier with it. *)
 
 val linearize : Dag.t -> int array
 (** The interval mappers' stage chain: process-network node ids in order of

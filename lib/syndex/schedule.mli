@@ -89,7 +89,9 @@ val validate : t -> (unit, string) result
 
 val link_orders : t -> ((int * int) * comm_slot list) list
 (** Communications grouped per directed link (first hop attribution), each
-    list in scheduled order: the static communication schedule. *)
+    list in scheduled order: the static communication schedule.
+    Test oracle: [test_syndex]'s "link orders cover comms" checks it
+    against the comm slots. *)
 
 val deadlock_free : t -> bool
 

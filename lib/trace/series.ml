@@ -762,35 +762,27 @@ let to_csv t =
   Buffer.contents buf
 
 let to_prometheus ?slo t =
-  let labels = Support.Metrics.prometheus_labels in
-  let buf = Buffer.create 1024 in
+  let module M = Support.Metrics in
+  let reg = M.create () in
   let tot = totals t in
-  let counter name help v =
-    Buffer.add_string buf
-      (Printf.sprintf "# HELP %s %s\n# TYPE %s counter\n%s %s\n" name help
-         name name v)
-  in
+  let counter name help v = M.set (M.counter reg ~help name) v in
   counter "skipper_frames_total" "Frames completed over the run."
-    (string_of_int tot.total_frames);
+    tot.total_frames;
   counter "skipper_messages_total" "Process messages sent over the run."
-    (string_of_int tot.total_messages);
+    tot.total_messages;
   counter "skipper_reissues_total" "Fault-recovery task reissues."
-    (string_of_int tot.total_reissues);
+    tot.total_reissues;
   counter "skipper_deadline_misses_total" "Frames later than the input period."
-    (string_of_int tot.total_deadline_misses);
+    tot.total_deadline_misses;
   counter "skipper_faults_total" "Fault events injected into the run."
-    (string_of_int tot.total_faults);
-  Buffer.add_string buf
-    "# HELP skipper_processor_busy_seconds_total Per-processor busy time.\n\
-     # TYPE skipper_processor_busy_seconds_total counter\n";
+    tot.total_faults;
+  let gauge name help labels v =
+    M.set_gauge (M.gauge reg ~help ~labels name) v
+  in
   for p = 0 to t.nprocs - 1 do
-    let v =
-      Array.fold_left (fun acc w -> acc +. w.busy.(p)) 0.0 t.windows
-    in
-    Buffer.add_string buf
-      (Printf.sprintf "skipper_processor_busy_seconds_total%s %.9f\n"
-         (labels [ ("proc", string_of_int p) ])
-         v)
+    gauge "skipper_processor_busy_seconds" "Per-processor busy time."
+      [ ("proc", string_of_int p) ]
+      (Array.fold_left (fun acc w -> acc +. w.busy.(p)) 0.0 t.windows)
   done;
   let links = Hashtbl.create 8 in
   Array.iter
@@ -801,94 +793,36 @@ let to_prometheus ?slo t =
           Hashtbl.replace links k (cur +. s))
         w.link_busy)
     t.windows;
-  let link_rows =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) links [] |> List.sort compare
-  in
-  if link_rows <> [] then begin
-    Buffer.add_string buf
-      "# HELP skipper_link_busy_seconds_total Per-link occupied time.\n\
-       # TYPE skipper_link_busy_seconds_total counter\n";
-    List.iter
-      (fun ((src, dst), v) ->
-        Buffer.add_string buf
-          (Printf.sprintf "skipper_link_busy_seconds_total%s %.9f\n"
-             (labels [ ("src", string_of_int src); ("dst", string_of_int dst) ])
-             v))
-      link_rows
-  end;
+  Hashtbl.iter
+    (fun (src, dst) v ->
+      gauge "skipper_link_busy_seconds" "Per-link occupied time."
+        [ ("src", string_of_int src); ("dst", string_of_int dst) ]
+        v)
+    links;
   let hist =
-    Array.fold_left
-      (fun acc w -> Histogram.merge acc w.latency)
-      (Histogram.create ()) t.windows
+    M.histogram reg ~help:"Frame latency distribution."
+      "skipper_frame_latency_seconds"
   in
-  Buffer.add_string buf
-    "# HELP skipper_frame_latency_seconds Frame latency distribution.\n\
-     # TYPE skipper_frame_latency_seconds histogram\n";
-  let cum = ref 0 in
-  List.iter
-    (fun (le, n) ->
-      cum := !cum + n;
-      Buffer.add_string buf
-        (Printf.sprintf "skipper_frame_latency_seconds_bucket%s %d\n"
-           (labels [ ("le", Printf.sprintf "%.9g" le) ])
-           !cum))
-    (Histogram.buckets hist);
-  Buffer.add_string buf
-    (Printf.sprintf "skipper_frame_latency_seconds_bucket%s %d\n"
-       (labels [ ("le", "+Inf") ])
-       (Histogram.count hist));
-  Buffer.add_string buf
-    (Printf.sprintf "skipper_frame_latency_seconds_sum %.9f\n" (Histogram.sum hist));
-  Buffer.add_string buf
-    (Printf.sprintf "skipper_frame_latency_seconds_count %d\n"
-       (Histogram.count hist));
-  let last =
-    if Array.length t.windows = 0 then None
-    else Some t.windows.(Array.length t.windows - 1)
-  in
-  (match last with
-  | Some w ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "# HELP skipper_in_flight_frames Frames in flight at end of run.\n\
-            # TYPE skipper_in_flight_frames gauge\n\
-            skipper_in_flight_frames %d\n"
-           w.in_flight)
-  | None -> ());
-  let backlog =
-    Array.fold_left (fun acc w -> max acc w.backlog) 0 t.windows
-  in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "# HELP skipper_backlog_max Peak per-port backlog growth in any window.\n\
-        # TYPE skipper_backlog_max gauge\n\
-        skipper_backlog_max %d\n"
-       backlog);
-  let slo_label (m : Slo.monitor) = labels [ ("slo", m.Slo.spec.Slo.raw) ] in
+  Array.iter (fun w -> M.merge hist w.latency) t.windows;
+  let nw = Array.length t.windows in
+  if nw > 0 then
+    gauge "skipper_in_flight_frames" "Frames in flight at end of run." []
+      (float_of_int t.windows.(nw - 1).in_flight);
+  gauge "skipper_backlog_max" "Peak per-port backlog growth in any window." []
+    (float_of_int (Array.fold_left (fun acc w -> max acc w.backlog) 0 t.windows));
   (match slo with
   | None -> ()
   | Some report ->
-      Buffer.add_string buf
-        "# HELP skipper_slo_state SLO state (0 ok, 1 warning, 2 violated).\n\
-         # TYPE skipper_slo_state gauge\n";
       List.iter
         (fun (m : Slo.monitor) ->
-          let v =
-            match m.Slo.final with
-            | Slo.Healthy -> 0
-            | Slo.Warning -> 1
-            | Slo.Violated -> 2
-          in
-          Buffer.add_string buf
-            (Printf.sprintf "skipper_slo_state%s %d\n" (slo_label m) v))
-        report.Slo.monitors;
-      Buffer.add_string buf
-        "# HELP skipper_slo_burn_seconds_total Time spent failing the SLO.\n\
-         # TYPE skipper_slo_burn_seconds_total counter\n";
-      List.iter
-        (fun (m : Slo.monitor) ->
-          Buffer.add_string buf
-            (Printf.sprintf "skipper_slo_burn_seconds_total%s %.9f\n"
-               (slo_label m) m.Slo.total_burn))
+          let labels = [ ("slo", m.Slo.spec.Slo.raw) ] in
+          gauge "skipper_slo_state"
+            "SLO state (0 ok, 1 warning, 2 violated)." labels
+            (match m.Slo.final with
+            | Slo.Healthy -> 0.0
+            | Slo.Warning -> 1.0
+            | Slo.Violated -> 2.0);
+          gauge "skipper_slo_burn_seconds" "Time spent failing the SLO." labels
+            m.Slo.total_burn)
         report.Slo.monitors);
-  Buffer.contents buf
+  M.to_prometheus reg

@@ -90,7 +90,10 @@ val utilisation : t -> window -> float
 val totals : t -> totals
 (** Sums over all windows — by construction equal to the run totals
     ([Sim.stats] messages, accounts busy time, executive frame counts);
-    the equality is pinned property-wise in [test_series]. *)
+    the equality is pinned property-wise in [test_series].
+    Test oracle: [test_series]'s "window totals sum to the run's own
+    counters" and "prometheus exposition parses back to the series", and
+    [test_trace]'s "a run past the old cap is complete", read it. *)
 
 (** SLO declarations, per-window evaluation and burn-rate alerting. *)
 module Slo : sig
@@ -183,7 +186,11 @@ val to_csv : t -> string
     p50/p95/p99 in milliseconds); header row first. *)
 
 val to_prometheus : ?slo:Slo.report -> t -> string
-(** Prometheus text-exposition snapshot of the run totals: counters,
-    per-processor/per-link totals, the merged latency histogram with [le]
-    buckets, last-window gauges, and per-SLO state/burn when [slo] is
-    given. *)
+(** Prometheus text exposition of the run: a {!Support.Metrics} registry
+    filled from the series and printed by {!Support.Metrics.to_prometheus}.
+    Counters hold the five integer totals; gauges hold the per-processor
+    and per-link busy seconds (left folds over the windows from [0.0]),
+    the last window's in-flight frames and the peak backlog; the histogram
+    is the windows' latency histograms merged in window order; with [slo],
+    gauges hold each SLO's state (0 ok, 1 warning, 2 violated) and burn
+    seconds, labelled by its raw spec. *)

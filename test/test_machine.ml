@@ -423,7 +423,10 @@ let test_long_stream_occupancy () =
       let l = Option.get (Archi.link_between arch src dst) in
       let bytes =
         V.byte_size
-          (if Archi.hops arch 0 dst < Archi.hops arch 0 src then V.Tuple [ V.Int 0; V.Int 0 ]
+          (if
+             List.length (Archi.route arch 0 dst)
+             < List.length (Archi.route arch 0 src)
+           then V.Tuple [ V.Int 0; V.Int 0 ]
            else V.Int 0)
       in
       let expected =

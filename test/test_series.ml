@@ -204,9 +204,9 @@ let test_prometheus_slo_label () =
   in
   let has affix = Astring.String.is_infix ~affix prom in
   Alcotest.(check bool) "state line keeps the raw spec" true
-    (has "skipper_slo_state{slo=\"p99_latency<80ms\t\"} 0\n");
+    (has "skipper_slo_state{slo=\"p99_latency<80ms\t\"} 0.000000000\n");
   Alcotest.(check bool) "burn line keeps the raw spec" true
-    (has "skipper_slo_burn_seconds_total{slo=\"p99_latency<80ms\t\"} ");
+    (has "skipper_slo_burn_seconds{slo=\"p99_latency<80ms\t\"} ");
   Alcotest.(check bool) "no undefined escape" false (has "\\t")
 
 (* Golden bytes of the Prometheus exposition: the tracking spec of §4 on
@@ -230,7 +230,7 @@ let test_prometheus_golden () =
   let prom = S.to_prometheus ~slo series in
   Alcotest.(check (pair int string))
     "Series.to_prometheus bytes"
-    (3598, "cb71ce185d1196497b7f0fa9e2f7e8d7")
+    (3452, "d75ed7a5c10b752ed1568b4f6d9fc30f")
     (String.length prom, Digest.to_hex (Digest.string prom))
 
 (* ------------------------------------------------------------------ *)
@@ -263,6 +263,146 @@ let prop_totals_match_run =
       && t.S.total_deadline_misses = r.Executive.deadline_misses
       && Float.abs (t.S.total_busy -. busy_total)
          <= 1e-9 *. Float.max 1.0 busy_total)
+
+(* The exposition, parsed back: each family has one [# TYPE] line ahead
+   of its samples, histogram buckets are cumulative up to [+Inf] =
+   [_count], the counters are the series totals, and [_sum] and every busy
+   gauge print the [%.9f] of the window folds, in window order. *)
+let prop_prometheus_exposition =
+  QCheck.Test.make ~name:"prometheus exposition parses back to the series"
+    ~count:25
+    (QCheck.make ~print:print_params gen_params)
+    (fun p ->
+      let r =
+        run_farm ?input_period:(if p.frames > 1 then Some 0.01 else None) p
+      in
+      let series = series_of r in
+      let slo =
+        S.Slo.evaluate
+          [ spec_ok "p99_latency<8ms"; spec_ok "throughput >= 20fps" ]
+          series
+      in
+      let prom = S.to_prometheus ~slo series in
+      let fail fmt = QCheck.Test.fail_reportf ("%s\n" ^^ fmt) prom in
+      let kinds = Hashtbl.create 16 in
+      let family name =
+        if Hashtbl.mem kinds name then name
+        else
+          match
+            List.find_map
+              (fun suffix ->
+                match Filename.chop_suffix_opt ~suffix name with
+                | Some base when Hashtbl.find_opt kinds base = Some "histogram" ->
+                    Some base
+                | _ -> None)
+              [ "_bucket"; "_sum"; "_count" ]
+          with
+          | Some base -> base
+          | None -> fail "sample %s before its # TYPE line" name
+      in
+      (* samples as (family, name, label text, value text), in order; a
+         label value may hold spaces, a value never does *)
+      let samples =
+        String.split_on_char '\n' prom
+        |> List.filter_map (fun line ->
+               match String.split_on_char ' ' line with
+               | [ "" ] | "#" :: "HELP" :: _ -> None
+               | [ "#"; "TYPE"; name; kind ] ->
+                   if Hashtbl.mem kinds name then
+                     fail "two # TYPE lines for %s" name;
+                   Hashtbl.add kinds name kind;
+                   None
+               | _ ->
+                   let sp = String.rindex line ' ' in
+                   let key = String.sub line 0 sp in
+                   let value =
+                     String.sub line (sp + 1) (String.length line - sp - 1)
+                   in
+                   let name, labels =
+                     match String.index_opt key '{' with
+                     | Some i ->
+                         (String.sub key 0 i, String.sub key i (String.length key - i))
+                     | None -> (key, "")
+                   in
+                   Some (family name, name, labels, value))
+      in
+      let find name labels =
+        match
+          List.filter_map
+            (fun (_, n, l, v) -> if n = name && l = labels then Some v else None)
+            samples
+        with
+        | [ v ] -> v
+        | vs -> fail "%d samples %s%s" (List.length vs) name labels
+      in
+      let expect name labels want =
+        let got = find name labels in
+        if got <> want then fail "%s%s = %s, want %s" name labels got want
+      in
+      Hashtbl.iter
+        (fun fam kind ->
+          if kind = "histogram" then begin
+            let buckets =
+              List.filter_map
+                (fun (_, n, l, v) ->
+                  if n = fam ^ "_bucket" then Some (l, int_of_string v) else None)
+                samples
+            in
+            ignore
+              (List.fold_left
+                 (fun prev (l, n) ->
+                   if n < prev then fail "%s_bucket%s decreases" fam l;
+                   n)
+                 0 buckets);
+            match List.rev buckets with
+            | (l, n) :: _ when l = "{le=\"+Inf\"}" ->
+                expect (fam ^ "_count") "" (string_of_int n)
+            | _ -> fail "%s does not end in +Inf" fam
+          end)
+        kinds;
+      let tot = S.totals series in
+      List.iter
+        (fun (name, v) -> expect name "" (string_of_int v))
+        [
+          ("skipper_frames_total", tot.S.total_frames);
+          ("skipper_messages_total", tot.S.total_messages);
+          ("skipper_reissues_total", tot.S.total_reissues);
+          ("skipper_deadline_misses_total", tot.S.total_deadline_misses);
+          ("skipper_faults_total", tot.S.total_faults);
+        ];
+      let windows = Array.to_list series.S.windows in
+      let merged =
+        List.fold_left (fun acc w -> H.merge acc w.S.latency) (H.create ()) windows
+      in
+      expect "skipper_frame_latency_seconds_sum" ""
+        (Printf.sprintf "%.9f" (H.sum merged));
+      for p = 0 to series.S.nprocs - 1 do
+        expect "skipper_processor_busy_seconds"
+          (Printf.sprintf "{proc=\"%d\"}" p)
+          (Printf.sprintf "%.9f"
+             (List.fold_left (fun acc w -> acc +. w.S.busy.(p)) 0.0 windows))
+      done;
+      let links =
+        List.fold_left
+          (fun acc w ->
+            List.fold_left
+              (fun acc (k, s) ->
+                let cur = Option.value ~default:0.0 (List.assoc_opt k acc) in
+                (k, cur +. s) :: List.remove_assoc k acc)
+              acc w.S.link_busy)
+          [] windows
+      in
+      List.iter
+        (fun ((src, dst), v) ->
+          expect "skipper_link_busy_seconds"
+            (Printf.sprintf "{src=\"%d\",dst=\"%d\"}" src dst)
+            (Printf.sprintf "%.9f" v))
+        links;
+      let count name =
+        List.length (List.filter (fun (f, _, _, _) -> f = name) samples)
+      in
+      count "skipper_processor_busy_seconds" = series.S.nprocs
+      && count "skipper_link_busy_seconds" = List.length links)
 
 (* Pooled builds: the series JSON from domains is byte-identical to the
    sequential one (what the CI --jobs gate on skipperc series files pins). *)
@@ -377,6 +517,7 @@ let () =
       ( "totals",
         [
           QCheck_alcotest.to_alcotest prop_totals_match_run;
+          QCheck_alcotest.to_alcotest prop_prometheus_exposition;
           Alcotest.test_case "pooled builds are byte-identical" `Quick
             test_pooled_builds_byte_identical;
         ] );
