@@ -10,13 +10,16 @@
                                         times the mappers as P widens
      dune exec bench/main.exe -- noisetables
                                         checks the frame-noise tables' bytes
+     dune exec --profile release bench/main.exe -- kernels
+                                        times the tracking kernels
 
    Reported latencies are *simulated* times on the T9000-era machine model;
    the paper's numbers were measured on the real Transvision platform, so
    shapes (ratios, scaling, crossovers), not absolute values, are the
    reproduction target. Every experiment's stdout, --json entry and
    --trace-dir export is a function of the simulated runs alone; host time
-   is measured by perfbench/, [simscale] and [mapscale], never here.
+   is measured by perfbench/, [simscale], [mapscale] and [kernels], never
+   here.
    EXPERIMENTS.md records the output of this harness against the paper's
    claims. *)
 
@@ -1808,6 +1811,111 @@ let noisetables () =
   end
 
 (* ------------------------------------------------------------------ *)
+(* kernels: host time and allocation of the tracking user kernels      *)
+
+(* Words [detect_regions] may allocate per pixel of frame 0's tiles. It
+   works on row runs and allocates per run and per region, not per
+   pixel: about 0.01 on the default scene. A label raster is one word per
+   pixel. *)
+let max_detect_words_per_px = 0.1
+
+(* Words allocated on either heap: the minor heap's plus what went to the
+   major heap directly (large arrays), without counting promotions twice. *)
+let allocated_words () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
+(* The tracking scene's kernels on the stream perfbench's [tracking] op
+   runs: 10 default 512x512 frames, 8 processors. [Scene.frame] renders
+   them; [detect_regions] runs on frame 0's 8 tiles (the tracker starts in
+   reinit mode) and on the windows the tracker predicts for frames 1-9
+   from the marks of the frame before. Each line keeps the fastest of 5
+   timed loops, each repeating the work for at least 50 ms, and prints
+   host ms per frame and words allocated per pixel (of the last loop). The
+   allocation of [detect_regions] on the tiles is gated (exit 1 at
+   [max_detect_words_per_px] or above); times are printed only. *)
+let kernels () =
+  header "kernels" "tracking user kernels: host ms per frame and words per pixel";
+  let config = Tracking.Funcs.default_config in
+  let p = config.Tracking.Funcs.scene and nproc = config.Tracking.Funcs.nproc in
+  let width = p.Vision.Scene.width and height = p.Vision.Scene.height in
+  let nframes = 10 in
+  let threshold = Tracking.Detector.mark_threshold in
+  let measure ~frames ~pixels work =
+    let loop () =
+      Gc.compact ();
+      let w0 = allocated_words () and t0 = Unix.gettimeofday () in
+      let rec go n =
+        work ();
+        let dt = Unix.gettimeofday () -. t0 in
+        if dt < 0.05 then go (n + 1) else (dt, n)
+      in
+      let dt, n = go 1 in
+      (dt /. float_of_int n, (allocated_words () -. w0) /. float_of_int n)
+    in
+    let rec best (t, w) reps =
+      if reps = 5 then (t, w)
+      else
+        let t', w' = loop () in
+        best ((if t' < t then t' else t), w') (reps + 1)
+    in
+    let t, words = best (infinity, 0.0) 0 in
+    (ms t /. float_of_int frames, words /. float_of_int pixels)
+  in
+  let row name ~frames ~pixels (ms_per_frame, words_per_px) =
+    Printf.printf "%-36s %6d %9d %10.3f %9.3f\n%!" name frames pixels ms_per_frame
+      words_per_px;
+    words_per_px
+  in
+  Printf.printf "%-36s %6s %9s %10s %9s\n" "kernel" "frames" "pixels" "ms/frame"
+    "words/px";
+  ignore
+    (row "Scene.frame" ~frames:nframes ~pixels:(nframes * width * height)
+       (measure ~frames:nframes ~pixels:(nframes * width * height) (fun () ->
+            for t = 0 to nframes - 1 do
+              ignore (Vision.Scene.frame p t)
+            done)));
+  let images = Array.init nframes (Vision.Scene.frame p) in
+  let extract img ws = List.map (fun w -> (w, Vision.Window.extract img w)) ws in
+  let marks ws =
+    List.concat_map
+      (fun ((w : Vision.Window.t), img) ->
+        Tracking.Detector.detect ~origin:(w.Vision.Window.x, w.Vision.Window.y) img)
+      ws
+  in
+  let tiles = extract images.(0) (Vision.Window.tile ~width ~height nproc) in
+  (* the windows of frames t.., each from the marks of the frame before *)
+  let rec windows t ms =
+    if t = nframes then []
+    else
+      let state = Tracking.Predictor.update Tracking.Track_state.initial ms in
+      let ws =
+        extract images.(t) (Tracking.Predictor.windows_for ~nproc ~width ~height state)
+      in
+      ws @ windows (t + 1) (marks ws)
+  in
+  let tracked = windows 1 (marks tiles) in
+  let detect ~frames name ws =
+    let pixels = List.fold_left (fun acc (_, img) -> acc + Vision.Image.size img) 0 ws in
+    row name ~frames ~pixels
+      (measure ~frames ~pixels (fun () ->
+           List.iter (fun (_, img) -> ignore (Vision.Ccl.detect_regions ~threshold img)) ws))
+  in
+  let tile_words =
+    detect ~frames:1 (Printf.sprintf "detect_regions, frame 0 tiles (%d)" (List.length tiles))
+      tiles
+  in
+  ignore
+    (detect ~frames:(nframes - 1)
+       (Printf.sprintf "detect_regions, windows (%d)" (List.length tracked))
+       tracked);
+  if tile_words >= max_detect_words_per_px then begin
+    Printf.eprintf "kernels: detect_regions allocates %.3f words/px on frame 0's tiles >= %.1f\n"
+      tile_words max_detect_words_per_px;
+    exit 1
+  end
+
+(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -1854,11 +1962,12 @@ let () =
   | [ "simscale" ] -> simscale ()
   | [ "mapscale" ] -> mapscale ()
   | [ "noisetables" ] -> noisetables ()
+  | [ "kernels" ] -> kernels ()
   | [ name ] -> (
       match List.assoc_opt (String.lowercase_ascii name) experiments with
       | Some f -> f ()
       | None ->
-          Printf.eprintf "unknown experiment %s (e1..e17, simscale, mapscale or noisetables)\n" name;
+          Printf.eprintf "unknown experiment %s (e1..e17, simscale, mapscale, noisetables or kernels)\n" name;
           exit 1)
   | _ ->
       print_endline "SKiPPER experiment harness (see DESIGN.md, experiment index)";

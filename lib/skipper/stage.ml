@@ -25,7 +25,13 @@ let rec ir_nodes = function
   | Skel.Ir.Pipe ts -> 1 + List.fold_left (fun acc t -> acc + ir_nodes t) 0 ts
   | Skel.Ir.Itermem { loop; _ } -> 1 + ir_nodes loop
 
-let lines s = List.length (String.split_on_char '\n' s)
+(* as many as [String.split_on_char '\n'] would return, without the strings *)
+let lines s =
+  let n = ref 1 in
+  for i = 0 to String.length s - 1 do
+    if s.[i] = '\n' then incr n
+  done;
+  !n
 
 let size = function
   | Source s -> (String.length s, "bytes")

@@ -155,6 +155,31 @@ module Trunc_normal = struct
     if Int64.to_int r land 0xFFFF_FFFF < Array.unsafe_get tbl.keep c then c - tbl.half
     else Array.unsafe_get tbl.alias c
 
+  (* [draw]'s pick without its branch: [lo - keep] is in [-2^32, 2^32],
+     so [m] is -1 exactly when [lo < keep] and 0 otherwise. *)
+  let[@inline] pick tbl r =
+    let c = Int64.to_int (Int64.shift_right_logical r tbl.shift) in
+    let m = ((Int64.to_int r land 0xFFFF_FFFF) - Array.unsafe_get tbl.keep c) asr 62 in
+    ((c - tbl.half) land m) lor (Array.unsafe_get tbl.alias c land lnot m)
+
+  (* The state stays in a local for the whole pass (a register, or a stack
+     slot across [f]), unboxed, and goes back to [t] once at the end. The
+     position is computed in [int64] too: [hi width < 2^63], and nothing
+     is tagged until the index. *)
+  let scatter t tbl n ~width ~height f =
+    let w = Int64.of_int width and h = Int64.of_int height in
+    let s = ref (Bytes.get_int64_ne t 0) in
+    for _ = 1 to n do
+      let s1 = Int64.add !s golden_gamma in
+      let s2 = Int64.add s1 golden_gamma in
+      s := s2;
+      let r = mix s1 in
+      let x = Int64.shift_right_logical (Int64.mul (Int64.shift_right_logical r 32) w) 32
+      and y = Int64.shift_right_logical (Int64.mul (Int64.logand r 0xFFFF_FFFFL) h) 32 in
+      f (Int64.to_int (Int64.add (Int64.mul y w) x)) (pick tbl (mix s2))
+    done;
+    Bytes.set_int64_ne t 0 !s
+
   let weights tbl = Array.to_list (Array.mapi (fun i w -> (i - tbl.half, w)) tbl.weights)
   let columns tbl =
     Array.mapi (fun c keep -> (c - tbl.half, keep, tbl.alias.(c))) tbl.keep

@@ -50,6 +50,19 @@ module Trunc_normal : sig
       [bits64]: its top [b] bits pick the column, its low 32 bits decide
       between the column's own value and its alias. Allocates nothing. *)
 
+  val scatter :
+    t -> table -> int -> width:int -> height:int -> (int -> int -> unit) -> unit
+  (** [scatter t tbl n ~width ~height f] makes [n] calls [f i d] that draw
+      exactly what [n] rounds of [let r = bits64 t in let d = draw t tbl
+      in] draw. [i] is [y width + x], the row-major index of a position in
+      a [width] by [height] raster: [x] is [(hi width) >> 32] and [y] is
+      [(lo height) >> 32], for [hi] and [lo] the high and the low 32 bits of
+      [r]. [d] is the value. [t] ends where those [2 n] draws leave it.
+      This is the pass behind [Scene.frame]'s noise: the state stays
+      unboxed in a local for the whole pass, and the alias pick is
+      branch-free. Requires [0 < width, height < 2{^31}]; [f] must not draw
+      from [t]. Allocates nothing beyond what [f] does. *)
+
   val weights : table -> (int * int) list
   (** [(k, W_k)] in increasing [k]; every [W_k > 0], and they sum to 2{^32}.
       Test oracle: [test_support]'s "noise tables encode their weights"

@@ -4,6 +4,9 @@
     components, keep plausible mark-sized regions, return their centres of
     gravity and englobing frames in absolute image coordinates. *)
 
+val mark_threshold : int
+(** 200: pixels at this level or brighter are mark pixels. *)
+
 val detect : origin:int * int -> Vision.Image.t -> Mark.t list
 (** [detect ~origin:(dx, dy) window_pixels] returns the marks found (pixels
     at 200 or brighter, regions of at least 6 pixels), sorted by decreasing

@@ -172,7 +172,105 @@ let regions lab =
         })
   end
 
-let detect_regions ~threshold img = regions (label ~threshold img)
+(* Regions straight from the foreground runs of each row, with no label
+   raster. Run [k] (numbered from 1 in raster order of first pixels) spans
+   columns [x0 .. x1] of row [y], kept flat at [3k .. 3k + 2] of [runs]. A
+   run joins each run of the row above whose columns overlap its own, in
+   the union-find over run numbers, and a union keeps the smaller root: so
+   each component's root is its first run, whose first pixel is the
+   component's first in raster order, and numbering the roots in
+   increasing order numbers the regions as [label] does. A run adds its
+   integer sums to its root (area, x and y sums, bounding box), so [cx]
+   and [cy] divide the same integers [regions] divides. *)
+let detect_regions ~threshold img =
+  let w = Image.width img and h = Image.height img in
+  let data = img.Image.data in
+  let uf = Uf.create 0 in
+  let runs = ref (Array.make 96 0) in
+  (* the runs of the row above are [above_lo .. above_hi] *)
+  let above_lo = ref 1 and above_hi = ref 0 in
+  for y = 0 to h - 1 do
+    let row = y * w in
+    let row_lo = uf.Uf.size + 1 in
+    let j = ref !above_lo in
+    let x = ref 0 in
+    while !x < w do
+      if Char.code (Bytes.unsafe_get data (row + !x)) < threshold then incr x
+      else begin
+        let x0 = !x in
+        while !x < w && Char.code (Bytes.unsafe_get data (row + !x)) >= threshold do
+          incr x
+        done;
+        let x1 = !x - 1 in
+        let k = Uf.fresh uf in
+        if (3 * k) + 2 >= Array.length !runs then begin
+          let bigger = Array.make (2 * Array.length !runs) 0 in
+          Array.blit !runs 0 bigger 0 (Array.length !runs);
+          runs := bigger
+        end;
+        let r = !runs in
+        r.(3 * k) <- x0;
+        r.((3 * k) + 1) <- x1;
+        r.((3 * k) + 2) <- y;
+        (* runs above that end left of this one overlap no later run
+           either; the ones from [j] that start by [x1] overlap this one *)
+        while !j <= !above_hi && r.((3 * !j) + 1) < x0 do
+          incr j
+        done;
+        let i = ref !j in
+        while !i <= !above_hi && r.(3 * !i) <= x1 do
+          Uf.union uf k !i;
+          incr i
+        done
+      end
+    done;
+    above_lo := row_lo;
+    above_hi := uf.Uf.size
+  done;
+  let n = uf.Uf.size and r = !runs in
+  let area = Array.make (n + 1) 0 in
+  let sx = Array.make (n + 1) 0 and sy = Array.make (n + 1) 0 in
+  let minx = Array.make (n + 1) 0 and maxx = Array.make (n + 1) 0 in
+  let maxy = Array.make (n + 1) 0 in
+  let ncomponents = ref 0 in
+  for k = 1 to n do
+    let root = Uf.find uf k in
+    let x0 = r.(3 * k) and x1 = r.((3 * k) + 1) and y = r.((3 * k) + 2) in
+    let len = x1 - x0 + 1 in
+    if root = k then begin
+      incr ncomponents;
+      minx.(k) <- x0;
+      maxx.(k) <- x1
+    end
+    else begin
+      if x0 < minx.(root) then minx.(root) <- x0;
+      if x1 > maxx.(root) then maxx.(root) <- x1
+    end;
+    area.(root) <- area.(root) + len;
+    sx.(root) <- sx.(root) + ((x0 + x1) * len / 2);
+    sy.(root) <- sy.(root) + (y * len);
+    (* runs come in raster order, so the last one has the largest y *)
+    maxy.(root) <- y
+  done;
+  let regions = ref [] and l = ref !ncomponents in
+  for k = n downto 1 do
+    if uf.Uf.parent.(k) = k then begin
+      regions :=
+        {
+          label = !l;
+          area = area.(k);
+          cx = float_of_int sx.(k) /. float_of_int area.(k);
+          cy = float_of_int sy.(k) /. float_of_int area.(k);
+          min_x = minx.(k);
+          min_y = r.((3 * k) + 2);
+          max_x = maxx.(k);
+          max_y = maxy.(k);
+        }
+        :: !regions;
+      decr l
+    end
+  done;
+  !regions
 
 let equivalent a b =
   a.width = b.width && a.height = b.height

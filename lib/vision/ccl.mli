@@ -42,7 +42,11 @@ val regions : labelling -> region list
 (** Region statistics sorted by label. *)
 
 val detect_regions : threshold:int -> Image.t -> region list
-(** [label] followed by [regions]. *)
+(** [regions (label ~threshold img)], computed from the foreground runs of
+    each row without a label raster: it allocates per run and per
+    region, not per pixel (DESIGN.md, "Mark detection over row runs").
+    Test oracle: [test_ccl]'s "detect_regions equals regions of label"
+    compares it with [label] and [regions], record for record. *)
 
 val equivalent : labelling -> labelling -> bool
 (** True when two labellings define the same partition of foreground pixels

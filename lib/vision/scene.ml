@@ -65,12 +65,13 @@ let draw_disc img cx cy r v =
     done
   done
 
+(* one [Bytes.fill] per row of the rectangle clipped to the image *)
 let draw_rect img x0 y0 w h v =
-  for y = y0 to y0 + h - 1 do
-    for x = x0 to x0 + w - 1 do
-      if Image.in_bounds img x y then Image.set img x y v
+  let xa = Int.max 0 x0 and xb = Int.min (Image.width img) (x0 + w) in
+  if xb > xa then
+    for y = Int.max 0 y0 to Int.min (Image.height img) (y0 + h) - 1 do
+      Bytes.fill img.Image.data ((y * Image.width img) + xa) (xb - xa) (Char.chr v)
     done
-  done
 
 let render_background p img t =
   (* Vertical luminance gradient (sky to road) plus a faint texture
@@ -116,23 +117,20 @@ let[@inline] clamp (v : int) lo hi = if v < lo then lo else if v > hi then hi el
 let add_noise p img t =
   if p.noise > 0.0 then begin
     let rng = Support.Prng.create (p.seed + (t * 7919)) in
-    let noise = Support.Prng.Trunc_normal.table p.noise in
     let w = Image.width img and h = Image.height img in
+    let data = img.Image.data in
     (* Perturb a pseudo-random 20% of pixels; keeps marks distinguishable
-       while still exercising threshold robustness. Two draws per pixel:
-       the position, x from the high and y from the low 32 bits of one
-       [bits64] by multiply-shift (in range, so pixels are accessed
-       unchecked), then the noise. *)
-    for _ = 1 to w * h / 5 do
-      let r = Support.Prng.bits64 rng in
-      let x = (Int64.to_int (Int64.shift_right_logical r 32) * w) lsr 32 in
-      let y = ((Int64.to_int r land 0xFFFF_FFFF) * h) lsr 32 in
-      let d = Support.Prng.Trunc_normal.draw rng noise in
-      let v = Image.unsafe_get img x y in
-      (* Never push background pixels into mark range nor marks below it. *)
-      let v' = if v >= 220 then clamp (v + d) 220 255 else clamp (v + d) 0 179 in
-      Image.unsafe_set img x y v'
-    done
+       while still exercising threshold robustness. [scatter] takes each
+       pixel's x from the high and its y from the low 32 bits of one
+       [bits64], by multiply-shift (in range, so pixels are accessed
+       unchecked), and its noise from the next draw. *)
+    Support.Prng.Trunc_normal.scatter rng (Support.Prng.Trunc_normal.table p.noise)
+      (w * h / 5) ~width:w ~height:h
+      (fun i d ->
+        let v = Char.code (Bytes.unsafe_get data i) in
+        (* Never push background pixels into mark range nor marks below it. *)
+        let v' = if v >= 220 then clamp (v + d) 220 255 else clamp (v + d) 0 179 in
+        Bytes.unsafe_set data i (Char.unsafe_chr v'))
   end
 
 let frame p t =

@@ -276,6 +276,51 @@ let prop_detect_regions_count =
       let lab = C.label ~threshold:128 img in
       List.length (C.regions lab) = lab.C.ncomponents)
 
+(* [detect_regions] works on row runs and never builds a label raster;
+   [regions] of [label] is its oracle, record for record. *)
+let regions_agree ~threshold img =
+  C.detect_regions ~threshold img = C.regions (C.label ~threshold img)
+
+let arbitrary_regions_case =
+  QCheck.make
+    QCheck.Gen.(
+      let* w, h =
+        frequency
+          [
+            (1, map (fun n -> (1, n)) (int_range 1 200));
+            (1, map (fun n -> (n, 1)) (int_range 1 200));
+            (6, pair (int_range 1 60) (int_range 1 60));
+          ]
+      in
+      let* seed = int_bound 1_000_000 in
+      let* kind = frequency [ (3, return `Binary); (2, return `Gray); (1, return `Full) ] in
+      let* density = int_range 0 100 and* threshold = int_range 0 256 in
+      return (seed, kind, density, threshold, w, h))
+    ~print:(fun (seed, kind, density, threshold, w, h) ->
+      Printf.sprintf "seed=%d %s density=%d threshold=%d %dx%d" seed
+        (match kind with `Binary -> "binary" | `Gray -> "gray" | `Full -> "full")
+        density threshold w h)
+
+let prop_detect_regions_matches_label =
+  QCheck.Test.make ~name:"detect_regions equals regions of label" ~count:300
+    arbitrary_regions_case (fun (seed, kind, density, threshold, w, h) ->
+      let img =
+        match kind with
+        | `Binary -> random_binaryish seed density w h
+        | `Gray -> random_gray seed w h
+        | `Full -> I.create ~init:255 w h
+      in
+      regions_agree ~threshold img)
+
+let test_detect_regions_on_shapes () =
+  let check name ~threshold img =
+    Alcotest.(check bool) name true (regions_agree ~threshold img)
+  in
+  check "checkerboard" ~threshold:128 (checkerboard 129 131);
+  check "all foreground" ~threshold:0 (random_gray 4 64 48);
+  check "scene frame" ~threshold:200 (Vision.Scene.frame Vision.Scene.default_params 0);
+  check "dense noise" ~threshold:100 (random_gray 5 512 64)
+
 let () =
   Alcotest.run "ccl"
     [
@@ -291,6 +336,8 @@ let () =
           Alcotest.test_case "equivalence checker" `Quick test_equivalent_detects_renaming;
           Alcotest.test_case "reference on edge shapes" `Quick
             test_matches_reference_on_shapes;
+          Alcotest.test_case "detect_regions on edge shapes" `Quick
+            test_detect_regions_on_shapes;
         ] );
       ( "band merge",
         [
@@ -303,6 +350,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_union_find_matches_flood;
           QCheck_alcotest.to_alcotest prop_banded_matches_whole;
           QCheck_alcotest.to_alcotest prop_detect_regions_count;
+          QCheck_alcotest.to_alcotest prop_detect_regions_matches_label;
           QCheck_alcotest.to_alcotest prop_matches_reference;
           QCheck_alcotest.to_alcotest prop_binaryish_matches_reference;
         ] );

@@ -236,23 +236,51 @@ let test_prometheus_golden () =
 (* ------------------------------------------------------------------ *)
 (* Totals: the series is an exact decomposition of the run's counters.  *)
 
-let gen_params =
-  QCheck.Gen.(
-    map
-      (fun (nworkers, nitems, frames) -> { nworkers; nitems; frames })
-      (tup3 (int_range 1 4) (int_range 1 8) (int_range 1 4)))
+(* A farm, and now and then a halt of one worker's processor with df
+   recovery armed, so the reissue and fault counters are not always 0. *)
+type case = { p : params; halt : (int * float) option }
 
-let print_params p =
-  Printf.sprintf "{workers=%d; items=%d; frames=%d}" p.nworkers p.nitems p.frames
+let gen_case =
+  QCheck.Gen.(
+    let* nworkers, nitems, frames =
+      tup3 (int_range 1 4) (int_range 1 8) (int_range 1 4)
+    in
+    let* halt =
+      frequency
+        [
+          (2, return None);
+          ( 1,
+            (* inside some frame's first 2 ms, while its items are out *)
+            map3
+              (fun proc frame at -> Some (proc, (0.01 *. float_of_int frame) +. at))
+              (int_range 1 nworkers) (int_bound (frames - 1))
+              (float_bound_inclusive 2e-3) );
+        ]
+    in
+    return { p = { nworkers; nitems; frames }; halt })
+
+let print_case { p; halt } =
+  Printf.sprintf "{workers=%d; items=%d; frames=%d; halt=%s}" p.nworkers p.nitems
+    p.frames
+    (match halt with
+    | None -> "none"
+    | Some (proc, at) -> Printf.sprintf "%d@%h" proc at)
+
+let run_case { p; halt } =
+  let input_period = if p.frames > 1 then Some 0.01 else None in
+  match halt with
+  | None -> run_farm ?input_period p
+  | Some fault ->
+      run_farm ?input_period ~faults:[ fault ]
+        ~recovery:(Executive.recovery ~max_strikes:100 5e-3)
+        p
 
 let prop_totals_match_run =
   QCheck.Test.make ~name:"window totals sum to the run's own counters"
     ~count:25
-    (QCheck.make ~print:print_params gen_params)
-    (fun p ->
-      let r =
-        run_farm ?input_period:(if p.frames > 1 then Some 0.01 else None) p
-      in
+    (QCheck.make ~print:print_case gen_case)
+    (fun case ->
+      let r = run_case case in
       let t = S.totals (series_of r) in
       let busy_total =
         Array.fold_left ( +. ) 0.0 r.Executive.stats.Sim.busy
@@ -271,11 +299,9 @@ let prop_totals_match_run =
 let prop_prometheus_exposition =
   QCheck.Test.make ~name:"prometheus exposition parses back to the series"
     ~count:25
-    (QCheck.make ~print:print_params gen_params)
-    (fun p ->
-      let r =
-        run_farm ?input_period:(if p.frames > 1 then Some 0.01 else None) p
-      in
+    (QCheck.make ~print:print_case gen_case)
+    (fun case ->
+      let r = run_case case in
       let series = series_of r in
       let slo =
         S.Slo.evaluate

@@ -263,6 +263,43 @@ let test_noise_table_rejects_levels () =
           ignore (N.table s)))
     [ 0.0; -1.0; 1024.5; Float.nan; Float.infinity ]
 
+(* [scatter] against the per-draw loop it replaced in [Scene.frame]'s
+   noise: one [bits64] for the position, scaled by multiply-shift in native
+   ints, then one [draw], [w h / 5] times. Every (index, value) pair and
+   the final state must agree. *)
+let prop_noise_scatter_matches_draws =
+  QCheck.Test.make ~name:"noise scatter equals the per-draw loop" ~count:200
+    QCheck.(
+      make
+        Gen.(
+          let* seed = int_bound 1_000_000
+          and* level =
+            frequency
+              [
+                (3, oneofl (List.map fst noise_table_pins));
+                (1, float_range 0.01 1024.0);
+              ]
+          and* w = frequency [ (9, int_range 1 128); (1, return 512) ]
+          and* h = frequency [ (9, int_range 1 128); (1, return 512) ] in
+          return (seed, level, w, h))
+        ~print:(fun (seed, level, w, h) ->
+          Printf.sprintf "seed=%d level=%h %dx%d" seed level w h))
+    (fun (seed, level, w, h) ->
+      let tbl = N.table level and n = w * h / 5 in
+      let reference = Support.Prng.create seed in
+      let want =
+        List.init n (fun _ ->
+            let r = Support.Prng.bits64 reference in
+            let x = (Int64.to_int (Int64.shift_right_logical r 32) * w) lsr 32
+            and y = ((Int64.to_int r land 0xFFFF_FFFF) * h) lsr 32 in
+            ((y * w) + x, N.draw reference tbl))
+      in
+      let rng = Support.Prng.create seed in
+      let got = ref [] in
+      N.scatter rng tbl n ~width:w ~height:h (fun i d -> got := (i, d) :: !got);
+      List.rev !got = want
+      && Support.Prng.bits64 rng = Support.Prng.bits64 reference)
+
 module Q = Support.Pqueue
 
 (* Pops every entry, in order. *)
@@ -866,6 +903,7 @@ let () =
           Alcotest.test_case "noise chi-square" `Quick test_noise_chi_square;
           Alcotest.test_case "noise levels outside (0, 1024] rejected" `Quick
             test_noise_table_rejects_levels;
+          QCheck_alcotest.to_alcotest prop_noise_scatter_matches_draws;
         ] );
       ( "pqueue",
         [
