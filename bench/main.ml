@@ -1685,10 +1685,9 @@ let simscale () =
 (* mapscale: host-time scaling of the mapping strategies               *)
 
 (* Fitted exponent bound of each strategy's host time in the processor
-   count. bicriteria scores one interval candidate per processor count by
-   design, so it is allowed one more power than the single-schedule
-   strategies. *)
-let mapscale_bound = function "bicriteria" -> 3.5 | _ -> 3.0
+   count, the same for every strategy: bicriteria list-schedules only the
+   interval candidates its bounds cannot rule out. *)
+let mapscale_bound = 3.0
 
 (* Host time of every registered strategy mapping the tracking spec with
    [nproc = W] onto [ring W]. A cell keeps the best of 3 timed loops, each
@@ -1698,7 +1697,7 @@ let mapscale_bound = function "bicriteria" -> 3.5 | _ -> 3.0
    only. *)
 let mapscale () =
   header "mapscale" "mapping host time vs processor count (tracking, ring W)";
-  let widths = [ 16; 32; 64; 128; 256 ] in
+  let widths = [ 16; 32; 64; 128; 256; 512 ] in
   let strategies = Syndex.Mapper.registered () in
   Printf.printf "%5s %6s" "W" "nodes";
   List.iter
@@ -1759,16 +1758,16 @@ let mapscale () =
         let name = m.Syndex.Mapper.name in
         let e = loglog_slope (List.map (fun (w, cells) -> (w, List.nth cells i)) rows) in
         Printf.printf "exponent in W, %s: %.3f (bound %.2f)\n" name e
-          (mapscale_bound name);
+          mapscale_bound;
         (name, e))
       strategies
   in
-  let over = List.filter (fun (name, e) -> e > mapscale_bound name) exponents in
+  let over = List.filter (fun (_, e) -> e > mapscale_bound) exponents in
   if over <> [] then begin
     List.iter
       (fun (name, e) ->
         Printf.eprintf "mapscale: %s scales as W^%.3f > %.2f\n" name e
-          (mapscale_bound name))
+          mapscale_bound)
       over;
     exit 1
   end

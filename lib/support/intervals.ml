@@ -28,8 +28,7 @@ let clear b =
   b.floats.past <- 0.0;
   b.floats.hi <- neg_infinity
 
-(* overlap tolerance of the first-fit test *)
-let eps = 1e-15
+let tolerance = 1e-15
 
 (* Make room for one more reservation at [tail]: slide the unpruned ones
    to the front when they fill at most half the arrays, else move them to
@@ -71,7 +70,9 @@ let[@inline] reserve b ~earliest ~duration =
        are finite, non-negative and never [-0.], so a compare picks the
        bits [Float.max] would *)
     let start = ref earliest and i = ref b.head in
-    while !i < b.tail && not (!start +. duration <= b.starts.(!i) +. eps) do
+    while
+      !i < b.tail && not (!start +. duration <= b.starts.(!i) +. tolerance)
+    do
       let stop = b.stops.(!i) in
       if stop > !start then start := stop;
       incr i
@@ -127,7 +128,7 @@ let valid b =
     let start = b.starts.(i) and stop = b.stops.(i) in
     start <= stop
     && (i = b.head || b.starts.(i - 1) <= start)
-    && (start = stop || last_stop <= start +. eps)
+    && (start = stop || last_stop <= start +. tolerance)
     && ok (i + 1) (if start = stop then last_stop else stop)
   in
   ok b.head neg_infinity

@@ -4,11 +4,16 @@
     simulated transfers share one contention model.
 
     A book is a mutable sequence of reservations [[start, stop)], sorted by
-    start and disjoint up to an overlap tolerance of [1e-15]. The scheduler
+    start and disjoint up to an overlap of {!tolerance}. The scheduler
     backfills earlier gaps, so it keeps every reservation; the simulator,
     whose requests never start before its clock, {!prune}s first. *)
 
 type t
+
+val tolerance : float
+(** [1e-15] seconds: first fit lets a reservation end up to this much
+    after the start of the next one, so two neighbours may overlap by as
+    much. *)
 
 val create : unit -> t
 (** An empty book; it allocates on its first {!reserve}. *)

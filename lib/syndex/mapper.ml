@@ -65,12 +65,12 @@ let interval_partitions arch (dag : Dag.t) seq k_max =
   let n = Array.length seq in
   let ct = Heft.mean_cycle_time arch in
   let startup, bw = Heft.mean_link_costs arch in
-  let pos = Hashtbl.create 16 in
-  Array.iteri (fun i node -> Hashtbl.replace pos node i) seq;
+  let pos = Array.make (Procnet.Graph.nnodes dag.Dag.graph) (-1) in
+  Array.iteri (fun i node -> pos.(node) <- i) seq;
   let node_work = Array.make n 0.0 in
   Array.iter
     (fun (op : Dag.op) ->
-      let i = Hashtbl.find pos op.Dag.node in
+      let i = pos.(op.Dag.node) in
       node_work.(i) <- node_work.(i) +. (op.Dag.cycles *. ct))
     dag.Dag.ops;
   let prefix = Array.make (n + 1) 0.0 in
@@ -80,51 +80,66 @@ let interval_partitions arch (dag : Dag.t) seq k_max =
   let comm bytes =
     if bw = infinity then 0.0 else startup +. (float_of_int bytes /. bw)
   in
-  (* (earlier position, later position, transfer time) of every channel
-     between distinct positions, in dependency-list order *)
-  let deps =
+  (* every channel between distinct positions, in dependency-list order:
+     its earlier position, its later one and its transfer time *)
+  let chans =
     List.filter_map
       (fun (d : Dag.dep) ->
         match d.Dag.edge with
         | None -> None
         | Some _ ->
-            let sp = Hashtbl.find pos dag.Dag.ops.(d.Dag.src_op).Dag.node in
-            let dp = Hashtbl.find pos dag.Dag.ops.(d.Dag.dst_op).Dag.node in
+            let sp = pos.(dag.Dag.ops.(d.Dag.src_op).Dag.node) in
+            let dp = pos.(dag.Dag.ops.(d.Dag.dst_op).Dag.node) in
             if sp = dp then None
             else Some (min sp dp, max sp dp, comm d.Dag.bytes))
       dag.Dag.deps
+    |> Array.of_list
   in
-  (* cost.(a).(b), a < b: time of interval [a, b), its compute load plus
-     the communication entering it from nodes before position a. Only the
-     channels crossing position a can enter an interval starting there;
-     for every b they are summed in dependency-list order. *)
-  let cost = Array.make_matrix (n + 1) (n + 1) 0.0 in
+  let lo = Array.map (fun (sp, _, _) -> sp) chans
+  and hi = Array.map (fun (_, dp, _) -> dp) chans
+  and time = Array.map (fun (_, _, c) -> c) chans in
+  (* costt.(b).(a), a < b: time of interval [a, b), its compute load plus
+     the communication entering it from nodes before position a: the
+     channels crossing position a that end before b, summed in
+     dependency-list order. Each crossing channel is added, in that
+     order, to the sum of every b past its end. *)
+  let costt = Array.make_matrix (n + 1) (n + 1) 0.0 in
+  let acc = Array.make (n + 1) 0.0 in
   for a = 0 to n - 1 do
-    let crossing = List.filter (fun (sp, dp, _) -> sp < a && dp >= a) deps in
-    let ends = Array.of_list (List.map (fun (_, dp, _) -> dp) crossing) in
-    let times = Array.of_list (List.map (fun (_, _, c) -> c) crossing) in
+    Array.fill acc 0 (n + 1) 0.0;
+    for c = 0 to Array.length lo - 1 do
+      if lo.(c) < a && hi.(c) >= a then begin
+        let t = time.(c) in
+        for b = hi.(c) + 1 to n do
+          acc.(b) <- acc.(b) +. t
+        done
+      end
+    done;
     for b = a + 1 to n do
-      let inbound = ref 0.0 in
-      for i = 0 to Array.length ends - 1 do
-        if ends.(i) < b then inbound := !inbound +. times.(i)
-      done;
-      cost.(a).(b) <- prefix.(b) -. prefix.(a) +. !inbound
+      costt.(b).(a) <- prefix.(b) -. prefix.(a) +. acc.(b)
     done
   done;
   (* best.(j).(b): minimal bottleneck partitioning seq[0..b) into j
-     intervals; cut.(j).(b) the position of the last cut. *)
+     intervals; cut.(j).(b) the position of the last cut. The minimum over
+     a is taken in a local, in ascending a, with a strict compare: the
+     earliest cut wins a tie. *)
   let best = Array.make_matrix (k_max + 1) (n + 1) infinity in
   let cut = Array.make_matrix (k_max + 1) (n + 1) 0 in
   best.(0).(0) <- 0.0;
   for j = 1 to k_max do
+    let prev = best.(j - 1) and cur = best.(j) and cut_j = cut.(j) in
     for b = j to n do
+      let row = costt.(b) in
+      let m = ref cur.(b) and at = ref cut_j.(b) in
       for a = j - 1 to b - 1 do
-        let c = Float.max best.(j - 1).(a) cost.(a).(b) in
-        if c < best.(j).(b) then begin
-          best.(j).(b) <- c;
-          cut.(j).(b) <- a
+        let c = Float.max prev.(a) row.(a) in
+        if c < !m then begin
+          m := c;
+          at := a
         end
-      done
+      done;
+      cur.(b) <- !m;
+      cut_j.(b) <- !at
     done
   done;
   let rec cuts j b acc =
@@ -241,13 +256,18 @@ let throughput =
     frontier = None;
   }
 
+(* A point of latency [pl] and period [pp] dominates one of [ql] and [qp]:
+   no worse in either, strictly better in one *)
+let dominates (pl : float) (pp : float) ql qp =
+  pl <= ql && pp <= qp && (pl < ql || pp < qp)
+
 (* No emitted point dominated by another (minimising both latency and
    period); deterministic order by (latency, period, label). [score p] is
    (latency, period, label). *)
 let pareto_by score points =
   let dominates p q =
     let pl, pp, _ = score p and ql, qp, _ = score q in
-    pl <= ql && pp <= qp && (pl < ql || pp < qp)
+    dominates pl pp ql qp
   in
   let sorted = List.sort (fun a b -> compare (score a) (score b)) points in
   List.filter
@@ -276,30 +296,44 @@ type candidate = {
   schedule : unit -> Schedule.t;
 }
 
-(* The HEFT point and every interval mapping, each interval candidate
-   list-scheduled into one scratch and scored there, so no candidate
-   schedule is built; the Pareto frontier of the scores, in [pareto]'s
-   order. *)
+(* The HEFT point and every interval mapping that can reach the frontier;
+   the Pareto frontier of their scores, in [pareto]'s order. Interval
+   candidates go in ascending order of their bottleneck estimate, so the
+   ones likeliest to reach the frontier are scored first. A candidate is
+   first bounded ([Place.bounds]): when a point already scored is strictly
+   better than both bounds, it is strictly better than the candidate's
+   score too, so the candidate is not on the frontier and is skipped.
+   Otherwise it is list-scheduled into one scratch and scored there; no
+   candidate schedule is built. *)
 let bicriteria_candidates cost arch g =
   let dag, seq, partitions = interval_candidates cost arch g in
   let heft = Heft.map_dag arch dag in
-  let sc = Place.scratch arch dag in
-  let intervals =
-    List.mapi
-      (fun i (_, cuts) ->
-        Place.run sc (interval_placement dag seq cuts);
-        let latency, period = Place.score sc in
-        { label = Printf.sprintf "interval-k%d" (i + 1);
-          latency;
-          period;
-          schedule = (fun () -> interval_schedule arch dag seq cuts) })
-      partitions
+  let sc = Place.scratch arch dag and bs = Place.bounds_scratch arch dag in
+  let ranked =
+    List.mapi (fun i (bottleneck, cuts) -> (bottleneck, i + 1, cuts)) partitions
+    |> List.stable_sort (fun (a, _, _) (b, _, _) -> Float.compare a b)
   in
-  pareto_by
-    (fun c -> (c.latency, c.period, c.label))
-    ({ label = "heft"; latency = heft.Schedule.makespan;
-       period = Schedule.period heft; schedule = (fun () -> heft) }
-    :: intervals)
+  let scored =
+    List.fold_left
+      (fun scored (_, k, cuts) ->
+        let placement = interval_placement dag seq cuts in
+        let l, q = Place.bounds bs placement in
+        if List.exists (fun c -> dominates c.latency c.period l q) scored then
+          scored
+        else begin
+          Place.run sc placement;
+          let latency, period = Place.score sc in
+          { label = Printf.sprintf "interval-k%d" k;
+            latency;
+            period;
+            schedule = (fun () -> interval_schedule arch dag seq cuts) }
+          :: scored
+        end)
+      [ { label = "heft"; latency = heft.Schedule.makespan;
+          period = Schedule.period heft; schedule = (fun () -> heft) } ]
+      ranked
+  in
+  pareto_by (fun c -> (c.latency, c.period, c.label)) scored
 
 let bicriteria_frontier cost arch g =
   List.map

@@ -18,7 +18,14 @@
       Robert, "Bi-criteria Pipeline Mappings");
     - ["bicriteria"] — bounded search over the interval mappings plus the
       HEFT point, emitting the latency/throughput Pareto frontier; [map]
-      schedules the knee point (minimal latency x period). *)
+      schedules the knee point (minimal latency x period). The HEFT point
+      is scored first, then the interval candidates in ascending order of
+      their estimated bottleneck. Each candidate is bounded first
+      ({!Place.bounds}); when a point already scored is no worse than both
+      bounds and strictly better than one, the candidate is strictly
+      dominated and is skipped without being list-scheduled. Only
+      dominated points are skipped, so the frontier, its order, its labels
+      and the knee are those of scoring every candidate. *)
 
 type point = {
   point_label : string;
@@ -67,6 +74,11 @@ val interval_partitions : Archi.t -> Dag.t -> int array -> int -> (float * int l
     bottleneck and the cut list for k intervals: the k interval starts
     followed by the chain length. One O(n^2 * E) interval-cost matrix and
     one O(k_max * n^2) table answer every k; ties keep the earliest cut.
+    The matrix is built one interval start a at a time: every channel
+    crossing a is added, in dependency-list order, to the running sum of
+    each interval end past the channel's end, and the sums are stored
+    transposed (end-major), so the table reads each end's costs as one
+    row.
     Test oracle: [test_syndex]'s "one interval table answers every k bit
     for bit" compares it with a per-k brute force. *)
 

@@ -50,3 +50,28 @@ val score : scratch -> float * float
 (** The [(makespan, Schedule.resource_period)] of the schedule
     {!of_placement_dag} would build for the last {!run}'s placement, bit
     for bit. *)
+
+(** {1 Bounding without scheduling}
+
+    A mapper that only needs to know whether a placement can beat the
+    points it already holds can ask for lower bounds instead of a score.
+    They take one pass over the placed DAG, with no link book. *)
+
+type bounds_scratch
+
+val bounds_scratch : Archi.t -> Dag.t -> bounds_scratch
+(** Room to bound placements of [dag] on [arch], any number of times; it
+    keeps the route times it has computed. A scratch belongs to one caller
+    at a time. *)
+
+val bounds : bounds_scratch -> int array -> float * float
+(** [bounds bs placement] is a lower bound on each of the two numbers
+    {!score} gives after [run sc placement]: the makespan and the resource
+    period. The period bound is the largest processor's compute load or
+    the largest load of the first hops a link carries; the makespan bound
+    is the largest of the contention-free longest path and, per processor
+    and per link, the earliest release of what it serves plus its load
+    plus the shortest tail after it. Both are scaled by [1 - 1e-9] to
+    absorb the rounding of the scheduler's sums. Raises like {!run}.
+    Test oracle: [test_syndex]'s "bounds never exceed the score" checks
+    both against {!score} on random machines and placements. *)

@@ -898,31 +898,48 @@ let random_arch topo nprocs seed =
                cycle_time = [| 5e-8; 2.5e-8; 1e-7 |].(Random.State.int rng 3) }))
         (List.rev !edges)
 
+(* A random network and cost model ([random_interval_case]) with a fifth
+   of its messages empty, on a [random_arch] machine: (model, arch, graph,
+   the canonical, round-robin and a random placement, by name). *)
+let random_placed_case (shape, width, seed, (topo, nprocs)) =
+  let model, _, g = random_interval_case (shape, width, seed, (0, 1)) in
+  (* empty messages: zero-length hops over links without startup cost *)
+  let model =
+    { model with
+      Syndex.Cost.edge_bytes =
+        (fun (e : G.edge) ->
+          if Hashtbl.hash (seed, e.G.src, e.G.dst) mod 5 = 0 then 0
+          else model.Syndex.Cost.edge_bytes e) }
+  in
+  let arch = random_arch topo nprocs seed in
+  let p = Archi.nprocs arch in
+  let rng = Random.State.make [| seed; width |] in
+  let placements =
+    [ ("canonical", Syndex.Place.canonical g arch);
+      ("roundrobin", Syndex.Place.round_robin g arch);
+      ("random", Array.init (G.nnodes g) (fun _ -> Random.State.int rng p)) ]
+  in
+  (model, arch, g, placements)
+
+(* Every interval candidate's placement, by label, with the oracle's cuts *)
+let interval_candidate_placements arch dag g =
+  let seq = Syndex.Mapper.linearize dag in
+  let k_max = min (Archi.nprocs arch) (Array.length seq) in
+  List.init k_max (fun i ->
+      let _, cuts = oracle_interval_partition arch dag seq (i + 1) in
+      (Printf.sprintf "interval-k%d" (i + 1), oracle_interval_placement g seq cuts))
+
+let random_placed_arb =
+  QCheck.(
+    quad (int_range 0 4) (int_range 1 30) (int_range 0 1000)
+      (pair (int_range 0 5) (int_range 1 16)))
+
 let prop_schedules_match_oracle =
   QCheck.Test.make
     ~name:"static schedules and the bicriteria frontier match the oracle bit for bit"
-    ~count:120
-    QCheck.(
-      quad (int_range 0 4) (int_range 1 30) (int_range 0 1000)
-        (pair (int_range 0 5) (int_range 1 16)))
-    (fun (shape, width, seed, (topo, nprocs)) ->
-      let model, _, g = random_interval_case (shape, width, seed, (0, 1)) in
-      (* empty messages: zero-length hops over links without startup cost *)
-      let model =
-        { model with
-          Syndex.Cost.edge_bytes =
-            (fun (e : G.edge) ->
-              if Hashtbl.hash (seed, e.G.src, e.G.dst) mod 5 = 0 then 0
-              else model.Syndex.Cost.edge_bytes e) }
-      in
-      let arch = random_arch topo nprocs seed in
-      let p = Archi.nprocs arch in
-      let rng = Random.State.make [| seed; width |] in
-      let placements =
-        [ ("canonical", Syndex.Place.canonical g arch);
-          ("roundrobin", Syndex.Place.round_robin g arch);
-          ("random", Array.init (G.nnodes g) (fun _ -> Random.State.int rng p)) ]
-      in
+    ~count:120 random_placed_arb
+    (fun case ->
+      let model, arch, g, placements = random_placed_case case in
       List.iter
         (fun (what, placement) ->
           let got = Syndex.Place.of_placement model arch g placement in
@@ -937,13 +954,7 @@ let prop_schedules_match_oracle =
          turn on one scratch: each score must be the oracle schedule's
          makespan and resource period, frontier member or not *)
       let dag = Syndex.Dag.of_graph model g in
-      let seq = Syndex.Mapper.linearize dag in
-      let k_max = min p (Array.length seq) in
-      let candidates =
-        List.init k_max (fun i ->
-            let _, cuts = oracle_interval_partition arch dag seq (i + 1) in
-            (Printf.sprintf "interval-k%d" (i + 1), oracle_interval_placement g seq cuts))
-      in
+      let candidates = interval_candidate_placements arch dag g in
       let sc = Syndex.Place.scratch arch dag in
       List.iter
         (fun (what, placement) ->
@@ -980,19 +991,46 @@ let prop_schedules_match_oracle =
       check_same_schedule "knee" (bicriteria.Syndex.Mapper.map model arch g) want_knee;
       true)
 
+(* Both bounds at or below the score, for every placement the mappers
+   weigh and for arbitrary ones: a bound above it would let bicriteria
+   skip a candidate that belongs on the frontier. *)
+let prop_bounds_below_score =
+  QCheck.Test.make ~name:"bounds never exceed the score" ~count:200
+    random_placed_arb
+    (fun case ->
+      let model, arch, g, placements = random_placed_case case in
+      let dag = Syndex.Dag.of_graph model g in
+      let sc = Syndex.Place.scratch arch dag
+      and bs = Syndex.Place.bounds_scratch arch dag in
+      List.iter
+        (fun (what, placement) ->
+          let latency, period = Syndex.Place.bounds bs placement in
+          Syndex.Place.run sc placement;
+          let makespan, resource_period = Syndex.Place.score sc in
+          if not (latency <= makespan) then
+            QCheck.Test.fail_reportf "%s: makespan bound %h above makespan %h"
+              what latency makespan;
+          if not (period <= resource_period) then
+            QCheck.Test.fail_reportf "%s: period bound %h above period %h" what
+              period resource_period)
+        (placements @ interval_candidate_placements arch dag g);
+      true)
+
 (* -- mapping golden pin -- *)
 
 (* The length and MD5 of every strategy's frontier JSON and macro-code for
    the tracking spec at nproc W in {8, 32}, on ring W and on grid 4x4,
    recorded before the bicriteria mapper stopped keeping every candidate
-   schedule and the static scheduler stopped hashing dependencies. Any
-   changed float, placement, cut or frontier member shows up here. *)
+   schedule and the static scheduler stopped hashing dependencies; and at
+   W = 128 on ring 128, where bicriteria's bounds rule out every interval
+   candidate, recorded before it bounded them. Any changed float,
+   placement, cut or frontier member shows up here. *)
 let test_mapping_golden_pin () =
   let md5 s = Digest.to_hex (Digest.string s) in
   let module P = Skipper_lib.Pipeline in
   let lines =
     List.concat_map
-      (fun w ->
+      (fun (w, archs) ->
         let config = Tracking.Funcs.with_nproc w Tracking.Funcs.default_config in
         let c =
           P.compile_source ~frames:3 ~table:(Tracking.Funcs.table config)
@@ -1014,8 +1052,10 @@ let test_mapping_golden_pin () =
                 in
                 [ pin "frontier" fj; pin "macro" mc ])
               (Syndex.Mapper.names ()))
-          [ Archi.ring w; Archi.grid 4 4 ])
-      [ 8; 32 ]
+          archs)
+      [ (8, [ Archi.ring 8; Archi.grid 4 4 ]);
+        (32, [ Archi.ring 32; Archi.grid 4 4 ]);
+        (128, [ Archi.ring 128 ]) ]
   in
   Alcotest.(check (list string)) "frontier and macro-code bytes"
     [
@@ -1059,6 +1099,16 @@ let test_mapping_golden_pin () =
       "grid-4x4 W=32 throughput macro 8804 12c019caf321bf6d63af9992b51988a6";
       "grid-4x4 W=32 bicriteria frontier 617 1f3d2a4959a759f90dcb866840ed9e94";
       "grid-4x4 W=32 bicriteria macro 8538 76318100baa664d1020cf35d18565fd5";
+      "ring-128 W=128 heft frontier 571 1068cfe8b5adc6123eecb8aad42bfba8";
+      "ring-128 W=128 heft macro 30782 c44e9f918805fe8db90b5a2f77910cdb";
+      "ring-128 W=128 canonical frontier 581 8eeeb55dce656e5b602438f61ad282ee";
+      "ring-128 W=128 canonical macro 33268 39f8399ca745a5242b7a9c65514e2ec6";
+      "ring-128 W=128 roundrobin frontier 581 106ede79fcd99ab947978199f2b7a596";
+      "ring-128 W=128 roundrobin macro 33569 8bc773a9df955f3210ad1561311d802d";
+      "ring-128 W=128 throughput frontier 560 b75201e6a6d05fb0f8a757387815837e";
+      "ring-128 W=128 throughput macro 31844 bc7936fe1fa42322742bdbdc3f4ff060";
+      "ring-128 W=128 bicriteria frontier 577 9def9d833bc056043164ae8911e4ba39";
+      "ring-128 W=128 bicriteria macro 30782 c44e9f918805fe8db90b5a2f77910cdb";
     ]
     lines
 
@@ -1155,6 +1205,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_all_mappers_valid;
           QCheck_alcotest.to_alcotest prop_interval_partitions_match_oracle;
           QCheck_alcotest.to_alcotest prop_schedules_match_oracle;
+          QCheck_alcotest.to_alcotest prop_bounds_below_score;
           Alcotest.test_case "mapping golden pin" `Quick test_mapping_golden_pin;
         ] );
       ( "placements",
