@@ -21,16 +21,115 @@ type cached_entry = {
   derivations : (string * Skel.Funtable.derivation) list;
 }
 
+(* The memory tier: cached entries by key, under one lock so that compiles
+   on several domains share it, bounded by a fixed budget of heap words
+   with least-recently-used eviction. A slot's [words] are measured once,
+   at insertion, with [Obj.reachable_words] (which walks the block graph
+   without writing to it, so a concurrent walk of shared blocks is safe);
+   sharing between entries is counted in each, so the bound is
+   conservative. [born] and [used] are ticks of one clock: insertion, and
+   latest lookup. *)
+type slot = {
+  entry : cached_entry;
+  words : int;
+  born : int;
+  mutable used : int;
+  digest : string option Atomic.t;  (* Stage.fingerprint of the artifact *)
+}
+
+type memory = {
+  lock : Mutex.t;
+  slots : (string, slot) Hashtbl.t;
+  mutable words : int;
+  mutable tick : int;
+  mutable horizon : int;  (* lookups see the slots born before it *)
+  mutable evictions : int;
+}
+
+(* 2 MiB on a 64-bit host: a hundred or more whole compiles of the specs
+   under specs/ (a front-end chain is 1.0-2.5 k words), and the store
+   behind the memory still answers whatever was evicted. *)
+let memory_budget_words = 1 lsl 18
+
+let create_memory () =
+  {
+    lock = Mutex.create ();
+    slots = Hashtbl.create 64;
+    words = 0;
+    tick = 0;
+    horizon = max_int;
+    evictions = 0;
+  }
+
+type memory_stats = { entries : int; words : int; evictions : int }
+
+let memory_stats m =
+  Mutex.protect m.lock (fun () ->
+      { entries = Hashtbl.length m.slots; words = m.words; evictions = m.evictions })
+
+let with_snapshot m f =
+  Mutex.protect m.lock (fun () -> m.horizon <- m.tick + 1);
+  Fun.protect ~finally:(fun () -> Mutex.protect m.lock (fun () -> m.horizon <- max_int)) f
+
+let memory_find m key =
+  Mutex.protect m.lock (fun () ->
+      match Hashtbl.find_opt m.slots key with
+      | Some slot when slot.born < m.horizon ->
+          m.tick <- m.tick + 1;
+          slot.used <- m.tick;
+          Some slot
+      | _ -> None)
+
+(* Called with the lock held. Evicts least recently used slots until
+   [words] more fit with a quarter of the budget to spare, so that a full
+   memory sorts its slots once per quarter budget of insertions rather
+   than scanning them on every one. [used] ticks are distinct, so the
+   order is total. *)
+let make_room (m : memory) words =
+  if m.words + words > memory_budget_words then begin
+    let target = memory_budget_words - (memory_budget_words / 4) - words in
+    Hashtbl.fold (fun key slot acc -> (key, slot) :: acc) m.slots []
+    |> List.sort (fun (_, (a : slot)) (_, b) -> Int.compare a.used b.used)
+    |> List.iter (fun (key, (slot : slot)) ->
+           if m.words > target then begin
+             Hashtbl.remove m.slots key;
+             m.words <- m.words - slot.words;
+             m.evictions <- m.evictions + 1
+           end)
+  end
+
+(* An entry larger than the whole budget is not kept: the store, or the
+   stage, answers it the next time too. *)
+let memory_add (m : memory) key entry =
+  let words = Obj.reachable_words (Obj.repr entry) in
+  if words > memory_budget_words then None
+  else
+    Mutex.protect m.lock (fun () ->
+        (match Hashtbl.find_opt m.slots key with
+        | Some (old : slot) ->
+            Hashtbl.remove m.slots key;
+            m.words <- m.words - old.words
+        | None -> ());
+        make_room m words;
+        m.tick <- m.tick + 1;
+        let slot =
+          { entry; words; born = m.tick; used = m.tick; digest = Atomic.make None }
+        in
+        Hashtbl.replace m.slots key slot;
+        m.words <- m.words + words;
+        Some slot)
+
 type cache = {
-  entries : (string, cached_entry) Hashtbl.t;
+  memory : memory;
   store : Support.Store.t option;
   mutable hits : int;
   mutable misses : int;
   mutable store_hits : int;
 }
 
-let create_cache ?store () =
-  { entries = Hashtbl.create 64; store; hits = 0; misses = 0; store_hits = 0 }
+let create_cache ?store ?memory () =
+  let memory = match memory with Some m -> m | None -> create_memory () in
+  { memory; store; hits = 0; misses = 0; store_hits = 0 }
 
 let cache_stats c = (c.hits, c.misses)
 let store_hits c = c.store_hits
@@ -74,6 +173,7 @@ type log = {
   table : Skel.Funtable.t;
   cache : cache option;
   mutable key : string;  (* running content hash of the front-end chain *)
+  mutable last : slot option;  (* memory slot of the latest memoized stage *)
   mutable reports : Stage.report list;  (* newest first *)
   mutable kept : int;  (* List.length reports *)
 }
@@ -93,7 +193,7 @@ let start ?cache table entry =
     | None -> ""
     | Some _ -> Stage.fingerprint entry ^ "@" ^ Skel.Funtable.digest table
   in
-  { table; cache; key; reports = []; kept = 0 }
+  { table; cache; key; last = None; reports = []; kept = 0 }
 
 let reports log = List.rev log.reports
 
@@ -126,8 +226,9 @@ let stage ?memo log name wrap work =
         | Some out when try_replay log.table entry -> Some out
         | _ -> None
       in
-      let hit out detail =
+      let hit slot out detail =
         cache.hits <- cache.hits + 1;
+        log.last <- slot;
         record ~start:(Unix.gettimeofday ()) ~wall:0.0 ~cached:true ~detail out;
         out
       in
@@ -146,14 +247,15 @@ let stage ?memo log name wrap work =
                 (Skel.Funtable.derivations log.table);
           }
         in
-        Hashtbl.replace cache.entries log.key entry;
+        log.last <- memory_add cache.memory log.key entry;
         store_save cache log.key entry;
         out
       in
-      match Hashtbl.find_opt cache.entries log.key with
-      | Some entry -> (
-          match usable entry with
-          | Some out -> hit out "memoized"
+      (* The memory, then the store, then the stage. *)
+      match memory_find cache.memory log.key with
+      | Some slot -> (
+          match usable slot.entry with
+          | Some out -> hit (Some slot) out "memoized"
           | None -> miss ())
       | None -> (
           match store_find cache log.key with
@@ -163,6 +265,26 @@ let stage ?memo log name wrap work =
               | None -> miss ()
               | Some out ->
                   cache.store_hits <- cache.store_hits + 1;
-                  Hashtbl.replace cache.entries log.key entry;
-                  hit out "store")))
+                  hit (memory_add cache.memory log.key entry) out "store")))
   | _ -> run ()
+
+(* Physical equality of the values two artifacts wrap: a slot's digest
+   stands for the artifact it holds, not for an equal-looking one. *)
+let same_output a b =
+  match (a, b) with
+  | Stage.Ast p, Stage.Ast p' -> p == p'
+  | Typed (p, s), Typed (p', s') -> p == p' && s == s'
+  | Ir (p, i), Ir (p', i') -> p == p' && i == i'
+  | Graph g, Graph g' -> g == g'
+  | _ -> false
+
+let fingerprint log art =
+  match log.last with
+  | Some slot when same_output slot.entry.artifact art -> (
+      match Atomic.get slot.digest with
+      | Some d -> d
+      | None ->
+          let d = Stage.fingerprint art in
+          Atomic.set slot.digest (Some d);
+          d)
+  | _ -> Stage.fingerprint art

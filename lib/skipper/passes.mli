@@ -16,11 +16,15 @@
     its stage performed ({!Skel.Funtable.derivation} values), replayed into
     the consuming table on a hit.
 
-    When the cache is created over a {!Support.Store.t}, front-end results
-    also persist on disk (marshalled under {!artifact_format}), so a second
-    [skipperc] process compiling the same source starts warm. The back-end
-    stages (cost, map, emit, simulate) always run: cost models contain
-    closures and simulation is effectful, so they are not
+    Lookups go through three tiers: a {!memory} of cached entries, then
+    (when the cache is created over a {!Support.Store.t}) the store, whose
+    entries are marshalled under {!artifact_format} so that a second
+    [skipperc] process compiling the same source starts warm, and last the
+    stage itself. A store hit is copied into the memory. A cache made
+    without [?memory] has a private one; a daemon gives every request's
+    cache the same one, so a warm compile reads no store file. The
+    back-end stages (cost, map, emit, simulate) always run: cost models
+    contain closures and simulation is effectful, so they are not
     content-addressable. *)
 
 type strategy = string
@@ -34,22 +38,53 @@ exception Pass_error of string
 
 (** {1 Memoization cache} *)
 
+type memory
+(** Cached front-end entries by key, shared by every cache created over
+    it, on any domain (one lock guards it). It keeps at most
+    {!memory_budget_words} heap words, each entry measured once when it is
+    inserted, and evicts the least recently used entries to make room. An
+    evicted entry only costs a later lookup a store read or a stage run;
+    results do not depend on what the memory holds. Cached artifacts are
+    shared, never copied: nothing may mutate one after it is inserted. *)
+
+val memory_budget_words : int
+(** 2{^18} words (2 MiB on a 64-bit host). Fixed: a daemon's memory is
+    bounded by it whatever the traffic. *)
+
+val create_memory : unit -> memory
+
+type memory_stats = {
+  entries : int;
+  words : int;  (** total measured size of the entries, at most the budget *)
+  evictions : int;  (** entries evicted to make room, since creation *)
+}
+
+val memory_stats : memory -> memory_stats
+
+val with_snapshot : memory -> (unit -> 'a) -> 'a
+(** [with_snapshot memory f] runs [f], whose lookups in [memory] see only
+    the entries it held when [f] began; what [f] inserts becomes visible
+    when [f] returns. A daemon runs each batch under it, so that a
+    request's hit and miss counts do not depend on how the batch's
+    requests interleave across domains. Not reentrant. *)
+
 type cache
+(** One compile's view: a memory, an optional store, and the hit and miss
+    counts of the compiles run under it. *)
 
 val artifact_format : string
 (** Version stamp of the marshalled cached-artifact encoding. Open stores
     destined for [?store] with this stamp, so entries written by an
     incompatible skipper build read as misses instead of garbage. *)
 
-val create_cache : ?store:Support.Store.t -> unit -> cache
-(** In-memory memo table, optionally backed by a persistent store shared
-    across processes (and across domains — the store's counters are atomic
-    and its writes are rename-atomic; the in-memory table itself is not
-    shared between compiles running on different domains). *)
+val create_cache : ?store:Support.Store.t -> ?memory:memory -> unit -> cache
+(** A cache over [memory] (default: a fresh private one), optionally
+    backed by a persistent store shared across processes and domains (the
+    store's counters are atomic and its writes are rename-atomic). *)
 
 val cache_stats : cache -> int * int
 (** [(hits, misses)] since creation or the last {!reset_cache_stats}. Hits
-    count both in-memory and store hits; misses ran the stage. *)
+    count both memory and store hits; misses ran the stage. *)
 
 val store_hits : cache -> int
 (** How many of the hits were satisfied from the persistent store. *)
@@ -80,8 +115,14 @@ val stage :
     cache, the key chain first advances by [name] and [token], the options
     the stage reads. A hit replays the entry's derivations into the table
     and returns [unwrap] of its artifact without running [work], reported
-    as cached with zero wall time and detail ["memoized"] (in-memory) or
+    as cached with zero wall time and detail ["memoized"] (from the memory) or
     ["store"]. An entry that does not unwrap or replay is a miss. *)
+
+val fingerprint : log -> Stage.artifact -> string
+(** [Stage.fingerprint art]. When [art] wraps the very value the log's
+    latest memoized stage produced or hit, the digest is computed once per
+    memory entry and kept with it, so warm compiles do not render it
+    again. *)
 
 val reports : log -> Stage.report list
 (** The reports appended to the log, in execution order: the first 256.

@@ -201,6 +201,7 @@ let store_json = function
 
 type server = {
   cfg : config;
+  memory : Passes.memory;  (** every request's front-end memory tier *)
   reg : Metrics.t;
   start_s : float;  (** daemon start, [Unix.gettimeofday] *)
   mutable nclients : int;
@@ -223,6 +224,7 @@ let make_server cfg =
   let c = Metrics.counter reg and g = Metrics.gauge reg in
   {
     cfg;
+    memory = Passes.create_memory ();
     reg;
     start_s = Unix.gettimeofday ();
     nclients = 0;
@@ -240,10 +242,10 @@ let make_server cfg =
     c_bytes_written = c ~help:"Frame bytes written, headers included"
         "skipper_serve_bytes_written_total";
     c_cache_hits =
-      c ~help:"In-memory pass-cache hits across requests"
+      c ~help:"Pass-cache hits (memory or store) across requests"
         "skipper_serve_cache_hits_total";
     c_cache_misses =
-      c ~help:"In-memory pass-cache misses across requests"
+      c ~help:"Pass-cache misses (the stage ran) across requests"
         "skipper_serve_cache_misses_total";
     c_cache_store_hits =
       c ~help:"Pass-cache misses answered by the persistent store"
@@ -254,10 +256,34 @@ let make_server cfg =
         "skipper_serve_queue_depth";
   }
 
-(* Mirror the shared store's own atomic counters into the registry, so one
-   scrape carries both serve- and store-side tallies. Called right before
-   each snapshot (stats/metrics responses and shutdown). *)
-let sync_store s =
+let memory_json (m : Passes.memory_stats) =
+  Json.Obj
+    [
+      ("entries", Json.int m.entries);
+      ("words", Json.int m.words);
+      ("budget_words", Json.int Passes.memory_budget_words);
+      ("evictions", Json.int m.evictions);
+    ]
+
+(* Mirror the memory tier's and the shared store's own counters into the
+   registry, so one scrape carries serve-, memory- and store-side tallies.
+   Called right before each snapshot (stats/metrics responses and
+   shutdown). *)
+let sync_tiers s =
+  let m = Passes.memory_stats s.memory in
+  Metrics.set_gauge
+    (Metrics.gauge s.reg ~help:"Front-end entries held in the daemon's memory"
+       "skipper_serve_memory_entries")
+    (float_of_int m.entries);
+  Metrics.set_gauge
+    (Metrics.gauge s.reg
+       ~help:"Heap words the daemon's memory entries take, at most its budget"
+       "skipper_serve_memory_words")
+    (float_of_int m.words);
+  Metrics.set
+    (Metrics.counter s.reg ~help:"Memory entries evicted over the budget"
+       "skipper_serve_memory_evictions_total")
+    m.evictions;
   match s.cfg.store with
   | None -> ()
   | Some store ->
@@ -272,7 +298,7 @@ let sync_store s =
 let uptime_s s = Unix.gettimeofday () -. s.start_s
 
 let stats_fields s =
-  sync_store s;
+  sync_tiers s;
   [
     ("requests", Json.int (Metrics.value s.c_requests));
     ("batches", Json.int (Metrics.value s.c_batches));
@@ -280,6 +306,7 @@ let stats_fields s =
     ("aborted_frames", Json.int (Metrics.value s.c_aborted));
     ("clients", Json.int s.nclients);
     ("uptime_s", Json.Num (uptime_s s));
+    ("memory", memory_json (Passes.memory_stats s.memory));
     ("store", store_json s.cfg.store);
     ("metrics", Metrics.json s.reg);
   ]
@@ -300,13 +327,16 @@ type outcome = {
   out_cache : (int * int * int) option;  (** hits, misses, store hits *)
 }
 
-let compile_fields cfg ~app ~src ~frames ~optimize =
-  let table = cfg.table_of app in
-  let cache = Passes.create_cache ?store:cfg.store () in
+let compile_fields s ~app ~src ~frames ~optimize =
+  let table = s.cfg.table_of app in
+  let cache = Passes.create_cache ?store:s.cfg.store ~memory:s.memory () in
   let compiled = Pipeline.compile_source ~frames ~optimize ~cache ~table src in
   let fields =
     [
-      ("graph_digest", Json.Str (Stage.fingerprint (Stage.Graph compiled.Pipeline.graph)));
+      ( "graph_digest",
+        Json.Str
+          (Passes.fingerprint compiled.Pipeline.log
+             (Stage.Graph compiled.Pipeline.graph)) );
       ("cache", cache_json cache);
     ]
   in
@@ -325,12 +355,12 @@ let handle_request s req =
     try
       match req with
       | Compile { app; src; frames; optimize } ->
-          let _, fields, cache = compile_fields cfg ~app ~src ~frames ~optimize in
+          let _, fields, cache = compile_fields s ~app ~src ~frames ~optimize in
           cache_taken := Some cache;
           timed "compile" fields
       | Run { app; src; frames; optimize; procs; strategy } ->
           let compiled, fields, cache =
-            compile_fields cfg ~app ~src ~frames ~optimize
+            compile_fields s ~app ~src ~frames ~optimize
           in
           cache_taken := Some cache;
           let input = cfg.input_of app in
@@ -347,7 +377,7 @@ let handle_request s req =
               ])
       | Stats -> timed "stats" (stats_fields s)
       | Metrics_dump ->
-          sync_store s;
+          sync_tiers s;
           timed "metrics" [ ("exposition", Json.Str (Metrics.to_prometheus s.reg)) ]
       | Shutdown -> timed "shutdown" []
     with
@@ -470,6 +500,7 @@ let handle_batch s ~client payload =
       Metrics.set_gauge s.g_queue (float_of_int (List.length reqs));
       let t0 = Unix.gettimeofday () in
       let outcomes, pool_stats =
+        Passes.with_snapshot s.memory @@ fun () ->
         Support.Domain_pool.run_stats ~jobs:s.cfg.jobs
           (List.map
              (fun p () ->
@@ -639,7 +670,7 @@ let serve cfg ~socket () =
                           drop ~reason:"io_error" r))
               readable
       done;
-      sync_store s;
+      sync_tiers s;
       Log.info cfg.log
         ~fields:
           [

@@ -1,9 +1,9 @@
 (** Compile-as-a-service: a long-lived daemon over a Unix domain socket.
 
-    [skipperc serve] keeps one process — with its warm in-process caches and
-    one shared persistent {!Support.Store} — alive across many compile/run
-    requests, so interactive rebuilds pay none of the process-startup or
-    cold-cache cost. The wire protocol is deliberately small:
+    [skipperc serve] keeps one process — with one front-end
+    {!Passes.memory} and one shared persistent {!Support.Store} — alive
+    across many compile/run requests, so interactive rebuilds pay none of
+    the process-startup or cold-cache cost. The wire protocol is deliberately small:
 
     - every frame is a 4-byte big-endian length followed by that many bytes
       of JSON;
@@ -18,9 +18,11 @@
 
     Requests within a batch are independent, so the server farms them on
     {!Support.Domain_pool} ([config.jobs] workers); each request compiles
-    against a fresh table and a fresh in-memory cache layered over the
-    shared store, which is safe across domains (atomic counters,
-    rename-atomic writes). A failed request produces a
+    against a fresh table through a cache over the daemon's memory (one
+    lock, a fixed budget) and the shared store (atomic counters,
+    rename-atomic writes). A batch runs under {!Passes.with_snapshot}: it
+    sees the memory as the previous batches left it, so its responses do
+    not depend on [config.jobs]. A failed request produces a
     [{"status": "error"}] response; it never takes the batch or the server
     down.
 
@@ -37,7 +39,8 @@
       {!Support.Histogram}'s buckets with the windowed series), per-domain
       cumulative busy seconds, pass-cache counters, the
       [skipper_serve_aborted_frames] count of clients vanishing mid-frame,
-      and — mirrored at snapshot time — every {!Support.Store} counter;
+      and — mirrored at snapshot time — the memory's entries, words and
+      evictions and every {!Support.Store} counter;
     - with a [timeline], each request lands as a span on its pool domain's
       lane ({!Skipper_trace.Event.pool_lane}), times relative to daemon
       start, like {!Skipper_trace.Pool.emit} does for sweeps.
@@ -90,8 +93,9 @@ type request =
     }
   | Stats
       (** Deep snapshot: request/batch/error/aborted-frame counts, uptime,
-          client count, the shared store's full counters and the whole
-          registry as JSON ({!Support.Metrics.json}). *)
+          client count, the memory's entries, words, budget and evictions,
+          the shared store's full counters and the whole registry as JSON
+          ({!Support.Metrics.json}). *)
   | Metrics_dump
       (** The registry as a Prometheus text exposition, in the response's
           ["exposition"] field. *)

@@ -187,55 +187,65 @@ exception Stale_entry
    entry from another format generation, worth counting apart from real
    corruption when deciding whether a cache is damaged or merely old. *)
 
-let read_entry t ~key path =
-  In_channel.with_open_bin path (fun ic ->
-      let line () =
-        match In_channel.input_line ic with
-        | Some l -> l
-        | None -> raise Bad_entry
-      in
-      let exact n =
-        if n < 0 then raise Bad_entry;
-        match In_channel.really_input_string ic n with
-        | Some s -> s
-        | None -> raise Bad_entry
-      in
-      let int_line () =
-        match int_of_string_opt (line ()) with
-        | Some n -> n
-        | None -> raise Bad_entry
-      in
-      if line () <> magic then raise Bad_entry;
-      if line () <> t.stamp then raise Stale_entry;
-      let klen = int_line () in
-      if exact klen <> key then raise Bad_entry;
-      if exact 1 <> "\n" then raise Bad_entry;
-      let digest = line () in
-      let plen = int_line () in
-      let payload = exact plen in
-      (* trailing bytes would mean a torn or overlong write *)
-      if In_channel.input_char ic <> None then raise Bad_entry;
-      if Digest.to_hex (Digest.string payload) <> digest then raise Bad_entry;
-      payload)
+let read_entry t ~key ic =
+  let line () =
+    match In_channel.input_line ic with
+    | Some l -> l
+    | None -> raise Bad_entry
+  in
+  let exact n =
+    if n < 0 then raise Bad_entry;
+    match In_channel.really_input_string ic n with
+    | Some s -> s
+    | None -> raise Bad_entry
+  in
+  let int_line () =
+    match int_of_string_opt (line ()) with
+    | Some n -> n
+    | None -> raise Bad_entry
+  in
+  if line () <> magic then raise Bad_entry;
+  if line () <> t.stamp then raise Stale_entry;
+  let klen = int_line () in
+  if exact klen <> key then raise Bad_entry;
+  if exact 1 <> "\n" then raise Bad_entry;
+  let digest = line () in
+  let plen = int_line () in
+  let payload = exact plen in
+  (* trailing bytes would mean a torn or overlong write *)
+  if In_channel.input_char ic <> None then raise Bad_entry;
+  if Digest.to_hex (Digest.string payload) <> digest then raise Bad_entry;
+  payload
 
+(* Open, then read: no existence check first. With one, an entry that
+   another domain's or process's [put] evicts between the check and the
+   open read as corrupt. An open file stays readable whatever happens to
+   its name afterwards. *)
 let get t ~key =
-  let path = entry_path t ~key in
-  if not (Sys.file_exists path) then begin
-    Atomic.incr t.absent;
-    None
-  end
-  else
-    match read_entry t ~key path with
-    | payload ->
-        Atomic.incr t.hits;
-        ignore (Atomic.fetch_and_add t.bytes_read (String.length payload));
-        Some payload
-    | exception Stale_entry ->
-        Atomic.incr t.stamp_mismatch;
-        None
-    | exception _ ->
-        (* a bad entry is a miss, never a crash *)
-        Atomic.incr t.corrupt;
-        None
+  match Unix.openfile (entry_path t ~key) [ Unix.O_RDONLY; O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error ((ENOENT | ENOTDIR), _, _) ->
+      Atomic.incr t.absent;
+      None
+  | exception Unix.Unix_error _ ->
+      Atomic.incr t.corrupt;
+      None
+  | fd -> (
+      let ic = Unix.in_channel_of_descr fd in
+      match
+        Fun.protect
+          ~finally:(fun () -> close_in_noerr ic)
+          (fun () -> read_entry t ~key ic)
+      with
+      | payload ->
+          Atomic.incr t.hits;
+          ignore (Atomic.fetch_and_add t.bytes_read (String.length payload));
+          Some payload
+      | exception Stale_entry ->
+          Atomic.incr t.stamp_mismatch;
+          None
+      | exception _ ->
+          (* a bad entry is a miss, never a crash *)
+          Atomic.incr t.corrupt;
+          None)
 
 let mem t ~key = Sys.file_exists (entry_path t ~key)

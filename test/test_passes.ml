@@ -242,6 +242,120 @@ let test_cached_compile_is_equivalent () =
   | Ok v -> Alcotest.(check value_testable) "sum of squares" (V.Int 91) v
   | Error m -> Alcotest.fail m
 
+(* The bounded memory: random compile sequences over more distinct
+   (spec, frames) keys than its budget holds, all through one memory. Every
+   compile must build what a fresh cache builds, count one hit or miss per
+   front-end stage, and leave the memory within its budget. *)
+
+let specs_dir =
+  (* dune runs tests in _build/default/test; the sources are two levels up. *)
+  let rec find dir =
+    let candidate = Filename.concat dir "specs" in
+    if Sys.file_exists candidate && Sys.is_directory candidate then candidate
+    else
+      let parent = Filename.dirname dir in
+      if parent = dir then failwith "specs/ not found" else find parent
+  in
+  lazy (find (Sys.getcwd ()))
+
+(* Each spec under specs/ with the function table its app registers. *)
+let spec_tables =
+  let registered register () =
+    let t = Skel.Funtable.create () in
+    register t;
+    t
+  in
+  let road t =
+    Apps.Road.register ~width:512 ~height:512 t;
+    Skel.Funtable.register t "zero_lane" ~arity:0 ~cost:(fun _ -> 1.0)
+      (fun _ ->
+        Apps.Road.lane_to_value
+          { Apps.Road.offset = 0.0; slope = 0.0; confidence = 0.0 })
+  in
+  [
+    ("ccl", registered Apps.Ccl_scm.register);
+    ("expgain", registered Apps.Stateful.register);
+    ("histacc", registered Apps.Stateful.register);
+    ("ownerpeak", registered Apps.Stateful.register);
+    ("quadtree", registered Apps.Quadtree.register);
+    ("resmooth", registered Apps.Stateful.register);
+    ("road", registered road);
+    ("tracking", fun () -> Tracking.Funcs.table Tracking.Funcs.default_config);
+  ]
+
+let spec_sources =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun (name, table) ->
+            let path = Filename.concat (Lazy.force specs_dir) (name ^ ".mls") in
+            (name, table, In_channel.with_open_bin path In_channel.input_all))
+          spec_tables))
+
+let max_key_frames = 100
+
+(* A compile's graph fingerprint and printed IR. *)
+let built c =
+  ( Stage.fingerprint (Stage.Graph c.P.graph),
+    Format.asprintf "%a" Ir.pp_program c.P.program )
+
+(* What a fresh cache builds for a key, computed once per key. *)
+let fresh_builds = Hashtbl.create 1024
+
+let fresh_build (spec, frames) =
+  match Hashtbl.find_opt fresh_builds (spec, frames) with
+  | Some b -> b
+  | None ->
+      let _, table, src = (Lazy.force spec_sources).(spec) in
+      let b =
+        built
+          (P.compile_source ~frames ~cache:(Passes.create_cache ())
+             ~table:(table ()) src)
+      in
+      Hashtbl.replace fresh_builds (spec, frames) b;
+      b
+
+(* 700 distinct keys, well past the budget (a key's extract, transform and
+   expand entries take 300-800 words), in random order, with a few hot
+   keys repeated between them so that hits happen too. *)
+let key_sequence =
+  QCheck.Gen.(
+    let nspecs = List.length spec_tables in
+    let all =
+      List.concat_map
+        (fun spec -> List.init max_key_frames (fun f -> (spec, f + 1)))
+        (List.init nspecs Fun.id)
+    in
+    let hot = map2 (fun s f -> (s, f)) (int_bound (nspecs - 1)) (int_range 1 2) in
+    shuffle_l all >>= fun keys ->
+    let wide = List.filteri (fun i _ -> i < 700) keys in
+    list_repeat 300 hot >>= fun hots -> shuffle_l (wide @ hots))
+
+let prop_bounded_memory =
+  QCheck.Test.make ~name:"a bounded memory never changes what compiles build"
+    ~count:2
+    (QCheck.make key_sequence)
+    (fun keys ->
+      let memory = Passes.create_memory () in
+      List.iter
+        (fun ((spec, frames) as key) ->
+          let name, table, src = (Lazy.force spec_sources).(spec) in
+          let cache = Passes.create_cache ~memory () in
+          let c = P.compile_source ~frames ~cache ~table:(table ()) src in
+          let hits, misses = Passes.cache_stats cache in
+          if hits + misses <> nfrontend then
+            QCheck.Test.fail_reportf "%s/%d: %d hits + %d misses" name frames
+              hits misses;
+          if built c <> fresh_build key then
+            QCheck.Test.fail_reportf "%s/%d: differs from a fresh-cache compile"
+              name frames;
+          let m = Passes.memory_stats memory in
+          if m.Passes.words > Passes.memory_budget_words then
+            QCheck.Test.fail_reportf "%s/%d: memory holds %d words, budget %d"
+              name frames m.Passes.words Passes.memory_budget_words)
+        keys;
+      (Passes.memory_stats memory).Passes.evictions > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Stage dumps                                                         *)
 
@@ -653,6 +767,7 @@ let () =
         ] );
       ( "properties",
         [
+          QCheck_alcotest.to_alcotest prop_bounded_memory;
           QCheck_alcotest.to_alcotest prop_optimized_pipeline_equivalent;
           QCheck_alcotest.to_alcotest prop_optimized_executive_equivalent;
         ] );

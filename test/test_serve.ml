@@ -247,8 +247,8 @@ let test_serve_end_to_end () =
   Alcotest.(check string) "compile and run agree on the artifact" digest1
     (str "graph_digest" run1);
   (* second client, fresh connection: identical artifact, and the compile
-     is fully warm from the shared store (its request-local cache starts
-     empty, so every hit is a store hit) *)
+     is fully warm from the daemon's memory, which every request shares:
+     no store file is read *)
   let compile2 =
     match call [ Serve.req_compile ~frames:2 ~app:"simple" simple_src ] with
     | [ r ] -> r
@@ -259,9 +259,10 @@ let test_serve_end_to_end () =
   let cache2 = field "cache" compile2 in
   Alcotest.(check int) "warm compile misses nothing" 0
     (int_of_float (numf "misses" cache2));
-  Alcotest.(check bool) "warm compile hits" true (numf "hits" cache2 > 0.0);
-  Alcotest.(check (float 0.0)) "every hit came from the store"
-    (numf "hits" cache2) (numf "store_hits" cache2);
+  Alcotest.(check int) "warm compile hits every front-end stage" 5
+    (int_of_float (numf "hits" cache2));
+  Alcotest.(check int) "every hit came from the daemon's memory" 0
+    (int_of_float (numf "store_hits" cache2));
   (* a bad request errors without killing its batch: the compile riding in
      the same batch still succeeds *)
   (match
@@ -297,6 +298,11 @@ let test_serve_end_to_end () =
         (numf "bytes_written" st > 0.0);
       Alcotest.(check (float 0.0)) "store misses decompose" (numf "misses" st)
         (numf "absent" st +. numf "corrupt" st +. numf "stamp_mismatch" st);
+      let mem = field "memory" stats in
+      Alcotest.(check (float 0.0)) "memory holds one front-end chain" 5.0
+        (numf "entries" mem);
+      Alcotest.(check bool) "memory within its budget" true
+        (numf "words" mem > 0.0 && numf "words" mem <= numf "budget_words" mem);
       let metrics = field "metrics" stats in
       (match Json.member "histograms" metrics with
       | Some (Json.Arr (_ :: _)) -> ()
@@ -334,7 +340,39 @@ let test_serve_end_to_end () =
       lines
   in
   Alcotest.(check int) "one log record per request" served
-    (List.length request_lines)
+    (List.length request_lines);
+  (* a second daemon over the same store directory (a new process, say)
+     starts with an empty memory: its first compile is warm from the store *)
+  let socket2 = tmp_name "skipper-test-serve-second.sock" in
+  let store2 =
+    Support.Store.open_store ~dir:store_dir ~stamp:Passes.artifact_format ()
+  in
+  let daemon2 =
+    Domain.spawn (fun () ->
+        Serve.serve
+          { cfg with Serve.store = Some store2; log = Support.Log.null }
+          ~socket:socket2 ())
+  in
+  let first =
+    match
+      Serve.call ~socket:socket2
+        [ Serve.req_compile ~frames:2 ~app:"simple" simple_src ]
+    with
+    | Ok [ r ] -> r
+    | Ok rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs)
+    | Error m -> Alcotest.failf "second daemon call failed: %s" m
+  in
+  Alcotest.(check string) "second daemon builds the same artifact" digest1
+    (str "graph_digest" first);
+  let cache = field "cache" first in
+  Alcotest.(check int) "second daemon's first compile misses nothing" 0
+    (int_of_float (numf "misses" cache));
+  Alcotest.(check (float 0.0)) "every hit came from the store"
+    (numf "hits" cache) (numf "store_hits" cache);
+  (match Serve.call ~socket:socket2 [ Serve.req_shutdown ] with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "second daemon shutdown failed: %s" m);
+  ignore (Domain.join daemon2)
 
 (* Regression for the one-client-at-a-time accept loop: a connected but
    idle client must not block other clients. Client A connects first and
@@ -668,6 +706,10 @@ let test_metrics_op () =
     (contains exposition "skipper_serve_requests_total 4\n");
   Alcotest.(check bool) "type lines present" true
     (contains exposition "# TYPE skipper_serve_request_seconds histogram");
+  Alcotest.(check bool) "memory entries exposed" true
+    (contains exposition "skipper_serve_memory_entries 5.000000000\n");
+  Alcotest.(check bool) "memory evictions exposed" true
+    (contains exposition "skipper_serve_memory_evictions_total 0\n");
   (* one-screen top rendering from the stats snapshot *)
   (match call [ Serve.req_stats ] with
   | [ stats ] ->
@@ -764,6 +806,64 @@ let test_jobs_determinism () =
     "responses byte-identical across jobs (wall-clock stripped)" r1 r4;
   Alcotest.(check (list string)) "log skeleton identical across jobs" l1 l4
 
+(* One memory serves every request of a --jobs 4 batch: identical compiles
+   and runs racing on four domains answer exactly what a --jobs 1 daemon
+   answers, and a second batch is warm from the memory alone. *)
+let test_jobs_share_memory () =
+  let answers jobs =
+    let socket =
+      tmp_name (Printf.sprintf "skipper-test-serve-mem%d.sock" jobs)
+    in
+    let cfg =
+      {
+        Serve.table_of = (fun _ -> simple_table ());
+        input_of = (fun _ -> Some (V.List [ V.Int 1; V.Int 2; V.Int 3 ]));
+        arch_of = Archi.ring;
+        store = None;
+        jobs;
+        log = Support.Log.null;
+        metrics = None;
+        timeline = None;
+      }
+    in
+    let daemon = Domain.spawn (fun () -> Serve.serve cfg ~socket ()) in
+    let batch =
+      List.init 8 (fun i ->
+          if i mod 2 = 0 then Serve.req_compile ~frames:2 ~app:"simple" simple_src
+          else Serve.req_run ~frames:2 ~procs:4 ~app:"simple" simple_src)
+    in
+    let call () =
+      match Serve.call ~socket batch with
+      | Ok rs -> rs
+      | Error m -> Alcotest.failf "jobs=%d call failed: %s" jobs m
+    in
+    let cold = call () in
+    let warm = call () in
+    (match Serve.call ~socket [ Serve.req_shutdown ] with
+    | Ok _ -> ()
+    | Error m -> Alcotest.failf "jobs=%d shutdown failed: %s" jobs m);
+    ignore (Domain.join daemon);
+    List.iter
+      (fun r ->
+        let cache = field "cache" r in
+        Alcotest.(check (pair int int))
+          (Printf.sprintf "jobs=%d warm batch: 5 memory hits, no miss" jobs)
+          (5, 0)
+          (int_of_float (numf "hits" cache), int_of_float (numf "misses" cache)))
+      warm;
+    List.map
+      (fun r ->
+        let opt k = Option.map Json.to_string (Json.member k r) in
+        (str "status" r, str "graph_digest" r, opt "value", opt "messages"))
+      (cold @ warm)
+  in
+  let one = answers 1 in
+  let four = answers 4 in
+  Alcotest.(check (list (pair (pair string string) (pair (option string) (option string)))))
+    "digests, values and message counts equal the --jobs 1 answers"
+    (List.map (fun (a, b, c, d) -> ((a, b), (c, d))) one)
+    (List.map (fun (a, b, c, d) -> ((a, b), (c, d))) four)
+
 let () =
   Alcotest.run "serve"
     [
@@ -780,5 +880,7 @@ let () =
             test_hangup_is_an_error;
           Alcotest.test_case "metrics op and top" `Quick test_metrics_op;
           Alcotest.test_case "jobs determinism" `Quick test_jobs_determinism;
+          Alcotest.test_case "jobs share one memory" `Quick
+            test_jobs_share_memory;
         ] );
     ]

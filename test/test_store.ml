@@ -114,6 +114,51 @@ let test_eviction () =
   Alcotest.(check (option string)) "newest survives" (Some (payload 'c'))
     (Store.get store ~key:"c")
 
+let test_removed_entry_is_absent () =
+  let dir = tmp () in
+  let store = Store.open_store ~dir () in
+  Store.put store ~key:"gone" "payload";
+  Sys.remove (entry_path dir "gone");
+  Alcotest.(check (option string)) "removed entry reads as a miss" None
+    (Store.get store ~key:"gone");
+  let c = Store.counters store in
+  Alcotest.(check int) "counted as absent" 1 c.Store.absent;
+  Alcotest.(check int) "not as corrupt" 0 c.Store.corrupt
+
+(* Readers racing a writer whose size limit evicts entries as it goes: a
+   read finds an entry whole or finds none, and an evicted one is absent,
+   never corrupt. *)
+let test_reads_racing_eviction () =
+  let store = Store.open_store ~dir:(tmp ()) ~limit_bytes:4096 () in
+  let keys = Array.init 8 (Printf.sprintf "k%d") in
+  let payload key = String.make 1000 key.[1] in
+  let results =
+    Support.Domain_pool.run ~jobs:2
+      [
+        (fun () ->
+          for _ = 1 to 50 do
+            Array.iter (fun k -> Store.put store ~key:k (payload k)) keys
+          done;
+          true);
+        (fun () ->
+          let ok = ref true in
+          for _ = 1 to 400 do
+            Array.iter
+              (fun k ->
+                match Store.get store ~key:k with
+                | None -> ()
+                | Some p -> if p <> payload k then ok := false)
+              keys
+          done;
+          !ok);
+      ]
+  in
+  Alcotest.(check (list bool)) "every hit is its key's payload" [ true; true ]
+    results;
+  let c = Store.counters store in
+  Alcotest.(check bool) "the limit evicted" true (c.Store.evictions > 0);
+  Alcotest.(check int) "no read counted as corrupt" 0 c.Store.corrupt
+
 let test_concurrent_writers () =
   let store = Store.open_store ~dir:(tmp ()) () in
   let nwriters = 8 in
@@ -160,6 +205,10 @@ let () =
           Alcotest.test_case "truncated entry" `Quick (corrupt_with truncate);
           Alcotest.test_case "flipped byte" `Quick (corrupt_with flip_last_byte);
           Alcotest.test_case "eviction" `Quick test_eviction;
+          Alcotest.test_case "removed entry is absent" `Quick
+            test_removed_entry_is_absent;
+          Alcotest.test_case "reads racing eviction" `Quick
+            test_reads_racing_eviction;
           Alcotest.test_case "concurrent writers" `Quick test_concurrent_writers;
           QCheck_alcotest.to_alcotest prop_roundtrip;
         ] );
