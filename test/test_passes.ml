@@ -2,7 +2,8 @@
    memoization (hit/miss behaviour across architecture variants, source
    edits and table content — including hits across independently
    constructed equal tables, with derived-function replay, and through the
-   persistent on-disk store), stage dumps, pins of the driver's bytes
+   persistent on-disk store, and a qcheck that a bounded memory never
+   changes what compiles build), stage dumps, pins of the driver's bytes
    (dumps, report sequences, cache keys), and a qcheck property that the
    optimized (Skel.Transform) and unoptimized pipelines are
    emulation-equivalent on random skeletal programs. *)

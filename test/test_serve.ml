@@ -1,10 +1,10 @@
 (* Smoke tests for the compile daemon: a real server domain on a temp
    Unix socket backed by a temp store, exercised through real client
    connections — plus pure request-parsing checks that need no daemon.
-   The end-to-end test is the ISSUE's acceptance scenario: two clients,
-   identical artifacts, the second compile fully warm from the shared
-   store, a bad request that errors without killing its batch, and a
-   clean counted shutdown. *)
+   The end-to-end test: two clients, identical artifacts, the second
+   compile fully warm from the daemon's memory, a bad request that errors
+   without killing its batch, a clean counted shutdown, and a second
+   daemon over the same store whose first compile is warm from the store. *)
 
 module Serve = Skipper_lib.Serve
 module Passes = Skipper_lib.Passes
@@ -206,9 +206,18 @@ let prop_parse_request_total =
 let test_serve_end_to_end () =
   let socket = tmp_name "skipper-test-serve.sock" in
   let store_dir = tmp_name "skipper-test-serve-store" in
-  let store =
+  let open_store () =
     Support.Store.open_store ~dir:store_dir ~stamp:Passes.artifact_format ()
   in
+  (* an earlier process compiled the program for one frame: the daemon's
+     first batch reads parse and typecheck from the store whatever order
+     its requests run in, and runs (and writes) the stages that read the
+     frame count *)
+  ignore
+    (Skipper_lib.Pipeline.compile_source ~frames:1
+       ~cache:(Passes.create_cache ~store:(open_store ()) ())
+       ~table:(simple_table ()) simple_src);
+  let store = open_store () in
   let log, log_lines = capture_log () in
   let cfg =
     {
@@ -344,13 +353,10 @@ let test_serve_end_to_end () =
   (* a second daemon over the same store directory (a new process, say)
      starts with an empty memory: its first compile is warm from the store *)
   let socket2 = tmp_name "skipper-test-serve-second.sock" in
-  let store2 =
-    Support.Store.open_store ~dir:store_dir ~stamp:Passes.artifact_format ()
-  in
   let daemon2 =
     Domain.spawn (fun () ->
         Serve.serve
-          { cfg with Serve.store = Some store2; log = Support.Log.null }
+          { cfg with Serve.store = Some (open_store ()); log = Support.Log.null }
           ~socket:socket2 ())
   in
   let first =
@@ -853,16 +859,16 @@ let test_jobs_share_memory () =
       warm;
     List.map
       (fun r ->
-        let opt k = Option.map Json.to_string (Json.member k r) in
-        (str "status" r, str "graph_digest" r, opt "value", opt "messages"))
+        let opt k =
+          match Json.member k r with Some v -> Json.to_string v | None -> "-"
+        in
+        String.concat " "
+          [ str "status" r; str "graph_digest" r; opt "value"; opt "messages" ])
       (cold @ warm)
   in
-  let one = answers 1 in
-  let four = answers 4 in
-  Alcotest.(check (list (pair (pair string string) (pair (option string) (option string)))))
+  Alcotest.(check (list string))
     "digests, values and message counts equal the --jobs 1 answers"
-    (List.map (fun (a, b, c, d) -> ((a, b), (c, d))) one)
-    (List.map (fun (a, b, c, d) -> ((a, b), (c, d))) four)
+    (answers 1) (answers 4)
 
 let () =
   Alcotest.run "serve"

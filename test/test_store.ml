@@ -2,8 +2,9 @@
    (including a qcheck property over arbitrary keys and payloads),
    persistence across reopen, stamp versioning, corruption tolerance
    (truncations and bit flips read as misses, never as exceptions or wrong
-   payloads), FIFO eviction under a size limit, and concurrent writers
-   racing one key across the domain pool. *)
+   payloads), FIFO eviction under a size limit, a removed entry read as
+   absent (also while another domain's writes evict), and concurrent
+   writers racing one key across the domain pool. *)
 
 module Store = Support.Store
 
