@@ -316,7 +316,7 @@ let fresh_build (spec, frames) =
       Hashtbl.replace fresh_builds (spec, frames) b;
       b
 
-(* 700 distinct keys, well past the budget (a key's extract, transform and
+(* 700 distinct keys, past the budget (a key's extract, transform and
    expand entries take 300-800 words), in random order, with a few hot
    keys repeated between them so that hits happen too. *)
 let key_sequence =
