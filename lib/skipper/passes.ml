@@ -34,7 +34,7 @@ type slot = {
   words : int;
   born : int;
   mutable used : int;
-  digest : string option Atomic.t;  (* Stage.fingerprint of the artifact *)
+  digest : string option Atomic.t;  (* Stage.fingerprint of a graph artifact *)
 }
 
 type memory = {
@@ -268,19 +268,12 @@ let stage ?memo log name wrap work =
                   hit (memory_add cache.memory log.key entry) out "store")))
   | _ -> run ()
 
-(* Physical equality of the values two artifacts wrap: a slot's digest
-   stands for the artifact it holds, not for an equal-looking one. *)
-let same_output a b =
-  match (a, b) with
-  | Stage.Ast p, Stage.Ast p' -> p == p'
-  | Typed (p, s), Typed (p', s') -> p == p' && s == s'
-  | Ir (p, i), Ir (p', i') -> p == p' && i == i'
-  | Graph g, Graph g' -> g == g'
-  | _ -> false
-
+(* The slot's digest stands for the graph it holds, so only that very
+   graph (physically) may use it. *)
 let fingerprint log art =
-  match log.last with
-  | Some slot when same_output slot.entry.artifact art -> (
+  match (log.last, art) with
+  | Some ({ entry = { artifact = Stage.Graph g; _ }; _ } as slot), Stage.Graph g'
+    when g == g' -> (
       match Atomic.get slot.digest with
       | Some d -> d
       | None ->

@@ -119,10 +119,10 @@ val stage :
     ["store"]. An entry that does not unwrap or replay is a miss. *)
 
 val fingerprint : log -> Stage.artifact -> string
-(** [Stage.fingerprint art]. When [art] wraps the very value the log's
-    latest memoized stage produced or hit, the digest is computed once per
-    memory entry and kept with it, so warm compiles do not render it
-    again. *)
+(** [Stage.fingerprint art]. When [art] is the very graph the log's
+    latest memoized stage (expand) produced or hit, the digest is computed
+    once per memory entry and kept with it, so warm compiles do not render
+    it again. *)
 
 val reports : log -> Stage.report list
 (** The reports appended to the log, in execution order: the first 256.
