@@ -526,6 +526,108 @@ let test_repl_external_and_skeletons () =
       Alcotest.(check string) "df in repl" "- : int = 18" m2
   | _ -> Alcotest.fail "unexpected outcomes"
 
+(* Eval's skeleton builtins against Sem: each skeleton and each df
+   state-access mode, evaluated once through the REPL, must give what
+   [Sem.eval_stage] gives on the same IR stage (one application is a
+   stateful farm's first frame). *)
+let skeleton_table () =
+  let ints xs = V.List (List.map (fun x -> V.Int x) xs) in
+  Skel.Funtable.of_list
+    [
+      ("sq", 1, (fun v -> V.Int ((V.to_int v * V.to_int v) + 1)), fun _ -> 1.0);
+      ( "add",
+        2,
+        (fun v ->
+          let a, b = V.to_pair v in
+          V.Int ((2 * V.to_int a) + V.to_int b)),
+        fun _ -> 1.0 );
+      ( "scale",
+        1,
+        (fun v ->
+          let e, x = V.to_pair v in
+          V.Int (V.to_int e * V.to_int x)),
+        fun _ -> 1.0 );
+      ( "step",
+        1,
+        (fun v ->
+          let s, x = V.to_pair v in
+          let s = V.to_int s and x = V.to_int x in
+          V.Tuple [ V.Int (s + x); V.Int ((s * x) + 1) ]),
+        fun _ -> 1.0 );
+      ( "chunks",
+        2,
+        (fun v ->
+          let n, xs = V.to_pair v in
+          let n = V.to_int n and xs = V.to_list xs in
+          V.List
+            (List.init n (fun i -> V.List (List.filteri (fun j _ -> j mod n = i) xs)))),
+        fun _ -> 1.0 );
+      ( "wsum",
+        1,
+        (fun v -> V.Int (List.fold_left (fun a x -> (3 * a) + V.to_int x) 1 (V.to_list v))),
+        fun _ -> 1.0 );
+      ( "total",
+        1,
+        (fun v -> V.Int (List.fold_left (fun a x -> a + V.to_int x) 0 (V.to_list v))),
+        fun _ -> 1.0 );
+      ( "split3",
+        1,
+        (fun v ->
+          let n = V.to_int v in
+          if n > 2 then V.Tuple [ ints [ n / 3; n - 1 ]; V.Int (n mod 5) ]
+          else V.Tuple [ ints []; V.Int (n + 3) ]),
+        fun _ -> 1.0 );
+    ]
+
+let test_repl_skeletons_match_sem () =
+  let module Ir = Skel.Ir in
+  let ints xs = V.List (List.map (fun x -> V.Int x) xs) in
+  let items = ints [ 3; 14; 1; 5; 9; 2; 6 ] in
+  let df state comp init = Ir.Df { nworkers = 3; comp; acc = "add"; init; state } in
+  let cases =
+    [
+      ("df 3 sq add 4 xs", df Ir.Stateless "sq" (V.Int 4), items);
+      ("df_acc 3 sq add 4 xs", df Ir.Accumulator "sq" (V.Int 4), items);
+      ("df_ro 3 scale add (3, 4) xs", df Ir.Read_only "scale" (V.pair (V.Int 3) (V.Int 4)), items);
+      ( "df_own 3 step add ([0; 5; 11], 4) xs",
+        df Ir.Owner "step" (V.pair (ints [ 0; 5; 11 ]) (V.Int 4)),
+        items );
+      ("df_res 3 step add (2, 4) xs", df Ir.Resource "step" (V.pair (V.Int 2) (V.Int 4)), items);
+      ("scm 3 chunks wsum total xs", Ir.Scm { nparts = 3; split = "chunks"; compute = "wsum"; merge = "total" }, items);
+      ( "tf 2 split3 add 1 [17; 4; 30]",
+        Ir.Tf { nworkers = 2; work = "split3"; acc = "add"; init = V.Int 1 },
+        ints [ 17; 4; 30 ] );
+    ]
+  in
+  let table = skeleton_table () in
+  let session =
+    List.fold_left
+      (fun session input ->
+        let outcome = Minicaml.Repl.eval_input session input in
+        if not outcome.Minicaml.Repl.ok then
+          Alcotest.failf "%s: %s" input outcome.Minicaml.Repl.message;
+        outcome.Minicaml.Repl.session)
+      (Minicaml.Repl.create table)
+      [
+        "external sq : int -> int";
+        "external add : int -> int -> int";
+        "external scale : int * int -> int";
+        "external step : int * int -> int * int";
+        "external chunks : int -> int list -> int list list";
+        "external wsum : int list -> int";
+        "external total : int list -> int";
+        "external split3 : int -> int list * int";
+        "let xs = [3; 14; 1; 5; 9; 2; 6]";
+      ]
+  in
+  List.iter
+    (fun (src, stage, input) ->
+      let expected = Skel.Sem.eval_stage table stage input in
+      Alcotest.(check string) src
+        ("- : int = " ^ V.to_string expected)
+        (Minicaml.Repl.eval_input session src).Minicaml.Repl.message)
+    cases
+
 let test_repl_parse_error_message () =
   match repl_session [ "let = 3" ] with
   | [ (false, m) ] ->
@@ -626,6 +728,7 @@ let () =
           Alcotest.test_case "function display" `Quick test_repl_function_display;
           Alcotest.test_case "errors do not corrupt" `Quick test_repl_errors_do_not_corrupt;
           Alcotest.test_case "externals and skeletons" `Quick test_repl_external_and_skeletons;
+          Alcotest.test_case "skeletons match Sem" `Quick test_repl_skeletons_match_sem;
           Alcotest.test_case "parse error message" `Quick test_repl_parse_error_message;
           Alcotest.test_case "channel loop" `Quick test_repl_channel_loop;
         ] );
