@@ -11,7 +11,10 @@
 
 val encode_labelling : Vision.Ccl.labelling -> Skel.Value.t
 val decode_labelling : Skel.Value.t -> Vision.Ccl.labelling
-(** Raises [Skel.Value.Type_error] on malformed encodings. *)
+(** Raises [Skel.Value.Type_error] on malformed encodings.
+
+    Test oracle: [test_apps]'s "labelling roundtrip" and "decode rejects
+    corrupt" check the wire format the band functions use. *)
 
 val register : Skel.Funtable.t -> unit
 (** Registers [ccl_split] (arity 2: nparts, image), [ccl_band] (labels one

@@ -19,7 +19,10 @@ val lane_of_value : Skel.Value.t -> lane
 val detect_rows : Vision.Image.t -> y0:int -> (int * float) list
 (** [(absolute_row, centre_x)] for rows where a plausible centre-line point
     (pixels at 230 or brighter) was found in a strip whose first row is
-    [y0]. *)
+    [y0].
+
+    Test oracle: [test_apps]'s "detect rows" checks it on a drawn strip;
+    the registered row-detection function runs it. *)
 
 val fit : width:int -> height:int -> (int * float) list -> lane
 (** Least-squares line fit through the points; falls back to the image

@@ -12,18 +12,6 @@ let add_chan buf (e : G.edge) =
   Buffer.add_char buf '_';
   Buffer.add_string buf e.dst_port
 
-let chan_name e =
-  let buf = Buffer.create 24 in
-  add_chan buf e;
-  Buffer.contents buf
-
-let channel_table g ~placement =
-  List.filter_map
-    (fun (e : G.edge) ->
-      let pa = placement.(e.src) and pb = placement.(e.dst) in
-      if pa <> pb then Some (chan_name e, pa, pb) else None)
-    (G.edges g)
-
 (* One kernel-primitive line: [indent ^ s ^ "\n"]; [open_line] and
    [close_line] frame a line written in pieces. *)
 let open_line buf = Buffer.add_string buf "      "

@@ -12,8 +12,6 @@
 val emit : Procnet.Graph.t -> placement:int array -> arch:Archi.t -> string
 (** Full macro-code listing: a [divert]-style header, one
     [define(`Pk_PROGRAM', ...)] block per processor in use, plus the channel
-    allocation table derived from cross-processor edges. *)
-
-val channel_table : Procnet.Graph.t -> placement:int array -> (string * int * int) list
-(** [(name, from_proc, to_proc)] for every inter-processor channel, named
-    [chan_<src>_<dst>_<port>]. *)
+    allocation table derived from cross-processor edges: one
+    [alloc_channel_(chan_<src>_<dst>_<port>, Pa, Pb)] line per edge whose
+    ends sit on different processors. *)

@@ -6,7 +6,7 @@ type _ Effect.t +=
   | Send : pid * string * Skel.Value.t -> unit Effect.t
   | Recv : string -> Skel.Value.t Effect.t
   | Recv_any :
-      string list * float option
+      string list * float
       -> (string * Skel.Value.t) option Effect.t
   | Compute : float -> unit Effect.t
   | Sleep_until : float -> unit Effect.t
@@ -21,7 +21,6 @@ let now () = perform Now
 let compute cycles = perform (Compute cycles)
 let send dst port v = perform (Send (dst, port, v))
 let recv port = perform (Recv port)
-let recv_any ports = Option.get (perform (Recv_any (ports, None)))
-let recv_deadline ports ~deadline = perform (Recv_any (ports, Some deadline))
+let recv_deadline ports ~deadline = perform (Recv_any (ports, deadline))
 let sleep_until at = perform (Sleep_until at)
 let mark_stable () = perform Mark_stable

@@ -23,9 +23,9 @@ type _ Effect.t +=
   | Send : pid * string * Skel.Value.t -> unit Effect.t
   | Recv : string -> Skel.Value.t Effect.t
   | Recv_any :
-      string list * float option
+      string list * float
       -> (string * Skel.Value.t) option Effect.t
-        (** [None] only when the optional deadline passed first *)
+        (** [None] only when the deadline passed first *)
   | Compute : float -> unit Effect.t
   | Sleep_until : float -> unit Effect.t
   | Now : float Effect.t
@@ -51,13 +51,11 @@ val recv : string -> Skel.Value.t
 (** [recv port] blocks until a message is available on [port] and returns
     it. Messages per port arrive FIFO. *)
 
-val recv_any : string list -> string * Skel.Value.t
-(** [recv_any ports] blocks until any of [ports] has a message; among ports
-    with waiting messages, the earliest-delivered message is taken. *)
-
 val recv_deadline :
   string list -> deadline:float -> (string * Skel.Value.t) option
-(** [recv_deadline ports ~deadline] behaves like {!recv_any} but gives up at
+(** [recv_deadline ports ~deadline] blocks until any of [ports] has a
+    message (among ports with waiting messages, the earliest-delivered
+    message is taken), but gives up at
     absolute time [deadline]: it returns [None] if no message arrived by
     then (the caller is resumed at the deadline), [Some (port, v)]
     otherwise. The timeout costs no busy time. This is the primitive a

@@ -51,8 +51,8 @@ type process = {
   mutable wait_port : string;  (* the port of a blocked [Value_k] wait *)
   mutable wait_ports : string list;  (* the ports of a blocked [Any_k] wait *)
   mutable wait_seq : int;
-      (* monotonic token, bumped at every wait: pairs a wait with its
-         pending [Timeout] event, if it has a deadline, so stale timers are
+      (* monotonic token, bumped at every wait: pairs a [recv_deadline]
+         wait with its pending [Timeout] event, so stale timers are
          ignored *)
   mutable journal : (string * float * int * V.t) list;
       (* consumed (port, delivery time, msg, payload) since the last
@@ -469,10 +469,9 @@ let on_recv_any t (proc : process) ports deadline =
       block t proc;
       if t.tracing then emit_block t proc ports;
       t.cpu_free.(proc.on) <- t.clock.now;
-      (match deadline with
-      | Some d ->
-          push_event t (Float.max t.clock.now d) (Timeout (proc.pid, proc.wait_seq))
-      | None -> ());
+      push_event t
+        (Float.max t.clock.now deadline)
+        (Timeout (proc.pid, proc.wait_seq));
       push_event t t.clock.now t.dispatch.(proc.on)
 
 let on_sleep t (proc : process) at =

@@ -155,6 +155,11 @@ let rec apply ctx f arg =
       else Vbuiltin (name, arity, got)
   | v -> error "cannot apply non-function %s" (Format.asprintf "%a" pp_value v)
 
+and apply2 ctx f a b = apply ctx (apply ctx f a) b
+
+(* A stateful df's [comp] takes [(state, item)] and answers a pair. *)
+and stateful ctx comp (s, x) = as_pair (apply ctx comp (Vtuple [ s; x ]))
+
 and apply_external ctx name args =
   let entry = Skel.Funtable.find ctx.table name in
   let packed =
@@ -181,51 +186,35 @@ and apply_builtin ctx name args =
   | "abs", [ n ] -> Vbase (V.Int (abs (as_int n)))
   | "min", [ a; b ] -> if value_compare a b <= 0 then a else b
   | "max", [ a; b ] -> if value_compare a b >= 0 then a else b
-  (* The skeletons, by their declarative definitions (paper §2). *)
-  | ("df" | "df_acc"), [ _n; comp; acc; z; xs ] ->
-      (* df_acc differs from df only across frames (the executive carries
-         the fold result into the next frame's seed); one application is
-         the same declarative fold. *)
-      List.fold_left
-        (fun z x -> apply ctx (apply ctx acc z) (apply ctx comp x))
-        z (as_list xs)
-  | "df_ro", [ _n; comp; acc; z; xs ] ->
-      let env, seed = as_pair z in
-      List.fold_left
-        (fun z x -> apply ctx (apply ctx acc z) (apply ctx comp (Vtuple [ env; x ])))
-        seed (as_list xs)
+  (* The skeletons, by their declarative definitions (paper §2). One
+     application drops a stateful farm's final state: df_acc differs from
+     df only across frames. *)
+  | ("df" | "df_acc"), [ n; comp; acc; z; xs ] ->
+      Skel.Skeletons.df (as_int n) (apply ctx comp) (apply2 ctx acc) z
+        (as_list xs)
+  | "df_ro", [ n; comp; acc; z; xs ] ->
+      let comp (e, x) = apply ctx comp (Vtuple [ e; x ]) in
+      Skel.Skeletons.df_ro (as_int n) comp (apply2 ctx acc) (as_pair z)
+        (as_list xs)
   | "df_own", [ n; comp; acc; z; xs ] ->
       let states, seed = as_pair z in
-      let states = Array.of_list (as_list states) in
-      let n = as_int n in
-      fst
-        (List.fold_left
-           (fun (z, i) x ->
-             let k = i mod n in
-             let s', y = as_pair (apply ctx comp (Vtuple [ states.(k); x ])) in
-             states.(k) <- s';
-             (apply ctx (apply ctx acc z) y, i + 1))
-           (seed, 0) (as_list xs))
-  | "df_res", [ _n; comp; acc; z; xs ] ->
-      let s0, seed = as_pair z in
-      let s = ref s0 in
-      List.fold_left
-        (fun z x ->
-          let s', y = as_pair (apply ctx comp (Vtuple [ !s; x ])) in
-          s := s';
-          apply ctx (apply ctx acc z) y)
-        seed (as_list xs)
+      snd
+        (Skel.Skeletons.df_own (as_int n) (stateful ctx comp) (apply2 ctx acc)
+           (as_list states, seed) (as_list xs))
+  | "df_res", [ n; comp; acc; z; xs ] ->
+      snd
+        (Skel.Skeletons.df_res (as_int n) (stateful ctx comp) (apply2 ctx acc)
+           (as_pair z) (as_list xs))
   | "scm", [ n; split; comp; merge; x ] ->
-      let parts = as_list (apply ctx (apply ctx split n) x) in
-      apply ctx merge (Vlist (List.map (apply ctx comp) parts))
-  | "tf", [ _n; work; acc; z; xs ] ->
-      let rec loop z = function
-        | [] -> z
-        | x :: rest ->
-            let subs, y = as_pair (apply ctx work x) in
-            loop (apply ctx (apply ctx acc z) y) (as_list subs @ rest)
+      let split n x = as_list (apply2 ctx split (Vbase (V.Int n)) x) in
+      Skel.Skeletons.scm (as_int n) split (apply ctx comp)
+        (fun ys -> apply ctx merge (Vlist ys)) x
+  | "tf", [ n; work; acc; z; xs ] ->
+      let work x =
+        let subs, y = as_pair (apply ctx work x) in
+        (as_list subs, y)
       in
-      loop z (as_list xs)
+      Skel.Skeletons.tf (as_int n) work (apply2 ctx acc) z (as_list xs)
   | "itermem", [ inp; loop; out; z; x ] ->
       let feed i =
         match inp with
@@ -347,19 +336,13 @@ and eval_binding ctx env ~recursive ~pat ~bound =
 (* ------------------------------------------------------------------ *)
 (* Programs                                                            *)
 
-let builtin_arities =
-  [
-    ("map", 2); ("fold_left", 3); ("length", 1); ("rev", 1); ("fst", 1); ("snd", 1);
-    ("not", 1); ("ignore", 1); ("print_int", 1); ("print_string", 1);
-    ("string_of_int", 1); ("float_of_int", 1); ("int_of_float", 1); ("abs", 1);
-    ("min", 2); ("max", 2); ("df", 5); ("df_ro", 5); ("df_own", 5);
-    ("df_acc", 5); ("df_res", 5); ("scm", 5); ("tf", 5); ("itermem", 5);
-  ]
-
+(* A builtin takes as many arguments as its scheme has arrows. *)
 let initial_env (_ : ctx) =
+  let rec arity = function Types.Tcon ("->", [ _; r ]) -> 1 + arity r | _ -> 0 in
   List.fold_left
-    (fun env (name, arity) -> Env.add name (Vbuiltin (name, arity, [])) env)
-    Env.empty builtin_arities
+    (fun env (name, scheme) ->
+      Env.add name (Vbuiltin (name, arity scheme.Types.body, [])) env)
+    Env.empty Infer.builtins
 
 let eval_expr ctx env expr = eval ctx env expr
 

@@ -1,9 +1,14 @@
-(** Call-by-value interpreter: the sequential-emulation branch of the
-    toolchain (paper Fig. 2, "Sequential Emulation").
+(** Call-by-value interpreter of the specification language: the REPL's
+    evaluator ({!Repl}) and the evaluator of top-level constants during
+    extraction. The sequential emulation of a compiled program (paper
+    Fig. 2) is {!Skel.Sem}.
 
-    Skeletons evaluate by their declarative definitions, with [itermem]
-    bounded to a configurable number of frames (the paper's version loops
-    forever on live video). External functions resolve to entries of a
+    The [df], [df_acc], [df_ro], [df_own], [df_res], [scm] and [tf]
+    builtins project their arguments and run {!Skel.Skeletons}, as Sem
+    does; one application drops a stateful farm's final state. [itermem]
+    is bounded to a configurable number of frames (the paper's version
+    loops forever on live video). Each builtin's arity is read off its
+    scheme in {!Infer.builtins}. External functions resolve to entries of a
     {!Skel.Funtable.t}; their arguments cross the boundary as
     {!Skel.Value.t}s (tuples of ground values), and their per-call cycle
     costs are summed into the context so the emulator can also report the

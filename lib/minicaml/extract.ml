@@ -24,18 +24,6 @@ type dataflow =
   | Single of string
   | Components of string list  (** names of the tuple components, in order *)
 
-(* [minted] counts the names one [extract] call has minted, so a compile's
-   names do not depend on what else the process compiled, on any domain.
-   The table may already hold a name (an earlier extraction into it, or a
-   replayed cached compile, see Funtable.derive), so skip those. *)
-let gensym minted table base =
-  let rec fresh () =
-    incr minted;
-    let name = Printf.sprintf "%s__s%d" base !minted in
-    if Skel.Funtable.mem table name then fresh () else name
-  in
-  fresh ()
-
 let external_entry table loc name =
   match Skel.Funtable.find_opt table name with
   | Some e -> e
@@ -88,7 +76,7 @@ let register_wrapper table minted fn_name specs =
         | Const c -> Skel.Funtable.Const c)
       specs
   in
-  let wrapper = gensym minted table fn_name in
+  let wrapper = Skel.Funtable.fresh_name table minted (fn_name ^ "__s") in
   Skel.Funtable.derive table wrapper
     (Skel.Funtable.Wrapper { base = fn_name; specs });
   wrapper

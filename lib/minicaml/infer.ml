@@ -10,43 +10,45 @@ let error loc fmt = Printf.ksprintf (fun m -> raise (Type_error (m, loc))) fmt
    expressions so the source of truth stays readable. *)
 let scheme_of_string s = Types.of_type_expr (Parser.type_expression s)
 
-let builtin_schemes =
-  [
-    ("df", "int -> ('a -> 'b) -> ('c -> 'b -> 'c) -> 'c -> 'a list -> 'c");
-    (* The stateful farm family: same farm, different state-access modes.
-       The init argument carries the state alongside the fold seed (a pair,
-       or a per-worker state list for the owner mode). *)
-    ("df_acc", "int -> ('a -> 'b) -> ('c -> 'b -> 'c) -> 'c -> 'a list -> 'c");
-    ("df_ro", "int -> ('e * 'a -> 'b) -> ('c -> 'b -> 'c) -> 'e * 'c -> 'a list -> 'c");
-    ("df_own",
-     "int -> ('s * 'a -> 's * 'b) -> ('c -> 'b -> 'c) -> 's list * 'c -> 'a list -> 'c");
-    ("df_res",
-     "int -> ('s * 'a -> 's * 'b) -> ('c -> 'b -> 'c) -> 's * 'c -> 'a list -> 'c");
-    ("scm", "int -> (int -> 'a -> 'b list) -> ('b -> 'c) -> ('c list -> 'd) -> 'a -> 'd");
-    ("tf", "int -> ('a -> 'a list * 'b) -> ('c -> 'b -> 'c) -> 'c -> 'a list -> 'c");
-    ("itermem", "('a -> 'b) -> ('c * 'b -> 'c * 'd) -> ('d -> unit) -> 'c -> 'a -> unit");
-    ("map", "('a -> 'b) -> 'a list -> 'b list");
-    ("fold_left", "('a -> 'b -> 'a) -> 'a -> 'b list -> 'a");
-    ("length", "'a list -> int");
-    ("rev", "'a list -> 'a list");
-    ("fst", "'a * 'b -> 'a");
-    ("snd", "'a * 'b -> 'b");
-    ("not", "bool -> bool");
-    ("ignore", "'a -> unit");
-    ("print_int", "int -> unit");
-    ("print_string", "string -> unit");
-    ("string_of_int", "int -> string");
-    ("float_of_int", "int -> float");
-    ("int_of_float", "float -> int");
-    ("abs", "int -> int");
-    ("min", "'a -> 'a -> 'a");
-    ("max", "'a -> 'a -> 'a");
-  ]
+let builtins =
+  List.map
+    (fun (name, sig_) -> (name, scheme_of_string sig_))
+    [
+      ("df", "int -> ('a -> 'b) -> ('c -> 'b -> 'c) -> 'c -> 'a list -> 'c");
+      (* The stateful farm family: same farm, different state-access modes.
+         The init argument carries the state alongside the fold seed (a pair,
+         or a per-worker state list for the owner mode). *)
+      ("df_acc", "int -> ('a -> 'b) -> ('c -> 'b -> 'c) -> 'c -> 'a list -> 'c");
+      ("df_ro", "int -> ('e * 'a -> 'b) -> ('c -> 'b -> 'c) -> 'e * 'c -> 'a list -> 'c");
+      ("df_own",
+       "int -> ('s * 'a -> 's * 'b) -> ('c -> 'b -> 'c) -> 's list * 'c -> 'a list -> 'c");
+      ("df_res",
+       "int -> ('s * 'a -> 's * 'b) -> ('c -> 'b -> 'c) -> 's * 'c -> 'a list -> 'c");
+      ("scm", "int -> (int -> 'a -> 'b list) -> ('b -> 'c) -> ('c list -> 'd) -> 'a -> 'd");
+      ("tf", "int -> ('a -> 'a list * 'b) -> ('c -> 'b -> 'c) -> 'c -> 'a list -> 'c");
+      ("itermem", "('a -> 'b) -> ('c * 'b -> 'c * 'd) -> ('d -> unit) -> 'c -> 'a -> unit");
+      ("map", "('a -> 'b) -> 'a list -> 'b list");
+      ("fold_left", "('a -> 'b -> 'a) -> 'a -> 'b list -> 'a");
+      ("length", "'a list -> int");
+      ("rev", "'a list -> 'a list");
+      ("fst", "'a * 'b -> 'a");
+      ("snd", "'a * 'b -> 'b");
+      ("not", "bool -> bool");
+      ("ignore", "'a -> unit");
+      ("print_int", "int -> unit");
+      ("print_string", "string -> unit");
+      ("string_of_int", "int -> string");
+      ("float_of_int", "int -> float");
+      ("int_of_float", "float -> int");
+      ("abs", "int -> int");
+      ("min", "'a -> 'a -> 'a");
+      ("max", "'a -> 'a -> 'a");
+    ]
 
 let initial_env =
   List.fold_left
-    (fun env (name, sig_) -> Env.add name (scheme_of_string sig_) env)
-    Env.empty builtin_schemes
+    (fun env (name, scheme) -> Env.add name scheme env)
+    Env.empty builtins
 
 let lookup env name = Env.find_opt name env
 

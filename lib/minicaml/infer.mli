@@ -22,6 +22,10 @@ exception Type_error of string * Ast.loc
 
 type env
 
+val builtins : (string * Types.scheme) list
+(** The schemes of the builtins {!initial_env} binds, in order; the
+    evaluator reads each builtin's arity off its scheme. *)
+
 val initial_env : env
 val lookup : env -> string -> Types.scheme option
 (** Test oracle: [test_minicaml]'s "skeleton signatures" reads the paper's

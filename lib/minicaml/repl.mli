@@ -26,7 +26,10 @@ type outcome = {
 val eval_input : session -> string -> outcome
 (** Evaluates one input. Accepted forms: [let ...], [let rec ...],
     [external name : type], or a bare expression (bound to [it]).
-    All front-end errors are caught and rendered into [message]. *)
+    All front-end errors are caught and rendered into [message].
+
+    Test oracle: [test_minicaml]'s "repl" cases drive sessions through it
+    line by line, as {!run_channel} does. *)
 
 val run_channel : ?prompt:bool -> Skel.Funtable.t -> in_channel -> out_channel -> unit
 (** Drives a [;;]- or newline-delimited REPL over channels until EOF (the

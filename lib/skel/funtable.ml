@@ -42,6 +42,17 @@ let mem t name = Hashtbl.mem t.entries name
 let names t =
   Hashtbl.fold (fun name _ acc -> name :: acc) t.entries [] |> List.sort compare
 
+(* The counter belongs to one pass over one program, so the names a
+   compile mints do not depend on what else the process compiled, on any
+   domain; names the table already holds are skipped. *)
+let fresh_name t minted prefix =
+  let rec fresh () =
+    incr minted;
+    let name = prefix ^ string_of_int !minted in
+    if mem t name then fresh () else name
+  in
+  fresh ()
+
 let apply t name v = (find t name).apply v
 let cost t name v = (find t name).cost v
 
@@ -88,8 +99,8 @@ let realise t = function
       let apply v =
         match v with
         | Value.List xs ->
-            List.fold_left
-              (fun z x -> ea.apply (Value.Tuple [ z; ec.apply x ]))
+            Skeletons.df 1 ec.apply
+              (fun z y -> ea.apply (Value.Tuple [ z; y ]))
               init xs
         | other ->
             raise
@@ -106,21 +117,19 @@ let realise t = function
       (apply, cost)
   | Serial_tf { work; acc; init } ->
       let ew = find t work and ea = find t acc in
+      let work x =
+        match ew.apply x with
+        | Value.Tuple [ Value.List subs; y ] -> (subs, y)
+        | other ->
+            raise
+              (Value.Type_error ("tf work returned " ^ Value.to_string other))
+      in
       let apply v =
         match v with
         | Value.List xs ->
-            let rec loop z = function
-              | [] -> z
-              | x :: rest -> (
-                  match ew.apply x with
-                  | Value.Tuple [ Value.List subs; y ] ->
-                      loop (ea.apply (Value.Tuple [ z; y ])) (subs @ rest)
-                  | other ->
-                      raise
-                        (Value.Type_error
-                           ("tf work returned " ^ Value.to_string other)))
-            in
-            loop init xs
+            Skeletons.tf 1 work
+              (fun z y -> ea.apply (Value.Tuple [ z; y ]))
+              init xs
         | other ->
             raise
               (Value.Type_error
@@ -137,14 +146,16 @@ let realise t = function
       (apply, cost)
   | Serial_scm { split; compute; merge } ->
       let es = find t split and ec = find t compute and em = find t merge in
-      let apply v =
-        match es.apply (Value.Tuple [ Value.Int 1; v ]) with
-        | Value.List parts ->
-            em.apply (Value.List (List.map ec.apply parts))
+      let split n v =
+        match es.apply (Value.Tuple [ Value.Int n; v ]) with
+        | Value.List parts -> parts
         | other ->
             raise
               (Value.Type_error
                  ("scm split returned " ^ Value.to_string other))
+      in
+      let apply v =
+        Skeletons.scm 1 split ec.apply (fun ys -> em.apply (Value.List ys)) v
       and cost v = es.cost v +. ec.cost v +. em.cost v in
       (apply, cost)
 

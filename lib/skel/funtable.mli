@@ -41,11 +41,14 @@ type derivation =
           the dataflow value per [specs], call [base] *)
   | Compose of { f : string; g : string }  (** [g (f v)] — fused [Seq] pair *)
   | Serial_df of { comp : string; acc : string; init : Value.t }
-      (** one-worker data farm collapsed to a sequential fold *)
+      (** one-worker data farm collapsed to a sequential fold: applying it
+          runs {!Skeletons.df} *)
   | Serial_tf of { work : string; acc : string; init : Value.t }
-      (** one-worker task farm collapsed to a sequential worklist loop *)
+      (** one-worker task farm collapsed to a sequential worklist loop:
+          applying it runs {!Skeletons.tf} *)
   | Serial_scm of { split : string; compute : string; merge : string }
-      (** one-part split-compute-merge collapsed to a sequential pass *)
+      (** one-part split-compute-merge collapsed to a sequential pass:
+          applying it runs {!Skeletons.scm} *)
 
 type t
 
@@ -89,6 +92,14 @@ val find_opt : t -> string -> entry option
 val mem : t -> string -> bool
 val names : t -> string list
 (** Registered names (base and derived), sorted. *)
+
+val fresh_name : t -> int ref -> string -> string
+(** [fresh_name t minted prefix] bumps [minted] until [prefix ^ string_of_int
+    !minted] is a name [t] does not hold, and returns that name. Each pass
+    that mints names (extraction, {!Transform.normalize}, skeleton nesting)
+    keeps its own counter for one call, so a compile names what it derives
+    alike whatever the process ran before it, and a name installed by
+    another compile or a replayed cache is skipped. *)
 
 val apply : t -> string -> Value.t -> Value.t
 val cost : t -> string -> Value.t -> float

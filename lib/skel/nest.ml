@@ -1,17 +1,11 @@
-let gensym =
-  let n = ref 0 in
-  fun base ->
-    incr n;
-    Printf.sprintf "%s__n%d" base !n
-
 let as_function table stage =
   if List.mem "itermem" (Ir.skeleton_instances stage) then
     invalid_arg "Nest.as_function: itermem cannot be nested";
   let name =
-    gensym
+    Funtable.fresh_name table (ref 0)
       (match Ir.skeleton_instances stage with
-      | skel :: _ -> "nested_" ^ skel
-      | [] -> "nested_pipe")
+      | skel :: _ -> "nested_" ^ skel ^ "__n"
+      | [] -> "nested_pipe__n")
   in
   Funtable.register table name ~arity:1
     ~cost:(fun v -> snd (Sem.eval_stage_cost table stage v))

@@ -19,7 +19,10 @@ val as_function : Funtable.t -> Ir.t -> string
     sequentially, under a fresh name ([nested_<skeleton>__n<k>]); its cost model charges the cycles the stage's
     sequential functions consume on the actual argument. Returns the
     registered name. [stage] must not contain [Itermem] (raises
-    [Invalid_argument]). *)
+    [Invalid_argument]).
+
+    Test oracle: [test_nest]'s "packaging" cases check a packaged stage's
+    value, cost and name apart from {!df} and {!scm}, which run it. *)
 
 val df :
   table:Funtable.t ->

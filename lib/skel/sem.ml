@@ -25,81 +25,56 @@ let rec compile_with apply table stage =
       let fns = List.map (compile_with apply table) stages in
       fun v -> List.fold_left (fun v fn -> fn v) v fns
   | Ir.Scm { nparts; split; compute; merge } ->
-      fun v ->
-        let parts =
-          as_list ("scm split " ^ split)
-            (apply table split (Value.Tuple [ Value.Int nparts; v ]))
-        in
-        let results = List.map (apply table compute) parts in
-        apply table merge (Value.List results)
-  | Ir.Df { comp; acc; init; state = Ir.Stateless; _ } ->
-      fun v ->
-        let xs = as_list "df input" v in
-        (* Exactly the paper's declarative definition:
-           df n comp acc z xs = fold_left acc z (map comp xs). *)
-        List.fold_left
-          (fun z x -> apply table acc (Value.Tuple [ z; apply table comp x ]))
-          init xs
-  | Ir.Df { comp; acc; init; state = Ir.Read_only; _ } ->
-      let env, seed = as_pair "readonly df init" init in
-      fun v ->
-        let xs = as_list "df input" v in
-        List.fold_left
-          (fun z x ->
-            apply table acc
-              (Value.Tuple [ z; apply table comp (Value.Tuple [ env; x ]) ]))
-          seed xs
-  | Ir.Df { comp; acc; init; state = Ir.Accumulator; _ } ->
-      let carry = ref init in
-      fun v ->
-        let xs = as_list "df input" v in
-        let z =
-          List.fold_left
-            (fun z x -> apply table acc (Value.Tuple [ z; apply table comp x ]))
-            !carry xs
-        in
-        carry := z;
-        z
-  | Ir.Df { nworkers; comp; acc; init; state = Ir.Owner } ->
-      let states, seed = as_pair "owner df init" init in
-      let states = Array.of_list (as_list "owner df partition states" states) in
-      fun v ->
-        let xs = as_list "df input" v in
-        List.fold_left
-          (fun (z, i) x ->
-            let k = i mod nworkers in
-            let s', y =
-              as_pair "owner df comp result"
-                (apply table comp (Value.Tuple [ states.(k); x ]))
+      let split n v =
+        as_list ("scm split " ^ split)
+          (apply table split (Value.Tuple [ Value.Int n; v ]))
+      in
+      Skeletons.scm nparts split (apply table compute) (fun ys ->
+          apply table merge (Value.List ys))
+  | Ir.Df { nworkers = n; comp; acc; init; state } -> (
+      let comp = apply table comp
+      and acc z y = apply table acc (Value.Tuple [ z; y ])
+      and items v = as_list "df input" v in
+      let stateful what (s, x) =
+        as_pair what (comp (Value.Tuple [ s; x ]))
+      in
+      match state with
+      | Ir.Stateless -> fun v -> Skeletons.df n comp acc init (items v)
+      | Ir.Read_only ->
+          let env_seed = as_pair "readonly df init" init in
+          let comp (e, x) = comp (Value.Tuple [ e; x ]) in
+          fun v -> Skeletons.df_ro n comp acc env_seed (items v)
+      | Ir.Accumulator ->
+          let carry = ref init in
+          fun v ->
+            carry := Skeletons.df n comp acc !carry (items v);
+            !carry
+      | Ir.Owner ->
+          let states, seed = as_pair "owner df init" init in
+          let states = ref (as_list "owner df partition states" states) in
+          fun v ->
+            let states', z =
+              Skeletons.df_own n (stateful "owner df comp result") acc
+                (!states, seed) (items v)
             in
-            states.(k) <- s';
-            (apply table acc (Value.Tuple [ z; y ]), i + 1))
-          (seed, 0) xs
-        |> fst
-  | Ir.Df { comp; acc; init; state = Ir.Resource; _ } ->
-      let s0, seed = as_pair "resource df init" init in
-      let res = ref s0 in
-      fun v ->
-        let xs = as_list "df input" v in
-        List.fold_left
-          (fun z x ->
-            let s', y =
-              as_pair "resource df comp result"
-                (apply table comp (Value.Tuple [ !res; x ]))
+            states := states';
+            z
+      | Ir.Resource ->
+          let s0, seed = as_pair "resource df init" init in
+          let res = ref s0 in
+          fun v ->
+            let s, z =
+              Skeletons.df_res n (stateful "resource df comp result") acc
+                (!res, seed) (items v)
             in
-            res := s';
-            apply table acc (Value.Tuple [ z; y ]))
-          seed xs
-  | Ir.Tf { work; acc; init; _ } ->
-      fun v ->
-        let rec loop z = function
-          | [] -> z
-          | x :: rest ->
-              let subs, y = as_pair "tf work result" (apply table work x) in
-              let subs = as_list "tf new packets" subs in
-              loop (apply table acc (Value.Tuple [ z; y ])) (subs @ rest)
-        in
-        loop init (as_list "tf input" v)
+            res := s;
+            z)
+  | Ir.Tf { nworkers; work; acc; init } ->
+      let work x =
+        let subs, y = as_pair "tf work result" (apply table work x) in
+        (as_list "tf new packets" subs, y)
+      and acc z y = apply table acc (Value.Tuple [ z; y ]) in
+      fun v -> Skeletons.tf nworkers work acc init (as_list "tf input" v)
   | Ir.Itermem _ ->
       fun _ -> error "itermem inside eval_stage: stream loops are driven by run"
 

@@ -2,8 +2,11 @@
     Fig. 2: running the specification on a workstation to check the
     correctness of the parallel algorithm).
 
-    Emulation interprets the IR with the declarative skeleton semantics of
-    {!Skeletons} over dynamic {!Value.t}s. The parallel executive
+    Emulation interprets the IR over dynamic {!Value.t}s: each [Scm], [Df]
+    and [Tf] stage projects its values and runs the fold of {!Skeletons}
+    (the same code the serialised farms of {!Funtable} and the REPL run),
+    and a stateful farm keeps its carried state (accumulator, owner states,
+    resource state) in cells across frames. The parallel executive
     ({!Executive} + {!Machine}) must agree with this module's results
     whenever the [df]/[tf] accumulation functions are commutative and
     associative. *)

@@ -1,18 +1,5 @@
 type applied = { rule : string; count : int }
 
-(* The counter is global, but a replayed cached compile may have installed
-   names minted by another process (see Funtable.derive), so skip any name
-   the table already holds. *)
-let gensym =
-  let n = ref 0 in
-  fun table base ->
-    let rec fresh () =
-      incr n;
-      let name = Printf.sprintf "%s__t%d" base !n in
-      if Funtable.mem table name then fresh () else name
-    in
-    fresh ()
-
 (* ------------------------------------------------------------------ *)
 (* Structural rules                                                    *)
 
@@ -33,32 +20,17 @@ let rec flatten_pipes stage =
 (* ------------------------------------------------------------------ *)
 (* Table-backed rules                                                  *)
 
-(* Each rule mints a fresh name and installs a pure-data derivation; the
-   closure-building lives in Funtable.derive so that a cached compile can
-   replay the same registrations without re-running the rewrite. *)
-
-let compose table f g =
-  let name = gensym table (f ^ "_" ^ g) in
-  Funtable.derive table name (Funtable.Compose { f; g });
-  name
-
-let serialise_df table ~comp ~acc ~init =
-  let name = gensym table ("df1_" ^ comp) in
-  Funtable.derive table name (Funtable.Serial_df { comp; acc; init });
-  name
-
-let serialise_tf table ~work ~acc ~init =
-  let name = gensym table ("tf1_" ^ work) in
-  Funtable.derive table name (Funtable.Serial_tf { work; acc; init });
-  name
-
-let serialise_scm table ~split ~compute ~merge =
-  let name = gensym table ("scm1_" ^ compute) in
-  Funtable.derive table name (Funtable.Serial_scm { split; compute; merge });
+(* Each rule mints a fresh name ([minted] counts one [normalize] call's
+   names) and installs a pure-data derivation; the closure-building lives
+   in Funtable.derive so that a cached compile can replay the same
+   registrations without re-running the rewrite. *)
+let derive table minted base derivation =
+  let name = Funtable.fresh_name table minted (base ^ "__t") in
+  Funtable.derive table name derivation;
   name
 
 (* One bottom-up rewriting pass; returns the stage and per-rule counters. *)
-let rewrite_pass table stage counters =
+let rewrite_pass table minted stage counters =
   let bump rule = counters := (rule, 1 + (try List.assoc rule !counters with Not_found -> 0)) :: List.remove_assoc rule !counters in
   let rec go stage =
     match stage with
@@ -69,7 +41,8 @@ let rewrite_pass table stage counters =
         let rec fuse = function
           | Ir.Seq f :: Ir.Seq g :: rest ->
               bump "fuse-seq";
-              fuse (Ir.Seq (compose table f g) :: rest)
+              let fg = derive table minted (f ^ "_" ^ g) (Funtable.Compose { f; g }) in
+              fuse (Ir.Seq fg :: rest)
           | s :: rest -> s :: fuse rest
           | [] -> []
         in
@@ -79,13 +52,19 @@ let rewrite_pass table stage counters =
         (* Only the stateless farm serialises to a pure fold: a stateful
            one carries state across frames, which a Seq function cannot. *)
         bump "serialise-df";
-        Ir.Seq (serialise_df table ~comp ~acc ~init)
+        Ir.Seq
+          (derive table minted ("df1_" ^ comp)
+             (Funtable.Serial_df { comp; acc; init }))
     | Ir.Tf { nworkers = 1; work; acc; init } ->
         bump "serialise-tf";
-        Ir.Seq (serialise_tf table ~work ~acc ~init)
+        Ir.Seq
+          (derive table minted ("tf1_" ^ work)
+             (Funtable.Serial_tf { work; acc; init }))
     | Ir.Scm { nparts = 1; split; compute; merge } ->
         bump "serialise-scm";
-        Ir.Seq (serialise_scm table ~split ~compute ~merge)
+        Ir.Seq
+          (derive table minted ("scm1_" ^ compute)
+             (Funtable.Serial_scm { split; compute; merge }))
     | Ir.Df _ | Ir.Tf _ | Ir.Scm _ -> stage
     | Ir.Itermem { input; loop; output; init } ->
         Ir.Itermem { input; loop = go loop; output; init }
@@ -95,12 +74,13 @@ let rewrite_pass table stage counters =
 let normalize table prog =
   let counters = ref [] in
   let flat_counter = ref 0 in
+  let minted = ref 0 in
   let rec fixpoint stage n =
     if n > 20 then stage
     else begin
       let flattened = flatten_pipes stage in
       if flattened <> stage then incr flat_counter;
-      let rewritten = rewrite_pass table flattened counters in
+      let rewritten = rewrite_pass table minted flattened counters in
       if rewritten = flattened then rewritten else fixpoint rewritten (n + 1)
     end
   in

@@ -31,7 +31,10 @@ val normalize : Funtable.t -> Ir.program -> Ir.program * applied list
     against the same table. *)
 
 val flatten_pipes : Ir.t -> Ir.t
-(** The purely structural subset (no table needed). *)
+(** The purely structural subset (no table needed).
+
+    Test oracle: [test_transform]'s "structure" cases check it apart from
+    the table-backed rules; {!normalize} runs it. *)
 
 val applied_summary : applied list -> string
 (** ["fuse-seq x2, serialise-df x1"], or ["no rules applied"]. *)

@@ -40,7 +40,6 @@ let type_error expected v =
 
 let to_int = function Int n -> n | v -> type_error "int" v
 let to_float = function Float f -> f | Int n -> float_of_int n | v -> type_error "float" v
-let to_bool = function Bool b -> b | v -> type_error "bool" v
 let to_str = function Str s -> s | v -> type_error "string" v
 let to_list = function List vs -> vs | v -> type_error "list" v
 let to_pair = function Tuple [ a; b ] -> (a, b) | v -> type_error "pair" v

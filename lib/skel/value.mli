@@ -36,7 +36,6 @@ exception Type_error of string
 
 val to_int : t -> int
 val to_float : t -> float
-val to_bool : t -> bool
 val to_str : t -> string
 val to_list : t -> t list
 val to_pair : t -> t * t

@@ -140,8 +140,8 @@ let reset_cache_stats c =
 
 (* Install a cached entry's table side effects. False when the current
    table already holds one of the names with a different recipe — the
-   caller treats that as a miss and re-runs the stage (whose gensyms skip
-   occupied names), so a collision degrades performance, never results. *)
+   caller treats that as a miss and re-runs the stage (its fresh names skip
+   the occupied ones), so a collision degrades performance, never results. *)
 let try_replay table entry =
   match Skel.Funtable.replay table entry.derivations with
   | () -> true

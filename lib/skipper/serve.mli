@@ -102,16 +102,24 @@ type request =
   | Shutdown
 
 val max_procs : int
-(** 1 024: a run builds a [procs] x [procs] routing table. *)
+(** 1 024: a run builds a [procs] x [procs] routing table.
+
+    Test oracle: [test_serve]'s "parse_request" checks the bound. *)
 
 val max_frames : int
-(** 1 000: a stream's frames queue in unbounded mailboxes. *)
+(** 1 000: a stream's frames queue in unbounded mailboxes.
+
+    Test oracle: [test_serve]'s "parse_request" checks the bound. *)
 
 val parse_request : Support.Json.t -> (request, string) result
 (** [Error] names what is wrong: a missing or unknown [op], missing [app]
     or [src], or a [frames] field that is not an integral number from 1 to
     {!max_frames}, or a [procs] one from 1 to {!max_procs}. Absent,
-    [frames] is 1 and [procs] 4. *)
+    [frames] is 1 and [procs] 4.
+
+    Test oracle: [test_serve]'s "parse_request" and its qcheck "answers Ok
+    or Error on any value" call it without a socket; {!serve} runs it on
+    every request. *)
 
 val serve : config -> socket:string -> unit -> int
 (** Binds [socket] (unlinking any stale file) and serves batches until a

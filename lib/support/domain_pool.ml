@@ -11,13 +11,6 @@ type stats = {
 
 let default_jobs () = Domain.recommended_domain_count ()
 
-let jobs_from_env ?(var = "SKIPPER_JOBS") ?(default = 1) () =
-  match Sys.getenv_opt var with
-  | None -> default
-  | Some s -> ( match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
-    | _ -> default)
-
 (* One worker's trip through the job list: pull the next unclaimed index,
    run it, record its outcome and span, repeat until the counter runs past
    the end. [cells] is written disjointly (one writer per index) and reads

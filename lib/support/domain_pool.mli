@@ -37,11 +37,6 @@ val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — the machine's useful domain
     count. *)
 
-val jobs_from_env : ?var:string -> ?default:int -> unit -> int
-(** Worker count from the environment ([SKIPPER_JOBS] unless [var] says
-    otherwise), falling back to [default] (itself defaulting to 1). Test
-    suites use this to opt in to parallel execution without a flag. *)
-
 val run_stats : ?jobs:int -> (unit -> 'a) list -> 'a list * stats
 (** [run_stats ~jobs thunks] executes every thunk and returns their results
     in submit order plus the pool telemetry. At most

@@ -32,10 +32,6 @@ let[@inline] int t bound =
   let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
   if bound land (bound - 1) = 0 then v land (bound - 1) else v mod bound
 
-let int_range t lo hi =
-  if hi < lo then invalid_arg "Prng.int_range: hi < lo";
-  lo + int t (hi - lo + 1)
-
 let[@inline] float t bound =
   (* Below 2^53 both conversions are exact; [Float.of_int] is inline code,
      [Int64.to_float] a C call. *)

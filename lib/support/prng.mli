@@ -25,9 +25,6 @@ val int : t -> int -> int
 (** [int t bound] is uniform in [0, bound). Raises [Invalid_argument] when
     [bound <= 0]. *)
 
-val int_range : t -> int -> int -> int
-(** [int_range t lo hi] is uniform in [lo, hi] inclusive. *)
-
 val float : t -> float -> float
 (** [float t bound] is uniform in [0, bound). *)
 

@@ -52,8 +52,6 @@ let flow_start tl ~lane ~cat ?(name = "msg") ~flow ~time () =
 let flow_end tl ~lane ~cat ?(name = "msg") ~flow ~time () =
   add tl { time; name; cat; lane; args = []; kind = Flow_end flow }
 
-let compile_track = 0
-let env_track = 1
 let links_track = 2
 let processor_track p = 3 + p
 
@@ -66,10 +64,10 @@ let pool_track = 1_000_000
 let slo_track = 999_999
 
 let compile_lane =
-  { track = compile_track; track_label = "toolchain"; index = 0; label = "passes" }
+  { track = 0; track_label = "toolchain"; index = 0; label = "passes" }
 
 let env_lane =
-  { track = env_track; track_label = "environment"; index = 0; label = "inject" }
+  { track = 1; track_label = "environment"; index = 0; label = "inject" }
 
 let link_lane ~src ~dst ~nprocs =
   {

@@ -10,8 +10,9 @@
     processor, one for the toolchain, one for the environment, one for the
     links), and the [index] distinguishes lanes within the track (one lane
     per simulated process). Track numbering is fixed so exports are
-    deterministic: {!compile_track} = 0, {!env_track} = 1,
-    {!links_track} = 2, processors at [3 + p]. *)
+    deterministic: the toolchain's {!compile_lane} is on track 0, the
+    environment's {!env_lane} on track 1, {!links_track} = 2, processors
+    at [3 + p]. *)
 
 type lane = {
   track : int;  (** lane group (Chrome-trace pid) *)
@@ -105,8 +106,6 @@ val flow_end :
 
 (** {1 Lane conventions} *)
 
-val compile_track : int
-val env_track : int
 val links_track : int
 
 val processor_track : int -> int

@@ -12,7 +12,10 @@
 
 val cluster : Mark.t list -> Mark.t list list
 (** Greedy spatial clustering of detected marks into vehicle candidates of
-    at most three marks each; deterministic. *)
+    at most three marks each; deterministic.
+
+    Test oracle: [test_tracking]'s "cluster groups by vehicle" checks it
+    apart from {!update}, which runs it. *)
 
 val update : Track_state.t -> Mark.t list -> Track_state.t
 (** [update state marks] associates mark clusters with previous tracks,

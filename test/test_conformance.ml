@@ -15,7 +15,7 @@ module C = Skipper_trace.Conformance
 module E = Skipper_trace.Event
 module P = Skipper_lib.Pipeline
 
-let pool_jobs = Dp.jobs_from_env ~default:4 ()
+let pool_jobs = Pool_env.jobs ~default:4 ()
 
 (* ------------------------------------------------------------------ *)
 (* A df farm with a uniform per-item cost: every worker op span has the

@@ -13,7 +13,7 @@ module Chrome = Skipper_trace.Chrome
 (* Parallelism degree of the suite itself: SKIPPER_JOBS if set, else 4 so
    the pool really spawns domains even on a small CI machine (domains
    timeshare when cores are short; determinism must hold regardless). *)
-let pool_jobs = Dp.jobs_from_env ~default:4 ()
+let pool_jobs = Pool_env.jobs ~default:4 ()
 
 (* ------------------------------------------------------------------ *)
 (* A self-contained simulation job: a df farm on a ring with an optional

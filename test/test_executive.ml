@@ -301,7 +301,12 @@ let test_channel_table () =
   in
   let g = Procnet.Expand.expand table program in
   let placement = [| 0; 1; 2 |] in
-  let chans = Executive.Macro.channel_table g ~placement in
+  let text = Executive.Macro.emit g ~placement ~arch:(Archi.ring 3) in
+  let chans =
+    List.filter
+      (fun l -> Astring.String.is_prefix ~affix:"alloc_channel_(chan_" l)
+      (String.split_on_char '\n' text)
+  in
   Alcotest.(check int) "4 cross-processor channels" 4 (List.length chans)
 
 let prop_df_parallel_equals_sequential =

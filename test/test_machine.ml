@@ -133,8 +133,9 @@ let test_recv_any () =
   let first = ref "" in
   let receiver =
     Sim.spawn sim ~name:"rx" ~on:0 (fun () ->
-        let port, _ = Proc.recv_any [ "a"; "b" ] in
-        first := port)
+        match Proc.recv_deadline [ "a"; "b" ] ~deadline:1.0 with
+        | Some (port, _) -> first := port
+        | None -> first := "none")
   in
   (* b is adjacent, a is two hops away, so b arrives first *)
   let _ = Sim.spawn sim ~name:"ta" ~on:2 (fun () -> Proc.send receiver "a" (V.Int 1)) in
@@ -200,7 +201,6 @@ let test_primitives_outside_process () =
   outside "compute" (fun () -> Proc.compute 10.0);
   outside "send" (fun () -> Proc.send 0 "p" (V.Int 1));
   outside "recv" (fun () -> ignore (Proc.recv "p"));
-  outside "recv_any" (fun () -> ignore (Proc.recv_any [ "p"; "q" ]));
   outside "recv_deadline" (fun () ->
       ignore (Proc.recv_deadline [ "p" ] ~deadline:1.0));
   outside "sleep_until" (fun () -> Proc.sleep_until 1.0);

@@ -52,6 +52,15 @@ let test_as_function_semantics () =
     (V.Int (expected_inner 4))
     (Skel.Funtable.apply t name (V.Int 4))
 
+(* A packaged stage's name does not depend on what the process nested
+   before: each call takes the first free [__n<k>] in its table. *)
+let test_as_function_names () =
+  let names t = List.init 2 (fun _ -> Skel.Nest.as_function t inner) in
+  let first = names (with_enlist (table ())) in
+  Alcotest.(check (list string)) "one table" [ "nested_df__n1"; "nested_df__n2" ] first;
+  Alcotest.(check (list string)) "a fresh table names alike" first
+    (names (with_enlist (table ())))
+
 let test_as_function_cost_is_instrumented () =
   let t = with_enlist (table ()) in
   let name = Skel.Nest.as_function t inner in
@@ -152,6 +161,7 @@ let () =
         [
           Alcotest.test_case "semantics" `Quick test_as_function_semantics;
           Alcotest.test_case "instrumented cost" `Quick test_as_function_cost_is_instrumented;
+          Alcotest.test_case "names per call" `Quick test_as_function_names;
           Alcotest.test_case "itermem rejected" `Quick test_itermem_rejected;
         ] );
       ( "composition",

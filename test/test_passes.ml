@@ -452,6 +452,38 @@ let test_pooled_compiles_name_alike () =
       (lone @ lone) pooled
   done
 
+(* A derived name belongs to one compile, as the names extraction mints
+   do: an optimized compile names its serialised farm alike however many
+   compiles the process ran before it. *)
+let test_optimized_compiles_name_alike () =
+  let src =
+    {|external inc : int -> int
+external add : int -> int -> int
+let main = fun xs -> df 1 inc add 0 xs|}
+  in
+  let table () =
+    Skel.Funtable.of_list
+      [
+        ("inc", 1, (fun v -> V.Int (V.to_int v + 1)), fun _ -> 1000.0);
+        ( "add",
+          2,
+          (fun v ->
+            let a, b = V.to_pair v in
+            V.Int (V.to_int a + V.to_int b)),
+          fun _ -> 100.0 );
+      ]
+  in
+  let compile () =
+    built
+      (P.compile_source ~optimize:true ~cache:(Passes.create_cache ())
+         ~table:(table ()) src)
+  in
+  let first = compile () in
+  for _ = 1 to 2 do
+    Alcotest.(check (pair string string)) "graph and IR of a later compile"
+      first (compile ())
+  done
+
 let pin_stage_names =
   [
     "parse"; "typecheck"; "extract"; "transform"; "expand"; "cost"; "map";
@@ -765,6 +797,8 @@ let () =
           Alcotest.test_case "cache keys" `Quick test_pin_cache_keys;
           Alcotest.test_case "pooled compiles name alike" `Quick
             test_pooled_compiles_name_alike;
+          Alcotest.test_case "optimized compiles name alike" `Quick
+            test_optimized_compiles_name_alike;
         ] );
       ( "properties",
         [

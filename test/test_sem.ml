@@ -233,7 +233,13 @@ let ints xs = V.List (List.map (fun x -> V.Int x) xs)
 let order_items = ints [ 3; 14; 1; 5; 9; 2; 6 ]
 
 let df_in state init =
-  Ir.Df { nworkers = 3; comp = (match state with Ir.Read_only -> "scale" | Ir.Owner | Ir.Resource -> "step" | _ -> "sq"); acc = "addq"; init; state }
+  let comp =
+    match state with
+    | Ir.Read_only -> "scale"
+    | Ir.Owner | Ir.Resource -> "step"
+    | Ir.Stateless | Ir.Accumulator -> "sq"
+  in
+  Ir.Df { nworkers = 3; comp; acc = "addq"; init; state }
 
 (* (name, three-frame program, input, value, cycles as %h) *)
 let order_pins =

@@ -13,7 +13,7 @@ module S = Skipper_trace.Series
 module H = Support.Histogram
 module E = Skipper_trace.Event
 
-let pool_jobs = Dp.jobs_from_env ~default:4 ()
+let pool_jobs = Pool_env.jobs ~default:4 ()
 
 (* ------------------------------------------------------------------ *)
 (* A df farm on a ring: the same self-contained job shape the bench and

@@ -97,7 +97,7 @@ let check_spec (name, path) () =
    on the domain pool (sequential when unset). Failures surface exactly as
    in the per-spec cases because the pool re-raises the earliest one. *)
 let test_corpus_through_pool () =
-  let jobs = Support.Domain_pool.jobs_from_env () in
+  let jobs = Pool_env.jobs () in
   Support.Domain_pool.run ~jobs
     (List.map (fun spec () -> check_spec spec ()) (spec_files ()))
   |> List.iter (fun () -> ())

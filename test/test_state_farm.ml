@@ -220,7 +220,7 @@ let test_readonly_env () =
 (* The full mode matrix as one farmed sweep (SKIPPER_JOBS parallelism)  *)
 
 let test_matrix_through_pool () =
-  let jobs = Dp.jobs_from_env () in
+  let jobs = Pool_env.jobs () in
   let cases =
     List.concat_map
       (fun mode ->

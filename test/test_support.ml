@@ -42,13 +42,6 @@ let test_prng_int_rejects_nonpositive () =
   Alcotest.check_raises "bound 0" (Invalid_argument "Prng.int: bound <= 0") (fun () ->
       ignore (Support.Prng.int rng 0))
 
-let test_prng_int_range () =
-  let rng = Support.Prng.create 6 in
-  for _ = 1 to 1000 do
-    let v = Support.Prng.int_range rng (-5) 5 in
-    Alcotest.(check bool) "in range" true (v >= -5 && v <= 5)
-  done
-
 let test_prng_float_bounds () =
   let rng = Support.Prng.create 8 in
   for _ = 1 to 1000 do
@@ -891,7 +884,6 @@ let () =
           Alcotest.test_case "copy" `Quick test_prng_copy;
           Alcotest.test_case "int bounds" `Quick test_prng_int_bounds;
           Alcotest.test_case "int rejects bound <= 0" `Quick test_prng_int_rejects_nonpositive;
-          Alcotest.test_case "int_range" `Quick test_prng_int_range;
           Alcotest.test_case "float bounds" `Quick test_prng_float_bounds;
           Alcotest.test_case "gaussian moments" `Slow test_prng_gaussian_moments;
           Alcotest.test_case "shuffle is a permutation" `Quick test_prng_shuffle_permutation;

@@ -80,8 +80,8 @@ let test_timeline_basics () =
   Alcotest.(check int) "source unchanged" 3 (Event.length tl)
 
 let test_lane_conventions () =
-  Alcotest.(check int) "compile" 0 Event.compile_track;
-  Alcotest.(check int) "env" 1 Event.env_track;
+  Alcotest.(check int) "compile" 0 Event.compile_lane.Event.track;
+  Alcotest.(check int) "env" 1 Event.env_lane.Event.track;
   Alcotest.(check int) "links" 2 Event.links_track;
   Alcotest.(check int) "processor 0" 3 (Event.processor_track 0);
   let l = Event.link_lane ~src:1 ~dst:2 ~nprocs:4 in

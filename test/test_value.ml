@@ -37,7 +37,6 @@ let arbitrary_value = QCheck.make (value_gen 3) ~print:V.to_string
 
 let test_constructors_and_projections () =
   Alcotest.(check int) "to_int" 5 (V.to_int (V.int 5));
-  Alcotest.(check bool) "to_bool" true (V.to_bool (V.bool true));
   Alcotest.(check string) "to_str" "hi" (V.to_str (V.str "hi"));
   Alcotest.(check (float 0.0)) "to_float" 2.5 (V.to_float (V.float 2.5));
   Alcotest.(check (float 0.0)) "int widens to float" 3.0 (V.to_float (V.int 3));
