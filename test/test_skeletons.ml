@@ -19,6 +19,17 @@ let test_df_accumulation_order () =
   let result = S.df 2 (fun x -> x) (fun acc x -> acc @ [ x ]) [] [ 1; 2; 3 ] in
   Alcotest.(check (list int)) "left fold order" [ 1; 2; 3 ] result
 
+let test_df_state_modes () =
+  (* comp sees (state, item) and answers (state', result). *)
+  let step (s, x) = (s + x, s * x) in
+  Alcotest.(check int) "df_ro reads env" 36
+    (S.df_ro 2 (fun (e, x) -> e * x) ( + ) (3, 0) [ 1; 2; 3; 6 ]);
+  Alcotest.(check (pair (list int) int)) "df_own: item i to worker i mod n"
+    ([ 4; 16 ], 71)
+    (S.df_own 2 step ( + ) ([ 0; 10 ], 0) [ 1; 2; 3; 4 ]);
+  Alcotest.(check (pair int int)) "df_res threads one state" (10, 35)
+    (S.df_res 3 step ( + ) (0, 0) [ 1; 2; 3; 4 ])
+
 let test_scm_composition () =
   (* Split a string into n chunks, upper-case each, concatenate. *)
   let split n s =
@@ -117,6 +128,7 @@ let () =
           Alcotest.test_case "worker count irrelevant" `Quick test_df_ignores_worker_count;
           Alcotest.test_case "empty list" `Quick test_df_empty_list;
           Alcotest.test_case "accumulation order" `Quick test_df_accumulation_order;
+          Alcotest.test_case "state modes" `Quick test_df_state_modes;
         ] );
       ( "scm",
         [
