@@ -1684,45 +1684,51 @@ let simscale () =
 (* ------------------------------------------------------------------ *)
 (* mapscale: host-time scaling of the mapping strategies               *)
 
-(* Fitted exponent bound of each strategy's host time in the processor
-   count, the same for every strategy: bicriteria list-schedules only the
+(* Fitted exponent bound of each column's host time in the processor
+   count, the same for every column: bicriteria list-schedules only the
    interval candidates its bounds cannot rule out. *)
 let mapscale_bound = 3.0
 
 (* Host time of every registered strategy mapping the tracking spec with
-   [nproc = W] onto [ring W]. A cell keeps the best of 3 timed loops, each
-   repeating the map for at least 20 ms, so small cells do not rest on the
-   timer's resolution. The fitted log-log exponent in W is the gated
-   quantity (exit 1 above [mapscale_bound]); absolute times are printed
-   only. *)
+   [nproc = W] onto [ring W], each on a fresh [Mapper.problem] per map,
+   and of the five strategies mapping one fresh problem per call in
+   registry order, as [Pipeline.map] maps the variants of one compiled
+   value. A cell keeps the best of 3 timed loops, each repeating the call
+   for at least 20 ms, so small cells do not rest on the timer's
+   resolution. The fitted log-log exponent in W of every column is the
+   gated quantity (exit 1 above [mapscale_bound]); absolute times are
+   printed only. *)
 let mapscale () =
   header "mapscale" "mapping host time vs processor count (tracking, ring W)";
   let widths = [ 16; 32; 64; 128; 256; 512 ] in
   let strategies = Syndex.Mapper.registered () in
+  let all_five = "all five" in
+  let columns = List.map (fun m -> m.Syndex.Mapper.name) strategies @ [ all_five ] in
+  print_endline
+    "(each strategy on a fresh problem per map; all five: the strategies in \
+     registry order on one problem)";
   Printf.printf "%5s %6s" "W" "nodes";
-  List.iter
-    (fun m -> Printf.printf " %13s" (m.Syndex.Mapper.name ^ " ms"))
-    strategies;
+  List.iter (fun name -> Printf.printf " %13s" (name ^ " ms")) columns;
   print_newline ();
-  let time_cell m cost arch g =
+  let time_cell name arch maps =
     let loop () =
       Gc.compact ();
       let t0 = Unix.gettimeofday () in
       let rec go n =
-        let s = m.Syndex.Mapper.map cost arch g in
+        let ss = maps () in
         let dt = Unix.gettimeofday () -. t0 in
-        if dt < 0.02 then go (n + 1) else (s, dt /. float_of_int n)
+        if dt < 0.02 then go (n + 1) else (ss, dt /. float_of_int n)
       in
       go 1
     in
     let rec best b reps =
       if reps = 3 then b
       else begin
-        let s, dt = loop () in
-        if not (Syndex.Schedule.deadlock_free s) then
+        let ss, dt = loop () in
+        if not (List.for_all Syndex.Schedule.deadlock_free ss) then
           failwith
-            (Printf.sprintf "mapscale: %s on %s is not deadlock-free"
-               m.Syndex.Mapper.name (Archi.name arch));
+            (Printf.sprintf "mapscale: %s on %s is not deadlock-free" name
+               (Archi.name arch));
         best (Float.min b dt) (reps + 1)
       end
     in
@@ -1739,28 +1745,37 @@ let mapscale () =
         in
         let g = c.Skipper_lib.Pipeline.graph in
         let cost = Syndex.Cost.make () and arch = Archi.ring w in
+        let problem () = Syndex.Mapper.problem cost arch g in
         Printf.printf "%5d %6d%!" w (Procnet.Graph.nnodes g);
+        let cell name maps =
+          let dt = time_cell name arch maps in
+          Printf.printf " %13.3f%!" (ms dt);
+          dt
+        in
         let cells =
           List.map
             (fun m ->
-              let dt = time_cell m cost arch g in
-              Printf.printf " %13.3f%!" (ms dt);
-              dt)
+              cell m.Syndex.Mapper.name (fun () ->
+                  [ m.Syndex.Mapper.map (problem ()) ]))
             strategies
         in
+        let shared =
+          cell all_five (fun () ->
+              let p = problem () in
+              List.map (fun m -> m.Syndex.Mapper.map p) strategies)
+        in
         print_newline ();
-        (float_of_int w, cells))
+        (float_of_int w, cells @ [ shared ]))
       widths
   in
   let exponents =
     List.mapi
-      (fun i m ->
-        let name = m.Syndex.Mapper.name in
+      (fun i name ->
         let e = loglog_slope (List.map (fun (w, cells) -> (w, List.nth cells i)) rows) in
         Printf.printf "exponent in W, %s: %.3f (bound %.2f)\n" name e
           mapscale_bound;
         (name, e))
-      strategies
+      columns
   in
   let over = List.filter (fun (_, e) -> e > mapscale_bound) exponents in
   if over <> [] then begin

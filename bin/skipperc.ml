@@ -659,7 +659,8 @@ let render_frontier ~strategy ~arch c =
   let mapper = Option.get (Syndex.Mapper.find strategy) in
   let cost = Syndex.Cost.make () in
   let points =
-    Syndex.Mapper.frontier mapper cost arch c.Skipper_lib.Pipeline.graph
+    Syndex.Mapper.frontier mapper
+      (Syndex.Mapper.problem cost arch c.Skipper_lib.Pipeline.graph)
   in
   (Syndex.Mapper.frontier_json ~strategy ~arch points ^ "\n", List.length points)
 
@@ -769,14 +770,14 @@ let run_cmd =
         | _ ->
             (* Multi-variant sweep: one self-contained job per processor
                count, farmed over the domain pool. Each job compiles its own
-               pipeline (a compiled artifact carries a mutable report list,
-               so variants must not share one) and returns its stdout as a
-               string plus rendered artifacts; the main domain prints and
-               writes in sweep order, so every output is byte-identical at
-               any --jobs level. Artifact paths must carry a %{procs}
-               template so variants do not overwrite each other; the
-               remaining wall-clock-flavoured flags make no sense spread
-               over several variants and are rejected. *)
+               pipeline (a compiled artifact carries a mutable report list
+               and mapping problems, so variants must not share one) and
+               returns its stdout as a string plus rendered artifacts; the
+               main domain prints and writes in sweep order, so every
+               output is byte-identical at any --jobs level. Artifact paths
+               must carry a %{procs} template so variants do not overwrite
+               each other; the remaining wall-clock-flavoured flags make no
+               sense spread over several variants and are rejected. *)
             if dump <> None || timings then
               failwith "--dump-stage and --timings need a single --procs value";
             List.iter

@@ -2,13 +2,22 @@ module G = Procnet.Graph
 
 (* The listing is written piece by piece into one buffer: a schedule of a
    few hundred processes is a few hundred lines, and formatting each
-   through [Printf] cost more than everything else the emitter does. *)
+   through [Printf] cost more than everything else the emitter does. Ints
+   are written digit by digit: [string_of_int] goes through C's
+   [snprintf], which costs more than the rest of a line. *)
+
+let rec add_int buf n =
+  if n < 0 then Buffer.add_string buf (string_of_int n)
+  else begin
+    if n >= 10 then add_int buf (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (Char.code '0' + (n mod 10)))
+  end
 
 let add_chan buf (e : G.edge) =
   Buffer.add_string buf "chan_";
-  Buffer.add_string buf (string_of_int e.src);
+  add_int buf e.src;
   Buffer.add_char buf '_';
-  Buffer.add_string buf (string_of_int e.dst);
+  add_int buf e.dst;
   Buffer.add_char buf '_';
   Buffer.add_string buf e.dst_port
 
@@ -28,6 +37,16 @@ let comp buf fn suffix =
   Buffer.add_string buf "comp_(";
   Buffer.add_string buf fn;
   Buffer.add_string buf suffix;
+  Buffer.add_char buf ')';
+  close_line buf
+
+(* [comp_(fn, nparts=<n>)] *)
+let comp_nparts buf fn n =
+  open_line buf;
+  Buffer.add_string buf "comp_(";
+  Buffer.add_string buf fn;
+  Buffer.add_string buf ", nparts=";
+  add_int buf n;
   Buffer.add_char buf ')';
   close_line buf
 
@@ -68,7 +87,7 @@ let add_ops buf g (node : G.node) =
       sends "out"
   | G.ScmSplit { fn; nparts } ->
       recvs "in";
-      comp buf fn (", nparts=" ^ string_of_int nparts);
+      comp_nparts buf fn nparts;
       for i = 0 to nparts - 1 do
         sends (port i)
       done
@@ -80,7 +99,11 @@ let add_ops buf g (node : G.node) =
       sends "out"
   | G.DfMaster { acc; nworkers; _ } | G.TfMaster { acc; nworkers; _ } ->
       recvs "in";
-      line buf ("farm_(workers=" ^ string_of_int nworkers ^ ") {");
+      open_line buf;
+      Buffer.add_string buf "farm_(workers=";
+      add_int buf nworkers;
+      Buffer.add_string buf ") {";
+      close_line buf;
       line buf "  dispatch_(task)";
       line buf ("  on_result_ { comp_(" ^ acc ^ ") ; dispatch_(task) }");
       line buf "}";
@@ -113,7 +136,7 @@ let add_ops buf g (node : G.node) =
 (* Processor [p]'s program: the processes it hosts, in node order. *)
 let add_processor buf g p nodes =
   Buffer.add_string buf "define(`P";
-  Buffer.add_string buf (string_of_int p);
+  add_int buf p;
   Buffer.add_string buf "_PROGRAM', `\n";
   List.iter
     (fun (node : G.node) ->
@@ -143,9 +166,9 @@ let emit g ~placement ~arch =
         Buffer.add_string buf "alloc_channel_(";
         add_chan buf e;
         Buffer.add_string buf ", P";
-        Buffer.add_string buf (string_of_int pa);
+        add_int buf pa;
         Buffer.add_string buf ", P";
-        Buffer.add_string buf (string_of_int pb);
+        add_int buf pb;
         Buffer.add_string buf ")\n"
       end)
     (G.edges g);

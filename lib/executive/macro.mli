@@ -15,3 +15,10 @@ val emit : Procnet.Graph.t -> placement:int array -> arch:Archi.t -> string
     allocation table derived from cross-processor edges: one
     [alloc_channel_(chan_<src>_<dst>_<port>, Pa, Pb)] line per edge whose
     ends sit on different processors. *)
+
+val add_int : Buffer.t -> int -> unit
+(** [add_int buf n] appends [string_of_int n] to [buf]; a non-negative [n]
+    is written digit by digit, without going through C's [snprintf]. The
+    listing writes every int this way.
+    Test oracle: [test_executive]'s "digit writer is string_of_int"
+    qcheck compares it with [string_of_int]. *)

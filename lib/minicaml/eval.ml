@@ -198,9 +198,16 @@ and apply_builtin ctx name args =
         (as_list xs)
   | "df_own", [ n; comp; acc; z; xs ] ->
       let states, seed = as_pair z in
+      let n = as_int n and states = as_list states in
+      (* worker [i mod n] owns element [i mod n] of the states *)
+      if n <= 0 || List.length states < n then
+        error
+          "df_own: n = %d workers with %d partition states (needs n >= 1 and \
+           a state per worker)"
+          n (List.length states);
       snd
-        (Skel.Skeletons.df_own (as_int n) (stateful ctx comp) (apply2 ctx acc)
-           (as_list states, seed) (as_list xs))
+        (Skel.Skeletons.df_own n (stateful ctx comp) (apply2 ctx acc)
+           (states, seed) (as_list xs))
   | "df_res", [ n; comp; acc; z; xs ] ->
       snd
         (Skel.Skeletons.df_res (as_int n) (stateful ctx comp) (apply2 ctx acc)

@@ -7,6 +7,7 @@ type compiled = {
   signatures : (string * string) list;
   log : Passes.log;
   stages : (string * Stage.artifact) list;
+  mutable problems : (Archi.t * Syndex.Cost.t * Syndex.Mapper.problem) list;
 }
 
 type strategy = Passes.strategy
@@ -82,6 +83,7 @@ let finish log ~table ~optimize ~df_state ~signatures ~stages ir =
       @ [
           ("transform", ir_artifact transformed); ("expand", Stage.Graph graph);
         ];
+    problems = [];
   }
 
 let compile_source ?(frames = 1) ?(optimize = false) ?df_state ?cache ~table
@@ -137,13 +139,29 @@ let mapper_of strategy =
       error "unknown mapping strategy %S (expected one of %s)" strategy
         (String.concat ", " (Syndex.Mapper.names ()))
 
+(* One value, so that every map under the default model finds the same
+   problem *)
+let default_cost = Syndex.Cost.make ()
+
 let cost_model ?cost compiled =
   Passes.stage compiled.log "cost"
     (fun m -> Stage.Costed (compiled.graph, m))
     (fun () ->
       match cost with
       | Some c -> (c, "user model")
-      | None -> (Syndex.Cost.make (), "default model"))
+      | None -> (default_cost, "default model"))
+
+(* The compiled value's mapping problem for this architecture value and
+   cost model, built by the first map that needs it *)
+let problem compiled model arch =
+  match
+    List.find_opt (fun (a, m, _) -> a == arch && m == model) compiled.problems
+  with
+  | Some (_, _, p) -> p
+  | None ->
+      let p = Syndex.Mapper.problem model arch compiled.graph in
+      compiled.problems <- (arch, model, p) :: compiled.problems;
+      p
 
 let map ?(strategy = "canonical") ?cost compiled arch =
   let model = cost_model ?cost compiled in
@@ -151,7 +169,7 @@ let map ?(strategy = "canonical") ?cost compiled arch =
     (fun s -> Stage.Schedule s)
     (fun () ->
       let mapper = mapper_of strategy in
-      (mapper.Syndex.Mapper.map model arch compiled.graph, Archi.name arch))
+      (mapper.Syndex.Mapper.map (problem compiled model arch), Archi.name arch))
 
 let resolve_input compiled input =
   match (input, compiled.input) with

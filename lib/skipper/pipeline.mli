@@ -21,7 +21,16 @@ type compiled = {
   log : Passes.log;  (** accumulates the reports of every stage run *)
   stages : (string * Stage.artifact) list;
       (** every front-end stage's output, by stage name, in pipeline order *)
+  mutable problems : (Archi.t * Syndex.Cost.t * Syndex.Mapper.problem) list;
+      (** the mapping problems {!map} has built on this value: one per
+          architecture value and cost model, told apart by physical
+          equality. A compile starts with none, and no problem goes into
+          the {!Passes} memory or store, so no mapping work crosses
+          compiles. *)
 }
+(** A compiled value belongs to one domain at a time: its report list and
+    its mapping problems are mutable. A sweep over domains compiles once
+    per job. *)
 
 type strategy = Passes.strategy
 (** A mapping-strategy name from the {!Syndex.Mapper} list (e.g.
@@ -65,8 +74,17 @@ val map :
     the paper's Fig. 1 layout; ["heft"] enables the automatic adequation
     heuristic, ["throughput"]/["bicriteria"] the frame-pipelined interval
     mappers). Runs the cost and map stages; without [cost] the cost stage
-    uses the generic defaults ({!Syndex.Cost.make}), since the simulator
-    charges exact data-dependent costs at run time regardless. *)
+    uses the generic defaults ({!Syndex.Cost.make}, one value for every
+    call), since the simulator charges exact data-dependent costs at run
+    time regardless.
+
+    Every strategy maps the compiled value's one {!Syndex.Mapper.problem}
+    for [arch] (the same value) and the cost model, so the strategies of
+    one variant share its DAG, scratch, HEFT schedule, interval table and
+    interval schedules; the schedules are those of a fresh problem per
+    call, bit for bit. A problem lives as long as the compiled value, so
+    a caller mapping one compiled value many times passes one [arch]
+    value, not a new one per call. *)
 
 val execute :
   ?trace:bool ->

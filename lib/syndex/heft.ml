@@ -42,7 +42,7 @@ let upward_ranks arch (dag : Dag.t) =
   done;
   ranks
 
-let map_dag arch (dag : Dag.t) =
+let placement arch (dag : Dag.t) =
   let nops = Array.length dag.Dag.ops in
   let nprocs = Archi.nprocs arch in
   let ranks = upward_ranks arch dag in
@@ -174,8 +174,8 @@ let map_dag arch (dag : Dag.t) =
       (List.sort (fun a b -> compare rank_pos.(a) rank_pos.(b)) fresh)
   done;
   if !scheduled < nops then failwith "Heft.map: cyclic scheduling graph";
-  (* Derive the per-node placement (colocated halves agree by construction)
-     and hand the final timing to the shared prediction engine, so HEFT and
+  (* Derive the per-node placement (colocated halves agree by construction);
+     the final timing comes from the shared prediction engine, so HEFT and
      fixed placements produce comparable schedules (including static link
      contention). The EFT search above used contention-free estimates. *)
   let placement = Array.make (Procnet.Graph.nnodes dag.Dag.graph) 0 in
@@ -185,6 +185,8 @@ let map_dag arch (dag : Dag.t) =
       | op :: _ -> placement.(node) <- op_proc.(op)
       | [] -> ())
     dag.Dag.ops_of_node;
-  Place.of_placement_dag arch dag placement
+  placement
 
-let map cost arch g = map_dag arch (Dag.of_graph cost g)
+let map cost arch g =
+  let dag = Dag.of_graph cost g in
+  Place.of_placement_dag arch dag (placement arch dag)

@@ -16,13 +16,6 @@ type point = {
   point_period : float;
 }
 
-type t = {
-  name : string;
-  describe : string;
-  map : Cost.t -> Archi.t -> Procnet.Graph.t -> Schedule.t;
-  frontier : (Cost.t -> Archi.t -> Procnet.Graph.t -> point list) option;
-}
-
 let point schedule label =
   {
     point_label = label;
@@ -30,11 +23,6 @@ let point schedule label =
     point_latency = schedule.Schedule.makespan;
     point_period = Schedule.period schedule;
   }
-
-let frontier m cost arch g =
-  match m.frontier with
-  | Some f -> f cost arch g
-  | None -> [ point (m.map cost arch g) m.name ]
 
 (* ------------------------------------------------------------------ *)
 (* Interval mapping (the pipelined strategies)                         *)
@@ -164,47 +152,99 @@ let interval_placement (dag : Dag.t) seq cuts =
     (interval_bounds cuts);
   placement
 
-(* Schedule the chain partition, with pipelining metadata from the
-   resulting schedule's actual per-processor loads. *)
-let interval_schedule arch dag seq cuts =
-  let bounds = interval_bounds cuts in
-  let placement = interval_placement dag seq cuts in
-  let sched = Place.of_placement_dag arch dag placement in
-  let proc_load = Array.make (Archi.nprocs arch) 0.0 in
-  List.iter
-    (fun (op : Schedule.op_slot) ->
-      proc_load.(op.Schedule.proc) <-
-        proc_load.(op.Schedule.proc)
-        +. (op.Schedule.finish -. op.Schedule.start))
-    sched.Schedule.ops;
-  let stages =
-    List.mapi
-      (fun stage (a, b) ->
-        {
-          Schedule.stage_proc = stage;
-          stage_nodes = Array.to_list (Array.sub seq a (b - a));
-          stage_load = proc_load.(stage);
-        })
-      bounds
-  in
+(* ------------------------------------------------------------------ *)
+(* The mapping problem                                                 *)
+
+(* One graph, cost model and architecture, and what the strategies build
+   from them, each on first use: the list-scheduling scratch every
+   schedule is built in, the HEFT schedule, the stage chain with its
+   interval table (bottleneck and cuts per k = 1..k_max) and the interval
+   schedules by cut list. *)
+type problem = {
+  arch : Archi.t;
+  dag : Dag.t;
+  scratch : Place.scratch Lazy.t;
+  heft : Schedule.t Lazy.t;
+  chain : (int array * (float * int list) list) Lazy.t;
+  intervals : (int list, Schedule.t) Hashtbl.t;
+}
+
+(* The schedule of [placement], built in the problem's scratch *)
+let schedule_placement scratch placement =
+  let sc = Lazy.force scratch in
+  Place.run sc placement;
+  Place.schedule sc placement
+
+let problem cost arch g =
+  let dag = Dag.of_graph cost g in
+  let scratch = lazy (Place.scratch arch dag) in
   {
-    sched with
-    Schedule.pipeline =
-      Some
-        {
-          Schedule.frames_in_flight = List.length bounds;
-          predicted_period = Schedule.resource_period sched;
-          stages;
-        };
+    arch;
+    dag;
+    scratch;
+    heft = lazy (schedule_placement scratch (Heft.placement arch dag));
+    chain =
+      lazy
+        (let seq = linearize dag in
+         let k_max = min (Archi.nprocs arch) (Array.length seq) in
+         (seq, interval_partitions arch dag seq k_max));
+    intervals = Hashtbl.create 4;
   }
 
-(* The scheduling DAG, its stage chain and the chain's best partition into
-   k = 1..k_max intervals: (bottleneck, cuts) per k, unscheduled. *)
-let interval_candidates cost arch g =
-  let dag = Dag.of_graph cost g in
-  let seq = linearize dag in
-  let k_max = min (Archi.nprocs arch) (Array.length seq) in
-  (dag, seq, interval_partitions arch dag seq k_max)
+(* Schedule the chain partition, with pipelining metadata from the
+   resulting schedule's actual per-processor loads. *)
+let interval_schedule p cuts =
+  match Hashtbl.find_opt p.intervals cuts with
+  | Some sched -> sched
+  | None ->
+      let seq, _ = Lazy.force p.chain in
+      let bounds = interval_bounds cuts in
+      let sched =
+        schedule_placement p.scratch (interval_placement p.dag seq cuts)
+      in
+      let proc_load = Array.make (Archi.nprocs p.arch) 0.0 in
+      List.iter
+        (fun (op : Schedule.op_slot) ->
+          proc_load.(op.Schedule.proc) <-
+            proc_load.(op.Schedule.proc)
+            +. (op.Schedule.finish -. op.Schedule.start))
+        sched.Schedule.ops;
+      let stages =
+        List.mapi
+          (fun stage (a, b) ->
+            {
+              Schedule.stage_proc = stage;
+              stage_nodes = Array.to_list (Array.sub seq a (b - a));
+              stage_load = proc_load.(stage);
+            })
+          bounds
+      in
+      let sched =
+        {
+          sched with
+          Schedule.pipeline =
+            Some
+              {
+                Schedule.frames_in_flight = List.length bounds;
+                predicted_period = Schedule.resource_period sched;
+                stages;
+              };
+        }
+      in
+      Hashtbl.replace p.intervals cuts sched;
+      sched
+
+type t = {
+  name : string;
+  describe : string;
+  map : problem -> Schedule.t;
+  frontier : (problem -> point list) option;
+}
+
+let frontier m p =
+  match m.frontier with
+  | Some f -> f p
+  | None -> [ point (m.map p) m.name ]
 
 (* ------------------------------------------------------------------ *)
 (* Built-in strategies                                                 *)
@@ -213,7 +253,7 @@ let heft =
   {
     name = "heft";
     describe = "HEFT list scheduling: minimise one-iteration latency";
-    map = Heft.map;
+    map = (fun p -> Lazy.force p.heft);
     frontier = None;
   }
 
@@ -222,7 +262,8 @@ let canonical =
     name = "canonical";
     describe = "paper Fig. 1 layout: control on P0, workers spread";
     map =
-      (fun cost arch g -> Place.of_placement cost arch g (Place.canonical g arch));
+      (fun p ->
+        schedule_placement p.scratch (Place.canonical p.dag.Dag.graph p.arch));
     frontier = None;
   }
 
@@ -231,13 +272,13 @@ let roundrobin =
     name = "roundrobin";
     describe = "node i on processor i mod P";
     map =
-      (fun cost arch g ->
-        Place.of_placement cost arch g (Place.round_robin g arch));
+      (fun p ->
+        schedule_placement p.scratch (Place.round_robin p.dag.Dag.graph p.arch));
     frontier = None;
   }
 
-let throughput_map cost arch g =
-  let dag, seq, candidates = interval_candidates cost arch g in
+let throughput_map p =
+  let _, candidates = Lazy.force p.chain in
   (* smallest predicted bottleneck; ties towards fewer stages (equal
      throughput at lower latency and fewer processors) *)
   let _, cuts =
@@ -245,7 +286,7 @@ let throughput_map cost arch g =
       (fun (bb, bc) (b, c) -> if b < bb then (b, c) else (bb, bc))
       (List.hd candidates) (List.tl candidates)
   in
-  interval_schedule arch dag seq cuts
+  interval_schedule p cuts
 
 let throughput =
   {
@@ -303,12 +344,12 @@ type candidate = {
    first bounded ([Place.bounds]): when a point already scored is strictly
    better than both bounds, it is strictly better than the candidate's
    score too, so the candidate is not on the frontier and is skipped.
-   Otherwise it is list-scheduled into one scratch and scored there; no
-   candidate schedule is built. *)
-let bicriteria_candidates cost arch g =
-  let dag, seq, partitions = interval_candidates cost arch g in
-  let heft = Heft.map_dag arch dag in
-  let sc = Place.scratch arch dag and bs = Place.bounds_scratch arch dag in
+   Otherwise it is list-scheduled into the problem's scratch and scored
+   there; no candidate schedule is built. *)
+let bicriteria_candidates p =
+  let seq, partitions = Lazy.force p.chain in
+  let heft = Lazy.force p.heft in
+  let sc = Lazy.force p.scratch and bs = Place.bounds_scratch p.arch p.dag in
   let ranked =
     List.mapi (fun i (bottleneck, cuts) -> (bottleneck, i + 1, cuts)) partitions
     |> List.stable_sort (fun (a, _, _) (b, _, _) -> Float.compare a b)
@@ -316,7 +357,7 @@ let bicriteria_candidates cost arch g =
   let scored =
     List.fold_left
       (fun scored (_, k, cuts) ->
-        let placement = interval_placement dag seq cuts in
+        let placement = interval_placement p.dag seq cuts in
         let l, q = Place.bounds bs placement in
         if List.exists (fun c -> dominates c.latency c.period l q) scored then
           scored
@@ -326,7 +367,7 @@ let bicriteria_candidates cost arch g =
           { label = Printf.sprintf "interval-k%d" k;
             latency;
             period;
-            schedule = (fun () -> interval_schedule arch dag seq cuts) }
+            schedule = (fun () -> interval_schedule p cuts) }
           :: scored
         end)
       [ { label = "heft"; latency = heft.Schedule.makespan;
@@ -335,15 +376,13 @@ let bicriteria_candidates cost arch g =
   in
   pareto_by (fun c -> (c.latency, c.period, c.label)) scored
 
-let bicriteria_frontier cost arch g =
-  List.map
-    (fun c -> point (c.schedule ()) c.label)
-    (bicriteria_candidates cost arch g)
+let bicriteria_frontier p =
+  List.map (fun c -> point (c.schedule ()) c.label) (bicriteria_candidates p)
 
-let bicriteria_map cost arch g =
+let bicriteria_map p =
   (* knee of the frontier: minimal latency x period product, ties towards
      lower latency then label order; only the knee is built *)
-  match bicriteria_candidates cost arch g with
+  match bicriteria_candidates p with
   | [] -> assert false
   | c :: cs ->
       let key c = (c.latency *. c.period, c.latency, c.label) in

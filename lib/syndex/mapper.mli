@@ -34,11 +34,37 @@ type point = {
   point_period : float;  (** predicted steady-state period *)
 }
 
+(** {1 The mapping problem} *)
+
+type problem
+(** One process graph under one cost model on one architecture, and what
+    the strategies build from it, shared by every strategy that maps it:
+    - the scheduling DAG, built by {!problem};
+    - built on first use and kept: one {!Place.scratch} that every schedule
+      is list-scheduled and built in, the HEFT schedule (["heft"], and
+      bicriteria's HEFT point), the stage chain ({!linearize}) with its
+      {!interval_partitions} table (["throughput"] and ["bicriteria"]),
+      and each interval schedule, by cut list.
+
+    A strategy maps a problem to the same schedule, bit for bit, whether
+    the problem is fresh or other strategies mapped it before, in any
+    order; a schedule kept in the problem is returned again, physically.
+    A problem lives as long as its holder keeps it ([Pipeline] keeps one
+    per compiled value and architecture). It is mutable and belongs to
+    one domain, like a {!Place.scratch}. *)
+
+val problem : Cost.t -> Archi.t -> Procnet.Graph.t -> problem
+(** [problem cost arch g] builds the scheduling DAG of [g] under [cost]
+    for [arch] ({!Dag.of_graph}, which raises on a cyclic DAG); nothing
+    else is built until a strategy needs it. *)
+
+(** {1 Strategies} *)
+
 type t = {
   name : string;
   describe : string;
-  map : Cost.t -> Archi.t -> Procnet.Graph.t -> Schedule.t;
-  frontier : (Cost.t -> Archi.t -> Procnet.Graph.t -> point list) option;
+  map : problem -> Schedule.t;
+  frontier : (problem -> point list) option;
 }
 
 val find : string -> t option
@@ -48,7 +74,7 @@ val names : unit -> string list
 val registered : unit -> t list
 (** Every strategy, in the order listed above. *)
 
-val frontier : t -> Cost.t -> Archi.t -> Procnet.Graph.t -> point list
+val frontier : t -> problem -> point list
 (** The strategy's trade-off frontier; strategies without a [frontier]
     entry point return the singleton of their [map] schedule. *)
 

@@ -25,8 +25,8 @@ val of_placement : Cost.t -> Archi.t -> Procnet.Graph.t -> int array -> Schedule
 val of_placement_dag : Archi.t -> Dag.t -> int array -> Schedule.t
 (** [of_placement_dag arch dag] is [of_placement cost arch dag.graph]
     for a [dag] built by [Dag.of_graph cost]: the mappers that already hold
-    the DAG do not derive it again. It is {!scratch}, {!run}, then the
-    schedule built from the scratch. *)
+    the DAG do not derive it again. It is {!scratch}, {!run}, then
+    {!schedule}. *)
 
 (** {1 Scoring without building}
 
@@ -50,6 +50,11 @@ val score : scratch -> float * float
 (** The [(makespan, Schedule.resource_period)] of the schedule
     {!of_placement_dag} would build for the last {!run}'s placement, bit
     for bit. *)
+
+val schedule : scratch -> int array -> Schedule.t
+(** [schedule sc placement] builds the schedule of the last {!run}, which
+    must have been [run sc placement]: it is {!of_placement_dag}'s result
+    for that placement. *)
 
 (** {1 Bounding without scheduling}
 

@@ -356,6 +356,24 @@ let test_fault_stalls_pipeline () =
         (List.length r.Executive.outputs)
   | Executive.Completed -> Alcotest.fail "expected a stall")
 
+(* The macro listing's digit writer against [string_of_int]: every
+   non-negative int, with the digit-count edges and [max_int] always in,
+   each appended after text already in the buffer. *)
+let prop_digit_writer =
+  let edges = [ 0; 9; 10; 99; 100; 999; 1000; max_int ] in
+  QCheck.Test.make ~name:"digit writer is string_of_int" ~count:500
+    QCheck.(
+      oneof
+        [ oneofl edges; int_bound 1_000_000; map (fun n -> n land max_int) int ])
+    (fun n ->
+      List.for_all
+        (fun n ->
+          let buf = Buffer.create 4 in
+          Buffer.add_string buf "P";
+          Executive.Macro.add_int buf n;
+          Buffer.contents buf = "P" ^ string_of_int n)
+        (n :: edges))
+
 let test_fault_on_idle_processor_harmless () =
   (* Halting a processor that hosts nothing must not change the result. *)
   let table = base_table () in
@@ -403,5 +421,6 @@ let () =
         [
           Alcotest.test_case "content" `Quick test_macro_code_content;
           Alcotest.test_case "channel table" `Quick test_channel_table;
+          QCheck_alcotest.to_alcotest prop_digit_writer;
         ] );
     ]

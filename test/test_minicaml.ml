@@ -628,6 +628,45 @@ let test_repl_skeletons_match_sem () =
         (Minicaml.Repl.eval_input session src).Minicaml.Repl.message)
     cases
 
+(* A df_own with fewer partition states than workers, or no worker, is a
+   runtime error naming the builtin: the REPL reports it and keeps
+   answering, and a compile fails with a located [Compile_error]. *)
+let test_df_own_state_count () =
+  let own n states =
+    Printf.sprintf
+      "df_own (%d) (fun (s, x) -> (s + x, s * x)) (fun a b -> a + b) (%s, 1) \
+       [3; 4; 5]"
+      n states
+  in
+  let reported what m =
+    Alcotest.(check bool) (what ^ ": " ^ m) true
+      (Astring.String.is_infix ~affix:"Runtime error: df_own" m)
+  in
+  (match
+     repl_session
+       [ "let c = " ^ own 3 "[0]"; "1 + 1"; own 0 "[0]"; own (-2) "[]"; "2 + 2";
+         own 2 "[0; 10]" ]
+   with
+  | [ (false, m1); (true, a1); (false, m2); (false, m3); (true, a2); (true, ok) ] ->
+      reported "3 workers, 1 state" m1;
+      Alcotest.(check bool) "names n and the state count" true
+        (Astring.String.is_infix ~affix:"n = 3 workers with 1 partition states" m1);
+      reported "no worker" m2;
+      reported "negative n" m3;
+      Alcotest.(check string) "still answering" "- : int = 2" a1;
+      Alcotest.(check string) "still answering after n <= 0" "- : int = 4" a2;
+      Alcotest.(check string) "enough states" "- : int = 56" ok
+  | outcomes ->
+      Alcotest.failf "unexpected outcomes: %s"
+        (String.concat " | " (List.map snd outcomes)));
+  match
+    Skipper_lib.Pipeline.compile_source ~table:(Skel.Funtable.create ())
+      ("let c = " ^ own 3 "[0]" ^ "\nlet main = fun x -> x + c\n")
+  with
+  | _ -> Alcotest.fail "compiled a df_own short of states"
+  | exception Skipper_lib.Pipeline.Compile_error m ->
+      Alcotest.(check bool) m true (Astring.String.is_infix ~affix:"df_own" m)
+
 let test_repl_parse_error_message () =
   match repl_session [ "let = 3" ] with
   | [ (false, m) ] ->
@@ -730,6 +769,7 @@ let () =
           Alcotest.test_case "externals and skeletons" `Quick test_repl_external_and_skeletons;
           Alcotest.test_case "skeletons match Sem" `Quick test_repl_skeletons_match_sem;
           Alcotest.test_case "parse error message" `Quick test_repl_parse_error_message;
+          Alcotest.test_case "df_own state count" `Quick test_df_own_state_count;
           Alcotest.test_case "channel loop" `Quick test_repl_channel_loop;
         ] );
       ( "extraction",

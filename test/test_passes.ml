@@ -51,6 +51,21 @@ let test_reports_cover_frontend () =
       Alcotest.(check bool) "sized" true (r.Stage.size > 0))
     reports
 
+(* A macro listing is sized in lines, as many as [String.split_on_char]
+   makes pieces: on any bytes, with newlines and near-newline bytes
+   ([0x0B], [0x8A], [0xF5]) common, at every length mod 8. *)
+let prop_macro_lines =
+  let byte =
+    QCheck.Gen.(oneof [ oneofl [ '\n'; '\011'; '\138'; '\245'; 'a' ]; char ])
+  in
+  QCheck.Test.make ~name:"macro size counts the lines split_on_char makes"
+    ~count:500
+    QCheck.(
+      make ~print:String.escaped Gen.(string_size ~gen:byte (int_bound 70)))
+    (fun text ->
+      Stage.size (Stage.Macro text)
+      = (List.length (String.split_on_char '\n' text), "lines"))
+
 let test_reports_accumulate_across_calls () =
   let c = P.compile_source ~table:(simple_table ()) simple_src in
   let arch = Archi.ring 4 in
@@ -763,6 +778,7 @@ let () =
           Alcotest.test_case "accumulate across calls" `Quick
             test_reports_accumulate_across_calls;
           Alcotest.test_case "bounded" `Quick test_reports_bounded;
+          QCheck_alcotest.to_alcotest prop_macro_lines;
           Alcotest.test_case "timings render" `Quick test_timings_render;
         ] );
       ( "cache",

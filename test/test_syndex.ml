@@ -239,7 +239,7 @@ let prop_all_mappers_valid =
       List.for_all
         (fun (m : Syndex.Mapper.t) ->
           mapper_schedule_ok ~name:m.Syndex.Mapper.name cost g
-            (m.Syndex.Mapper.map cost arch g))
+            (m.Syndex.Mapper.map (Syndex.Mapper.problem cost arch g)))
         (Syndex.Mapper.registered ()))
 
 let test_registry_names () =
@@ -259,7 +259,7 @@ let test_frontier_points_undominated () =
   let arch = Archi.ring 6 in
   List.iter
     (fun (m : Syndex.Mapper.t) ->
-      let pts = Syndex.Mapper.frontier m cost arch g in
+      let pts = Syndex.Mapper.frontier m (Syndex.Mapper.problem cost arch g) in
       Alcotest.(check bool)
         (m.Syndex.Mapper.name ^ ": frontier nonempty")
         true (pts <> []);
@@ -317,8 +317,8 @@ let test_throughput_period_beats_heft_prediction () =
   let arch = Archi.ring 8 in
   let heft = Syndex.Heft.map model arch g in
   let tp =
-    (Option.get (Syndex.Mapper.find "throughput")).Syndex.Mapper.map model
-      arch g
+    (Option.get (Syndex.Mapper.find "throughput")).Syndex.Mapper.map
+      (Syndex.Mapper.problem model arch g)
   in
   Alcotest.(check bool) "pipelining metadata attached" true
     (Option.is_some tp.Syndex.Schedule.pipeline);
@@ -973,7 +973,9 @@ let prop_schedules_match_oracle =
       check_same_schedule "heft" (Syndex.Heft.map model arch g)
         (oracle_of_placement model arch g (oracle_heft_placement model arch g));
       let bicriteria = Option.get (Syndex.Mapper.find "bicriteria") in
-      let frontier = Syndex.Mapper.frontier bicriteria model arch g in
+      let frontier =
+        Syndex.Mapper.frontier bicriteria (Syndex.Mapper.problem model arch g)
+      in
       let want_frontier, want_knee = oracle_bicriteria model arch g in
       let labels pts = List.map (fun (q : Syndex.Mapper.point) -> q.Syndex.Mapper.point_label) pts in
       if labels frontier <> labels want_frontier then
@@ -988,7 +990,9 @@ let prop_schedules_match_oracle =
       if json frontier <> json want_frontier then
         QCheck.Test.fail_reportf "frontier_json %s, oracle %s" (json frontier)
           (json want_frontier);
-      check_same_schedule "knee" (bicriteria.Syndex.Mapper.map model arch g) want_knee;
+      check_same_schedule "knee"
+        (bicriteria.Syndex.Mapper.map (Syndex.Mapper.problem model arch g))
+        want_knee;
       true)
 
 (* Both bounds at or below the score, for every placement the mappers
@@ -1016,6 +1020,101 @@ let prop_bounds_below_score =
         (placements @ interval_candidate_placements arch dag g);
       true)
 
+(* -- one mapping problem per compiled value -- *)
+
+(* A heterogeneous ring with one bidirectional chord: every third
+   processor twice as fast, the chord slower to start and narrower. *)
+let chorded_ring w =
+  let procs =
+    Array.init w (fun i ->
+        { Archi.id = i; pname = Printf.sprintf "P%d" i;
+          cycle_time = (if i mod 3 = 0 then 2.5e-8 else 5e-8) })
+  in
+  let ring =
+    List.concat
+      (List.init w (fun i ->
+           let j = (i + 1) mod w in
+           [ (i, j, 1e7, 1e-6); (j, i, 1e7, 1e-6) ]))
+  in
+  Archi.custom ~name:(Printf.sprintf "chorded-ring-%d" w) procs
+    ((0, w / 2, 4e6, 3e-6) :: (w / 2, 0, 4e6, 3e-6) :: ring)
+
+(* [Pipeline.map] maps every strategy of one compiled value on one shared
+   [Mapper.problem]: in forward, reverse and a shuffled order, each
+   schedule and its macro-code must equal what the strategy makes of a
+   fresh problem, on six machines at two widths. *)
+let test_shared_problem_matches_fresh () =
+  let module P = Skipper_lib.Pipeline in
+  let names = Syndex.Mapper.names () in
+  let shuffled =
+    let rng = Random.State.make [| 2024 |] in
+    List.map (fun n -> (Random.State.bits rng, n)) names
+    |> List.sort compare |> List.map snd
+  in
+  List.iter
+    (fun (w, rows, cols) ->
+      let config = Tracking.Funcs.with_nproc w Tracking.Funcs.default_config in
+      let compile () =
+        P.compile_source ~frames:3 ~table:(Tracking.Funcs.table config)
+          (Tracking.Funcs.source config)
+      in
+      List.iter
+        (fun arch ->
+          List.iter
+            (fun (what, order) ->
+              let c = compile () in
+              List.iter
+                (fun strategy ->
+                  let m = Option.get (Syndex.Mapper.find strategy) in
+                  let got = P.map ~strategy c arch in
+                  let want =
+                    m.Syndex.Mapper.map
+                      (Syndex.Mapper.problem (Syndex.Cost.make ()) arch c.P.graph)
+                  in
+                  let label =
+                    Printf.sprintf "%s W=%d %s order, %s" (Archi.name arch) w
+                      what strategy
+                  in
+                  Alcotest.(check bool) (label ^ ": schedule") true (got = want);
+                  Alcotest.(check string) (label ^ ": macro-code")
+                    (Executive.Macro.emit c.P.graph ~placement:want.S.placement
+                       ~arch)
+                    (P.macro_code c got))
+                order)
+            [ ("forward", names); ("reverse", List.rev names);
+              ("shuffled", shuffled) ])
+        [ Archi.ring w; Archi.grid rows cols; Archi.star w; Archi.chain w;
+          Archi.fully_connected w; chorded_ring w ])
+    [ (8, 2, 4); (32, 4, 8) ]
+
+(* Two compiles of one cached source share their front-end artifacts but
+   no mapping work: each builds its own problem, while one compile's
+   repeated maps return the schedule its problem keeps. *)
+let test_problem_per_compile () =
+  let module P = Skipper_lib.Pipeline in
+  let config = Tracking.Funcs.with_nproc 8 Tracking.Funcs.default_config in
+  let cache = Skipper_lib.Passes.create_cache () in
+  let compile () =
+    P.compile_source ~frames:3 ~cache ~table:(Tracking.Funcs.table config)
+      (Tracking.Funcs.source config)
+  in
+  let c1 = compile () in
+  let arch = Archi.ring 8 in
+  let h1 = P.map ~strategy:"heft" c1 arch in
+  let c2 = compile () in
+  Alcotest.(check int) "a compile starts with no problem" 0
+    (List.length c2.P.problems);
+  let h2 = P.map ~strategy:"heft" c2 arch in
+  Alcotest.(check bool) "same HEFT schedule" true (h1 = h2);
+  Alcotest.(check bool) "built by each compile" true (h1 != h2);
+  Alcotest.(check bool) "kept within a compile" true
+    (P.map ~strategy:"heft" c1 arch == h1);
+  Alcotest.(check int) "one problem per compile and machine" 1
+    (List.length c1.P.problems);
+  ignore (P.map ~strategy:"heft" c1 (Archi.ring 8));
+  Alcotest.(check int) "another machine value, another problem" 2
+    (List.length c1.P.problems)
+
 (* -- mapping golden pin -- *)
 
 (* The length and MD5 of every strategy's frontier JSON and macro-code for
@@ -1042,7 +1141,8 @@ let test_mapping_golden_pin () =
               (fun strategy ->
                 let m = Option.get (Syndex.Mapper.find strategy) in
                 let pts =
-                  Syndex.Mapper.frontier m (Syndex.Cost.make ()) arch c.P.graph
+                  Syndex.Mapper.frontier m
+                    (Syndex.Mapper.problem (Syndex.Cost.make ()) arch c.P.graph)
                 in
                 let fj = Syndex.Mapper.frontier_json ~strategy ~arch pts in
                 let mc = P.macro_code c (P.map ~strategy c arch) in
@@ -1207,6 +1307,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_schedules_match_oracle;
           QCheck_alcotest.to_alcotest prop_bounds_below_score;
           Alcotest.test_case "mapping golden pin" `Quick test_mapping_golden_pin;
+          Alcotest.test_case "shared problem matches fresh" `Quick
+            test_shared_problem_matches_fresh;
+          Alcotest.test_case "one problem per compile" `Quick
+            test_problem_per_compile;
         ] );
       ( "placements",
         [
