@@ -656,12 +656,7 @@ let emulate_cmd =
 (* The frontier artifact: every candidate schedule the strategy considered,
    as (label, latency, period, frames-in-flight, placement) points. *)
 let render_frontier ~strategy ~arch c =
-  let mapper = Option.get (Syndex.Mapper.find strategy) in
-  let cost = Syndex.Cost.make () in
-  let points =
-    Syndex.Mapper.frontier mapper
-      (Syndex.Mapper.problem cost arch c.Skipper_lib.Pipeline.graph)
-  in
+  let points = Skipper_lib.Pipeline.frontier ~strategy c arch in
   (Syndex.Mapper.frontier_json ~strategy ~arch points ^ "\n", List.length points)
 
 let frontier_file ~strategy ~arch c path =

@@ -40,16 +40,6 @@ let comp buf fn suffix =
   Buffer.add_char buf ')';
   close_line buf
 
-(* [comp_(fn, nparts=<n>)] *)
-let comp_nparts buf fn n =
-  open_line buf;
-  Buffer.add_string buf "comp_(";
-  Buffer.add_string buf fn;
-  Buffer.add_string buf ", nparts=";
-  add_int buf n;
-  Buffer.add_char buf ')';
-  close_line buf
-
 let port i = "p" ^ string_of_int i
 
 (* One kernel-primitive line per communication or computation, mirroring the
@@ -87,7 +77,7 @@ let add_ops buf g (node : G.node) =
       sends "out"
   | G.ScmSplit { fn; nparts } ->
       recvs "in";
-      comp_nparts buf fn nparts;
+      comp buf fn (", nparts=" ^ string_of_int nparts);
       for i = 0 to nparts - 1 do
         sends (port i)
       done

@@ -80,11 +80,19 @@ val map :
 
     Every strategy maps the compiled value's one {!Syndex.Mapper.problem}
     for [arch] (the same value) and the cost model, so the strategies of
-    one variant share its DAG, scratch, HEFT schedule, interval table and
-    interval schedules; the schedules are those of a fresh problem per
-    call, bit for bit. A problem lives as long as the compiled value, so
-    a caller mapping one compiled value many times passes one [arch]
-    value, not a new one per call. *)
+    one variant share its DAG, scratch, HEFT schedule and interval table;
+    the schedules are those of a fresh problem per call, bit for bit. A
+    problem lives as long as the compiled value, so a caller mapping one
+    compiled value many times passes one [arch] value, not a new one per
+    call. *)
+
+val frontier :
+  ?strategy:strategy -> ?cost:Syndex.Cost.t -> compiled -> Archi.t ->
+  Syndex.Mapper.point list
+(** The strategy's latency/period frontier ({!Syndex.Mapper.frontier}) on
+    the problem {!map} maps for [arch] and the cost model, so a frontier
+    taken after a map builds again only what its points need. It runs no
+    stage and adds no report. *)
 
 val execute :
   ?trace:bool ->

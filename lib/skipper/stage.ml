@@ -25,28 +25,11 @@ let rec ir_nodes = function
   | Skel.Ir.Pipe ts -> 1 + List.fold_left (fun acc t -> acc + ir_nodes t) 0 ts
   | Skel.Ir.Itermem { loop; _ } -> 1 + ir_nodes loop
 
-(* As many as [String.split_on_char '\n'] would return, without the
-   strings. Eight bytes at a time: [x], the word xor 0x0A.., has a zero
-   byte exactly where the word holds a newline. [(x land 0x7F..) +
-   0x7F..] sets a byte's high bit when its low seven bits are not all
-   zero (no carry leaves the byte), [lor x] when its own high bit is set,
-   so the high bits left clear mark the newlines, and one multiply sums
-   them into the top byte. *)
+(* as many as [String.split_on_char '\n'] would return, without the strings *)
 let lines s =
-  let len = String.length s in
-  let n = ref 1 and i = ref 0 in
-  while !i + 8 <= len do
-    let open Int64 in
-    let x = logxor (String.get_int64_le s !i) 0x0A0A0A0A0A0A0A0AL in
-    let lo = 0x7F7F7F7F7F7F7F7FL in
-    let nonzero = logor (add (logand x lo) lo) x in
-    let newline = logand (lognot nonzero) 0x8080808080808080L in
-    let ones = shift_right_logical newline 7 in
-    n := !n + to_int (shift_right_logical (mul ones 0x0101010101010101L) 56);
-    i := !i + 8
-  done;
-  for j = !i to len - 1 do
-    if String.unsafe_get s j = '\n' then incr n
+  let n = ref 1 in
+  for i = 0 to String.length s - 1 do
+    if String.unsafe_get s i = '\n' then incr n
   done;
   !n
 

@@ -143,7 +143,7 @@ let placement arch (dag : Dag.t) =
       for p = 0 to nprocs - 1 do
         consider p
       done;
-    if !best_p < 0 then failwith "Heft.map: no reachable processor";
+    if !best_p < 0 then failwith "Heft.placement: no reachable processor";
     let p = !best_p in
     op_proc.(i) <- p;
     op_finish.(i) <- !best_f;
@@ -173,7 +173,7 @@ let placement arch (dag : Dag.t) =
     List.iter (fun j -> Queue.add j ready)
       (List.sort (fun a b -> compare rank_pos.(a) rank_pos.(b)) fresh)
   done;
-  if !scheduled < nops then failwith "Heft.map: cyclic scheduling graph";
+  if !scheduled < nops then failwith "Heft.placement: cyclic scheduling graph";
   (* Derive the per-node placement (colocated halves agree by construction);
      the final timing comes from the shared prediction engine, so HEFT and
      fixed placements produce comparable schedules (including static link
@@ -187,6 +187,3 @@ let placement arch (dag : Dag.t) =
     dag.Dag.ops_of_node;
   placement
 
-let map cost arch g =
-  let dag = Dag.of_graph cost g in
-  Place.of_placement_dag arch dag (placement arch dag)

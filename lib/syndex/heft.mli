@@ -11,18 +11,12 @@
     Predicted times are estimates over the {!Cost} model; actual latencies
     come from executing the mapped executive on the machine simulator. *)
 
-val map : Cost.t -> Archi.t -> Procnet.Graph.t -> Schedule.t
-(** Raises [Failure] when the graph's scheduling DAG is cyclic. The
-    ["heft"] strategy maps through {!placement} instead, in its problem's
-    scratch ({!Mapper.problem}).
-    Test oracle: [test_syndex]'s "heft" group and its "static schedules
-    and the bicriteria frontier match the oracle" qcheck map through it. *)
-
 val placement : Archi.t -> Dag.t -> int array
-(** [placement arch dag] is the placement {!map} schedules, for a [dag]
-    built by [Dag.of_graph cost]: [map cost arch g] is
-    [Place.of_placement_dag arch dag (placement arch dag)]. A mapper that
-    already holds the DAG and a {!Place.scratch} schedules it there. *)
+(** [placement arch dag] is the HEFT placement of the scheduling DAG
+    [dag] (built by [Dag.of_graph cost]) on [arch], one processor per
+    process-network node. The ["heft"] strategy schedules it in its
+    problem's scratch ({!Mapper.problem}). Raises [Failure] when the DAG
+    is cyclic. *)
 
 val mean_link_costs : Archi.t -> float * float
 (** Mean link startup (seconds) and bandwidth (bytes/s) over all links;

@@ -157,16 +157,14 @@ let interval_placement (dag : Dag.t) seq cuts =
 
 (* One graph, cost model and architecture, and what the strategies build
    from them, each on first use: the list-scheduling scratch every
-   schedule is built in, the HEFT schedule, the stage chain with its
-   interval table (bottleneck and cuts per k = 1..k_max) and the interval
-   schedules by cut list. *)
+   schedule is built in, the HEFT schedule, and the stage chain with its
+   interval table (bottleneck and cuts per k = 1..k_max). *)
 type problem = {
   arch : Archi.t;
   dag : Dag.t;
   scratch : Place.scratch Lazy.t;
   heft : Schedule.t Lazy.t;
   chain : (int array * (float * int list) list) Lazy.t;
-  intervals : (int list, Schedule.t) Hashtbl.t;
 }
 
 (* The schedule of [placement], built in the problem's scratch *)
@@ -188,51 +186,41 @@ let problem cost arch g =
         (let seq = linearize dag in
          let k_max = min (Archi.nprocs arch) (Array.length seq) in
          (seq, interval_partitions arch dag seq k_max));
-    intervals = Hashtbl.create 4;
   }
 
 (* Schedule the chain partition, with pipelining metadata from the
    resulting schedule's actual per-processor loads. *)
 let interval_schedule p cuts =
-  match Hashtbl.find_opt p.intervals cuts with
-  | Some sched -> sched
-  | None ->
-      let seq, _ = Lazy.force p.chain in
-      let bounds = interval_bounds cuts in
-      let sched =
-        schedule_placement p.scratch (interval_placement p.dag seq cuts)
-      in
-      let proc_load = Array.make (Archi.nprocs p.arch) 0.0 in
-      List.iter
-        (fun (op : Schedule.op_slot) ->
-          proc_load.(op.Schedule.proc) <-
-            proc_load.(op.Schedule.proc)
-            +. (op.Schedule.finish -. op.Schedule.start))
-        sched.Schedule.ops;
-      let stages =
-        List.mapi
-          (fun stage (a, b) ->
-            {
-              Schedule.stage_proc = stage;
-              stage_nodes = Array.to_list (Array.sub seq a (b - a));
-              stage_load = proc_load.(stage);
-            })
-          bounds
-      in
-      let sched =
+  let seq, _ = Lazy.force p.chain in
+  let bounds = interval_bounds cuts in
+  let sched = schedule_placement p.scratch (interval_placement p.dag seq cuts) in
+  let proc_load = Array.make (Archi.nprocs p.arch) 0.0 in
+  List.iter
+    (fun (op : Schedule.op_slot) ->
+      proc_load.(op.Schedule.proc) <-
+        proc_load.(op.Schedule.proc)
+        +. (op.Schedule.finish -. op.Schedule.start))
+    sched.Schedule.ops;
+  let stages =
+    List.mapi
+      (fun stage (a, b) ->
         {
-          sched with
-          Schedule.pipeline =
-            Some
-              {
-                Schedule.frames_in_flight = List.length bounds;
-                predicted_period = Schedule.resource_period sched;
-                stages;
-              };
-        }
-      in
-      Hashtbl.replace p.intervals cuts sched;
-      sched
+          Schedule.stage_proc = stage;
+          stage_nodes = Array.to_list (Array.sub seq a (b - a));
+          stage_load = proc_load.(stage);
+        })
+      bounds
+  in
+  {
+    sched with
+    Schedule.pipeline =
+      Some
+        {
+          Schedule.frames_in_flight = List.length bounds;
+          predicted_period = Schedule.resource_period sched;
+          stages;
+        };
+  }
 
 type t = {
   name : string;

@@ -42,13 +42,14 @@ type problem
     - the scheduling DAG, built by {!problem};
     - built on first use and kept: one {!Place.scratch} that every schedule
       is list-scheduled and built in, the HEFT schedule (["heft"], and
-      bicriteria's HEFT point), the stage chain ({!linearize}) with its
-      {!interval_partitions} table (["throughput"] and ["bicriteria"]),
-      and each interval schedule, by cut list.
+      bicriteria's HEFT point), and the stage chain ({!linearize}) with its
+      {!interval_partitions} table (["throughput"] and ["bicriteria"]).
 
     A strategy maps a problem to the same schedule, bit for bit, whether
     the problem is fresh or other strategies mapped it before, in any
-    order; a schedule kept in the problem is returned again, physically.
+    order; the kept HEFT schedule is returned again, physically. Interval
+    schedules are built per call: on ring 32, the width perfbench maps,
+    bicriteria's knee and throughput's pick have different cuts.
     A problem lives as long as its holder keeps it ([Pipeline] keeps one
     per compiled value and architecture). It is mutable and belongs to
     one domain, like a {!Place.scratch}. *)

@@ -251,7 +251,7 @@ let sort_transfers sc =
   if !src != sc.sorted then Array.blit !src 0 sc.sorted 0 n;
   n
 
-(* [Schedule.resource_period] of the schedule [of_placement_dag] would
+(* [Schedule.resource_period] of the schedule [of_placement] would
    build, without building it. That sums each processor's op lengths in
    start order, ties by node: [run] summed them in scheduling order, which
    differs only among ops that start together, and there every op but the
@@ -558,11 +558,8 @@ let schedule sc placement =
     pipeline = None;
   }
 
-let of_placement_dag arch dag placement =
-  let sc = scratch arch dag in
-  run sc placement;
-  schedule sc placement
-
 let of_placement cost arch g placement =
   check_placement arch g placement;
-  of_placement_dag arch (Dag.of_graph cost g) placement
+  let sc = scratch arch (Dag.of_graph cost g) in
+  run sc placement;
+  schedule sc placement

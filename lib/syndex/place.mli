@@ -22,12 +22,6 @@ val of_placement : Cost.t -> Archi.t -> Procnet.Graph.t -> int array -> Schedule
     makespan. Raises [Invalid_argument] when the placement array has the
     wrong length or names a missing processor. *)
 
-val of_placement_dag : Archi.t -> Dag.t -> int array -> Schedule.t
-(** [of_placement_dag arch dag] is [of_placement cost arch dag.graph]
-    for a [dag] built by [Dag.of_graph cost]: the mappers that already hold
-    the DAG do not derive it again. It is {!scratch}, {!run}, then
-    {!schedule}. *)
-
 (** {1 Scoring without building}
 
     A mapper that weighs many placements of one DAG needs only two numbers
@@ -43,18 +37,18 @@ val scratch : Archi.t -> Dag.t -> scratch
 
 val run : scratch -> int array -> unit
 (** [run sc placement] list-schedules the scratch's DAG on the fixed
-    placement, as {!of_placement_dag} does, overwriting what an earlier
+    placement, as {!of_placement} does, overwriting what an earlier
     [run] left. Raises like {!of_placement}. *)
 
 val score : scratch -> float * float
 (** The [(makespan, Schedule.resource_period)] of the schedule
-    {!of_placement_dag} would build for the last {!run}'s placement, bit
-    for bit. *)
+    {!of_placement} would build for the last {!run}'s placement, bit for
+    bit. *)
 
 val schedule : scratch -> int array -> Schedule.t
 (** [schedule sc placement] builds the schedule of the last {!run}, which
-    must have been [run sc placement]: it is {!of_placement_dag}'s result
-    for that placement. *)
+    must have been [run sc placement]: it is {!of_placement}'s result for
+    that placement. *)
 
 (** {1 Bounding without scheduling}
 

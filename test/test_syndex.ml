@@ -22,6 +22,11 @@ let tracking_like_graph ?(nworkers = 4) () =
 
 let cost = Syndex.Cost.make ()
 
+(* The "heft" strategy on a fresh problem *)
+let heft_map cost arch g =
+  (Option.get (Syndex.Mapper.find "heft")).Syndex.Mapper.map
+    (Syndex.Mapper.problem cost arch g)
+
 let test_dag_splits_masters_and_mem () =
   let g = tracking_like_graph () in
   let dag = Syndex.Dag.of_graph cost g in
@@ -54,7 +59,7 @@ let test_heft_schedule_validates () =
   let g = tracking_like_graph () in
   List.iter
     (fun arch ->
-      let s = Syndex.Heft.map cost arch g in
+      let s = heft_map cost arch g in
       (match Syndex.Schedule.validate s with
       | Ok () -> ()
       | Error m -> Alcotest.failf "invalid schedule on %s: %s" (Archi.name arch) m);
@@ -67,7 +72,7 @@ let test_heft_schedule_validates () =
 
 let test_heft_colocation_respected () =
   let g = tracking_like_graph () in
-  let s = Syndex.Heft.map cost (Archi.ring 6) g in
+  let s = heft_map cost (Archi.ring 6) g in
   (* all ops of a node share its placed processor (validate checks this,
      but assert directly for masters). *)
   List.iter
@@ -124,7 +129,7 @@ let test_of_placement_rejects_bad_input () =
 
 let test_single_processor_has_no_comms () =
   let g = tracking_like_graph () in
-  let s = Syndex.Heft.map cost (Archi.ring 1) g in
+  let s = heft_map cost (Archi.ring 1) g in
   Alcotest.(check int) "no communications" 0 (List.length s.Syndex.Schedule.comms)
 
 let test_heft_beats_or_matches_single_proc () =
@@ -133,13 +138,13 @@ let test_heft_beats_or_matches_single_proc () =
   let fn_cycles name = if name = "c" then Some 200_000.0 else None in
   let heavy = Syndex.Cost.make ~fn_cycles () in
   let g = tracking_like_graph ~nworkers:6 () in
-  let m1 = (Syndex.Heft.map heavy (Archi.ring 1) g).Syndex.Schedule.makespan in
-  let m8 = (Syndex.Heft.map heavy (Archi.ring 8) g).Syndex.Schedule.makespan in
+  let m1 = (heft_map heavy (Archi.ring 1) g).Syndex.Schedule.makespan in
+  let m8 = (heft_map heavy (Archi.ring 8) g).Syndex.Schedule.makespan in
   Alcotest.(check bool) "parallel is predicted faster" true (m8 < m1)
 
 let test_link_orders_cover_comms () =
   let g = tracking_like_graph () in
-  let s = Syndex.Heft.map cost (Archi.ring 8) g in
+  let s = heft_map cost (Archi.ring 8) g in
   let per_link = Syndex.Schedule.link_orders s in
   let total_hops =
     List.fold_left (fun acc (_, comms) -> acc + List.length comms) 0 per_link
@@ -288,7 +293,7 @@ let test_frontier_points_undominated () =
     (Syndex.Mapper.registered ())
 
 let test_pareto_filter () =
-  let s = Syndex.Heft.map cost (Archi.ring 2) (tracking_like_graph ()) in
+  let s = heft_map cost (Archi.ring 2) (tracking_like_graph ()) in
   let pt label lat per =
     {
       Syndex.Mapper.point_label = label;
@@ -315,7 +320,7 @@ let test_throughput_period_beats_heft_prediction () =
   in
   let model = Syndex.Cost.make ~fn_cycles:(fun _ -> Some 40_000.0) () in
   let arch = Archi.ring 8 in
-  let heft = Syndex.Heft.map model arch g in
+  let heft = heft_map model arch g in
   let tp =
     (Option.get (Syndex.Mapper.find "throughput")).Syndex.Mapper.map
       (Syndex.Mapper.problem model arch g)
@@ -667,7 +672,7 @@ let oracle_point schedule label =
       | Some p -> p.S.predicted_period
       | None -> oracle_resource_period schedule) }
 
-(* [Heft.map]'s placement as it was computed before the ready list became a
+(* [Heft.placement] as it was computed before the ready list became a
    FIFO with pred counters: rescan the whole remaining list for ready ops
    after every pick, fold every colocation pair per op, and try each
    processor from a fresh candidate list. *)
@@ -755,7 +760,7 @@ let oracle_heft_placement model arch g =
         None candidates
     in
     match best with
-    | None -> failwith "Heft.map: no reachable processor"
+    | None -> failwith "Heft.placement: no reachable processor"
     | Some (f, p) ->
         placed.(i) <- true;
         op_proc.(i) <- p;
@@ -773,7 +778,7 @@ let oracle_heft_placement model arch g =
         !remaining
     in
     match ready with
-    | [] -> failwith "Heft.map: cyclic scheduling graph"
+    | [] -> failwith "Heft.placement: cyclic scheduling graph"
     | i :: rest ->
         schedule_op i;
         remaining := rest @ blocked
@@ -970,7 +975,7 @@ let prop_schedules_match_oracle =
             QCheck.Test.fail_reportf "%s: scored period %h, oracle %h" what
               period want_rp)
         (placements @ candidates);
-      check_same_schedule "heft" (Syndex.Heft.map model arch g)
+      check_same_schedule "heft" (heft_map model arch g)
         (oracle_of_placement model arch g (oracle_heft_placement model arch g));
       let bicriteria = Option.get (Syndex.Mapper.find "bicriteria") in
       let frontier =
@@ -1039,10 +1044,11 @@ let chorded_ring w =
   Archi.custom ~name:(Printf.sprintf "chorded-ring-%d" w) procs
     ((0, w / 2, 4e6, 3e-6) :: (w / 2, 0, 4e6, 3e-6) :: ring)
 
-(* [Pipeline.map] maps every strategy of one compiled value on one shared
-   [Mapper.problem]: in forward, reverse and a shuffled order, each
-   schedule and its macro-code must equal what the strategy makes of a
-   fresh problem, on six machines at two widths. *)
+(* [Pipeline.map] and [Pipeline.frontier] map every strategy of one
+   compiled value on one shared [Mapper.problem]: in forward, reverse and
+   a shuffled order, each schedule, its macro-code and the strategy's
+   frontier must equal what the strategy makes of a fresh problem, on six
+   machines at two widths. *)
 let test_shared_problem_matches_fresh () =
   let module P = Skipper_lib.Pipeline in
   let names = Syndex.Mapper.names () in
@@ -1066,11 +1072,11 @@ let test_shared_problem_matches_fresh () =
               List.iter
                 (fun strategy ->
                   let m = Option.get (Syndex.Mapper.find strategy) in
-                  let got = P.map ~strategy c arch in
-                  let want =
-                    m.Syndex.Mapper.map
-                      (Syndex.Mapper.problem (Syndex.Cost.make ()) arch c.P.graph)
+                  let fresh () =
+                    Syndex.Mapper.problem (Syndex.Cost.make ()) arch c.P.graph
                   in
+                  let got = P.map ~strategy c arch in
+                  let want = m.Syndex.Mapper.map (fresh ()) in
                   let label =
                     Printf.sprintf "%s W=%d %s order, %s" (Archi.name arch) w
                       what strategy
@@ -1079,7 +1085,10 @@ let test_shared_problem_matches_fresh () =
                   Alcotest.(check string) (label ^ ": macro-code")
                     (Executive.Macro.emit c.P.graph ~placement:want.S.placement
                        ~arch)
-                    (P.macro_code c got))
+                    (P.macro_code c got);
+                  Alcotest.(check bool) (label ^ ": frontier") true
+                    (P.frontier ~strategy c arch
+                    = Syndex.Mapper.frontier m (fresh ())))
                 order)
             [ ("forward", names); ("reverse", List.rev names);
               ("shuffled", shuffled) ])
@@ -1231,7 +1240,7 @@ let test_of_placement_unreachable () =
 
 let test_heft_skips_unreachable () =
   let g = tracking_like_graph ~nworkers:3 () in
-  let s = Syndex.Heft.map cost (disconnected_pair ()) g in
+  let s = heft_map cost (disconnected_pair ()) g in
   Alcotest.(check bool) "everything on the reachable processor" true
     (Array.for_all (( = ) 0) s.Syndex.Schedule.placement)
 
@@ -1248,8 +1257,8 @@ let test_heft_tie_break_pin () =
   in
   let g = tracking_like_graph ~nworkers:4 () in
   let arch = Archi.ring 4 in
-  let s1 = Syndex.Heft.map uniform arch g in
-  let s2 = Syndex.Heft.map uniform arch g in
+  let s1 = heft_map uniform arch g in
+  let s2 = heft_map uniform arch g in
   Alcotest.(check (array int)) "deterministic placement"
     s1.Syndex.Schedule.placement s2.Syndex.Schedule.placement;
   Alcotest.(check (list (pair int int))) "deterministic op slots"
@@ -1275,7 +1284,7 @@ let prop_heft_always_valid =
                Skel.Ir.Df { nworkers; comp = "c2"; acc = "a"; init = V.Int 0; state = Skel.Ir.Stateless };
              ])
       in
-      let s = Syndex.Heft.map cost (Archi.ring nprocs) g in
+      let s = heft_map cost (Archi.ring nprocs) g in
       Result.is_ok (Syndex.Schedule.validate s) && Syndex.Schedule.deadlock_free s)
 
 let () =
