@@ -193,7 +193,9 @@ let problem cost arch g =
 let interval_schedule p cuts =
   let seq, _ = Lazy.force p.chain in
   let bounds = interval_bounds cuts in
-  let sched = schedule_placement p.scratch (interval_placement p.dag seq cuts) in
+  let sched =
+    schedule_placement p.scratch (interval_placement p.dag seq cuts)
+  in
   let proc_load = Array.make (Archi.nprocs p.arch) 0.0 in
   List.iter
     (fun (op : Schedule.op_slot) ->
