@@ -171,9 +171,9 @@ let map ?(strategy = "canonical") ?cost compiled arch =
       let mapper = mapper_of strategy in
       (mapper.Syndex.Mapper.map (problem compiled model arch), Archi.name arch))
 
-let frontier ?(strategy = "canonical") ?cost compiled arch =
-  let model = Option.value cost ~default:default_cost in
-  Syndex.Mapper.frontier (mapper_of strategy) (problem compiled model arch)
+let frontier ~strategy compiled arch =
+  Syndex.Mapper.frontier (mapper_of strategy)
+    (problem compiled default_cost arch)
 
 let resolve_input compiled input =
   match (input, compiled.input) with

@@ -87,12 +87,11 @@ val map :
     call. *)
 
 val frontier :
-  ?strategy:strategy -> ?cost:Syndex.Cost.t -> compiled -> Archi.t ->
-  Syndex.Mapper.point list
+  strategy:strategy -> compiled -> Archi.t -> Syndex.Mapper.point list
 (** The strategy's latency/period frontier ({!Syndex.Mapper.frontier}) on
-    the problem {!map} maps for [arch] and the cost model, so a frontier
-    taken after a map builds again only what its points need. It runs no
-    stage and adds no report. *)
+    the problem {!map} maps for [arch] under the default cost model, so a
+    frontier taken after such a map builds again only what its points
+    need. It runs no stage and adds no report. *)
 
 val execute :
   ?trace:bool ->
