@@ -1833,6 +1833,12 @@ let noisetables () =
    pixel. *)
 let max_detect_words_per_px = 0.1
 
+(* Words [Scene.frame] may allocate per pixel. The raster is 0.125 (one
+   byte per pixel, in 8-byte words); the template, the generator and the
+   vehicle list add a few hundred words per frame. A function call per
+   pixel that boxes or closes over anything adds at least 1. *)
+let max_frame_words_per_px = 0.2
+
 (* Words allocated on either heap: the minor heap's plus what went to the
    major heap directly (large arrays), without counting promotions twice. *)
 let allocated_words () =
@@ -1846,8 +1852,10 @@ let allocated_words () =
    from the marks of the frame before. Each line keeps the fastest of 5
    timed loops, each repeating the work for at least 50 ms, and prints
    host ms per frame and words allocated per pixel (of the last loop). The
-   allocation of [detect_regions] on the tiles is gated (exit 1 at
-   [max_detect_words_per_px] or above); times are printed only. *)
+   allocation of [Scene.frame] is gated (exit 1 above
+   [max_frame_words_per_px]) and so is that of [detect_regions] on the
+   tiles (exit 1 at [max_detect_words_per_px] or above); times are printed
+   only. *)
 let kernels () =
   header "kernels" "tracking user kernels: host ms per frame and words per pixel";
   let config = Tracking.Funcs.default_config in
@@ -1883,12 +1891,13 @@ let kernels () =
   in
   Printf.printf "%-36s %6s %9s %10s %9s\n" "kernel" "frames" "pixels" "ms/frame"
     "words/px";
-  ignore
-    (row "Scene.frame" ~frames:nframes ~pixels:(nframes * width * height)
-       (measure ~frames:nframes ~pixels:(nframes * width * height) (fun () ->
-            for t = 0 to nframes - 1 do
-              ignore (Vision.Scene.frame p t)
-            done)));
+  let frame_words =
+    row "Scene.frame" ~frames:nframes ~pixels:(nframes * width * height)
+      (measure ~frames:nframes ~pixels:(nframes * width * height) (fun () ->
+           for t = 0 to nframes - 1 do
+             ignore (Vision.Scene.frame p t)
+           done))
+  in
   let images = Array.init nframes (Vision.Scene.frame p) in
   let extract img ws = List.map (fun w -> (w, Vision.Window.extract img w)) ws in
   let marks ws =
@@ -1923,6 +1932,11 @@ let kernels () =
     (detect ~frames:(nframes - 1)
        (Printf.sprintf "detect_regions, windows (%d)" (List.length tracked))
        tracked);
+  if frame_words > max_frame_words_per_px then begin
+    Printf.eprintf "kernels: Scene.frame allocates %.3f words/px > %.1f\n" frame_words
+      max_frame_words_per_px;
+    exit 1
+  end;
   if tile_words >= max_detect_words_per_px then begin
     Printf.eprintf "kernels: detect_regions allocates %.3f words/px on frame 0's tiles >= %.1f\n"
       tile_words max_detect_words_per_px;

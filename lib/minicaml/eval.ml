@@ -373,6 +373,4 @@ let eval_program_env ctx start prog =
           eval_binding ctx env ~recursive ~pat ~bound:expr)
     start prog
 
-let eval_program ctx prog = eval_program_env ctx (initial_env ctx) prog
-
 let lookup env name = Env.find_opt name env

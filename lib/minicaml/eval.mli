@@ -46,17 +46,17 @@ val to_skel : value -> Skel.Value.t
 val pp_value : Format.formatter -> value -> unit
 
 val initial_env : ctx -> env
-(** Builtins + skeletons; externals are added by [eval_program]. *)
+(** Builtins + skeletons; externals are added by [eval_program_env]. *)
 
 val make_ctx : ?frames:int -> Skel.Funtable.t -> ctx
 (** Default [frames] = 1. *)
 
 val eval_expr : ctx -> env -> Ast.expr -> value
-val eval_program : ctx -> Ast.program -> env
-(** Evaluates top-level bindings in order (external declarations bind table
-    entries); returns the final environment. *)
-
 val eval_program_env : ctx -> env -> Ast.program -> env
-(** Like [eval_program] but extending an existing environment (REPL use). *)
+(** [eval_program_env ctx env prog] evaluates top-level bindings in order
+    (external declarations bind table entries), extending [env], and
+    returns the final environment. Start from [initial_env ctx] for a whole
+    program; the REPL extends its session's environment, and [Extract]
+    evaluates a spec's globals one binding at a time. *)
 
 val lookup : env -> string -> value option

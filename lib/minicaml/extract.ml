@@ -232,10 +232,15 @@ let extract ?(frames = 1) table prog =
         | _ -> true)
       prog
   in
+  (* one binding at a time, so a runtime error names its binding's line *)
   let genv =
-    try Eval.eval_program ctx globals
-    with Eval.Runtime_error msg ->
-      raise (Extract_error ("evaluating globals: " ^ msg, Ast.noloc))
+    List.fold_left
+      (fun env top ->
+        try Eval.eval_program_env ctx env [ top ]
+        with Eval.Runtime_error msg ->
+          let loc = match top with Ast.Tlet { loc; _ } | Ast.Texternal { loc; _ } -> loc in
+          raise (Extract_error ("evaluating globals: " ^ msg, loc)))
+      (Eval.initial_env ctx) globals
   in
   let main_expr, main_loc =
     match

@@ -15,19 +15,24 @@ let protocol_error fmt =
    a plausible batch; fail before allocating the "length". *)
 let max_frame = 64 * 1024 * 1024
 
-let write_all fd s =
-  let b = Bytes.unsafe_of_string s in
-  let n = Bytes.length b in
-  let rec go off =
-    if off < n then go (off + Unix.write fd b off (n - off))
-  in
-  go 0
+(* [single_write] makes one [write] call, so a signal that interrupts it
+   ([EINTR]) has written nothing and the call is simply made again; a
+   partial write continues from where it stopped. *)
+let rec write_all fd b off n =
+  if off < n then
+    match Unix.single_write fd b off (n - off) with
+    | k -> write_all fd b (off + k) n
+    | exception Unix.Unix_error (EINTR, _, _) -> write_all fd b off n
 
+(* The length prefix and the payload go out in one buffer: one [write] per
+   frame of up to 64 KiB, so the peer wakes once per frame, not once for
+   the prefix and again for the payload. *)
 let write_frame fd payload =
-  let hdr = Bytes.create 4 in
-  Bytes.set_int32_be hdr 0 (Int32.of_int (String.length payload));
-  write_all fd (Bytes.to_string hdr);
-  write_all fd payload
+  let n = String.length payload in
+  let b = Bytes.create (4 + n) in
+  Bytes.set_int32_be b 0 (Int32.of_int n);
+  Bytes.blit_string payload 0 b 4 n;
+  write_all fd b 0 (4 + n)
 
 (* The read distinguishes a clean close (EOF exactly on a frame boundary)
    from a peer vanishing mid-frame — a partial length prefix or a
@@ -47,6 +52,7 @@ let read_chunk fd n =
       match Unix.read fd buf off (n - off) with
       | 0 -> if off = 0 then Empty else Short
       | k -> go (off + k)
+      | exception Unix.Unix_error (EINTR, _, _) -> go off
   in
   go 0
 
@@ -590,14 +596,18 @@ let serve cfg ~socket () =
             List.iter
               (fun r ->
                 if r = fd then begin
-                  let client, _ = Unix.accept fd in
-                  let id = Printf.sprintf "c%d" !next_client in
-                  incr next_client;
-                  clients := !clients @ [ (client, id) ];
-                  set_clients ();
-                  Log.info cfg.log
-                    ~fields:[ ("client", Json.Str id) ]
-                    "client_connected"
+                  (* a signal during the accept: the peer is still queued
+                     and the next select reports it again *)
+                  match Unix.accept fd with
+                  | exception Unix.Unix_error (EINTR, _, _) -> ()
+                  | client, _ ->
+                      let id = Printf.sprintf "c%d" !next_client in
+                      incr next_client;
+                      clients := !clients @ [ (client, id) ];
+                      set_clients ();
+                      Log.info cfg.log
+                        ~fields:[ ("client", Json.Str id) ]
+                        "client_connected"
                 end
                 else if not !stop then
                   let id = client_id r in
@@ -692,6 +702,10 @@ let connect ?(retries = 50) ?(delay = 0.1) socket =
         Unix.close fd;
         Unix.sleepf delay;
         go (n - 1)
+    | exception Unix.Unix_error (EINTR, _, _) ->
+        (* a fresh socket: an interrupted connect may still complete *)
+        Unix.close fd;
+        go n
     | exception e ->
         Unix.close fd;
         raise e

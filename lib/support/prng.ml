@@ -158,11 +158,17 @@ module Trunc_normal = struct
     let m = ((Int64.to_int r land 0xFFFF_FFFF) - Array.unsafe_get tbl.keep c) asr 62 in
     ((c - tbl.half) land m) lor (Array.unsafe_get tbl.alias c land lnot m)
 
-  (* The state stays in a local for the whole pass (a register, or a stack
-     slot across [f]), unboxed, and goes back to [t] once at the end. The
-     position is computed in [int64] too: [hi width < 2^63], and nothing
-     is tagged until the index. *)
-  let scatter t tbl n ~width ~height f =
+  (* The state stays in a local for the whole pass (a register), unboxed,
+     and goes back to [t] once at the end. The position is computed in
+     [int64] too: [hi width < 2^63], and nothing is tagged until the index.
+     [i < width height] and [row * 256 + v < Bytes.length map], so both
+     reads and the write go unchecked. *)
+  let scatter t tbl n ~width ~height ~map data =
+    let m = (Bytes.length map / 256 - 1) / 2 in
+    if width <= 0 || height <= 0 || width * height > Bytes.length data then
+      invalid_arg "Prng.Trunc_normal.scatter: raster smaller than width * height";
+    if Bytes.length map <> ((2 * m) + 1) * 256 then
+      invalid_arg "Prng.Trunc_normal.scatter: map is not an odd number of 256-byte rows";
     let w = Int64.of_int width and h = Int64.of_int height in
     let s = ref (Bytes.get_int64_ne t 0) in
     for _ = 1 to n do
@@ -172,9 +178,14 @@ module Trunc_normal = struct
       let r = mix s1 in
       let x = Int64.shift_right_logical (Int64.mul (Int64.shift_right_logical r 32) w) 32
       and y = Int64.shift_right_logical (Int64.mul (Int64.logand r 0xFFFF_FFFFL) h) 32 in
-      f (Int64.to_int (Int64.add (Int64.mul y w) x)) (pick tbl (mix s2))
+      let i = Int64.to_int (Int64.add (Int64.mul y w) x) in
+      let row = Int.min m (Int.max (-m) (pick tbl (mix s2))) + m in
+      Bytes.unsafe_set data i
+        (Bytes.unsafe_get map ((row lsl 8) + Char.code (Bytes.unsafe_get data i)))
     done;
     Bytes.set_int64_ne t 0 !s
+
+  let half tbl = tbl.half
 
   let weights tbl = Array.to_list (Array.mapi (fun i w -> (i - tbl.half, w)) tbl.weights)
   let columns tbl =

@@ -48,17 +48,27 @@ module Trunc_normal : sig
       between the column's own value and its alias. Allocates nothing. *)
 
   val scatter :
-    t -> table -> int -> width:int -> height:int -> (int -> int -> unit) -> unit
-  (** [scatter t tbl n ~width ~height f] makes [n] calls [f i d] that draw
-      exactly what [n] rounds of [let r = bits64 t in let d = draw t tbl
-      in] draw. [i] is [y width + x], the row-major index of a position in
-      a [width] by [height] raster: [x] is [(hi width) >> 32] and [y] is
+    t -> table -> int -> width:int -> height:int -> map:Bytes.t -> Bytes.t -> unit
+  (** [scatter t tbl n ~width ~height ~map data] makes [n] byte updates
+      [data.[i] <- map.[(row d) 256 + data.[i]]] that draw exactly what [n]
+      rounds of [let r = bits64 t in let d = draw t tbl in] draw. [i] is
+      [y width + x], the row-major index of a position in a [width] by
+      [height] raster: [x] is [(hi width) >> 32] and [y] is
       [(lo height) >> 32], for [hi] and [lo] the high and the low 32 bits of
-      [r]. [d] is the value. [t] ends where those [2 n] draws leave it.
-      This is the pass behind [Scene.frame]'s noise: the state stays
-      unboxed in a local for the whole pass, and the alias pick is
-      branch-free. Requires [0 < width, height < 2{^31}]; [f] must not draw
-      from [t]. Allocates nothing beyond what [f] does. *)
+      [r]. [d] is the value and [row d] is [d] clamped to [-m .. m], plus
+      [m], for [map]'s [2 m + 1] rows of 256 bytes: a map whose rows past
+      [|d| = m] would all equal its edge rows stops there. [t] ends where
+      those [2 n] draws leave it. Updates apply in draw order, so a position
+      drawn twice maps the byte the first update left. This is the pass
+      behind [Scene.frame]'s noise: the state stays unboxed in a local for
+      the whole pass, the alias pick is branch-free and no function is
+      called per draw. Requires [width, height < 2{^31}]; raises
+      [Invalid_argument] unless [width, height > 0],
+      [width height <= Bytes.length data] and [Bytes.length map] is an odd
+      multiple of 256. Allocates nothing. *)
+
+  val half : table -> int
+  (** The largest value a draw can return: the values are [-half .. half]. *)
 
   val weights : table -> (int * int) list
   (** [(k, W_k)] in increasing [k]; every [W_k > 0], and they sum to 2{^32}.

@@ -8,6 +8,11 @@ let create ?(init = 0) width height =
   if init < 0 || init > 255 then invalid_arg "Image.create: init out of range";
   { width; height; data = Bytes.make (width * height) (Char.chr init) }
 
+let unsafe_create width height =
+  if width <= 0 || height <= 0 then
+    invalid_arg "Image.unsafe_create: non-positive dimensions";
+  { width; height; data = Bytes.create (width * height) }
+
 let width img = img.width
 let height img = img.height
 let size img = img.width * img.height
@@ -34,31 +39,20 @@ let set img x y v =
 
 let copy img = { img with data = Bytes.copy img.data }
 
-(* [sub] and [blit] clip inline: a helper returning the rectangle as a
-   tuple allocates it on every call (ocamlopt does not unbox it), and
-   [Scene.frame] blits once per row. [Int.max]/[Int.min]: the polymorphic
-   ones are calls into the generic compare. *)
+(* [sub] clips inline: a helper returning the rectangle as a tuple
+   allocates it on every call (ocamlopt does not unbox it). [Int.max] /
+   [Int.min]: the polymorphic ones are calls into the generic compare. The
+   row blits write every byte of [dst], so it is not pre-filled. *)
 let sub img ~x ~y ~w ~h =
   let x0 = Int.max 0 x and y0 = Int.max 0 y in
   let cw = Int.min img.width (x + w) - x0
   and ch = Int.min img.height (y + h) - y0 in
   if cw <= 0 || ch <= 0 then invalid_arg "Image.sub: empty rectangle";
-  let dst = create cw ch in
+  let dst = unsafe_create cw ch in
   for row = 0 to ch - 1 do
     Bytes.blit img.data (((y0 + row) * img.width) + x0) dst.data (row * cw) cw
   done;
   dst
-
-let blit ~src ~dst ~x ~y =
-  let x0 = Int.max 0 x and y0 = Int.max 0 y in
-  let cw = Int.min dst.width (x + src.width) - x0
-  and ch = Int.min dst.height (y + src.height) - y0 in
-  let sx = x0 - x and sy = y0 - y in
-  for row = 0 to ch - 1 do
-    Bytes.blit src.data (((sy + row) * src.width) + sx) dst.data
-      (((y0 + row) * dst.width) + x0)
-      cw
-  done
 
 let map f img =
   let dst = create img.width img.height in

@@ -16,6 +16,13 @@ val create : ?init:int -> int -> int -> t
     (default 0). Raises [Invalid_argument] if [w <= 0], [h <= 0] or
     [init] is outside [0, 255]. *)
 
+val unsafe_create : int -> int -> t
+(** [unsafe_create w h] allocates a [w * h] image without filling it: its
+    pixels are whatever the allocator left until written. For creators that
+    write every pixel before anything reads one ([sub], [Scene.frame]),
+    which saves [create]'s pass over the raster. Raises [Invalid_argument]
+    if [w <= 0] or [h <= 0]. *)
+
 val width : t -> int
 val height : t -> int
 val size : t -> int
@@ -48,10 +55,6 @@ val sub : t -> x:int -> y:int -> w:int -> h:int -> t
 (** [sub img ~x ~y ~w ~h] extracts a copy of the rectangle. The rectangle is
     clipped against the image; raises [Invalid_argument] when the clipped
     rectangle is empty. *)
-
-val blit : src:t -> dst:t -> x:int -> y:int -> unit
-(** [blit ~src ~dst ~x ~y] pastes [src] into [dst] at [(x, y)], clipping
-    against [dst]'s bounds. *)
 
 val map : (int -> int) -> t -> t
 (** [map f img] applies [f] to every pixel (result clamped to [0, 255]). *)

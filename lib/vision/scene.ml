@@ -78,22 +78,30 @@ let render_background p img t =
      [(7x + 13y + 3t) mod 11] that depends deterministically on position and
      frame. Row y is [base + ((r0 + 7x) mod 11)], r0 = (13y + 3t) mod 11:
      the window at x0 = 8 r0 mod 11 (8 = 7^-1 mod 11) of the template
-     [base + (7i mod 11)], i < w + 11, so each row is one blit and the
-     template is refilled only when [base] changes (at most 40 times).
-     With [t >= 0] every value is in 60..109. *)
+     [base + (7i mod 11)], i < w + 11, so each row is one blit of w bytes,
+     every pixel of the row. The template is rebuilt only when [base]
+     changes (at most 40 times): its first period by hand, then doubled
+     with blits, each from offset 0 and of a multiple of 11 bytes. With
+     [t >= 0] every value is in 60..109. *)
   let h = p.height and w = p.width in
-  let template = Image.create (w + 11) 1 in
+  let len = w + 11 in
+  let template = Bytes.create len and data = img.Image.data in
   let filled = ref (-1) in
   for y = 0 to h - 1 do
     let base = 60 + (40 * y / h) in
     if base <> !filled then begin
-      for i = 0 to w + 10 do
-        Image.unsafe_set template i 0 (base + (7 * i mod 11))
+      for i = 0 to 10 do
+        Bytes.unsafe_set template i (Char.unsafe_chr (base + (7 * i mod 11)))
+      done;
+      let n = ref 11 in
+      while !n < len do
+        Bytes.blit template 0 template !n (Int.min !n (len - !n));
+        n := 2 * !n
       done;
       filled := base
     end;
     let r0 = ((y * 13) + (t * 3)) mod 11 in
-    Image.blit ~src:template ~dst:img ~x:(-(8 * r0 mod 11)) ~y
+    Bytes.blit template (8 * r0 mod 11) data (y * w) w
   done
 
 let render_vehicle img v =
@@ -112,30 +120,52 @@ let render_vehicle img v =
     List.iter (fun (mx, my) -> draw_disc img mx my (mark_radius v) 250) (mark_centers v)
   end
 
-let[@inline] clamp (v : int) lo hi = if v < lo then lo else if v > hi then hi else v
+(* [map.[(d + m) 256 + v]] is pixel value [v] moved by [d], clamped to its
+   class: marks (>= 220) stay in 220..255, everything else in 0..179, so the
+   noise never pushes background into mark range nor marks below it. Rows
+   past [|d| = 255] would equal the edge rows, so [m] is at most 255 and the
+   map at most 511 rows (128 KiB); at the default level 3 it is 37 rows. *)
+let noise_map tbl =
+  let m = Int.min 255 (Support.Prng.Trunc_normal.half tbl) in
+  let clamp v lo hi = if v < lo then lo else if v > hi then hi else v in
+  let map = Bytes.create (((2 * m) + 1) * 256) in
+  for d = -m to m do
+    for v = 0 to 255 do
+      let v' = if v >= 220 then clamp (v + d) 220 255 else clamp (v + d) 0 179 in
+      Bytes.set map (((d + m) * 256) + v) (Char.chr v')
+    done
+  done;
+  map
+
+(* one entry, as [Prng.Trunc_normal.table] keeps: every frame of a run asks
+   for the same level; domains that race build equal maps *)
+let noise_maps = Atomic.make None
+
+let noise_map_at level =
+  match Atomic.get noise_maps with
+  | Some (l, map) when l = level -> map
+  | _ ->
+      let map = noise_map (Support.Prng.Trunc_normal.table level) in
+      Atomic.set noise_maps (Some (level, map));
+      map
 
 let add_noise p img t =
   if p.noise > 0.0 then begin
     let rng = Support.Prng.create (p.seed + (t * 7919)) in
     let w = Image.width img and h = Image.height img in
-    let data = img.Image.data in
     (* Perturb a pseudo-random 20% of pixels; keeps marks distinguishable
        while still exercising threshold robustness. [scatter] takes each
        pixel's x from the high and its y from the low 32 bits of one
-       [bits64], by multiply-shift (in range, so pixels are accessed
-       unchecked), and its noise from the next draw. *)
+       [bits64], by multiply-shift, and its noise from the next draw, and
+       looks the new byte up in [noise_map]. *)
     Support.Prng.Trunc_normal.scatter rng (Support.Prng.Trunc_normal.table p.noise)
-      (w * h / 5) ~width:w ~height:h
-      (fun i d ->
-        let v = Char.code (Bytes.unsafe_get data i) in
-        (* Never push background pixels into mark range nor marks below it. *)
-        let v' = if v >= 220 then clamp (v + d) 220 255 else clamp (v + d) 0 179 in
-        Bytes.unsafe_set data i (Char.unsafe_chr v'))
+      (w * h / 5) ~width:w ~height:h ~map:(noise_map_at p.noise) img.Image.data
   end
 
+(* The background writes every pixel, so the raster is not pre-filled. *)
 let frame p t =
   if t < 0 then invalid_arg "Scene.frame: negative frame index";
-  let img = Image.create p.width p.height in
+  let img = Image.unsafe_create p.width p.height in
   render_background p img t;
   List.iter (render_vehicle img) (vehicles_at p t);
   add_noise p img t;

@@ -1,4 +1,4 @@
-(* Tests for Vision.Image (accessors, sub/blit clipping, band splitting,
+(* Tests for Vision.Image (accessors, sub clipping, band splitting,
    the PGM writer) and for the Ops and Draw helpers built on it. *)
 
 module I = Vision.Image
@@ -26,6 +26,13 @@ let test_create_rejects_bad_args () =
   Alcotest.check_raises "bad init"
     (Invalid_argument "Image.create: init out of range") (fun () ->
       ignore (I.create ~init:300 5 5))
+
+let test_unsafe_create_rejects_bad_args () =
+  Alcotest.check_raises "zero height"
+    (Invalid_argument "Image.unsafe_create: non-positive dimensions") (fun () ->
+      ignore (I.unsafe_create 5 0));
+  let img = I.unsafe_create 3 2 in
+  Alcotest.(check (pair int int)) "dimensions" (3, 2) (I.width img, I.height img)
 
 let test_get_set_bounds () =
   let img = I.create 4 4 in
@@ -59,16 +66,6 @@ let test_sub_clips () =
   Alcotest.(check int) "clipped height" 2 (I.height sub);
   Alcotest.check_raises "empty rect" (Invalid_argument "Image.sub: empty rectangle")
     (fun () -> ignore (I.sub img ~x:10 ~y:10 ~w:2 ~h:2))
-
-let test_blit () =
-  let src = I.create ~init:200 2 2 in
-  let dst = I.create 5 5 in
-  I.blit ~src ~dst ~x:3 ~y:3;
-  Alcotest.(check int) "blitted" 200 (I.get dst 3 3);
-  Alcotest.(check int) "outside blit" 0 (I.get dst 2 2);
-  (* Clipped blit must not raise. *)
-  I.blit ~src ~dst ~x:4 ~y:4;
-  Alcotest.(check int) "partially blitted" 200 (I.get dst 4 4)
 
 let test_map_and_fold () =
   let img = I.create ~init:10 3 3 in
@@ -189,6 +186,8 @@ let () =
         [
           Alcotest.test_case "create and fill" `Quick test_create_and_fill;
           Alcotest.test_case "create rejects bad args" `Quick test_create_rejects_bad_args;
+          Alcotest.test_case "unsafe_create rejects bad args" `Quick
+            test_unsafe_create_rejects_bad_args;
           Alcotest.test_case "get/set bounds" `Quick test_get_set_bounds;
           Alcotest.test_case "set clamps" `Quick test_set_clamps;
           Alcotest.test_case "equal" `Quick test_equal;
@@ -197,7 +196,6 @@ let () =
         [
           Alcotest.test_case "sub contents" `Quick test_sub_contents;
           Alcotest.test_case "sub clips" `Quick test_sub_clips;
-          Alcotest.test_case "blit" `Quick test_blit;
           Alcotest.test_case "row bands partition" `Quick test_row_bands_partition;
           Alcotest.test_case "extract band" `Quick test_extract_band;
         ] );

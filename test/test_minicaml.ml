@@ -183,7 +183,7 @@ let test_infer_external_opaque_types () =
 
 let eval_str ?(table = Skel.Funtable.create ()) src name =
   let ctx = E.make_ctx table in
-  let env = E.eval_program ctx (P.program src) in
+  let env = E.eval_program_env ctx (E.initial_env ctx) (P.program src) in
   match E.lookup env name with
   | Some v -> v
   | None -> Alcotest.failf "no binding %s" name
@@ -228,7 +228,7 @@ let test_eval_external_cycles_charged () =
   let table = Skel.Funtable.create () in
   Skel.Funtable.register table "work" ~cost:(fun _ -> 123.0) (fun v -> v);
   let ctx = E.make_ctx table in
-  let env = E.eval_program ctx (P.program "external work : int -> int\nlet x = work 1") in
+  let env = E.eval_program_env ctx (E.initial_env ctx) (P.program "external work : int -> int\nlet x = work 1") in
   ignore (E.lookup env "x");
   Alcotest.(check (float 0.001)) "cycles" 123.0 ctx.E.cycles
 
@@ -316,7 +316,7 @@ let test_extract_emulation_agree () =
   let via_ir = Skel.Sem.run table1 ex.X.program (Option.get ex.X.input) in
   let table2 = Tracking.Funcs.table config in
   let ctx = E.make_ctx ~frames table2 in
-  ignore (E.eval_program ctx (P.program src));
+  ignore (E.eval_program_env ctx (E.initial_env ctx) (P.program src));
   (* Evaluating [main] runs the bounded itermem loop, which leaves its final
      state and outputs in the context; Sem.run returns the same pair. *)
   let via_eval =
@@ -667,6 +667,27 @@ let test_df_own_state_count () =
   | exception Skipper_lib.Pipeline.Compile_error m ->
       Alcotest.(check bool) m true (Astring.String.is_infix ~affix:"df_own" m)
 
+(* A runtime error in a global names the line of the binding that raised
+   it, not line 0: the globals are evaluated one binding at a time. *)
+let test_global_error_located () =
+  let src =
+    String.concat "\n"
+      [
+        "let a = 1";
+        "let b = a + 1";
+        "";
+        "let c = df_own 3 (fun (s, x) -> (s + x, s * x)) (fun a b -> a + b) ([0], 1) [3; 4; 5]";
+        "let main = fun x -> x + b + c";
+      ]
+  in
+  match Skipper_lib.Pipeline.compile_source ~table:(Skel.Funtable.create ()) src with
+  | _ -> Alcotest.fail "compiled a df_own short of states"
+  | exception Skipper_lib.Pipeline.Compile_error m ->
+      Alcotest.(check bool) ("names df_own: " ^ m) true
+        (Astring.String.is_infix ~affix:"evaluating globals: df_own" m);
+      Alcotest.(check bool) ("names line 4: " ^ m) true
+        (Astring.String.is_infix ~affix:"(at line 4, column " m)
+
 let test_repl_parse_error_message () =
   match repl_session [ "let = 3" ] with
   | [ (false, m) ] ->
@@ -770,6 +791,8 @@ let () =
           Alcotest.test_case "skeletons match Sem" `Quick test_repl_skeletons_match_sem;
           Alcotest.test_case "parse error message" `Quick test_repl_parse_error_message;
           Alcotest.test_case "df_own state count" `Quick test_df_own_state_count;
+          Alcotest.test_case "a global's runtime error names its line" `Quick
+            test_global_error_located;
           Alcotest.test_case "channel loop" `Quick test_repl_channel_loop;
         ] );
       ( "extraction",

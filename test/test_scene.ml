@@ -186,10 +186,16 @@ module Reference = struct
         (S.mark_centers v)
     end
 
+  (* The per-draw noise [Scene.frame] had before its table pass: a
+     [bits64] for the position, a [draw] for the value, and the clamp to
+     the pixel's class as a closure over the pixel and the value. *)
   let add_noise (p : S.params) img t =
     if p.noise > 0.0 then begin
       let rng = Support.Prng.create (p.seed + (t * 7919)) in
       let n = I.size img in
+      let clamp v d =
+        if v >= 220 then max 220 (min 255 (v + d)) else min 179 (max 0 (v + d))
+      in
       for _ = 1 to n / 5 do
         let r = Support.Prng.bits64 rng in
         (* u size / 2^32 of a 32-bit half u *)
@@ -197,9 +203,7 @@ module Reference = struct
         let x = scaled (Int64.shift_right_logical r 32) (I.width img)
         and y = scaled (Int64.logand r 0xFFFF_FFFFL) (I.height img) in
         let d = Support.Prng.Trunc_normal.(draw rng (table p.noise)) in
-        let v = I.get img x y in
-        let v' = if v >= 220 then max 220 (v + d) else min 179 (max 0 (v + d)) in
-        I.set img x y v'
+        I.set img x y (clamp (I.get img x y) d)
       done
     end
 
@@ -217,10 +221,13 @@ let arbitrary_scene =
       (* now and then the full 512x512 frame the tracker sees *)
       let* width, height =
         frequency
-          [ (59, pair (int_range 1 97) (int_range 1 97)); (1, return (512, 512)) ]
+          [ (59, pair (int_range 1 128) (int_range 1 128)); (1, return (512, 512)) ]
       in
       let* nvehicles = int_range 1 3 and* seed = int_bound 1_000_000 in
-      let* noise = oneofl [ 0.0; 0.5; 3.0; 7.5; 60.0 ]
+      (* up to 40 the noise map has a row per value; from 60 on (values up
+         to 358, 588 and 5 612) it stops at 255 either side and the row
+         clamp is taken *)
+      let* noise = oneofl [ 0.0; 0.5; 3.0; 7.5; 60.0; 100.0; 1024.0 ]
       and* occlusion_period = int_bound 12 in
       let* t = int_bound 5000 in
       return ({ S.width; height; nvehicles; seed; noise; occlusion_period }, t))
@@ -243,7 +250,7 @@ let test_full_frames_match_reference () =
         (Printf.sprintf "512x512, noise %g, frame %d" noise t)
         true
         (I.equal (S.frame p t) (Reference.frame p t)))
-    [ 0.5; 3.0; 7.5; 60.0 ]
+    [ 0.5; 3.0; 7.5; 60.0; 100.0; 1024.0 ]
 
 (* The noise never crosses the mark threshold, so everything downstream of
    the >= 200 mask sees the noise-free frame. *)

@@ -732,6 +732,63 @@ let test_metrics_op () =
   | Error m -> Alcotest.failf "shutdown failed: %s" m);
   ignore (Domain.join daemon)
 
+(* Regression: a signal handler anywhere in the process must not break
+   requests. A 0.5 ms SIGALRM interval timer runs through a burst of
+   compile calls, so reads and writes on both ends, and the daemon's
+   select and accept, are interrupted ([EINTR]) again and again. Every
+   call must succeed, and the daemon must still answer [stats] after the
+   burst, with every request counted. *)
+let test_signals_during_requests () =
+  let socket = tmp_name "skipper-test-serve-eintr.sock" in
+  let cfg =
+    {
+      Serve.table_of = (fun _ -> simple_table ());
+      input_of = (fun _ -> None);
+      arch_of = Archi.ring;
+      store = None;
+      jobs = 1;
+      log = Support.Log.null;
+      metrics = None;
+      timeline = None;
+    }
+  in
+  let daemon = Domain.spawn (fun () -> Serve.serve cfg ~socket ()) in
+  let ticks = Atomic.make 0 in
+  let every = 0.0005 and burst = 60 in
+  let previous = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> Atomic.incr ticks)) in
+  let timer interval = { Unix.it_interval = interval; it_value = interval } in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.setitimer Unix.ITIMER_REAL (timer 0.0));
+      Sys.set_signal Sys.sigalrm previous)
+    (fun () ->
+      ignore (Unix.setitimer Unix.ITIMER_REAL (timer every));
+      for i = 1 to burst do
+        (* a different worker count each time, so some compiles are cold *)
+        let src =
+          Printf.sprintf
+            "external sq : int -> int\nexternal plus : int -> int -> int\n\
+             let main = fun xs -> df %d sq plus 0 xs"
+            (1 + (i mod 7))
+        in
+        match Serve.call ~socket [ Serve.req_compile ~app:"simple" src ] with
+        | Ok [ r ] -> Alcotest.(check string) "compile ok" "ok" (str "status" r)
+        | Ok rs -> Alcotest.failf "call %d: expected 1 response, got %d" i (List.length rs)
+        | Error m -> Alcotest.failf "call %d failed under the timer: %s" i m
+      done;
+      match Serve.call ~socket [ Serve.req_stats ] with
+      | Ok [ r ] ->
+          Alcotest.(check string) "stats ok" "ok" (str "status" r);
+          Alcotest.(check int) "every request counted" (burst + 1)
+            (int_of_float (numf "requests" r))
+      | Ok rs -> Alcotest.failf "stats: expected 1 response, got %d" (List.length rs)
+      | Error m -> Alcotest.failf "stats failed under the timer: %s" m);
+  Alcotest.(check bool) "the timer fired" true (Atomic.get ticks > 0);
+  (match Serve.call ~socket [ Serve.req_shutdown ] with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "shutdown failed: %s" m);
+  Alcotest.(check int) "all batches served" (burst + 2) (Domain.join daemon)
+
 (* Determinism across pool widths: the same request sequence against a
    --jobs 1 and a --jobs 4 daemon yields byte-identical responses once the
    wall-clock fields are stripped, and (under a pinned log clock)
@@ -885,6 +942,8 @@ let () =
           Alcotest.test_case "hang-up is an error" `Quick
             test_hangup_is_an_error;
           Alcotest.test_case "metrics op and top" `Quick test_metrics_op;
+          Alcotest.test_case "signals during requests" `Quick
+            test_signals_during_requests;
           Alcotest.test_case "jobs determinism" `Quick test_jobs_determinism;
           Alcotest.test_case "jobs share one memory" `Quick
             test_jobs_share_memory;

@@ -258,8 +258,10 @@ let test_noise_table_rejects_levels () =
 
 (* [scatter] against the per-draw loop it replaced in [Scene.frame]'s
    noise: one [bits64] for the position, scaled by multiply-shift in native
-   ints, then one [draw], [w h / 5] times. Every (index, value) pair and
-   the final state must agree. *)
+   ints, then one [draw], its row clamped to the map's [2 m + 1] rows, and a
+   lookup of the new byte, [w h / 5] times. The map is random bytes, so any
+   misread row or byte shows; [m] runs past the levels' [half] and below
+   it, so the clamp is taken. The raster and the final state must agree. *)
 let prop_noise_scatter_matches_draws =
   QCheck.Test.make ~name:"noise scatter equals the per-draw loop" ~count:200
     QCheck.(
@@ -273,25 +275,44 @@ let prop_noise_scatter_matches_draws =
                 (1, float_range 0.01 1024.0);
               ]
           and* w = frequency [ (9, int_range 1 128); (1, return 512) ]
-          and* h = frequency [ (9, int_range 1 128); (1, return 512) ] in
-          return (seed, level, w, h))
-        ~print:(fun (seed, level, w, h) ->
-          Printf.sprintf "seed=%d level=%h %dx%d" seed level w h))
-    (fun (seed, level, w, h) ->
+          and* h = frequency [ (9, int_range 1 128); (1, return 512) ]
+          and* m = frequency [ (3, int_range 0 40); (1, int_range 0 300) ] in
+          return (seed, level, w, h, m))
+        ~print:(fun (seed, level, w, h, m) ->
+          Printf.sprintf "seed=%d level=%h %dx%d m=%d" seed level w h m))
+    (fun (seed, level, w, h, m) ->
       let tbl = N.table level and n = w * h / 5 in
-      let reference = Support.Prng.create seed in
-      let want =
-        List.init n (fun _ ->
-            let r = Support.Prng.bits64 reference in
-            let x = (Int64.to_int (Int64.shift_right_logical r 32) * w) lsr 32
-            and y = ((Int64.to_int r land 0xFFFF_FFFF) * h) lsr 32 in
-            ((y * w) + x, N.draw reference tbl))
+      let bytes k =
+        let g = Support.Prng.create (seed + k) in
+        Bytes.init k (fun _ -> Char.chr (Support.Prng.int g 256))
       in
+      let map = bytes (((2 * m) + 1) * 256) and raster = bytes (w * h) in
+      let want = Bytes.copy raster and reference = Support.Prng.create seed in
+      for _ = 1 to n do
+        let r = Support.Prng.bits64 reference in
+        let x = (Int64.to_int (Int64.shift_right_logical r 32) * w) lsr 32
+        and y = ((Int64.to_int r land 0xFFFF_FFFF) * h) lsr 32 in
+        let d = N.draw reference tbl in
+        let row = max (-m) (min m d) + m in
+        let i = (y * w) + x in
+        Bytes.set want i (Bytes.get map ((row * 256) + Char.code (Bytes.get want i)))
+      done;
       let rng = Support.Prng.create seed in
-      let got = ref [] in
-      N.scatter rng tbl n ~width:w ~height:h (fun i d -> got := (i, d) :: !got);
-      List.rev !got = want
-      && Support.Prng.bits64 rng = Support.Prng.bits64 reference)
+      N.scatter rng tbl n ~width:w ~height:h ~map raster;
+      Bytes.equal raster want && Support.Prng.bits64 rng = Support.Prng.bits64 reference)
+
+let test_noise_scatter_rejects_shapes () =
+  let tbl = N.table 3.0 and rng = Support.Prng.create 1 in
+  let raster = Bytes.make 12 '\000' in
+  Alcotest.check_raises "raster too small"
+    (Invalid_argument "Prng.Trunc_normal.scatter: raster smaller than width * height")
+    (fun () -> N.scatter rng tbl 1 ~width:4 ~height:4 ~map:(Bytes.make 256 'a') raster);
+  Alcotest.check_raises "even row count"
+    (Invalid_argument "Prng.Trunc_normal.scatter: map is not an odd number of 256-byte rows")
+    (fun () -> N.scatter rng tbl 1 ~width:4 ~height:3 ~map:(Bytes.make 512 'a') raster);
+  Alcotest.check_raises "partial row"
+    (Invalid_argument "Prng.Trunc_normal.scatter: map is not an odd number of 256-byte rows")
+    (fun () -> N.scatter rng tbl 1 ~width:4 ~height:3 ~map:(Bytes.make 300 'a') raster)
 
 module Q = Support.Pqueue
 
@@ -896,6 +917,8 @@ let () =
           Alcotest.test_case "noise levels outside (0, 1024] rejected" `Quick
             test_noise_table_rejects_levels;
           QCheck_alcotest.to_alcotest prop_noise_scatter_matches_draws;
+          Alcotest.test_case "noise scatter rejects bad shapes" `Quick
+            test_noise_scatter_rejects_shapes;
         ] );
       ( "pqueue",
         [
